@@ -7,10 +7,8 @@ package photon
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math/big"
 	"os"
 	"strings"
 	"testing"
@@ -893,249 +891,6 @@ func sortDurations(d []time.Duration) {
 }
 
 // ----- Adaptive narrow-decimal execution (§4.6) -----
-
-// decimalBenchResult is one BenchmarkDecimalFastpath measurement, persisted
-// to BENCH_decimal_fastpath.json. Query rows carry wall_ms; kernel rows
-// carry ns_per_row; summary rows carry speedup (dec128 wall / dec64 wall).
-type decimalBenchResult struct {
-	Name     string  `json:"name"`
-	Mode     string  `json:"mode,omitempty"` // "dec64" | "dec128"
-	WallMs   float64 `json:"wall_ms,omitempty"`
-	NsPerRow float64 `json:"ns_per_row,omitempty"`
-	Speedup  float64 `json:"speedup,omitempty"`
-}
-
-// Sinks keep the kernel micro-loops from being dead-code eliminated.
-var (
-	benchDecSink64  int64
-	benchDecSink128 types.Decimal128
-)
-
-// BenchmarkDecimalFastpath measures the adaptive narrow-decimal path on the
-// decimal-dominated TPC-H queries (Q1: four decimal aggregates over the
-// whole of lineitem; Q17: decimal avg + sum under a join) with the int64
-// fast path forced on and off, plus kernel-level micros isolating the
-// add/mul/sum inner loops from planning and scan weight. Wall times and
-// speedups land in BENCH_decimal_fastpath.json.
-func BenchmarkDecimalFastpath(b *testing.B) {
-	cat := tpch.NewGen(0.02).Generate()
-	res := map[string]decimalBenchResult{}
-	for _, q := range []int{1, 17} {
-		stmt, err := sql.Parse(tpch.Queries[q])
-		if err != nil {
-			b.Fatal(err)
-		}
-		plan, err := sql.Analyze(cat, stmt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		plan, err = catalyst.Optimize(plan)
-		if err != nil {
-			b.Fatal(err)
-		}
-		name := fmt.Sprintf("Q%02d", q)
-		// Modes alternate within one loop and report per-mode minima: min
-		// wall is the noise-robust estimator, and interleaving keeps slow
-		// drift (thermal, GC pacing) from landing on one mode only.
-		b.Run(name, func(b *testing.B) {
-			run := func(off bool) float64 {
-				start := time.Now()
-				if _, _, err := driver.Run(context.Background(), plan, driver.Options{
-					Parallelism: 1, DisableDecimal64: off,
-				}); err != nil {
-					b.Fatal(err)
-				}
-				return float64(time.Since(start).Nanoseconds())
-			}
-			run(false)
-			run(true)
-			minOn, minOff := 0.0, 0.0
-			b.ResetTimer()
-			for i := 0; i < b.N+19; i++ {
-				on, off := run(false), run(true)
-				if minOn == 0 || on < minOn {
-					minOn = on
-				}
-				if minOff == 0 || off < minOff {
-					minOff = off
-				}
-			}
-			b.ReportMetric(minOn/1e6, "dec64_ms")
-			b.ReportMetric(minOff/1e6, "dec128_ms")
-			b.ReportMetric(minOff/minOn, "speedup")
-			res[name+"/dec64"] = decimalBenchResult{Name: name, Mode: "dec64", WallMs: minOn / 1e6}
-			res[name+"/dec128"] = decimalBenchResult{Name: name, Mode: "dec128", WallMs: minOff / 1e6}
-			res[name+"-wall"] = decimalBenchResult{Name: name + "-wall", Speedup: minOff / minOn}
-		})
-	}
-
-	// Kernel micros: the same logical work through three implementations —
-	// the narrow int64 kernels (dec64), the vectorized 128-bit kernels
-	// (dec128), and the row-at-a-time BigDecimal-analogue arithmetic of the
-	// DBR-baseline row engine (bigdec), which is the paper's §6 comparison
-	// point. The 128-bit kernels are already native two-limb arithmetic, so
-	// on pure ALU loops the narrow family sits within ~1.5× of them — the
-	// headline kernel-X speedups below are fast path vs the interpreted
-	// decimal baseline, and the kernel-X-vs-dec128 rows record the in-engine
-	// kernel ratio separately. The sum micro is operator-shaped: it runs the
-	// aggregation inner loop each mode actually executes — dec64's dense
-	// batch-local scratch accumulate folded into the group states once per
-	// batch, dec128's scattered per-row 16-byte state read-modify-write, and
-	// bigdec's boxed big.Int accumulate.
-	const (
-		rows   = 4096
-		groups = 64
-		stride = 24 // 16-byte decimal sum state + 8-byte count
-	)
-	narrowA := make([]int64, rows)
-	narrowB := make([]int64, rows)
-	narrowOut := make([]int64, rows)
-	wideA := make([]types.Decimal128, rows)
-	wideB := make([]types.Decimal128, rows)
-	wideOut := make([]types.Decimal128, rows)
-	rowIDs := make([]int32, rows)
-	for i := range narrowA {
-		narrowA[i] = int64(i)*7919 + 13
-		narrowB[i] = int64(i)*104729 + 7
-		wideA[i] = types.SignExtend64(narrowA[i])
-		wideB[i] = types.SignExtend64(narrowB[i])
-		rowIDs[i] = int32(i * 31 % groups)
-	}
-	slab := make([]byte, groups*stride)
-	acc := make([]int64, groups)
-	cnt := make([]int64, groups)
-	touched := make([]int32, 0, groups)
-	bigAcc := make([]*big.Int, groups)
-	for i := range bigAcc {
-		bigAcc[i] = new(big.Int)
-	}
-	micros := []struct {
-		name string
-		mode string
-		run  func()
-	}{
-		{"add", "dec64", func() { kernels.Dec64AddVV(narrowA, narrowB, narrowOut, nil, rows) }},
-		{"add", "dec128", func() { kernels.DecAddVV(wideA, wideB, wideOut, nil, rows) }},
-		{"add", "bigdec", func() {
-			for i := 0; i < rows; i++ {
-				var r big.Int
-				r.Add(wideA[i].Big(), wideB[i].Big())
-				d, _ := types.DecimalFromBig(&r)
-				wideOut[i] = d
-			}
-		}},
-		{"mul", "dec64", func() { kernels.Dec64MulVV(narrowA, narrowB, narrowOut, nil, rows) }},
-		{"mul", "dec128", func() { kernels.DecMulVV(wideA, wideB, wideOut, nil, rows) }},
-		{"mul", "bigdec", func() {
-			for i := 0; i < rows; i++ {
-				var r big.Int
-				r.Mul(wideA[i].Big(), wideB[i].Big())
-				d, _ := types.DecimalFromBig(&r)
-				wideOut[i] = d
-			}
-		}},
-		{"sum", "dec64", func() {
-			// The batch-local pre-aggregation route: count pass, dense
-			// checked accumulate, one state fold per touched group.
-			touched = touched[:0]
-			for _, rid := range rowIDs {
-				if cnt[rid] == 0 {
-					touched = append(touched, rid)
-				}
-				cnt[rid]++
-			}
-			var ovf uint64
-			for i, x := range narrowA {
-				rid := rowIDs[i]
-				s := acc[rid]
-				r := s + x
-				ovf |= uint64((s ^ r) & (x ^ r))
-				acc[rid] = r
-			}
-			benchDecSink64 = int64(ovf)
-			for _, rid := range touched {
-				st := slab[int(rid)*stride:]
-				s := int64(binary.LittleEndian.Uint64(st))
-				r := s + acc[rid]
-				binary.LittleEndian.PutUint64(st, uint64(r))
-				binary.LittleEndian.PutUint64(st[8:], uint64(r>>63))
-				binary.LittleEndian.PutUint64(st[16:], binary.LittleEndian.Uint64(st[16:])+uint64(cnt[rid]))
-				cnt[rid], acc[rid] = 0, 0
-			}
-		}},
-		{"sum", "dec128", func() {
-			// The wide route: per-row scattered 128-bit state RMW + count.
-			for i, d := range wideA {
-				st := slab[int(rowIDs[i])*stride:]
-				cur := types.Decimal128{
-					Lo: binary.LittleEndian.Uint64(st),
-					Hi: int64(binary.LittleEndian.Uint64(st[8:])),
-				}
-				cur = cur.Add(d)
-				binary.LittleEndian.PutUint64(st, cur.Lo)
-				binary.LittleEndian.PutUint64(st[8:], uint64(cur.Hi))
-				binary.LittleEndian.PutUint64(st[16:], binary.LittleEndian.Uint64(st[16:])+1)
-			}
-		}},
-		{"sum", "bigdec", func() {
-			for i, d := range wideA {
-				a := bigAcc[rowIDs[i]]
-				a.Add(a, d.Big())
-			}
-		}},
-	}
-	micro := map[string]float64{}
-	for _, m := range micros {
-		m := m
-		key := fmt.Sprintf("kernel-%s/%s", m.name, m.mode)
-		b.Run(key, func(b *testing.B) {
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				m.run()
-			}
-			ns := float64(time.Since(start).Nanoseconds()) / float64(b.N) / rows
-			micro[m.name+"/"+m.mode] = ns
-			b.ReportMetric(ns, "ns/row")
-			res[key] = decimalBenchResult{Name: "kernel-" + m.name, Mode: m.mode, NsPerRow: ns}
-		})
-	}
-	for _, k := range []string{"add", "mul", "sum"} {
-		on := micro[k+"/dec64"]
-		if base := micro[k+"/bigdec"]; on > 0 && base > 0 {
-			res["kernel-"+k+"-speedup"] = decimalBenchResult{Name: "kernel-" + k, Speedup: base / on}
-		}
-		if wide := micro[k+"/dec128"]; on > 0 && wide > 0 {
-			res["kernel-"+k+"-vs-dec128"] = decimalBenchResult{
-				Name: "kernel-" + k + "-vs-dec128", Speedup: wide / on,
-			}
-		}
-	}
-
-	var order []string
-	for _, q := range []string{"Q01", "Q17"} {
-		order = append(order, q+"/dec64", q+"/dec128", q+"-wall")
-	}
-	for _, k := range []string{"add", "mul", "sum"} {
-		for _, m := range []string{"dec64", "dec128", "bigdec"} {
-			order = append(order, fmt.Sprintf("kernel-%s/%s", k, m))
-		}
-		order = append(order, "kernel-"+k+"-speedup", "kernel-"+k+"-vs-dec128")
-	}
-	out := make([]decimalBenchResult, 0, len(order))
-	for _, k := range order {
-		if r, ok := res[k]; ok {
-			out = append(out, r)
-		}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_decimal_fastpath.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
 
 // BenchmarkDecimal64DisarmedOverhead guards the disarmed cost of the
 // narrow-decimal machinery: on a workload that touches no decimal column

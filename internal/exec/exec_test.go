@@ -332,6 +332,11 @@ func TestHashAggSpilling(t *testing.T) {
 	if agg.Stats().SpillCount.Load() == 0 {
 		t.Error("expected at least one spill under a 32KB limit")
 	}
+	// Spill epochs and the 16 partition merges borrow their partial-state
+	// buffer from the task's pool: one allocation, then hits.
+	if tc.Pool.Hits == 0 {
+		t.Errorf("spill and partition merge bypassed the batch pool: hits=%d misses=%d", tc.Pool.Hits, tc.Pool.Misses)
+	}
 	// Verify against unconstrained run.
 	scan2 := NewMemScan(schema, BuildBatches(schema, rows, 64))
 	agg2, _ := NewHashAgg(scan2, AggComplete, []expr.Expr{expr.Col(0, "g", types.Int64Type)}, []string{"g"},

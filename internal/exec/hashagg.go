@@ -1,15 +1,11 @@
 package exec
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 
 	"photon/internal/expr"
 	"photon/internal/ht"
-	"photon/internal/kernels"
 	"photon/internal/mem"
 	"photon/internal/serde"
 	"photon/internal/types"
@@ -31,13 +27,14 @@ const (
 
 // HashAggOp is Photon's vectorized grouping aggregation (§4.4, Fig. 5).
 // Groups are resolved through the vectorized hash table; aggregation states
-// live in fixed-width payload slots updated by per-aggregate batch loops.
+// live in fixed-width payload slots (hashagg_state.go) folded by per-kind
+// batch loops that raw input and partial states share (hashagg_update.go).
 // Variable-size states (collect_list, count distinct) live in operator-side
 // storage with payload indices, their element bytes coalesced into a shared
 // arena across groups rather than allocated per group (the Fig. 5
 // optimization). Memory is acquired reservation-first (§5.3); on pressure
 // the operator spills partial states partitioned by hash and merges
-// partition-at-a-time during finalization.
+// partition-at-a-time during finalization (hashagg_spill.go).
 type HashAggOp struct {
 	base
 	child    Operator
@@ -49,24 +46,17 @@ type HashAggOp struct {
 	keyTypes []types.DataType
 	infos    []aggInfo
 	payloadW int
+	// partSchema is the partial-state form of every group: what spill files
+	// hold and what AggPartial hands AggFinal across a shuffle.
+	partSchema *types.Schema
 
 	tbl      *ht.Table
 	lists    []listState
 	listPool mem.Arena
 
-	// Narrow-decimal sum fast path: sumWide[k] is set once aggregate k's
-	// int64 accumulator has been abandoned for the table in sumWideT
-	// (overflow promotion, or a non-narrow input batch). The flags state
-	// an invariant over the table's current sums ("every decimal sum
-	// still fits int64"), so they reset whenever the target table changes
-	// — a fresh table (spill epoch, partition merge) holds zero states.
-	sumWide  []bool
-	sumWideT *ht.Table
-	// Fused-pass scratch: the count of decimal sum/avg aggregates, the
-	// per-aggregate handled mask, and the argument descriptors reused
-	// across batches by updateDecimalSums.
+	// Fused decimal-sum pass (updateDecimalSums): the count of decimal
+	// sum/avg aggregates and their per-batch argument descriptors.
 	numDecSums int
-	aggHandled []bool
 	decSums    []decSumAgg
 	// Batch-local pre-aggregation scratch (dense per-group int64 sums and
 	// row counts, plus the list of groups touched this batch). Invariant:
@@ -94,22 +84,12 @@ type HashAggOp struct {
 	merging      bool
 
 	// Output iteration state.
-	inputDone  bool
-	globalInit bool
-	emitPos    int
-	emitPart   int
-	partTbl    *ht.Table
-	partLists  []listState
-	out        *vector.Batch
-}
-
-// listState holds a variable-size aggregation state: the concatenated
-// elements (each u32-length-prefixed) for collect_list, or the distinct set
-// for count(distinct).
-type listState struct {
-	blob     []byte
-	count    int64
-	distinct map[string]struct{}
+	inputDone bool
+	emitPos   int
+	emitPart  int
+	partTbl   *ht.Table
+	partLists []listState
+	out       *vector.Batch
 }
 
 // aggInfo is the compiled layout of one aggregate's state.
@@ -118,9 +98,11 @@ type aggInfo struct {
 	off     int
 	width   int
 	resType types.DataType
-	argType types.DataType
-	// partialCols is how many output columns the partial form occupies.
-	partialCols int
+	// sumType is the widened type a sum/avg state accumulates in.
+	sumType types.DataType
+	// decSum marks a non-DISTINCT decimal sum/avg: raw input reaches its
+	// state only through the fused pass (updateDecimalSums).
+	decSum bool
 }
 
 // NewHashAgg builds a grouping aggregation. keyExprs may be empty (global
@@ -135,9 +117,6 @@ func NewHashAgg(child Operator, mode AggMode, keyExprs []expr.Expr, keyNames []s
 	off := 0
 	for _, a := range aggs {
 		info := aggInfo{spec: a, off: off}
-		if a.Arg != nil {
-			info.argType = a.Arg.Type()
-		}
 		rt, err := a.ResultType()
 		if err != nil {
 			return nil, err
@@ -149,40 +128,42 @@ func NewHashAgg(child Operator, mode AggMode, keyExprs []expr.Expr, keyNames []s
 				return nil, fmt.Errorf("exec: DISTINCT only supported for count")
 			}
 			info.width = 4 // list-state id
-			info.partialCols = 1
-		default:
-			switch a.Kind {
-			case expr.AggCount:
-				info.width = 8
-				info.partialCols = 1
-			case expr.AggSum, expr.AggAvg:
-				switch info.argOrResType().ID {
-				case types.Decimal:
-					info.width = 24
-				default:
-					info.width = 16
-				}
-				info.partialCols = 2
-			case expr.AggMin, expr.AggMax:
-				w := a.Arg.Type().FixedWidth()
-				if w == 0 {
-					w = 8 // heap ref for strings
-				}
-				info.width = 1 + w
-				info.partialCols = 1
-			case expr.AggCollectList:
-				info.width = 4
-				info.partialCols = 1
-			default:
-				return nil, fmt.Errorf("exec: unsupported aggregate %v", a.Kind)
+		case a.Kind == expr.AggCount:
+			info.width = 8
+		case a.Kind == expr.AggSum || a.Kind == expr.AggAvg:
+			info.sumType = sumStateType(a)
+			info.width = 16
+			if info.sumType.ID == types.Decimal {
+				info.width = 24
+				info.decSum = true
+				op.numDecSums++
 			}
+		case a.Kind == expr.AggMin || a.Kind == expr.AggMax:
+			w := a.Arg.Type().FixedWidth()
+			if w == 0 {
+				w = 8 // heap ref for strings
+			}
+			info.width = 1 + w
+		case a.Kind == expr.AggCollectList:
+			info.width = 4
+		default:
+			return nil, fmt.Errorf("exec: unsupported aggregate %v", a.Kind)
 		}
 		off += info.width
 		op.infos = append(op.infos, info)
 	}
 	op.payloadW = off
 
-	// Output schema.
+	// Partial-state schema (positional names), then the output schema.
+	partFields := make([]types.Field, 0, len(keyExprs)+2*len(aggs))
+	for i, k := range keyExprs {
+		partFields = append(partFields, types.Field{Name: fmt.Sprintf("k%d", i), Type: k.Type(), Nullable: true})
+	}
+	for i, info := range op.infos {
+		partFields = append(partFields, partialFields(info, fmt.Sprintf("agg%d", i))...)
+	}
+	op.partSchema = &types.Schema{Fields: partFields}
+
 	fields := make([]types.Field, 0, len(keyExprs)+len(aggs))
 	for i, k := range keyExprs {
 		name := ""
@@ -194,20 +175,14 @@ func NewHashAgg(child Operator, mode AggMode, keyExprs []expr.Expr, keyNames []s
 		}
 		fields = append(fields, types.Field{Name: name, Type: k.Type(), Nullable: true})
 	}
-	if mode == AggPartial {
-		for i, info := range op.infos {
-			base := info.spec.Name
-			if base == "" {
-				base = fmt.Sprintf("agg%d", i)
-			}
-			fields = append(fields, op.partialFields(info, base)...)
+	for i, info := range op.infos {
+		name := info.spec.Name
+		if name == "" {
+			name = fmt.Sprintf("agg%d", i)
 		}
-	} else {
-		for i, info := range op.infos {
-			name := info.spec.Name
-			if name == "" {
-				name = fmt.Sprintf("agg%d", i)
-			}
+		if mode == AggPartial {
+			fields = append(fields, partialFields(info, name)...)
+		} else {
 			fields = append(fields, types.Field{Name: name, Type: info.resType, Nullable: true})
 		}
 	}
@@ -228,21 +203,14 @@ func PartialAggSchema(keyExprs []expr.Expr, keyNames []string, aggs []expr.AggSp
 	return op.Schema(), nil
 }
 
-// argOrResType returns the type driving the state representation.
-func (in *aggInfo) argOrResType() types.DataType {
-	if in.spec.Arg != nil {
-		return in.spec.Arg.Type()
-	}
-	return in.resType
-}
-
-// sumStateType is the widened type a sum/avg accumulates in.
-func (in *aggInfo) sumStateType() types.DataType {
-	t := in.argOrResType()
-	switch t.ID {
-	case types.Decimal:
+// sumStateType is the widened type a sum/avg accumulates in. avg over
+// non-decimals accumulates in float (Spark semantics: avg(int) is double).
+func sumStateType(a expr.AggSpec) types.DataType {
+	t := a.Arg.Type()
+	switch {
+	case t.ID == types.Decimal:
 		return types.DecimalType(38, t.Scale)
-	case types.Float64:
+	case t.ID == types.Float64 || a.Kind == expr.AggAvg:
 		return types.Float64Type
 	default:
 		return types.Int64Type
@@ -250,7 +218,7 @@ func (in *aggInfo) sumStateType() types.DataType {
 }
 
 // partialFields lists the partial-state output columns for one aggregate.
-func (op *HashAggOp) partialFields(info aggInfo, base string) []types.Field {
+func partialFields(info aggInfo, base string) []types.Field {
 	switch {
 	case info.spec.Distinct, info.spec.Kind == expr.AggCollectList:
 		return []types.Field{{Name: base + "_blob", Type: types.StringType, Nullable: true}}
@@ -258,7 +226,7 @@ func (op *HashAggOp) partialFields(info aggInfo, base string) []types.Field {
 		return []types.Field{{Name: base + "_cnt", Type: types.Int64Type}}
 	case info.spec.Kind == expr.AggSum || info.spec.Kind == expr.AggAvg:
 		return []types.Field{
-			{Name: base + "_sum", Type: op.infoSumType(info), Nullable: true},
+			{Name: base + "_sum", Type: info.sumType, Nullable: true},
 			{Name: base + "_cnt", Type: types.Int64Type},
 		}
 	default: // min/max
@@ -266,45 +234,28 @@ func (op *HashAggOp) partialFields(info aggInfo, base string) []types.Field {
 	}
 }
 
-// partialSchema is the schema AggPartial emits and AggFinal consumes.
-func (op *HashAggOp) partialSchema() *types.Schema {
-	fields := make([]types.Field, 0)
-	for i, k := range op.keyExprs {
-		name := fmt.Sprintf("k%d", i)
-		fields = append(fields, types.Field{Name: name, Type: k.Type(), Nullable: true})
-	}
-	for i, info := range op.infos {
-		fields = append(fields, op.partialFields(info, fmt.Sprintf("agg%d", i))...)
-	}
-	return &types.Schema{Fields: fields}
-}
-
 // Open implements Operator.
 func (op *HashAggOp) Open(tc *TaskCtx) error {
 	op.tc = tc
-	op.tbl = ht.New(op.keyTypes, op.payloadW)
-	op.tbl.Guard = tc.Cancelled
+	op.tbl = op.newTable()
 	op.consumer = &mem.FuncConsumer{ConsumerName: op.stats.Name, SpillFunc: op.spill}
 	op.listPool = *mem.NewArena(0)
 	op.ensureScratch(tc.Pool.BatchSize())
 	op.keyVecs = make([]*vector.Vector, len(op.keyExprs))
 	op.keyOwned = make([]bool, len(op.keyExprs))
-	op.sumWide = make([]bool, len(op.infos))
-	op.sumWideT = nil
-	op.numDecSums = 0
-	for _, info := range op.infos {
-		if !info.spec.Distinct &&
-			(info.spec.Kind == expr.AggSum || info.spec.Kind == expr.AggAvg) &&
-			op.infoSumType(info).ID == types.Decimal {
-			op.numDecSums++
-		}
-	}
 	op.inputDone = false
-	op.globalInit = false
 	op.spilled = false
 	op.emitPos = 0
 	op.emitPart = 0
 	return op.child.Open(tc)
+}
+
+// newTable returns an empty group table that checks cancellation while it
+// probes.
+func (op *HashAggOp) newTable() *ht.Table {
+	tbl := ht.New(op.keyTypes, op.payloadW)
+	tbl.Guard = op.tc.Cancelled
+	return tbl
 }
 
 // ensureScratch sizes the per-batch scratch arrays.
@@ -316,164 +267,110 @@ func (op *HashAggOp) ensureScratch(n int) {
 	}
 }
 
-// spill implements the memory consumer callback: serialize all current
-// groups as partial-state batches, hash-partitioned across P files, and
-// reset the table (§5.3). Disabled while merging a spilled partition.
-func (op *HashAggOp) spill(need int64) (int64, error) {
-	if op.merging || op.tbl.Len() == 0 || op.tc.SpillDir == "" {
-		return 0, nil
-	}
-	const parts = 16
-	if op.spillFiles == nil {
-		op.spillFiles = make([]*os.File, parts)
-		op.spillWriters = make([]*serde.Writer, parts)
-		for i := range op.spillFiles {
-			f, err := op.tc.NewSpillFile(fmt.Sprintf("agg-p%d", i))
-			if err != nil {
-				return 0, err
-			}
-			op.spillFiles[i] = f
-			op.spillWriters[i] = serde.NewWriter(f)
-		}
-	}
-	ps := op.partialSchema()
-	batch := vector.NewBatch(ps, op.tc.Pool.BatchSize())
-	written := int64(0)
-	emit := func(part int) error {
-		if batch.NumRows == 0 {
-			return nil
-		}
-		if err := op.spillWriters[part].WriteBatch(batch); err != nil {
+// consumeInput drains the child, updating aggregation states batch by batch.
+func (op *HashAggOp) consumeInput() error {
+	for {
+		// Batch-boundary cancellation check (build side of the agg).
+		if err := op.tc.Cancelled(); err != nil {
 			return err
 		}
-		written += int64(batch.NumRows)
-		batch.Reset()
-		return nil
+		b, err := op.child.Next()
+		if err != nil {
+			return err
+		}
+		if b == nil {
+			return nil
+		}
+		op.stats.RowsIn.Add(int64(b.NumActive()))
+		op.tc.ReportProgress(int64(b.NumActive()), 0)
+		op.tc.Expr.ResetPerBatch()
+		if op.mode == AggFinal {
+			err = op.mergeBatch(b, op.tbl, &op.lists)
+		} else {
+			err = op.updateBatch(b)
+		}
+		if err != nil {
+			return err
+		}
+		// Reservation phase for the next batch: reserve the table + list
+		// growth since the last reservation; this is where spilling can
+		// trigger (ours or another operator's).
+		if err := op.reserveDelta(); err != nil {
+			return err
+		}
 	}
-	// Group rows by partition, flushing per-partition batches.
-	heads := op.tbl.HeadRows()
-	byPart := make([][]int32, parts)
-	for _, row := range heads {
-		p := int(kernels.Mix64(op.rowHashOf(row)) % parts)
-		byPart[p] = append(byPart[p], row)
+}
+
+// reserveDelta tops up the operator's reservation to its current footprint.
+func (op *HashAggOp) reserveDelta() error {
+	want := op.tbl.MemoryUsage() + op.listPool.Footprint() + int64(len(op.lists))*64
+	if want > op.reserved {
+		delta := want - op.reserved
+		if err := op.tc.Mem.Reserve(op.consumer, delta); err != nil {
+			return err
+		}
+		// A recursive self-spill may have zeroed op.reserved and replaced
+		// the table; only count the delta against the *current* epoch.
+		op.reserved += delta
+		op.stats.observePeak(op.reserved)
 	}
-	for p, rows := range byPart {
-		for _, row := range rows {
-			op.writePartialRow(batch, row, op.tbl, op.lists)
-			if batch.NumRows == batch.Capacity() {
-				if err := emit(p); err != nil {
-					return 0, err
+	return nil
+}
+
+// Next implements Operator.
+func (op *HashAggOp) Next() (*vector.Batch, error) {
+	var out *vector.Batch
+	err := op.timed(func() error {
+		if !op.inputDone {
+			if err := op.consumeInput(); err != nil {
+				return err
+			}
+			op.inputDone = true
+			// SQL semantics: a keyless aggregation over empty input still
+			// produces one row (count 0, sums NULL).
+			if len(op.keyExprs) == 0 && op.mode != AggFinal && op.tbl.NumRows() == 0 && !op.spilled {
+				if err := op.newGlobalGroup(op.tbl, &op.lists); err != nil {
+					return err
+				}
+			}
+			// Once any state has spilled, the live table may share groups
+			// with the partitions; flush it too so every group is emitted
+			// exactly once via the partition merge.
+			if op.spilled && op.tbl.Len() > 0 {
+				if _, err := op.spill(0); err != nil {
+					return err
+				}
+			}
+			// Flush and reopen spill partitions for reading.
+			for _, w := range op.spillWriters {
+				if err := w.Close(); err != nil {
+					return err
 				}
 			}
 		}
-		if err := emit(p); err != nil {
-			return 0, err
+		var err error
+		out, err = op.emitNext()
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if out != nil {
+		op.stats.RowsOut.Add(int64(out.NumRows))
+		op.stats.BatchesOut.Add(1)
+	}
+	return out, nil
+}
+
+// Close implements Operator.
+func (op *HashAggOp) Close() error {
+	op.tc.Mem.ReleaseAll(op.consumer)
+	for _, f := range op.spillFiles {
+		if f != nil {
+			f.Close()
+			os.Remove(f.Name())
 		}
 	}
-	freedBytes := op.reserved
-	op.tc.Mem.Release(op.consumer, op.reserved)
-	op.reserved = 0
-	op.tbl = ht.New(op.keyTypes, op.payloadW)
-	op.tbl.Guard = op.tc.Cancelled
-	op.lists = op.lists[:0]
-	op.listPool.Reset()
-	op.spilled = true
-	op.stats.SpillCount.Add(1)
-	op.stats.SpillBytes.Add(freedBytes)
-	return freedBytes, nil
-}
-
-// rowHashOf recovers a stable hash for partitioning spilled rows: rehash the
-// first key column from the stored row (all partitions of the same key must
-// agree across spill epochs).
-func (op *HashAggOp) rowHashOf(row int32) uint64 {
-	// Reuse the table-retained hash: it is exactly the original key hash.
-	return op.tbl.RowHashes()[row]
-}
-
-// writePartialRow appends group `row`'s key and partial states to batch.
-func (op *HashAggOp) writePartialRow(batch *vector.Batch, row int32, tbl *ht.Table, lists []listState) {
-	i := batch.NumRows
-	col := 0
-	for c := range op.keyTypes {
-		tbl.ReadKey(row, c, batch.Vecs[col], i)
-		col++
-	}
-	p := tbl.PayloadBytes(row)
-	for _, info := range op.infos {
-		st := p[info.off:]
-		switch {
-		case info.spec.Distinct:
-			id := binary.LittleEndian.Uint32(st)
-			ls := &lists[id]
-			var buf bytes.Buffer
-			for v := range ls.distinct {
-				var l [4]byte
-				binary.LittleEndian.PutUint32(l[:], uint32(len(v)))
-				buf.Write(l[:])
-				buf.WriteString(v)
-			}
-			batch.Vecs[col].Set(i, buf.Bytes())
-			col++
-		case info.spec.Kind == expr.AggCollectList:
-			id := binary.LittleEndian.Uint32(st)
-			batch.Vecs[col].Set(i, append([]byte(nil), lists[id].blob...))
-			col++
-		case info.spec.Kind == expr.AggCount:
-			batch.Vecs[col].Set(i, int64(binary.LittleEndian.Uint64(st)))
-			col++
-		case info.spec.Kind == expr.AggSum || info.spec.Kind == expr.AggAvg:
-			sumT := op.infoSumType(info)
-			cnt := int64(binary.LittleEndian.Uint64(st[info.width-8:]))
-			if cnt == 0 {
-				batch.Vecs[col].Set(i, nil)
-			} else {
-				switch sumT.ID {
-				case types.Decimal:
-					batch.Vecs[col].Set(i, types.Decimal128{
-						Lo: binary.LittleEndian.Uint64(st),
-						Hi: int64(binary.LittleEndian.Uint64(st[8:])),
-					})
-				case types.Float64:
-					batch.Vecs[col].Set(i, math.Float64frombits(binary.LittleEndian.Uint64(st)))
-				default:
-					batch.Vecs[col].Set(i, int64(binary.LittleEndian.Uint64(st)))
-				}
-			}
-			col++
-			batch.Vecs[col].Set(i, cnt)
-			col++
-		default: // min/max
-			if st[0] == 0 {
-				batch.Vecs[col].Set(i, nil)
-			} else {
-				op.decodeMinMax(batch.Vecs[col], i, st[1:], info, tbl)
-			}
-			col++
-		}
-	}
-	batch.NumRows++
-}
-
-// decodeMinMax reads a min/max value slot into v[i].
-func (op *HashAggOp) decodeMinMax(v *vector.Vector, i int, st []byte, info aggInfo, tbl *ht.Table) {
-	switch info.spec.Arg.Type().ID {
-	case types.Bool:
-		v.Set(i, st[0] != 0)
-	case types.Int32, types.Date:
-		v.Set(i, int32(binary.LittleEndian.Uint32(st)))
-	case types.Int64, types.Timestamp:
-		v.Set(i, int64(binary.LittleEndian.Uint64(st)))
-	case types.Float64:
-		v.Set(i, math.Float64frombits(binary.LittleEndian.Uint64(st)))
-	case types.Decimal:
-		v.Set(i, types.Decimal128{
-			Lo: binary.LittleEndian.Uint64(st),
-			Hi: int64(binary.LittleEndian.Uint64(st[8:])),
-		})
-	case types.String:
-		off := binary.LittleEndian.Uint32(st)
-		ln := binary.LittleEndian.Uint32(st[4:])
-		v.Set(i, append([]byte(nil), tbl.HeapBytes(off, ln)...))
-	}
+	op.spillFiles = nil
+	return op.child.Close()
 }

@@ -1,115 +1,52 @@
 package exec
 
 import (
-	"bytes"
-	"encoding/binary"
-	"fmt"
-	"io"
 	"math"
-	"os"
 
 	"photon/internal/expr"
-	"photon/internal/fault"
 	"photon/internal/ht"
 	"photon/internal/kernels"
-	"photon/internal/serde"
 	"photon/internal/types"
 	"photon/internal/vector"
 )
 
-// consumeInput drains the child, updating aggregation states batch by batch.
-func (op *HashAggOp) consumeInput() error {
-	for {
-		// Batch-boundary cancellation check (build side of the agg).
-		if err := op.tc.Cancelled(); err != nil {
-			return err
-		}
-		b, err := op.child.Next()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			return nil
-		}
-		op.stats.RowsIn.Add(int64(b.NumActive()))
-		op.tc.ReportProgress(int64(b.NumActive()), 0)
-		op.tc.Expr.ResetPerBatch()
-		if op.mode == AggFinal {
-			err = op.mergeBatch(b, op.tbl, &op.lists, true)
-		} else {
-			err = op.updateBatch(b)
-		}
-		if err != nil {
-			return err
-		}
-		// Reservation phase for the next batch: reserve the table + list
-		// growth since the last reservation; this is where spilling can
-		// trigger (ours or another operator's).
-		if err := op.reserveDelta(); err != nil {
-			return err
-		}
-	}
-}
-
-// reserveDelta tops up the operator's reservation to its current footprint.
-func (op *HashAggOp) reserveDelta() error {
-	want := op.tbl.MemoryUsage() + op.listPool.Footprint() + int64(len(op.lists))*64
-	if want > op.reserved {
-		delta := want - op.reserved
-		if err := op.tc.Mem.Reserve(op.consumer, delta); err != nil {
-			return err
-		}
-		// A recursive self-spill may have zeroed op.reserved and replaced
-		// the table; only count the delta against the *current* epoch.
-		op.reserved += delta
-		op.stats.observePeak(op.reserved)
-	}
-	return nil
-}
-
-// resolveGroups evaluates key expressions, hashes them, and resolves group
-// rows through the vectorized hash table. When there are no keys, the single
-// global group row 0 is used (created on demand).
-func (op *HashAggOp) resolveGroups(b *vector.Batch, tbl *ht.Table) error {
+// findGroups hashes the key vectors, resolves every active row's group row
+// in tbl into op.rowIDs through the vectorized hash table, and initializes
+// the states of the groups this batch created. With no keys, every row maps
+// to the single global group row 0 (created on demand).
+func (op *HashAggOp) findGroups(keys []*vector.Vector, b *vector.Batch, tbl *ht.Table, lists *[]listState) error {
 	n := b.NumRows
 	op.ensureScratch(n)
-	if len(op.keyExprs) == 0 {
+	if len(keys) == 0 {
 		if tbl.NumRows() == 0 {
-			if err := op.ensureGlobalGroup(tbl); err != nil {
+			if err := op.newGlobalGroup(tbl, lists); err != nil {
 				return err
 			}
 		}
 		apply(b.Sel, n, func(i int32) { op.rowIDs[i] = 0 })
 		return nil
 	}
-	for c, k := range op.keyExprs {
-		v, err := k.Eval(op.tc.Expr, b)
-		if err != nil {
-			return err
-		}
-		_, isCol := k.(*expr.ColRef)
-		op.keyVecs[c] = v
-		op.keyOwned[c] = !isCol
+	hashKeyVectorsScratch(keys, b.Sel, n, op.hashes, &op.lanes)
+	if err := tbl.FindOrInsert(keys, op.hashes, b.Sel, n, op.rowIDs, op.inserted); err != nil {
+		return err
 	}
-	hashKeyVectorsScratch(op.keyVecs, b.Sel, n, op.hashes, &op.lanes)
-	return tbl.FindOrInsert(op.keyVecs, op.hashes, b.Sel, n, op.rowIDs, op.inserted)
+	apply(b.Sel, n, func(i int32) {
+		if op.inserted[i] {
+			op.initState(tbl, op.rowIDs[i], lists)
+		}
+	})
+	return nil
 }
 
-// releaseKeys returns pooled key vectors after an update pass.
-func (op *HashAggOp) releaseKeys() {
-	for c, v := range op.keyVecs {
-		if op.keyOwned[c] {
-			op.tc.Expr.Put(v)
-			op.keyVecs[c] = nil
-		}
-	}
-}
-
-// ensureGlobalGroup creates the single group row for keyless aggregation.
-func (op *HashAggOp) ensureGlobalGroup(tbl *ht.Table) error {
+// newGlobalGroup creates the single group row of a keyless aggregation.
+func (op *HashAggOp) newGlobalGroup(tbl *ht.Table, lists *[]listState) error {
 	ids := []int32{0}
 	ins := []bool{false}
-	return tbl.FindOrInsert(nil, []uint64{0}, nil, 1, ids, ins)
+	if err := tbl.FindOrInsert(nil, []uint64{0}, nil, 1, ids, ins); err != nil {
+		return err
+	}
+	op.initState(tbl, 0, lists)
+	return nil
 }
 
 // laneScratch provides per-operator hash-lane scratch without per-batch
@@ -171,7 +108,10 @@ func u64Lanes(v *vector.Vector, sel []int32, n int, ls *laneScratch) []uint64 {
 	return out
 }
 
-// apply runs body over active rows (local copy of the expr helper).
+// apply runs body over active rows (local copy of the expr helper). It is
+// small enough to inline, and a closure literal passed to it inlines into
+// both loops, so one body written at the call site compiles to a dense and a
+// selective loop the way the base kernels are written out by hand.
 func apply(sel []int32, n int, body func(i int32)) {
 	if sel == nil {
 		for i := 0; i < n; i++ {
@@ -184,60 +124,243 @@ func apply(sel []int32, n int, body func(i int32)) {
 	}
 }
 
+// evalChildExpr mirrors expr's internal child-eval helper for operators.
+func evalChildExpr(ctx *expr.Ctx, e expr.Expr, b *vector.Batch) (*vector.Vector, bool, error) {
+	v, err := e.Eval(ctx, b)
+	if err != nil {
+		return nil, false, err
+	}
+	_, isCol := e.(*expr.ColRef)
+	return v, !isCol, nil
+}
+
 // updateBatch processes one raw input batch (Complete/Partial modes).
 func (op *HashAggOp) updateBatch(b *vector.Batch) error {
-	if err := op.resolveGroups(b, op.tbl); err != nil {
-		return err
+	for c, k := range op.keyExprs {
+		v, owned, err := evalChildExpr(op.tc.Expr, k, b)
+		if err != nil {
+			return err
+		}
+		op.keyVecs[c], op.keyOwned[c] = v, owned
 	}
-	defer op.releaseKeys()
-	// Initialize states for newly created groups.
-	if len(op.keyExprs) > 0 {
-		apply(b.Sel, b.NumRows, func(i int32) {
-			if op.inserted[i] {
-				op.initState(op.tbl, op.rowIDs[i])
+	// Pooled key vectors go back after the update pass.
+	defer func() {
+		for c, v := range op.keyVecs {
+			if op.keyOwned[c] {
+				op.tc.Expr.Put(v)
+				op.keyVecs[c] = nil
 			}
-		})
-	} else if !op.globalInit {
-		op.initState(op.tbl, 0)
-		op.globalInit = true
-	}
-	// Fused narrow-decimal sum pass: all decimal sum/avg aggregates update
-	// in one flat loop when the fast path is on (see updateDecimalSums).
-	handled, err := op.updateDecimalSums(b)
-	if err != nil {
+		}
+	}()
+	if err := op.findGroups(op.keyVecs, b, op.tbl, &op.lists); err != nil {
 		return err
 	}
-	// Per-aggregate vectorized update loops.
-	for k, info := range op.infos {
-		if handled != nil && handled[k] {
+	// Every decimal sum/avg folds in one fused pass; the other aggregates
+	// run one vectorized loop each.
+	if err := op.updateDecimalSums(b); err != nil {
+		return err
+	}
+	for _, info := range op.infos {
+		if info.decSum {
 			continue
 		}
-		if err := op.updateAgg(b, k, info, op.tbl, &op.lists); err != nil {
+		if err := op.updateAgg(b, info); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// decSumAgg is one decimal sum/avg aggregate inside the fused update pass.
-// Narrow arguments arrive either as raw int64 lanes (lane != nil, produced
-// by expr.EvalDec64Lanes without the widen pass) or as canonical Decimal128
-// (dec, whose Lo limb IS the value while the aggregate stays narrow).
+// updateAgg evaluates one aggregate's argument over the batch and folds it
+// into the live table.
+func (op *HashAggOp) updateAgg(b *vector.Batch, info aggInfo) error {
+	var av *vector.Vector
+	if info.spec.Arg != nil {
+		v, owned, err := evalChildExpr(op.tc.Expr, info.spec.Arg, b)
+		if err != nil {
+			return err
+		}
+		if owned {
+			defer op.tc.Expr.Put(v)
+		}
+		av = v
+	}
+	switch {
+	case info.spec.Distinct:
+		s := op.slotsOf(info, av, op.tbl)
+		apply(b.Sel, b.NumRows, func(i int32) {
+			if st := s.at(i); st != nil {
+				listOf(op.lists, st).distinct[encodeValueKey(av, int(i))] = struct{}{}
+			}
+		})
+	case info.spec.Kind == expr.AggCollectList:
+		s := op.slotsOf(info, av, op.tbl)
+		apply(b.Sel, b.NumRows, func(i int32) {
+			if st := s.at(i); st != nil {
+				ls := listOf(op.lists, st)
+				ls.blob = appendLenPrefixed(ls.blob, encodeListElem(av, int(i), &op.listPool))
+				ls.count++
+			}
+		})
+	default:
+		op.foldAgg(b, info, av, nil, op.tbl)
+	}
+	return nil
+}
+
+// mergeBatch folds a batch of partial states (AggFinal input, or spilled
+// partition rows) into tbl. Apart from the blob-shaped list states, a merge
+// is the raw update fed the partial columns: the value column in place of
+// the evaluated argument, the *_cnt column in place of "one per row".
+func (op *HashAggOp) mergeBatch(b *vector.Batch, tbl *ht.Table, lists *[]listState) error {
+	// Key columns are the first len(keyTypes) columns of the partial schema.
+	col := len(op.keyTypes)
+	if err := op.findGroups(b.Vecs[:col], b, tbl, lists); err != nil {
+		return err
+	}
+	for _, info := range op.infos {
+		v := b.Vecs[col]
+		col++
+		switch {
+		case info.spec.Distinct:
+			s := op.slotsOf(info, v, tbl)
+			apply(b.Sel, b.NumRows, func(i int32) {
+				if st := s.at(i); st != nil {
+					set := listOf(*lists, st).distinct
+					iterLenPrefixed(v.Str[i], func(elem []byte) { set[string(elem)] = struct{}{} })
+				}
+			})
+		case info.spec.Kind == expr.AggCollectList:
+			s := op.slotsOf(info, v, tbl)
+			apply(b.Sel, b.NumRows, func(i int32) {
+				if st := s.at(i); st != nil {
+					ls := listOf(*lists, st)
+					ls.blob = append(ls.blob, v.Str[i]...)
+					iterLenPrefixed(v.Str[i], func([]byte) { ls.count++ })
+				}
+			})
+		case info.spec.Kind == expr.AggCount:
+			op.foldAgg(b, info, nil, v.I64, tbl)
+		case info.spec.Kind == expr.AggSum || info.spec.Kind == expr.AggAvg:
+			op.foldAgg(b, info, v, b.Vecs[col].I64, tbl)
+			col++
+		default: // min/max
+			op.foldAgg(b, info, v, nil, tbl)
+		}
+	}
+	return nil
+}
+
+// slots locates, for one aggregate over one resolved batch, the state slot
+// each input row folds into.
+type slots struct {
+	nulls       []byte // the value column's NULL bytes; nil when it has none
+	rowIDs      []int32
+	slab        []byte
+	off, stride int
+}
+
+// slotsOf addresses info's states in tbl for the rows in op.rowIDs. The
+// payload slab is only valid until the next insert, which findGroups has
+// already done for the batch.
+func (op *HashAggOp) slotsOf(info aggInfo, val *vector.Vector, tbl *ht.Table) slots {
+	slab, keyOff, stride := tbl.PayloadSlab()
+	s := slots{rowIDs: op.rowIDs, slab: slab, off: keyOff + info.off, stride: stride}
+	if val != nil && val.HasNulls() {
+		s.nulls = val.Nulls
+	}
+	return s
+}
+
+// at returns the slot row i folds into, or nil when the row's value is NULL
+// (NULLs contribute nothing to any aggregate).
+func (s *slots) at(i int32) []byte {
+	if s.nulls != nil && s.nulls[i] != 0 {
+		return nil
+	}
+	return s.slab[int(s.rowIDs[i])*s.stride+s.off:]
+}
+
+// rowsAt is how many input rows row i stands for: one for raw input
+// (cnt == nil), the partial *_cnt value when merging.
+func rowsAt(cnt []int64, i int32) int64 {
+	if cnt == nil {
+		return 1
+	}
+	return cnt[i]
+}
+
+// foldAgg folds one count/sum/avg/min/max aggregate over the batch into the
+// states of tbl. val is the raw argument or, when merging, the partial value
+// column; cnt is the per-row count source (see rowsAt).
+func (op *HashAggOp) foldAgg(b *vector.Batch, info aggInfo, val *vector.Vector, cnt []int64, tbl *ht.Table) {
+	s := op.slotsOf(info, val, tbl)
+	switch info.spec.Kind {
+	case expr.AggCount:
+		apply(b.Sel, b.NumRows, func(i int32) {
+			if st := s.at(i); st != nil {
+				addCount(st, rowsAt(cnt, i))
+			}
+		})
+	case expr.AggSum, expr.AggAvg:
+		switch info.sumType.ID {
+		case types.Decimal:
+			// Raw decimal arguments never get here (updateDecimalSums owns
+			// them); a partial decimal sum column runs the same row loop.
+			arg := decSumAgg{off: info.off, dec: val.Dec, cnt: cnt, nulls: s.nulls}
+			op.sumDecimalRows([]decSumAgg{arg}, b, tbl)
+		case types.Float64:
+			apply(b.Sel, b.NumRows, func(i int32) {
+				if st := s.at(i); st != nil {
+					var x float64
+					switch val.Type.ID {
+					case types.Float64:
+						x = val.F64[i]
+					case types.Int32:
+						x = float64(val.I32[i])
+					default:
+						x = float64(val.I64[i])
+					}
+					addFloatSum(st, x, rowsAt(cnt, i))
+				}
+			})
+		default: // int64 accumulator
+			apply(b.Sel, b.NumRows, func(i int32) {
+				if st := s.at(i); st != nil {
+					var x int64
+					if val.Type.ID == types.Int32 || val.Type.ID == types.Date {
+						x = int64(val.I32[i])
+					} else {
+						x = val.I64[i]
+					}
+					addIntSum(st, x, rowsAt(cnt, i))
+				}
+			})
+		}
+	default: // min/max: keep the value that compares below/above the stored one
+		isMin := info.spec.Kind == expr.AggMin
+		apply(b.Sel, b.NumRows, func(i int32) {
+			st := s.at(i)
+			if st != nil && (st[0] == 0 || cmpValue(st[1:], val, int(i), tbl) > 0 == isMin) {
+				st[0] = 1
+				storeValue(st[1:], val, int(i), tbl)
+			}
+		})
+	}
+}
+
+// decSumAgg is one decimal sum/avg input column inside a row pass: the
+// argument evaluated over a raw batch, or a partial sum column being merged.
+// Values arrive either as raw int64 lanes (lane != nil, produced by
+// expr.EvalDec64Lanes without the widen pass) or as canonical Decimal128.
 type decSumAgg struct {
-	k        int
-	off      int
-	cntOff   int
-	dec      []types.Decimal128
-	lane     []int64
-	nulls    []byte
-	ovf      uint64
-	hn       bool
-	wide     bool
-	narrowIn bool
-	escaped  bool
-	av       *vector.Vector
-	owned    bool
-	lanesV   *vector.Vector
+	off   int // state offset in the group payload
+	dec   []types.Decimal128
+	lane  []int64
+	cnt   []int64        // rows each input row stands for; nil = one
+	nulls []byte         // the column's NULL bytes; nil when it has none
+	vec   *vector.Vector // backs dec/lane; returned to the pool when owned
+	owned bool
 }
 
 // preAggMaxGroups caps the dense pre-aggregation scratch: above this many
@@ -245,134 +368,128 @@ type decSumAgg struct {
 // so updates fall back to the direct per-row loop.
 const preAggMaxGroups = 1 << 16
 
-// updateDecimalSums runs every decimal sum/avg aggregate over the batch in
-// one fused pass. Narrow NULL-free aggregates against small tables take the
-// batch-local pre-aggregation route: per row, each argument lane is added
+// updateDecimalSums folds every decimal sum/avg aggregate over a raw batch
+// in one fused pass; it is their only way into the states. With the narrow
+// fast path on, arguments evaluate straight to int64 lanes where they can,
+// and narrow NULL-free arguments against small tables take the batch-local
+// pre-aggregation route: per row, each argument lane is added
 // (overflow-tracked branch-free) into a dense per-group int64 scratch slab —
 // all of a group's partial sums share one cache line — and the hash-table
 // states are touched once per live group at flush time instead of once per
 // input row. This is where the narrow-decimal fast path pays off on
 // aggregation-heavy shapes (Q1: seven decimal accumulators per row): the
-// per-row closure dispatch, payload lookups, count read-modify-writes, and
-// canonical high-limb stores of the generic loops collapse into a handful of
-// adds per row. Overflow anywhere escapes to the 128-bit path with identical
-// results. Returns the per-aggregate handled mask, or nil when the pass does
-// not apply (fast path disabled, or no decimal sums).
-func (op *HashAggOp) updateDecimalSums(b *vector.Batch) ([]bool, error) {
+// per-row closure dispatch, payload lookups and count read-modify-writes of
+// the generic loops collapse into a handful of adds per row. Everything else
+// — and everything when Config.DisableDecimal64 is set, which means no lanes
+// and no scratch — takes the direct per-row 128-bit loop.
+func (op *HashAggOp) updateDecimalSums(b *vector.Batch) error {
+	if op.numDecSums == 0 {
+		return nil
+	}
 	ctx := op.tc.Expr
-	if !ctx.Dec64 || op.numDecSums == 0 {
-		return nil, nil
+	if ctx.Dec64 {
+		release := ctx.Dec64CacheScope(b.Sel, b.NumRows)
+		defer release()
 	}
-	if op.aggHandled == nil {
-		op.aggHandled = make([]bool, len(op.infos))
-		op.decSums = make([]decSumAgg, 0, op.numDecSums)
-	}
-	clear(op.aggHandled)
 	op.decSums = op.decSums[:0]
-	wide := op.sumWideFor(op.tbl)
-	release := ctx.Dec64CacheScope(b.Sel, b.NumRows)
-	defer release()
-	for k, info := range op.infos {
-		if info.spec.Distinct ||
-			(info.spec.Kind != expr.AggSum && info.spec.Kind != expr.AggAvg) ||
-			op.infoSumType(info).ID != types.Decimal {
+	defer op.releaseDecSums()
+	for _, info := range op.infos {
+		if !info.decSum {
 			continue
 		}
-		ag := decSumAgg{k: k, off: info.off, cntOff: info.off + info.width - 8}
-		if !wide[k] {
-			lv, ok, err := ctx.EvalDec64Lanes(info.spec.Arg, b)
-			if err != nil {
-				op.putDecSumArgs(ctx)
-				return nil, err
-			}
-			if ok {
-				ag.lane, ag.nulls, ag.hn = lv.I64, lv.Nulls, lv.HasNulls()
-				ag.lanesV, ag.narrowIn = lv, true
-				op.decSums = append(op.decSums, ag)
-				op.aggHandled[k] = true
-				continue
-			}
-		}
-		av, owned, err := evalChildExpr(ctx, info.spec.Arg, b)
+		ag := decSumAgg{off: info.off, owned: true}
+		lv, ok, err := ctx.EvalDec64Lanes(info.spec.Arg, b)
 		if err != nil {
-			op.putDecSumArgs(ctx)
-			return nil, err
+			return err
 		}
-		if !wide[k] && !ctx.Dec64Qualified(av, b.Sel, b.NumRows) {
-			wide[k] = true
-			ctx.Dec128Batches++
+		if ok {
+			ag.vec, ag.lane = lv, lv.I64
+		} else {
+			av, owned, err := evalChildExpr(ctx, info.spec.Arg, b)
+			if err != nil {
+				return err
+			}
+			ag.vec, ag.owned, ag.dec = av, owned, av.Dec
 		}
-		ag.dec, ag.nulls, ag.hn = av.Dec, av.Nulls, av.HasNulls()
-		ag.av, ag.owned = av, owned
-		ag.wide, ag.narrowIn = wide[k], !wide[k]
+		if ag.vec.HasNulls() {
+			ag.nulls = ag.vec.Nulls
+		}
 		op.decSums = append(op.decSums, ag)
-		op.aggHandled[k] = true
 	}
 
-	// Partition: narrow NULL-free aggregates pre-aggregate per group; the
-	// rest (wide, or NULL-bearing input) update states per row. The dense
-	// route only pays when batches concentrate many rows onto few groups
-	// (Q1: four groups): near one row per group per batch (Q17's per-part
-	// averages), the flush+reset pass would double the work, so high
-	// group counts fall back to the direct loop.
+	// Partition: narrow NULL-free arguments pre-aggregate per group; the
+	// rest update states per row. The dense route only pays when batches
+	// concentrate many rows onto few groups (Q1: four groups): near one row
+	// per group per batch (Q17's per-part averages), the flush+reset pass
+	// would double the work, so high group counts take the direct loop.
 	args := op.decSums
 	nPre := 0
-	if g := op.tbl.NumRows(); g <= preAggMaxGroups && g*4 <= b.NumActive() {
+	if g := op.tbl.NumRows(); ctx.Dec64 && g <= preAggMaxGroups && g*4 <= b.NumActive() {
 		for a := range args {
-			if !args[a].wide && !args[a].hn {
+			ag := &args[a]
+			if ag.nulls == nil && (ag.lane != nil || ctx.Dec64Qualified(ag.vec, b.Sel, b.NumRows)) {
 				args[nPre], args[a] = args[a], args[nPre]
 				nPre++
 			}
 		}
 	}
-	slab, keyOff, stride := op.tbl.PayloadSlab()
-	if nPre > 0 {
-		op.preAggDecimalSums(args[:nPre], b, slab, keyOff, stride)
-	}
-	if direct := args[nPre:]; len(direct) > 0 {
-		rowIDs := op.rowIDs
-		if b.Sel == nil {
-			for i := 0; i < b.NumRows; i++ {
-				base := int(rowIDs[i])*stride + keyOff
-				fusedSumRow(direct, slab, base, i)
-			}
-		} else {
-			for _, i := range b.Sel {
-				base := int(rowIDs[i])*stride + keyOff
-				fusedSumRow(direct, slab, base, int(i))
-			}
-		}
-	}
+	escapes := op.preAggDecimalSums(args[:nPre], b)
+	op.sumDecimalRows(args[nPre:], b, op.tbl)
 
-	for a := range args {
-		ag := &args[a]
-		wide[ag.k] = ag.wide
-		if ag.narrowIn {
-			if ag.escaped {
-				ctx.Dec64Escapes++
-			} else {
+	// One tally per (aggregate, batch): the input was evaluated or
+	// pre-aggregated as int64, escaped from that, or ran 128-bit throughout.
+	if ctx.Dec64 {
+		ctx.Dec64Escapes += int64(escapes)
+		ctx.Dec64Batches += int64(nPre - escapes)
+		for _, ag := range args[nPre:] {
+			if ag.lane != nil {
 				ctx.Dec64Batches++
+			} else {
+				ctx.Dec128Batches++
 			}
 		}
-		if ag.owned {
-			ctx.Put(ag.av)
-		}
-		if ag.lanesV != nil {
-			ctx.Put(ag.lanesV)
-		}
-		ag.av, ag.lanesV, ag.dec, ag.lane, ag.nulls = nil, nil, nil, nil, nil
 	}
-	return op.aggHandled, nil
+	return nil
 }
 
-// putDecSumArgs releases argument vectors collected so far (error unwind).
-func (op *HashAggOp) putDecSumArgs(ctx *expr.Ctx) {
+// releaseDecSums returns the argument vectors of the pass to the pool.
+func (op *HashAggOp) releaseDecSums() {
 	for i := range op.decSums {
-		if op.decSums[i].owned {
-			ctx.Put(op.decSums[i].av)
+		if ag := &op.decSums[i]; ag.owned {
+			op.tc.Expr.Put(ag.vec)
 		}
-		if op.decSums[i].lanesV != nil {
-			ctx.Put(op.decSums[i].lanesV)
+		op.decSums[i] = decSumAgg{}
+	}
+}
+
+// sumDecimalRows is the per-row 128-bit loop: every active row of the batch
+// folds each of args into its group's states. Raw arguments, the scratch-wrap
+// replay and partial-sum merges all run it.
+func (op *HashAggOp) sumDecimalRows(args []decSumAgg, b *vector.Batch, tbl *ht.Table) {
+	if len(args) == 0 {
+		return
+	}
+	slab, keyOff, stride := tbl.PayloadSlab()
+	n, rowIDs := b.NumActive(), op.rowIDs
+	for j := 0; j < n; j++ {
+		i := b.RowIndex(j)
+		base := int(rowIDs[i])*stride + keyOff
+		for a := range args {
+			ag := &args[a]
+			if ag.nulls != nil && ag.nulls[i] != 0 {
+				continue
+			}
+			var x types.Decimal128
+			if ag.lane != nil {
+				x = types.SignExtend64(ag.lane[i])
+			} else {
+				x = ag.dec[i]
+			}
+			c := int64(1)
+			if ag.cnt != nil {
+				c = ag.cnt[i]
+			}
+			addDecSum(slab[base+ag.off:], x, c)
 		}
 	}
 }
@@ -380,12 +497,14 @@ func (op *HashAggOp) putDecSumArgs(ctx *expr.Ctx) {
 // preAggDecimalSums is the batch-local pre-aggregation route for narrow
 // NULL-free decimal sums: accumulate each aggregate into a dense per-group
 // scratch column (groups × aggregates, one cache line per group), then fold
-// the scratch into the hash-table states once per touched group. Overflow of
-// a scratch accumulator replays that aggregate's batch through the 128-bit
-// per-row adds; overflow folding a group total into its state promotes the
-// aggregate for the rest of the table epoch. Either way results are
-// identical — only the representation path changes.
-func (op *HashAggOp) preAggDecimalSums(pre []decSumAgg, b *vector.Batch, slab []byte, keyOff, stride int) {
+// the scratch into the hash-table states once per touched group. A scratch
+// accumulator that wraps int64 is the one overflow escape: that aggregate's
+// batch is replayed through the per-row 128-bit loop instead, with identical
+// results. Returns how many aggregates escaped.
+func (op *HashAggOp) preAggDecimalSums(pre []decSumAgg, b *vector.Batch) (escapes int) {
+	if len(pre) == 0 {
+		return 0
+	}
 	// Distinct input sources: aggregates reading the same input (Q1's
 	// sum+avg pairs over one column) share a scratch column, accumulated
 	// once and folded into each member's state.
@@ -421,126 +540,68 @@ func (op *HashAggOp) preAggDecimalSums(pre []decSumAgg, b *vector.Batch, slab []
 	rowIDs := op.rowIDs
 
 	// Pass 1: per-group batch row counts and the touched-group list.
-	if b.Sel == nil {
-		for i := 0; i < b.NumRows; i++ {
-			rid := rowIDs[i]
-			if cnt[rid] == 0 {
-				touched = append(touched, rid)
-			}
-			cnt[rid]++
+	apply(b.Sel, b.NumRows, func(i int32) {
+		rid := rowIDs[i]
+		if cnt[rid] == 0 {
+			touched = append(touched, rid)
 		}
-	} else {
-		for _, i := range b.Sel {
-			rid := rowIDs[i]
-			if cnt[rid] == 0 {
-				touched = append(touched, rid)
-			}
-			cnt[rid]++
-		}
-	}
+		cnt[rid]++
+	})
 	op.decTouched = touched
 
-	// Pass 2: one tight accumulation loop per distinct source, overflow
-	// tracked in a register rather than a per-row store to the descriptor.
+	// Pass 2, per distinct source: one tight accumulation loop, overflow
+	// tracked in a register (the sign bit of ovf) rather than per row, then
+	// the fold of that scratch column into each of its aggregates' states.
+	slab, keyOff, stride := op.tbl.PayloadSlab()
 	for s, ca := range srcAgg {
-		ag := &pre[ca]
-		var ovf uint64
-		if lane := ag.lane; lane != nil {
-			if b.Sel == nil {
-				for i, x := range lane[:b.NumRows] {
-					idx := int(rowIDs[i])*nS + s
-					v := acc[idx]
-					r := v + x
-					ovf |= uint64((v ^ r) & (x ^ r))
-					acc[idx] = r
-				}
-			} else {
-				for _, i := range b.Sel {
-					idx := int(rowIDs[i])*nS + s
-					v := acc[idx]
-					x := lane[i]
-					r := v + x
-					ovf |= uint64((v ^ r) & (x ^ r))
-					acc[idx] = r
+		ovf := accumulateScratch(&pre[ca], b.Sel, b.NumRows, rowIDs, acc, nS, s)
+		for a := range pre {
+			switch {
+			case srcOf[a] != s:
+			case ovf>>63 != 0:
+				// The scratch wrapped: the batch-local totals are unusable,
+				// so replay this aggregate's rows in 128-bit.
+				escapes++
+				op.sumDecimalRows(pre[a:a+1], b, op.tbl)
+			default:
+				for _, rid := range touched {
+					st := slab[int(rid)*stride+keyOff+pre[a].off:]
+					addDecSum(st, types.SignExtend64(acc[int(rid)*nS+s]), cnt[rid])
 				}
 			}
-		} else {
-			dec := ag.dec
-			if b.Sel == nil {
-				for i := 0; i < b.NumRows; i++ {
-					idx := int(rowIDs[i])*nS + s
-					v := acc[idx]
-					x := int64(dec[i].Lo)
-					r := v + x
-					ovf |= uint64((v ^ r) & (x ^ r))
-					acc[idx] = r
-				}
-			} else {
-				for _, i := range b.Sel {
-					idx := int(rowIDs[i])*nS + s
-					v := acc[idx]
-					x := int64(dec[i].Lo)
-					r := v + x
-					ovf |= uint64((v ^ r) & (x ^ r))
-					acc[idx] = r
-				}
-			}
-		}
-		ag.ovf = ovf
-	}
-	for a := range pre {
-		pre[a].ovf = pre[srcAgg[srcOf[a]]].ovf
-	}
-
-	for a := range pre {
-		ag := &pre[a]
-		if ag.ovf>>63 != 0 {
-			// Scratch accumulator wrapped: the batch-local totals are
-			// unusable for this aggregate, so replay its rows in 128-bit.
-			ag.ovf = 0
-			ag.wide, ag.escaped = true, true
-			op.replayWideSum(ag, b, slab, keyOff, stride)
-			continue
-		}
-		col := srcOf[a]
-		for _, rid := range touched {
-			v := acc[int(rid)*nS+col]
-			c := cnt[rid]
-			base := int(rid)*stride + keyOff
-			st := slab[base+ag.off:]
-			if !ag.wide {
-				s := int64(binary.LittleEndian.Uint64(st))
-				r := s + v
-				if (s^r)&(v^r) >= 0 {
-					binary.LittleEndian.PutUint64(st, uint64(r))
-					binary.LittleEndian.PutUint64(st[8:], uint64(r>>63))
-					cs := slab[base+ag.cntOff:]
-					binary.LittleEndian.PutUint64(cs, binary.LittleEndian.Uint64(cs)+uint64(c))
-					continue
-				}
-				// State overflow: the epoch's sums no longer fit int64.
-				ag.wide, ag.escaped = true, true
-			}
-			cur := types.Decimal128{
-				Lo: binary.LittleEndian.Uint64(st),
-				Hi: int64(binary.LittleEndian.Uint64(st[8:])),
-			}
-			cur = cur.Add(types.SignExtend64(v))
-			binary.LittleEndian.PutUint64(st, cur.Lo)
-			binary.LittleEndian.PutUint64(st[8:], uint64(cur.Hi))
-			cs := slab[base+ag.cntOff:]
-			binary.LittleEndian.PutUint64(cs, binary.LittleEndian.Uint64(cs)+uint64(c))
 		}
 	}
 
 	// Restore the all-zero scratch invariant for the next batch.
 	for _, rid := range touched {
 		cnt[rid] = 0
-		base := int(rid) * nS
-		for s := 0; s < nS; s++ {
-			acc[base+s] = 0
-		}
+		clear(acc[int(rid)*nS : int(rid)*nS+nS])
 	}
+	return escapes
+}
+
+// accumulateScratch adds one narrow NULL-free source column into column s of
+// the per-group scratch (nS columns per group). The sign bit of the result is
+// set iff some add wrapped int64. It is its own function so the four loops
+// apply stamps out (lanes or low limbs × dense or selective) each keep their
+// operands in registers.
+func accumulateScratch(src *decSumAgg, sel []int32, n int, rowIDs []int32, acc []int64, nS, s int) (ovf uint64) {
+	if lane := src.lane; lane != nil {
+		apply(sel, n, func(i int32) { ovf |= scratchAdd(acc, int(rowIDs[i])*nS+s, lane[i]) })
+	} else {
+		dec := src.dec // narrow, so the low limb is the value
+		apply(sel, n, func(i int32) { ovf |= scratchAdd(acc, int(rowIDs[i])*nS+s, int64(dec[i].Lo)) })
+	}
+	return ovf
+}
+
+// scratchAdd adds x into acc[idx] and flags an int64 wrap in the sign bit of
+// its result (branch-free, so a loop can OR the flags together).
+func scratchAdd(acc []int64, idx int, x int64) uint64 {
+	v := acc[idx]
+	r := v + x
+	acc[idx] = r
+	return uint64((v ^ r) & (x ^ r))
 }
 
 // sameDecSrc reports whether two pre-aggregated arguments read the same
@@ -551,899 +612,4 @@ func sameDecSrc(x, y *decSumAgg) bool {
 		return x.lane != nil && y.lane != nil && &x.lane[0] == &y.lane[0]
 	}
 	return &x.dec[0] == &y.dec[0]
-}
-
-// replayWideSum folds one aggregate's whole batch into its states through
-// the 128-bit adds (pre-aggregation escape path; inputs are NULL-free).
-func (op *HashAggOp) replayWideSum(ag *decSumAgg, b *vector.Batch, slab []byte, keyOff, stride int) {
-	rowIDs := op.rowIDs
-	apply(b.Sel, b.NumRows, func(i int32) {
-		base := int(rowIDs[i])*stride + keyOff
-		st := slab[base+ag.off:]
-		var x types.Decimal128
-		if ag.lane != nil {
-			x = types.SignExtend64(ag.lane[i])
-		} else {
-			x = ag.dec[i]
-		}
-		cur := types.Decimal128{
-			Lo: binary.LittleEndian.Uint64(st),
-			Hi: int64(binary.LittleEndian.Uint64(st[8:])),
-		}
-		cur = cur.Add(x)
-		binary.LittleEndian.PutUint64(st, cur.Lo)
-		binary.LittleEndian.PutUint64(st[8:], uint64(cur.Hi))
-		cs := slab[base+ag.cntOff:]
-		binary.LittleEndian.PutUint64(cs, binary.LittleEndian.Uint64(cs)+1)
-	})
-}
-
-// fusedSumRow folds input row i into every decimal sum state of its group's
-// payload row (starting at slab[base]). States stay canonical Decimal128 —
-// the narrow store writes the sign-extended high limb too, so spill, emit,
-// and merge readers never see a second format.
-func fusedSumRow(args []decSumAgg, slab []byte, base, i int) {
-	for a := range args {
-		ag := &args[a]
-		if ag.hn && ag.nulls[i] != 0 {
-			continue
-		}
-		st := slab[base+ag.off:]
-		if !ag.wide {
-			s := int64(binary.LittleEndian.Uint64(st))
-			var x int64
-			if ag.lane != nil {
-				x = ag.lane[i]
-			} else {
-				x = int64(ag.dec[i].Lo)
-			}
-			r := s + x
-			if (s^r)&(x^r) >= 0 {
-				binary.LittleEndian.PutUint64(st, uint64(r))
-				binary.LittleEndian.PutUint64(st[8:], uint64(r>>63))
-				cnt := slab[base+ag.cntOff:]
-				binary.LittleEndian.PutUint64(cnt, binary.LittleEndian.Uint64(cnt)+1)
-				continue
-			}
-			// Overflow: promote this aggregate to 128-bit mid-row.
-			ag.wide = true
-			ag.escaped = true
-		}
-		var x types.Decimal128
-		if ag.lane != nil {
-			x = types.SignExtend64(ag.lane[i])
-		} else {
-			x = ag.dec[i]
-		}
-		cur := types.Decimal128{
-			Lo: binary.LittleEndian.Uint64(st),
-			Hi: int64(binary.LittleEndian.Uint64(st[8:])),
-		}
-		cur = cur.Add(x)
-		binary.LittleEndian.PutUint64(st, cur.Lo)
-		binary.LittleEndian.PutUint64(st[8:], uint64(cur.Hi))
-		cnt := slab[base+ag.cntOff:]
-		binary.LittleEndian.PutUint64(cnt, binary.LittleEndian.Uint64(cnt)+1)
-	}
-}
-
-// initState zeroes a new group's payload and allocates list states.
-func (op *HashAggOp) initState(tbl *ht.Table, row int32) {
-	p := tbl.PayloadBytes(row)
-	clear(p)
-	for _, info := range op.infos {
-		if info.spec.Distinct || info.spec.Kind == expr.AggCollectList {
-			id := uint32(len(op.listsFor(tbl)))
-			binary.LittleEndian.PutUint32(p[info.off:], id)
-			if tbl == op.tbl {
-				op.lists = append(op.lists, op.newListState(info))
-			} else {
-				op.partLists = append(op.partLists, op.newListState(info))
-			}
-		}
-	}
-}
-
-func (op *HashAggOp) newListState(info aggInfo) listState {
-	ls := listState{}
-	if info.spec.Distinct {
-		ls.distinct = make(map[string]struct{})
-	}
-	return ls
-}
-
-func (op *HashAggOp) listsFor(tbl *ht.Table) []listState {
-	if tbl == op.tbl {
-		return op.lists
-	}
-	return op.partLists
-}
-
-// updateAgg runs one aggregate's update loop over the batch. k is the
-// aggregate's position in op.infos (indexes the narrow-sum flags).
-func (op *HashAggOp) updateAgg(b *vector.Batch, k int, info aggInfo, tbl *ht.Table, lists *[]listState) error {
-	var av *vector.Vector
-	var owned bool
-	if info.spec.Arg != nil {
-		var err error
-		av, owned, err = evalChildExpr(op.tc.Expr, info.spec.Arg, b)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if owned {
-				op.tc.Expr.Put(av)
-			}
-		}()
-	}
-	hn := av != nil && av.HasNulls()
-
-	switch {
-	case info.spec.Distinct:
-		apply(b.Sel, b.NumRows, func(i int32) {
-			if hn && av.Nulls[i] != 0 {
-				return
-			}
-			id := binary.LittleEndian.Uint32(tbl.PayloadBytes(op.rowIDs[i])[info.off:])
-			key := encodeValueKey(av, int(i))
-			(*lists)[id].distinct[key] = struct{}{}
-		})
-	case info.spec.Kind == expr.AggCount:
-		apply(b.Sel, b.NumRows, func(i int32) {
-			if hn && av.Nulls[i] != 0 {
-				return
-			}
-			st := tbl.PayloadBytes(op.rowIDs[i])[info.off:]
-			binary.LittleEndian.PutUint64(st, binary.LittleEndian.Uint64(st)+1)
-		})
-	case info.spec.Kind == expr.AggSum || info.spec.Kind == expr.AggAvg:
-		op.updateSum(b, k, info, av, hn, tbl, 1)
-	case info.spec.Kind == expr.AggMin:
-		op.updateMinMax(b, info, av, hn, tbl, true)
-	case info.spec.Kind == expr.AggMax:
-		op.updateMinMax(b, info, av, hn, tbl, false)
-	case info.spec.Kind == expr.AggCollectList:
-		arena := &op.listPool
-		apply(b.Sel, b.NumRows, func(i int32) {
-			if hn && av.Nulls[i] != 0 {
-				return
-			}
-			id := binary.LittleEndian.Uint32(tbl.PayloadBytes(op.rowIDs[i])[info.off:])
-			ls := &(*lists)[id]
-			elem := encodeListElem(av, int(i), arena)
-			ls.blob = appendLenPrefixed(ls.blob, elem)
-			ls.count++
-		})
-	}
-	return nil
-}
-
-// sumWideFor returns the per-aggregate wide flags valid for tbl, resetting
-// them when the target table changes (a fresh table — new spill epoch or
-// partition merge — holds all-zero sums, so the narrow path is safe again).
-// Flags start wide when the fast path is disabled.
-func (op *HashAggOp) sumWideFor(tbl *ht.Table) []bool {
-	if op.sumWideT != tbl {
-		op.sumWideT = tbl
-		wide := !op.tc.Expr.Dec64
-		for k := range op.sumWide {
-			op.sumWide[k] = wide
-		}
-	}
-	return op.sumWide
-}
-
-// updateSum accumulates sums (weight = per-row count contribution, which is
-// 1 for raw input and the partial count when merging).
-func (op *HashAggOp) updateSum(b *vector.Batch, k int, info aggInfo, av *vector.Vector, hn bool, tbl *ht.Table, weight int64) {
-	sumT := op.infoSumType(info)
-	cntOff := info.off + info.width - 8
-	switch sumT.ID {
-	case types.Decimal:
-		ctx := op.tc.Expr
-		wide := op.sumWideFor(tbl)
-		if !wide[k] && !ctx.Dec64Qualified(av, b.Sel, b.NumRows) {
-			// Input not provably narrow: values may push sums past int64
-			// undetected, so promote this aggregate's accumulator for good.
-			wide[k] = true
-			ctx.Dec128Batches++
-		}
-		narrowIn := !wide[k]
-		escaped := false
-		apply(b.Sel, b.NumRows, func(i int32) {
-			if hn && av.Nulls[i] != 0 {
-				return
-			}
-			p := tbl.PayloadBytes(op.rowIDs[i])
-			st := p[info.off:]
-			if !wide[k] {
-				// int64 accumulator. The state stays canonical Decimal128
-				// (lo plus sign-extended hi, one extra store) so the
-				// spill/emit/merge readers never see a second format.
-				s := int64(binary.LittleEndian.Uint64(st))
-				x := int64(av.Dec[i].Lo)
-				r := s + x
-				if (s^r)&(x^r) >= 0 {
-					binary.LittleEndian.PutUint64(st, uint64(r))
-					binary.LittleEndian.PutUint64(st[8:], uint64(r>>63))
-					binary.LittleEndian.PutUint64(p[cntOff:], binary.LittleEndian.Uint64(p[cntOff:])+uint64(weight))
-					return
-				}
-				// Overflow: finish the batch (and table epoch) in 128-bit.
-				wide[k] = true
-				escaped = true
-			}
-			cur := types.Decimal128{
-				Lo: binary.LittleEndian.Uint64(st),
-				Hi: int64(binary.LittleEndian.Uint64(st[8:])),
-			}
-			cur = cur.Add(av.Dec[i])
-			binary.LittleEndian.PutUint64(st, cur.Lo)
-			binary.LittleEndian.PutUint64(st[8:], uint64(cur.Hi))
-			binary.LittleEndian.PutUint64(p[cntOff:], binary.LittleEndian.Uint64(p[cntOff:])+uint64(weight))
-		})
-		if narrowIn {
-			if escaped {
-				ctx.Dec64Escapes++
-			} else {
-				ctx.Dec64Batches++
-			}
-		}
-	case types.Float64:
-		apply(b.Sel, b.NumRows, func(i int32) {
-			if hn && av.Nulls[i] != 0 {
-				return
-			}
-			p := tbl.PayloadBytes(op.rowIDs[i])
-			st := p[info.off:]
-			cur := math.Float64frombits(binary.LittleEndian.Uint64(st))
-			var x float64
-			if av.Type.ID == types.Float64 {
-				x = av.F64[i]
-			} else if av.Type.ID == types.Int32 {
-				x = float64(av.I32[i])
-			} else {
-				x = float64(av.I64[i])
-			}
-			binary.LittleEndian.PutUint64(st, math.Float64bits(cur+x))
-			binary.LittleEndian.PutUint64(p[cntOff:], binary.LittleEndian.Uint64(p[cntOff:])+uint64(weight))
-		})
-	default: // int64 accumulator
-		apply(b.Sel, b.NumRows, func(i int32) {
-			if hn && av.Nulls[i] != 0 {
-				return
-			}
-			p := tbl.PayloadBytes(op.rowIDs[i])
-			st := p[info.off:]
-			var x int64
-			if av.Type.ID == types.Int32 || av.Type.ID == types.Date {
-				x = int64(av.I32[i])
-			} else {
-				x = av.I64[i]
-			}
-			binary.LittleEndian.PutUint64(st, binary.LittleEndian.Uint64(st)+uint64(x))
-			binary.LittleEndian.PutUint64(p[cntOff:], binary.LittleEndian.Uint64(p[cntOff:])+uint64(weight))
-		})
-	}
-}
-
-// infoSumType resolves the accumulator type, honoring AggAvg over ints
-// accumulating in float (Spark semantics: avg(int) is double).
-func (op *HashAggOp) infoSumType(info aggInfo) types.DataType {
-	t := info.argOrResType()
-	if info.spec.Kind == expr.AggAvg && t.ID != types.Decimal {
-		return types.Float64Type
-	}
-	return info.sumStateType()
-}
-
-// updateMinMax folds min/max over the batch.
-func (op *HashAggOp) updateMinMax(b *vector.Batch, info aggInfo, av *vector.Vector, hn bool, tbl *ht.Table, isMin bool) {
-	apply(b.Sel, b.NumRows, func(i int32) {
-		if hn && av.Nulls[i] != 0 {
-			return
-		}
-		st := tbl.PayloadBytes(op.rowIDs[i])[info.off:]
-		if st[0] == 0 {
-			st[0] = 1
-			op.storeMinMax(st[1:], av, int(i), tbl)
-			return
-		}
-		if cmpStateVsValue(st[1:], av, int(i), tbl) > 0 == isMin {
-			op.storeMinMax(st[1:], av, int(i), tbl)
-		}
-	})
-}
-
-// storeMinMax writes av[i] into a min/max slot.
-func (op *HashAggOp) storeMinMax(st []byte, av *vector.Vector, i int, tbl *ht.Table) {
-	switch av.Type.ID {
-	case types.Bool:
-		st[0] = av.Bool[i]
-	case types.Int32, types.Date:
-		binary.LittleEndian.PutUint32(st, uint32(av.I32[i]))
-	case types.Int64, types.Timestamp:
-		binary.LittleEndian.PutUint64(st, uint64(av.I64[i]))
-	case types.Float64:
-		binary.LittleEndian.PutUint64(st, math.Float64bits(av.F64[i]))
-	case types.Decimal:
-		binary.LittleEndian.PutUint64(st, av.Dec[i].Lo)
-		binary.LittleEndian.PutUint64(st[8:], uint64(av.Dec[i].Hi))
-	case types.String:
-		off, ln := tbl.AppendHeap(av.Str[i])
-		binary.LittleEndian.PutUint32(st, off)
-		binary.LittleEndian.PutUint32(st[4:], ln)
-	}
-}
-
-// cmpStateVsValue compares the stored slot against av[i]: -1/0/1.
-func cmpStateVsValue(st []byte, av *vector.Vector, i int, tbl *ht.Table) int {
-	switch av.Type.ID {
-	case types.Bool:
-		return int(st[0]) - int(av.Bool[i])
-	case types.Int32, types.Date:
-		s := int32(binary.LittleEndian.Uint32(st))
-		if s < av.I32[i] {
-			return -1
-		} else if s > av.I32[i] {
-			return 1
-		}
-		return 0
-	case types.Int64, types.Timestamp:
-		s := int64(binary.LittleEndian.Uint64(st))
-		if s < av.I64[i] {
-			return -1
-		} else if s > av.I64[i] {
-			return 1
-		}
-		return 0
-	case types.Float64:
-		s := math.Float64frombits(binary.LittleEndian.Uint64(st))
-		if s < av.F64[i] {
-			return -1
-		} else if s > av.F64[i] {
-			return 1
-		}
-		return 0
-	case types.Decimal:
-		s := types.Decimal128{
-			Lo: binary.LittleEndian.Uint64(st),
-			Hi: int64(binary.LittleEndian.Uint64(st[8:])),
-		}
-		return s.Cmp(av.Dec[i])
-	case types.String:
-		off := binary.LittleEndian.Uint32(st)
-		ln := binary.LittleEndian.Uint32(st[4:])
-		return bytes.Compare(tbl.HeapBytes(off, ln), av.Str[i])
-	}
-	return 0
-}
-
-// encodeValueKey renders av[i] as a map key for DISTINCT sets.
-func encodeValueKey(av *vector.Vector, i int) string {
-	switch av.Type.ID {
-	case types.String:
-		return string(av.Str[i])
-	case types.Int32, types.Date:
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(av.I32[i]))
-		return string(b[:])
-	case types.Float64:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(av.F64[i]))
-		return string(b[:])
-	case types.Decimal:
-		var b [16]byte
-		binary.LittleEndian.PutUint64(b[:], av.Dec[i].Lo)
-		binary.LittleEndian.PutUint64(b[8:], uint64(av.Dec[i].Hi))
-		return string(b[:])
-	default:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(av.I64[i]))
-		return string(b[:])
-	}
-}
-
-// encodeListElem renders av[i] as display bytes for collect_list, copied
-// into the shared arena (allocation coalescing across groups, Fig. 5).
-func encodeListElem(av *vector.Vector, i int, arena interface{ Copy([]byte) []byte }) []byte {
-	switch av.Type.ID {
-	case types.String:
-		return arena.Copy(av.Str[i])
-	default:
-		return arena.Copy([]byte(fmt.Sprintf("%v", av.Get(i))))
-	}
-}
-
-// appendLenPrefixed appends a u32-length-prefixed element to a blob.
-func appendLenPrefixed(blob, elem []byte) []byte {
-	var l [4]byte
-	binary.LittleEndian.PutUint32(l[:], uint32(len(elem)))
-	blob = append(blob, l[:]...)
-	return append(blob, elem...)
-}
-
-// mergeBatch folds a batch of partial states (AggFinal input, or spilled
-// partition rows) into tbl.
-func (op *HashAggOp) mergeBatch(b *vector.Batch, tbl *ht.Table, lists *[]listState, topLevel bool) error {
-	// Key columns are the first len(keyTypes) columns of the partial schema.
-	n := b.NumRows
-	if len(op.keyTypes) > 0 {
-		keys := b.Vecs[:len(op.keyTypes)]
-		hashKeyVectorsScratch(keys, b.Sel, n, op.hashes, &op.lanes)
-		if err := tbl.FindOrInsert(keys, op.hashes, b.Sel, n, op.rowIDs, op.inserted); err != nil {
-			return err
-		}
-		apply(b.Sel, n, func(i int32) {
-			if op.inserted[i] {
-				op.initStateIn(tbl, op.rowIDs[i], lists)
-			}
-		})
-	} else {
-		if tbl.NumRows() == 0 {
-			if err := op.ensureGlobalGroup(tbl); err != nil {
-				return err
-			}
-			op.initStateIn(tbl, 0, lists)
-		}
-		apply(b.Sel, n, func(i int32) { op.rowIDs[i] = 0 })
-	}
-
-	col := len(op.keyTypes)
-	for k, info := range op.infos {
-		switch {
-		case info.spec.Distinct:
-			blob := b.Vecs[col]
-			apply(b.Sel, n, func(i int32) {
-				if blob.Nulls[i] != 0 {
-					return
-				}
-				id := binary.LittleEndian.Uint32(tbl.PayloadBytes(op.rowIDs[i])[info.off:])
-				set := (*lists)[id].distinct
-				iterLenPrefixed(blob.Str[i], func(elem []byte) {
-					set[string(elem)] = struct{}{}
-				})
-			})
-			col++
-		case info.spec.Kind == expr.AggCollectList:
-			blob := b.Vecs[col]
-			apply(b.Sel, n, func(i int32) {
-				if blob.Nulls[i] != 0 {
-					return
-				}
-				id := binary.LittleEndian.Uint32(tbl.PayloadBytes(op.rowIDs[i])[info.off:])
-				ls := &(*lists)[id]
-				ls.blob = append(ls.blob, blob.Str[i]...)
-				iterLenPrefixed(blob.Str[i], func([]byte) { ls.count++ })
-			})
-			col++
-		case info.spec.Kind == expr.AggCount:
-			cnt := b.Vecs[col]
-			apply(b.Sel, n, func(i int32) {
-				st := tbl.PayloadBytes(op.rowIDs[i])[info.off:]
-				binary.LittleEndian.PutUint64(st, binary.LittleEndian.Uint64(st)+uint64(cnt.I64[i]))
-			})
-			col++
-		case info.spec.Kind == expr.AggSum || info.spec.Kind == expr.AggAvg:
-			sumV, cntV := b.Vecs[col], b.Vecs[col+1]
-			cntOff := info.off + info.width - 8
-			sumT := op.infoSumType(info)
-			if sumT.ID == types.Decimal {
-				op.mergeDecimalSum(b, k, info, sumV, cntV, cntOff, tbl)
-			} else {
-				apply(b.Sel, n, func(i int32) {
-					if sumV.Nulls[i] != 0 {
-						return
-					}
-					p := tbl.PayloadBytes(op.rowIDs[i])
-					st := p[info.off:]
-					if sumT.ID == types.Float64 {
-						cur := math.Float64frombits(binary.LittleEndian.Uint64(st))
-						binary.LittleEndian.PutUint64(st, math.Float64bits(cur+sumV.F64[i]))
-					} else {
-						binary.LittleEndian.PutUint64(st, binary.LittleEndian.Uint64(st)+uint64(sumV.I64[i]))
-					}
-					binary.LittleEndian.PutUint64(p[cntOff:], binary.LittleEndian.Uint64(p[cntOff:])+uint64(cntV.I64[i]))
-				})
-			}
-			col += 2
-		default: // min/max merge
-			val := b.Vecs[col]
-			isMin := info.spec.Kind == expr.AggMin
-			apply(b.Sel, n, func(i int32) {
-				if val.Nulls[i] != 0 {
-					return
-				}
-				st := tbl.PayloadBytes(op.rowIDs[i])[info.off:]
-				if st[0] == 0 {
-					st[0] = 1
-					op.storeMinMax(st[1:], val, int(i), tbl)
-					return
-				}
-				if cmpStateVsValue(st[1:], val, int(i), tbl) > 0 == isMin {
-					op.storeMinMax(st[1:], val, int(i), tbl)
-				}
-			})
-			col++
-		}
-	}
-	if topLevel {
-		return op.reserveDelta()
-	}
-	return nil
-}
-
-// mergeDecimalSum folds partial decimal sums into tbl, using the int64
-// accumulator while every state and input still fits. Partial batches come
-// out of serde readers and shuffles whose buffers are reused, so the input
-// is checked directly each batch instead of through the metadata cache.
-func (op *HashAggOp) mergeDecimalSum(b *vector.Batch, k int, info aggInfo, sumV, cntV *vector.Vector, cntOff int, tbl *ht.Table) {
-	ctx := op.tc.Expr
-	wide := op.sumWideFor(tbl)
-	if !wide[k] && !kernels.Dec64CheckV(sumV.Dec, sumV.Nulls, sumV.HasNulls(), b.Sel, b.NumRows) {
-		wide[k] = true
-		ctx.Dec128Batches++
-	}
-	narrowIn := !wide[k]
-	escaped := false
-	apply(b.Sel, b.NumRows, func(i int32) {
-		if sumV.Nulls[i] != 0 {
-			return
-		}
-		p := tbl.PayloadBytes(op.rowIDs[i])
-		st := p[info.off:]
-		if !wide[k] {
-			s := int64(binary.LittleEndian.Uint64(st))
-			x := int64(sumV.Dec[i].Lo)
-			r := s + x
-			if (s^r)&(x^r) >= 0 {
-				binary.LittleEndian.PutUint64(st, uint64(r))
-				binary.LittleEndian.PutUint64(st[8:], uint64(r>>63))
-				binary.LittleEndian.PutUint64(p[cntOff:], binary.LittleEndian.Uint64(p[cntOff:])+uint64(cntV.I64[i]))
-				return
-			}
-			wide[k] = true
-			escaped = true
-		}
-		cur := types.Decimal128{
-			Lo: binary.LittleEndian.Uint64(st),
-			Hi: int64(binary.LittleEndian.Uint64(st[8:])),
-		}
-		cur = cur.Add(sumV.Dec[i])
-		binary.LittleEndian.PutUint64(st, cur.Lo)
-		binary.LittleEndian.PutUint64(st[8:], uint64(cur.Hi))
-		binary.LittleEndian.PutUint64(p[cntOff:], binary.LittleEndian.Uint64(p[cntOff:])+uint64(cntV.I64[i]))
-	})
-	if narrowIn {
-		if escaped {
-			ctx.Dec64Escapes++
-		} else {
-			ctx.Dec64Batches++
-		}
-	}
-}
-
-// initStateIn initializes a group's payload in the given table/lists pair.
-func (op *HashAggOp) initStateIn(tbl *ht.Table, row int32, lists *[]listState) {
-	p := tbl.PayloadBytes(row)
-	clear(p)
-	for _, info := range op.infos {
-		if info.spec.Distinct || info.spec.Kind == expr.AggCollectList {
-			id := uint32(len(*lists))
-			binary.LittleEndian.PutUint32(p[info.off:], id)
-			*lists = append(*lists, op.newListState(info))
-		}
-	}
-}
-
-// iterLenPrefixed walks a u32-length-prefixed element blob.
-func iterLenPrefixed(blob []byte, f func(elem []byte)) {
-	for len(blob) >= 4 {
-		l := binary.LittleEndian.Uint32(blob)
-		blob = blob[4:]
-		f(blob[:l])
-		blob = blob[l:]
-	}
-}
-
-// ----- output -----
-
-// Next implements Operator.
-func (op *HashAggOp) Next() (*vector.Batch, error) {
-	var out *vector.Batch
-	err := op.timed(func() error {
-		if !op.inputDone {
-			if err := op.consumeInput(); err != nil {
-				return err
-			}
-			op.inputDone = true
-			// SQL semantics: a keyless aggregation over empty input still
-			// produces one row (count 0, sums NULL).
-			if len(op.keyExprs) == 0 && op.mode != AggFinal && !op.globalInit && !op.spilled {
-				op.ensureGlobalGroup(op.tbl)
-				op.initState(op.tbl, 0)
-				op.globalInit = true
-			}
-			// Once any state has spilled, the live table may share groups
-			// with the partitions; flush it too so every group is emitted
-			// exactly once via the partition merge.
-			if op.spilled && op.tbl.Len() > 0 {
-				if _, err := op.spill(0); err != nil {
-					return err
-				}
-			}
-			// Flush and reopen spill partitions for reading.
-			for _, w := range op.spillWriters {
-				if err := w.Close(); err != nil {
-					return err
-				}
-			}
-		}
-		var err error
-		out, err = op.emitNext()
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	if out != nil {
-		op.stats.RowsOut.Add(int64(out.NumRows))
-		op.stats.BatchesOut.Add(1)
-	}
-	return out, nil
-}
-
-// emitNext produces the next output batch: first the in-memory table, then
-// each spilled partition merged one at a time.
-func (op *HashAggOp) emitNext() (*vector.Batch, error) {
-	for {
-		// Phase 1: drain the live table.
-		if op.tbl != nil {
-			heads := op.tbl.HeadRows()
-			if op.emitPos < len(heads) {
-				return op.emitFrom(op.tbl, op.lists, heads)
-			}
-			op.tbl = nil // live table drained
-		}
-		// Phase 2: drain the current merged partition table.
-		if op.partTbl != nil {
-			heads := op.partTbl.HeadRows()
-			if op.emitPos < len(heads) {
-				return op.emitFrom(op.partTbl, op.partLists, heads)
-			}
-			op.partTbl = nil
-		}
-		// Phase 3: merge the next spilled partition.
-		if op.emitPart >= len(op.spillFiles) {
-			return nil, nil
-		}
-		f := op.spillFiles[op.emitPart]
-		op.emitPart++
-		if f == nil {
-			continue
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, err
-		}
-		if err := op.mergePartition(f); err != nil {
-			return nil, err
-		}
-		f.Close()
-		os.Remove(f.Name())
-	}
-}
-
-// mergePartition rebuilds a fresh table from one spill partition. The merge
-// loop checks cancellation per batch (a giant spilled partition must not pin
-// a cancelled query), probes the spill-read failpoint, and classifies
-// transient OS read errors as retryable.
-func (op *HashAggOp) mergePartition(f *os.File) error {
-	op.merging = true
-	defer func() { op.merging = false }()
-	ps := op.partialSchema()
-	rd := serde.NewReader(f, ps)
-	op.partTbl = ht.New(op.keyTypes, op.payloadW)
-	op.partTbl.Guard = op.tc.Cancelled
-	op.partLists = op.partLists[:0]
-	op.emitPos = 0
-	buf := vector.NewBatch(ps, op.tc.Pool.BatchSize())
-	for {
-		if err := op.tc.Cancelled(); err != nil {
-			return err
-		}
-		if err := fault.Hit(op.tc.Ctx, fault.SpillRead); err != nil {
-			return err
-		}
-		err := rd.ReadBatch(buf)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fault.ClassifyIO(fault.SpillRead, err)
-		}
-		if err := op.mergeBatch(buf, op.partTbl, &op.partLists, false); err != nil {
-			return err
-		}
-	}
-}
-
-// emitFrom materializes up to one batch of groups from tbl.
-func (op *HashAggOp) emitFrom(tbl *ht.Table, lists []listState, heads []int32) (*vector.Batch, error) {
-	if op.out == nil {
-		op.out = vector.NewBatch(op.schema, op.tc.Pool.BatchSize())
-	}
-	op.out.Reset()
-	limit := min(op.emitPos+op.out.Capacity(), len(heads))
-	for ; op.emitPos < limit; op.emitPos++ {
-		row := heads[op.emitPos]
-		i := op.out.NumRows
-		col := 0
-		for c := range op.keyTypes {
-			tbl.ReadKey(row, c, op.out.Vecs[col], i)
-			col++
-		}
-		if op.mode == AggPartial {
-			// Reuse partial row writer (it appends keys too), so instead
-			// write states column-wise here to the partial columns.
-			op.writePartialStates(tbl, lists, row, i, col)
-		} else {
-			op.writeFinalStates(tbl, lists, row, i, col)
-		}
-		op.out.NumRows++
-	}
-	return op.out, nil
-}
-
-// writePartialStates fills partial-state columns for one group row.
-func (op *HashAggOp) writePartialStates(tbl *ht.Table, lists []listState, row int32, i, col int) {
-	p := tbl.PayloadBytes(row)
-	for _, info := range op.infos {
-		st := p[info.off:]
-		switch {
-		case info.spec.Distinct:
-			id := binary.LittleEndian.Uint32(st)
-			var buf bytes.Buffer
-			for v := range lists[id].distinct {
-				var l [4]byte
-				binary.LittleEndian.PutUint32(l[:], uint32(len(v)))
-				buf.Write(l[:])
-				buf.WriteString(v)
-			}
-			op.out.Vecs[col].Set(i, buf.Bytes())
-			col++
-		case info.spec.Kind == expr.AggCollectList:
-			id := binary.LittleEndian.Uint32(st)
-			op.out.Vecs[col].Set(i, append([]byte(nil), lists[id].blob...))
-			col++
-		case info.spec.Kind == expr.AggCount:
-			op.out.Vecs[col].Set(i, int64(binary.LittleEndian.Uint64(st)))
-			col++
-		case info.spec.Kind == expr.AggSum || info.spec.Kind == expr.AggAvg:
-			cnt := int64(binary.LittleEndian.Uint64(st[info.width-8:]))
-			if cnt == 0 {
-				op.out.Vecs[col].Set(i, nil)
-			} else {
-				op.readSumInto(op.out.Vecs[col], i, st, info)
-			}
-			col++
-			op.out.Vecs[col].Set(i, cnt)
-			col++
-		default:
-			if st[0] == 0 {
-				op.out.Vecs[col].Set(i, nil)
-			} else {
-				op.decodeMinMax(op.out.Vecs[col], i, st[1:], info, tbl)
-			}
-			col++
-		}
-	}
-}
-
-// readSumInto decodes the accumulated sum into v[i].
-func (op *HashAggOp) readSumInto(v *vector.Vector, i int, st []byte, info aggInfo) {
-	switch op.infoSumType(info).ID {
-	case types.Decimal:
-		v.Set(i, types.Decimal128{
-			Lo: binary.LittleEndian.Uint64(st),
-			Hi: int64(binary.LittleEndian.Uint64(st[8:])),
-		})
-	case types.Float64:
-		v.Set(i, math.Float64frombits(binary.LittleEndian.Uint64(st)))
-	default:
-		v.Set(i, int64(binary.LittleEndian.Uint64(st)))
-	}
-}
-
-// writeFinalStates fills final aggregate values for one group row.
-func (op *HashAggOp) writeFinalStates(tbl *ht.Table, lists []listState, row int32, i, col int) {
-	p := tbl.PayloadBytes(row)
-	for _, info := range op.infos {
-		st := p[info.off:]
-		v := op.out.Vecs[col]
-		switch {
-		case info.spec.Distinct:
-			id := binary.LittleEndian.Uint32(st)
-			v.Set(i, int64(len(lists[id].distinct)))
-		case info.spec.Kind == expr.AggCollectList:
-			id := binary.LittleEndian.Uint32(st)
-			v.Set(i, renderList(lists[id].blob))
-		case info.spec.Kind == expr.AggCount:
-			v.Set(i, int64(binary.LittleEndian.Uint64(st)))
-		case info.spec.Kind == expr.AggSum:
-			cnt := int64(binary.LittleEndian.Uint64(st[info.width-8:]))
-			if cnt == 0 {
-				v.Set(i, nil)
-			} else {
-				op.readSumInto(v, i, st, info)
-			}
-		case info.spec.Kind == expr.AggAvg:
-			cnt := int64(binary.LittleEndian.Uint64(st[info.width-8:]))
-			if cnt == 0 {
-				v.Set(i, nil)
-			} else if op.infoSumType(info).ID == types.Decimal {
-				sum := types.Decimal128{
-					Lo: binary.LittleEndian.Uint64(st),
-					Hi: int64(binary.LittleEndian.Uint64(st[8:])),
-				}
-				// avg scale = result scale; sum has arg scale.
-				argScale := info.spec.Arg.Type().Scale
-				resScale := info.resType.Scale
-				scaled := sum.Rescale(argScale, resScale+1) // extra digit for rounding
-				q, _ := scaled.DivInt64(cnt)
-				v.Set(i, q.Rescale(resScale+1, resScale))
-			} else {
-				sum := math.Float64frombits(binary.LittleEndian.Uint64(st))
-				v.Set(i, sum/float64(cnt))
-			}
-		default: // min/max
-			if st[0] == 0 {
-				v.Set(i, nil)
-			} else {
-				op.decodeMinMax(v, i, st[1:], info, tbl)
-			}
-		}
-		col++
-	}
-}
-
-// renderList formats a collect_list blob as "[a, b, c]".
-func renderList(blob []byte) string {
-	var b bytes.Buffer
-	b.WriteByte('[')
-	first := true
-	iterLenPrefixed(blob, func(elem []byte) {
-		if !first {
-			b.WriteString(", ")
-		}
-		first = false
-		b.Write(elem)
-	})
-	b.WriteByte(']')
-	return b.String()
-}
-
-// Close implements Operator.
-func (op *HashAggOp) Close() error {
-	op.tc.Mem.ReleaseAll(op.consumer)
-	for _, f := range op.spillFiles {
-		if f != nil {
-			f.Close()
-			os.Remove(f.Name())
-		}
-	}
-	op.spillFiles = nil
-	return op.child.Close()
-}
-
-// globalInit tracks one-time state creation for keyless aggregation.
-// (Declared here to keep the main struct definition readable.)
-//
-// evalChildExpr mirrors expr's internal child-eval helper for operators.
-func evalChildExpr(ctx *expr.Ctx, e expr.Expr, b *vector.Batch) (*vector.Vector, bool, error) {
-	v, err := e.Eval(ctx, b)
-	if err != nil {
-		return nil, false, err
-	}
-	_, isCol := e.(*expr.ColRef)
-	return v, !isCol, nil
 }
