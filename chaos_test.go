@@ -59,6 +59,9 @@ func TestChaosSoak(t *testing.T) {
 			dir := t.TempDir()
 			sess := tpchSession(sf, Config{Parallelism: 4, SpillDir: dir})
 			r.Instrument(sess.Metrics())
+			// Odd queries read lineitem from Delta files, so tasks fail and
+			// retry with scans open.
+			lakeCopy(t, sess, "lineitem", t.TempDir())
 			// Extra retry headroom: one query makes hundreds of failpoint
 			// hits, so a handful of attempts per task is not enough margin.
 			sess.slotPool().SetOptions(sched.PoolOptions{
@@ -68,7 +71,11 @@ func TestChaosSoak(t *testing.T) {
 			})
 
 			for _, q := range queries {
-				res, err := sess.SQL(tpch.Queries[q])
+				text := tpch.Queries[q]
+				if q%2 == 1 {
+					text = onLake(text)
+				}
+				res, err := sess.SQL(text)
 				if err != nil {
 					t.Fatalf("Q%d under chaos (seed %d): %v", q, seed, err)
 				}
@@ -82,6 +89,7 @@ func TestChaosSoak(t *testing.T) {
 				t.Errorf("seed %d leaked %d reserved bytes", seed, used)
 			}
 			assertNoShuffleFiles(t, dir)
+			assertNoOpenFiles(t)
 			totalFires += r.TotalFires()
 			t.Logf("seed %d: %d faults injected", seed, r.TotalFires())
 		})

@@ -8,12 +8,15 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"photon/internal/catalog"
 	"photon/internal/mem"
+	"photon/internal/storage/parquet"
 	"photon/internal/tpch"
 )
 
@@ -62,6 +65,53 @@ func assertNoShuffleFiles(t *testing.T, dir string) {
 	})
 	if len(leftovers) > 0 {
 		t.Errorf("shuffle/spill files leaked: %v", leftovers)
+	}
+}
+
+// lakeCopy writes the session's in-memory table name to a Delta table of
+// three data files under dir and registers it as name+"_lake", so a test can
+// run the same query over files. It returns the bytes the files hold.
+func lakeCopy(t *testing.T, sess *Session, name, dir string) (fileBytes int64) {
+	t.Helper()
+	tbl, err := sess.cat.Lookup(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mt := tbl.(*catalog.MemTable)
+	dt, err := sess.CreateDeltaTable(name+"_lake", dir, mt.Sch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo, step := 0, (len(mt.Batches)+2)/3; lo < len(mt.Batches); lo += step {
+		if err := dt.tbl.Append(mt.Batches[lo:min(lo+step, len(mt.Batches))], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dt.refresh(); err != nil {
+		t.Fatal(err)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "*.parquet"))
+	for _, f := range files {
+		info, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fileBytes += info.Size()
+	}
+	return fileBytes
+}
+
+// onLake points a TPC-H query at lakeCopy's lineitem.
+func onLake(query string) string {
+	return strings.ReplaceAll(query, "lineitem", "lineitem_lake")
+}
+
+// assertNoOpenFiles asserts that every data file a scan opened has been
+// closed: each scan, however it ended, let go of its files.
+func assertNoOpenFiles(t *testing.T) {
+	t.Helper()
+	if n := parquet.OpenFiles(); n != 0 {
+		t.Errorf("%d data files opened by scans were never closed", n)
 	}
 }
 

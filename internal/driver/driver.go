@@ -156,6 +156,15 @@ func Run(ctx context.Context, plan sql.LogicalPlan, opts Options) ([][]any, *typ
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if reg := opts.Metrics; reg != nil {
+		// Once per data file a scan finishes with, never per batch.
+		opts.Config.OnScanIO = func(read, decoded int64) {
+			reg.Counter("photon_scan_read_bytes_total",
+				"Bytes Delta scans read from data files: footers and the projected chunks of unpruned row groups.").Add(read)
+			reg.Counter("photon_scan_decoded_bytes_total",
+				"Bytes those chunks held once decompressed.").Add(decoded)
+		}
+	}
 	if opts.FastPath {
 		return runFast(ctx, plan, opts)
 	}

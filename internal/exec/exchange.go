@@ -22,8 +22,10 @@ const mergeCheckRows = 1024
 // not depend on the shuffle layer's encoding.
 
 // ShuffleSink receives partitioned batches at a stage boundary
-// (implemented by shuffle.Writer). WritePartition encodes b's *active*
-// rows, so callers can route subsets via the batch's selection vector.
+// (implemented by shuffle.Writer). WritePartition takes b's *active* rows,
+// so callers can route subsets via the batch's selection vector; it copies
+// them, and may hold them back until Close to write them in full blocks.
+// Close is idempotent and repeats its first error.
 type ShuffleSink interface {
 	WritePartition(part int, b *vector.Batch) error
 	Close() error
@@ -87,8 +89,10 @@ func (s *ShuffleWriteOp) Next() (*vector.Batch, error) {
 				return err
 			}
 			if b == nil {
+				// The sink writes its last, partial blocks on Close; closing
+				// here, not only in Close, lets that failure fail the task.
 				s.done = true
-				return nil
+				return s.sink.Close()
 			}
 			n := int64(b.NumActive())
 			s.stats.RowsIn.Add(n)

@@ -241,3 +241,20 @@ func TestStatsWalkCrossesEngineBoundaries(t *testing.T) {
 		}
 	}
 }
+
+// failingSink holds rows back until Close, as shuffle.Writer does with a
+// partition's last block, and fails to write them.
+type failingSink struct{ memSink }
+
+func (f *failingSink) Close() error { return fmt.Errorf("last block lost") }
+
+// A sink's Close writes data, so its failure must fail the drain — not be
+// dropped by a deferred operator Close.
+func TestShuffleWriteSurfacesSinkCloseError(t *testing.T) {
+	schema := exchangeSchema()
+	scan := NewMemScan(schema, BuildBatches(schema, [][]any{{int64(1)}}, 2))
+	err := Drain(NewShuffleWrite(scan, &failingSink{}, nil), NewTaskCtx(nil, 2))
+	if err == nil || !strings.Contains(err.Error(), "last block lost") {
+		t.Fatalf("drain error = %v, want the sink's close error", err)
+	}
+}

@@ -80,6 +80,9 @@ type HashJoinOp struct {
 	fmBuild    []*vector.Vector
 	fmSel      []int32
 	fmAcc      *vector.Batch // coalescing compaction accumulator
+	fmStrings  []byte        // the accumulated rows' string payloads
+	outStrings []byte        // string payloads of out's rows from finished probe batches
+	outOwned   int           // rows of out whose strings are in outStrings
 	fmStash    *vector.Batch // dense batch deferred while flushing fmAcc
 	fmEOF      bool
 

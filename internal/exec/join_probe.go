@@ -65,6 +65,7 @@ func (op *HashJoinOp) probeNext() (*vector.Batch, error) {
 		op.out = vector.NewBatch(op.schema, op.tc.Pool.BatchSize())
 	}
 	op.out.Reset()
+	op.outOwned, op.outStrings = 0, op.outStrings[:0]
 	for {
 		// Batch-boundary cancellation check (join probe side).
 		if err := op.tc.Cancelled(); err != nil {
@@ -76,6 +77,11 @@ func (op *HashJoinOp) probeNext() (*vector.Batch, error) {
 				return op.out, nil // output full; resume here next call
 			}
 			op.probeBatch = nil
+			// out keeps filling from the next probe batch, which this one
+			// does not outlive: the rows it contributed take their own copy
+			// of the strings they share with it.
+			op.outStrings = op.out.OwnStrings(op.outOwned, op.outStrings)
+			op.outOwned = op.out.NumRows
 		}
 		// Pull the next probe batch.
 		b, err := op.nextProbeBatch()
@@ -154,7 +160,14 @@ func (op *HashJoinOp) probeNextFilterMode() (*vector.Batch, error) {
 				}
 				continue
 			}
+			// The accumulator outlives b, so it takes its own copy of b's
+			// strings; a new accumulation reuses the previous one's bytes.
+			held := op.fmAcc.NumRows
+			if held == 0 {
+				op.fmStrings = op.fmStrings[:0]
+			}
 			b.GatherAppend(op.fmAcc)
+			op.fmStrings = op.fmAcc.OwnStrings(held, op.fmStrings)
 			op.stats.Compactions.Add(1)
 			if op.fmAcc.NumRows < flushThreshold {
 				continue // keep accumulating sparse batches

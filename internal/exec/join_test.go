@@ -1,12 +1,14 @@
 package exec
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"photon/internal/expr"
 	"photon/internal/mem"
 	"photon/internal/types"
+	"photon/internal/vector"
 )
 
 func keyCol(i int, name string) expr.Expr { return expr.Col(i, name, types.Int64Type) }
@@ -220,5 +222,86 @@ func TestJoinStringKeys(t *testing.T) {
 	}
 	if len(got) != 1 || got[0][0] != "apple" || got[0][2].(int64) != 1 {
 		t.Errorf("string join = %v", got)
+	}
+}
+
+// volatileSource yields batches the way a storage or exchange reader does:
+// one batch refilled on every Next, its strings in a buffer that the next
+// fill overwrites. An operator that keeps a row past the next Next without
+// copying its strings sees them change.
+type volatileSource struct {
+	batches []*vector.Batch
+	pos     int
+	out     *vector.Batch
+	buf     []byte
+	sel     []int32
+}
+
+func (s *volatileSource) Next() (*vector.Batch, error) {
+	if s.pos == len(s.batches) {
+		return nil, nil
+	}
+	src := s.batches[s.pos]
+	s.pos++
+	if s.out == nil {
+		s.out = vector.NewBatch(src.Schema, src.Capacity())
+	}
+	for i := range s.buf {
+		s.buf[i] = '#'
+	}
+	s.out.Reset()
+	src.GatherInto(s.out)
+	s.buf = s.out.OwnStrings(0, s.buf[:0])
+	// One row in three active: sparse enough for filter mode to accumulate.
+	s.sel = s.sel[:0]
+	for r := 0; r < s.out.NumRows; r += 3 {
+		s.sel = append(s.sel, int32(r))
+	}
+	s.out.Sel = s.sel
+	return s.out, nil
+}
+
+func (s *volatileSource) Close() error { return nil }
+
+// TestJoinKeepsNoBorrowedStrings: both probe paths that carry rows across
+// probe batches — the general path's output batch and filter mode's
+// compaction accumulator — hold their own copy of the probe side's strings.
+func TestJoinKeepsNoBorrowedStrings(t *testing.T) {
+	ls := types.NewSchema(
+		types.Field{Name: "lid", Type: types.Int64Type},
+		types.Field{Name: "ltag", Type: types.StringType},
+	)
+	rs := intSchema("rid", "rval")
+	const probeRows = 4000
+	var lrows, urows, drows [][]any
+	for i := 0; i < probeRows; i++ {
+		lrows = append(lrows, []any{int64(i), fmt.Sprintf("tag-%05d", i)})
+	}
+	for i := 0; i < probeRows; i += 6 {
+		urows = append(urows, []any{int64(i), int64(i * 10)})                        // unique keys: filter mode
+		drows = append(drows, []any{int64(i), int64(i)}, []any{int64(i), int64(-i)}) // duplicates: general path
+	}
+	for name, rrows := range map[string][][]any{"filter mode": urows, "general": drows} {
+		// 64-row probe batches: small enough that the general path's output
+		// batch spans many of them.
+		batches := BuildBatches(ls, lrows, 64)
+		probe := NewSource("volatile", ls, func() (Source, error) { return &volatileSource{batches: batches}, nil })
+		build := NewMemScan(rs, BuildBatches(rs, rrows, 512))
+		j, err := NewHashJoin(probe, build, []expr.Expr{keyCol(0, "lid")}, []expr.Expr{keyCol(0, "rid")}, InnerJoin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := CollectRows(j, newTC(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) == 0 {
+			t.Fatalf("%s: no rows", name)
+		}
+		for _, row := range got {
+			if want := fmt.Sprintf("tag-%05d", row[0].(int64)); row[1] != want {
+				t.Fatalf("%s: row %v carries another batch's string, want %q", name, row, want)
+			}
+		}
 	}
 }

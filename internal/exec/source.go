@@ -5,21 +5,26 @@ import (
 	"photon/internal/vector"
 )
 
-// SourceFunc produces column batches; nil signals end of input. Used to
-// adapt storage readers (Delta/Parquet files, shuffle partitions) into the
-// operator tree without exec depending on the storage packages.
-type SourceFunc func() (*vector.Batch, error)
+// Source produces column batches from outside the operator tree — storage
+// readers (Delta/Parquet files) adapted without exec depending on the
+// storage packages. Next returns nil at end of input; a returned batch is
+// valid until the next call. Close releases what the source holds (open
+// files) and may be called at any point, more than once.
+type Source interface {
+	Next() (*vector.Batch, error)
+	Close() error
+}
 
-// SourceOp wraps a SourceFunc as a leaf operator.
+// SourceOp wraps a Source as a leaf operator.
 type SourceOp struct {
 	base
-	open func() (SourceFunc, error)
-	next SourceFunc
+	open func() (Source, error)
+	src  Source
 }
 
 // NewSource builds a leaf operator; open is called on Open (and again on
 // re-Open), producing a fresh stream.
-func NewSource(name string, schema *types.Schema, open func() (SourceFunc, error)) *SourceOp {
+func NewSource(name string, schema *types.Schema, open func() (Source, error)) *SourceOp {
 	s := &SourceOp{open: open}
 	s.schema = schema
 	s.stats.Name = name
@@ -29,11 +34,14 @@ func NewSource(name string, schema *types.Schema, open func() (SourceFunc, error
 // Open implements Operator.
 func (s *SourceOp) Open(tc *TaskCtx) error {
 	s.tc = tc
-	next, err := s.open()
+	if err := s.Close(); err != nil {
+		return err
+	}
+	src, err := s.open()
 	if err != nil {
 		return err
 	}
-	s.next = next
+	s.src = src
 	return nil
 }
 
@@ -41,7 +49,7 @@ func (s *SourceOp) Open(tc *TaskCtx) error {
 func (s *SourceOp) Next() (*vector.Batch, error) {
 	var out *vector.Batch
 	err := s.timed(func() error {
-		b, err := s.next()
+		b, err := s.src.Next()
 		if err != nil {
 			return err
 		}
@@ -55,8 +63,13 @@ func (s *SourceOp) Next() (*vector.Batch, error) {
 	return out, err
 }
 
-// Close implements Operator.
+// Close implements Operator: whatever the stream reached — end of input, an
+// error, a cancelled query — its source lets go of its files here.
 func (s *SourceOp) Close() error {
-	s.next = nil
-	return nil
+	src := s.src
+	s.src = nil
+	if src == nil {
+		return nil
+	}
+	return src.Close()
 }

@@ -9,15 +9,22 @@ import (
 // engine's scan path over columnar files (every value boxes).
 type BatchScan struct {
 	schema *types.Schema
-	open   func() (func() (*vector.Batch, error), error)
-	next   func() (*vector.Batch, error)
+	open   func() (BatchSource, error)
+	src    BatchSource
 	cur    *vector.Batch
 	pos    int
 	row    []any
 }
 
+// BatchSource is the columnar stream a BatchScan pivots: Next returns nil at
+// end of input, Close releases the stream's files and may be called twice.
+type BatchSource interface {
+	Next() (*vector.Batch, error)
+	Close() error
+}
+
 // NewBatchScan wraps a batch stream factory.
-func NewBatchScan(schema *types.Schema, open func() (func() (*vector.Batch, error), error)) *BatchScan {
+func NewBatchScan(schema *types.Schema, open func() (BatchSource, error)) *BatchScan {
 	return &BatchScan{schema: schema, open: open}
 }
 
@@ -26,11 +33,14 @@ func (s *BatchScan) Schema() *types.Schema { return s.schema }
 
 // Open implements Operator.
 func (s *BatchScan) Open() error {
-	next, err := s.open()
+	if err := s.Close(); err != nil {
+		return err
+	}
+	src, err := s.open()
 	if err != nil {
 		return err
 	}
-	s.next = next
+	s.src = src
 	s.cur = nil
 	s.pos = 0
 	if s.row == nil {
@@ -50,7 +60,7 @@ func (s *BatchScan) NextRow() ([]any, error) {
 			}
 			return s.row, nil
 		}
-		b, err := s.next()
+		b, err := s.src.Next()
 		if err != nil {
 			return nil, err
 		}
@@ -64,6 +74,10 @@ func (s *BatchScan) NextRow() ([]any, error) {
 
 // Close implements Operator.
 func (s *BatchScan) Close() error {
-	s.next = nil
-	return nil
+	src := s.src
+	s.src = nil
+	if src == nil {
+		return nil
+	}
+	return src.Close()
 }

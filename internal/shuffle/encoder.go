@@ -12,10 +12,15 @@
 package shuffle
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
+	"math/bits"
+	"slices"
 
+	"photon/internal/kernels"
+	"photon/internal/lebytes"
 	"photon/internal/types"
 	"photon/internal/vector"
 )
@@ -36,135 +41,127 @@ type EncoderOptions struct {
 	Adaptive bool
 }
 
-// encodeBlock serializes a batch's active rows into a self-contained block.
-// counts, when non-nil, tallies the per-column encoding decisions (indexed
-// by ColEncoding) — the §4.6 adaptivity statistic surfaced in profiles.
-func encodeBlock(dst []byte, b *vector.Batch, opts EncoderOptions, counts *[3]int64) []byte {
-	n := b.NumActive()
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(n))
-	dst = append(dst, hdr[:]...)
+// Block wire layout (before compression):
+//
+//	u32 rows
+//	per column: u8 encoding, u8 hasNulls, [rows NULL bytes],
+//	  PLAIN fixed width: rows values, NULL slots included
+//	  PLAIN string:      u32 len + bytes per valid row
+//	  UUID:              16 bytes per valid row
+//	  DICT:              u32 count, PLAIN string entries, u8 width, u32 n,
+//	                     n bit-packed indices, one per valid row
+
+// blockEncoder serializes dense batches. Its dictionary state is reused from
+// block to block, so encoding allocates nothing once warm.
+type blockEncoder struct {
+	opts EncoderOptions
+	// counts, when non-nil, tallies the per-column encoding decisions
+	// (indexed by ColEncoding) — the §4.6 adaptivity statistic surfaced in
+	// profiles.
+	counts *[3]int64
+
+	// Dictionary under construction: an open-addressed table of value
+	// index + 1 (0 = empty), the distinct values, one index per valid row.
+	slots   []uint32
+	values  [][]byte
+	indices []uint32
+}
+
+// encodeBlock appends one self-contained block holding b's rows. b is dense
+// (no selection vector): the writer's staging batches are.
+func (e *blockEncoder) encodeBlock(dst []byte, b *vector.Batch) []byte {
+	n := b.NumRows
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
 	for _, v := range b.Vecs {
-		var enc ColEncoding
-		dst, enc = encodeColumn(dst, v, b.Sel, b.NumRows, n, opts)
-		if counts != nil {
-			counts[enc]++
+		dst = e.encodeColumn(dst, v, n)
+	}
+	return dst
+}
+
+func (e *blockEncoder) encodeColumn(dst []byte, v *vector.Vector, n int) []byte {
+	hasNulls := v.HasNulls()
+	nulls := v.Nulls[:n]
+	valid := n
+	if hasNulls {
+		for _, nb := range nulls {
+			if nb != 0 {
+				valid--
+			}
+		}
+	}
+	enc := EncPlain
+	if e.opts.Adaptive && v.Type.ID == types.String && valid > 0 {
+		if allUUIDs(v.Str[:n], nulls, hasNulls) {
+			enc = EncUUID
+		} else if e.buildDict(v.Str[:n], nulls, hasNulls, valid) {
+			enc = EncDict
+		}
+	}
+	if e.counts != nil {
+		e.counts[enc]++
+	}
+	dst = append(dst, byte(enc), 0)
+	if hasNulls {
+		dst[len(dst)-1] = 1
+		dst = append(dst, nulls...)
+	}
+	switch enc {
+	case EncDict:
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.values)))
+		for _, s := range e.values {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
+			dst = append(dst, s...)
+		}
+		width := bitWidthFor(len(e.values))
+		dst = append(dst, byte(width))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(e.indices)))
+		return lebytes.BitPack(dst, e.indices, width)
+	case EncUUID:
+		var u [16]byte
+		for i, s := range v.Str[:n] {
+			if hasNulls && nulls[i] != 0 {
+				continue
+			}
+			types.ParseUUID(s, &u)
+			dst = append(dst, u[:]...)
+		}
+		return dst
+	}
+	switch v.Type.ID {
+	case types.Bool:
+		dst = append(dst, v.Bool[:n]...)
+	case types.Int32, types.Date:
+		dst = lebytes.Append4(dst, v.I32[:n])
+	case types.Int64, types.Timestamp:
+		dst = lebytes.Append8(dst, v.I64[:n])
+	case types.Float64:
+		dst = lebytes.Append8(dst, v.F64[:n])
+	case types.Decimal:
+		dst = lebytes.Append16(dst, v.Dec[:n])
+	case types.String:
+		for i, s := range v.Str[:n] {
+			if hasNulls && nulls[i] != 0 {
+				continue
+			}
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
+			dst = append(dst, s...)
 		}
 	}
 	return dst
 }
 
-func encodeColumn(dst []byte, v *vector.Vector, sel []int32, numRows, n int, opts EncoderOptions) ([]byte, ColEncoding) {
-	enc := EncPlain
-	if opts.Adaptive && v.Type.ID == types.String && n > 0 {
-		if allUUIDs(v, sel, numRows) {
-			enc = EncUUID
-		} else if d := tryDict(v, sel, numRows, n); d != nil {
-			return encodeDictCol(dst, v, sel, numRows, n, d), EncDict
-		}
-	}
-	dst = append(dst, byte(enc))
-	// Nulls.
-	hasNulls := v.HasNulls()
-	nb := byte(0)
-	if hasNulls {
-		nb = 1
-	}
-	dst = append(dst, nb)
-	if hasNulls {
-		forActive(sel, numRows, func(i int32) {
-			dst = append(dst, v.Nulls[i])
-		})
-	}
-	if enc == EncUUID {
-		var u [16]byte
-		forActive(sel, numRows, func(i int32) {
-			if hasNulls && v.Nulls[i] != 0 {
-				return
-			}
-			types.ParseUUID(v.Str[i], &u)
-			dst = append(dst, u[:]...)
-		})
-		return dst, enc
-	}
-	// PLAIN.
-	switch v.Type.ID {
-	case types.Bool:
-		forActive(sel, numRows, func(i int32) { dst = append(dst, v.Bool[i]) })
-	case types.Int32, types.Date:
-		var b [4]byte
-		forActive(sel, numRows, func(i int32) {
-			binary.LittleEndian.PutUint32(b[:], uint32(v.I32[i]))
-			dst = append(dst, b[:]...)
-		})
-	case types.Int64, types.Timestamp:
-		var b [8]byte
-		forActive(sel, numRows, func(i int32) {
-			binary.LittleEndian.PutUint64(b[:], uint64(v.I64[i]))
-			dst = append(dst, b[:]...)
-		})
-	case types.Float64:
-		var b [8]byte
-		forActive(sel, numRows, func(i int32) {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.F64[i]))
-			dst = append(dst, b[:]...)
-		})
-	case types.Decimal:
-		var b [16]byte
-		forActive(sel, numRows, func(i int32) {
-			binary.LittleEndian.PutUint64(b[:8], v.Dec[i].Lo)
-			binary.LittleEndian.PutUint64(b[8:], uint64(v.Dec[i].Hi))
-			dst = append(dst, b[:]...)
-		})
-	case types.String:
-		var b [4]byte
-		forActive(sel, numRows, func(i int32) {
-			if hasNulls && v.Nulls[i] != 0 {
-				return
-			}
-			binary.LittleEndian.PutUint32(b[:], uint32(len(v.Str[i])))
-			dst = append(dst, b[:]...)
-			dst = append(dst, v.Str[i]...)
-		})
-	}
-	return dst, enc
-}
-
-// forActive iterates active rows.
-func forActive(sel []int32, numRows int, f func(i int32)) {
-	if sel == nil {
-		for i := 0; i < numRows; i++ {
-			f(int32(i))
-		}
-		return
-	}
-	for _, i := range sel {
-		f(i)
-	}
-}
-
-// allUUIDs detects the canonical-UUID pattern over the batch (§4.6: Photon
+// allUUIDs detects the canonical-UUID pattern over the block (§4.6: Photon
 // detects string columns with UUIDs before writing a shuffle file).
-func allUUIDs(v *vector.Vector, sel []int32, numRows int) bool {
-	hasNulls := v.HasNulls()
-	any := false
-	ok := true
-	forActive(sel, numRows, func(i int32) {
-		if !ok || (hasNulls && v.Nulls[i] != 0) {
-			return
+func allUUIDs(strs [][]byte, nulls []byte, hasNulls bool) bool {
+	for i, s := range strs {
+		if hasNulls && nulls[i] != 0 {
+			continue
 		}
-		any = true
-		if !types.IsCanonicalUUID(v.Str[i]) {
-			ok = false
+		if !types.IsCanonicalUUID(s) {
+			return false
 		}
-	})
-	return ok && any
-}
-
-// blockDict is a per-block string dictionary.
-type blockDict struct {
-	values  [][]byte
-	indices []uint32
+	}
+	return true
 }
 
 const (
@@ -172,75 +169,35 @@ const (
 	dictMaxRatio  = 0.5
 )
 
-// tryDict attempts dictionary encoding for the block.
-func tryDict(v *vector.Vector, sel []int32, numRows, n int) *blockDict {
-	hasNulls := v.HasNulls()
-	d := &blockDict{}
-	idx := make(map[string]uint32, 64)
-	failed := false
-	forActive(sel, numRows, func(i int32) {
-		if failed || (hasNulls && v.Nulls[i] != 0) {
-			return
+// buildDict dictionary-encodes the block's valid strings into e.values and
+// e.indices. It gives up — returns false — at the first value that takes
+// the dictionary past dictMaxValues or past dictMaxRatio of the valid rows,
+// since neither bound can be met again once missed.
+func (e *blockEncoder) buildDict(strs [][]byte, nulls []byte, hasNulls bool, valid int) bool {
+	limit := min(dictMaxValues, int(dictMaxRatio*float64(valid)))
+	size := 1 << bits.Len(uint(2*limit)) // a power of two, at most half full
+	e.slots = slices.Grow(e.slots[:0], size)[:size]
+	clear(e.slots)
+	e.values, e.indices = e.values[:0], e.indices[:0]
+	mask := uint64(size - 1)
+	for i, s := range strs {
+		if hasNulls && nulls[i] != 0 {
+			continue
 		}
-		s := v.Str[i]
-		id, ok := idx[string(s)]
-		if !ok {
-			id = uint32(len(d.values))
-			if id >= dictMaxValues {
-				failed = true
-				return
+		p := kernels.HashBytesOne(s) & mask
+		for e.slots[p] != 0 && !bytes.Equal(e.values[e.slots[p]-1], s) {
+			p = (p + 1) & mask
+		}
+		if e.slots[p] == 0 {
+			if len(e.values) == limit {
+				return false
 			}
-			idx[string(s)] = id
-			d.values = append(d.values, s)
+			e.values = append(e.values, s)
+			e.slots[p] = uint32(len(e.values))
 		}
-		d.indices = append(d.indices, id)
-	})
-	if failed || len(d.indices) == 0 ||
-		float64(len(d.values)) > dictMaxRatio*float64(len(d.indices)) {
-		return nil
+		e.indices = append(e.indices, e.slots[p]-1)
 	}
-	return d
-}
-
-// encodeDictCol writes a dictionary-encoded string column.
-func encodeDictCol(dst []byte, v *vector.Vector, sel []int32, numRows, n int, d *blockDict) []byte {
-	dst = append(dst, byte(EncDict))
-	hasNulls := v.HasNulls()
-	nb := byte(0)
-	if hasNulls {
-		nb = 1
-	}
-	dst = append(dst, nb)
-	if hasNulls {
-		forActive(sel, numRows, func(i int32) { dst = append(dst, v.Nulls[i]) })
-	}
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], uint32(len(d.values)))
-	dst = append(dst, b[:]...)
-	for _, s := range d.values {
-		binary.LittleEndian.PutUint32(b[:], uint32(len(s)))
-		dst = append(dst, b[:]...)
-		dst = append(dst, s...)
-	}
-	width := bitWidthFor(len(d.values))
-	dst = append(dst, byte(width))
-	binary.LittleEndian.PutUint32(b[:], uint32(len(d.indices)))
-	dst = append(dst, b[:]...)
-	var acc uint64
-	accBits := 0
-	for _, x := range d.indices {
-		acc |= uint64(x) << accBits
-		accBits += width
-		for accBits >= 8 {
-			dst = append(dst, byte(acc))
-			acc >>= 8
-			accBits -= 8
-		}
-	}
-	if accBits > 0 {
-		dst = append(dst, byte(acc))
-	}
-	return dst
+	return true
 }
 
 func bitWidthFor(n int) int {
@@ -254,190 +211,165 @@ func bitWidthFor(n int) int {
 	return w
 }
 
+// blockDecoder reads blocks into batches. Decoded strings alias the block's
+// bytes or the decoder's own scratch, both valid until the next decode.
+type blockDecoder struct {
+	uuids []byte   // formatted UUID strings of the block being decoded
+	dict  [][]byte // dictionary of the column being decoded
+	idx   []uint32 // its indices
+}
+
 // decodeBlock reads one block into dst (sized to hold the rows).
-func decodeBlock(src []byte, dst *vector.Batch) ([]byte, error) {
+func (d *blockDecoder) decodeBlock(src []byte, dst *vector.Batch) error {
 	if len(src) < 4 {
-		return nil, fmt.Errorf("shuffle: truncated block header")
+		return fmt.Errorf("shuffle: truncated block header")
 	}
 	n := int(binary.LittleEndian.Uint32(src))
 	src = src[4:]
 	if n > dst.Capacity() {
-		return nil, fmt.Errorf("shuffle: block of %d rows exceeds capacity %d", n, dst.Capacity())
+		return fmt.Errorf("shuffle: block of %d rows exceeds capacity %d", n, dst.Capacity())
 	}
 	dst.Reset()
 	dst.NumRows = n
+	d.uuids = d.uuids[:0]
 	for _, v := range dst.Vecs {
 		var err error
-		src, err = decodeColumn(src, v, n)
-		if err != nil {
-			return nil, err
+		if src, err = d.decodeColumn(src, v, n); err != nil {
+			return err
 		}
 	}
-	return src, nil
+	return nil
 }
 
-func decodeColumn(src []byte, v *vector.Vector, n int) ([]byte, error) {
+var errTruncated = errors.New("shuffle: truncated values")
+
+// take splits the first w bytes off src.
+func take(src []byte, w int) (head, rest []byte, err error) {
+	if w < 0 || len(src) < w {
+		return nil, nil, errTruncated
+	}
+	return src[:w:w], src[w:], nil
+}
+
+// takeString splits a u32-length-prefixed string off src.
+func takeString(src []byte) (s, rest []byte, err error) {
+	if len(src) < 4 {
+		return nil, nil, errTruncated
+	}
+	return take(src[4:], int(binary.LittleEndian.Uint32(src)))
+}
+
+func (d *blockDecoder) decodeColumn(src []byte, v *vector.Vector, n int) ([]byte, error) {
 	if len(src) < 2 {
 		return nil, fmt.Errorf("shuffle: truncated column header")
 	}
 	enc := ColEncoding(src[0])
 	hasNulls := src[1] == 1
 	src = src[2:]
+	valid := n
 	if hasNulls {
-		if len(src) < n {
+		nulls, rest, err := take(src, n)
+		if err != nil {
 			return nil, fmt.Errorf("shuffle: truncated nulls")
 		}
-		copy(v.Nulls[:n], src[:n])
-		src = src[n:]
-		v.RecomputeHasNulls(nil, n)
-	}
-	take := func(w int) ([]byte, error) {
-		if len(src) < w {
-			return nil, fmt.Errorf("shuffle: truncated values")
+		src = rest
+		copy(v.Nulls, nulls)
+		for _, nb := range nulls {
+			if nb != 0 {
+				valid--
+			}
 		}
-		b := src[:w]
-		src = src[w:]
-		return b, nil
+		v.SetHasNulls(valid < n)
 	}
+	if enc != EncPlain && v.Type.ID != types.String {
+		return nil, fmt.Errorf("shuffle: encoding %d on a %v column", enc, v.Type)
+	}
+	var b []byte
+	var err error
 	switch enc {
 	case EncUUID:
-		buf := make([]byte, 0, n*types.UUIDStringLen)
+		if b, src, err = take(src, valid*16); err != nil {
+			return nil, err
+		}
+		d.uuids = slices.Grow(d.uuids, valid*types.UUIDStringLen)
 		for i := 0; i < n; i++ {
 			if hasNulls && v.Nulls[i] != 0 {
 				continue
 			}
-			b, err := take(16)
-			if err != nil {
-				return nil, err
-			}
-			var u [16]byte
-			copy(u[:], b)
-			start := len(buf)
-			buf = append(buf, make([]byte, types.UUIDStringLen)...)
-			types.FormatUUID(u, buf[start:])
-			v.Str[i] = buf[start : start+types.UUIDStringLen]
+			start := len(d.uuids)
+			d.uuids = d.uuids[:start+types.UUIDStringLen]
+			types.FormatUUID([16]byte(b), d.uuids[start:])
+			v.Str[i] = d.uuids[start:len(d.uuids):len(d.uuids)]
+			b = b[16:]
 		}
 		return src, nil
 	case EncDict:
-		b, err := take(4)
-		if err != nil {
+		if b, src, err = take(src, 4); err != nil {
 			return nil, err
 		}
 		dictN := int(binary.LittleEndian.Uint32(b))
-		dict := make([][]byte, dictN)
-		for k := 0; k < dictN; k++ {
-			lb, err := take(4)
-			if err != nil {
+		if dictN > len(src)/4 {
+			return nil, fmt.Errorf("shuffle: dictionary of %d values in %d bytes", dictN, len(src))
+		}
+		d.dict = slices.Grow(d.dict[:0], dictN)[:dictN]
+		for k := range d.dict {
+			if d.dict[k], src, err = takeString(src); err != nil {
 				return nil, err
 			}
-			l := int(binary.LittleEndian.Uint32(lb))
-			pb, err := take(l)
-			if err != nil {
-				return nil, err
-			}
-			dict[k] = pb
 		}
-		wb, err := take(1)
-		if err != nil {
+		if b, src, err = take(src, 5); err != nil {
 			return nil, err
 		}
-		width := int(wb[0])
-		cb, err := take(4)
-		if err != nil {
+		width := int(b[0])
+		cnt := int(binary.LittleEndian.Uint32(b[1:]))
+		if width > 32 || cnt < valid {
+			return nil, fmt.Errorf("shuffle: %d indices of %d bits for %d values", cnt, width, valid)
+		}
+		if b, src, err = take(src, (cnt*width+7)/8); err != nil {
 			return nil, err
 		}
-		cnt := int(binary.LittleEndian.Uint32(cb))
-		need := (cnt*width + 7) / 8
-		ib, err := take(need)
-		if err != nil {
-			return nil, err
+		d.idx = slices.Grow(d.idx[:0], valid)[:valid]
+		if err := lebytes.BitUnpack(d.idx, b, width, 0); err != nil {
+			return nil, fmt.Errorf("shuffle: dict indices: %w", err)
 		}
-		var acc uint64
-		accBits := 0
-		si := 0
-		mask := uint32(1)<<width - 1
-		vi := 0
+		idx := d.idx
 		for i := 0; i < n; i++ {
 			if hasNulls && v.Nulls[i] != 0 {
 				continue
 			}
-			if vi >= cnt {
-				return nil, fmt.Errorf("shuffle: dict index overrun")
-			}
-			for accBits < width {
-				acc |= uint64(ib[si]) << accBits
-				si++
-				accBits += 8
-			}
-			id := uint32(acc) & mask
-			acc >>= width
-			accBits -= width
-			if int(id) >= dictN {
+			if int(idx[0]) >= dictN {
 				return nil, fmt.Errorf("shuffle: dict id out of range")
 			}
-			v.Str[i] = dict[id]
-			vi++
+			v.Str[i] = d.dict[idx[0]]
+			idx = idx[1:]
 		}
 		return src, nil
 	case EncPlain:
-		switch v.Type.ID {
-		case types.Bool:
-			b, err := take(n)
-			if err != nil {
-				return nil, err
-			}
-			copy(v.Bool[:n], b)
-		case types.Int32, types.Date:
-			b, err := take(n * 4)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < n; i++ {
-				v.I32[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-			}
-		case types.Int64, types.Timestamp:
-			b, err := take(n * 8)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < n; i++ {
-				v.I64[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-			}
-		case types.Float64:
-			b, err := take(n * 8)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < n; i++ {
-				v.F64[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-			}
-		case types.Decimal:
-			b, err := take(n * 16)
-			if err != nil {
-				return nil, err
-			}
-			for i := 0; i < n; i++ {
-				v.Dec[i] = types.Decimal128{
-					Lo: binary.LittleEndian.Uint64(b[i*16:]),
-					Hi: int64(binary.LittleEndian.Uint64(b[i*16+8:])),
-				}
-			}
-		case types.String:
+		if v.Type.ID == types.String {
 			for i := 0; i < n; i++ {
 				if hasNulls && v.Nulls[i] != 0 {
 					continue
 				}
-				lb, err := take(4)
-				if err != nil {
+				if v.Str[i], src, err = takeString(src); err != nil {
 					return nil, err
 				}
-				l := int(binary.LittleEndian.Uint32(lb))
-				pb, err := take(l)
-				if err != nil {
-					return nil, err
-				}
-				v.Str[i] = pb
 			}
+			return src, nil
+		}
+		if b, src, err = take(src, n*v.Type.FixedWidth()); err != nil {
+			return nil, err
+		}
+		switch v.Type.ID {
+		case types.Bool:
+			copy(v.Bool[:n], b)
+		case types.Int32, types.Date:
+			lebytes.Get4(v.I32[:n], b)
+		case types.Int64, types.Timestamp:
+			lebytes.Get8(v.I64[:n], b)
+		case types.Float64:
+			lebytes.Get8(v.F64[:n], b)
+		case types.Decimal:
+			lebytes.Get16(v.Dec[:n], b)
 		}
 		return src, nil
 	}

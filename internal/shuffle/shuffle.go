@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -147,6 +149,12 @@ func fillLanes(v *vector.Vector, sel []int32, n int, out []uint64) {
 // a sequence of checksummed LZ4-framed encoded blocks. Metrics report raw
 // and compressed volume (Table 1's "Data Size").
 //
+// Rows are staged per partition in a dense batch and leave as one block when
+// the batch is full (and at Close), so a block's size does not depend on how
+// the map side's batches happened to split: reducers receive full batches,
+// and the per-block costs — encoding decisions, LZ4 set-up, checksum, write
+// — are paid once per stagingRows rows.
+//
 // Output is staged under attempt-unique temp names; Commit atomically
 // renames every partition file into its final place. Concurrent attempts of
 // the same task (speculative duplicates, lineage-recovery re-runs) never
@@ -156,11 +164,9 @@ type Writer struct {
 	dir      string
 	shuffle  string
 	mapTask  int
-	opts     EncoderOptions
 	files    []*os.File
 	tmps     []string // temp paths (staged output)
 	finals   []string // committed paths
-	scratch  []byte
 	RawBytes int64
 	Bytes    int64
 	Rows     int64
@@ -170,23 +176,47 @@ type Writer struct {
 	PartBytes []int64
 	// EncCounts tallies encoded column blocks by ColEncoding — the §4.6
 	// adaptive-encoding decisions, surfaced per stage in query profiles.
+	// A block is a full staging batch (or a partition's last, partial one).
 	EncCounts [3]int64
 	// Obs, when set, mirrors volume and encoding counters into the
 	// process/session metrics registry.
 	Obs *Metrics
 	// Ctx, when set, bounds injected failpoint latency (the shuffle-write
 	// site) so a cancelled attempt stops promptly.
-	Ctx       context.Context
-	flushed   bool
+	Ctx context.Context
+
+	// Per partition: the rows not yet written, and the bytes of their
+	// strings (rows outlive the caller's batch). Both are reused block
+	// after block and dropped at Close.
+	staging []*vector.Batch
+	arenas  [][]byte
+	enc     blockEncoder
+	lz      *lz4.Compressor
+	block   []byte // the block being written: encoded, then framed
+	frame   []byte
+
 	closed    bool
+	closeErr  error
 	committed bool
 }
+
+// stagingRows is the size of a full block, in rows. Readers decode a block
+// into one batch, whose capacity is at least the default batch size.
+const stagingRows = vector.DefaultBatchSize
+
+// minStagingRows sizes a partition's first staging batch, so an exchange of
+// a few rows (a small broadcast) does not pay for full-size vectors.
+const minStagingRows = 64
 
 // NewWriter opens P partition files under dir (staged as temp files until
 // Commit).
 func NewWriter(dir, shuffleID string, mapTask, numPartitions int, opts EncoderOptions) (*Writer, error) {
-	w := &Writer{dir: dir, shuffle: shuffleID, mapTask: mapTask, opts: opts,
-		PartBytes: make([]int64, numPartitions)}
+	w := &Writer{dir: dir, shuffle: shuffleID, mapTask: mapTask,
+		PartBytes: make([]int64, numPartitions),
+		staging:   make([]*vector.Batch, numPartitions),
+		arenas:    make([][]byte, numPartitions),
+		enc:       blockEncoder{opts: opts}}
+	w.enc.counts = &w.EncCounts
 	attempt := writerSeq.Add(1)
 	for part := 0; part < numPartitions; part++ {
 		final := partPath(dir, shuffleID, mapTask, part)
@@ -207,31 +237,71 @@ func partPath(dir, shuffleID string, mapTask, part int) string {
 	return filepath.Join(dir, fmt.Sprintf("shuffle-%s-m%d-p%d.bin", shuffleID, mapTask, part))
 }
 
-// WritePartition encodes b's active rows into one partition's staging file
-// as a checksummed block: [u32 checksum][LZ4 frame].
+// WritePartition adds b's active rows to one partition's output. The rows
+// are copied — b may be reused on return — and reach the partition's file
+// with the block they complete.
 func (w *Writer) WritePartition(part int, b *vector.Batch) error {
-	if b.NumActive() == 0 {
+	n := b.NumActive()
+	for lo := 0; lo < n; {
+		st := w.staging[part]
+		if st == nil || st.NumRows == st.Capacity() {
+			// A partition's first rows, or a small staging batch that filled
+			// up: size for what is arriving, at most one full block.
+			held := 0
+			if st != nil {
+				held = st.NumRows
+			}
+			grown := vector.NewBatch(b.Schema, min(stagingRows, max(minStagingRows, 2*(held+n-lo))))
+			if st != nil {
+				st.GatherAppend(grown)
+			}
+			st = grown
+			w.staging[part] = st
+		}
+		base := st.NumRows
+		hi := min(n, lo+st.Capacity()-base)
+		b.GatherRange(st, lo, hi)
+		lo = hi
+		w.arenas[part] = st.OwnStrings(base, w.arenas[part])
+		if st.NumRows == stagingRows {
+			if err := w.flush(part); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// flush writes one partition's staged rows as a checksummed block:
+// [u32 checksum][LZ4 frame].
+func (w *Writer) flush(part int) error {
+	st := w.staging[part]
+	if st == nil || st.NumRows == 0 {
 		return nil
 	}
 	if err := fault.Hit(w.Ctx, fault.ShuffleWrite); err != nil {
 		return err
 	}
-	w.scratch = encodeBlock(w.scratch[:0], b, w.opts, &w.EncCounts)
-	raw := len(w.scratch)
-	w.RawBytes += int64(raw)
-	w.Rows += int64(b.NumActive())
-	var hdr [checksumLen]byte
-	framed := lz4.AppendFrame(hdr[:], w.scratch)
-	binary.LittleEndian.PutUint32(framed[:checksumLen], blockChecksum(framed[checksumLen:]))
-	w.Bytes += int64(len(framed))
-	w.PartBytes[part] += int64(len(framed))
+	if w.lz == nil {
+		w.lz = new(lz4.Compressor)
+	}
+	w.block = w.enc.encodeBlock(w.block[:0], st)
+	w.frame = w.lz.AppendFrame(append(w.frame[:0], 0, 0, 0, 0), w.block)
+	binary.LittleEndian.PutUint32(w.frame, blockChecksum(w.frame[checksumLen:]))
+	raw, framed, rows := int64(len(w.block)), int64(len(w.frame)), int64(st.NumRows)
+	w.RawBytes += raw
+	w.Rows += rows
+	w.Bytes += framed
+	w.PartBytes[part] += framed
 	if w.Obs != nil {
-		w.Obs.RawBytesWritten.Add(int64(raw))
-		w.Obs.BytesWritten.Add(int64(len(framed)))
-		w.Obs.RowsWritten.Add(int64(b.NumActive()))
+		w.Obs.RawBytesWritten.Add(raw)
+		w.Obs.BytesWritten.Add(framed)
+		w.Obs.RowsWritten.Add(rows)
 		w.Obs.BlocksWritten.Inc()
 	}
-	if _, err := w.files[part].Write(framed); err != nil {
+	st.NumRows = 0
+	w.arenas[part] = w.arenas[part][:0]
+	if _, err := w.files[part].Write(w.frame); err != nil {
 		return fault.ClassifyIO(fault.ShuffleWrite, err)
 	}
 	return nil
@@ -240,30 +310,32 @@ func (w *Writer) WritePartition(part int, b *vector.Batch) error {
 // checksumLen is the per-block checksum prefix size.
 const checksumLen = 4
 
-// Close flushes and closes all partition file handles, mirroring the
-// per-writer encoding tallies into the metrics registry once. Close does
-// NOT publish the output — call Commit (success) or Abort (failure).
-// Idempotent.
+// Close writes every partition's last, partial block, closes all partition
+// file handles and releases the staging memory, mirroring the per-writer
+// encoding tallies into the metrics registry once. Close does NOT publish
+// the output — call Commit (success) or Abort (failure). Idempotent: later
+// calls return the first call's error.
 func (w *Writer) Close() error {
 	if w.closed {
-		return nil
+		return w.closeErr
 	}
 	w.closed = true
-	if w.Obs != nil && !w.flushed {
-		w.flushed = true
-		for i, n := range w.EncCounts {
-			w.Obs.Encodings[i].Add(n)
-		}
-	}
 	var first error
-	for _, f := range w.files {
-		if f == nil {
-			continue
+	for part, f := range w.files {
+		if first == nil {
+			first = w.flush(part)
 		}
 		if err := f.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
+	w.staging, w.arenas, w.block, w.frame, w.enc, w.lz = nil, nil, nil, nil, blockEncoder{}, nil
+	if w.Obs != nil {
+		for i, n := range w.EncCounts {
+			w.Obs.Encodings[i].Add(n)
+		}
+	}
+	w.closeErr = first
 	return first
 }
 
@@ -271,7 +343,8 @@ func (w *Writer) Close() error {
 // by renaming its temp to the final path. Rename is atomic per file, so a
 // concurrent reader sees either the old committed file or the new one,
 // never a torn write. Exactly one attempt of a task should Commit (the
-// scheduler/driver's commit guard); losers Abort.
+// scheduler/driver's commit guard); losers Abort. A writer whose Close
+// failed — its last blocks may be missing — does not commit.
 func (w *Writer) Commit() error {
 	if err := w.Close(); err != nil {
 		return fault.ClassifyIO(fault.ShuffleWrite, err)
@@ -288,9 +361,11 @@ func (w *Writer) Commit() error {
 	return nil
 }
 
-// Abort closes (if needed) and removes the attempt's staged temp files.
-// Safe on a partially constructed writer; never touches committed output.
+// Abort drops whatever is staged, closes the files and removes the
+// attempt's temp files. Safe on a partially constructed writer; never
+// touches committed output.
 func (w *Writer) Abort() {
+	clear(w.staging)
 	_ = w.Close()
 	if w.committed {
 		return
@@ -305,12 +380,18 @@ func (w *Writer) Abort() {
 // missing partition file, truncated block, checksum mismatch, undecodable
 // payload — surfaces as *CorruptBlockError naming the producing map task,
 // which the driver uses for lineage recovery.
+//
+// A decoded batch's strings alias the reader's buffers and are valid until
+// the next call to Next.
 type Reader struct {
 	schema  *types.Schema
 	shuffle string
 	part    int
 	paths   []string
-	pending []byte
+	data    []byte // the current partition file
+	pending []byte // its blocks not yet decoded
+	payload []byte // the current block, decompressed
+	dec     blockDecoder
 	file    int // index of the next file to open; pending is from file-1
 	// Obs, when set, counts bytes read from shuffle files and corrupt
 	// blocks detected.
@@ -346,36 +427,57 @@ func (r *Reader) corrupt(reason string) error {
 	}
 }
 
+// readFile reads the next partition file into r.data's storage.
+func (r *Reader) readFile(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	size := int(info.Size())
+	r.data = slices.Grow(r.data[:0], size)[:size]
+	_, err = io.ReadFull(f, r.data)
+	return err
+}
+
 // Next decodes the next block into dst; returns false at end of partition.
+// Nothing in a block is trusted before its checksum has been verified over
+// the frame's header and compressed bytes.
 func (r *Reader) Next(dst *vector.Batch) (bool, error) {
 	for {
 		if len(r.pending) > 0 {
 			if len(r.pending) < checksumLen {
 				return false, r.corrupt(fmt.Sprintf("truncated block header: %d trailing bytes", len(r.pending)))
 			}
-			want := binary.LittleEndian.Uint32(r.pending[:checksumLen])
+			want := binary.LittleEndian.Uint32(r.pending)
 			frame := r.pending[checksumLen:]
-			payload, rest, err := lz4.ReadFrame(frame)
+			n, err := lz4.FrameLen(frame)
 			if err != nil {
 				return false, r.corrupt(err.Error())
 			}
-			consumed := frame[:len(frame)-len(rest)]
-			if got := blockChecksum(consumed); got != want {
+			if got := blockChecksum(frame[:n]); got != want {
 				return false, r.corrupt(fmt.Sprintf("checksum mismatch: stored %08x computed %08x", want, got))
 			}
-			r.pending = rest
-			if _, err := decodeBlock(payload, dst); err != nil {
+			if r.payload, r.pending, err = lz4.ReadFrame(r.payload, frame); err != nil {
+				return false, r.corrupt(err.Error())
+			}
+			if err := r.dec.decodeBlock(r.payload, dst); err != nil {
 				return false, r.corrupt(err.Error())
 			}
 			return true, nil
 		}
 		if r.file >= len(r.paths) {
+			r.data, r.payload, r.dec = nil, nil, blockDecoder{}
 			return false, nil
 		}
 		if err := fault.Hit(r.Ctx, r.Site); err != nil {
 			return false, err
 		}
-		data, err := os.ReadFile(r.paths[r.file])
+		err := r.readFile(r.paths[r.file])
 		r.file++
 		if err != nil {
 			if os.IsNotExist(err) {
@@ -387,9 +489,9 @@ func (r *Reader) Next(dst *vector.Batch) (bool, error) {
 			return false, fault.ClassifyIO(r.Site, err)
 		}
 		if r.Obs != nil {
-			r.Obs.BytesRead.Add(int64(len(data)))
+			r.Obs.BytesRead.Add(int64(len(r.data)))
 		}
-		r.pending = data
+		r.pending = r.data
 	}
 }
 

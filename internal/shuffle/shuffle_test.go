@@ -1,6 +1,8 @@
 package shuffle
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -8,6 +10,7 @@ import (
 	"sort"
 	"testing"
 
+	"photon/internal/obs"
 	"photon/internal/types"
 	"photon/internal/vector"
 )
@@ -307,24 +310,148 @@ func TestDecodeCorruptBlocks(t *testing.T) {
 	schema := shuffleSchema()
 	var rows [][]any
 	for i := 0; i < 100; i++ {
-		rows = append(rows, []any{int64(i), fmt.Sprintf("s%d", i)})
+		rows = append(rows, []any{int64(i), fmt.Sprintf("s%d", i%7)})
 	}
-	b := mkBatch(schema, rows)
-	good := encodeBlock(nil, b, EncoderOptions{Adaptive: true}, nil)
+	good := (&blockEncoder{opts: EncoderOptions{Adaptive: true}}).encodeBlock(nil, mkBatch(schema, rows))
 	dst := vector.NewBatch(schema, 256)
-	defer func() {
-		if r := recover(); r != nil {
-			t.Fatalf("decoder panicked: %v", r)
-		}
-	}()
-	// Truncations at many offsets.
-	for cut := 0; cut < len(good); cut += 13 {
-		_, _ = decodeBlock(good[:cut], dst)
+	var dec blockDecoder
+	if err := dec.decodeBlock(good, dst); err != nil || !reflect.DeepEqual(dst.Rows(), rows) {
+		t.Fatalf("intact block: err %v", err)
 	}
-	// Bit flips in the header region.
-	for i := 0; i < min(64, len(good)); i++ {
+	// Truncations at every offset, a flip of every byte: each is an error or
+	// a decoded batch, never a panic.
+	for cut := 0; cut < len(good); cut++ {
+		if err := dec.decodeBlock(good[:cut], dst); err == nil {
+			t.Fatalf("block truncated to %d of %d bytes decoded", cut, len(good))
+		}
+	}
+	for i := range good {
 		bad := append([]byte(nil), good...)
 		bad[i] ^= 0xff
-		_, _ = decodeBlock(bad, dst)
+		_ = dec.decodeBlock(bad, dst)
+	}
+}
+
+// Lengths a block states about itself are checked against the bytes that
+// are there before anything is sized from them.
+func TestDecodeRejectsLyingLengths(t *testing.T) {
+	schema := types.NewSchema(types.Field{Name: "s", Type: types.StringType, Nullable: true})
+	dst := vector.NewBatch(schema, 16)
+	u32 := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	dictCol := func(dictN uint32, width byte, cnt uint32, packed []byte) []byte {
+		return cat(u32(2), []byte{byte(EncDict), 0}, u32(dictN), u32(1), []byte("a"), []byte{width}, u32(cnt), packed)
+	}
+	for name, block := range map[string][]byte{
+		"dictionary count beyond the block": dictCol(1<<31, 1, 2, []byte{0}),
+		"index width beyond 32 bits":        dictCol(1, 40, 2, make([]byte, 16)),
+		"fewer indices than valid rows":     dictCol(1, 1, 1, []byte{0}),
+		"index outside the dictionary":      dictCol(1, 1, 2, []byte{2}),
+		"UUID encoding on too few bytes":    cat(u32(2), []byte{byte(EncUUID), 0}, make([]byte, 31)),
+		"rows beyond the batch":             cat(u32(17), []byte{byte(EncPlain), 0}),
+		"unknown encoding":                  cat(u32(1), []byte{9, 0}),
+	} {
+		if err := new(blockDecoder).decodeBlock(block, dst); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+	ints := vector.NewBatch(types.NewSchema(types.Field{Name: "k", Type: types.Int64Type}), 16)
+	if err := new(blockDecoder).decodeBlock(cat(u32(1), []byte{byte(EncUUID), 0}, make([]byte, 16)), ints); err == nil {
+		t.Error("UUID encoding on an integer column decoded")
+	}
+}
+
+// TestBlocksAreFullBatches: however sparse the map side's batches, a
+// partition's rows leave in blocks of stagingRows (plus one partial block at
+// Close), in order, and the reader hands back full batches.
+func TestBlocksAreFullBatches(t *testing.T) {
+	schema := shuffleSchema()
+	dir := t.TempDir()
+	w, err := NewWriter(dir, "full", 0, 2, EncoderOptions{Adaptive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Obs = NewMetrics(obs.NewRegistry())
+	const total = 3*stagingRows + 100
+	var want [][]any
+	b := vector.NewBatch(schema, 512)
+	for next := 0; next < total; {
+		// 512-row batches with one row in four active, alternating between
+		// the partitions; the strings live in a buffer the batch reuses.
+		b.Reset()
+		buf := make([]byte, 0, 512*12)
+		for r := 0; r < 512; r++ {
+			at := len(buf)
+			buf = fmt.Appendf(buf, "row-%d", next+r/4)
+			b.AppendRow(int64(next+r/4), buf[at:len(buf):len(buf)])
+		}
+		var sel []int32
+		for r := 0; r < 512 && next < total; r += 4 {
+			sel = append(sel, int32(r))
+			want = append(want, []any{int64(next), fmt.Sprintf("row-%d", next)})
+			next++
+		}
+		b.Sel = sel
+		if err := w.WritePartition(1, b); err != nil {
+			t.Fatal(err)
+		}
+		clear(buf[:cap(buf)]) // the caller's strings do not outlive the call
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if w.Rows != total || w.Obs.BlocksWritten.Load() != 4 {
+		t.Fatalf("rows %d in %d blocks, want %d in 4", w.Rows, w.Obs.BlocksWritten.Load(), total)
+	}
+	r := NewReader(dir, "full", 1, 1, schema)
+	dst := vector.NewBatch(schema, stagingRows)
+	var got [][]any
+	var sizes []int
+	for {
+		ok, err := r.Next(dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		sizes = append(sizes, dst.NumRows)
+		got = append(got, dst.Rows()...)
+	}
+	if !reflect.DeepEqual(sizes, []int{stagingRows, stagingRows, stagingRows, 100}) {
+		t.Fatalf("block sizes = %v", sizes)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("rows changed or reordered on the way through staging")
+	}
+	if ok, err := NewReader(dir, "full", 1, 0, schema).Next(dst); ok || err != nil {
+		t.Fatalf("untouched partition: ok=%v err=%v", ok, err)
+	}
+}
+
+// A writer whose last blocks could not be written must not commit.
+func TestCloseErrorBlocksCommit(t *testing.T) {
+	schema := shuffleSchema()
+	dir := t.TempDir()
+	w, err := NewWriter(dir, "ce", 0, 1, EncoderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WritePartition(0, mkBatch(schema, [][]any{{int64(1), "a"}})); err != nil {
+		t.Fatal(err)
+	}
+	w.files[0].Close() // the staged row's block will fail to write
+	if err := w.Close(); err == nil {
+		t.Fatal("Close lost the write error")
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("second Close forgot the error")
+	}
+	if err := w.Commit(); err == nil {
+		t.Fatal("Commit published a partition file missing its last block")
+	}
+	w.Abort()
+	if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+		t.Fatalf("%d files left after abort", len(ents))
 	}
 }

@@ -69,6 +69,10 @@ type Config struct {
 	// groups skipped, and the rows they contained. May be called from the
 	// task goroutine during both planning and execution.
 	OnScanPrune func(files, groups, rows int64)
+	// OnScanIO reports, once per data file a Delta scan is done with, the
+	// bytes it read from the file and the bytes its chunks decompressed to.
+	// Called from the task goroutine.
+	OnScanIO func(read, decoded int64)
 	// DisableFusedPipelines skips the fused-pipeline compilation pass, so
 	// every operator executes one-batch-per-operator pull (equivalence
 	// testing and the fusion ablation bench).
@@ -432,12 +436,8 @@ func (b *builder) buildPhotonScan(n *sql.LScan) (exec.Operator, error) {
 		}
 		op = scan
 	case *catalog.DeltaTable:
-		src, err := deltaSource(t, n, b.partitionSpec(partitionThis),
-			b.cfg.ScanRuntimeFilters, b.cfg.OnScanPrune)
-		if err != nil {
-			return nil, err
-		}
-		op = exec.NewSource("DeltaScan("+t.TableName+")", n.Schema(), src)
+		src := b.deltaSource(t, n, partitionThis)
+		op = exec.NewSource("DeltaScan("+t.TableName+")", n.Schema(), func() (exec.Source, error) { return src(), nil })
 	case *catalog.VirtualTable:
 		// Normally pinned to a MemTable snapshot at bind time; this
 		// fallback materializes per scan build, which is only safe
@@ -477,18 +477,8 @@ func (b *builder) buildRowScan(n *sql.LScan) (rowengine.Operator, error) {
 		}
 		op = rowengine.NewScan(n.Schema(), batches)
 	case *catalog.DeltaTable:
-		src, err := deltaSource(t, n, b.partitionSpec(partitionThis),
-			b.cfg.ScanRuntimeFilters, b.cfg.OnScanPrune)
-		if err != nil {
-			return nil, err
-		}
-		op = rowengine.NewBatchScan(n.Schema(), func() (func() (*vector.Batch, error), error) {
-			f, err := src()
-			if err != nil {
-				return nil, err
-			}
-			return f, nil
-		})
+		src := b.deltaSource(t, n, partitionThis)
+		op = rowengine.NewBatchScan(n.Schema(), func() (rowengine.BatchSource, error) { return src(), nil })
 	case *catalog.VirtualTable:
 		batches := t.Batches()
 		if partitionThis {
@@ -542,15 +532,16 @@ func pickBatches(batches []*vector.Batch, k, p int) []*vector.Batch {
 	return out
 }
 
-// deltaSource streams pruned Delta files with column projection. The
-// returned factory yields a fresh stream per Open. Runtime filters (rfs)
-// prune at two levels before any byte is decoded: their range envelopes
-// join the static predicate for file-level stats skipping, and a row-group
-// predicate checks Parquet chunk min/max inside each surviving file.
-func deltaSource(t *catalog.DeltaTable, n *sql.LScan, part [2]int,
-	rfs []ScanColFilter, onPrune func(files, groups, rows int64)) (func() (exec.SourceFunc, error), error) {
+// deltaSource plans the scan of a Delta table: files pruned by statistics,
+// columns projected. The returned factory yields a fresh stream per Open.
+// Runtime filters prune at two levels before any byte is decoded: their
+// range envelopes join the static predicate for file-level stats skipping,
+// and a row-group predicate checks Parquet chunk min/max inside each
+// surviving file.
+func (b *builder) deltaSource(t *catalog.DeltaTable, n *sql.LScan, partitionThis bool) func() *deltaScan {
+	part := b.partitionSpec(partitionThis)
 	files := t.Snap.PruneFiles(n.Filter)
-	files, groupFilter := runtimePrune(t, n, files, rfs, part, onPrune)
+	files, groupFilter := runtimePrune(t, n, files, b.cfg.ScanRuntimeFilters, part, b.cfg.OnScanPrune)
 	if part[1] > 1 {
 		var mine []delta.AddFile
 		for i := part[0]; i < len(files); i += part[1] {
@@ -564,44 +555,71 @@ func deltaSource(t *catalog.DeltaTable, n *sql.LScan, part [2]int,
 			names = append(names, t.Snap.Schema.Field(c).Name)
 		}
 	}
-	batchSize := vector.DefaultBatchSize
-	return func() (exec.SourceFunc, error) {
-		idx := 0
-		var cur interface {
-			NextBatch(int) (*vector.Batch, error)
-		}
-		return func() (*vector.Batch, error) {
-			for {
-				if cur != nil {
-					batch, err := cur.NextBatch(batchSize)
-					if err != nil {
-						return nil, err
-					}
-					if batch != nil {
-						return batch, nil
-					}
-					cur = nil
-				}
-				if idx >= len(files) {
-					return nil, nil
-				}
-				r, err := t.Tbl.OpenDataFile(&files[idx])
-				idx++
-				if err != nil {
-					return nil, err
-				}
-				if names != nil {
-					if err := r.Project(names); err != nil {
-						return nil, err
-					}
-				}
-				if groupFilter != nil {
-					r.SetGroupFilter(groupFilter)
-				}
-				cur = r
+	onIO := b.cfg.OnScanIO
+	return func() *deltaScan {
+		return &deltaScan{tbl: t.Tbl, files: files, names: names, groupFilter: groupFilter, onIO: onIO}
+	}
+}
+
+// deltaScan streams a list of data files one after another. At most one
+// file is open at a time, and none once the stream has ended, failed or
+// been closed.
+type deltaScan struct {
+	tbl         *delta.Table
+	files       []delta.AddFile
+	names       []string // projected columns; nil = all
+	groupFilter func(*parquet.RowGroupMeta) bool
+	onIO        func(read, decoded int64)
+
+	next int // index of the next file to open
+	cur  *parquet.Reader
+}
+
+// Next implements exec.Source and rowengine.BatchSource.
+func (s *deltaScan) Next() (*vector.Batch, error) {
+	for {
+		if s.cur != nil {
+			batch, err := s.cur.NextBatch(vector.DefaultBatchSize)
+			if batch != nil {
+				return batch, nil
 			}
-		}, nil
-	}, nil
+			s.Close()
+			if err != nil {
+				return nil, err
+			}
+		}
+		if s.next >= len(s.files) {
+			return nil, nil
+		}
+		r, err := s.tbl.OpenDataFile(&s.files[s.next])
+		s.next++
+		if err != nil {
+			return nil, err
+		}
+		s.cur = r
+		if s.names != nil {
+			if err := r.Project(s.names); err != nil {
+				s.Close()
+				return nil, err
+			}
+		}
+		if s.groupFilter != nil {
+			r.SetGroupFilter(s.groupFilter)
+		}
+	}
+}
+
+// Close releases the open file, if any, and reports what was read from it.
+func (s *deltaScan) Close() error {
+	r := s.cur
+	s.cur = nil
+	if r == nil {
+		return nil
+	}
+	if s.onIO != nil {
+		s.onIO(r.IO())
+	}
+	return r.Close()
 }
 
 // runtimePrune applies runtime-filter envelopes at the file level and

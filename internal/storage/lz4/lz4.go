@@ -11,6 +11,9 @@ package lz4
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 )
 
 const (
@@ -30,40 +33,82 @@ func load32(b []byte, i int) uint32 {
 	return binary.LittleEndian.Uint32(b[i:])
 }
 
+func load64(b []byte, i int) uint64 {
+	return binary.LittleEndian.Uint64(b[i:])
+}
+
 // CompressBound returns the maximum compressed size for n input bytes.
 func CompressBound(n int) int {
 	return n + n/255 + 16
 }
 
-// Compress appends the LZ4 block of src to dst and returns it.
+// Compressor compresses blocks with a hash table it keeps from one call to
+// the next: an entry holds base + position + 1 of the last occurrence of its
+// hash in the call that wrote it. Each call ends by raising base past every
+// entry it wrote, so an entry ≤ base is stale and reads as empty — a block
+// costs its own bytes, not a 256 KB clear. The zero value is ready to use; a
+// writer owns one for as long as it writes and drops it with its buffers.
+type Compressor struct {
+	table [1 << hashLog]uint32
+	base  uint32
+}
+
+// Compress appends the LZ4 block of src to dst and returns it, as a one-off
+// Compressor would.
 func Compress(dst, src []byte) []byte {
+	var c Compressor
+	return c.Compress(dst, src)
+}
+
+// Compress appends the LZ4 block of src to dst and returns it. The bytes are
+// the same whatever the Compressor compressed before.
+func (c *Compressor) Compress(dst, src []byte) []byte {
 	n := len(src)
-	if n == 0 {
-		return append(dst, 0) // token: 0 literals, no match
-	}
+	dst = slices.Grow(dst, CompressBound(n))
 	if n < mfLimit+1 {
 		return emitLastLiterals(dst, src)
 	}
-	var table [1 << hashLog]int32 // position+1; 0 = empty
+	if uint64(c.base)+uint64(n) > math.MaxUint32 {
+		clear(c.table[:])
+		c.base = 0
+	}
+	base := c.base
+	c.base += uint32(n)
+
 	anchor := 0
 	i := 0
 	limit := n - mfLimit
+	matchEnd := n - lastLiterals
 	for i < limit {
-		h := hash4(load32(src, i))
-		cand := int(table[h]) - 1
-		table[h] = int32(i + 1)
-		if cand >= 0 && i-cand <= maxOffset && load32(src, cand) == load32(src, i) {
-			// Extend the match forward.
-			matchLen := minMatch
-			for i+matchLen < n-lastLiterals && src[cand+matchLen] == src[i+matchLen] {
-				matchLen++
-			}
-			dst = emitSequence(dst, src[anchor:i], i-cand, matchLen)
-			i += matchLen
-			anchor = i
+		seq := load32(src, i)
+		h := hash4(seq)
+		e := c.table[h]
+		c.table[h] = base + uint32(i) + 1
+		if e <= base {
+			i++
 			continue
 		}
-		i++
+		cand := int(e - base - 1)
+		if i-cand > maxOffset || load32(src, cand) != seq {
+			i++
+			continue
+		}
+		// Extend the match forward, eight bytes at a time.
+		matchLen := minMatch
+		for i+matchLen+8 <= matchEnd {
+			if x := load64(src, cand+matchLen) ^ load64(src, i+matchLen); x != 0 {
+				matchLen += bits.TrailingZeros64(x) >> 3
+				goto emit
+			}
+			matchLen += 8
+		}
+		for i+matchLen < matchEnd && src[cand+matchLen] == src[i+matchLen] {
+			matchLen++
+		}
+	emit:
+		dst = emitSequence(dst, src[anchor:i], i-cand, matchLen)
+		i += matchLen
+		anchor = i
 	}
 	return emitLastLiterals(dst, src[anchor:])
 }
@@ -115,29 +160,40 @@ func appendLenExt(dst []byte, v int) []byte {
 	return append(dst, byte(v))
 }
 
+// readLenExt adds a length's continuation bytes (each 255 means "more").
+func readLenExt(src []byte, si, v int) (int, int, bool) {
+	for si < len(src) {
+		b := src[si]
+		si++
+		v += int(b)
+		if b != 255 {
+			return si, v, true
+		}
+	}
+	return si, v, false
+}
+
 // Decompress expands an LZ4 block into dst, which must be pre-sized to the
 // exact decompressed length. Returns the bytes written.
+//
+// A match that does not overlap itself is one copy; one that overlaps at a
+// distance of eight or more moves in 8-byte words, each load at least eight
+// bytes behind its store; the byte loop remains for closer overlaps.
 func Decompress(dst, src []byte) (int, error) {
 	di, si := 0, 0
 	for si < len(src) {
 		token := src[si]
 		si++
-		// Literals.
 		litLen := int(token >> 4)
+		matchLen := int(token&0x0F) + minMatch
+		// Literals.
 		if litLen == 15 {
-			for {
-				if si >= len(src) {
-					return 0, fmt.Errorf("lz4: truncated literal length")
-				}
-				b := src[si]
-				si++
-				litLen += int(b)
-				if b != 255 {
-					break
-				}
+			var ok bool
+			if si, litLen, ok = readLenExt(src, si, litLen); !ok {
+				return 0, fmt.Errorf("lz4: truncated literal length")
 			}
 		}
-		if si+litLen > len(src) || di+litLen > len(dst) {
+		if litLen > len(src)-si || litLen > len(dst)-di {
 			return 0, fmt.Errorf("lz4: literal overrun (lit=%d)", litLen)
 		}
 		copy(dst[di:], src[si:si+litLen])
@@ -155,27 +211,27 @@ func Decompress(dst, src []byte) (int, error) {
 		if offset == 0 || offset > di {
 			return 0, fmt.Errorf("lz4: invalid offset %d at %d", offset, di)
 		}
-		matchLen := int(token&0x0F) + minMatch
-		if token&0x0F == 15 {
-			for {
-				if si >= len(src) {
-					return 0, fmt.Errorf("lz4: truncated match length")
-				}
-				b := src[si]
-				si++
-				matchLen += int(b)
-				if b != 255 {
-					break
-				}
+		if matchLen == 15+minMatch {
+			var ok bool
+			if si, matchLen, ok = readLenExt(src, si, matchLen); !ok {
+				return 0, fmt.Errorf("lz4: truncated match length")
 			}
 		}
-		if di+matchLen > len(dst) {
+		if matchLen > len(dst)-di {
 			return 0, fmt.Errorf("lz4: match overrun")
 		}
-		// Byte-wise copy: matches may overlap (offset < matchLen).
 		m := di - offset
-		for k := 0; k < matchLen; k++ {
-			dst[di+k] = dst[m+k]
+		switch {
+		case offset >= matchLen:
+			copy(dst[di:di+matchLen], dst[m:])
+		case offset >= 8 && matchLen+8 <= len(dst)-di:
+			for k := 0; k < matchLen; k += 8 {
+				*(*[8]byte)(dst[di+k:]) = *(*[8]byte)(dst[m+k:])
+			}
+		default:
+			for k := 0; k < matchLen; k++ {
+				dst[di+k] = dst[m+k]
+			}
 		}
 		di += matchLen
 	}
@@ -185,35 +241,63 @@ func Decompress(dst, src []byte) (int, error) {
 // Frame helpers: a tiny envelope [u32 rawLen][u32 compLen][block] so readers
 // can size buffers; used by spill/shuffle files.
 
-// AppendFrame compresses src and appends an envelope-framed block to dst.
+const frameHeader = 8
+
+// MaxExpansion is the most an LZ4 block can grow on decompression: a match
+// length byte adds 255 bytes of output. A length claimed for a block's
+// output is checked against it before a buffer is sized from it.
+const MaxExpansion = 255
+
+// AppendFrame compresses src and appends an envelope-framed block to dst, as
+// a one-off Compressor would.
 func AppendFrame(dst, src []byte) []byte {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(src)))
-	start := len(dst) + 8
-	dst = append(dst, hdr[:]...)
-	dst = Compress(dst, src)
+	var c Compressor
+	return c.AppendFrame(dst, src)
+}
+
+// AppendFrame compresses src and appends an envelope-framed block to dst.
+func (c *Compressor) AppendFrame(dst, src []byte) []byte {
+	start := len(dst) + frameHeader
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src)))
+	dst = append(dst, 0, 0, 0, 0)
+	dst = c.Compress(dst, src)
 	binary.LittleEndian.PutUint32(dst[start-4:start], uint32(len(dst)-start))
 	return dst
 }
 
-// ReadFrame decodes one envelope-framed block from src, returning the
-// decompressed payload and the remaining bytes.
-func ReadFrame(src []byte) ([]byte, []byte, error) {
-	if len(src) < 8 {
-		return nil, nil, fmt.Errorf("lz4: short frame header")
+// FrameLen returns the length of the frame at the head of src — header plus
+// compressed block — so a caller can verify those bytes before anything in
+// them is trusted.
+func FrameLen(src []byte) (int, error) {
+	if len(src) < frameHeader {
+		return 0, fmt.Errorf("lz4: short frame header")
 	}
-	rawLen := binary.LittleEndian.Uint32(src)
 	compLen := binary.LittleEndian.Uint32(src[4:])
-	if len(src) < int(8+compLen) {
-		return nil, nil, fmt.Errorf("lz4: short frame body")
+	if uint64(len(src)-frameHeader) < uint64(compLen) {
+		return 0, fmt.Errorf("lz4: short frame body")
 	}
-	out := make([]byte, rawLen)
-	n, err := Decompress(out, src[8:8+compLen])
+	return frameHeader + int(compLen), nil
+}
+
+// ReadFrame decodes the frame at the head of src into buf's storage (grown
+// when too small) and returns the payload, which aliases that storage, and
+// the bytes after the frame. Callers keep the payload as their next buf.
+func ReadFrame(buf, src []byte) (payload, rest []byte, err error) {
+	n, err := FrameLen(src)
 	if err != nil {
 		return nil, nil, err
 	}
-	if n != int(rawLen) {
-		return nil, nil, fmt.Errorf("lz4: frame length mismatch: %d != %d", n, rawLen)
+	rawLen := uint64(binary.LittleEndian.Uint32(src))
+	if rawLen > MaxExpansion*uint64(n-frameHeader) {
+		return nil, nil, fmt.Errorf("lz4: frame claims %d bytes from a %d-byte block", rawLen, n-frameHeader)
 	}
-	return out, src[8+compLen:], nil
+	payload = slices.Grow(buf[:0], int(rawLen))[:rawLen]
+	got, err := Decompress(payload, src[frameHeader:n])
+	if err != nil {
+		return nil, nil, err
+	}
+	if got != len(payload) {
+		return nil, nil, fmt.Errorf("lz4: frame length mismatch: %d != %d", got, rawLen)
+	}
+	return payload, src[n:], nil
 }

@@ -2,6 +2,7 @@ package lz4
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -123,7 +124,7 @@ func TestFrames(t *testing.T) {
 	for i, want := range payloads {
 		var got []byte
 		var err error
-		got, rest, err = ReadFrame(rest)
+		got, rest, err = ReadFrame(got, rest)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -134,7 +135,30 @@ func TestFrames(t *testing.T) {
 	if len(rest) != 0 {
 		t.Errorf("trailing bytes: %d", len(rest))
 	}
-	if _, _, err := ReadFrame([]byte{1, 2, 3}); err == nil {
+	if _, _, err := ReadFrame(nil, []byte{1, 2, 3}); err == nil {
 		t.Error("short frame not detected")
+	}
+	// A header claiming more than LZ4 can expand its block to is rejected
+	// before any buffer is sized from it.
+	huge := AppendFrame(nil, []byte("abc"))
+	huge[0], huge[1], huge[2], huge[3] = 0xff, 0xff, 0xff, 0x7f
+	if _, _, err := ReadFrame(nil, huge); err == nil {
+		t.Error("oversized rawLen not detected")
+	}
+}
+
+// TestCompressorReuse: what a Compressor compressed before — including a
+// base offset about to wrap — leaves no trace in the next block's bytes.
+func TestCompressorReuse(t *testing.T) {
+	var c Compressor
+	for round := 0; round < 3; round++ {
+		if round == 2 {
+			c.base = math.MaxUint32 - 5000
+		}
+		for name, raw := range pinCorpus() {
+			if got, want := c.Compress(nil, raw), Compress(nil, raw); !bytes.Equal(got, want) {
+				t.Fatalf("round %d, %s: reused compressor wrote %d bytes, a fresh one %d (or differs in content)", round, name, len(got), len(want))
+			}
+		}
 	}
 }

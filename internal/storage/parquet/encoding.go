@@ -3,9 +3,9 @@ package parquet
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 
+	"photon/internal/lebytes"
 	"photon/internal/types"
 	"photon/internal/vector"
 )
@@ -18,59 +18,6 @@ import (
 //	  PLAIN: values back to back (strings: u32 len + bytes each)
 //	  DICT:  u32 dictCount, PLAIN dictionary, u8 bitWidth, packed indices
 
-// BitPack packs vals (each < 2^width) into 32-bit-aligned little-endian
-// words; this is the RLE/bit-packing hybrid's bit-packed run, implemented
-// as a kernel over the whole index array (§6.1's "optimized bit-packing").
-func BitPack(vals []uint32, width int, dst []byte) []byte {
-	if width == 0 {
-		return dst
-	}
-	var acc uint64
-	accBits := 0
-	for _, v := range vals {
-		acc |= uint64(v) << accBits
-		accBits += width
-		for accBits >= 8 {
-			dst = append(dst, byte(acc))
-			acc >>= 8
-			accBits -= 8
-		}
-	}
-	if accBits > 0 {
-		dst = append(dst, byte(acc))
-	}
-	return dst
-}
-
-// BitUnpack reverses BitPack for n values.
-func BitUnpack(src []byte, width, n int, dst []uint32) ([]uint32, error) {
-	if width == 0 {
-		for i := 0; i < n; i++ {
-			dst = append(dst, 0)
-		}
-		return dst, nil
-	}
-	need := (n*width + 7) / 8
-	if len(src) < need {
-		return nil, fmt.Errorf("parquet: bit-packed run truncated: have %d need %d", len(src), need)
-	}
-	var acc uint64
-	accBits := 0
-	si := 0
-	mask := uint32(1)<<width - 1
-	for i := 0; i < n; i++ {
-		for accBits < width {
-			acc |= uint64(src[si]) << accBits
-			si++
-			accBits += 8
-		}
-		dst = append(dst, uint32(acc)&mask)
-		acc >>= width
-		accBits -= width
-	}
-	return dst, nil
-}
-
 // bitWidthFor returns the bits needed to represent values in [0, n).
 func bitWidthFor(n int) int {
 	if n <= 1 {
@@ -79,139 +26,153 @@ func bitWidthFor(n int) int {
 	return bits.Len32(uint32(n - 1))
 }
 
-// packValidity appends a 1-bit-per-value validity bitmap (1 = valid).
-func packValidity(nulls []byte, n int, dst []byte) []byte {
-	var cur byte
-	for i := 0; i < n; i++ {
-		if nulls[i] == 0 {
-			cur |= 1 << (i & 7)
+// packValidity appends nulls' validity bits (1 = valid) to a bitmap that
+// already holds bit bits in dst, and returns both. Segments of any length
+// pack back to back: the bitmap is one run of bits per chunk.
+func packValidity(dst []byte, bit int, nulls []byte) ([]byte, int) {
+	for _, nb := range nulls {
+		if bit&7 == 0 {
+			dst = append(dst, 0)
 		}
-		if i&7 == 7 {
-			dst = append(dst, cur)
-			cur = 0
+		if nb == 0 {
+			dst[len(dst)-1] |= 1 << (bit & 7)
+		}
+		bit++
+	}
+	return dst, bit
+}
+
+// unpackValidity writes len(nulls) NULL bytes (1 = NULL) from the validity
+// bitmap src, starting at row start, and returns how many are NULL. Whole
+// 64-row words that are all valid — the common case — cost one compare.
+func unpackValidity(nulls []byte, src []byte, start int) (nullCount int) {
+	for i := 0; i < len(nulls); i += 64 {
+		bit := start + i
+		n := min(64, len(nulls)-i)
+		w := lebytes.Word(src, bit>>3) >> (bit & 7)
+		if bit&7 != 0 && n > 64-bit&7 {
+			w |= uint64(src[bit>>3+8]) << (64 - bit&7)
+		}
+		if n < 64 {
+			w |= ^uint64(0) << n
+		}
+		out := nulls[i : i+n]
+		if w == ^uint64(0) {
+			clear(out)
+			continue
+		}
+		nullCount += bits.OnesCount64(^w)
+		for k := range out {
+			out[k] = byte(^w >> k & 1)
 		}
 	}
-	if n&7 != 0 {
-		dst = append(dst, cur)
+	return nullCount
+}
+
+// appendPlain appends v's n rows in PLAIN encoding, skipping NULL rows. A
+// NULL-free run of fixed-width values is one bulk copy.
+func appendPlain(dst []byte, v *vector.Vector, n int) []byte {
+	hasNulls := v.HasNulls()
+	if v.Type.ID == types.String {
+		for i, s := range v.Str[:n] {
+			if hasNulls && v.Nulls[i] != 0 {
+				continue
+			}
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
+			dst = append(dst, s...)
+		}
+		return dst
+	}
+	for lo := 0; lo < n; {
+		hi := n
+		if hasNulls {
+			for lo < n && v.Nulls[lo] != 0 {
+				lo++
+			}
+			for hi = lo; hi < n && v.Nulls[hi] == 0; hi++ {
+			}
+		}
+		switch v.Type.ID {
+		case types.Bool:
+			dst = append(dst, v.Bool[lo:hi]...)
+		case types.Int32, types.Date:
+			dst = lebytes.Append4(dst, v.I32[lo:hi])
+		case types.Int64, types.Timestamp:
+			dst = lebytes.Append8(dst, v.I64[lo:hi])
+		case types.Float64:
+			dst = lebytes.Append8(dst, v.F64[lo:hi])
+		case types.Decimal:
+			dst = lebytes.Append16(dst, v.Dec[lo:hi])
+		default:
+			panic("parquet: unsupported type")
+		}
+		lo = hi
 	}
 	return dst
 }
 
-// unpackValidity fills nulls (1 = NULL) from a validity bitmap and returns
-// the remaining bytes.
-func unpackValidity(src []byte, n int, nulls []byte) ([]byte, error) {
-	need := (n + 7) / 8
-	if len(src) < need {
-		return nil, fmt.Errorf("parquet: validity bitmap truncated")
-	}
-	for i := 0; i < n; i++ {
-		if src[i>>3]&(1<<(i&7)) != 0 {
-			nulls[i] = 0
+// spread moves the nv values packed at the front of v to the slots of the
+// valid rows of nulls (one byte per row of v), zeroing the NULL slots. It
+// works back to front, so no value is overwritten before it has moved, and
+// stops once the values still to move are already in place.
+func spread[T any](v []T, nulls []byte, nv int) {
+	var zero T
+	for i := len(nulls) - 1; i >= nv; i-- {
+		if nulls[i] != 0 {
+			v[i] = zero
 		} else {
-			nulls[i] = 1
+			nv--
+			v[i] = v[nv]
 		}
 	}
-	return src[need:], nil
 }
 
-// appendPlainValue appends one value in PLAIN encoding.
-func appendPlainValue(dst []byte, v *vector.Vector, i int) []byte {
+// readPlain decodes one batch of a PLAIN run: the k rows of v take the next
+// nv = k − (NULLs in v.Nulls[:k]) values of src, NULL slots are zeroed, and
+// the rest of src is returned. Fixed-width values are bounds-checked once
+// and copied in bulk; NULLs, when the batch has any, are opened up after.
+func readPlain(src []byte, v *vector.Vector, k, nv int) ([]byte, error) {
+	if v.Type.ID == types.String {
+		for i := range v.Str[:k] {
+			if v.Nulls[i] != 0 {
+				v.Str[i] = nil
+				continue
+			}
+			if len(src) < 4 {
+				return nil, fmt.Errorf("parquet: PLAIN data truncated")
+			}
+			l := int(binary.LittleEndian.Uint32(src))
+			if len(src)-4 < l {
+				return nil, fmt.Errorf("parquet: PLAIN data truncated")
+			}
+			v.Str[i] = src[4 : 4+l : 4+l]
+			src = src[4+l:]
+		}
+		return src, nil
+	}
+	size := nv * v.Type.FixedWidth()
+	if len(src) < size {
+		return nil, fmt.Errorf("parquet: PLAIN data truncated")
+	}
+	nulls := v.Nulls[:k]
 	switch v.Type.ID {
 	case types.Bool:
-		return append(dst, v.Bool[i])
+		copy(v.Bool[:nv], src)
+		spread(v.Bool[:k], nulls, nv)
 	case types.Int32, types.Date:
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(v.I32[i]))
-		return append(dst, b[:]...)
+		lebytes.Get4(v.I32[:nv], src)
+		spread(v.I32[:k], nulls, nv)
 	case types.Int64, types.Timestamp:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(v.I64[i]))
-		return append(dst, b[:]...)
+		lebytes.Get8(v.I64[:nv], src)
+		spread(v.I64[:k], nulls, nv)
 	case types.Float64:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.F64[i]))
-		return append(dst, b[:]...)
+		lebytes.Get8(v.F64[:nv], src)
+		spread(v.F64[:k], nulls, nv)
 	case types.Decimal:
-		var b [16]byte
-		binary.LittleEndian.PutUint64(b[:8], v.Dec[i].Lo)
-		binary.LittleEndian.PutUint64(b[8:], uint64(v.Dec[i].Hi))
-		return append(dst, b[:]...)
-	case types.String:
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(len(v.Str[i])))
-		dst = append(dst, b[:]...)
-		return append(dst, v.Str[i]...)
+		lebytes.Get16(v.Dec[:nv], src)
+		spread(v.Dec[:k], nulls, nv)
+	default:
+		return nil, fmt.Errorf("parquet: unsupported type %v", v.Type)
 	}
-	panic("parquet: unsupported type")
-}
-
-// plainWidth returns the PLAIN width of a fixed type (0 = variable).
-func plainWidth(t types.DataType) int { return t.FixedWidth() }
-
-// readPlainInto decodes n PLAIN values into v starting at row base, leaving
-// NULL rows untouched (their slots were pre-zeroed). valid reports which
-// rows hold values; nil means all.
-func readPlainInto(src []byte, v *vector.Vector, base, n int, valid func(i int) bool) ([]byte, error) {
-	take := func(w int) ([]byte, error) {
-		if len(src) < w {
-			return nil, fmt.Errorf("parquet: PLAIN data truncated")
-		}
-		b := src[:w]
-		src = src[w:]
-		return b, nil
-	}
-	for i := 0; i < n; i++ {
-		if valid != nil && !valid(i) {
-			continue
-		}
-		switch v.Type.ID {
-		case types.Bool:
-			b, err := take(1)
-			if err != nil {
-				return nil, err
-			}
-			v.Bool[base+i] = b[0]
-		case types.Int32, types.Date:
-			b, err := take(4)
-			if err != nil {
-				return nil, err
-			}
-			v.I32[base+i] = int32(binary.LittleEndian.Uint32(b))
-		case types.Int64, types.Timestamp:
-			b, err := take(8)
-			if err != nil {
-				return nil, err
-			}
-			v.I64[base+i] = int64(binary.LittleEndian.Uint64(b))
-		case types.Float64:
-			b, err := take(8)
-			if err != nil {
-				return nil, err
-			}
-			v.F64[base+i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		case types.Decimal:
-			b, err := take(16)
-			if err != nil {
-				return nil, err
-			}
-			v.Dec[base+i] = types.Decimal128{
-				Lo: binary.LittleEndian.Uint64(b),
-				Hi: int64(binary.LittleEndian.Uint64(b[8:])),
-			}
-		case types.String:
-			b, err := take(4)
-			if err != nil {
-				return nil, err
-			}
-			l := int(binary.LittleEndian.Uint32(b))
-			pb, err := take(l)
-			if err != nil {
-				return nil, err
-			}
-			v.Str[base+i] = pb
-		default:
-			return nil, fmt.Errorf("parquet: unsupported type %v", v.Type)
-		}
-	}
-	return src, nil
+	return src[size:], nil
 }

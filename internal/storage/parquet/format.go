@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"photon/internal/types"
 )
@@ -46,6 +47,9 @@ type FileMeta struct {
 	RowGroups []RowGroupMeta    `json:"row_groups"`
 	NumRows   int64             `json:"num_rows"`
 	KV        map[string]string `json:"kv,omitempty"`
+
+	// dataEnd is where chunk data ends and the footer begins (readers only).
+	dataEnd int64
 }
 
 // FieldMeta describes one column.
@@ -121,23 +125,84 @@ func writeFooter(w io.Writer, meta *FileMeta) (int64, error) {
 	return int64(n + m), err
 }
 
-// ReadFooter parses the footer from the tail of a fully-read file image.
-func ReadFooter(data []byte) (*FileMeta, error) {
-	if len(data) < 12 || string(data[len(data)-4:]) != string(Magic) {
+// readFull fills b from offset off; a source may report io.EOF on a read
+// that ends exactly at its end, which is not an error here.
+func readFull(src io.ReaderAt, b []byte, off int64) error {
+	if n, err := src.ReadAt(b, off); n < len(b) {
+		return fmt.Errorf("parquet: read %d bytes at %d: %w", len(b), off, err)
+	}
+	return nil
+}
+
+// ReadFooter reads and checks the footer of a size-byte file: both magics,
+// the footer's own bounds, and then everything a reader will later take on
+// trust — column types, each chunk's place in the file, and row counts that
+// agree between file, row groups and chunks.
+func ReadFooter(src io.ReaderAt, size int64) (*FileMeta, error) {
+	var head [4]byte
+	var tail [8]byte
+	if size < int64(len(head)+len(tail)) {
+		return nil, fmt.Errorf("parquet: file of %d bytes", size)
+	}
+	if err := readFull(src, tail[:], size-8); err != nil {
+		return nil, err
+	}
+	if err := readFull(src, head[:], 0); err != nil {
+		return nil, err
+	}
+	if string(tail[4:]) != string(Magic) {
 		return nil, fmt.Errorf("parquet: bad tail magic")
 	}
-	if string(data[:4]) != string(Magic) {
+	if string(head[:]) != string(Magic) {
 		return nil, fmt.Errorf("parquet: bad head magic")
 	}
-	footLen := binary.LittleEndian.Uint32(data[len(data)-8 : len(data)-4])
-	end := len(data) - 8
-	start := end - int(footLen)
+	footLen := int64(binary.LittleEndian.Uint32(tail[:4]))
+	start := size - 8 - footLen
 	if start < 4 {
 		return nil, fmt.Errorf("parquet: footer length out of range")
 	}
-	var meta FileMeta
-	if err := json.Unmarshal(data[start:end], &meta); err != nil {
+	body := make([]byte, footLen)
+	if err := readFull(src, body, start); err != nil {
+		return nil, err
+	}
+	meta := &FileMeta{dataEnd: start}
+	if err := json.Unmarshal(body, meta); err != nil {
 		return nil, fmt.Errorf("parquet: footer parse: %w", err)
 	}
-	return &meta, nil
+	if err := meta.validate(); err != nil {
+		return nil, fmt.Errorf("parquet: footer: %w", err)
+	}
+	return meta, nil
+}
+
+func (m *FileMeta) validate() error {
+	for _, f := range m.Schema {
+		if t := types.TypeID(f.TypeID); t != types.String && (types.DataType{ID: t}).FixedWidth() == 0 {
+			return fmt.Errorf("column %q has unknown type %d", f.Name, f.TypeID)
+		}
+	}
+	var rows int64
+	for gi := range m.RowGroups {
+		rg := &m.RowGroups[gi]
+		if rg.NumRows < 0 || rg.NumRows > math.MaxUint32 || len(rg.Columns) != len(m.Schema) {
+			return fmt.Errorf("row group %d: %d rows, %d of %d columns", gi, rg.NumRows, len(rg.Columns), len(m.Schema))
+		}
+		rows += rg.NumRows
+		for ci := range rg.Columns {
+			cm := &rg.Columns[ci]
+			switch {
+			case cm.Offset < int64(len(Magic)) || cm.Size < 4 || cm.Size > m.dataEnd || cm.Offset > m.dataEnd-cm.Size:
+				return fmt.Errorf("row group %d column %d: bytes [%d, +%d) outside the file's data", gi, ci, cm.Offset, cm.Size)
+			case cm.NumValues != rg.NumRows:
+				return fmt.Errorf("row group %d column %d: %d values in a group of %d rows", gi, ci, cm.NumValues, rg.NumRows)
+			case cm.Compress > CompLZ4 || cm.Encoding > EncDict ||
+				(cm.Encoding == EncDict && types.TypeID(m.Schema[ci].TypeID) != types.String):
+				return fmt.Errorf("row group %d column %d: encoding %d, compression %d", gi, ci, cm.Encoding, cm.Compress)
+			}
+		}
+	}
+	if rows != m.NumRows {
+		return fmt.Errorf("%d rows in row groups, %d in the file", rows, m.NumRows)
+	}
+	return nil
 }

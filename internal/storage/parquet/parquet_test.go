@@ -226,24 +226,71 @@ func TestProjection(t *testing.T) {
 	}
 }
 
-func TestBitPackRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for width := 0; width <= 20; width++ {
-		n := rng.Intn(1000)
-		vals := make([]uint32, n)
-		if width > 0 {
-			for i := range vals {
-				vals[i] = rng.Uint32() & (1<<width - 1)
-			}
+func TestValidityRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	nulls := make([]byte, 3000)
+	for i := range nulls {
+		switch {
+		case i >= 1000 && i < 1500: // a stretch with no NULLs: whole words valid
+		case rng.Intn(5) == 0:
+			nulls[i] = 1
 		}
-		packed := BitPack(vals, width, nil)
-		got, err := BitUnpack(packed, width, n, nil)
-		if err != nil {
-			t.Fatalf("width %d: %v", width, err)
+	}
+	// Pack in segments of any length, as WriteBatch receives them.
+	var bitmap []byte
+	bit := 0
+	for lo := 0; lo < len(nulls); {
+		hi := min(lo+1+rng.Intn(200), len(nulls))
+		bitmap, bit = packValidity(bitmap, bit, nulls[lo:hi])
+		lo = hi
+	}
+	if bit != len(nulls) || len(bitmap) != (len(nulls)+7)/8 {
+		t.Fatalf("packed %d bits into %d bytes", bit, len(bitmap))
+	}
+	for start := 0; start < len(nulls); {
+		k := min(1+rng.Intn(400), len(nulls)-start)
+		got := bytes.Repeat([]byte{7}, k)
+		want := 0
+		for _, b := range nulls[start : start+k] {
+			want += int(b)
 		}
-		if !reflect.DeepEqual(got, append([]uint32{}, vals...)) && n > 0 {
-			t.Fatalf("width %d: mismatch", width)
+		if n := unpackValidity(got, bitmap, start); n != want || !bytes.Equal(got, nulls[start:start+k]) {
+			t.Fatalf("rows [%d, %d): %d NULLs, want %d (or bytes differ)", start, start+k, n, want)
 		}
+		start += k
+	}
+}
+
+// Batches of any length — not only multiples of eight rows — share one
+// validity bitmap per chunk.
+func TestOddSizedBatchesWithNulls(t *testing.T) {
+	schema := types.NewSchema(
+		types.Field{Name: "v", Type: types.Int64Type, Nullable: true},
+		types.Field{Name: "s", Type: types.StringType, Nullable: true},
+	)
+	var rows [][]any
+	for i := 0; i < 1000; i++ {
+		row := []any{int64(i), fmt.Sprintf("s%d", i%5)}
+		if i%3 == 0 {
+			row[i%2] = nil
+		}
+		rows = append(rows, row)
+	}
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, schema, Options{Compression: CompLZ4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batchesOf(schema, rows, 37) {
+		if err := w.WriteBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readAllRows(t, buf.Bytes()); !reflect.DeepEqual(got, rows) {
+		t.Fatal("round trip of 37-row batches with NULLs mismatch")
 	}
 }
 

@@ -1,56 +1,115 @@
 package parquet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"sync/atomic"
 
+	"photon/internal/lebytes"
 	"photon/internal/storage/lz4"
 	"photon/internal/types"
 	"photon/internal/vector"
 )
 
-// Reader decodes a file image into column batches (the vectorized scan
-// path: columnar pages decode straight into column vectors, no row pivot).
+// Reader decodes a file into column batches (the vectorized scan path:
+// columnar pages decode straight into column vectors, no row pivot). It
+// reads the footer, then only the projected chunks of the row group being
+// decoded, and it allocates per row group at most: every batch it returns
+// is the same batch refilled, and string vectors in it alias the reader's
+// chunk buffers, which the next row group overwrites. A consumer that keeps
+// anything past the next NextBatch copies it out.
 type Reader struct {
-	data   []byte
+	src    io.ReaderAt
+	closer io.Closer // the file OpenFile opened; nil for images and once closed
 	meta   *FileMeta
 	schema *types.Schema
 	// projection: output column -> file column.
 	proj []int
 
-	group   int
-	decoded []*chunkCursor
-	left    int // rows left in the current group
+	group int           // next row group to open
+	cols  []chunkCursor // one per projected column, buffers kept across groups
+	left  int           // rows left in the open group
+	out   *vector.Batch
+	comp  []byte   // a compressed chunk as read, before it expands into its cursor
+	idx   []uint32 // one batch of dictionary indices
 
 	// groupFilter, when set, is consulted before a row group is decoded;
 	// returning false skips the whole group (stats-based row-group pruning,
 	// e.g. runtime-filter key ranges against chunk min/max).
 	groupFilter func(*RowGroupMeta) bool
+
+	bytesRead, bytesDecoded int64
 }
 
-// OpenFile memory-maps (reads) a file and parses its footer.
+// openFiles counts the files OpenFile has opened and no Close has released —
+// unlike the descriptors themselves, which a finalizer eventually closes, a
+// reader that was dropped without Close stays counted.
+var openFiles atomic.Int64
+
+// OpenFiles returns the number of readers from OpenFile not yet closed.
+func OpenFiles() int64 { return openFiles.Load() }
+
+// OpenFile opens a file and reads its footer. The descriptor is released by
+// Close, and by NextBatch when it reaches the end of the file or fails.
 func OpenFile(path string) (*Reader, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return NewReader(data)
+	info, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	r, err := newReader(f, info.Size())
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	r.closer = f
+	openFiles.Add(1)
+	return r, nil
 }
 
-// NewReader parses a file image.
+// NewReader reads a file image held in memory.
 func NewReader(data []byte) (*Reader, error) {
-	meta, err := ReadFooter(data)
-	if err != nil {
+	return newReader(bytes.NewReader(data), int64(len(data)))
+}
+
+func newReader(src io.ReaderAt, size int64) (*Reader, error) {
+	r := &Reader{src: src}
+	var err error
+	if r.meta, err = ReadFooter(src, size); err != nil {
 		return nil, err
 	}
-	r := &Reader{data: data, meta: meta, schema: meta.SchemaOf()}
+	r.bytesRead = size - r.meta.dataEnd + int64(len(Magic))
+	r.schema = r.meta.SchemaOf()
 	r.proj = make([]int, r.schema.Len())
 	for i := range r.proj {
 		r.proj[i] = i
 	}
 	return r, nil
 }
+
+// Close releases the file. It is safe to call more than once and at any
+// point; a closed reader's NextBatch fails on the next chunk it would read.
+func (r *Reader) Close() error {
+	c := r.closer
+	r.closer = nil
+	if c == nil {
+		return nil
+	}
+	openFiles.Add(-1)
+	return c.Close()
+}
+
+// IO reports the bytes read from the file so far (footer and chunks) and
+// the bytes those chunks held once decompressed.
+func (r *Reader) IO() (read, decoded int64) { return r.bytesRead, r.bytesDecoded }
 
 // Meta exposes the footer (for stats-based skipping).
 func (r *Reader) Meta() *FileMeta { return r.meta }
@@ -61,7 +120,8 @@ func (r *Reader) Schema() *types.Schema { return r.schema }
 // NumRows returns the file's row count.
 func (r *Reader) NumRows() int64 { return r.meta.NumRows }
 
-// Project restricts reads to the named columns, in order.
+// Project restricts reads to the named columns, in order. Call it before
+// the first NextBatch.
 func (r *Reader) Project(names []string) error {
 	full := r.meta.SchemaOf()
 	proj := make([]int, len(names))
@@ -74,23 +134,27 @@ func (r *Reader) Project(names []string) error {
 	}
 	r.proj = proj
 	r.schema = full.Project(proj)
+	r.cols, r.out = nil, nil
 	return nil
 }
 
-// chunkCursor streams one column chunk's decoded values.
+// chunkCursor streams one column chunk's values, batch by batch. Its slices
+// point into buf, which the next chunk of the same column reuses.
 type chunkCursor struct {
-	t     types.DataType
-	body  []byte // decompressed chunk, positioned after the header
-	nulls []byte // unpacked null bytes for the whole chunk (nil = none)
-	pos   int    // rows consumed
-	n     int    // total rows
+	buf      []byte   // the chunk, decompressed
+	validity []byte   // validity bitmap, 1 bit per row (nil = no NULLs)
+	body     []byte   // PLAIN values not yet consumed
+	dictEnc  bool     // dictionary chunk: dict, packed, width, count are set
+	dict     [][]byte // dictionary entries
+	packed   []byte   // bit-packed dictionary indices, one per valid row
+	width    int      // bits per index
+	count    int      // indices in packed
+	pos      int      // rows consumed
+	used     int      // valid values consumed (= indices consumed)
 
-	// dictionary state
-	dict    [][]byte
-	indices []uint32
-	// validSeen counts valid values consumed so far (the dictionary index
-	// stream covers only valid rows).
-	validSeen int
+	// staleNulls: the output vector holds NULL bytes this chunk did not
+	// write (from a batch of an earlier row group).
+	staleNulls bool
 
 	// narrow marks a decimal chunk whose min/max stats both fit int64:
 	// every value in between does too, so scan batches carry Dec64All
@@ -98,136 +162,150 @@ type chunkCursor struct {
 	narrow bool
 }
 
-// openChunk decompresses and prepares one column chunk.
-func (r *Reader) openChunk(cm *ColumnChunkMeta, t types.DataType) (*chunkCursor, error) {
-	raw := r.data[cm.Offset : cm.Offset+cm.Size]
-	if len(raw) < 4 {
-		return nil, fmt.Errorf("parquet: chunk too small")
-	}
-	rawLen := binary.LittleEndian.Uint32(raw)
-	payload := raw[4:]
-	if cm.Compress == CompLZ4 {
-		out := make([]byte, rawLen)
-		n, err := lz4.Decompress(out, payload)
-		if err != nil {
-			return nil, err
+// readAt fills b from the file and counts the bytes.
+func (r *Reader) readAt(b []byte, off int64) error {
+	r.bytesRead += int64(len(b))
+	return readFull(r.src, b, off)
+}
+
+// openChunk reads and decompresses one column chunk of a rows-row group
+// into cc. The footer has vouched for the chunk's place in the file; every
+// length inside it is checked against the bytes actually there.
+func (r *Reader) openChunk(cc *chunkCursor, cm *ColumnChunkMeta, t types.DataType, rows int) error {
+	size := int(cm.Size)
+	var payload []byte
+	if cm.Compress == CompNone {
+		cc.buf = slices.Grow(cc.buf[:0], size)[:size]
+		if err := r.readAt(cc.buf, cm.Offset); err != nil {
+			return err
 		}
-		payload = out[:n]
+		payload = cc.buf[4:]
+	} else {
+		r.comp = slices.Grow(r.comp[:0], size)[:size]
+		if err := r.readAt(r.comp, cm.Offset); err != nil {
+			return err
+		}
+		rawLen := int64(binary.LittleEndian.Uint32(r.comp))
+		if rawLen > lz4.MaxExpansion*int64(size-4) {
+			return fmt.Errorf("parquet: chunk claims %d bytes from a %d-byte LZ4 block", rawLen, size-4)
+		}
+		cc.buf = slices.Grow(cc.buf[:0], int(rawLen))[:rawLen]
+		n, err := lz4.Decompress(cc.buf, r.comp[4:])
+		if err != nil {
+			return err
+		}
+		payload = cc.buf[:n]
 	}
+	r.bytesDecoded += int64(len(payload))
 	if len(payload) < 5 {
-		return nil, fmt.Errorf("parquet: chunk header truncated")
+		return fmt.Errorf("parquet: chunk header truncated")
 	}
-	n := int(binary.LittleEndian.Uint32(payload))
+	if n := binary.LittleEndian.Uint32(payload); int64(n) != int64(rows) {
+		return fmt.Errorf("parquet: chunk holds %d values, its row group %d rows", n, rows)
+	}
 	hasNulls := payload[4] == 1
 	body := payload[5:]
-	cc := &chunkCursor{t: t, n: n}
+
+	*cc = chunkCursor{buf: cc.buf, dict: cc.dict[:0], staleNulls: cc.staleNulls}
 	if t.ID == types.Decimal && len(cm.Min) == 16 && len(cm.Max) == 16 {
 		lo, okLo := DecodeStatValue(cm.Min, t).(types.Decimal128)
 		hi, okHi := DecodeStatValue(cm.Max, t).(types.Decimal128)
 		cc.narrow = okLo && okHi && types.Fits64(lo) && types.Fits64(hi)
 	}
 	if hasNulls {
-		cc.nulls = make([]byte, n)
-		var err error
-		body, err = unpackValidity(body, n, cc.nulls)
-		if err != nil {
-			return nil, err
+		need := (rows + 7) / 8
+		if len(body) < need {
+			return fmt.Errorf("parquet: validity bitmap truncated")
 		}
+		cc.validity, body = body[:need], body[need:]
 	}
 	if cm.Encoding == EncDict {
 		if len(body) < 4 {
-			return nil, fmt.Errorf("parquet: dict header truncated")
+			return fmt.Errorf("parquet: dict header truncated")
 		}
 		dictN := int(binary.LittleEndian.Uint32(body))
 		body = body[4:]
-		cc.dict = make([][]byte, dictN)
-		for i := 0; i < dictN; i++ {
+		if dictN > len(body)/4 {
+			return fmt.Errorf("parquet: dictionary larger than its chunk")
+		}
+		cc.dict = slices.Grow(cc.dict, dictN)[:dictN]
+		for i := range cc.dict {
 			if len(body) < 4 {
-				return nil, fmt.Errorf("parquet: dict value truncated")
+				return fmt.Errorf("parquet: dict value truncated")
 			}
 			l := int(binary.LittleEndian.Uint32(body))
-			body = body[4:]
-			if len(body) < l {
-				return nil, fmt.Errorf("parquet: dict payload truncated")
+			if len(body)-4 < l {
+				return fmt.Errorf("parquet: dict payload truncated")
 			}
-			cc.dict[i] = body[:l]
-			body = body[l:]
+			cc.dict[i] = body[4 : 4+l : 4+l]
+			body = body[4+l:]
 		}
 		if len(body) < 5 {
-			return nil, fmt.Errorf("parquet: index header truncated")
+			return fmt.Errorf("parquet: index header truncated")
 		}
-		width := int(body[0])
-		cnt := int(binary.LittleEndian.Uint32(body[1:]))
-		body = body[5:]
-		idx, err := BitUnpack(body, width, cnt, make([]uint32, 0, cnt))
-		if err != nil {
-			return nil, err
+		cc.width = int(body[0])
+		cc.count = int(binary.LittleEndian.Uint32(body[1:]))
+		cc.packed = body[5:]
+		if cc.width > 32 || cc.count > rows || len(cc.packed) < (cc.count*cc.width+7)/8 {
+			return fmt.Errorf("parquet: dictionary index run out of range")
 		}
-		cc.indices = idx
+		cc.dictEnc = true
+		body = nil
 	}
 	cc.body = body
-	return cc, nil
-}
-
-// readInto decodes the cursor's next k rows into v at [0, k).
-func (cc *chunkCursor) readInto(v *vector.Vector, k int) error {
-	base := cc.pos
-	var valid func(i int) bool
-	if cc.nulls != nil {
-		for i := 0; i < k; i++ {
-			if cc.nulls[base+i] != 0 {
-				v.SetNull(i)
-			}
-		}
-		valid = func(i int) bool { return cc.nulls[base+i] == 0 }
-	}
-	if cc.dict != nil {
-		// Dictionary decode: indices cover valid rows in order.
-		vi := 0
-		// Count valid rows before base to find the index offset.
-		// (Tracked incrementally via cc.validSeen.)
-		vi = cc.validSeen
-		for i := 0; i < k; i++ {
-			if valid != nil && !valid(i) {
-				continue
-			}
-			if vi >= len(cc.indices) {
-				return fmt.Errorf("parquet: dictionary index overrun")
-			}
-			v.Str[i] = cc.dict[cc.indices[vi]]
-			vi++
-		}
-		cc.validSeen = vi
-		cc.pos += k
-		return nil
-	}
-	// PLAIN decode. valid indexes are relative to this batch slice.
-	rest, err := readPlainInto(cc.body, vecOffsetView(v), 0, k, valid)
-	if err != nil {
-		return err
-	}
-	cc.body = rest
-	if cc.nulls != nil {
-		cc.validSeen += countValid(cc.nulls[base : base+k])
-	}
-	cc.pos += k
 	return nil
 }
 
-// validSeen tracks how many valid values have been consumed (dictionary
-// index position).
-func countValid(nulls []byte) int {
-	c := 0
-	for _, b := range nulls {
-		if b == 0 {
-			c++
-		}
+// readInto decodes the cursor's next k rows into v at [0, k).
+func (r *Reader) readInto(cc *chunkCursor, v *vector.Vector, k int) error {
+	nv := k
+	switch {
+	case cc.validity != nil:
+		nulls := unpackValidity(v.Nulls[:k], cc.validity, cc.pos)
+		v.SetHasNulls(nulls > 0)
+		cc.staleNulls = cc.staleNulls || nulls > 0
+		nv -= nulls
+	case cc.staleNulls:
+		v.ClearNulls()
+		cc.staleNulls = false
 	}
-	return c
+	v.Ascii = vector.AsciiUnknown
+	v.Dec64 = vector.Dec64Unknown
+	if cc.narrow {
+		// NULL slots are zeroed, so the chunk-level narrowness verdict
+		// transfers directly to the vector.
+		v.Dec64 = vector.Dec64All
+	}
+	cc.pos += k
+	if !cc.dictEnc {
+		var err error
+		cc.body, err = readPlain(cc.body, v, k, nv)
+		return err
+	}
+	// Dictionary decode: indices cover valid rows in order.
+	if cc.used+nv > cc.count {
+		return fmt.Errorf("parquet: dictionary index overrun")
+	}
+	r.idx = slices.Grow(r.idx[:0], nv)[:nv]
+	if err := lebytes.BitUnpack(r.idx, cc.packed, cc.width, cc.used); err != nil {
+		return fmt.Errorf("parquet: dictionary indices: %w", err)
+	}
+	cc.used += nv
+	idx := r.idx
+	for i := range v.Str[:k] {
+		if v.Nulls[i] != 0 {
+			v.Str[i] = nil
+			continue
+		}
+		id := idx[0]
+		idx = idx[1:]
+		if int(id) >= len(cc.dict) {
+			return fmt.Errorf("parquet: dictionary index out of range")
+		}
+		v.Str[i] = cc.dict[id]
+	}
+	return nil
 }
-
-// vecOffsetView returns v itself (plain decode writes at [0, k)).
-func vecOffsetView(v *vector.Vector) *vector.Vector { return v }
 
 // SetGroupFilter installs a row-group predicate: groups for which f returns
 // false are skipped without decoding any chunk. Skipping must be
@@ -235,56 +313,62 @@ func vecOffsetView(v *vector.Vector) *vector.Vector { return v }
 // return true whenever a match cannot be ruled out.
 func (r *Reader) SetGroupFilter(f func(*RowGroupMeta) bool) { r.groupFilter = f }
 
-// NextBatch decodes up to capacity rows into a fresh batch; returns nil at
-// end of file.
+// NextBatch decodes up to batchSize rows and returns them in the reader's
+// one output batch, valid until the next call; it returns nil at end of
+// file. Reaching the end, or failing, closes the file.
 func (r *Reader) NextBatch(batchSize int) (*vector.Batch, error) {
+	b, err := r.nextBatch(batchSize)
+	if err != nil {
+		r.left, r.group = 0, len(r.meta.RowGroups)
+	}
+	if b == nil {
+		r.Close()
+	}
+	return b, err
+}
+
+func (r *Reader) nextBatch(batchSize int) (*vector.Batch, error) {
 	if batchSize <= 0 {
 		batchSize = vector.DefaultBatchSize
 	}
-	for {
-		if r.decoded == nil {
-			if r.group >= len(r.meta.RowGroups) {
-				return nil, nil
-			}
-			rg := &r.meta.RowGroups[r.group]
-			if r.groupFilter != nil && !r.groupFilter(rg) {
-				r.group++
-				continue
-			}
-			r.decoded = make([]*chunkCursor, len(r.proj))
-			for oi, fi := range r.proj {
-				cc, err := r.openChunk(&rg.Columns[fi], r.schema.Field(oi).Type)
-				if err != nil {
-					return nil, fmt.Errorf("parquet: row group %d column %d: %w", r.group, fi, err)
-				}
-				r.decoded[oi] = cc
-			}
-			r.left = int(rg.NumRows)
+	for r.left == 0 {
+		if r.group >= len(r.meta.RowGroups) {
+			return nil, nil
 		}
-		if r.left == 0 {
-			r.decoded = nil
-			r.group++
+		rg := &r.meta.RowGroups[r.group]
+		r.group++
+		if r.groupFilter != nil && !r.groupFilter(rg) {
 			continue
 		}
-		k := min(batchSize, r.left)
-		out := vector.NewBatch(r.schema, k)
-		for oi := range r.decoded {
-			if err := r.decoded[oi].readInto(out.Vecs[oi], k); err != nil {
-				return nil, err
-			}
-			// Fresh batches have zeroed NULL slots, so the chunk-level
-			// narrowness verdict transfers directly to the vector.
-			if r.decoded[oi].narrow {
-				out.Vecs[oi].Dec64 = vector.Dec64All
+		if r.cols == nil {
+			r.cols = make([]chunkCursor, len(r.proj))
+		}
+		for oi, fi := range r.proj {
+			if err := r.openChunk(&r.cols[oi], &rg.Columns[fi], r.schema.Field(oi).Type, int(rg.NumRows)); err != nil {
+				return nil, fmt.Errorf("parquet: row group %d column %d: %w", r.group-1, fi, err)
 			}
 		}
-		out.NumRows = k
-		r.left -= k
-		return out, nil
+		r.left = int(rg.NumRows)
 	}
+	k := min(batchSize, r.left)
+	if r.out == nil || r.out.Capacity() < k {
+		r.out = vector.NewBatch(r.schema, int(min(int64(batchSize), r.meta.NumRows)))
+		for i := range r.cols {
+			r.cols[i].staleNulls = false
+		}
+	}
+	for oi := range r.cols {
+		if err := r.readInto(&r.cols[oi], r.out.Vecs[oi], k); err != nil {
+			return nil, err
+		}
+	}
+	r.out.NumRows, r.out.Sel = k, nil // a consumer may have filtered the last fill
+	r.left -= k
+	return r.out, nil
 }
 
-// ReadAll decodes the whole file into batches.
+// ReadAll decodes the whole file into batches of its own (copies of the
+// reader's output batch).
 func (r *Reader) ReadAll(batchSize int) ([]*vector.Batch, error) {
 	var out []*vector.Batch
 	for {
@@ -295,6 +379,6 @@ func (r *Reader) ReadAll(batchSize int) ([]*vector.Batch, error) {
 		if b == nil {
 			return out, nil
 		}
-		out = append(out, b)
+		out = append(out, b.Clone())
 	}
 }

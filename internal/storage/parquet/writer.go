@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"photon/internal/lebytes"
 	"photon/internal/storage/lz4"
 	"photon/internal/types"
 	"photon/internal/vector"
@@ -50,6 +51,7 @@ type Writer struct {
 
 	groupCols []colBuffer
 	groupRows int
+	lz        *lz4.Compressor // kept from chunk to chunk, dropped at Close
 	closed    bool
 }
 
@@ -64,6 +66,9 @@ func NewWriter(w io.Writer, schema *types.Schema, opts Options) (*Writer, error)
 	pw := &Writer{w: w, schema: schema, opts: opts.withDefaults()}
 	pw.meta.Schema = metaOfSchema(schema)
 	pw.groupCols = make([]colBuffer, schema.Len())
+	if pw.opts.Compression == CompLZ4 {
+		pw.lz = new(lz4.Compressor)
+	}
 	start := time.Now()
 	n, err := w.Write(Magic)
 	pw.metrics.WriteTime += time.Since(start)
@@ -142,8 +147,9 @@ func (pw *Writer) writeChunk(t types.DataType, cb *colBuffer) (ColumnChunkMeta, 
 	}
 	body = append(body, hdr[:]...)
 	if hasNulls {
+		bit := 0
 		for i, v := range cb.vecs {
-			body = packValidity(v.Nulls, cb.ns[i], body)
+			body, bit = packValidity(body, bit, v.Nulls[:cb.ns[i]])
 		}
 	}
 
@@ -173,13 +179,7 @@ func (pw *Writer) writeChunk(t types.DataType, cb *colBuffer) (ColumnChunkMeta, 
 		meta.DictValues = len(dict.values)
 	default:
 		for i, v := range cb.vecs {
-			hn := v.HasNulls()
-			for k := 0; k < cb.ns[i]; k++ {
-				if hn && v.Nulls[k] != 0 {
-					continue
-				}
-				body = appendPlainValue(body, v, k)
-			}
+			body = appendPlain(body, v, cb.ns[i])
 		}
 	}
 	pw.metrics.EncodeTime += time.Since(encStart)
@@ -189,7 +189,7 @@ func (pw *Writer) writeChunk(t types.DataType, cb *colBuffer) (ColumnChunkMeta, 
 	comp := pw.opts.Compression
 	if comp == CompLZ4 {
 		cStart := time.Now()
-		out = lz4.Compress(make([]byte, 0, lz4.CompressBound(len(body))), body)
+		out = pw.lz.Compress(make([]byte, 0, lz4.CompressBound(len(body))), body)
 		pw.metrics.CompressTime += time.Since(cStart)
 		if len(out) >= len(body) {
 			out = body
@@ -226,6 +226,7 @@ func (pw *Writer) Close() error {
 	if err := pw.flushGroup(); err != nil {
 		return err
 	}
+	pw.lz = nil
 	wStart := time.Now()
 	n, err := writeFooter(pw.w, &pw.meta)
 	pw.metrics.WriteTime += time.Since(wStart)
@@ -297,5 +298,5 @@ func (d *stringDict) encodeInto(body []byte) []byte {
 	var cnt [4]byte
 	binary.LittleEndian.PutUint32(cnt[:], uint32(len(d.indices)))
 	body = append(body, cnt[:]...)
-	return BitPack(d.indices, width, body)
+	return lebytes.BitPack(body, d.indices, width)
 }

@@ -16,9 +16,12 @@ import (
 // uses infinite-precision Java Decimal"), so this type implements add, sub,
 // mul, div, cmp, and rescale with int64/uint64 limb arithmetic only. The
 // baseline row engine uses math/big instead, reproducing the cost asymmetry.
+//
+// Lo comes first so that, on a little-endian host, a value's memory is its
+// 16-byte wire form and runs of them move in bulk (internal/lebytes).
 type Decimal128 struct {
-	Hi int64  // high 64 bits (sign-carrying)
 	Lo uint64 // low 64 bits
+	Hi int64  // high 64 bits (sign-carrying)
 }
 
 // DecimalZero is the zero decimal.

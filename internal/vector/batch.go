@@ -161,64 +161,50 @@ func (b *Batch) GatherInto(dst *Batch) {
 // the coalescing form of compaction: successive sparse batches pack into
 // one dense batch so downstream operators amortize their per-batch costs
 // over full batches. dst must have capacity for the appended rows.
-func (b *Batch) GatherAppend(dst *Batch) {
-	n := b.NumActive()
+func (b *Batch) GatherAppend(dst *Batch) { b.GatherRange(dst, 0, b.NumActive()) }
+
+// GatherRange appends b's active rows [lo, hi) — positions among the active
+// rows, not row indices — densely after dst's existing rows, so a consumer
+// can fill dst exactly to capacity. String payloads are aliased, not copied.
+func (b *Batch) GatherRange(dst *Batch, lo, hi int) {
+	n := hi - lo
 	base := dst.NumRows
-	sel := b.Sel
+	var sel []int32
+	if b.Sel != nil {
+		sel = b.Sel[lo:hi]
+	}
 	for c, v := range b.Vecs {
 		dv := dst.Vecs[c]
 		anyNull := byte(0)
-		if sel == nil {
-			copy(dv.Nulls[base:base+n], v.Nulls[:n])
-			for i := 0; i < n; i++ {
-				anyNull |= v.Nulls[i]
-			}
-			switch v.Type.ID {
-			case types.Bool:
-				copy(dv.Bool[base:base+n], v.Bool[:n])
-			case types.Int32, types.Date:
-				copy(dv.I32[base:base+n], v.I32[:n])
-			case types.Int64, types.Timestamp:
-				copy(dv.I64[base:base+n], v.I64[:n])
-			case types.Float64:
-				copy(dv.F64[base:base+n], v.F64[:n])
-			case types.Decimal:
-				copy(dv.Dec[base:base+n], v.Dec[:n])
-			case types.String:
-				copy(dv.Str[base:base+n], v.Str[:n])
-			}
-		} else {
-			for to, from := range sel {
-				nb := v.Nulls[from]
-				dv.Nulls[base+to] = nb
+		dn := dv.Nulls[base : base+n]
+		switch {
+		case !v.HasNulls():
+			clear(dn)
+		case sel == nil:
+			copy(dn, v.Nulls[lo:hi])
+			for _, nb := range dn {
 				anyNull |= nb
 			}
-			switch v.Type.ID {
-			case types.Bool:
-				for to, from := range sel {
-					dv.Bool[base+to] = v.Bool[from]
-				}
-			case types.Int32, types.Date:
-				for to, from := range sel {
-					dv.I32[base+to] = v.I32[from]
-				}
-			case types.Int64, types.Timestamp:
-				for to, from := range sel {
-					dv.I64[base+to] = v.I64[from]
-				}
-			case types.Float64:
-				for to, from := range sel {
-					dv.F64[base+to] = v.F64[from]
-				}
-			case types.Decimal:
-				for to, from := range sel {
-					dv.Dec[base+to] = v.Dec[from]
-				}
-			case types.String:
-				for to, from := range sel {
-					dv.Str[base+to] = v.Str[from]
-				}
+		default:
+			for to, from := range sel {
+				nb := v.Nulls[from]
+				dn[to] = nb
+				anyNull |= nb
 			}
+		}
+		switch v.Type.ID {
+		case types.Bool:
+			gather(dv.Bool[base:base+n], v.Bool, sel, lo)
+		case types.Int32, types.Date:
+			gather(dv.I32[base:base+n], v.I32, sel, lo)
+		case types.Int64, types.Timestamp:
+			gather(dv.I64[base:base+n], v.I64, sel, lo)
+		case types.Float64:
+			gather(dv.F64[base:base+n], v.F64, sel, lo)
+		case types.Decimal:
+			gather(dv.Dec[base:base+n], v.Dec, sel, lo)
+		case types.String:
+			gather(dv.Str[base:base+n], v.Str, sel, lo)
 		}
 		if anyNull != 0 {
 			dv.SetHasNulls(true)
@@ -233,6 +219,41 @@ func (b *Batch) GatherAppend(dst *Batch) {
 	}
 	dst.Sel = nil
 	dst.NumRows = base + n
+}
+
+// gather fills dst with src's rows sel, or, without a selection vector, with
+// its len(dst) rows from lo.
+func gather[T any](dst, src []T, sel []int32, lo int) {
+	if sel == nil {
+		copy(dst, src[lo:])
+		return
+	}
+	dst = dst[:len(sel)]
+	for to, from := range sel {
+		dst[to] = src[from]
+	}
+}
+
+// OwnStrings copies the string payloads of rows [from, NumRows) into arena
+// and points the rows at the copies, so they stay valid after the batch they
+// were gathered from is refilled. It returns the grown arena; payloads
+// copied earlier stay valid even when the arena's storage moves.
+func (b *Batch) OwnStrings(from int, arena []byte) []byte {
+	for _, v := range b.Vecs {
+		if v.Type.ID != types.String {
+			continue
+		}
+		for i := from; i < b.NumRows; i++ {
+			if v.Nulls[i] != 0 {
+				v.Str[i] = nil
+				continue
+			}
+			at := len(arena)
+			arena = append(arena, v.Str[i]...)
+			v.Str[i] = arena[at:len(arena):len(arena)]
+		}
+	}
+	return arena
 }
 
 // AppendRow appends one row of values (one per column, nil = NULL) to the

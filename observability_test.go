@@ -216,6 +216,41 @@ func TestSessionMetricsCoverage(t *testing.T) {
 	}
 }
 
+// TestScanIOIsCounted: a Delta scan reads the footer and the chunks of the
+// columns it projects, and says so: a scan of 3 of lineitem's 16 columns
+// stays under 40 % of the files' bytes, a scan of all 16 reads them whole,
+// and what a scan decodes is more than what it reads (LZ4).
+func TestScanIOIsCounted(t *testing.T) {
+	sess := tpchSession(0.01, Config{Parallelism: 2})
+	dir := t.TempDir()
+	fileBytes := lakeCopy(t, sess, "lineitem", dir)
+	counter := func(name string) int64 { return sess.Metrics().Counter(name, "").Load() }
+
+	if _, err := sess.SQL("SELECT count(*), min(l_shipdate), max(l_quantity), sum(l_orderkey) FROM lineitem_lake"); err != nil {
+		t.Fatal(err)
+	}
+	read, decoded := counter("photon_scan_read_bytes_total"), counter("photon_scan_decoded_bytes_total")
+	if read == 0 || read*100 >= fileBytes*40 {
+		t.Errorf("3-of-16-column scan read %d of %d file bytes, want under 40%%", read, fileBytes)
+	}
+	if decoded <= read {
+		t.Errorf("decoded %d bytes from %d read", decoded, read)
+	}
+
+	if _, err := sess.SQL("SELECT * FROM lineitem_lake WHERE l_orderkey + l_partkey < 0"); err != nil {
+		t.Fatal(err)
+	}
+	if all := counter("photon_scan_read_bytes_total") - read; all < fileBytes*95/100 || all > fileBytes {
+		t.Errorf("full scan read %d of %d file bytes", all, fileBytes)
+	}
+	// A scan abandoned mid-file — LIMIT is satisfied by the first batch —
+	// closes it when the operator tree closes.
+	if res, err := sess.SQL("SELECT l_comment FROM lineitem_lake LIMIT 1"); err != nil || len(res.Rows) != 1 {
+		t.Fatalf("limit query: %v", err)
+	}
+	assertNoOpenFiles(t)
+}
+
 // TestMetricsConcurrentScrape hammers one session with parallel queries
 // while scraping the registry and rendering traces — the -race CI run is
 // the real assertion here.

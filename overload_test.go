@@ -59,6 +59,10 @@ func TestOverloadSoak(t *testing.T) {
 		SpillDir:       dir,
 		MemoryLimit:    64 << 20,
 		MinQueryMemory: 1 << 20,
+		// Room for the storm and for however many queries the burst below
+		// fits into its three seconds: the per-tenant history check at the
+		// end must not depend on how fast the engine is.
+		QueryHistorySize: 1 << 15,
 		// Admission wide open globally (tenant quotas still bind): a
 		// narrow global FIFO gate would serialize tenants round-robin and
 		// mask the pool's weighted-fair dispatch, which is what sets
@@ -78,6 +82,9 @@ func TestOverloadSoak(t *testing.T) {
 	// tables back so the post-soak introspection queries run.
 	sess.registerSystemTables()
 	r.Instrument(sess.Metrics())
+	// A third of the submissions read lineitem from Delta files, so queries
+	// are cancelled, shed, timed out and fault-injected with scans open.
+	lakeCopy(t, sess, "lineitem", t.TempDir())
 	// Retry headroom for the armed transient failpoints on staged paths;
 	// fast-path and single-task executions surface them instead, which the
 	// classification below allows as injected.
@@ -112,7 +119,11 @@ func TestOverloadSoak(t *testing.T) {
 						// Tight deadline under overload: timeout or shed.
 						ctx, cancel = context.WithTimeout(ctx, 30*time.Millisecond)
 					}
-					res, stats, err := sess.SQLContextStats(ctx, tpch.Queries[q])
+					text := tpch.Queries[q]
+					if (i+client)%3 == 0 {
+						text = onLake(text)
+					}
+					res, stats, err := sess.SQLContextStats(ctx, text)
 					cancel()
 					if err == nil && stats.Tenant != tenant {
 						t.Errorf("Q%d ran as tenant %q, want %q", q, stats.Tenant, tenant)
@@ -241,10 +252,12 @@ func TestOverloadSoak(t *testing.T) {
 		}
 	}
 
-	// Zero leaks: memory, shuffle/spill files, goroutines.
+	// Zero leaks: memory, shuffle/spill files, data-file descriptors,
+	// goroutines.
 	if used := sess.mm.Used(); used != 0 {
 		t.Errorf("leaked %d reserved bytes after soak", used)
 	}
 	assertNoShuffleFiles(t, dir)
+	assertNoOpenFiles(t)
 	waitGoroutines(t, baseGoroutines)
 }
