@@ -29,10 +29,11 @@ const (
 // Groups are resolved through the vectorized hash table; aggregation states
 // live in fixed-width payload slots (hashagg_state.go) folded by per-kind
 // batch loops that raw input and partial states share (hashagg_update.go).
-// Variable-size states (collect_list, count distinct) live in operator-side
-// storage with payload indices, their element bytes coalesced into a shared
-// arena across groups rather than allocated per group (the Fig. 5
-// optimization). Memory is acquired reservation-first (§5.3); on pressure
+// collect_list states live in operator-side storage with payload indices,
+// their element bytes coalesced into a shared arena across groups rather
+// than allocated per group (the Fig. 5 optimization); a count(DISTINCT)'s
+// sets live in one more hash table keyed (group, value) (distinctSet).
+// Memory is acquired reservation-first (§5.3); on pressure
 // the operator spills partial states partitioned by hash and merges
 // partition-at-a-time during finalization (hashagg_spill.go).
 type HashAggOp struct {
@@ -50,9 +51,10 @@ type HashAggOp struct {
 	// hold and what AggPartial hands AggFinal across a shuffle.
 	partSchema *types.Schema
 
-	tbl      *ht.Table
-	lists    []listState
-	listPool mem.Arena
+	groupState // the live groups
+	listPool   mem.Arena
+	// numDistinct counts the DISTINCT aggregates; aggInfo.dist numbers them.
+	numDistinct int
 
 	// Fused decimal-sum pass (updateDecimalSums): the count of decimal
 	// sum/avg aggregates and their per-batch argument descriptors.
@@ -74,6 +76,17 @@ type HashAggOp struct {
 	inserted []bool
 	keyVecs  []*vector.Vector
 	keyOwned []bool
+	// DISTINCT scratch: gids presents rowIDs as the set tables' first key
+	// column; setSel lists a batch's non-NULL arguments; setIDs receives a
+	// set-table lookup's entry ids; mergeGids/mergeVals hold the (group,
+	// value) pairs a partial blob expands to; blobBuf backs the blobs of one
+	// output or spill batch.
+	gids      *vector.Vector
+	setSel    []int32
+	setIDs    []int32
+	mergeGids *vector.Vector
+	mergeVals []*vector.Vector
+	blobBuf   []byte
 
 	// Spilling.
 	consumer     *mem.FuncConsumer
@@ -87,8 +100,7 @@ type HashAggOp struct {
 	inputDone bool
 	emitPos   int
 	emitPart  int
-	partTbl   *ht.Table
-	partLists []listState
+	part      groupState // the spilled partition being merged and emitted
 	out       *vector.Batch
 }
 
@@ -103,6 +115,8 @@ type aggInfo struct {
 	// decSum marks a non-DISTINCT decimal sum/avg: raw input reaches its
 	// state only through the fused pass (updateDecimalSums).
 	decSum bool
+	// dist is a DISTINCT aggregate's index into groupState.sets.
+	dist int
 }
 
 // NewHashAgg builds a grouping aggregation. keyExprs may be empty (global
@@ -127,7 +141,9 @@ func NewHashAgg(child Operator, mode AggMode, keyExprs []expr.Expr, keyNames []s
 			if a.Kind != expr.AggCount {
 				return nil, fmt.Errorf("exec: DISTINCT only supported for count")
 			}
-			info.width = 4 // list-state id
+			info.width = 8
+			info.dist = op.numDistinct
+			op.numDistinct++
 		case a.Kind == expr.AggCount:
 			info.width = 8
 		case a.Kind == expr.AggSum || a.Kind == expr.AggAvg:
@@ -237,7 +253,7 @@ func partialFields(info aggInfo, base string) []types.Field {
 // Open implements Operator.
 func (op *HashAggOp) Open(tc *TaskCtx) error {
 	op.tc = tc
-	op.tbl = op.newTable()
+	op.resetGroups(&op.groupState)
 	op.consumer = &mem.FuncConsumer{ConsumerName: op.stats.Name, SpillFunc: op.spill}
 	op.listPool = *mem.NewArena(0)
 	op.ensureScratch(tc.Pool.BatchSize())
@@ -250,10 +266,9 @@ func (op *HashAggOp) Open(tc *TaskCtx) error {
 	return op.child.Open(tc)
 }
 
-// newTable returns an empty group table that checks cancellation while it
-// probes.
-func (op *HashAggOp) newTable() *ht.Table {
-	tbl := ht.New(op.keyTypes, op.payloadW)
+// newTable returns an empty table that checks cancellation while it probes.
+func (op *HashAggOp) newTable(keyTypes []types.DataType, payloadW int) *ht.Table {
+	tbl := ht.New(keyTypes, payloadW)
 	tbl.Guard = op.tc.Cancelled
 	return tbl
 }
@@ -264,6 +279,11 @@ func (op *HashAggOp) ensureScratch(n int) {
 		op.hashes = make([]uint64, n)
 		op.rowIDs = make([]int32, n)
 		op.inserted = make([]bool, n)
+		if op.numDistinct > 0 {
+			op.setSel = make([]int32, 0, n) // never nil: a nil selection means every row
+			op.setIDs = make([]int32, n)
+			op.gids = &vector.Vector{Type: types.Int32Type, I32: op.rowIDs, Nulls: make([]byte, n)}
+		}
 	}
 }
 
@@ -285,7 +305,7 @@ func (op *HashAggOp) consumeInput() error {
 		op.tc.ReportProgress(int64(b.NumActive()), 0)
 		op.tc.Expr.ResetPerBatch()
 		if op.mode == AggFinal {
-			err = op.mergeBatch(b, op.tbl, &op.lists)
+			err = op.mergeBatch(b, &op.groupState)
 		} else {
 			err = op.updateBatch(b)
 		}
@@ -303,7 +323,11 @@ func (op *HashAggOp) consumeInput() error {
 
 // reserveDelta tops up the operator's reservation to its current footprint.
 func (op *HashAggOp) reserveDelta() error {
-	want := op.tbl.MemoryUsage() + op.listPool.Footprint() + int64(len(op.lists))*64
+	want := op.tbl.MemoryUsage() + op.listPool.Footprint() + int64(len(op.lists))*64 + int64(cap(op.blobBuf))
+	for _, set := range op.sets {
+		// Its table, and the index a spill builds over it (indexDistinct).
+		want += set.tbl.MemoryUsage() + 4*int64(set.tbl.NumRows()+op.tbl.NumRows())
+	}
 	if want > op.reserved {
 		delta := want - op.reserved
 		if err := op.tc.Mem.Reserve(op.consumer, delta); err != nil {
@@ -329,7 +353,7 @@ func (op *HashAggOp) Next() (*vector.Batch, error) {
 			// SQL semantics: a keyless aggregation over empty input still
 			// produces one row (count 0, sums NULL).
 			if len(op.keyExprs) == 0 && op.mode != AggFinal && op.tbl.NumRows() == 0 && !op.spilled {
-				if err := op.newGlobalGroup(op.tbl, &op.lists); err != nil {
+				if err := op.newGlobalGroup(&op.groupState); err != nil {
 					return err
 				}
 			}

@@ -28,6 +28,7 @@ func distinctArgCases() []distinctArgCase {
 	dt := types.DecimalType(20, 2)
 	floats := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1)}
 	return []distinctArgCase{
+		{"bool", types.BoolType, func(r *rand.Rand) any { return r.Intn(2) == 0 }},
 		{"int32", types.Int32Type, func(r *rand.Rand) any { return int32(r.Intn(40) - 20) }},
 		{"date", types.DateType, func(r *rand.Rand) any { return int32(9000 + r.Intn(40)) }},
 		{"int64", types.Int64Type, func(r *rand.Rand) any { return int64(r.Intn(40)) << 33 }},
@@ -338,6 +339,113 @@ func runDistinctDifferential(t *testing.T, ac distinctArgCase, beside bool) {
 		check(fmt.Sprintf("partial→final, limit %d", limit), merged)
 		if limit > 0 && spills == 0 {
 			t.Errorf("partial→final: expected a spill under a %d-byte limit", limit)
+		}
+	}
+}
+
+// TestHashAggDistinctSetsAreReserved holds the reservation to what the sets
+// cost: a few groups whose sets hold ~50 values each must outgrow a limit the
+// groups alone would fit in many times over, spill, and still return the
+// unspilled run's rows.
+func TestHashAggDistinctSetsAreReserved(t *testing.T) {
+	schema := intSchema("g", "v")
+	const groups, perGroup = 400, 50
+	var rows [][]any
+	for i := 0; i < groups*perGroup*2; i++ {
+		rows = append(rows, []any{int64(i % groups), int64(i / groups % perGroup)})
+	}
+	run := func(limit int64) ([][]any, *HashAggOp) {
+		agg, err := NewHashAgg(NewMemScan(schema, BuildBatches(schema, rows, 512)), AggComplete,
+			[]expr.Expr{expr.Col(0, "g", types.Int64Type)}, []string{"g"},
+			[]expr.AggSpec{{Kind: expr.AggCount, Arg: expr.Col(1, "v", types.Int64Type), Distinct: true, Name: "d"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m *mem.Manager
+		if limit > 0 {
+			m = mem.NewManager(limit)
+		}
+		tc := NewTaskCtx(m, 512)
+		tc.SpillDir = t.TempDir()
+		got, err := CollectRows(agg, tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sortRows(got)
+		return got, agg
+	}
+	want, _ := run(0)
+	if len(want) != groups || want[0][1].(int64) != perGroup {
+		t.Fatalf("unspilled run: %d groups, first %v; want %d groups of %d", len(want), want[0], groups, perGroup)
+	}
+	// 400 groups are ~25 KB of table; their 20,000 set elements are ~700 KB.
+	got, agg := run(256 << 10)
+	if agg.Stats().SpillCount.Load() == 0 {
+		t.Error("20,000 set elements under a 256 KB limit did not spill: the sets are not reserved")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("spilled count(DISTINCT) differs from the unspilled run")
+	}
+}
+
+// TestHashAggCountDistinctAllNullBatch feeds batches whose active arguments
+// are all NULL — the first one before the operator has seen any value — with
+// and without a position list whose filtered-out rows do hold values. NULLs
+// and filtered-out rows must not be counted, by a raw update or by a merge.
+func TestHashAggCountDistinctAllNullBatch(t *testing.T) {
+	schema := intSchema("g", "x")
+	keys := []expr.Expr{expr.Col(0, "g", types.Int64Type)}
+	specs := []expr.AggSpec{{Kind: expr.AggCount, Arg: expr.Col(1, "x", types.Int64Type), Distinct: true, Name: "d"}}
+	var nulls, mixed [][]any
+	var active []int32
+	for i := 0; i < 10; i++ {
+		nulls = append(nulls, []any{int64(i % 3), nil})
+		// Odd rows are filtered out and hold values; even rows are NULL.
+		if mixed = append(mixed, []any{int64(i % 3), int64(i)}); i%2 == 0 {
+			mixed[i][1] = nil
+			active = append(active, int32(i))
+		}
+	}
+	dense := BuildBatches(schema, nulls, 16)[0]
+	sparse := BuildBatches(schema, mixed, 16)[0]
+	sparse = vector.WrapBatch(schema, sparse.Vecs, active, sparse.NumRows)
+	values := BuildBatches(schema, [][]any{{int64(0), int64(5)}, {int64(0), int64(5)}, {int64(2), nil}, {int64(0), int64(6)}}, 16)[0]
+
+	for name, first := range map[string]*vector.Batch{"dense": dense, "position list": sparse} {
+		for _, then := range [][]*vector.Batch{nil, {values}} {
+			want := [][]any{{int64(0), int64(0)}, {int64(1), int64(0)}, {int64(2), int64(0)}}
+			if then != nil {
+				want[0][1] = int64(2)
+			}
+			run := func(mode AggMode, in []*vector.Batch, sch *types.Schema) *HashAggOp {
+				feed := &selFeed{batches: in}
+				feed.schema = sch
+				agg, err := NewHashAgg(feed, mode, keys, []string{"g"}, specs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return agg
+			}
+			in := append([]*vector.Batch{first}, then...)
+			got, err := CollectRows(run(AggComplete, in, schema), NewTaskCtx(nil, 16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sortRows(got); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %d more batches, complete: got %v, want %v", name, len(then), got, want)
+			}
+			part := run(AggPartial, in, schema)
+			mid, err := CollectAll(part, NewTaskCtx(nil, 16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err = CollectRows(run(AggFinal, mid, part.Schema()), NewTaskCtx(nil, 16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sortRows(got); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %d more batches, partial→final: got %v, want %v", name, len(then), got, want)
+			}
 		}
 	}
 }

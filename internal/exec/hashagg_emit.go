@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"photon/internal/expr"
-	"photon/internal/ht"
 	"photon/internal/types"
 	"photon/internal/vector"
 )
@@ -15,19 +14,15 @@ import (
 // each spilled partition merged one at a time.
 func (op *HashAggOp) emitNext() (*vector.Batch, error) {
 	for {
-		// Phase 1: drain the live table.
-		if op.tbl != nil {
-			if op.emitPos < op.tbl.Len() {
-				return op.emitFrom(op.tbl, op.lists), nil
+		// Phase 1: drain the live groups, phase 2: the current merged
+		// partition's.
+		for _, g := range []*groupState{&op.groupState, &op.part} {
+			if g.tbl != nil {
+				if op.emitPos < g.tbl.Len() {
+					return op.emitFrom(g), nil
+				}
+				*g = groupState{} // drained
 			}
-			op.tbl = nil // live table drained
-		}
-		// Phase 2: drain the current merged partition table.
-		if op.partTbl != nil {
-			if op.emitPos < op.partTbl.Len() {
-				return op.emitFrom(op.partTbl, op.partLists), nil
-			}
-			op.partTbl = nil
 		}
 		// Phase 3: merge the next spilled partition.
 		if op.emitPart >= len(op.spillFiles) {
@@ -49,39 +44,38 @@ func (op *HashAggOp) emitNext() (*vector.Batch, error) {
 	}
 }
 
-// emitFrom materializes up to one batch of groups from tbl.
-func (op *HashAggOp) emitFrom(tbl *ht.Table, lists []listState) *vector.Batch {
+// emitFrom materializes up to one batch of groups from g, whose entries are
+// its groups in insertion order (a FindOrInsert-only table has no others).
+func (op *HashAggOp) emitFrom(g *groupState) *vector.Batch {
 	if op.out == nil {
 		op.out = vector.NewBatch(op.schema, op.tc.Pool.BatchSize())
 	}
 	op.out.Reset()
-	heads := tbl.HeadRows()
-	limit := min(op.emitPos+op.out.Capacity(), len(heads))
+	op.blobBuf = op.blobBuf[:0]
+	limit := min(op.emitPos+op.out.Capacity(), g.tbl.Len())
 	for ; op.emitPos < limit; op.emitPos++ {
-		op.appendGroup(op.out, tbl, lists, heads[op.emitPos], op.mode == AggPartial)
+		op.appendGroup(op.out, g, int32(op.emitPos), op.mode == AggPartial)
 	}
 	return op.out
 }
 
 // writeFinalStates fills row i of the result columns with one group's final
 // aggregate values.
-func (op *HashAggOp) writeFinalStates(cols []*vector.Vector, i int, tbl *ht.Table, lists []listState, row int32) {
-	p := tbl.PayloadBytes(row)
+func (op *HashAggOp) writeFinalStates(cols []*vector.Vector, i int, g *groupState, row int32) {
+	p := g.tbl.PayloadBytes(row)
 	for k, info := range op.infos {
 		st := p[info.off:]
 		v := cols[k]
 		switch {
-		case info.spec.Distinct:
-			v.Set(i, int64(len(listOf(lists, st).distinct)))
 		case info.spec.Kind == expr.AggCollectList:
-			v.Set(i, renderList(listOf(lists, st).blob))
-		case info.spec.Kind == expr.AggCount:
-			v.Set(i, loadCount(st))
+			v.Set(i, renderList(listOf(g.lists, st).blob))
+		case info.spec.Kind == expr.AggCount: // DISTINCT or not: the state is the count
+			v.Nulls[i], v.I64[i] = 0, loadCount(st)
 		case info.spec.Kind == expr.AggSum || info.spec.Kind == expr.AggAvg:
 			cnt := loadCount(st[info.width-8:])
 			switch {
 			case cnt == 0:
-				v.Set(i, nil)
+				v.SetNull(i)
 			case info.spec.Kind == expr.AggSum:
 				loadSum(v, i, st, info.sumType)
 			case info.sumType.ID == types.Decimal:
@@ -90,15 +84,15 @@ func (op *HashAggOp) writeFinalStates(cols []*vector.Vector, i int, tbl *ht.Tabl
 				resScale := info.resType.Scale
 				scaled := loadDec(st).Rescale(argScale, resScale+1) // extra digit for rounding
 				q, _ := scaled.DivInt64(cnt)
-				v.Set(i, q.Rescale(resScale+1, resScale))
+				v.Nulls[i], v.Dec[i] = 0, q.Rescale(resScale+1, resScale)
 			default:
-				v.Set(i, loadFloatSum(st)/float64(cnt))
+				v.Nulls[i], v.F64[i] = 0, loadFloatSum(st)/float64(cnt)
 			}
 		default: // min/max
 			if st[0] == 0 {
-				v.Set(i, nil)
+				v.SetNull(i)
 			} else {
-				loadValue(v, i, st[1:], info.spec.Arg.Type(), tbl)
+				g.tbl.GetValue(st[1:], v, i)
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 	"photon/internal/expr"
 	"photon/internal/fault"
-	"photon/internal/ht"
 	"photon/internal/kernels"
 	"photon/internal/serde"
 	"photon/internal/vector"
@@ -20,7 +19,7 @@ const spillParts = 16
 // groups as partial-state batches, hash-partitioned across spillParts files,
 // and reset the table (§5.3). Disabled while merging a spilled partition.
 func (op *HashAggOp) spill(need int64) (int64, error) {
-	if op.merging || op.tbl.Len() == 0 || op.tc.SpillDir == "" {
+	if op.merging || op.tbl == nil || op.tbl.Len() == 0 || op.tc.SpillDir == "" {
 		return 0, nil
 	}
 	if op.spillFiles == nil {
@@ -43,20 +42,20 @@ func (op *HashAggOp) spill(need int64) (int64, error) {
 		}
 		err := op.spillWriters[part].WriteBatch(batch)
 		batch.Reset()
+		op.blobBuf = op.blobBuf[:0]
 		return err
 	}
 	// Group rows by partition, flushing per-partition batches. The table
 	// retains each group's original key hash, so all spill epochs agree on
 	// a key's partition.
-	hashes := op.tbl.RowHashes()
 	byPart := make([][]int32, spillParts)
-	for _, row := range op.tbl.HeadRows() {
-		p := int(kernels.Mix64(hashes[row]) % spillParts)
+	for row := int32(0); row < int32(op.tbl.Len()); row++ {
+		p := int(kernels.Mix64(op.tbl.RowHash(row)) % spillParts)
 		byPart[p] = append(byPart[p], row)
 	}
 	for p, rows := range byPart {
 		for _, row := range rows {
-			op.appendGroup(batch, op.tbl, op.lists, row, true)
+			op.appendGroup(batch, &op.groupState, row, true)
 			if batch.NumRows == batch.Capacity() {
 				if err := flush(p); err != nil {
 					return 0, err
@@ -70,8 +69,7 @@ func (op *HashAggOp) spill(need int64) (int64, error) {
 	freedBytes := op.reserved
 	op.tc.Mem.Release(op.consumer, op.reserved)
 	op.reserved = 0
-	op.tbl = op.newTable()
-	op.lists = op.lists[:0]
+	op.resetGroups(&op.groupState)
 	op.listPool.Reset()
 	op.spilled = true
 	op.stats.SpillCount.Add(1)
@@ -87,8 +85,7 @@ func (op *HashAggOp) mergePartition(f *os.File) error {
 	op.merging = true
 	defer func() { op.merging = false }()
 	rd := serde.NewReader(f, op.partSchema)
-	op.partTbl = op.newTable()
-	op.partLists = op.partLists[:0]
+	op.resetGroups(&op.part)
 	op.emitPos = 0
 	buf := op.tc.Pool.Get(op.partSchema)
 	defer op.tc.Pool.Put(buf)
@@ -106,7 +103,7 @@ func (op *HashAggOp) mergePartition(f *os.File) error {
 		if err != nil {
 			return fault.ClassifyIO(fault.SpillRead, err)
 		}
-		if err := op.mergeBatch(buf, op.partTbl, &op.partLists); err != nil {
+		if err := op.mergeBatch(buf, &op.part); err != nil {
 			return err
 		}
 	}
@@ -114,16 +111,16 @@ func (op *HashAggOp) mergePartition(f *os.File) error {
 
 // appendGroup appends one group to dst: its key columns, then its states in
 // partial form (spill files, AggPartial output) or as final values.
-func (op *HashAggOp) appendGroup(dst *vector.Batch, tbl *ht.Table, lists []listState, row int32, partial bool) {
+func (op *HashAggOp) appendGroup(dst *vector.Batch, g *groupState, row int32, partial bool) {
 	i := dst.NumRows
 	for c := range op.keyTypes {
-		tbl.ReadKey(row, c, dst.Vecs[c], i)
+		g.tbl.ReadKey(row, c, dst.Vecs[c], i)
 	}
 	cols := dst.Vecs[len(op.keyTypes):]
 	if partial {
-		op.writePartialStates(cols, i, tbl, lists, row)
+		op.writePartialStates(cols, i, g, row)
 	} else {
-		op.writeFinalStates(cols, i, tbl, lists, row)
+		op.writeFinalStates(cols, i, g, row)
 	}
 	dst.NumRows++
 }
@@ -131,8 +128,10 @@ func (op *HashAggOp) appendGroup(dst *vector.Batch, tbl *ht.Table, lists []listS
 // writePartialStates fills row i of the partial-state columns from one
 // group's states. It is the only writer of the partial format mergeBatch
 // reads back, whether the bytes travel through a spill file or a shuffle.
-func (op *HashAggOp) writePartialStates(cols []*vector.Vector, i int, tbl *ht.Table, lists []listState, row int32) {
-	p := tbl.PayloadBytes(row)
+// Blobs alias operator memory (op.blobBuf, the list states) that holds until
+// the batch they are written to has been consumed.
+func (op *HashAggOp) writePartialStates(cols []*vector.Vector, i int, g *groupState, row int32) {
+	p := g.tbl.PayloadBytes(row)
 	col := 0
 	for _, info := range op.infos {
 		st := p[info.off:]
@@ -140,32 +139,29 @@ func (op *HashAggOp) writePartialStates(cols []*vector.Vector, i int, tbl *ht.Ta
 		col++
 		switch {
 		case info.spec.Distinct:
-			// Sized for fixed-width keys (at most 8 bytes and a length
-			// each); an empty set is an empty blob, not NULL.
-			set := listOf(lists, st).distinct
-			blob := make([]byte, 0, 12*len(set))
-			for elem := range set {
-				blob = appendLenPrefixed(blob, elem)
-			}
-			v.Set(i, blob)
+			// An empty set is an empty blob, not NULL.
+			op.indexDistinct(g)
+			at := len(op.blobBuf)
+			op.blobBuf = g.sets[info.dist].appendBlob(op.blobBuf, row)
+			v.Nulls[i], v.Str[i] = 0, op.blobBuf[at:len(op.blobBuf):len(op.blobBuf)]
 		case info.spec.Kind == expr.AggCollectList:
-			v.Set(i, append([]byte(nil), listOf(lists, st).blob...))
+			v.Nulls[i], v.Str[i] = 0, listOf(g.lists, st).blob
 		case info.spec.Kind == expr.AggCount:
-			v.Set(i, loadCount(st))
+			v.Nulls[i], v.I64[i] = 0, loadCount(st)
 		case info.spec.Kind == expr.AggSum || info.spec.Kind == expr.AggAvg:
 			cnt := loadCount(st[info.width-8:])
 			if cnt == 0 {
-				v.Set(i, nil)
+				v.SetNull(i)
 			} else {
 				loadSum(v, i, st, info.sumType)
 			}
-			cols[col].Set(i, cnt)
+			cols[col].Nulls[i], cols[col].I64[i] = 0, cnt
 			col++
 		default: // min/max
 			if st[0] == 0 {
-				v.Set(i, nil)
+				v.SetNull(i)
 			} else {
-				loadValue(v, i, st[1:], info.spec.Arg.Type(), tbl)
+				g.tbl.GetValue(st[1:], v, i)
 			}
 		}
 	}

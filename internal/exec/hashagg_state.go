@@ -20,7 +20,8 @@ import (
 //	sum/avg           [sum i64 | f64 bits][count u64]
 //	decimal sum/avg   [lo u64][hi i64][count u64]
 //	min/max           [present u8][value]
-//	distinct / list   [list-state id u32]
+//	count distinct    [count u64] (the size of the group's set, see distinctSet)
+//	collect_list      [list-state id u32]
 //
 // The accessors below are the only code that reads or writes a slot, so the
 // update, merge, spill and emit paths cannot disagree about the layout.
@@ -39,12 +40,6 @@ func loadDec(st []byte) types.Decimal128 {
 		Lo: binary.LittleEndian.Uint64(st),
 		Hi: int64(binary.LittleEndian.Uint64(st[8:])),
 	}
-}
-
-// storeDec writes a 128-bit decimal at st.
-func storeDec(st []byte, d types.Decimal128) {
-	binary.LittleEndian.PutUint64(st, d.Lo)
-	binary.LittleEndian.PutUint64(st[8:], uint64(d.Hi))
 }
 
 // addDecSum folds x and c contributing rows into the decimal sum/avg state
@@ -76,53 +71,14 @@ func addFloatSum(st []byte, x float64, c int64) {
 
 // loadSum decodes the accumulated sum of a sum/avg state into v[i].
 func loadSum(v *vector.Vector, i int, st []byte, sumT types.DataType) {
+	v.Nulls[i] = 0
 	switch sumT.ID {
 	case types.Decimal:
-		v.Set(i, loadDec(st))
+		v.Dec[i] = loadDec(st)
 	case types.Float64:
-		v.Set(i, loadFloatSum(st))
+		v.F64[i] = loadFloatSum(st)
 	default:
-		v.Set(i, int64(binary.LittleEndian.Uint64(st)))
-	}
-}
-
-// storeValue writes av[i] into a min/max value slot.
-func storeValue(st []byte, av *vector.Vector, i int, tbl *ht.Table) {
-	switch av.Type.ID {
-	case types.Bool:
-		st[0] = av.Bool[i]
-	case types.Int32, types.Date:
-		binary.LittleEndian.PutUint32(st, uint32(av.I32[i]))
-	case types.Int64, types.Timestamp:
-		binary.LittleEndian.PutUint64(st, uint64(av.I64[i]))
-	case types.Float64:
-		binary.LittleEndian.PutUint64(st, math.Float64bits(av.F64[i]))
-	case types.Decimal:
-		storeDec(st, av.Dec[i])
-	case types.String:
-		off, ln := tbl.AppendHeap(av.Str[i])
-		binary.LittleEndian.PutUint32(st, off)
-		binary.LittleEndian.PutUint32(st[4:], ln)
-	}
-}
-
-// loadValue reads a min/max value slot of type t into v[i].
-func loadValue(v *vector.Vector, i int, st []byte, t types.DataType, tbl *ht.Table) {
-	switch t.ID {
-	case types.Bool:
-		v.Set(i, st[0] != 0)
-	case types.Int32, types.Date:
-		v.Set(i, int32(binary.LittleEndian.Uint32(st)))
-	case types.Int64, types.Timestamp:
-		v.Set(i, int64(binary.LittleEndian.Uint64(st)))
-	case types.Float64:
-		v.Set(i, math.Float64frombits(binary.LittleEndian.Uint64(st)))
-	case types.Decimal:
-		v.Set(i, loadDec(st))
-	case types.String:
-		off := binary.LittleEndian.Uint32(st)
-		ln := binary.LittleEndian.Uint32(st[4:])
-		v.Set(i, append([]byte(nil), tbl.HeapBytes(off, ln)...))
+		v.I64[i] = int64(binary.LittleEndian.Uint64(st))
 	}
 }
 
@@ -159,59 +115,109 @@ func cmpOrdered[T int32 | int64 | float64](s, x T) int {
 	return 0
 }
 
-// listState holds a variable-size aggregation state: the concatenated
-// elements (each u32-length-prefixed) for collect_list, or the distinct set
-// for count(distinct).
+// listState holds a collect_list state: the concatenated elements, each
+// u32-length-prefixed, and how many there are.
 type listState struct {
-	blob     []byte
-	count    int64
-	distinct map[string]struct{}
+	blob  []byte
+	count int64
 }
 
-// listOf resolves the list state a distinct/collect_list slot points at.
+// listOf resolves the list state a collect_list slot points at.
 func listOf(lists []listState, st []byte) *listState {
 	return &lists[binary.LittleEndian.Uint32(st)]
 }
 
-// initState zeroes a new group's payload and allocates its list states in
-// lists (the operator's, or the partition merge's).
-func (op *HashAggOp) initState(tbl *ht.Table, row int32, lists *[]listState) {
-	p := tbl.PayloadBytes(row)
+// groupState is the state of one grouping epoch: the group table, whose
+// payloads are the fixed-width states; the collect_list states those index;
+// and one set per DISTINCT aggregate. The operator folds input into a live
+// one and rebuilds another from each spilled partition.
+type groupState struct {
+	tbl   *ht.Table
+	lists []listState
+	sets  []distinctSet
+	// indexed: the sets' emission indexes are built (indexDistinct).
+	indexed bool
+}
+
+// distinctSet holds a DISTINCT aggregate's sets for every group at once: one
+// table keyed (group entry id, value), with no payload. A batch's values are
+// resolved with one FindOrInsert and each pair that was new bumps the
+// counter in its group's state, so the sets are only as valid as the group
+// ids: both are reset together.
+type distinctSet struct {
+	tbl *ht.Table
+	// Emission index: order lists the table's entries bucketed by group,
+	// group r's ending at end[r] (and starting where group r-1's end).
+	order, end []int32
+}
+
+// resetGroups gives g empty tables.
+func (op *HashAggOp) resetGroups(g *groupState) {
+	g.tbl = op.newTable(op.keyTypes, op.payloadW)
+	g.lists = g.lists[:0]
+	g.sets = g.sets[:0]
+	for _, info := range op.infos {
+		if info.spec.Distinct { // appended in aggInfo.dist order
+			g.sets = append(g.sets, distinctSet{tbl: op.newTable([]types.DataType{types.Int32Type, info.spec.Arg.Type()}, 0)})
+		}
+	}
+	g.indexed = false
+}
+
+// initState zeroes a new group's payload and allocates its list states.
+func (op *HashAggOp) initState(g *groupState, row int32) {
+	p := g.tbl.PayloadBytes(row)
 	clear(p)
 	for _, info := range op.infos {
-		if info.spec.Distinct || info.spec.Kind == expr.AggCollectList {
-			binary.LittleEndian.PutUint32(p[info.off:], uint32(len(*lists)))
-			ls := listState{}
-			if info.spec.Distinct {
-				ls.distinct = make(map[string]struct{})
-			}
-			*lists = append(*lists, ls)
+		if info.spec.Kind == expr.AggCollectList {
+			binary.LittleEndian.PutUint32(p[info.off:], uint32(len(g.lists)))
+			g.lists = append(g.lists, listState{})
 		}
 	}
 }
 
-// encodeValueKey renders av[i] as a map key for DISTINCT sets.
-func encodeValueKey(av *vector.Vector, i int) string {
-	switch av.Type.ID {
-	case types.String:
-		return string(av.Str[i])
-	case types.Int32, types.Date:
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], uint32(av.I32[i]))
-		return string(b[:])
-	case types.Float64:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(av.F64[i]))
-		return string(b[:])
-	case types.Decimal:
-		var b [16]byte
-		storeDec(b[:], av.Dec[i])
-		return string(b[:])
-	default:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(av.I64[i]))
-		return string(b[:])
+// indexDistinct buckets every set table's entries by group in one counting
+// pass — a group's count is the counter its state already holds — so that
+// partial output and spill can list each group's elements. It runs once no
+// more input can reach g.
+func (op *HashAggOp) indexDistinct(g *groupState) {
+	if g.indexed {
+		return
 	}
+	g.indexed = true
+	groups := g.tbl.NumRows()
+	for _, info := range op.infos {
+		if !info.spec.Distinct {
+			continue
+		}
+		set := &g.sets[info.dist]
+		// Starts first; placing a group's entries advances its start to its end.
+		set.end = make([]int32, groups)
+		next := int32(0)
+		for r := range set.end {
+			set.end[r] = next
+			next += int32(loadCount(g.tbl.PayloadBytes(int32(r))[info.off:]))
+		}
+		set.order = make([]int32, set.tbl.NumRows())
+		for e := range set.order {
+			r := binary.LittleEndian.Uint32(set.tbl.KeyBytes(int32(e), 0))
+			set.order[set.end[r]] = int32(e)
+			set.end[r]++
+		}
+	}
+}
+
+// appendBlob appends group row's set as the partial format's blob of
+// u32-length-prefixed little-endian elements. Needs indexDistinct.
+func (set *distinctSet) appendBlob(blob []byte, row int32) []byte {
+	lo := int32(0)
+	if row > 0 {
+		lo = set.end[row-1]
+	}
+	for _, e := range set.order[lo:set.end[row]] {
+		blob = appendLenPrefixed(blob, set.tbl.KeyBytes(e, 1))
+	}
+	return blob
 }
 
 // encodeListElem renders av[i] as display bytes for collect_list, copied
@@ -226,7 +232,7 @@ func encodeListElem(av *vector.Vector, i int, arena interface{ Copy([]byte) []by
 }
 
 // appendLenPrefixed appends a u32-length-prefixed element to a blob.
-func appendLenPrefixed[T []byte | string](blob []byte, elem T) []byte {
+func appendLenPrefixed(blob, elem []byte) []byte {
 	var l [4]byte
 	binary.LittleEndian.PutUint32(l[:], uint32(len(elem)))
 	blob = append(blob, l[:]...)

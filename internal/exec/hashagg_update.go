@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"math"
 
 	"photon/internal/expr"
@@ -11,15 +12,15 @@ import (
 )
 
 // findGroups hashes the key vectors, resolves every active row's group row
-// in tbl into op.rowIDs through the vectorized hash table, and initializes
+// in g into op.rowIDs through the vectorized hash table, and initializes
 // the states of the groups this batch created. With no keys, every row maps
 // to the single global group row 0 (created on demand).
-func (op *HashAggOp) findGroups(keys []*vector.Vector, b *vector.Batch, tbl *ht.Table, lists *[]listState) error {
+func (op *HashAggOp) findGroups(keys []*vector.Vector, b *vector.Batch, g *groupState) error {
 	n := b.NumRows
 	op.ensureScratch(n)
 	if len(keys) == 0 {
-		if tbl.NumRows() == 0 {
-			if err := op.newGlobalGroup(tbl, lists); err != nil {
+		if g.tbl.NumRows() == 0 {
+			if err := op.newGlobalGroup(g); err != nil {
 				return err
 			}
 		}
@@ -27,25 +28,25 @@ func (op *HashAggOp) findGroups(keys []*vector.Vector, b *vector.Batch, tbl *ht.
 		return nil
 	}
 	hashKeyVectorsScratch(keys, b.Sel, n, op.hashes, &op.lanes)
-	if err := tbl.FindOrInsert(keys, op.hashes, b.Sel, n, op.rowIDs, op.inserted); err != nil {
+	if err := g.tbl.FindOrInsert(keys, op.hashes, b.Sel, n, op.rowIDs, op.inserted); err != nil {
 		return err
 	}
 	apply(b.Sel, n, func(i int32) {
 		if op.inserted[i] {
-			op.initState(tbl, op.rowIDs[i], lists)
+			op.initState(g, op.rowIDs[i])
 		}
 	})
 	return nil
 }
 
 // newGlobalGroup creates the single group row of a keyless aggregation.
-func (op *HashAggOp) newGlobalGroup(tbl *ht.Table, lists *[]listState) error {
+func (op *HashAggOp) newGlobalGroup(g *groupState) error {
 	ids := []int32{0}
 	ins := []bool{false}
-	if err := tbl.FindOrInsert(nil, []uint64{0}, nil, 1, ids, ins); err != nil {
+	if err := g.tbl.FindOrInsert(nil, []uint64{0}, nil, 1, ids, ins); err != nil {
 		return err
 	}
-	op.initState(tbl, 0, lists)
+	op.initState(g, 0)
 	return nil
 }
 
@@ -152,7 +153,7 @@ func (op *HashAggOp) updateBatch(b *vector.Batch) error {
 			}
 		}
 	}()
-	if err := op.findGroups(op.keyVecs, b, op.tbl, &op.lists); err != nil {
+	if err := op.findGroups(op.keyVecs, b, &op.groupState); err != nil {
 		return err
 	}
 	// Every decimal sum/avg folds in one fused pass; the other aggregates
@@ -187,12 +188,12 @@ func (op *HashAggOp) updateAgg(b *vector.Batch, info aggInfo) error {
 	}
 	switch {
 	case info.spec.Distinct:
-		s := op.slotsOf(info, av, op.tbl)
-		apply(b.Sel, b.NumRows, func(i int32) {
-			if st := s.at(i); st != nil {
-				listOf(op.lists, st).distinct[encodeValueKey(av, int(i))] = struct{}{}
-			}
-		})
+		sel := b.Sel
+		if av.HasNulls() {
+			op.setSel = kernels.SelIsNotNull(av.Nulls, true, b.Sel, b.NumRows, op.setSel[:0])
+			sel = op.setSel
+		}
+		return op.foldDistinct(info, &op.groupState, op.gids, av, sel, b.NumRows)
 	case info.spec.Kind == expr.AggCollectList:
 		s := op.slotsOf(info, av, op.tbl)
 		apply(b.Sel, b.NumRows, func(i int32) {
@@ -208,33 +209,90 @@ func (op *HashAggOp) updateAgg(b *vector.Batch, info aggInfo) error {
 	return nil
 }
 
-// mergeBatch folds a batch of partial states (AggFinal input, or spilled
-// partition rows) into tbl. Apart from the blob-shaped list states, a merge
-// is the raw update fed the partial columns: the value column in place of
-// the evaluated argument, the *_cnt column in place of "one per row".
-func (op *HashAggOp) mergeBatch(b *vector.Batch, tbl *ht.Table, lists *[]listState) error {
-	// Key columns are the first len(keyTypes) columns of the partial schema.
-	col := len(op.keyTypes)
-	if err := op.findGroups(b.Vecs[:col], b, tbl, lists); err != nil {
+// foldDistinct resolves n (group id, value) pairs through the aggregate's set
+// table and counts, in each group's state, the pairs that were new. Raw
+// input (the batch's group ids beside the argument) and merged blobs
+// (expanded back into pairs) both come here; sel must skip NULL values.
+func (op *HashAggOp) foldDistinct(info aggInfo, g *groupState, gids, vals *vector.Vector, sel []int32, n int) error {
+	// The group lookup is done with op.hashes and op.inserted; only its ids
+	// (the gids column, when the input is raw) are still needed.
+	keys := []*vector.Vector{gids, vals}
+	hashKeyVectorsScratch(keys, sel, n, op.hashes, &op.lanes)
+	if err := g.sets[info.dist].tbl.FindOrInsert(keys, op.hashes, sel, n, op.setIDs, op.inserted); err != nil {
 		return err
 	}
+	apply(sel, n, func(i int32) {
+		if op.inserted[i] {
+			addCount(g.tbl.PayloadBytes(gids.I32[i])[info.off:], 1)
+		}
+	})
+	return nil
+}
+
+// mergeDistinct folds a column of partial blobs into the set table: every
+// u32-length-prefixed element becomes a (group id, value) pair again, a
+// scratch vector's worth at a time.
+func (op *HashAggOp) mergeDistinct(info aggInfo, g *groupState, blobs *vector.Vector, b *vector.Batch) error {
+	size := op.tc.Pool.BatchSize()
+	if op.mergeGids == nil {
+		op.mergeGids = vector.New(types.Int32Type, size)
+		op.mergeVals = make([]*vector.Vector, op.numDistinct)
+	}
+	if op.mergeVals[info.dist] == nil {
+		op.mergeVals[info.dist] = vector.New(info.spec.Arg.Type(), size)
+	}
+	gids, vals := op.mergeGids, op.mergeVals[info.dist]
+	k := 0
+	for j, n := 0, b.NumActive(); j < n; j++ {
+		i := b.RowIndex(j)
+		if blobs.Nulls[i] != 0 {
+			continue
+		}
+		for blob := blobs.Str[i]; len(blob) >= 4; {
+			l := 4 + binary.LittleEndian.Uint32(blob)
+			elem := blob[4:l]
+			blob = blob[l:]
+			gids.I32[k] = op.rowIDs[i]
+			if vals.Type.ID == types.String {
+				vals.Str[k] = elem
+			} else {
+				g.tbl.GetValue(elem, vals, k)
+			}
+			if k++; k == size {
+				if err := op.foldDistinct(info, g, gids, vals, nil, k); err != nil {
+					return err
+				}
+				k = 0
+			}
+		}
+	}
+	return op.foldDistinct(info, g, gids, vals, nil, k)
+}
+
+// mergeBatch folds a batch of partial states (AggFinal input, or spilled
+// partition rows) into g. Apart from the blob-shaped states, a merge is the
+// raw update fed the partial columns: the value column in place of the
+// evaluated argument, the *_cnt column in place of "one per row".
+func (op *HashAggOp) mergeBatch(b *vector.Batch, g *groupState) error {
+	// Key columns are the first len(keyTypes) columns of the partial schema.
+	col := len(op.keyTypes)
+	if err := op.findGroups(b.Vecs[:col], b, g); err != nil {
+		return err
+	}
+	tbl := g.tbl
 	for _, info := range op.infos {
 		v := b.Vecs[col]
 		col++
 		switch {
 		case info.spec.Distinct:
-			s := op.slotsOf(info, v, tbl)
-			apply(b.Sel, b.NumRows, func(i int32) {
-				if st := s.at(i); st != nil {
-					set := listOf(*lists, st).distinct
-					iterLenPrefixed(v.Str[i], func(elem []byte) { set[string(elem)] = struct{}{} })
-				}
-			})
+			if err := op.mergeDistinct(info, g, v, b); err != nil {
+				return err
+			}
 		case info.spec.Kind == expr.AggCollectList:
 			s := op.slotsOf(info, v, tbl)
 			apply(b.Sel, b.NumRows, func(i int32) {
 				if st := s.at(i); st != nil {
-					ls := listOf(*lists, st)
+					ls := listOf(g.lists, st)
 					ls.blob = append(ls.blob, v.Str[i]...)
 					iterLenPrefixed(v.Str[i], func([]byte) { ls.count++ })
 				}
@@ -256,16 +314,16 @@ func (op *HashAggOp) mergeBatch(b *vector.Batch, tbl *ht.Table, lists *[]listSta
 type slots struct {
 	nulls       []byte // the value column's NULL bytes; nil when it has none
 	rowIDs      []int32
-	slab        []byte
+	pages       [][]byte
 	off, stride int
 }
 
-// slotsOf addresses info's states in tbl for the rows in op.rowIDs. The
-// payload slab is only valid until the next insert, which findGroups has
-// already done for the batch.
+// slotsOf addresses info's states in tbl for the rows in op.rowIDs. The page
+// list is a snapshot taken after the batch's inserts, which findGroups has
+// already done.
 func (op *HashAggOp) slotsOf(info aggInfo, val *vector.Vector, tbl *ht.Table) slots {
-	slab, keyOff, stride := tbl.PayloadSlab()
-	s := slots{rowIDs: op.rowIDs, slab: slab, off: keyOff + info.off, stride: stride}
+	pages, keyOff, stride := tbl.PayloadPages()
+	s := slots{rowIDs: op.rowIDs, pages: pages, off: keyOff + info.off, stride: stride}
 	if val != nil && val.HasNulls() {
 		s.nulls = val.Nulls
 	}
@@ -278,7 +336,8 @@ func (s *slots) at(i int32) []byte {
 	if s.nulls != nil && s.nulls[i] != 0 {
 		return nil
 	}
-	return s.slab[int(s.rowIDs[i])*s.stride+s.off:]
+	r := s.rowIDs[i]
+	return s.pages[r>>ht.PageShift][int(r&ht.PageMask)*s.stride+s.off:]
 }
 
 // rowsAt is how many input rows row i stands for: one for raw input
@@ -343,7 +402,7 @@ func (op *HashAggOp) foldAgg(b *vector.Batch, info aggInfo, val *vector.Vector, 
 			st := s.at(i)
 			if st != nil && (st[0] == 0 || cmpValue(st[1:], val, int(i), tbl) > 0 == isMin) {
 				st[0] = 1
-				storeValue(st[1:], val, int(i), tbl)
+				tbl.PutValue(st[1:], val, int(i))
 			}
 		})
 	}
@@ -469,11 +528,12 @@ func (op *HashAggOp) sumDecimalRows(args []decSumAgg, b *vector.Batch, tbl *ht.T
 	if len(args) == 0 {
 		return
 	}
-	slab, keyOff, stride := tbl.PayloadSlab()
+	pages, keyOff, stride := tbl.PayloadPages()
 	n, rowIDs := b.NumActive(), op.rowIDs
 	for j := 0; j < n; j++ {
 		i := b.RowIndex(j)
-		base := int(rowIDs[i])*stride + keyOff
+		r := rowIDs[i]
+		p := pages[r>>ht.PageShift][int(r&ht.PageMask)*stride+keyOff:]
 		for a := range args {
 			ag := &args[a]
 			if ag.nulls != nil && ag.nulls[i] != 0 {
@@ -489,7 +549,7 @@ func (op *HashAggOp) sumDecimalRows(args []decSumAgg, b *vector.Batch, tbl *ht.T
 			if ag.cnt != nil {
 				c = ag.cnt[i]
 			}
-			addDecSum(slab[base+ag.off:], x, c)
+			addDecSum(p[ag.off:], x, c)
 		}
 	}
 }
@@ -552,7 +612,6 @@ func (op *HashAggOp) preAggDecimalSums(pre []decSumAgg, b *vector.Batch) (escape
 	// Pass 2, per distinct source: one tight accumulation loop, overflow
 	// tracked in a register (the sign bit of ovf) rather than per row, then
 	// the fold of that scratch column into each of its aggregates' states.
-	slab, keyOff, stride := op.tbl.PayloadSlab()
 	for s, ca := range srcAgg {
 		ovf := accumulateScratch(&pre[ca], b.Sel, b.NumRows, rowIDs, acc, nS, s)
 		for a := range pre {
@@ -565,7 +624,7 @@ func (op *HashAggOp) preAggDecimalSums(pre []decSumAgg, b *vector.Batch) (escape
 				op.sumDecimalRows(pre[a:a+1], b, op.tbl)
 			default:
 				for _, rid := range touched {
-					st := slab[int(rid)*stride+keyOff+pre[a].off:]
+					st := op.tbl.PayloadBytes(rid)[pre[a].off:]
 					addDecSum(st, types.SignExtend64(acc[int(rid)*nS+s]), cnt[rid])
 				}
 			}

@@ -1,9 +1,7 @@
 package exec
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 
 	"photon/internal/expr"
@@ -322,21 +320,12 @@ func (op *HashJoinOp) insertBuildRows(b *vector.Batch, tbl *ht.Table, sel []int3
 		return err
 	}
 	// Encode payload (full build row) for each inserted entry.
-	encode := func(i int32) {
+	apply(sel, n, func(i int32) {
 		p := tbl.PayloadBytes(op.rowIDs[i])
 		for c, v := range b.Vecs {
-			encodeSlot(p[op.buildOffs[c]:], v, int(i), tbl)
+			tbl.PutSlot(p[op.buildOffs[c]:], v, int(i))
 		}
-	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			encode(int32(i))
-		}
-	} else {
-		for _, i := range sel {
-			encode(i)
-		}
-	}
+	})
 	return nil
 }
 
@@ -369,63 +358,6 @@ func (op *HashJoinOp) nonNullKeySel(b *vector.Batch, collectNull *[]int32) []int
 	return out
 }
 
-// encodeSlot writes v[i] into a (null byte + value) row slot, spilling
-// var-len bytes to the table heap.
-func encodeSlot(slot []byte, v *vector.Vector, i int, tbl *ht.Table) {
-	if v.Nulls[i] != 0 {
-		slot[0] = 1
-		return
-	}
-	slot[0] = 0
-	dst := slot[1:]
-	switch v.Type.ID {
-	case types.Bool:
-		dst[0] = v.Bool[i]
-	case types.Int32, types.Date:
-		binary.LittleEndian.PutUint32(dst, uint32(v.I32[i]))
-	case types.Int64, types.Timestamp:
-		binary.LittleEndian.PutUint64(dst, uint64(v.I64[i]))
-	case types.Float64:
-		binary.LittleEndian.PutUint64(dst, math.Float64bits(v.F64[i]))
-	case types.Decimal:
-		binary.LittleEndian.PutUint64(dst, v.Dec[i].Lo)
-		binary.LittleEndian.PutUint64(dst[8:], uint64(v.Dec[i].Hi))
-	case types.String:
-		off, ln := tbl.AppendHeap(v.Str[i])
-		binary.LittleEndian.PutUint32(dst, off)
-		binary.LittleEndian.PutUint32(dst[4:], ln)
-	}
-}
-
-// decodeSlot reads a row slot into v[i].
-func decodeSlot(slot []byte, t types.DataType, v *vector.Vector, i int, tbl *ht.Table) {
-	if slot[0] != 0 {
-		v.SetNull(i)
-		return
-	}
-	v.Nulls[i] = 0
-	src := slot[1:]
-	switch t.ID {
-	case types.Bool:
-		v.Bool[i] = src[0]
-	case types.Int32, types.Date:
-		v.I32[i] = int32(binary.LittleEndian.Uint32(src))
-	case types.Int64, types.Timestamp:
-		v.I64[i] = int64(binary.LittleEndian.Uint64(src))
-	case types.Float64:
-		v.F64[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
-	case types.Decimal:
-		v.Dec[i] = types.Decimal128{
-			Lo: binary.LittleEndian.Uint64(src),
-			Hi: int64(binary.LittleEndian.Uint64(src[8:])),
-		}
-	case types.String:
-		off := binary.LittleEndian.Uint32(src)
-		ln := binary.LittleEndian.Uint32(src[4:])
-		v.Str[i] = tbl.HeapBytes(off, ln)
-	}
-}
-
 const gracePartitions = 16
 
 // spillBuild is the memory-consumer callback: dump the current table's rows
@@ -443,14 +375,13 @@ func (op *HashJoinOp) spillBuild(need int64) (int64, error) {
 	for p := range batches {
 		batches[p] = vector.NewBatch(rs, op.tc.Pool.BatchSize())
 	}
-	hashes := op.tbl.RowHashes()
 	for row := 0; row < op.tbl.NumRows(); row++ {
-		p := int(kernels.Mix64(hashes[row]) % gracePartitions)
+		p := int(kernels.Mix64(op.tbl.RowHash(int32(row))) % gracePartitions)
 		b := batches[p]
 		i := b.NumRows
 		pay := op.tbl.PayloadBytes(int32(row))
-		for c, t := range op.buildTypes {
-			decodeSlot(pay[op.buildOffs[c]:], t, b.Vecs[c], i, op.tbl)
+		for c := range op.buildTypes {
+			op.tbl.GetSlot(pay[op.buildOffs[c]:], b.Vecs[c], i)
 		}
 		b.NumRows++
 		if b.NumRows == b.Capacity() {

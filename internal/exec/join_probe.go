@@ -347,16 +347,11 @@ func (op *HashJoinOp) fillBuildCols(b *vector.Batch, matched []int32) {
 			op.fmBuild[c] = vector.New(t, b.Capacity())
 		}
 	}
-	for c, t := range op.buildTypes {
-		v := op.fmBuild[c]
-		// Clear NULL flags on the rows we are about to write.
-		for _, i := range matched {
-			v.Nulls[i] = 0
-		}
-		v.SetHasNulls(false)
+	for c, v := range op.fmBuild {
+		v.SetHasNulls(false) // GetSlot writes each row's NULL byte and raises the flag again
 		for _, i := range matched {
 			pay := op.tbl.PayloadBytes(op.rowIDs[i])
-			decodeSlot(pay[op.buildOffs[c]:], t, v, int(i), op.tbl)
+			op.tbl.GetSlot(pay[op.buildOffs[c]:], v, int(i))
 		}
 	}
 }
@@ -566,8 +561,8 @@ func (op *HashJoinOp) emitMatches() bool {
 					out.Vecs[c].CopyRow(o, v, int(i))
 				}
 				pay := op.tbl.PayloadBytes(row)
-				for c, t := range op.buildTypes {
-					decodeSlot(pay[op.buildOffs[c]:], t, out.Vecs[leftW+c], o, op.tbl)
+				for c := range op.buildTypes {
+					op.tbl.GetSlot(pay[op.buildOffs[c]:], out.Vecs[leftW+c], o)
 				}
 				out.NumRows++
 			}

@@ -502,3 +502,55 @@ func TestGuardAbortKeepsEarlierEntries(t *testing.T) {
 		})
 	}
 }
+
+// TestEmptyStringBehindFullHeapPage stores an empty string when the heap page
+// before it is exactly full — a page of 8-byte keys filled to its last byte,
+// and a value longer than a page, which owns a page of its own length — and
+// requires every key, the empty one included, to read back and be found, both
+// while the empty string is the heap's last value and after another follows.
+func TestEmptyStringBehindFullHeapPage(t *testing.T) {
+	fill := make([]string, heapPageSize/8)
+	for i := range fill {
+		fill[i] = fmt.Sprintf("%08d", i)
+	}
+	for name, before := range map[string][]string{
+		"full page":     fill,
+		"oversize page": {string(bytes.Repeat([]byte{'x'}, heapPageSize+904))},
+	} {
+		t.Run(name, func(t *testing.T) {
+			want := append(append([]string{}, before...), "", "after")
+			n := len(want)
+			key := vector.New(types.StringType, n)
+			hashes := make([]uint64, n)
+			for i, s := range want {
+				key.Str[i] = []byte(s)
+				h := fnv.New64a()
+				h.Write(key.Str[i])
+				hashes[i] = h.Sum64()
+			}
+			keys := []*vector.Vector{key}
+			tbl := New([]types.DataType{types.StringType}, 0)
+			ids, found := make([]int32, n), make([]int32, n)
+			out := vector.New(types.StringType, 1)
+			for _, upTo := range []int{n - 1, n} {
+				if err := tbl.FindOrInsert(keys, hashes, nil, upTo, ids, make([]bool, n)); err != nil {
+					t.Fatal(err)
+				}
+				if err := tbl.Find(keys, hashes, nil, upTo, found); err != nil {
+					t.Fatal(err)
+				}
+				if tbl.Len() != upTo {
+					t.Fatalf("%d keys after inserting %d distinct ones", tbl.Len(), upTo)
+				}
+				for i, s := range want[:upTo] {
+					if found[i] != ids[i] {
+						t.Fatalf("key %d (%d bytes): entry %d, found %d", i, len(s), ids[i], found[i])
+					}
+					if tbl.ReadKey(ids[i], 0, out, 0); out.Nulls[0] != 0 || string(out.Str[0]) != s {
+						t.Fatalf("key %d reads back as %d bytes, want %d", i, len(out.Str[0]), len(s))
+					}
+				}
+			}
+		})
+	}
+}

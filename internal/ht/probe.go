@@ -59,13 +59,13 @@ func (t *Table) FindOrInsert(keys []*vector.Vector, hashes []uint64, sel []int32
 				row := t.appendRow(hashes[i])
 				t.storeKey(row, keys, int(i))
 				t.buckets[s] = row
-				t.headRows = append(t.headRows, row)
+				t.numHeads++
 				rowIDs[i] = row
 				inserted[i] = true
 				continue
 			}
 			// Column-by-column key comparison.
-			if t.rowHash[cand] == hashes[i] && t.keyEqual(cand, keys, int(i)) {
+			if t.RowHash(cand) == hashes[i] && t.keyEqual(cand, keys, int(i)) {
 				rowIDs[i] = cand
 				continue
 			}
@@ -90,12 +90,12 @@ func (t *Table) FindOrInsert(keys []*vector.Vector, hashes []uint64, sel []int32
 				row := t.appendRow(hashes[i])
 				t.storeKey(row, keys, int(i))
 				t.buckets[s] = row
-				t.headRows = append(t.headRows, row)
+				t.numHeads++
 				rowIDs[i] = row
 				inserted[i] = true
 				continue
 			}
-			if t.rowHash[cand] == hashes[i] && t.keyEqual(cand, keys, int(i)) {
+			if t.RowHash(cand) == hashes[i] && t.keyEqual(cand, keys, int(i)) {
 				rowIDs[i] = cand
 				continue
 			}
@@ -141,7 +141,7 @@ func (t *Table) Find(keys []*vector.Vector, hashes []uint64, sel []int32, n int,
 					rowIDs[i] = emptyBucket
 					continue
 				}
-				if rowHash[c] == hashes[i] && t.keyEqual(c, keys, i) {
+				if rowHash[c>>PageShift][c&PageMask] == hashes[i] && t.keyEqual(c, keys, i) {
 					rowIDs[i] = c
 					continue
 				}
@@ -169,7 +169,7 @@ func (t *Table) Find(keys []*vector.Vector, hashes []uint64, sel []int32, n int,
 					rowIDs[i] = emptyBucket
 					continue
 				}
-				if rowHash[c] == hashes[i] && t.keyEqual(c, keys, int(i)) {
+				if rowHash[c>>PageShift][c&PageMask] == hashes[i] && t.keyEqual(c, keys, int(i)) {
 					rowIDs[i] = c
 					continue
 				}
@@ -191,7 +191,7 @@ func (t *Table) Find(keys []*vector.Vector, hashes []uint64, sel []int32, n int,
 				rowIDs[i] = emptyBucket
 				continue
 			}
-			if t.rowHash[c] == hashes[i] && t.keyEqual(c, keys, int(i)) {
+			if t.RowHash(c) == hashes[i] && t.keyEqual(c, keys, int(i)) {
 				rowIDs[i] = c
 				continue
 			}
@@ -218,7 +218,7 @@ func (t *Table) FindScalar(keys []*vector.Vector, hashes []uint64, sel []int32, 
 				rowIDs[i] = emptyBucket
 				return
 			}
-			if t.rowHash[cand] == hashes[i] && t.keyEqual(cand, keys, int(i)) {
+			if t.RowHash(cand) == hashes[i] && t.keyEqual(cand, keys, int(i)) {
 				rowIDs[i] = cand
 				return
 			}
@@ -254,8 +254,9 @@ func (t *Table) InsertDup(keys []*vector.Vector, hashes []uint64, sel []int32, n
 		t.storeKey(row, keys, int(i))
 		// Push-front keeps linking O(1); match order is not defined for
 		// hash joins.
-		t.next[row] = t.next[head]
-		t.next[head] = row
+		link := &t.next[head>>PageShift][head&PageMask]
+		t.next[row>>PageShift][row&PageMask] = *link
+		*link = row
 		rowIDs[i] = row
 	}
 	if sel == nil {
@@ -271,12 +272,16 @@ func (t *Table) InsertDup(keys []*vector.Vector, hashes []uint64, sel []int32, n
 }
 
 // Next returns the next entry in row's duplicate chain, or -1.
-func (t *Table) Next(row int32) int32 { return t.next[row] }
+func (t *Table) Next(row int32) int32 { return t.next[row>>PageShift][row&PageMask] }
 
-// maybeGrowFor grows the bucket directory if inserting up to n new keys
-// could exceed the load factor.
+// maybeGrowFor grows the bucket directory, in one step, if inserting up to n
+// new keys could exceed the load factor.
 func (t *Table) maybeGrowFor(n int) {
-	for float64(len(t.headRows)+n) > loadFactor*float64(len(t.buckets)) {
-		t.grow()
+	size := uint64(len(t.buckets))
+	for float64(t.numHeads+n) > loadFactor*float64(size) {
+		size *= 2
+	}
+	if size > uint64(len(t.buckets)) {
+		t.grow(size)
 	}
 }

@@ -13,9 +13,17 @@
 // Entries are stored as rows (null byte + fixed-width value per key column,
 // then an opaque payload region), so a single entry index represents a
 // composite key. Variable-length key bytes live in a table-owned heap;
-// the row stores (offset, length). Row hashes are retained so growing the
-// table rebuilds the bucket directory without touching row data ("avoiding
-// copies during hash table resizing", §6.2).
+// the row stores (offset, length).
+//
+// Nothing the table stores per entry is ever reallocated ("avoiding copies
+// during hash table resizing", §6.2). Rows, retained hashes and chain links
+// live in pages of pageRows entries, the heap in pages of heapPageSize
+// bytes; a page is allocated once, entry row sits in page row>>PageShift at
+// index row&PageMask for the table's lifetime, and growing the table means
+// allocating the next page. Only the first page of each kind starts small
+// and doubles until it is a full page, so a five-row table costs five rows.
+// Row hashes are retained so that growing the bucket directory — the one
+// structure that is rebuilt — re-links entries without touching row data.
 package ht
 
 import (
@@ -39,6 +47,28 @@ const (
 	// guardRows bounds how many rows a probe/insert loop may process between
 	// Guard invocations.
 	guardRows = 64 << 10
+
+	// Entry storage is paged by entry count, so one shift and mask address an
+	// entry's row, hash and chain link alike. 256 entries keep a page of
+	// typical rows (17–105 bytes) inside Go's small-object size classes: it
+	// comes from the allocating P's cache without the heap lock, a table
+	// over-allocates at most one page (a few KB), and the only entries ever
+	// copied are the fewer than 256 of a first page still doubling.
+	PageShift = 8
+	pageRows  = 1 << PageShift
+	PageMask  = pageRows - 1
+	// firstPageRows is the capacity the first entry page starts with.
+	firstPageRows = 8
+
+	// The var-len heap is paged by bytes. A value never straddles pages (at
+	// 4 KB that strands well under 2% behind 50-byte values) and one longer
+	// than a page gets a page of its own length.
+	heapShift     = 12
+	heapPageSize  = 1 << heapShift
+	heapMask      = heapPageSize - 1
+	firstHeapPage = 64
+
+	sliceHeaderBytes = 24
 )
 
 // Table is a vectorized open-addressing hash table with quadratic probing.
@@ -57,14 +87,16 @@ type Table struct {
 	buckets []int32
 	mask    uint64
 
-	fixed   []byte   // rowWidth bytes per entry
-	rowHash []uint64 // retained hash per entry
-	next    []int32  // duplicate chain per entry (join build), -1 terminated
-	numRows int
+	rows     [][]byte   // entry pages, rowWidth bytes per entry
+	rowHash  [][]uint64 // retained hash per entry
+	next     [][]int32  // duplicate chain per entry (join build), -1 terminated
+	numRows  int
+	capRows  int // entries the allocated pages hold
+	numHeads int // chain-head entries, i.e. distinct keys
 
-	heap []byte // variable-length key/payload bytes
+	heap [][]byte // variable-length key/payload bytes; len = bytes used
 
-	headRows []int32 // chain-head entries, i.e. one per distinct key
+	pageBytes int64 // bytes allocated in entry and heap pages
 
 	guardCtr int // rows processed since the last Guard call
 
@@ -104,64 +136,100 @@ func New(keyTypes []types.DataType, payloadWidth int) *Table {
 	return t
 }
 
-// Len returns the number of distinct keys (chain heads).
-func (t *Table) Len() int { return len(t.headRows) }
-
-// HeadRows returns the chain-head entry ids, one per distinct key. The
-// slice is owned by the table; callers must not modify it.
-func (t *Table) HeadRows() []int32 { return t.headRows }
+// Len returns the number of distinct keys (chain heads). A table filled only
+// through FindOrInsert has no duplicates: its entries are 0..Len()-1, in
+// insertion order.
+func (t *Table) Len() int { return t.numHeads }
 
 // NumRows returns the total number of stored entries including duplicates.
 func (t *Table) NumRows() int { return t.numRows }
 
-// RowHashes exposes the retained per-entry key hashes (used by operators to
+// RowHash returns the retained key hash of an entry (used by operators to
 // partition spilled state consistently across spill epochs).
-func (t *Table) RowHashes() []uint64 { return t.rowHash }
+func (t *Table) RowHash(row int32) uint64 { return t.rowHash[row>>PageShift][row&PageMask] }
 
-// MemoryUsage approximates the table's footprint in bytes.
+// MemoryUsage is the bytes the table has allocated and still holds: entry,
+// hash, chain and heap pages at their capacity, the page lists, the bucket
+// directory and the probe scratch. Growing the directory briefly holds the
+// old one beside the new; nothing else is ever held twice.
 func (t *Table) MemoryUsage() int64 {
-	return int64(len(t.fixed)) + int64(len(t.buckets))*4 +
-		int64(len(t.rowHash))*8 + int64(len(t.next))*4 + int64(len(t.heap))
+	lists := cap(t.rows) + cap(t.rowHash) + cap(t.next) + cap(t.heap)
+	scratch := cap(t.cand) + cap(t.slots) + cap(t.step) + cap(t.pending) + cap(t.scratch)
+	return t.pageBytes + int64(lists)*sliceHeaderBytes + int64(len(t.buckets)+scratch)*4
 }
 
 // PayloadBytes returns the payload region of an entry row for in-place
-// reads/writes by operators (aggregation states, join build columns).
+// reads/writes by operators (aggregation states, join build columns). The
+// slice stays valid while the table lives, except that entries of a table
+// still smaller than one page move when that first page doubles.
 func (t *Table) PayloadBytes(row int32) []byte {
-	base := int(row)*t.rowWidth + t.keyWidth
-	return t.fixed[base : base+t.rowWidth-t.keyWidth]
+	base := int(row&PageMask)*t.rowWidth + t.keyWidth
+	return t.rows[row>>PageShift][base : base+t.rowWidth-t.keyWidth]
 }
 
-// PayloadSlab exposes the flat row storage for batched in-place payload
-// updates: row r's payload starts at slab[r*stride+keyOff]. The slab is
-// only valid until the next insert (growth reallocates it), so callers must
-// resolve groups for the whole batch before touching it.
-func (t *Table) PayloadSlab() (slab []byte, keyOff, stride int) {
-	return t.fixed, t.keyWidth, t.rowWidth
+// PayloadPages exposes the entry pages for batched in-place payload updates:
+// entry r's payload starts at pages[r>>PageShift][int(r&PageMask)*stride+keyOff].
+// The page list is a snapshot, to be taken after the batch's inserts: an
+// insert may add a page or replace a first page that is still doubling.
+func (t *Table) PayloadPages() (pages [][]byte, keyOff, stride int) {
+	return t.rows, t.keyWidth, t.rowWidth
 }
 
 // HeapBytes resolves a (offset, length) reference into the var-len heap.
 func (t *Table) HeapBytes(off, ln uint32) []byte {
-	return t.heap[off : off+ln]
+	o := off & heapMask
+	return t.heap[off>>heapShift][o : o+ln]
 }
 
 // AppendHeap copies b into the table heap, returning its (offset, length).
+// A value never straddles pages, and a full page takes nothing more, not even
+// an empty value: its end offset would read as the start of the next page.
 func (t *Table) AppendHeap(b []byte) (uint32, uint32) {
-	off := uint32(len(t.heap))
-	t.heap = append(t.heap, b...)
+	last := len(t.heap) - 1
+	if last < 0 || len(t.heap[last])+len(b) >= cap(t.heap[last]) {
+		last = t.growHeap(len(b))
+	}
+	p := t.heap[last]
+	off := uint32(last)<<heapShift | uint32(len(p))
+	t.heap[last] = append(p, b...)
 	return off, uint32(len(b))
 }
 
-func (t *Table) grow() {
-	newSize := uint64(len(t.buckets)) * 2
+// growHeap makes the last heap page one with room for need more bytes and
+// returns its index.
+func (t *Table) growHeap(need int) int {
+	last := len(t.heap) - 1
+	if last == 0 && cap(t.heap[0]) < heapPageSize && len(t.heap[0])+need <= heapPageSize {
+		old := t.heap[0]
+		p := make([]byte, len(old), min(heapPageSize, max(2*cap(old), len(old)+need)))
+		copy(p, old)
+		t.pageBytes += int64(cap(p) - cap(old))
+		t.heap[0] = p
+		return 0
+	}
+	size := heapPageSize
+	if last < 0 {
+		size = firstHeapPage
+	}
+	size = max(size, need) // a longer value gets a page of its own
+	if last+1 >= 1<<(32-heapShift) {
+		panic("ht: var-len heap outgrew its 32-bit references")
+	}
+	t.heap = append(t.heap, make([]byte, 0, size))
+	t.pageBytes += int64(size)
+	return last + 1
+}
+
+// grow rebuilds the bucket directory at newSize slots.
+func (t *Table) grow(newSize uint64) {
 	buckets := make([]int32, newSize)
 	for i := range buckets {
 		buckets[i] = emptyBucket
 	}
 	mask := newSize - 1
 	// Re-link every chain head into the new directory using retained hashes.
-	for _, row := range t.headRows {
-		h := t.rowHash[row]
-		slot := h & mask
+	relink := func(row int32) {
+		slot := t.RowHash(row) & mask
 		step := uint64(1)
 		for buckets[slot] != emptyBucket {
 			slot = (slot + step) & mask
@@ -169,50 +237,133 @@ func (t *Table) grow() {
 		}
 		buckets[slot] = row
 	}
+	if t.numHeads == t.numRows {
+		// No duplicates: every entry is a head, walked in storage order.
+		for row := int32(0); row < int32(t.numRows); row++ {
+			relink(row)
+		}
+	} else {
+		for _, row := range t.buckets {
+			if row != emptyBucket {
+				relink(row)
+			}
+		}
+	}
 	t.buckets = buckets
 	t.mask = mask
 }
 
 // appendRow reserves a new entry row, storing its hash, and returns its id.
 func (t *Table) appendRow(h uint64) int32 {
+	if t.numRows == t.capRows {
+		t.growRows()
+	}
 	row := int32(t.numRows)
 	t.numRows++
-	t.fixed = append(t.fixed, make([]byte, t.rowWidth)...)
-	t.rowHash = append(t.rowHash, h)
-	t.next = append(t.next, emptyBucket)
+	t.rowHash[row>>PageShift][row&PageMask] = h
 	return row
+}
+
+// growRows adds entry capacity: the next full page or, while the first page
+// is smaller than one, a first page of twice the size — the only time stored
+// entries are copied.
+func (t *Table) growRows() {
+	n, first := pageRows, t.capRows < pageRows
+	if first {
+		n = max(firstPageRows, 2*t.capRows)
+	}
+	rows, hashes, next := make([]byte, n*t.rowWidth), make([]uint64, n), make([]int32, n)
+	for i := range next {
+		next[i] = emptyBucket
+	}
+	if first && t.capRows > 0 {
+		copy(rows, t.rows[0])
+		copy(hashes, t.rowHash[0])
+		copy(next, t.next[0])
+		t.rows[0], t.rowHash[0], t.next[0] = rows, hashes, next
+		n -= t.capRows
+	} else {
+		t.rows, t.rowHash, t.next = append(t.rows, rows), append(t.rowHash, hashes), append(t.next, next)
+	}
+	t.capRows += n
+	t.pageBytes += int64(n) * int64(t.rowWidth+8+4)
+}
+
+// Slots and values. A slot is a null byte followed by a value; a value is
+// the fixed-width value little-endian or, for a string, an (offset, length)
+// reference into the table heap. Key columns are slots, and operators lay
+// their payloads out with the same two routines (join build columns are
+// slots, min/max states are values).
+
+// PutValue writes the non-NULL v[i] at dst, copying a string into the heap.
+func (t *Table) PutValue(dst []byte, v *vector.Vector, i int) {
+	switch v.Type.ID {
+	case types.Bool:
+		dst[0] = v.Bool[i]
+	case types.Int32, types.Date:
+		binary.LittleEndian.PutUint32(dst, uint32(v.I32[i]))
+	case types.Int64, types.Timestamp:
+		binary.LittleEndian.PutUint64(dst, uint64(v.I64[i]))
+	case types.Float64:
+		binary.LittleEndian.PutUint64(dst, math.Float64bits(v.F64[i]))
+	case types.Decimal:
+		binary.LittleEndian.PutUint64(dst, v.Dec[i].Lo)
+		binary.LittleEndian.PutUint64(dst[8:], uint64(v.Dec[i].Hi))
+	case types.String:
+		o, l := t.AppendHeap(v.Str[i])
+		binary.LittleEndian.PutUint32(dst, o)
+		binary.LittleEndian.PutUint32(dst[4:], l)
+	}
+}
+
+// GetValue reads the value at src into v[i] and marks it non-NULL. A string
+// aliases the heap, which keeps it for as long as the table lives.
+func (t *Table) GetValue(src []byte, v *vector.Vector, i int) {
+	v.Nulls[i] = 0
+	switch v.Type.ID {
+	case types.Bool:
+		v.Bool[i] = src[0]
+	case types.Int32, types.Date:
+		v.I32[i] = int32(binary.LittleEndian.Uint32(src))
+	case types.Int64, types.Timestamp:
+		v.I64[i] = int64(binary.LittleEndian.Uint64(src))
+	case types.Float64:
+		v.F64[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
+	case types.Decimal:
+		v.Dec[i] = types.Decimal128{
+			Lo: binary.LittleEndian.Uint64(src),
+			Hi: int64(binary.LittleEndian.Uint64(src[8:])),
+		}
+	case types.String:
+		v.Str[i] = t.HeapBytes(binary.LittleEndian.Uint32(src), binary.LittleEndian.Uint32(src[4:]))
+	}
+}
+
+// PutSlot writes v[i], NULL or not, into slot.
+func (t *Table) PutSlot(slot []byte, v *vector.Vector, i int) {
+	if v.Nulls[i] != 0 {
+		slot[0] = 1
+		return
+	}
+	slot[0] = 0
+	t.PutValue(slot[1:], v, i)
+}
+
+// GetSlot reads slot into v[i].
+func (t *Table) GetSlot(slot []byte, v *vector.Vector, i int) {
+	if slot[0] != 0 {
+		v.SetNull(i)
+		return
+	}
+	t.GetValue(slot[1:], v, i)
 }
 
 // storeKey serializes the key columns of physical row i of the batch into
 // entry row `row`.
 func (t *Table) storeKey(row int32, keys []*vector.Vector, i int) {
-	base := int(row) * t.rowWidth
-	for c, kt := range t.keyTypes {
-		off := base + t.colOff[c]
-		v := keys[c]
-		if v.Nulls[i] != 0 {
-			t.fixed[off] = 1
-			continue
-		}
-		t.fixed[off] = 0
-		dst := t.fixed[off+1:]
-		switch kt.ID {
-		case types.Bool:
-			dst[0] = v.Bool[i]
-		case types.Int32, types.Date:
-			binary.LittleEndian.PutUint32(dst, uint32(v.I32[i]))
-		case types.Int64, types.Timestamp:
-			binary.LittleEndian.PutUint64(dst, uint64(v.I64[i]))
-		case types.Float64:
-			binary.LittleEndian.PutUint64(dst, math.Float64bits(v.F64[i]))
-		case types.Decimal:
-			binary.LittleEndian.PutUint64(dst, v.Dec[i].Lo)
-			binary.LittleEndian.PutUint64(dst[8:], uint64(v.Dec[i].Hi))
-		case types.String:
-			o, l := t.AppendHeap(v.Str[i])
-			binary.LittleEndian.PutUint32(dst, o)
-			binary.LittleEndian.PutUint32(dst[4:], l)
-		}
+	slots := t.rows[row>>PageShift][int(row&PageMask)*t.rowWidth:]
+	for c, off := range t.colOff {
+		t.PutSlot(slots[off:], keys[c], i)
 	}
 }
 
@@ -220,11 +371,12 @@ func (t *Table) storeKey(row int32, keys []*vector.Vector, i int) {
 // column. NULL keys compare equal to NULL (GROUP BY semantics; join
 // operators filter NULL keys before probing).
 func (t *Table) keyEqual(row int32, keys []*vector.Vector, i int) bool {
-	base := int(row) * t.rowWidth
+	page := t.rows[row>>PageShift]
+	base := int(row&PageMask) * t.rowWidth
 	for c, kt := range t.keyTypes {
 		off := base + t.colOff[c]
 		v := keys[c]
-		entryNull := t.fixed[off] != 0
+		entryNull := page[off] != 0
 		batchNull := v.Nulls[i] != 0
 		if entryNull != batchNull {
 			return false
@@ -232,7 +384,7 @@ func (t *Table) keyEqual(row int32, keys []*vector.Vector, i int) bool {
 		if entryNull {
 			continue
 		}
-		src := t.fixed[off+1:]
+		src := page[off+1:]
 		switch kt.ID {
 		case types.Bool:
 			if src[0] != v.Bool[i] {
@@ -258,7 +410,7 @@ func (t *Table) keyEqual(row int32, keys []*vector.Vector, i int) bool {
 		case types.String:
 			o := binary.LittleEndian.Uint32(src)
 			l := binary.LittleEndian.Uint32(src[4:])
-			if string(t.heap[o:o+l]) != string(v.Str[i]) {
+			if string(t.HeapBytes(o, l)) != string(v.Str[i]) {
 				return false
 			}
 		}
@@ -269,32 +421,17 @@ func (t *Table) keyEqual(row int32, keys []*vector.Vector, i int) bool {
 // ReadKey decodes key column c of an entry row into vector v at position i
 // (used to emit grouping keys and build-side columns).
 func (t *Table) ReadKey(row int32, c int, v *vector.Vector, i int) {
-	base := int(row)*t.rowWidth + t.colOff[c]
-	if t.fixed[base] != 0 {
-		v.SetNull(i)
-		return
+	t.GetSlot(t.rows[row>>PageShift][int(row&PageMask)*t.rowWidth+t.colOff[c]:], v, i)
+}
+
+// KeyBytes returns key column c of an entry as stored: the fixed-width
+// value little-endian, or a string's bytes. The column must not be NULL there.
+func (t *Table) KeyBytes(row int32, c int) []byte {
+	src := t.rows[row>>PageShift][int(row&PageMask)*t.rowWidth+t.colOff[c]+1:]
+	if kt := t.keyTypes[c]; kt.ID != types.String {
+		return src[:kt.FixedWidth()]
 	}
-	v.Nulls[i] = 0
-	src := t.fixed[base+1:]
-	switch t.keyTypes[c].ID {
-	case types.Bool:
-		v.Bool[i] = src[0]
-	case types.Int32, types.Date:
-		v.I32[i] = int32(binary.LittleEndian.Uint32(src))
-	case types.Int64, types.Timestamp:
-		v.I64[i] = int64(binary.LittleEndian.Uint64(src))
-	case types.Float64:
-		v.F64[i] = math.Float64frombits(binary.LittleEndian.Uint64(src))
-	case types.Decimal:
-		v.Dec[i] = types.Decimal128{
-			Lo: binary.LittleEndian.Uint64(src),
-			Hi: int64(binary.LittleEndian.Uint64(src[8:])),
-		}
-	case types.String:
-		o := binary.LittleEndian.Uint32(src)
-		l := binary.LittleEndian.Uint32(src[4:])
-		v.Str[i] = t.heap[o : o+l]
-	}
+	return t.HeapBytes(binary.LittleEndian.Uint32(src), binary.LittleEndian.Uint32(src[4:]))
 }
 
 // ensureScratch sizes the probe scratch arrays for capacity rows.
