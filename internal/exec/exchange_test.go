@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"photon/internal/expr"
+	"photon/internal/rf"
 	"reflect"
 	"strings"
 	"testing"
@@ -256,5 +258,153 @@ func TestShuffleWriteSurfacesSinkCloseError(t *testing.T) {
 	err := Drain(NewShuffleWrite(scan, &failingSink{}, nil), NewTaskCtx(nil, 2))
 	if err == nil || !strings.Contains(err.Error(), "last block lost") {
 		t.Fatalf("drain error = %v, want the sink's close error", err)
+	}
+}
+
+// vecImage is a deep copy of everything a consumer could alter in a vector.
+type vecImage struct {
+	Bool, Nulls []byte
+	I32         []int32
+	I64         []int64
+	F64         []float64
+	Dec         []types.Decimal128
+	Str         []string
+	StrNil      []bool
+	HasNulls    bool
+	Ascii       vector.AsciiInfo
+	Dec64       vector.Dec64Info
+}
+
+// batchImages snapshots every vector of every batch, and each batch's header.
+func batchImages(bs []*vector.Batch) [][]any {
+	var out [][]any
+	for _, b := range bs {
+		row := []any{b.NumRows, append([]int32(nil), b.Sel...), b.Sel == nil, len(b.Vecs)}
+		for _, v := range b.Vecs {
+			im := vecImage{
+				Bool: append([]byte(nil), v.Bool...), Nulls: append([]byte(nil), v.Nulls...),
+				I32: append([]int32(nil), v.I32...), I64: append([]int64(nil), v.I64...),
+				F64: append([]float64(nil), v.F64...), Dec: append([]types.Decimal128(nil), v.Dec...),
+				HasNulls: v.HasNulls(), Ascii: v.Ascii, Dec64: v.Dec64,
+			}
+			for _, s := range v.Str {
+				im.Str = append(im.Str, string(s))
+				im.StrNil = append(im.StrNil, s == nil)
+			}
+			row = append(row, im)
+		}
+		out = append(out, row)
+	}
+	return out
+}
+
+// TestExchangeConsumersDoNotMutateInput pins the property a zero-copy
+// exchange rests on: one set of source batches, handed by header wrap to
+// several independently built consumer trees, is bit-identical after all of
+// them drain — values, nulls, strings, and the per-vector metadata caches.
+func TestExchangeConsumersDoNotMutateInput(t *testing.T) {
+	dec := types.DecimalType(12, 2)
+	schema := types.NewSchema(
+		types.Field{Name: "k", Type: types.Int64Type, Nullable: true},
+		types.Field{Name: "s", Type: types.StringType, Nullable: true},
+		types.Field{Name: "d", Type: dec, Nullable: true},
+		types.Field{Name: "f", Type: types.Float64Type, Nullable: true},
+	)
+	var rows [][]any
+	for i := 0; i < 5000; i++ {
+		r := []any{int64(i % 97), fmt.Sprintf("name-%d", i%13), types.DecimalFromInt64(int64(i * 7)), float64(i) / 3}
+		if i%11 == 0 {
+			r[1] = nil
+		}
+		if i%17 == 0 {
+			r[2] = nil
+		}
+		if i%29 == 0 {
+			r[0] = nil
+		}
+		if i%501 == 0 {
+			r[1] = "naïve-ü" // a non-ASCII batch: the ASCII verdict differs per batch
+		}
+		rows = append(rows, r)
+	}
+	shared := BuildBatches(schema, rows, 512)
+	before := batchImages(shared)
+
+	k := expr.Col(0, "k", types.Int64Type)
+	s := expr.Col(1, "s", types.StringType)
+	d := expr.Col(2, "d", dec)
+	newTask := func() *TaskCtx {
+		tc := NewTaskCtx(nil, 512)
+		tc.SpillDir = t.TempDir()
+		tc.Expr.SharedVectors = true // what the staged driver sets on every task
+		return tc
+	}
+	// Each tree reads the shared batches through its own header-wrapping leaf.
+	trees := map[string]func() Operator{
+		"Filter->HashJoin build": func() Operator {
+			probeSchema := intSchema("p")
+			var probe [][]any
+			for i := 0; i < 300; i++ {
+				probe = append(probe, []any{int64(i % 120)})
+			}
+			build := NewFilter(NewMemScan(schema, shared), expr.Gt(k, expr.Int64Lit(5)))
+			j, err := NewHashJoin(NewMemScan(probeSchema, BuildBatches(probeSchema, probe, 64)), build,
+				[]expr.Expr{expr.Col(0, "p", types.Int64Type)}, []expr.Expr{k}, InnerJoin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return j
+		},
+		"RuntimeFilter->Project->HashAgg": func() Operator {
+			flt := rf.NewFilter([]types.DataType{types.Int64Type}, 64)
+			keys := vector.NewBatch(intSchema("k"), 64)
+			for i := 0; i < 64; i++ {
+				keys.Vecs[0].I64[i] = int64(i)
+			}
+			keys.NumRows = 64
+			var hs rf.HashScratch
+			flt.Add(keys, []int{0}, nil, 64, &hs)
+			proj := NewProject(NewRuntimeFilter(NewMemScan(schema, shared), []int{0}, flt, 0),
+				[]expr.Expr{expr.Upper(s), expr.MustArith(expr.OpMul, d, expr.DecimalLit("1.05", 12, 2)), k},
+				[]string{"u", "m", "k"})
+			agg, err := NewHashAgg(proj, AggComplete,
+				[]expr.Expr{expr.Col(0, "u", types.StringType)}, []string{"u"},
+				[]expr.AggSpec{
+					{Kind: expr.AggSum, Arg: expr.Col(1, "m", proj.Schema().Field(1).Type), Name: "sm"},
+					{Kind: expr.AggCount, Arg: expr.Col(2, "k", types.Int64Type), Distinct: true, Name: "dk"},
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return agg
+		},
+		"ShuffleWrite, splitting partitioner": func() Operator {
+			split := func(b *vector.Batch) [][]int32 {
+				parts := make([][]int32, 3)
+				for pos := 0; pos < b.NumActive(); pos++ {
+					i := b.RowIndex(pos)
+					parts[i%3] = append(parts[i%3], int32(i))
+				}
+				return parts
+			}
+			return NewShuffleWrite(NewMemScan(schema, shared), &memSink{}, split)
+		},
+	}
+	for name, build := range trees {
+		for _, fuse := range []bool{false, true} {
+			// Two independently built consumers of the same batches.
+			for n := 0; n < 2; n++ {
+				op := build()
+				if fuse {
+					op = FusePipelines(op)
+				}
+				if _, err := CollectAll(op, newTask()); err != nil {
+					t.Fatalf("%s (fused=%v): %v", name, fuse, err)
+				}
+			}
+			if after := batchImages(shared); !reflect.DeepEqual(before, after) {
+				t.Fatalf("%s (fused=%v) altered the batches it was handed", name, fuse)
+			}
+		}
 	}
 }
