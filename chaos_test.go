@@ -88,6 +88,7 @@ func TestChaosSoak(t *testing.T) {
 			if used := sess.mm.Used(); used != 0 {
 				t.Errorf("seed %d leaked %d reserved bytes", seed, used)
 			}
+			assertNoExchangeHeld(t, sess)
 			assertNoShuffleFiles(t, dir)
 			assertNoOpenFiles(t)
 			totalFires += r.TotalFires()

@@ -106,6 +106,16 @@ func onLake(query string) string {
 	return strings.ReplaceAll(query, "lineitem", "lineitem_lake")
 }
 
+// assertNoExchangeHeld asserts that no query of the session still holds
+// exchange output in memory: every query's store dropped its batches and
+// gave back the "exchange" consumer's reservation, however the query ended.
+func assertNoExchangeHeld(t *testing.T, sess *Session) {
+	t.Helper()
+	if held := sess.Metrics().Gauge("photon_exchange_held_bytes", "").Load(); held != 0 {
+		t.Errorf("%d bytes of exchange output still held in memory", held)
+	}
+}
+
 // assertNoOpenFiles asserts that every data file a scan opened has been
 // closed: each scan, however it ended, let go of its files.
 func assertNoOpenFiles(t *testing.T) {
@@ -232,6 +242,7 @@ func TestConcurrentStressTPCH(t *testing.T) {
 		if used := sut.sess.mm.Used(); used != 0 {
 			t.Errorf("session leaked %d reserved bytes", used)
 		}
+		assertNoExchangeHeld(t, sut.sess)
 		assertNoShuffleFiles(t, sut.dir)
 	}
 	waitGoroutines(t, baseGoroutines)
@@ -301,6 +312,7 @@ WHERE o_orderkey = l_orderkey AND l_extendedprice > 100 GROUP BY o_orderpriority
 			if used := sess.mm.Used(); used != 0 {
 				t.Errorf("leaked %d reserved bytes after cancel", used)
 			}
+			assertNoExchangeHeld(t, sess)
 			assertNoShuffleFiles(t, dir)
 			waitGoroutines(t, baseGoroutines)
 		})
@@ -412,6 +424,7 @@ func TestQueryTimeoutConfig(t *testing.T) {
 	if used := sess.mm.Used(); used != 0 {
 		t.Errorf("leaked %d reserved bytes after timeout", used)
 	}
+	assertNoExchangeHeld(t, sess)
 }
 
 // TestLifecycleStats: SQLContextStats reports the lifecycle phases and the

@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -85,18 +84,21 @@ type Options struct {
 	// it is called from task goroutines.
 	Progress func(rows, bytes int64)
 
-	// FastPath requests small-query inline execution: skip stage planning,
-	// exchange setup, and (for unlimited-memory sessions) the per-query
-	// spill/shuffle directory, and run the fused pipeline as one task on a
-	// single pool slot. Callers set it only for plans the compile phase
-	// classified as single-fragment with input fitting one task.
+	// FastPath requests small-query inline execution: skip stage planning
+	// and exchange setup, and run the fused pipeline as one task on a single
+	// pool slot. Callers set it only for plans the compile phase classified
+	// as single-fragment with input fitting one task.
 	FastPath bool
 
+	// dir is the run's private spill/shuffle directory under ShuffleDir,
+	// made by the first file written into it (set by Run).
+	dir *shuffle.QueryDir
+
 	// testTaskStart, when non-nil, runs at the start of every non-recovery
-	// task attempt with the fragment, task ID, and the query's private
-	// shuffle directory. Test-only seam for corruption-injection fixtures
-	// (e.g. flip bits in a committed shuffle file once a consumer starts).
-	testTaskStart func(f *catalyst.Fragment, taskID int, dir string)
+	// task attempt with the fragment, task ID, and the query's exchange
+	// store. Test-only seam for corruption-injection fixtures: write the
+	// store out (Spill), then damage the files once a consumer starts.
+	testTaskStart func(f *catalyst.Fragment, taskID int, store *shuffle.Store)
 }
 
 // RunStats reports one query run's scheduling footprint and profile.
@@ -126,7 +128,7 @@ type RunStats struct {
 func (o *Options) newTaskCtx(ctx context.Context) *exec.TaskCtx {
 	tc := exec.NewTaskCtx(o.Mem, o.BatchSize)
 	tc.Ctx = ctx
-	tc.SpillDir = o.ShuffleDir
+	tc.MakeSpillDir = o.dir.Ensure
 	tc.EnableCompaction = !o.DisableCompaction
 	tc.Expr.Adaptive = !o.DisableAdaptivity
 	tc.Expr.SharedVectors = o.SharedVectors
@@ -149,9 +151,10 @@ func nextExchangeID() string {
 // Plans the stage planner cannot split (and configurations that need the
 // row-engine fallback) run single-task.
 //
-// Every run works inside a private per-query spill/shuffle directory that
-// is removed before Run returns — success, error, or cancellation — so no
-// query can leak shuffle or spill files.
+// A run's spill and shuffle files go into a private per-query directory,
+// made when the first of them is and removed before Run returns — success,
+// error, or cancellation — so no query can leak shuffle or spill files, and
+// a query that writes none makes no directory.
 func Run(ctx context.Context, plan sql.LogicalPlan, opts Options) ([][]any, *types.Schema, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -165,17 +168,12 @@ func Run(ctx context.Context, plan sql.LogicalPlan, opts Options) ([][]any, *typ
 				"Bytes those chunks held once decompressed.").Add(decoded)
 		}
 	}
+	opts.dir = shuffle.NewQueryDir(opts.ShuffleDir)
+	// Guaranteed cleanup on every exit path (cancel, error, success).
+	defer opts.dir.Remove()
 	if opts.FastPath {
 		return runFast(ctx, plan, opts)
 	}
-	dir, err := queryDir(opts.ShuffleDir)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Guaranteed cleanup on every exit path (cancel, error, success).
-	defer os.RemoveAll(dir)
-	opts.ShuffleDir = dir
-
 	if opts.Parallelism <= 1 || !distributable(opts.Config) {
 		return runSingle(ctx, plan, opts)
 	}
@@ -192,22 +190,8 @@ func Run(ctx context.Context, plan sql.LogicalPlan, opts Options) ([][]any, *typ
 }
 
 // runFast is the small-query fast path: one inline task on one pool slot,
-// no stage planning, no exchange setup. Spill-directory creation — two
-// syscalls plus a deferred RemoveAll per query — is skipped when the
-// session has no real memory bound (spilling can never trigger); under a
-// real bound the task gets a private directory, because spill file names
-// are only unique per task context.
+// no stage planning, no exchange setup.
 func runFast(ctx context.Context, plan sql.LogicalPlan, opts Options) ([][]any, *types.Schema, error) {
-	if opts.Mem != nil && opts.Mem.Limited() {
-		dir, err := queryDir(opts.ShuffleDir)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer os.RemoveAll(dir)
-		opts.ShuffleDir = dir
-	} else {
-		opts.ShuffleDir = "" // NewSpillFile errors if ever reached
-	}
 	held := false
 	if opts.Pool != nil {
 		tok := opts.Pool.NewJobFor(opts.Tenant, opts.TenantWeight)
@@ -225,15 +209,6 @@ func runFast(ctx context.Context, plan sql.LogicalPlan, opts Options) ([][]any, 
 		}
 	}
 	return rows, schema, err
-}
-
-// queryDir creates the query's private spill/shuffle directory under base
-// ("" = system temp).
-func queryDir(base string) (string, error) {
-	if base == "" {
-		return os.MkdirTemp("", "photon-query-*")
-	}
-	return os.MkdirTemp(base, "query-*")
 }
 
 // distributable reports whether the config can run pure-Photon fragments:
@@ -363,12 +338,12 @@ type stageInfo struct {
 	schema *types.Schema // fragment output schema, resolved at plan time
 
 	// Producer side: this fragment's shuffle output.
-	exID      string
-	bytesMu   sync.Mutex
-	partBytes []int64 // compressed bytes per hash partition (ExchangeHash)
+	exID     string
+	rowsMu   sync.Mutex
+	partRows []int64 // rows per hash partition (ExchangeHash)
 
 	// Consumer side: which hash partitions each task reads, derived from
-	// the input stages' byte statistics once they complete (AQE §5.5).
+	// the input stages' row statistics once they complete (AQE §5.5).
 	assignOnce  sync.Once
 	assignments [][]int
 
@@ -380,7 +355,7 @@ type stageInfo struct {
 	tasksRun            int
 	firstStart, lastEnd time.Time
 	outRaw, outBytes    int64
-	outRows             int64
+	outRows, outMemRows int64
 	encCounts           [3]int64
 
 	// Runtime-filter scan pruning observed by this (consumer) stage: Delta
@@ -479,6 +454,7 @@ func (si *stageInfo) noteShuffleOut(w *shuffle.Writer) {
 	si.outRaw += w.RawBytes
 	si.outBytes += w.Bytes
 	si.outRows += w.Rows
+	si.outMemRows += w.MemRows
 	for i, n := range w.EncCounts {
 		si.encCounts[i] += n
 	}
@@ -487,8 +463,10 @@ func (si *stageInfo) noteShuffleOut(w *shuffle.Writer) {
 // stagedJob lowers a fragment DAG onto the scheduler.
 type stagedJob struct {
 	opts Options
-	dir  string
 	par  int
+	// store holds the exchange output that is not in files; what is goes
+	// under opts.dir.
+	store *shuffle.Store
 
 	stages map[*catalyst.Fragment]*stageInfo
 	// byExID addresses producer stages by their shuffle/broadcast exchange
@@ -516,7 +494,6 @@ func runStaged(ctx context.Context, root *catalyst.Fragment, opts Options) ([][]
 	}
 	j := &stagedJob{
 		opts:   opts,
-		dir:    opts.ShuffleDir,
 		par:    opts.Parallelism,
 		stages: map[*catalyst.Fragment]*stageInfo{},
 		byExID: map[string]*stageInfo{},
@@ -524,6 +501,9 @@ func runStaged(ctx context.Context, root *catalyst.Fragment, opts Options) ([][]
 		rfReg:  rf.NewRegistry(),
 		rfc:    newRFCounters(opts.Metrics),
 	}
+	j.store = shuffle.NewStore(opts.dir, opts.Mem, shuffle.EncoderOptions{Adaptive: true}, j.sm)
+	// Every task has returned when the job has: nothing reads the store then.
+	defer j.store.Close()
 	rootInfo := j.stageFor(root)
 	j.results = make([][]*vector.Batch, rootInfo.stage.NumTasks)
 
@@ -597,7 +577,7 @@ func (j *stagedJob) stageFor(f *catalyst.Fragment) *stageInfo {
 	warmSchemas(f.Root)
 	si.schema = f.Root.Schema()
 	if f.Out == catalyst.ExchangeHash {
-		si.partBytes = make([]int64, j.par)
+		si.partRows = make([]int64, j.par)
 	}
 	j.stages[f] = si
 
@@ -750,7 +730,7 @@ func warmSchemas(n sql.LogicalPlan) {
 }
 
 // assignmentsFor lazily computes the consumer's partition groups from the
-// *summed* byte statistics of all its hash inputs — a shuffle join must
+// *summed* row statistics of all its hash inputs — a shuffle join must
 // coalesce both sides identically so partition i of the probe side meets
 // partition i of the build side in one task. Input stages have completed
 // (blocking boundaries), so the statistics are final.
@@ -762,11 +742,11 @@ func (j *stagedJob) assignmentsFor(si *stageInfo) [][]int {
 				continue
 			}
 			pi := j.stages[in]
-			pi.bytesMu.Lock()
-			for p, b := range pi.partBytes {
-				sum[p] += b
+			pi.rowsMu.Lock()
+			for p, n := range pi.partRows {
+				sum[p] += n
 			}
-			pi.bytesMu.Unlock()
+			pi.rowsMu.Unlock()
 		}
 		si.assignments = coalescePartitions(sum)
 	})
@@ -793,7 +773,7 @@ func (j *stagedJob) assignmentsFor(si *stageInfo) [][]int {
 func (j *stagedJob) runTask(ctx context.Context, si *stageInfo, taskID int, recovery bool) error {
 	f := si.frag
 	if h := j.opts.testTaskStart; h != nil && !recovery {
-		h(f, taskID, j.dir)
+		h(f, taskID, j.store)
 	}
 
 	var parts []int // hash partitions this task consumes
@@ -807,8 +787,8 @@ func (j *stagedJob) runTask(ctx context.Context, si *stageInfo, taskID int, reco
 				j.rfReg.Publish(f.ID, taskID, nil)
 			}
 			// Committed map outputs are the reader's integrity invariant —
-			// a missing partition file means lost data. So even a no-op task
-			// publishes (empty) shuffle files for its exchange output.
+			// a missing one means lost data. So even a no-op task publishes
+			// an (empty) output for its exchange.
 			if f.Out == catalyst.ExchangeHash || f.Out == catalyst.ExchangeBroadcast {
 				if err := j.publishEmpty(si, taskID, recovery); err != nil {
 					return err
@@ -861,7 +841,6 @@ func (j *stagedJob) runTask(ctx context.Context, si *stageInfo, taskID int, reco
 		}
 	}
 	tc := j.opts.newTaskCtx(ctx)
-	tc.SpillDir = j.dir
 	// Tasks of one stage share in-memory table batches read-only.
 	tc.Expr.SharedVectors = true
 	// Feed batch-boundary progress to the scheduler's straggler detector
@@ -892,8 +871,7 @@ func (j *stagedJob) runTask(ctx context.Context, si *stageInfo, taskID int, reco
 		if er.Broadcast {
 			name := fmt.Sprintf("BroadcastRead(stage=%d)", in.ID)
 			op := exec.NewBroadcastRead(name, schema, func() ([]exec.ShuffleSource, error) {
-				r := shuffle.NewBroadcastReader(j.dir, pi.exID, mapTasks, schema)
-				r.Obs = j.sm
+				r := j.store.NewBroadcastReader(pi.exID, mapTasks, schema)
 				r.Ctx = ctx
 				return []exec.ShuffleSource{r}, nil
 			})
@@ -905,8 +883,7 @@ func (j *stagedJob) runTask(ctx context.Context, si *stageInfo, taskID int, reco
 		op := exec.NewShuffleRead(name, schema, func() ([]exec.ShuffleSource, error) {
 			srcs := make([]exec.ShuffleSource, 0, len(myParts))
 			for _, p := range myParts {
-				r := shuffle.NewReader(j.dir, pi.exID, mapTasks, p, schema)
-				r.Obs = j.sm
+				r := j.store.NewReader(pi.exID, mapTasks, p, schema)
 				r.Ctx = ctx
 				srcs = append(srcs, r)
 			}
@@ -937,10 +914,11 @@ func (j *stagedJob) runTask(ctx context.Context, si *stageInfo, taskID int, reco
 
 	// Wrap the output exchange (if any) so the whole per-task tree —
 	// including the ShuffleWrite sink — is profiled and traced uniformly.
-	// Writers stage into attempt-private temp files; only a committing
-	// attempt publishes them (atomic rename), and every other exit path —
-	// error, cancellation, losing a speculative race — aborts the staged
-	// files so duplicate attempts never clobber a committed twin.
+	// Writers keep an attempt's output private — batches of their own, temp
+	// files — and only a committing attempt publishes it (store entry, atomic
+	// rename); every other exit path — error, cancellation, losing a
+	// speculative race — aborts it, so duplicate attempts never clobber a
+	// committed twin.
 	var root exec.Operator = op
 	var w *shuffle.Writer
 	committed := false
@@ -951,11 +929,7 @@ func (j *stagedJob) runTask(ctx context.Context, si *stageInfo, taskID int, reco
 	}()
 	switch f.Out {
 	case catalyst.ExchangeHash:
-		w, err = shuffle.NewWriter(j.dir, si.exID, taskID, j.par, shuffle.EncoderOptions{Adaptive: true})
-		if err != nil {
-			return err
-		}
-		w.Obs = j.sm
+		w = j.store.NewWriter(si.exID, taskID, j.par)
 		w.Ctx = ctx
 		var split exec.PartitionFunc
 		if len(f.HashCols) > 0 {
@@ -964,11 +938,7 @@ func (j *stagedJob) runTask(ctx context.Context, si *stageInfo, taskID int, reco
 		// nil split: keyless aggregation — every row reduces in partition 0.
 		root = exec.NewShuffleWrite(op, w, split)
 	case catalyst.ExchangeBroadcast:
-		w, err = shuffle.NewBroadcastWriter(j.dir, si.exID, taskID, shuffle.EncoderOptions{Adaptive: true})
-		if err != nil {
-			return err
-		}
-		w.Obs = j.sm
+		w = j.store.NewBroadcastWriter(si.exID, taskID)
 		w.Ctx = ctx
 		root = exec.NewShuffleWrite(op, w, nil)
 	}
@@ -989,8 +959,8 @@ func (j *stagedJob) runTask(ctx context.Context, si *stageInfo, taskID int, reco
 	end := time.Now()
 
 	if recovery {
-		// Lineage re-run: republish the shuffle output over the corrupt
-		// files and nothing else — the original committed attempt already
+		// Lineage re-run: republish the shuffle output over the lost or
+		// corrupt one and nothing else — the original committed attempt already
 		// produced the stats, filters, and results.
 		if w != nil {
 			if err := w.Commit(); err != nil {
@@ -1003,8 +973,8 @@ func (j *stagedJob) runTask(ctx context.Context, si *stageInfo, taskID int, reco
 
 	// Commit-once: exactly one attempt (original or speculative duplicate)
 	// publishes. The loser blocks here until the winner's publish completes,
-	// then returns success without side effects; its deferred Abort removes
-	// the staged temp files.
+	// then returns success without side effects; its deferred Abort drops
+	// what it staged.
 	si.commitMu[taskID].Lock()
 	if si.done[taskID] {
 		si.commitMu[taskID].Unlock()
@@ -1025,11 +995,11 @@ func (j *stagedJob) runTask(ctx context.Context, si *stageInfo, taskID int, reco
 
 	if w != nil {
 		if f.Out == catalyst.ExchangeHash {
-			si.bytesMu.Lock()
-			for p, b := range w.PartBytes {
-				si.partBytes[p] += b
+			si.rowsMu.Lock()
+			for p, n := range w.PartRows {
+				si.partRows[p] += n
 			}
-			si.bytesMu.Unlock()
+			si.rowsMu.Unlock()
 		}
 		si.noteShuffleOut(w)
 	}
@@ -1064,7 +1034,7 @@ func (j *stagedJob) runTask(ctx context.Context, si *stageInfo, taskID int, reco
 
 // publishEmpty commits an empty shuffle/broadcast output for a map task that
 // produced no rows (coalesced away), preserving the invariant that every
-// committed map task's partition files exist.
+// committed map task has an output: an entry in the store, and no file.
 func (j *stagedJob) publishEmpty(si *stageInfo, taskID int, recovery bool) error {
 	if !recovery {
 		si.commitMu[taskID].Lock()
@@ -1077,10 +1047,7 @@ func (j *stagedJob) publishEmpty(si *stageInfo, taskID int, recovery bool) error
 	if si.frag.Out == catalyst.ExchangeHash {
 		parts = j.par
 	}
-	w, err := shuffle.NewWriter(j.dir, si.exID, taskID, parts, shuffle.EncoderOptions{})
-	if err != nil {
-		return err
-	}
+	w := j.store.NewWriter(si.exID, taskID, parts)
 	if err := w.Commit(); err != nil {
 		w.Abort()
 		return err
@@ -1103,7 +1070,7 @@ func (j *stagedJob) buildProfile(root *catalyst.Fragment) *QueryProfile {
 			WallNanos:       int64(si.stage.Stats().WallTime),
 			Ops:             append([]OpProfile(nil), si.ops...),
 			ShuffleRawBytes: si.outRaw, ShuffleBytes: si.outBytes,
-			ShuffleRows: si.outRows, EncCounts: si.encCounts,
+			ShuffleRows: si.outRows, ShuffleMemRows: si.outMemRows, EncCounts: si.encCounts,
 			RFFilesPruned: si.rfFiles, RFGroupsPruned: si.rfGroups,
 			RFRowsPruned: si.rfScanRows,
 			PipelineOps:  si.pipeOps, PipelineBatches: si.pipeBatches,
@@ -1162,30 +1129,35 @@ func execSortKeys(keys []sql.SortKeyPlan) []exec.SortKey {
 }
 
 // coalescePartitions groups shuffle partitions into reduce tasks so each
-// task handles at least targetBytes of input (the AQE partition-coalescing
-// heuristic, §5.5). Partitions stay in order; every partition is assigned
+// task handles about an even share of the input's rows or more (the AQE
+// partition-coalescing heuristic, §5.5). It counts rows, which a partition
+// has whether it is a file or in memory and which do not change with how
+// well a block compressed; and nine tenths of an even share count as one,
+// because hash partitions of a large input are that even, and which side of
+// exactly even the first falls on must not decide whether a stage runs one
+// task or two. Partitions stay in order; every partition is assigned
 // exactly once.
-func coalescePartitions(partBytes []int64) [][]int {
+func coalescePartitions(partRows []int64) [][]int {
 	var total int64
-	for _, b := range partBytes {
-		total += b
+	for _, n := range partRows {
+		total += n
 	}
 	// Target: keep all tasks busy, but merge partitions much smaller than
 	// an even share.
-	target := total / int64(len(partBytes))
+	target := total / int64(len(partRows))
 	if target < 1 {
 		target = 1
 	}
 	var out [][]int
 	var cur []int
-	var curBytes int64
-	for p, b := range partBytes {
+	var curRows int64
+	for p, n := range partRows {
 		cur = append(cur, p)
-		curBytes += b
-		if curBytes >= target {
+		curRows += n
+		if curRows*10 >= target*9 {
 			out = append(out, cur)
 			cur = nil
-			curBytes = 0
+			curRows = 0
 		}
 	}
 	if len(cur) > 0 {

@@ -135,6 +135,13 @@ func TestCoalescePartitions(t *testing.T) {
 		t.Errorf("heavy partition not isolated: %v", groups)
 	}
 
+	// Nearly even: a partition a hair under its share still stands alone.
+	groups = coalescePartitions([]int64{93_230, 93_242})
+	checkCover(t, groups, 2)
+	if len(groups) != 2 {
+		t.Errorf("nearly even partitions coalesced: %v", groups)
+	}
+
 	// Uniform sizes: no coalescing, one group per partition.
 	groups = coalescePartitions([]int64{10, 10, 10, 10})
 	checkCover(t, groups, 4)

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,6 +15,7 @@ import (
 	"photon/internal/mem"
 	"photon/internal/obs"
 	"photon/internal/sched"
+	"photon/internal/shuffle"
 	"photon/internal/sql/catalyst"
 	"photon/internal/tpch"
 )
@@ -30,13 +32,18 @@ func faultTolerantPool(slots, maxAttempts int) *sched.Pool {
 	return pool
 }
 
-// corruptShuffleFiles damages every committed shuffle partition file in dir:
-// mode "bitflip" XORs one byte in the middle of each non-empty file (checksum
-// mismatch on read), mode "delete" removes the files outright (missing
-// partition file). Returns how many files were damaged.
-func corruptShuffleFiles(t *testing.T, dir, mode string) int {
+// corruptShuffleFiles writes out everything the query's exchange store holds
+// (at SF 0.002 no partition fills a block, so nothing is a file until then)
+// and damages every committed shuffle partition file of the queries under
+// base: mode "bitflip" XORs one byte in the middle of each non-empty file
+// (checksum mismatch on read), mode "delete" removes the files outright
+// (missing partition file). Returns how many files were damaged.
+func corruptShuffleFiles(t *testing.T, store *shuffle.Store, base, mode string) int {
 	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "shuffle-*.bin"))
+	if _, err := store.Spill(math.MaxInt64); err != nil {
+		t.Fatalf("write out the exchange store: %v", err)
+	}
+	paths, err := filepath.Glob(filepath.Join(base, "query-*", "shuffle-*.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,20 +101,21 @@ func TestShuffleCorruptionRecovered(t *testing.T) {
 			var stats RunStats
 			var once sync.Once
 			damaged := 0
+			base := t.TempDir()
 			opts := Options{
 				Parallelism:   4,
-				ShuffleDir:    t.TempDir(),
+				ShuffleDir:    base,
 				BroadcastRows: -1, // all exchanges are hash shuffles
 				Pool:          faultTolerantPool(4, 12),
 				Metrics:       reg,
 				Stats:         &stats,
 				// When the first shuffle-consuming task starts, its input
 				// stages have committed: damage every published file once.
-				testTaskStart: func(f *catalyst.Fragment, taskID int, dir string) {
+				testTaskStart: func(f *catalyst.Fragment, taskID int, store *shuffle.Store) {
 					if !f.ReadsHash {
 						return
 					}
-					once.Do(func() { damaged = corruptShuffleFiles(t, dir, mode) })
+					once.Do(func() { damaged = corruptShuffleFiles(t, store, base, mode) })
 				},
 			}
 			got := runTPCH(t, cat, 3, opts)
@@ -210,7 +218,8 @@ func TestFailpointCoverageDistributed(t *testing.T) {
 // run, and the speculation shows up in pool metrics and the stitched profile.
 func TestSpeculativeStragglerDistributed(t *testing.T) {
 	cat := tpch.NewGen(0.002).Generate()
-	want := runTPCH(t, cat, 1, Options{Parallelism: 4, ShuffleDir: t.TempDir()})
+	cleanReg := obs.NewRegistry()
+	want := runTPCH(t, cat, 1, Options{Parallelism: 4, ShuffleDir: t.TempDir(), Metrics: cleanReg})
 
 	r := fault.NewRegistry(7)
 	r.Arm(fault.TaskStart, fault.Policy{Latency: 2 * time.Second, LatencyN: 1})
@@ -244,6 +253,15 @@ func TestSpeculativeStragglerDistributed(t *testing.T) {
 	won := reg.Counter("photon_speculative_won_total", "").Load()
 	if launched != 1 {
 		t.Errorf("speculative launches = %d, want exactly 1", launched)
+	}
+	// The losing attempt's batches are not published: the exchange handed
+	// over exactly the clean run's rows, and holds nothing afterwards.
+	const memRows = "photon_exchange_mem_rows_total"
+	if got, clean := reg.Counter(memRows, "").Load(), cleanReg.Counter(memRows, "").Load(); got != clean || clean == 0 {
+		t.Errorf("%s = %d with a duplicate attempt, %d without", memRows, got, clean)
+	}
+	if held := reg.Gauge("photon_exchange_held_bytes", "").Load(); held != 0 {
+		t.Errorf("%d bytes still held for exchanges after Run", held)
 	}
 	if won != 1 {
 		t.Errorf("speculative wins = %d, want exactly 1", won)

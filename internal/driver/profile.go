@@ -66,10 +66,12 @@ type StageProfile struct {
 	WallNanos              int64
 	Ops                    []OpProfile
 
-	// Output-exchange volume (hash/broadcast stages): encoded bytes before
-	// framing, compressed bytes on disk, rows, and the §4.6 adaptive
-	// encoding decisions by column block.
+	// Output-exchange volume (hash/broadcast stages): rows, how many of them
+	// the next stage was handed in memory, and for the rest, written to
+	// files: encoded bytes before framing, compressed bytes on disk, and the
+	// §4.6 adaptive encoding decisions by column block.
 	ShuffleRawBytes, ShuffleBytes, ShuffleRows int64
+	ShuffleMemRows                             int64
 	EncCounts                                  [3]int64
 
 	// Runtime-filter pruning observed by this (probe-side) stage: Delta
@@ -192,9 +194,9 @@ func (q *QueryProfile) Render() string {
 			pad, st.ID, st.Label, st.TasksRun, st.TasksPlanned,
 			time.Duration(st.WallNanos).Round(time.Microsecond))
 		if st.ShuffleRows > 0 || st.ShuffleBytes > 0 {
-			fmt.Fprintf(&sb, " shuffle[rows=%d bytes=%d raw=%d enc=%s]",
+			fmt.Fprintf(&sb, " shuffle[rows=%d bytes=%d raw=%d enc=%s] mem=%d",
 				st.ShuffleRows, st.ShuffleBytes, st.ShuffleRawBytes,
-				encString(st.EncCounts))
+				encString(st.EncCounts), st.ShuffleMemRows)
 		}
 		if st.RFFilesPruned > 0 || st.RFGroupsPruned > 0 || st.RFRowsPruned > 0 {
 			fmt.Fprintf(&sb, " rf[files=%d groups=%d rows=%d]",

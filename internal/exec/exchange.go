@@ -24,18 +24,20 @@ const mergeCheckRows = 1024
 // ShuffleSink receives partitioned batches at a stage boundary
 // (implemented by shuffle.Writer). WritePartition takes b's *active* rows,
 // so callers can route subsets via the batch's selection vector; it copies
-// them, and may hold them back until Close to write them in full blocks.
+// them, and may hold them back until Close to hand them on in full blocks.
 // Close is idempotent and repeats its first error.
 type ShuffleSink interface {
 	WritePartition(part int, b *vector.Batch) error
 	Close() error
 }
 
-// ShuffleSource streams decoded batches of one shuffle partition
-// (implemented by shuffle.Reader). Next fills dst and reports whether a
-// block was decoded.
+// ShuffleSource streams the batches of one shuffle partition (implemented
+// by shuffle.Reader). NextBatch returns nil at the partition's end, and
+// otherwise either a batch the exchange holds in memory — shared with every
+// other reader of it, so never to be written to — or the next block of a
+// file, decoded into the batch decodeInto returns.
 type ShuffleSource interface {
-	Next(dst *vector.Batch) (bool, error)
+	NextBatch(decodeInto func() *vector.Batch) (*vector.Batch, error)
 }
 
 // PartitionFunc maps a batch's active rows to output partitions, returning
@@ -138,18 +140,26 @@ func (s *ShuffleWriteOp) Close() error {
 }
 
 // exchangeRead is the shared mechanics of the exchange leaf operators: it
-// streams a sequence of shuffle sources into a reused batch.
+// streams a sequence of shuffle sources. A batch the exchange holds in memory
+// goes out under a fresh header, as MemScan emits a stored table's: its
+// vectors are shared with the other tasks reading it and stay untouched,
+// while the header is this task's to narrow. A file block is decoded into a
+// reused batch, made when the first one is.
 type exchangeRead struct {
 	base
 	open func() ([]ShuffleSource, error)
 	srcs []ShuffleSource
 	idx  int
-	buf  *vector.Batch
+	buf  *vector.Batch // decode target
+	view *vector.Batch // header over a held batch
+	// target is decodeInto, bound once instead of once per batch.
+	target func() *vector.Batch
 }
 
 func (e *exchangeRead) Open(tc *TaskCtx) error {
 	e.tc = tc
 	e.idx = 0
+	e.target = e.decodeInto
 	srcs, err := e.open()
 	if err != nil {
 		return err
@@ -158,33 +168,55 @@ func (e *exchangeRead) Open(tc *TaskCtx) error {
 	return nil
 }
 
+// capacity is the row capacity of every batch the leaf emits, whatever the
+// vectors under it hold: operators size their scratch from the first batch
+// they see. A block is a full writer-side batch at most, so at least the
+// default batch size.
+func (e *exchangeRead) capacity() int {
+	return max(e.tc.Pool.BatchSize(), vector.DefaultBatchSize)
+}
+
+// decodeInto returns the batch file blocks are decoded into.
+func (e *exchangeRead) decodeInto() *vector.Batch {
+	if e.buf == nil {
+		e.buf = vector.NewBatch(e.schema, e.capacity())
+	}
+	return e.buf
+}
+
 func (e *exchangeRead) Next() (*vector.Batch, error) {
 	var out *vector.Batch
 	err := e.timed(func() error {
-		if e.buf == nil {
-			// Shuffle blocks were encoded from full writer-side batches, so
-			// the decode target must be at least the default batch size.
-			e.buf = vector.NewBatch(e.schema, max(e.tc.Pool.BatchSize(), vector.DefaultBatchSize))
-		}
 		for e.idx < len(e.srcs) {
 			// Batch-boundary cancellation check (shuffle/broadcast read).
 			if err := e.tc.Cancelled(); err != nil {
 				return err
 			}
-			ok, err := e.srcs[e.idx].Next(e.buf)
+			b, err := e.srcs[e.idx].NextBatch(e.target)
 			if err != nil {
 				return err
 			}
-			if ok {
-				n := int64(e.buf.NumActive())
-				e.stats.RowsOut.Add(n)
-				e.stats.BatchesOut.Add(1)
-				// Straggler detection input: exchange-read progress.
-				e.tc.ReportProgress(n, 0)
-				out = e.buf
-				return nil
+			if b == nil {
+				e.idx++
+				continue
 			}
-			e.idx++
+			if b != e.buf {
+				if e.view == nil {
+					e.view = vector.WrapBatch(e.schema, nil, nil, 0)
+					e.view.SetCapacity(e.capacity())
+				}
+				e.view.Vecs = append(e.view.Vecs[:0], b.Vecs...)
+				e.view.Sel = nil
+				e.view.NumRows = b.NumRows
+				b = e.view
+			}
+			n := int64(b.NumActive())
+			e.stats.RowsOut.Add(n)
+			e.stats.BatchesOut.Add(1)
+			// Straggler detection input: exchange-read progress.
+			e.tc.ReportProgress(n, 0)
+			out = b
+			return nil
 		}
 		return nil
 	})

@@ -38,16 +38,17 @@ type memSource struct {
 	done   bool
 }
 
-func (s *memSource) Next(dst *vector.Batch) (bool, error) {
+func (s *memSource) NextBatch(decodeInto func() *vector.Batch) (*vector.Batch, error) {
 	if s.done || len(s.rows) == 0 {
-		return false, nil
+		return nil, nil
 	}
+	dst := decodeInto()
 	dst.Reset()
 	for _, r := range s.rows {
 		dst.AppendRow(r...)
 	}
 	s.done = true
-	return true, nil
+	return dst, nil
 }
 
 func exchangeSchema() *types.Schema {

@@ -19,7 +19,7 @@ const spillParts = 16
 // groups as partial-state batches, hash-partitioned across spillParts files,
 // and reset the table (§5.3). Disabled while merging a spilled partition.
 func (op *HashAggOp) spill(need int64) (int64, error) {
-	if op.merging || op.tbl == nil || op.tbl.Len() == 0 || op.tc.SpillDir == "" {
+	if op.merging || op.tbl == nil || op.tbl.Len() == 0 || !op.tc.CanSpill() {
 		return 0, nil
 	}
 	if op.spillFiles == nil {

@@ -363,7 +363,7 @@ const gracePartitions = 16
 // spillBuild is the memory-consumer callback: dump the current table's rows
 // to hash partitions and switch to grace mode.
 func (op *HashJoinOp) spillBuild(need int64) (int64, error) {
-	if op.merging || op.graced || op.tc.SpillDir == "" {
+	if op.merging || op.graced || !op.tc.CanSpill() {
 		return 0, nil
 	}
 	if err := op.openPartFiles(&op.buildFiles, &op.buildWs, "join-build"); err != nil {

@@ -123,9 +123,12 @@ type TaskCtx struct {
 	// Nil means "never cancelled".
 	Ctx context.Context
 
-	// SpillDir receives spill files; empty disables spilling (reservations
+	// SpillDir receives spill files. MakeSpillDir, when set, is asked for the
+	// directory instead, and makes it: a query's directory is made by the first
+	// file written into it. With neither, spilling is disabled (reservations
 	// that would spill then fail).
-	SpillDir string
+	SpillDir     string
+	MakeSpillDir func() (string, error)
 
 	// EnableCompaction turns on adaptive batch compaction before hash-table
 	// probes (§4.6, Fig. 9); CompactionThreshold is the sparsity above
@@ -186,19 +189,29 @@ func (tc *TaskCtx) Cancelled() error {
 	return nil
 }
 
+// CanSpill reports whether the task has somewhere to put spill files.
+func (tc *TaskCtx) CanSpill() bool { return tc.SpillDir != "" || tc.MakeSpillDir != nil }
+
 // NewSpillFile creates a uniquely named spill file. Its failpoint site is
 // spill-write; transient OS errors (interrupted syscalls, closed files
 // during cancellation) classify as retryable so the scheduler re-runs the
 // task instead of failing the query.
 func (tc *TaskCtx) NewSpillFile(prefix string) (*os.File, error) {
-	if tc.SpillDir == "" {
+	if !tc.CanSpill() {
 		return nil, fmt.Errorf("exec: spilling disabled (no spill directory configured)")
 	}
 	if err := fault.Hit(tc.Ctx, fault.SpillWrite); err != nil {
 		return nil, err
 	}
+	dir := tc.SpillDir
+	if tc.MakeSpillDir != nil {
+		var err error
+		if dir, err = tc.MakeSpillDir(); err != nil {
+			return nil, fault.ClassifyIO(fault.SpillWrite, err)
+		}
+	}
 	name := fmt.Sprintf("%s-%d.spill", prefix, tc.spillSeq.Add(1))
-	f, err := os.Create(filepath.Join(tc.SpillDir, name))
+	f, err := os.Create(filepath.Join(dir, name))
 	if err != nil {
 		return nil, fault.ClassifyIO(fault.SpillWrite, err)
 	}

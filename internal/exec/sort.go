@@ -162,7 +162,7 @@ func sortedRowOrder(buffered []*vector.Batch, keys []SortKey) [][2]int32 {
 
 // spill sorts the current buffer and writes it as a run file.
 func (s *SortOp) spill(need int64) (int64, error) {
-	if len(s.buffered) == 0 || s.tc.SpillDir == "" {
+	if len(s.buffered) == 0 || !s.tc.CanSpill() {
 		return 0, nil
 	}
 	f, err := s.tc.NewSpillFile("sort-run")

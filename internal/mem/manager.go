@@ -156,13 +156,40 @@ func (m *Manager) Reserve(c Consumer, n int64) error {
 			}
 		}
 	}
+	m.addLocked(c, n)
+	m.mu.Unlock()
+	return nil
+}
+
+// addLocked records n more bytes reserved by c.
+func (m *Manager) addLocked(c Consumer, n int64) {
 	m.reserved[c] += n
 	m.total += n
 	if m.total > m.peak {
 		m.peak = m.total
 	}
-	m.mu.Unlock()
-	return nil
+}
+
+// TryReserve acquires n bytes for c only if they are free right now: nobody
+// is asked to spill to make room, and a query scope stays within its soft
+// limit. For memory that is kept because it is there, not because it is
+// needed — the holder has a cheaper place to put the data than any victim.
+func (m *Manager) TryReserve(c Consumer, n int64) bool {
+	if m.parent != nil {
+		if soft := m.soft.Load(); soft > 0 && m.Used()+n > soft {
+			return false
+		}
+		if !m.parent.TryReserve(m.self, n) {
+			return false
+		}
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.parent == nil && m.total+n > m.limit {
+		return false
+	}
+	m.addLocked(c, n)
+	return true
 }
 
 // pickVictimLocked chooses a spill victim for a reservation that is `need`

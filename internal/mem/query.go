@@ -119,11 +119,7 @@ func (m *Manager) reserveChild(c Consumer, n int64) error {
 		return fmt.Errorf("mem: query %s: %w", m.self.Name(), err)
 	}
 	m.mu.Lock()
-	m.reserved[c] += n
-	m.total += n
-	if m.total > m.peak {
-		m.peak = m.total
-	}
+	m.addLocked(c, n)
 	m.mu.Unlock()
 	return nil
 }

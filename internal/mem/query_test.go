@@ -146,3 +146,42 @@ func TestAvailable(t *testing.T) {
 		t.Errorf("root available = %d, want 600", got)
 	}
 }
+
+// TestTryReserveSpillsNobody: TryReserve takes only what is free — under the
+// root's limit and a query scope's soft limit — and never asks a consumer,
+// its own or a sibling's, to spill.
+func TestTryReserveSpillsNobody(t *testing.T) {
+	root := NewManager(1000)
+	q1, q2 := root.Child("q1"), root.Child("q2")
+	op := &spillRec{name: "op", freed: 1 << 40, mgr: q1}
+	sib := &spillRec{name: "sib", freed: 1 << 40, mgr: q2}
+	if err := q1.Reserve(op, 300); err != nil {
+		t.Fatal(err)
+	}
+	if err := q2.Reserve(sib, 300); err != nil {
+		t.Fatal(err)
+	}
+	keep := &spillRec{name: "keep", mgr: q1}
+	if !q1.TryReserve(keep, 400) || q1.UsedBy(keep) != 400 || q1.Used() != 700 || root.Used() != 1000 {
+		t.Fatalf("free bytes not taken: keep=%d q1=%d root=%d", q1.UsedBy(keep), q1.Used(), root.Used())
+	}
+	if q1.PeakBytes() != 700 {
+		t.Errorf("peak = %d, want 700", q1.PeakBytes())
+	}
+	if q1.TryReserve(keep, 1) || op.calls != 0 || sib.calls != 0 || root.Used() != 1000 {
+		t.Fatalf("over the limit: spills own=%d sibling=%d, root=%d", op.calls, sib.calls, root.Used())
+	}
+	q1.Release(keep, 400)
+	q1.SetSoftLimit(350)
+	if q1.TryReserve(keep, 100) || op.calls != 0 {
+		t.Fatal("TryReserve went past the soft limit, or spilled toward it")
+	}
+	if !q1.TryReserve(keep, 50) || root.Used() != 650 {
+		t.Fatalf("within the soft limit: root=%d", root.Used())
+	}
+	q1.Close()
+	q2.Close()
+	if root.Used() != 0 {
+		t.Errorf("root used = %d after both queries closed", root.Used())
+	}
+}

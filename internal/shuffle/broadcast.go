@@ -1,31 +1,17 @@
 package shuffle
 
-import (
-	"photon/internal/fault"
-	"photon/internal/types"
-)
-
 // Broadcast exchange: a stage whose output feeds the build side of a
 // broadcast hash join writes its *entire* per-task output as a single
 // replicated partition, and every task of the consuming stage reads all of
 // it. On a real cluster this is the "small table shipped to every
-// executor" path; here it reuses the columnar shuffle format with one
-// partition per map task.
+// executor" path; here it is one partition per map task, which a query's
+// Store keeps whole in memory (Store.NewBroadcastWriter / NewBroadcastReader)
+// and this file's writer puts in the columnar shuffle format.
 
 // NewBroadcastWriter opens a broadcast writer for one map task: a
 // single-partition shuffle file holding the task's full output. Write rows
 // through WritePartition(0, batch) (or exec.NewShuffleWrite with a nil
-// partitioner).
+// partitioner); read them back with NewReader's partition 0.
 func NewBroadcastWriter(dir, shuffleID string, mapTask int, opts EncoderOptions) (*Writer, error) {
 	return NewWriter(dir, shuffleID, mapTask, 1, opts)
-}
-
-// NewBroadcastReader streams the union of every map task's broadcast
-// output — the full replicated dataset. Its failpoint site is
-// broadcast-fetch (a corrupt broadcast blob recovers like a shuffle block:
-// re-run the producing task, retry the consumer).
-func NewBroadcastReader(dir, shuffleID string, mapTasks int, schema *types.Schema) *Reader {
-	r := NewReader(dir, shuffleID, mapTasks, 0, schema)
-	r.Site = fault.BroadcastFetch
-	return r
 }

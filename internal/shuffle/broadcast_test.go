@@ -41,7 +41,7 @@ func TestBroadcastRoundTrip(t *testing.T) {
 
 	// Every consumer task reads the same full dataset.
 	for task := 0; task < 2; task++ {
-		r := NewBroadcastReader(dir, "b1", mapTasks, schema)
+		r := NewReader(dir, "b1", mapTasks, 0, schema)
 		dst := vector.NewBatch(schema, 4096)
 		var got [][]any
 		for {

@@ -12,6 +12,11 @@ type Metrics struct {
 	RowsWritten     *obs.Counter
 	BlocksWritten   *obs.Counter
 	BytesRead       *obs.Counter
+	// MemRows and MemBytes count exchange output published to a Store, not
+	// to files; HeldBytes is what stores hold reserved right now.
+	MemRows   *obs.Counter
+	MemBytes  *obs.Counter
+	HeldBytes *obs.Gauge
 	// BlocksCorrupt counts integrity failures detected on read (bad
 	// checksum, truncation, missing file); BlocksRecovered counts
 	// successful lineage recoveries (producer map task re-runs).
@@ -37,11 +42,17 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		RawBytesWritten: r.Counter("photon_shuffle_write_raw_bytes_total",
 			"Encoded bytes before LZ4 framing"),
 		RowsWritten: r.Counter("photon_shuffle_write_rows_total",
-			"Rows written across exchange boundaries"),
+			"Rows written across exchange boundaries, to files or to memory"),
 		BlocksWritten: r.Counter("photon_shuffle_write_blocks_total",
 			"Encoded blocks written to shuffle/broadcast files"),
 		BytesRead: r.Counter("photon_shuffle_read_bytes_total",
 			"Bytes read back from shuffle/broadcast files"),
+		MemRows: r.Counter("photon_exchange_mem_rows_total",
+			"Rows that crossed an exchange in memory, as the batches their writer staged"),
+		MemBytes: r.Counter("photon_exchange_mem_bytes_total",
+			"Bytes reserved for exchange output kept in memory"),
+		HeldBytes: r.Gauge("photon_exchange_held_bytes",
+			"Bytes reserved right now for exchange output kept in memory (0 when no query runs)"),
 		BlocksCorrupt: r.Counter("photon_shuffle_blocks_corrupt_total",
 			"Shuffle/broadcast blocks failing integrity verification on read"),
 		BlocksRecovered: r.Counter("photon_shuffle_blocks_recovered_total",

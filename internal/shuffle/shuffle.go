@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"photon/internal/fault"
@@ -160,20 +159,29 @@ func fillLanes(v *vector.Vector, sel []int32, n int, out []uint64) {
 // the same task (speculative duplicates, lineage-recovery re-runs) never
 // interleave bytes, and a reader either sees a complete committed file or
 // none.
+//
+// A writer made by a Store keeps a staged batch as it is, for the store,
+// where NewWriter's would encode it: a partition that never fills a block
+// has no file, and a broadcast has none at all while its reservations hold
+// (see Store). Both kinds stage rows, count them and fire the shuffle-write
+// failpoint in the same code.
 type Writer struct {
-	dir      string
+	dir      string // "" until a store writer's first file
 	shuffle  string
 	mapTask  int
-	files    []*os.File
-	tmps     []string // temp paths (staged output)
-	finals   []string // committed paths
+	attempt  int64
+	files    []*os.File // per partition; nil while the partition has no file
+	tmps     []string   // temp paths (staged output); "" with no file
 	RawBytes int64
 	Bytes    int64
 	Rows     int64
-	// PartBytes records compressed bytes per reduce partition — the
-	// runtime statistic AQE-style partition coalescing reads at the stage
-	// boundary (§5.5).
-	PartBytes []int64
+	// MemRows and MemBytes are the part of the output kept for the store
+	// rather than written to a file; MemBytes is reserved on its manager.
+	MemRows, MemBytes int64
+	// PartRows records rows per reduce partition — the runtime statistic
+	// AQE-style partition coalescing reads at the stage boundary (§5.5). Rows
+	// mean the same in a file and in memory; compressed bytes do not.
+	PartRows []int64
 	// EncCounts tallies encoded column blocks by ColEncoding — the §4.6
 	// adaptive-encoding decisions, surfaced per stage in query profiles.
 	// A block is a full staging batch (or a partition's last, partial one).
@@ -195,6 +203,13 @@ type Writer struct {
 	block   []byte // the block being written: encoded, then framed
 	frame   []byte
 
+	// Store writers only: the batches kept for the store, per partition, and
+	// whether a full block is kept too (a broadcast) or opens the partition's
+	// file (a hash partition).
+	store    *Store
+	keepFull bool
+	held     [][]*vector.Batch
+
 	closed    bool
 	closeErr  error
 	committed bool
@@ -211,26 +226,46 @@ const minStagingRows = 64
 // NewWriter opens P partition files under dir (staged as temp files until
 // Commit).
 func NewWriter(dir, shuffleID string, mapTask, numPartitions int, opts EncoderOptions) (*Writer, error) {
-	w := &Writer{dir: dir, shuffle: shuffleID, mapTask: mapTask,
-		PartBytes: make([]int64, numPartitions),
-		staging:   make([]*vector.Batch, numPartitions),
-		arenas:    make([][]byte, numPartitions),
-		enc:       blockEncoder{opts: opts}}
-	w.enc.counts = &w.EncCounts
-	attempt := writerSeq.Add(1)
+	w := newWriter(shuffleID, mapTask, numPartitions, opts)
+	w.dir = dir
 	for part := 0; part < numPartitions; part++ {
-		final := partPath(dir, shuffleID, mapTask, part)
-		tmp := fmt.Sprintf("%s.tmp-%d", final, attempt)
-		f, err := os.Create(tmp)
-		if err != nil {
+		if err := w.open(part); err != nil {
 			w.Abort()
-			return nil, fault.ClassifyIO(fault.ShuffleWrite, err)
+			return nil, err
 		}
-		w.files = append(w.files, f)
-		w.tmps = append(w.tmps, tmp)
-		w.finals = append(w.finals, final)
 	}
 	return w, nil
+}
+
+func newWriter(shuffleID string, mapTask, numPartitions int, opts EncoderOptions) *Writer {
+	w := &Writer{shuffle: shuffleID, mapTask: mapTask, attempt: writerSeq.Add(1),
+		files:    make([]*os.File, numPartitions),
+		tmps:     make([]string, numPartitions),
+		PartRows: make([]int64, numPartitions),
+		staging:  make([]*vector.Batch, numPartitions),
+		arenas:   make([][]byte, numPartitions),
+		enc:      blockEncoder{opts: opts}}
+	w.enc.counts = &w.EncCounts
+	return w
+}
+
+// open creates one partition's temp file; a store writer's first file makes
+// the query's directory.
+func (w *Writer) open(part int) error {
+	if w.store != nil && w.dir == "" {
+		dir, err := w.store.dir.Ensure()
+		if err != nil {
+			return fault.ClassifyIO(fault.ShuffleWrite, err)
+		}
+		w.dir = dir
+	}
+	tmp := fmt.Sprintf("%s.tmp-%d", partPath(w.dir, w.shuffle, w.mapTask, part), w.attempt)
+	f, err := os.Create(tmp)
+	if err != nil {
+		return fault.ClassifyIO(fault.ShuffleWrite, err)
+	}
+	w.files[part], w.tmps[part] = f, tmp
+	return nil
 }
 
 func partPath(dir, shuffleID string, mapTask, part int) string {
@@ -238,8 +273,8 @@ func partPath(dir, shuffleID string, mapTask, part int) string {
 }
 
 // WritePartition adds b's active rows to one partition's output. The rows
-// are copied — b may be reused on return — and reach the partition's file
-// with the block they complete.
+// are copied — b may be reused on return — and leave staging with the block
+// they complete.
 func (w *Writer) WritePartition(part int, b *vector.Batch) error {
 	n := b.NumActive()
 	for lo := 0; lo < n; {
@@ -264,7 +299,7 @@ func (w *Writer) WritePartition(part int, b *vector.Batch) error {
 		lo = hi
 		w.arenas[part] = st.OwnStrings(base, w.arenas[part])
 		if st.NumRows == stagingRows {
-			if err := w.flush(part); err != nil {
+			if err := w.emit(part, false); err != nil {
 				return err
 			}
 		}
@@ -272,9 +307,11 @@ func (w *Writer) WritePartition(part int, b *vector.Batch) error {
 	return nil
 }
 
-// flush writes one partition's staged rows as a checksummed block:
-// [u32 checksum][LZ4 frame].
-func (w *Writer) flush(part int) error {
+// emit moves one partition's staged rows out of staging: into the store —
+// the partition's last block when it has no file, any block of a broadcast —
+// or, encoded, into the partition's file. A hash partition's file is opened
+// by the first block it fills.
+func (w *Writer) emit(part int, last bool) error {
 	st := w.staging[part]
 	if st == nil || st.NumRows == 0 {
 		return nil
@@ -282,25 +319,92 @@ func (w *Writer) flush(part int) error {
 	if err := fault.Hit(w.Ctx, fault.ShuffleWrite); err != nil {
 		return err
 	}
+	rows := int64(st.NumRows)
+	w.Rows += rows
+	w.PartRows[part] += rows
+	if w.Obs != nil {
+		w.Obs.RowsWritten.Add(rows)
+	}
+	if w.files[part] == nil { // a store writer's partition with no file yet
+		if last || w.keepFull {
+			if n := heldBytes(st, w.arenas[part]); w.store.reserve(n) {
+				// The batch and its strings now belong to the store's readers.
+				w.held[part] = append(w.held[part], st)
+				w.staging[part], w.arenas[part] = nil, nil
+				w.MemRows += rows
+				w.MemBytes += n
+				return nil
+			}
+			// No memory for it: the output goes to files, what was kept first.
+			if err := w.spill(); err != nil {
+				return err
+			}
+			w.store.release(w.MemBytes)
+			w.MemRows, w.MemBytes = 0, 0
+		}
+		if w.files[part] == nil {
+			if err := w.open(part); err != nil {
+				return err
+			}
+		}
+	}
+	err := w.writeBlock(part, st)
+	st.NumRows = 0
+	w.arenas[part] = w.arenas[part][:0]
+	return err
+}
+
+// heldBytes is what keeping a staged batch keeps alive: its vectors at their
+// capacity, and its strings.
+func heldBytes(b *vector.Batch, arena []byte) int64 {
+	n := int64(len(arena))
+	for _, v := range b.Vecs {
+		width := v.Type.FixedWidth()
+		if width == 0 {
+			width = 24 // a slice header per string
+		}
+		n += int64(width+1) * int64(v.Capacity())
+	}
+	return n
+}
+
+// spill writes the batches kept for the store to their partitions' files,
+// opening those: a map output's in-memory part, whole. A reservation that
+// fails does this to its writer's output, Store.Spill to published ones.
+func (w *Writer) spill() error {
+	for part, bs := range w.held {
+		if len(bs) > 0 && w.files[part] == nil {
+			if err := w.open(part); err != nil {
+				return err
+			}
+		}
+		for _, b := range bs {
+			if err := w.writeBlock(part, b); err != nil {
+				return err
+			}
+		}
+		w.held[part] = nil
+	}
+	return nil
+}
+
+// writeBlock writes b to the partition's file as a checksummed block:
+// [u32 checksum][LZ4 frame].
+func (w *Writer) writeBlock(part int, b *vector.Batch) error {
 	if w.lz == nil {
 		w.lz = new(lz4.Compressor)
 	}
-	w.block = w.enc.encodeBlock(w.block[:0], st)
+	w.block = w.enc.encodeBlock(w.block[:0], b)
 	w.frame = w.lz.AppendFrame(append(w.frame[:0], 0, 0, 0, 0), w.block)
 	binary.LittleEndian.PutUint32(w.frame, blockChecksum(w.frame[checksumLen:]))
-	raw, framed, rows := int64(len(w.block)), int64(len(w.frame)), int64(st.NumRows)
+	raw, framed := int64(len(w.block)), int64(len(w.frame))
 	w.RawBytes += raw
-	w.Rows += rows
 	w.Bytes += framed
-	w.PartBytes[part] += framed
 	if w.Obs != nil {
 		w.Obs.RawBytesWritten.Add(raw)
 		w.Obs.BytesWritten.Add(framed)
-		w.Obs.RowsWritten.Add(rows)
 		w.Obs.BlocksWritten.Inc()
 	}
-	st.NumRows = 0
-	w.arenas[part] = w.arenas[part][:0]
 	if _, err := w.files[part].Write(w.frame); err != nil {
 		return fault.ClassifyIO(fault.ShuffleWrite, err)
 	}
@@ -310,20 +414,25 @@ func (w *Writer) flush(part int) error {
 // checksumLen is the per-block checksum prefix size.
 const checksumLen = 4
 
-// Close writes every partition's last, partial block, closes all partition
-// file handles and releases the staging memory, mirroring the per-writer
-// encoding tallies into the metrics registry once. Close does NOT publish
-// the output — call Commit (success) or Abort (failure). Idempotent: later
-// calls return the first call's error.
+// Close moves every partition's last, partial block out of staging, closes
+// all partition file handles and releases the staging memory, mirroring the
+// per-writer encoding tallies into the metrics registry once. Close does NOT
+// publish the output — call Commit (success) or Abort (failure). Idempotent:
+// later calls return the first call's error.
 func (w *Writer) Close() error {
 	if w.closed {
 		return w.closeErr
 	}
 	w.closed = true
 	var first error
-	for part, f := range w.files {
+	for part := range w.staging {
 		if first == nil {
-			first = w.flush(part)
+			first = w.emit(part, true)
+		}
+	}
+	for _, f := range w.files {
+		if f == nil {
+			continue
 		}
 		if err := f.Close(); err != nil && first == nil {
 			first = err
@@ -339,12 +448,13 @@ func (w *Writer) Close() error {
 	return first
 }
 
-// Commit closes (if needed) and atomically publishes every partition file
-// by renaming its temp to the final path. Rename is atomic per file, so a
-// concurrent reader sees either the old committed file or the new one,
-// never a torn write. Exactly one attempt of a task should Commit (the
-// scheduler/driver's commit guard); losers Abort. A writer whose Close
-// failed — its last blocks may be missing — does not commit.
+// Commit closes (if needed) and atomically publishes the output: every
+// partition file by renaming its temp to the final path, then what the store
+// keeps. Rename is atomic per file, so a concurrent reader sees either the
+// old committed file or the new one, never a torn write. Exactly one attempt
+// of a task should Commit (the scheduler/driver's commit guard); losers
+// Abort. A writer whose Close failed — its last blocks may be missing — does
+// not commit.
 func (w *Writer) Commit() error {
 	if err := w.Close(); err != nil {
 		return fault.ClassifyIO(fault.ShuffleWrite, err)
@@ -352,26 +462,46 @@ func (w *Writer) Commit() error {
 	if w.committed {
 		return nil
 	}
-	for i, tmp := range w.tmps {
-		if err := os.Rename(tmp, w.finals[i]); err != nil {
-			return fault.ClassifyIO(fault.ShuffleWrite, err)
-		}
+	if err := w.rename(); err != nil {
+		return err
+	}
+	if w.store != nil {
+		w.store.publish(w)
 	}
 	w.committed = true
 	return nil
 }
 
-// Abort drops whatever is staged, closes the files and removes the
-// attempt's temp files. Safe on a partially constructed writer; never
-// touches committed output.
+// rename moves every partition file the writer opened to its final path.
+func (w *Writer) rename() error {
+	for part, tmp := range w.tmps {
+		if tmp == "" {
+			continue
+		}
+		if err := os.Rename(tmp, partPath(w.dir, w.shuffle, w.mapTask, part)); err != nil {
+			return fault.ClassifyIO(fault.ShuffleWrite, err)
+		}
+	}
+	return nil
+}
+
+// Abort drops whatever is staged or kept for the store, closes the files and
+// removes the attempt's temp files. Safe on a partially constructed writer;
+// never touches committed output.
 func (w *Writer) Abort() {
-	clear(w.staging)
+	w.staging = nil
 	_ = w.Close()
 	if w.committed {
 		return
 	}
 	for _, tmp := range w.tmps {
-		_ = os.Remove(tmp)
+		if tmp != "" {
+			_ = os.Remove(tmp)
+		}
+	}
+	if w.store != nil {
+		w.store.release(w.MemBytes)
+		w.held, w.MemBytes, w.MemRows = nil, 0, 0
 	}
 }
 
@@ -382,34 +512,36 @@ func (w *Writer) Abort() {
 // which the driver uses for lineage recovery.
 //
 // A decoded batch's strings alias the reader's buffers and are valid until
-// the next call to Next.
+// the next call to Next. A store's reader yields what the store holds of a
+// map output as it is stored, and reads the rest from its files.
 type Reader struct {
-	schema  *types.Schema
-	shuffle string
-	part    int
-	paths   []string
-	data    []byte // the current partition file
-	pending []byte // its blocks not yet decoded
-	payload []byte // the current block, decompressed
-	dec     blockDecoder
-	file    int // index of the next file to open; pending is from file-1
+	schema   *types.Schema
+	dir      string
+	shuffle  string
+	part     int
+	mapTasks int
+	store    *Store          // nil: every map output is a file under dir
+	held     []*vector.Batch // the store's batches of the current map output, not yet returned
+	path     string          // the current partition file
+	data     []byte          // its bytes
+	pending  []byte          // its blocks not yet decoded
+	payload  []byte          // the current block, decompressed
+	dec      blockDecoder
+	file     int // index of the next map output to open; pending and held are from file-1
 	// Obs, when set, counts bytes read from shuffle files and corrupt
 	// blocks detected.
 	Obs *Metrics
 	// Ctx, when set, bounds injected failpoint latency on the read site.
 	Ctx context.Context
-	// Site is the failpoint this reader hits per file open (defaults to
-	// shuffle-read; broadcast readers use broadcast-fetch).
+	// Site is the failpoint this reader hits per map output opened (defaults
+	// to shuffle-read; broadcast readers use broadcast-fetch).
 	Site fault.Site
 }
 
 // NewReader opens partition `part` written by mapTasks map tasks.
 func NewReader(dir, shuffleID string, mapTasks, part int, schema *types.Schema) *Reader {
-	r := &Reader{schema: schema, shuffle: shuffleID, part: part, Site: fault.ShuffleRead}
-	for m := 0; m < mapTasks; m++ {
-		r.paths = append(r.paths, partPath(dir, shuffleID, m, part))
-	}
-	return r
+	return &Reader{schema: schema, dir: dir, shuffle: shuffleID, part: part, mapTasks: mapTasks,
+		Site: fault.ShuffleRead}
 }
 
 // corrupt builds the lineage-addressed corruption error for the file whose
@@ -419,7 +551,7 @@ func (r *Reader) corrupt(reason string) error {
 		r.Obs.BlocksCorrupt.Inc()
 	}
 	return &CorruptBlockError{
-		Path:      r.paths[r.file-1],
+		Path:      r.path,
 		ShuffleID: r.shuffle,
 		MapTask:   r.file - 1,
 		Part:      r.part,
@@ -446,81 +578,81 @@ func (r *Reader) readFile(path string) error {
 
 // Next decodes the next block into dst; returns false at end of partition.
 // Nothing in a block is trusted before its checksum has been verified over
-// the frame's header and compressed bytes.
+// the frame's header and compressed bytes. (A store's reader copies a batch
+// the store holds; NextBatch hands it over as it is.)
 func (r *Reader) Next(dst *vector.Batch) (bool, error) {
+	b, err := r.NextBatch(func() *vector.Batch { return dst })
+	if b != nil && b != dst {
+		b.GatherInto(dst)
+	}
+	return b != nil, err
+}
+
+// NextBatch returns the partition's next batch, nil at its end: a batch the
+// store holds — shared with every other reader of it, so not to be written
+// to — or the next file block, decoded into the batch decodeInto returns.
+func (r *Reader) NextBatch(decodeInto func() *vector.Batch) (*vector.Batch, error) {
 	for {
+		if len(r.held) > 0 {
+			b := r.held[0]
+			r.held = r.held[1:]
+			return b, nil
+		}
 		if len(r.pending) > 0 {
 			if len(r.pending) < checksumLen {
-				return false, r.corrupt(fmt.Sprintf("truncated block header: %d trailing bytes", len(r.pending)))
+				return nil, r.corrupt(fmt.Sprintf("truncated block header: %d trailing bytes", len(r.pending)))
 			}
 			want := binary.LittleEndian.Uint32(r.pending)
 			frame := r.pending[checksumLen:]
 			n, err := lz4.FrameLen(frame)
 			if err != nil {
-				return false, r.corrupt(err.Error())
+				return nil, r.corrupt(err.Error())
 			}
 			if got := blockChecksum(frame[:n]); got != want {
-				return false, r.corrupt(fmt.Sprintf("checksum mismatch: stored %08x computed %08x", want, got))
+				return nil, r.corrupt(fmt.Sprintf("checksum mismatch: stored %08x computed %08x", want, got))
 			}
 			if r.payload, r.pending, err = lz4.ReadFrame(r.payload, frame); err != nil {
-				return false, r.corrupt(err.Error())
+				return nil, r.corrupt(err.Error())
 			}
+			dst := decodeInto()
 			if err := r.dec.decodeBlock(r.payload, dst); err != nil {
-				return false, r.corrupt(err.Error())
+				return nil, r.corrupt(err.Error())
 			}
-			return true, nil
+			return dst, nil
 		}
-		if r.file >= len(r.paths) {
+		if r.file >= r.mapTasks {
 			r.data, r.payload, r.dec = nil, nil, blockDecoder{}
-			return false, nil
+			return nil, nil
 		}
 		if err := fault.Hit(r.Ctx, r.Site); err != nil {
-			return false, err
+			return nil, err
 		}
-		err := r.readFile(r.paths[r.file])
-		r.file++
-		if err != nil {
-			if os.IsNotExist(err) {
-				// A committed map task publishes every partition file
-				// (possibly empty), so a missing file means lost output —
-				// recoverable by re-running the producer.
-				return false, r.corrupt("missing partition file")
+		dir := r.dir
+		if r.store != nil {
+			held, ok := r.store.lookup(r.shuffle, r.file, r.part)
+			if ok {
+				r.held = held
+				r.file++
+				continue
 			}
-			return false, fault.ClassifyIO(r.Site, err)
+			dir = r.store.dir.Path() // "" while the query has no file: nothing to find
+		}
+		r.path = partPath(dir, r.shuffle, r.file, r.part)
+		r.file++
+		if err := r.readFile(r.path); err != nil {
+			if os.IsNotExist(err) {
+				// A committed map task publishes every partition (a file, or
+				// an entry in the store, possibly empty), so finding neither
+				// means lost output — recoverable by re-running the producer.
+				return nil, r.corrupt("missing partition file")
+			}
+			return nil, fault.ClassifyIO(r.Site, err)
 		}
 		if r.Obs != nil {
 			r.Obs.BytesRead.Add(int64(len(r.data)))
 		}
 		r.pending = r.data
 	}
-}
-
-// Manager tracks shuffle outputs within a process (the scheduler's shuffle
-// metadata service).
-type Manager struct {
-	Dir string
-
-	mu     sync.Mutex
-	counts map[string]int // shuffleID -> number of map tasks registered
-}
-
-// NewManager creates a manager rooted at dir.
-func NewManager(dir string) *Manager {
-	return &Manager{Dir: dir, counts: make(map[string]int)}
-}
-
-// RegisterMap records that a map task finished writing shuffleID.
-func (m *Manager) RegisterMap(shuffleID string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.counts[shuffleID]++
-}
-
-// MapTasks returns how many map tasks wrote shuffleID.
-func (m *Manager) MapTasks(shuffleID string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.counts[shuffleID]
 }
 
 // RowWriter is the baseline row-serialized shuffle: each row writes per-

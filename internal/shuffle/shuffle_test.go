@@ -198,16 +198,6 @@ func TestRowShuffleWriterVolume(t *testing.T) {
 	}
 }
 
-func TestManagerCounts(t *testing.T) {
-	m := NewManager(t.TempDir())
-	m.RegisterMap("s1")
-	m.RegisterMap("s1")
-	m.RegisterMap("s2")
-	if m.MapTasks("s1") != 2 || m.MapTasks("s2") != 1 || m.MapTasks("s3") != 0 {
-		t.Error("manager counts wrong")
-	}
-}
-
 func TestReaderEmptyMapOutputsSkipped(t *testing.T) {
 	schema := shuffleSchema()
 	dir := t.TempDir()

@@ -95,15 +95,17 @@ func TestDistributedProfileShape(t *testing.T) {
 		}
 		if st.ShuffleRows > 0 {
 			sawShuffle = true
-			if st.ShuffleBytes <= 0 || st.ShuffleRawBytes <= 0 {
-				t.Errorf("stage %d shuffle rows without bytes: %+v", st.ID, st)
+			if st.ShuffleMemRows > st.ShuffleRows {
+				t.Errorf("stage %d kept %d of %d shuffled rows in memory", st.ID, st.ShuffleMemRows, st.ShuffleRows)
 			}
+			// Rows that were not handed over in memory went through files.
 			var encs int64
 			for _, n := range st.EncCounts {
 				encs += n
 			}
-			if encs == 0 {
-				t.Errorf("stage %d shuffled blocks but recorded no encoding decisions", st.ID)
+			if filed := st.ShuffleRows > st.ShuffleMemRows; filed != (st.ShuffleBytes > 0) ||
+				filed != (st.ShuffleRawBytes > 0) || filed != (encs > 0) {
+				t.Errorf("stage %d shuffle volume disagrees with where its rows went: %+v", st.ID, st)
 			}
 		}
 	}

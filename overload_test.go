@@ -257,6 +257,7 @@ func TestOverloadSoak(t *testing.T) {
 	if used := sess.mm.Used(); used != 0 {
 		t.Errorf("leaked %d reserved bytes after soak", used)
 	}
+	assertNoExchangeHeld(t, sess)
 	assertNoShuffleFiles(t, dir)
 	assertNoOpenFiles(t)
 	waitGoroutines(t, baseGoroutines)
