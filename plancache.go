@@ -73,12 +73,15 @@ func newPlanCache(max int) *planCache {
 	return &planCache{max: max, entries: make(map[string]*planCacheEntry), lru: list.New()}
 }
 
-// lookup returns the live entry for key, invalidating (and reporting) a
-// stale-generation entry.
-func (c *planCache) lookup(key string, gen int64) (e *planCacheEntry, ok, invalidated bool) {
+// lookup returns the compiled query of the live entry for key (nil for a
+// negative entry), invalidating (and reporting) a stale-generation entry.
+// The pointer is read under the lock and a CompiledQuery is immutable, so
+// the caller binds against it with no lock held while insert replaces the
+// entry's.
+func (c *planCache) lookup(key string, gen int64) (cq *catalyst.CompiledQuery, ok, invalidated bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok = c.entries[key]
+	e, ok := c.entries[key]
 	if !ok {
 		return nil, false, false
 	}
@@ -88,7 +91,7 @@ func (c *planCache) lookup(key string, gen int64) (e *planCacheEntry, ok, invali
 		return nil, false, true
 	}
 	c.lru.MoveToFront(e.elem)
-	return e, true, false
+	return e.cq, true, false
 }
 
 // insert adds or replaces the entry for key, returning how many entries
@@ -219,9 +222,9 @@ func (s *Session) bindQuery(parse func() (*sql.SelectStmt, error)) (*boundQuery,
 	}
 	key := norm + "\x00" + s.fp
 
-	if e, ok, invalidated := s.cache.lookup(key, gen); ok {
-		if e.cq != nil {
-			if bq, ok := s.bindCompiled(e.cq, raws); ok {
+	if cq, ok, invalidated := s.cache.lookup(key, gen); ok {
+		if cq != nil {
+			if bq, ok := s.bindCompiled(cq, raws); ok {
 				s.svc.CacheHits.Inc()
 				bq.cached = true
 				bq.norm = norm
