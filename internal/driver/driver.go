@@ -95,10 +95,11 @@ type Options struct {
 	dir *shuffle.QueryDir
 
 	// testTaskStart, when non-nil, runs at the start of every non-recovery
-	// task attempt with the fragment, task ID, and the query's exchange
-	// store. Test-only seam for corruption-injection fixtures: write the
-	// store out (Spill), then damage the files once a consumer starts.
-	testTaskStart func(f *catalyst.Fragment, taskID int, store *shuffle.Store)
+	// task attempt with the fragment, task ID, and the job. Test-only seam
+	// for corruption-injection fixtures: write the job's exchange store out
+	// (Spill), then damage the files once a consumer starts; drop a runtime
+	// filter between a map task's run and its lineage re-run.
+	testTaskStart func(f *catalyst.Fragment, taskID int, j *stagedJob)
 }
 
 // RunStats reports one query run's scheduling footprint and profile.
@@ -773,7 +774,7 @@ func (j *stagedJob) assignmentsFor(si *stageInfo) [][]int {
 func (j *stagedJob) runTask(ctx context.Context, si *stageInfo, taskID int, recovery bool) error {
 	f := si.frag
 	if h := j.opts.testTaskStart; h != nil && !recovery {
-		h(f, taskID, j.store)
+		h(f, taskID, j)
 	}
 
 	var parts []int // hash partitions this task consumes

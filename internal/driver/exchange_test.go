@@ -72,7 +72,7 @@ func TestRunLeavesNoQueryDir(t *testing.T) {
 			_, _, err := Run(ctx, planTPCH(t, cat, 3), Options{
 				Parallelism: 4, ShuffleDir: dir, BroadcastRows: bc,
 				// The first consuming task starts after its inputs committed.
-				testTaskStart: func(f *catalyst.Fragment, taskID int, _ *shuffle.Store) {
+				testTaskStart: func(f *catalyst.Fragment, taskID int, _ *stagedJob) {
 					if len(f.Inputs) > 0 {
 						once.Do(cancel)
 					}
@@ -106,9 +106,9 @@ func TestRunLeavesNoQueryDir(t *testing.T) {
 // spillAtTaskStart is a testTaskStart hook that writes everything the
 // exchange store holds to files before each task starts: a task's inputs
 // were all committed by then, so it reads every one of them from a file.
-func spillAtTaskStart(t *testing.T) func(*catalyst.Fragment, int, *shuffle.Store) {
-	return func(_ *catalyst.Fragment, _ int, store *shuffle.Store) {
-		if _, err := store.Spill(math.MaxInt64); err != nil {
+func spillAtTaskStart(t *testing.T) func(*catalyst.Fragment, int, *stagedJob) {
+	return func(_ *catalyst.Fragment, _ int, j *stagedJob) {
+		if _, err := j.store.Spill(math.MaxInt64); err != nil {
 			t.Errorf("write out the exchange store: %v", err)
 		}
 	}
@@ -236,7 +236,7 @@ func TestExchangeUnderMemoryLimit(t *testing.T) {
 	// is about the exchange).
 	got := runTPCH(t, cat, 3, Options{Parallelism: 4, ShuffleDir: t.TempDir(), Metrics: reg, Mem: mm,
 		Pool:          sched.NewPool(1),
-		testTaskStart: func(_ *catalyst.Fragment, _ int, s *shuffle.Store) { once.Do(func() { store = s }) }})
+		testTaskStart: func(_ *catalyst.Fragment, _ int, j *stagedJob) { once.Do(func() { store = j.store }) }})
 	if a, b := render(want), render(got); !equalSorted(a, b) {
 		t.Fatalf("under the limit: %d rows, want %d", len(b), len(a))
 	}

@@ -111,11 +111,11 @@ func TestShuffleCorruptionRecovered(t *testing.T) {
 				Stats:         &stats,
 				// When the first shuffle-consuming task starts, its input
 				// stages have committed: damage every published file once.
-				testTaskStart: func(f *catalyst.Fragment, taskID int, store *shuffle.Store) {
+				testTaskStart: func(f *catalyst.Fragment, taskID int, j *stagedJob) {
 					if !f.ReadsHash {
 						return
 					}
-					once.Do(func() { damaged = corruptShuffleFiles(t, store, base, mode) })
+					once.Do(func() { damaged = corruptShuffleFiles(t, j.store, base, mode) })
 				},
 			}
 			got := runTPCH(t, cat, 3, opts)
