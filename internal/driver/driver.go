@@ -1066,7 +1066,7 @@ func (j *stagedJob) buildProfile(root *catalyst.Fragment) *QueryProfile {
 	for f, si := range j.stages {
 		si.profMu.Lock()
 		sp := StageProfile{
-			ID: f.ID, Label: f.Label, Out: f.Out.String(),
+			ID: f.ID, Label: f.Label(), Out: f.Out.String(),
 			TasksPlanned: si.stage.NumTasks, TasksRun: si.tasksRun,
 			WallNanos:       int64(si.stage.Stats().WallTime),
 			Ops:             append([]OpProfile(nil), si.ops...),
@@ -1085,8 +1085,11 @@ func (j *stagedJob) buildProfile(root *catalyst.Fragment) *QueryProfile {
 			sp.SpecWins = st.SpecWins.Load()
 			sp.Retries = st.Retries.Load()
 		}
-		// Row-level runtime-filter drops (pre-shuffle / pre-probe) fold into
-		// the same pruning total as scan-level skips.
+		if flt := j.rfReg.Filter(f.ID); flt != nil {
+			sp.RFKeys, sp.RFSizedFor = flt.Keys()
+		}
+		// Row-level runtime-filter drops fold into the same pruning total as
+		// scan-level skips.
 		for _, o := range sp.Ops {
 			if strings.HasPrefix(o.Name, "RuntimeFilter(") {
 				sp.RFRowsPruned += o.RowsIn - o.RowsOut
@@ -1115,9 +1118,9 @@ func (j *stagedJob) emitStageSpans(tr *obs.Trace) {
 			continue
 		}
 		tid := tr.NextTID()
-		tr.NameThread(tid, fmt.Sprintf("stage-%d %s", si.frag.ID, si.frag.Label))
+		tr.NameThread(tid, fmt.Sprintf("stage-%d %s", si.frag.ID, si.frag.Label()))
 		tr.Span(fmt.Sprintf("stage %d", si.frag.ID), "stage", tid, start, end.Sub(start),
-			map[string]any{"tasks": n, "label": si.frag.Label})
+			map[string]any{"tasks": n, "label": si.frag.Label()})
 	}
 }
 

@@ -78,6 +78,10 @@ type StageProfile struct {
 	// files and Parquet row groups skipped entirely, and rows eliminated
 	// (scan-level skips plus row-level RuntimeFilter drops).
 	RFFilesPruned, RFGroupsPruned, RFRowsPruned int64
+	// Runtime filter published by this (build-side) stage: the keys it holds
+	// and the keys its Bloom filters were sized for from the planner's row
+	// estimate. Both zero when the stage publishes none.
+	RFKeys, RFSizedFor int64
 
 	// Fused-pipeline execution: operators running inside fused pipelines in
 	// one task's plan, and the batches/rows the stage's pipelines emitted
@@ -198,9 +202,16 @@ func (q *QueryProfile) Render() string {
 				st.ShuffleRows, st.ShuffleBytes, st.ShuffleRawBytes,
 				encString(st.EncCounts), st.ShuffleMemRows)
 		}
+		var rfParts []string
 		if st.RFFilesPruned > 0 || st.RFGroupsPruned > 0 || st.RFRowsPruned > 0 {
-			fmt.Fprintf(&sb, " rf[files=%d groups=%d rows=%d]",
-				st.RFFilesPruned, st.RFGroupsPruned, st.RFRowsPruned)
+			rfParts = append(rfParts, fmt.Sprintf("files=%d groups=%d rows=%d",
+				st.RFFilesPruned, st.RFGroupsPruned, st.RFRowsPruned))
+		}
+		if st.RFSizedFor > 0 {
+			rfParts = append(rfParts, fmt.Sprintf("keys=%d/%d", st.RFKeys, st.RFSizedFor))
+		}
+		if len(rfParts) > 0 {
+			fmt.Fprintf(&sb, " rf[%s]", strings.Join(rfParts, " "))
 		}
 		if st.PipelineOps > 0 {
 			fmt.Fprintf(&sb, " pipeline[ops=%d batches=%d rows=%d]",
@@ -271,19 +282,6 @@ func (q *QueryProfile) BoundaryFraction() float64 {
 		return 0
 	}
 	return float64(boundary) / float64(total)
-}
-
-// RowsByName sums RowsOut per operator name across all stages — the
-// cross-parallelism invariant checked by the merge-correctness tests (scan,
-// filter, project, and join outputs are partition-independent).
-func (q *QueryProfile) RowsByName() map[string]int64 {
-	out := map[string]int64{}
-	for _, st := range q.Stages {
-		for _, op := range st.Ops {
-			out[op.Name] += op.RowsOut
-		}
-	}
-	return out
 }
 
 // singleProfile wraps one task's operator tree as a one-stage profile so

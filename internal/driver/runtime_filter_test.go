@@ -274,7 +274,7 @@ func runRF(t *testing.T, cat *catalog.Catalog, query string, opts Options) ([][]
 	return rows, rs
 }
 
-// TestRuntimeFilterDeltaFilePruning is the level-1 integration test: a
+// TestRuntimeFilterDeltaFilePruning is the scan-pruning integration test: a
 // build side covering a narrow key range must skip whole Delta files of the
 // probe scan via the published min/max envelope, the pruning must show up
 // in the EXPLAIN ANALYZE profile, and the result must match the unfiltered

@@ -365,7 +365,7 @@ func TestExchangeConsumersDoNotMutateInput(t *testing.T) {
 			keys.NumRows = 64
 			var hs rf.HashScratch
 			flt.Add(keys, []int{0}, nil, 64, &hs)
-			proj := NewProject(NewRuntimeFilter(NewMemScan(schema, shared), []int{0}, flt, 0),
+			proj := NewProject(NewRuntimeFilter(NewMemScan(schema, shared)).Stack([]int{0}, flt, 0),
 				[]expr.Expr{expr.Upper(s), expr.MustArith(expr.OpMul, d, expr.DecimalLit("1.05", 12, 2)), k},
 				[]string{"u", "m", "k"})
 			agg, err := NewHashAgg(proj, AggComplete,

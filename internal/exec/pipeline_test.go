@@ -328,7 +328,7 @@ func TestFusedRuntimeFilterCancelsWithinGiantBatch(t *testing.T) {
 	var hs rf.HashScratch
 	f.Add(build, []int{0}, nil, 3, &hs)
 
-	rfo := NewRuntimeFilter(src, []int{0}, f, 0)
+	rfo := NewRuntimeFilter(src).Stack([]int{0}, f, 0)
 	root := FusePipelines(rfo)
 	if _, ok := root.(*PipelineOp); !ok {
 		t.Fatalf("expected fused pipeline, got %T", root)

@@ -1,23 +1,36 @@
 package exec
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
+	"strconv"
+	"strings"
 
 	"photon/internal/rf"
 	"photon/internal/vector"
 )
 
-// RuntimeFilterOp drops probe-side rows that cannot match any build-side
-// join key, using a runtime filter published by the join's build stage
-// (ISSUE: level-2 pre-shuffle and level-3 pre-probe filtering). Like
-// FilterOp it only shrinks each batch's position list — data vectors are
-// untouched, and Bloom false positives merely pass extra rows, so the
-// operator is semantics-free by construction.
+// RuntimeFilterOp drops rows that cannot match any build-side key of the
+// joins above it, using the runtime filters those joins' build stages
+// published: all the filters the planner left at one place in the plan run
+// as one operator. Like FilterOp it only shrinks each batch's position list —
+// data vectors are untouched, and Bloom false positives merely pass extra
+// rows, so the operator is semantics-free by construction: it may skip any
+// filter for any batch.
+//
+// It uses that freedom (batch-level adaptivity, §4.6; off under
+// TaskCtx.Expr.Adaptive = false): each column filter's pass rate is measured
+// over the rows it is shown, the filters are probed most-selective-first so
+// the rest see only the survivors, and one that passes rfDropPass of its rows
+// or more sits out rfNapBatches batches before it is measured again — a
+// filter that rejects nothing costs a hash and a cache line per row for
+// nothing, and one that rejects nothing of the first batches may still reject
+// much of a table stored in another order.
 type RuntimeFilterOp struct {
 	base
 	child  Operator
-	keys   []int      // child-schema ordinals of the join key columns
-	filter *rf.Filter // nil or unusable = pass-through
+	probes []rfProbe // in probing order
+	ids    []string  // producer stages, for the display name
 	hs     rf.HashScratch
 	selA   []int32
 	selB   []int32
@@ -25,13 +38,52 @@ type RuntimeFilterOp struct {
 	winSel []int32
 }
 
-// NewRuntimeFilter builds a runtime-filter operator over child. producer is
-// the fragment ID of the build stage that published the filter (display
-// only). filter may be nil: the operator then forwards batches unchanged.
-func NewRuntimeFilter(child Operator, keys []int, filter *rf.Filter, producer int) *RuntimeFilterOp {
-	op := &RuntimeFilterOp{child: child, keys: keys, filter: filter}
+// rfProbe is one key column's filter and what the task has seen of it.
+type rfProbe struct {
+	col     int // child-schema ordinal of the key column
+	f       *rf.ColFilter
+	in, out int64   // rows shown and passed since the last verdict
+	pass    float64 // pass rate at the last verdict
+	sleep   int     // batches it still sits out
+}
+
+const (
+	// rfSampleRows is how many rows a filter is shown before its pass rate
+	// is judged: one full batch, a rate good to under a percent.
+	rfSampleRows = 2048
+	// rfDropPass is the pass rate from which probing a filter costs more
+	// than carrying the rows it would have removed.
+	rfDropPass = 0.9
+	// rfNapBatches is how long a filter that fails rfDropPass sits out: a
+	// filter that never rejects anything is then probed on a thirtieth of
+	// the rows, and one that starts to is back within that many batches.
+	rfNapBatches = 32
+)
+
+// NewRuntimeFilter builds a runtime-filter operator over child; Stack gives
+// it its filters.
+func NewRuntimeFilter(child Operator) *RuntimeFilterOp {
+	// Empty, not nil: a probe result that aliases them must never read as
+	// the nil position list that means "every row".
+	op := &RuntimeFilterOp{child: child, selA: []int32{}, selB: []int32{}, selAcc: []int32{}}
 	op.schema = child.Schema()
-	op.stats.Name = fmt.Sprintf("RuntimeFilter(stage=%d)", producer)
+	return op
+}
+
+// Stack adds one producer's filter. keys are the child-schema ordinals of the
+// join key columns, producer the fragment ID of the build stage that
+// published filter (display only). filter may be nil: it then removes
+// nothing.
+func (op *RuntimeFilterOp) Stack(keys []int, filter *rf.Filter, producer int) *RuntimeFilterOp {
+	op.ids = append(op.ids, strconv.Itoa(producer))
+	op.stats.Name = "RuntimeFilter(stage=" + strings.Join(op.ids, ",") + ")"
+	if filter != nil {
+		for k, c := range filter.Cols {
+			if c != nil { // nil: unsupported key type, the column passes all
+				op.probes = append(op.probes, rfProbe{col: keys[k], f: c})
+			}
+		}
+	}
 	return op
 }
 
@@ -66,27 +118,18 @@ func (op *RuntimeFilterOp) Next() (*vector.Batch, error) {
 	}
 }
 
-// processBatch probes one batch through the runtime filter, shrinking its
+// processBatch probes one batch through the runtime filters, shrinking its
 // position list; nil output means every row was pruned. Shared by the pull
 // path and fused pipelines — all stats counting lives here.
 func (op *RuntimeFilterOp) processBatch(b *vector.Batch) (*vector.Batch, error) {
-	op.stats.RowsIn.Add(int64(b.NumActive()))
-	anyCol := false
-	if op.filter.Usable() {
-		for _, c := range op.filter.Cols {
-			if c != nil {
-				anyCol = true
-				break
-			}
-		}
-	}
-	if !anyCol {
-		// Unusable filter or no usable column filter: pass through.
-		op.stats.RowsOut.Add(int64(b.NumActive()))
+	active := b.NumActive()
+	op.stats.RowsIn.Add(int64(active))
+	if len(op.probes) == 0 {
+		// No usable column filter: pass through.
+		op.stats.RowsOut.Add(int64(active))
 		op.stats.BatchesOut.Add(1)
 		return b, nil
 	}
-	active := b.NumActive()
 	var sel []int32
 	if active <= cancelCheckRows {
 		sel = op.probeRows(b, b.Sel)
@@ -105,25 +148,35 @@ func (op *RuntimeFilterOp) processBatch(b *vector.Batch) (*vector.Batch, error) 
 		op.selAcc = acc
 		sel = acc
 	}
-	if len(sel) == 0 {
-		return nil, nil // whole batch pruned
+	if op.tc.Expr.Adaptive {
+		op.adapt()
 	}
-	b.SetSel(sel)
+	if sel != nil { // nil: the batch had no position list and no filter was awake
+		if len(sel) == 0 {
+			return nil, nil // whole batch pruned
+		}
+		b.SetSel(sel)
+	}
 	op.stats.RowsOut.Add(int64(b.NumActive()))
 	op.stats.BatchesOut.Add(1)
 	return b, nil
 }
 
-// probeRows runs every usable column filter over one selection window,
-// returning the surviving rows (the result aliases op.selA/op.selB).
+// probeRows runs every filter that is awake over one selection window,
+// returning the surviving rows (the result aliases op.selA/op.selB), or sel
+// itself when no filter is awake.
 func (op *RuntimeFilterOp) probeRows(b *vector.Batch, sel []int32) []int32 {
-	useA, first := true, true
-	for k, col := range op.keys {
-		c := op.filter.Cols[k]
-		if c == nil {
-			continue // unsupported key type: this column passes all
+	shown := b.NumRows
+	if sel != nil {
+		shown = len(sel)
+	}
+	useA, probed := true, false
+	for i := range op.probes {
+		p := &op.probes[i]
+		if p.sleep > 0 {
+			continue
 		}
-		if !first && len(sel) == 0 {
+		if probed && len(sel) == 0 {
 			break
 		}
 		// Alternate output buffers: ProbeVec resets its out slice, so it
@@ -132,15 +185,41 @@ func (op *RuntimeFilterOp) probeRows(b *vector.Batch, sel []int32) []int32 {
 		if useA {
 			buf = op.selA
 		}
-		res := c.ProbeVec(b.Vecs[col], sel, b.NumRows, &op.hs, buf)
+		res := p.f.ProbeVec(b.Vecs[p.col], sel, b.NumRows, &op.hs, buf)
 		if useA {
 			op.selA = res
 		} else {
 			op.selB = res
 		}
-		sel, useA, first = res, !useA, false
+		p.in += int64(shown)
+		p.out += int64(len(res))
+		sel, shown, useA, probed = res, len(res), !useA, true
 	}
 	return sel
+}
+
+// adapt runs after each batch: filters shown rfSampleRows rows get a verdict —
+// sleep or stay — and those that stay are put in order of pass rate.
+func (op *RuntimeFilterOp) adapt() {
+	judged := false
+	for i := range op.probes {
+		p := &op.probes[i]
+		if p.sleep > 0 {
+			p.sleep--
+			continue
+		}
+		if p.in < rfSampleRows {
+			continue
+		}
+		p.pass = float64(p.out) / float64(p.in)
+		p.in, p.out, judged = 0, 0, true
+		if p.pass >= rfDropPass {
+			p.sleep = rfNapBatches
+		}
+	}
+	if judged {
+		slices.SortStableFunc(op.probes, func(a, b rfProbe) int { return cmp.Compare(a.pass, b.pass) })
+	}
 }
 
 // window returns a selection for active rows [lo, hi).

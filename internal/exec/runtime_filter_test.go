@@ -119,7 +119,7 @@ func TestRuntimeFilterOpSelections(t *testing.T) {
 	var hs rf.HashScratch
 	f.Add(build, []int{0, 1}, nil, 4, &hs)
 
-	op := NewRuntimeFilter(src, []int{0, 1}, f, 0)
+	op := NewRuntimeFilter(src).Stack([]int{0, 1}, f, 0)
 	got, err := CollectRows(op, newTC(t))
 	if err != nil {
 		t.Fatal(err)
@@ -134,12 +134,127 @@ func TestRuntimeFilterOpSelections(t *testing.T) {
 	}
 	// A nil / unusable filter is a pure pass-through.
 	src2 := NewMemScan(schema, BuildBatches(schema, rows, 64))
-	pass := NewRuntimeFilter(src2, []int{0, 1}, nil, 0)
+	pass := NewRuntimeFilter(src2).Stack([]int{0, 1}, nil, 0)
 	got2, err := CollectRows(pass, newTC(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got2) != len(rows) {
 		t.Fatalf("nil filter dropped rows: %d of %d", len(got2), len(rows))
+	}
+}
+
+// keyFilter builds a one-column filter holding keys.
+func keyFilter(keys ...int64) *rf.Filter {
+	schema := intSchema("k")
+	f := rf.NewFilter([]types.DataType{types.Int64Type}, int64(len(keys)))
+	b := vector.NewBatch(schema, len(keys))
+	copy(b.Vecs[0].I64, keys)
+	b.NumRows = len(keys)
+	var hs rf.HashScratch
+	f.Add(b, []int{0}, nil, len(keys), &hs)
+	return f
+}
+
+func seq(lo, hi int64) (out []int64) {
+	for k := lo; k < hi; k++ {
+		out = append(out, k)
+	}
+	return out
+}
+
+// TestRuntimeFilterOpAdapts: stacked filters are probed most-selective-first,
+// one that rejects nothing stops being probed, one that rejects nothing of
+// the first batches is measured again and comes back once it does — and none
+// of it changes which rows survive the filters that stay.
+func TestRuntimeFilterOpAdapts(t *testing.T) {
+	schema := intSchema("a", "b")
+	const batch, batches = 1024, 200
+	var rows [][]any
+	for i := 0; i < batch*batches; i++ {
+		rows = append(rows, []any{int64(i), int64(i % 100)})
+	}
+	all := keyFilter(seq(0, 100)...)        // over b: rejects nothing
+	half := keyFilter(seq(0, 50)...)        // over b: rejects half
+	late := keyFilter(seq(0, 100*batch)...) // over a: rejects nothing of the first 100 batches, all of the rest
+	tenth := keyFilter(seq(0, 10)...)       // over b: rejects nine tenths
+	build := func() *RuntimeFilterOp {
+		src := NewMemScan(schema, BuildBatches(schema, rows, batch))
+		return NewRuntimeFilter(src).Stack([]int{1}, all, 1).Stack([]int{1}, half, 2).
+			Stack([]int{0}, late, 3).Stack([]int{1}, tenth, 4)
+	}
+	if got := build().Stats().Name; got != "RuntimeFilter(stage=1,2,3,4)" {
+		t.Errorf("name = %q", got)
+	}
+
+	static := build()
+	tc := newTC(t)
+	tc.Expr.Adaptive = false
+	want, err := CollectRows(static, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 100*batch/10 {
+		t.Fatalf("%d rows pass all four filters, want %d", len(want), 100*batch/10)
+	}
+	for i, p := range static.probes {
+		if p.sleep != 0 || p.f != []*rf.ColFilter{all.Cols[0], half.Cols[0], late.Cols[0], tenth.Cols[0]}[i] {
+			t.Errorf("adaptivity off: filter %d moved or slept: %+v", i, p)
+		}
+	}
+
+	adaptive := build()
+	got, err := CollectRows(adaptive, newTC(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rows 0..100*batch with b < 10 pass every filter; what a sleeping filter
+	// lets through beyond them is rejected by the ones awake (tenth never
+	// sleeps), except rows late alone would reject while it sleeps.
+	if len(got) < len(want) {
+		t.Fatalf("adaptive run lost rows: %d < %d", len(got), len(want))
+	}
+	// late is shown a tenth of each batch, so a verdict takes 20 batches.
+	if extra := len(got) - len(want); extra > (rfNapBatches+20)*batch/10 {
+		t.Errorf("%d rows slipped past the filter that began rejecting at batch 100: it was not measured again", extra)
+	}
+	if adaptive.probes[0].f != late.Cols[0] && adaptive.probes[0].f != tenth.Cols[0] {
+		t.Errorf("most selective filter is not probed first: %+v", adaptive.probes)
+	}
+	for _, p := range adaptive.probes {
+		switch p.f {
+		case all.Cols[0]:
+			if p.pass < rfDropPass {
+				t.Errorf("the filter that rejects nothing was never judged to: %+v", p)
+			}
+		case late.Cols[0], tenth.Cols[0]:
+			if p.sleep != 0 {
+				t.Errorf("a filter that rejects rows is asleep at the end: %+v", p)
+			}
+		}
+	}
+	if in, out := adaptive.Stats().RowsIn.Load(), adaptive.Stats().RowsOut.Load(); in != batch*batches || out != int64(len(got)) {
+		t.Errorf("stats in=%d out=%d, want %d and %d", in, out, batch*batches, len(got))
+	}
+}
+
+// TestRuntimeFilterOpGiantBatch: a batch probed in cancellation windows
+// keeps exactly the rows a small one would — none, when no window has a
+// survivor.
+func TestRuntimeFilterOpGiantBatch(t *testing.T) {
+	schema := intSchema("k")
+	const n = 3*cancelCheckRows + 17
+	for _, c := range []struct {
+		keys []int64
+		want int
+	}{{[]int64{-1}, 0}, {[]int64{5, 2*cancelCheckRows + 1}, 2}} {
+		src := NewMemScan(schema, []*vector.Batch{giantBatch(schema, n)})
+		got, err := CollectRows(NewRuntimeFilter(src).Stack([]int{0}, keyFilter(c.keys...), 0), newTC(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != c.want {
+			t.Errorf("keys %v: %d rows survive, want %d", c.keys, len(got), c.want)
+		}
 	}
 }

@@ -348,6 +348,18 @@ func (f *Filter) Usable() bool {
 	return false
 }
 
+// Keys reports the most non-NULL build keys any column folded in, and how
+// many the column Blooms were sized for; more keys than that and the filter
+// passes rows it was built to reject.
+func (f *Filter) Keys() (keys, sizedFor int64) {
+	for _, c := range f.Cols {
+		if c != nil {
+			keys, sizedFor = max(keys, c.N), c.Bloom.NumBits()/BitsPerKey
+		}
+	}
+	return keys, sizedFor
+}
+
 // Add folds the key columns of b's rows (sel/n window) into the filter.
 func (f *Filter) Add(b *vector.Batch, keyCols []int, sel []int32, n int, s *HashScratch) {
 	for k, col := range keyCols {

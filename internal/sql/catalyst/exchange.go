@@ -41,10 +41,6 @@ func (k ExchangeKind) String() string {
 type Fragment struct {
 	ID   int
 	Root sql.LogicalPlan
-	// Label is a short human-readable stage name ("FinalAgg->gather",
-	// "PartialAgg->hash") derived from the root plan node and output
-	// exchange at cut time, used by query profiles and traces.
-	Label string
 	// Out is how the fragment's output is exchanged.
 	Out ExchangeKind
 	// HashCols are the output-ordinal partition keys for ExchangeHash.
@@ -75,23 +71,58 @@ type Fragment struct {
 	RFExpectRows int64
 
 	// Runtime-filter consumer role: RFInputs are producer fragments whose
-	// filters this fragment consults (scheduler dependencies in addition to
-	// Inputs — the driver runs stages sequentially in dependency order, so
-	// every filter is complete before a consuming task plans). ScanRF maps
-	// producer filter columns onto this fragment's scan for file/row-group
-	// pruning.
+	// filters this fragment consults, wherever in the plan above it the join
+	// they come from sits (scheduler dependencies in addition to Inputs — the
+	// driver runs stages sequentially in dependency order, so every filter is
+	// complete before a consuming task plans). ScanRF maps producer filter
+	// columns onto this fragment's scan for file/row-group pruning.
 	RFInputs []*Fragment
 	ScanRF   []ScanRFSpec
 }
 
 // ScanRFSpec projects one runtime-filter key column onto a consuming
 // fragment's table scan: the filter built by Producer over its key column
-// KeyIdx applies to the scan's output column ScanCol (traced through
-// schema-preserving nodes and column-forwarding projections).
+// KeyIdx applies to the scan's output column ScanCol (recorded by
+// sinkRuntimeFilter when the filter comes to rest above the scan).
 type ScanRFSpec struct {
 	Producer *Fragment
 	KeyIdx   int
 	ScanCol  int
+}
+
+// Label is a short human-readable stage name ("FinalAgg->gather",
+// "PartialAgg->hash") for query profiles and traces: the first plan node
+// that is not a runtime filter — those land on a root long after it was cut —
+// and the output exchange.
+func (f *Fragment) Label() string {
+	root := f.Root
+	for r, ok := root.(*RuntimeFilterPlan); ok; r, ok = root.(*RuntimeFilterPlan) {
+		root = r.Child
+	}
+	name := root.String()
+	if i := strings.IndexAny(name, "(["); i > 0 {
+		name = name[:i]
+	}
+	return name + "->" + f.Out.String()
+}
+
+// reaches reports whether f is target or waits for it, through exchange
+// inputs or runtime-filter producers. seen holds the fragments already
+// found not to.
+func (f *Fragment) reaches(target *Fragment, seen map[*Fragment]bool) bool {
+	if f == target {
+		return true
+	}
+	if seen[f] {
+		return false
+	}
+	seen[f] = true
+	for _, in := range append(f.Inputs[:len(f.Inputs):len(f.Inputs)], f.RFInputs...) {
+		if in.reaches(target, seen) {
+			return true
+		}
+	}
+	return false
 }
 
 // NumFragments counts the fragments reachable from f (including f).

@@ -333,19 +333,28 @@ func (b *builder) buildHybrid(plan sql.LogicalPlan) (exec.Operator, rowengine.Op
 		return agg, nil, err
 
 	case *RuntimeFilterPlan:
-		// Probe-side runtime filter (distributed fragments are pure Photon).
-		ph, _, err := b.buildHybrid(n.Child)
+		// Runtime filters stacked at one place in the plan run as one operator
+		// (distributed fragments are pure Photon).
+		stack := []*RuntimeFilterPlan{n}
+		for c, ok := n.Child.(*RuntimeFilterPlan); ok; c, ok = c.Child.(*RuntimeFilterPlan) {
+			stack = append(stack, c)
+		}
+		ph, _, err := b.buildHybrid(stack[len(stack)-1].Child)
 		if err != nil {
 			return nil, nil, err
 		}
 		if ph == nil {
 			return nil, nil, fmt.Errorf("catalyst: runtime filter requires a Photon input")
 		}
-		var f *rf.Filter
-		if b.cfg.RuntimeFilterSource != nil {
-			f = b.cfg.RuntimeFilterSource(n.Producer.ID)
+		op := exec.NewRuntimeFilter(ph)
+		for i := len(stack) - 1; i >= 0; i-- {
+			var f *rf.Filter
+			if b.cfg.RuntimeFilterSource != nil {
+				f = b.cfg.RuntimeFilterSource(stack[i].Producer.ID)
+			}
+			op.Stack(stack[i].Keys, f, stack[i].Producer.ID)
 		}
-		return exec.NewRuntimeFilter(ph, n.Keys, f, n.Producer.ID), nil, nil
+		return op, nil, nil
 
 	case *sql.LJoin:
 		lph, lrow, err := b.buildHybrid(n.Left)

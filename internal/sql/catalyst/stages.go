@@ -2,7 +2,7 @@ package catalyst
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
 	"photon/internal/expr"
 	"photon/internal/sql"
@@ -66,8 +66,8 @@ func PlanStages(plan sql.LogicalPlan, cfg StageConfig) (*Fragment, error) {
 		body = sortNode.Child
 	}
 
-	fc := &fragCtx{}
-	staged, err := p.assemble(body, fc)
+	rf := &Fragment{}
+	staged, err := p.assemble(body, rf)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +80,7 @@ func PlanStages(plan sql.LogicalPlan, cfg StageConfig) (*Fragment, error) {
 		// its contribution to the global result.
 		root = &sql.LLimit{Child: root, N: tailLimit}
 	}
-	rf := p.cut(root, ExchangeGather, nil, fc)
+	p.cut(rf, root, ExchangeGather, nil)
 	if sortNode != nil {
 		rf.MergeKeys = sortNode.Keys
 	}
@@ -88,69 +88,39 @@ func PlanStages(plan sql.LogicalPlan, cfg StageConfig) (*Fragment, error) {
 	return rf, nil
 }
 
-// fragCtx accumulates the state of the fragment under construction.
-type fragCtx struct {
-	inputs    []*Fragment
-	partScan  bool // contains a task-partitioned scan
-	readsHash bool // consumes a hash exchange
-	rfInputs  []*Fragment
-	scanRF    []ScanRFSpec
-}
-
 type stagePlanner struct {
 	cfg    StageConfig
 	nextID int
 }
 
-// cut finishes the fragment under construction.
-func (p *stagePlanner) cut(root sql.LogicalPlan, out ExchangeKind, hashCols []int, fc *fragCtx) *Fragment {
-	f := &Fragment{
-		ID:              p.nextID,
-		Root:            root,
-		Label:           fragLabel(root, out),
-		Out:             out,
-		HashCols:        hashCols,
-		Inputs:          fc.inputs,
-		PartitionedScan: fc.partScan,
-		ReadsHash:       fc.readsHash,
-		TailLimit:       -1,
-		RFInputs:        fc.rfInputs,
-		ScanRF:          fc.scanRF,
-	}
+// cut finishes f, the fragment under construction: assemble has filled in
+// its inputs, scan and filter roles while building root.
+func (p *stagePlanner) cut(f *Fragment, root sql.LogicalPlan, out ExchangeKind, hashCols []int) *Fragment {
+	f.ID, f.Root, f.Out, f.HashCols, f.TailLimit = p.nextID, root, out, hashCols, -1
 	p.nextID++
 	return f
 }
 
-// fragLabel names a stage after its root plan node and output exchange,
-// e.g. "PartialAgg->hash" or "FinalAgg->gather".
-func fragLabel(root sql.LogicalPlan, out ExchangeKind) string {
-	name := root.String()
-	if i := strings.IndexAny(name, "(["); i > 0 {
-		name = name[:i]
-	}
-	return name + "->" + out.String()
-}
-
-// assemble builds node's fragment-local plan, cutting child fragments at
-// exchange boundaries.
-func (p *stagePlanner) assemble(node sql.LogicalPlan, fc *fragCtx) (sql.LogicalPlan, error) {
+// assemble builds node's fragment-local plan inside f, the fragment under
+// construction, cutting child fragments at exchange boundaries.
+func (p *stagePlanner) assemble(node sql.LogicalPlan, f *Fragment) (sql.LogicalPlan, error) {
 	switch n := node.(type) {
 	case *sql.LScan:
 		// The physical planner partitions the first (probe-lineage) scan of
 		// a fragment across tasks; the stage planner guarantees at most one
 		// scan per fragment.
-		fc.partScan = true
+		f.PartitionedScan = true
 		return n, nil
 
 	case *sql.LFilter:
-		c, err := p.assemble(n.Child, fc)
+		c, err := p.assemble(n.Child, f)
 		if err != nil {
 			return nil, err
 		}
 		return &sql.LFilter{Child: c, Pred: n.Pred}, nil
 
 	case *sql.LProject:
-		c, err := p.assemble(n.Child, fc)
+		c, err := p.assemble(n.Child, f)
 		if err != nil {
 			return nil, err
 		}
@@ -160,8 +130,8 @@ func (p *stagePlanner) assemble(node sql.LogicalPlan, fc *fragCtx) (sql.LogicalP
 		// Split into partial (map side) and final (reduce side) across a
 		// hash exchange on the grouping keys. Keyless aggregations exchange
 		// everything to partition 0.
-		childFC := &fragCtx{}
-		c, err := p.assemble(n.Child, childFC)
+		pf := &Fragment{}
+		c, err := p.assemble(n.Child, pf)
 		if err != nil {
 			return nil, err
 		}
@@ -173,13 +143,13 @@ func (p *stagePlanner) assemble(node sql.LogicalPlan, fc *fragCtx) (sql.LogicalP
 		for i := range keyCols {
 			keyCols[i] = i // partial schema leads with the grouping keys
 		}
-		pf := p.cut(partial, ExchangeHash, keyCols, childFC)
-		fc.inputs = append(fc.inputs, pf)
-		fc.readsHash = true
+		p.cut(pf, partial, ExchangeHash, keyCols)
+		f.Inputs = append(f.Inputs, pf)
+		f.ReadsHash = true
 		return &FinalAggPlan{Child: &ExchangeRead{Frag: pf}, Agg: n}, nil
 
 	case *sql.LJoin:
-		return p.assembleJoin(n, fc)
+		return p.assembleJoin(n, f)
 
 	default:
 		// Interior sorts/limits, cross joins, and unknown nodes cannot be
@@ -192,8 +162,8 @@ func (p *stagePlanner) assemble(node sql.LogicalPlan, fc *fragCtx) (sql.LogicalP
 // side when it is small (or when the keys are not plain columns), else
 // hash-partition both sides on the join keys. For eligible joins the build
 // fragment additionally publishes a runtime filter over its key columns,
-// and the probe side is wrapped in a RuntimeFilterPlan consuming it.
-func (p *stagePlanner) assembleJoin(n *sql.LJoin, fc *fragCtx) (sql.LogicalPlan, error) {
+// which the probe side consumes wherever those columns originate.
+func (p *stagePlanner) assembleJoin(n *sql.LJoin, f *Fragment) (sql.LogicalPlan, error) {
 	leftCols, rightCols, keyed := joinKeyCols(n)
 	// Runtime filters require plain-column keys and a join kind whose probe
 	// output is a subset of probe rows that match some build key: inner and
@@ -202,124 +172,199 @@ func (p *stagePlanner) assembleJoin(n *sql.LJoin, fc *fragCtx) (sql.LogicalPlan,
 	rfEligible := p.cfg.RuntimeFilters && keyed &&
 		(n.Kind == sql.JoinInner || n.Kind == sql.JoinLeftSemi)
 	bcast := p.cfg.broadcastRows()
-	if !keyed || (bcast >= 0 && estimateRows(n.Right) <= bcast) {
-		// Broadcast join: the probe side stays in this fragment (parallel
-		// probe); the build side becomes its own stage whose output is
-		// replicated to every probe task.
-		left, err := p.assemble(n.Left, fc)
-		if err != nil {
-			return nil, err
-		}
-		rfc := &fragCtx{}
-		right, err := p.assemble(n.Right, rfc)
-		if err != nil {
-			return nil, err
-		}
-		bf := p.cut(right, ExchangeBroadcast, nil, rfc)
-		fc.inputs = append(fc.inputs, bf)
-		probe := left
-		if rfEligible {
-			// Pre-probe filtering (level 3): the build stage completes before
-			// this fragment runs (it is a scheduler dependency already), so
-			// the filter is total by the time probe batches flow.
-			probe = p.attachRuntimeFilter(left, bf, leftCols, rightCols, n.Right, fc)
-		}
-		return &sql.LJoin{
-			Left:     probe,
-			Right:    &ExchangeRead{Frag: bf, Broadcast: true},
-			Kind:     n.Kind,
-			LeftKeys: n.LeftKeys, RightKeys: n.RightKeys,
-			Residual: n.Residual,
-		}, nil
-	}
+	broadcast := !keyed || (bcast >= 0 && estimateRows(n.Right) <= bcast)
 
-	// Shuffle join: hash-partition both sides on the join keys so partition
-	// i of the probe side meets partition i of the build side in one task.
-	lfc := &fragCtx{}
-	left, err := p.assemble(n.Left, lfc)
+	// Broadcast join: the probe side stays in this fragment (parallel probe);
+	// the build side becomes its own stage whose output is replicated to every
+	// probe task. Shuffle join: both sides are cut and hash-partitioned on the
+	// join keys, so partition i of the probe side meets partition i of the
+	// build side in one task.
+	lf := f
+	if !broadcast {
+		lf = &Fragment{}
+	}
+	left, err := p.assemble(n.Left, lf)
 	if err != nil {
 		return nil, err
 	}
-	rfc := &fragCtx{}
-	right, err := p.assemble(n.Right, rfc)
+	bf := &Fragment{}
+	right, err := p.assemble(n.Right, bf)
 	if err != nil {
 		return nil, err
 	}
-	var lf, bf *Fragment
-	if rfEligible {
-		// Pre-shuffle filtering (level 2): cut the build fragment first so
-		// the probe fragment can both depend on it and filter its rows
-		// before they are hash-partitioned — shrinking shuffle bytes, not
-		// just probe work.
-		bf = p.cut(right, ExchangeHash, rightCols, rfc)
-		probe := p.attachRuntimeFilter(left, bf, leftCols, rightCols, n.Right, lfc)
-		lf = p.cut(probe, ExchangeHash, leftCols, lfc)
+	if broadcast {
+		p.cut(bf, right, ExchangeBroadcast, nil)
 	} else {
-		lf = p.cut(left, ExchangeHash, leftCols, lfc)
-		bf = p.cut(right, ExchangeHash, rightCols, rfc)
+		p.cut(bf, right, ExchangeHash, rightCols)
 	}
-	fc.inputs = append(fc.inputs, lf, bf)
-	fc.readsHash = true
+	if rfEligible {
+		// The build stage is a scheduler dependency of every fragment its
+		// filter lands in, so the filter is total by the time their batches
+		// flow: before the probe (broadcast), before the shuffle (hash), or
+		// further down, before exchanges and joins below this one.
+		bf.RFKeys = rightCols
+		est := estimateRows(n.Right)
+		bf.RFExpectRows = max(est, min(rfEstimateSlack*est, rfSlackKeys))
+		left = sinkRuntimeFilter(left, lf, bf, leftCols)
+	}
+	if !broadcast {
+		p.cut(lf, left, ExchangeHash, leftCols)
+		f.Inputs = append(f.Inputs, lf)
+		f.ReadsHash = true
+		left = &ExchangeRead{Frag: lf}
+	}
+	f.Inputs = append(f.Inputs, bf)
 	return &sql.LJoin{
-		Left:     &ExchangeRead{Frag: lf},
-		Right:    &ExchangeRead{Frag: bf},
+		Left:     left,
+		Right:    &ExchangeRead{Frag: bf, Broadcast: broadcast},
 		Kind:     n.Kind,
 		LeftKeys: n.LeftKeys, RightKeys: n.RightKeys,
 		Residual: n.Residual,
 	}, nil
 }
 
-// attachRuntimeFilter marks build fragment bf as a runtime-filter producer
-// over rightCols, wraps the probe-side plan in a consuming
-// RuntimeFilterPlan, and — when a probe key traces down to the fragment's
-// scan — records a ScanRF spec so the scan can prune files and row groups
-// with the filter's range envelope (level 1). fc is the fragment under
-// construction that contains probe.
-func (p *stagePlanner) attachRuntimeFilter(probe sql.LogicalPlan, bf *Fragment,
-	leftCols, rightCols []int, buildPlan sql.LogicalPlan, fc *fragCtx) sql.LogicalPlan {
-	bf.RFKeys = rightCols
-	bf.RFExpectRows = estimateRows(buildPlan)
-	fc.rfInputs = append(fc.rfInputs, bf)
-	for ki, lc := range leftCols {
-		if sc, ok := traceToScan(probe, lc); ok {
-			fc.scanRF = append(fc.scanRF, ScanRFSpec{Producer: bf, KeyIdx: ki, ScanCol: sc})
+// A build side's Bloom filter is sized for rfEstimateSlack times
+// estimateRows' figure where that keeps it within rfSlackKeys keys (64 KiB,
+// L2-resident, nothing to zero or merge). The estimate takes a third per
+// filter and a tenth per aggregation, which is the right order of magnitude
+// and no more (TPC-H Q21's late-by-one-supplier orders: guessed 6.6 k, 33 k
+// arrive), and a filter holding four times its design load passes a quarter
+// of the rows it should reject. A tiny build side's filter stays tiny, which
+// a floor on the size would not let it, and a large one's stays as it was:
+// four times a large filter is memory and cache misses, and after sinking
+// most large estimates are already too high.
+const (
+	rfEstimateSlack = 4
+	rfSlackKeys     = 32 << 10
+)
+
+// sinkRuntimeFilter applies prod's runtime filter to output columns cols of
+// plan (aligned with prod.RFKeys) where those columns originate instead of
+// where the join that wants it sits: every row it removes there would have
+// been carried through the joins, exchanges and aggregations in between and
+// then rejected by that join, which still does the exact match. plan belongs
+// to fragment own; the result replaces plan.
+//
+// The filter passes column-forwarding projections, filters, other runtime
+// filters, the probe side of any join, and both halves of an aggregation
+// grouped by the columns. It crosses an exchange into the already-cut child
+// fragment, which then waits for prod. By join-key equivalence it also enters
+// the build side of an inner or left-semi join, and follows a column born on
+// an inner join's build side there; it never enters the build side of an
+// outer or anti join. Where it stops it stays: above a scan (and the filter
+// directly over one, which is cheaper and runs first), where it also prunes
+// the scan's files and row groups (ScanRF).
+func sinkRuntimeFilter(plan sql.LogicalPlan, own, prod *Fragment, cols []int) sql.LogicalPlan {
+	switch n := plan.(type) {
+	case *RuntimeFilterPlan:
+		n.Child = sinkRuntimeFilter(n.Child, own, prod, cols)
+		return n
+	case *sql.LFilter:
+		if _, overScan := n.Child.(*sql.LScan); !overScan {
+			n.Child = sinkRuntimeFilter(n.Child, own, prod, cols)
+			return n
+		}
+	case *sql.LProject:
+		if below, ok := forwardedCols(n.Exprs, cols); ok {
+			n.Child = sinkRuntimeFilter(n.Child, own, prod, below)
+			return n
+		}
+	case *PartialAggPlan:
+		if below, ok := forwardedCols(n.Agg.Keys, cols); ok {
+			n.Child = sinkRuntimeFilter(n.Child, own, prod, below)
+			return n
+		}
+	case *FinalAggPlan:
+		// The exchange below leads with the grouping keys, as the output does.
+		if slices.Max(cols) < len(n.Agg.Keys) {
+			n.Child = sinkRuntimeFilter(n.Child, own, prod, cols)
+			return n
+		}
+	case *ExchangeRead:
+		// A fragment cannot wait for a producer that waits for it.
+		if !prod.reaches(n.Frag, map[*Fragment]bool{}) {
+			n.Frag.Root = sinkRuntimeFilter(n.Frag.Root, n.Frag, prod, cols)
+			return n
+		}
+	case *sql.LJoin:
+		left, right := joinSides(n, cols)
+		if left != nil {
+			n.Left = sinkRuntimeFilter(n.Left, own, prod, left)
+		}
+		if right != nil {
+			n.Right = sinkRuntimeFilter(n.Right, own, prod, right)
+		}
+		if left != nil || right != nil {
+			return n
 		}
 	}
-	return &RuntimeFilterPlan{Child: probe, Producer: bf, Keys: leftCols}
+	scan := plan
+	if f, ok := plan.(*sql.LFilter); ok {
+		scan = f.Child
+	}
+	if _, ok := scan.(*sql.LScan); ok {
+		for k, c := range cols {
+			own.ScanRF = append(own.ScanRF, ScanRFSpec{Producer: prod, KeyIdx: k, ScanCol: c})
+		}
+	}
+	if !slices.Contains(own.RFInputs, prod) {
+		own.RFInputs = append(own.RFInputs, prod)
+	}
+	return &RuntimeFilterPlan{Child: plan, Producer: prod, Keys: cols}
 }
 
-// traceToScan follows output column col of plan down to the fragment's
-// table scan, returning the scan-output ordinal it originates from.
-// The trace crosses schema-preserving nodes (filters, runtime filters),
-// column-forwarding projections, and a join's probe (left) columns; it
-// stops at exchanges, aggregations, and computed projections.
-func traceToScan(plan sql.LogicalPlan, col int) (int, bool) {
-	switch n := plan.(type) {
-	case *sql.LScan:
-		return col, true
-	case *sql.LFilter:
-		return traceToScan(n.Child, col)
-	case *RuntimeFilterPlan:
-		return traceToScan(n.Child, col)
-	case *sql.LProject:
-		if col >= len(n.Exprs) {
-			return 0, false
+// forwardedCols maps output ordinals cols of a node computing exprs onto
+// its child's ordinals; ok is false unless every one is a plain column.
+func forwardedCols(exprs []expr.Expr, cols []int) (below []int, ok bool) {
+	for _, c := range cols {
+		if c >= len(exprs) {
+			return nil, false
 		}
-		cr, ok := n.Exprs[col].(*expr.ColRef)
-		if !ok {
-			return 0, false
+		cr, isCol := exprs[c].(*expr.ColRef)
+		if !isCol {
+			return nil, false
 		}
-		return traceToScan(n.Child, cr.Idx)
-	case *sql.LJoin:
-		// Left (probe) columns lead the join's output schema for every join
-		// kind the stage planner emits; right columns come from an exchange
-		// and cannot reach this fragment's scan.
-		if col < len(n.Left.Schema().Fields) {
-			return traceToScan(n.Left, col)
-		}
-		return 0, false
+		below = append(below, cr.Idx)
 	}
-	return 0, false
+	return below, true
+}
+
+// joinSides maps a join's output columns cols onto its inputs: left and
+// right are the matching ordinals of that side when every column can be
+// filtered there, else nil. Left columns lead every join kind's output and
+// can always be filtered on the left. A column is also filtered on the
+// other side when it is a plain join key of an inner or left-semi join (the
+// output carries equal values in both), and an inner join's right column on
+// the right.
+func joinSides(n *sql.LJoin, cols []int) (left, right []int) {
+	nl := len(n.Left.Schema().Fields)
+	var lk, rk []int
+	if n.Kind == sql.JoinInner || n.Kind == sql.JoinLeftSemi {
+		lk, rk, _ = joinKeyCols(n)
+	}
+	for _, c := range cols {
+		l, r := -1, -1
+		if c < nl {
+			l = c
+		} else if n.Kind == sql.JoinInner {
+			r = c - nl
+		}
+		for k := range lk {
+			if l == lk[k] && r < 0 {
+				r = rk[k]
+			} else if r == rk[k] && l < 0 && n.Kind == sql.JoinInner {
+				l = lk[k]
+			}
+		}
+		left, right = append(left, l), append(right, r)
+	}
+	if slices.Contains(left, -1) {
+		left = nil
+	}
+	if slices.Contains(right, -1) {
+		right = nil
+	}
+	return left, right
 }
 
 // joinKeyCols extracts plain-column join keys; a shuffle join needs raw
