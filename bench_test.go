@@ -889,57 +889,3 @@ func sortDurations(d []time.Duration) {
 		}
 	}
 }
-
-// ----- Adaptive narrow-decimal execution (§4.6) -----
-
-// BenchmarkDecimal64DisarmedOverhead guards the disarmed cost of the
-// narrow-decimal machinery: on a workload that touches no decimal column
-// the fast path adds only a per-expression flag test, so enabling it must
-// be free. Q4 (counts over orders with a date-correlated exists) runs with
-// the knob on and off, alternating, and the min-wall delta is reported as
-// dec64_check_overhead_pct — CI gates it below 1%.
-func BenchmarkDecimal64DisarmedOverhead(b *testing.B) {
-	cat := tpch.NewGen(0.02).Generate()
-	stmt, err := sql.Parse(tpch.Queries[4])
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := sql.Analyze(cat, stmt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err = catalyst.Optimize(plan)
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(off bool) float64 {
-		start := time.Now()
-		if _, _, err := driver.Run(context.Background(), plan, driver.Options{
-			Parallelism: 1, DisableDecimal64: off,
-		}); err != nil {
-			b.Fatal(err)
-		}
-		return float64(time.Since(start).Nanoseconds())
-	}
-	// Warmup both paths, then take per-mode minima over alternating runs:
-	// min wall is the noise-robust estimator for "identical code, one
-	// extra branch".
-	run(false)
-	run(true)
-	minOn, minOff := 0.0, 0.0
-	b.ResetTimer()
-	for i := 0; i < b.N+9; i++ {
-		on, off := run(false), run(true)
-		if minOn == 0 || on < minOn {
-			minOn = on
-		}
-		if minOff == 0 || off < minOff {
-			minOff = off
-		}
-	}
-	pct := (minOn - minOff) / minOff * 100
-	if pct < 0 {
-		pct = 0
-	}
-	b.ReportMetric(pct, "dec64_check_overhead_pct")
-}

@@ -73,9 +73,10 @@ type Options struct {
 	// semantics-free: disabling them never changes results, only speed.
 	DisableRuntimeFilters bool
 	// DisableDecimal64 turns off the adaptive narrow-decimal fast path
-	// (int64 decimal kernels with checked escape to 128-bit). On by
-	// default and strictly semantics-free: results are byte-identical
-	// either way, only speed changes.
+	// (int64 compare and cast kernels, HashAgg's int64 pre-aggregation
+	// scratch, each with a checked escape to 128-bit). On by default and
+	// strictly semantics-free: results are byte-identical either way, only
+	// speed changes.
 	DisableDecimal64 bool
 
 	// Progress, when non-nil, receives batch-boundary (rows, bytes) deltas
@@ -279,7 +280,7 @@ func notePoolMetrics(reg *obs.Registry, tc *exec.TaskCtx) {
 // noteDec64Metrics folds a finished task's narrow-decimal dispatch counts
 // into the registry, split by the path each decimal batch took.
 func noteDec64Metrics(reg *obs.Registry, e *expr.Ctx) {
-	const help = "Decimal batches by execution path: int64 fast path (dec64), 128-bit kernels (dec128), or mid-batch overflow escape."
+	const help = "Batches of a raw decimal sum/avg aggregate or a decimal cast, by execution path: int64 fast path (dec64), 128-bit kernels (dec128), or mid-batch overflow escape."
 	if e.Dec64Batches > 0 {
 		reg.Counter(`photon_decimal_fastpath_batches_total{path="dec64"}`, help).Add(e.Dec64Batches)
 	}

@@ -410,15 +410,12 @@ func (op *HashAggOp) foldAgg(b *vector.Batch, info aggInfo, val *vector.Vector, 
 
 // decSumAgg is one decimal sum/avg input column inside a row pass: the
 // argument evaluated over a raw batch, or a partial sum column being merged.
-// Values arrive either as raw int64 lanes (lane != nil, produced by
-// expr.EvalDec64Lanes without the widen pass) or as canonical Decimal128.
 type decSumAgg struct {
 	off   int // state offset in the group payload
 	dec   []types.Decimal128
-	lane  []int64
 	cnt   []int64        // rows each input row stands for; nil = one
 	nulls []byte         // the column's NULL bytes; nil when it has none
-	vec   *vector.Vector // backs dec/lane; returned to the pool when owned
+	vec   *vector.Vector // backs dec; returned to the pool when owned
 	owned bool
 }
 
@@ -429,49 +426,35 @@ const preAggMaxGroups = 1 << 16
 
 // updateDecimalSums folds every decimal sum/avg aggregate over a raw batch
 // in one fused pass; it is their only way into the states. With the narrow
-// fast path on, arguments evaluate straight to int64 lanes where they can,
-// and narrow NULL-free arguments against small tables take the batch-local
-// pre-aggregation route: per row, each argument lane is added
-// (overflow-tracked branch-free) into a dense per-group int64 scratch slab —
-// all of a group's partial sums share one cache line — and the hash-table
-// states are touched once per live group at flush time instead of once per
-// input row. This is where the narrow-decimal fast path pays off on
+// fast path on, narrow NULL-free arguments against small tables take the
+// batch-local pre-aggregation route: per row, each argument's low limb is
+// added (overflow-tracked branch-free) into a dense per-group int64 scratch
+// slab — all of a group's partial sums share one cache line — and the
+// hash-table states are touched once per live group at flush time instead of
+// once per input row. This is where the narrow-decimal fast path pays off on
 // aggregation-heavy shapes (Q1: seven decimal accumulators per row): the
 // per-row closure dispatch, payload lookups and count read-modify-writes of
 // the generic loops collapse into a handful of adds per row. Everything else
-// — and everything when Config.DisableDecimal64 is set, which means no lanes
-// and no scratch — takes the direct per-row 128-bit loop.
+// — and everything when Config.DisableDecimal64 is set, which means no
+// scratch — takes the direct per-row 128-bit loop.
 func (op *HashAggOp) updateDecimalSums(b *vector.Batch) error {
 	if op.numDecSums == 0 {
 		return nil
 	}
 	ctx := op.tc.Expr
-	if ctx.Dec64 {
-		release := ctx.Dec64CacheScope(b.Sel, b.NumRows)
-		defer release()
-	}
 	op.decSums = op.decSums[:0]
 	defer op.releaseDecSums()
 	for _, info := range op.infos {
 		if !info.decSum {
 			continue
 		}
-		ag := decSumAgg{off: info.off, owned: true}
-		lv, ok, err := ctx.EvalDec64Lanes(info.spec.Arg, b)
+		av, owned, err := evalChildExpr(ctx, info.spec.Arg, b)
 		if err != nil {
 			return err
 		}
-		if ok {
-			ag.vec, ag.lane = lv, lv.I64
-		} else {
-			av, owned, err := evalChildExpr(ctx, info.spec.Arg, b)
-			if err != nil {
-				return err
-			}
-			ag.vec, ag.owned, ag.dec = av, owned, av.Dec
-		}
-		if ag.vec.HasNulls() {
-			ag.nulls = ag.vec.Nulls
+		ag := decSumAgg{off: info.off, dec: av.Dec, vec: av, owned: owned}
+		if av.HasNulls() {
+			ag.nulls = av.Nulls
 		}
 		op.decSums = append(op.decSums, ag)
 	}
@@ -486,7 +469,7 @@ func (op *HashAggOp) updateDecimalSums(b *vector.Batch) error {
 	if g := op.tbl.NumRows(); ctx.Dec64 && g <= preAggMaxGroups && g*4 <= b.NumActive() {
 		for a := range args {
 			ag := &args[a]
-			if ag.nulls == nil && (ag.lane != nil || ctx.Dec64Qualified(ag.vec, b.Sel, b.NumRows)) {
+			if ag.nulls == nil && ctx.Dec64Qualified(ag.vec, b.Sel, b.NumRows) {
 				args[nPre], args[a] = args[a], args[nPre]
 				nPre++
 			}
@@ -495,18 +478,12 @@ func (op *HashAggOp) updateDecimalSums(b *vector.Batch) error {
 	escapes := op.preAggDecimalSums(args[:nPre], b)
 	op.sumDecimalRows(args[nPre:], b, op.tbl)
 
-	// One tally per (aggregate, batch): the input was evaluated or
-	// pre-aggregated as int64, escaped from that, or ran 128-bit throughout.
+	// One tally per (aggregate, batch): the input was pre-aggregated as
+	// int64, escaped from that, or ran 128-bit throughout.
 	if ctx.Dec64 {
 		ctx.Dec64Escapes += int64(escapes)
 		ctx.Dec64Batches += int64(nPre - escapes)
-		for _, ag := range args[nPre:] {
-			if ag.lane != nil {
-				ctx.Dec64Batches++
-			} else {
-				ctx.Dec128Batches++
-			}
-		}
+		ctx.Dec128Batches += int64(len(args) - nPre)
 	}
 	return nil
 }
@@ -539,17 +516,11 @@ func (op *HashAggOp) sumDecimalRows(args []decSumAgg, b *vector.Batch, tbl *ht.T
 			if ag.nulls != nil && ag.nulls[i] != 0 {
 				continue
 			}
-			var x types.Decimal128
-			if ag.lane != nil {
-				x = types.SignExtend64(ag.lane[i])
-			} else {
-				x = ag.dec[i]
-			}
 			c := int64(1)
 			if ag.cnt != nil {
 				c = ag.cnt[i]
 			}
-			addDecSum(p[ag.off:], x, c)
+			addDecSum(p[ag.off:], ag.dec[i], c)
 		}
 	}
 }
@@ -641,16 +612,12 @@ func (op *HashAggOp) preAggDecimalSums(pre []decSumAgg, b *vector.Batch) (escape
 
 // accumulateScratch adds one narrow NULL-free source column into column s of
 // the per-group scratch (nS columns per group). The sign bit of the result is
-// set iff some add wrapped int64. It is its own function so the four loops
-// apply stamps out (lanes or low limbs × dense or selective) each keep their
-// operands in registers.
+// set iff some add wrapped int64. It is its own function so the two loops
+// apply stamps out (dense and selective) each keep their operands in
+// registers.
 func accumulateScratch(src *decSumAgg, sel []int32, n int, rowIDs []int32, acc []int64, nS, s int) (ovf uint64) {
-	if lane := src.lane; lane != nil {
-		apply(sel, n, func(i int32) { ovf |= scratchAdd(acc, int(rowIDs[i])*nS+s, lane[i]) })
-	} else {
-		dec := src.dec // narrow, so the low limb is the value
-		apply(sel, n, func(i int32) { ovf |= scratchAdd(acc, int(rowIDs[i])*nS+s, int64(dec[i].Lo)) })
-	}
+	dec := src.dec // narrow, so the low limb is the value
+	apply(sel, n, func(i int32) { ovf |= scratchAdd(acc, int(rowIDs[i])*nS+s, int64(dec[i].Lo)) })
 	return ovf
 }
 
@@ -664,11 +631,6 @@ func scratchAdd(acc []int64, idx int, x int64) uint64 {
 }
 
 // sameDecSrc reports whether two pre-aggregated arguments read the same
-// input — pointer-identical lane or decimal storage — so they can share one
-// scratch column.
-func sameDecSrc(x, y *decSumAgg) bool {
-	if x.lane != nil || y.lane != nil {
-		return x.lane != nil && y.lane != nil && &x.lane[0] == &y.lane[0]
-	}
-	return &x.dec[0] == &y.dec[0]
-}
+// input — pointer-identical decimal storage — so they can share one scratch
+// column.
+func sameDecSrc(x, y *decSumAgg) bool { return &x.dec[0] == &y.dec[0] }

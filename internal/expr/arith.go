@@ -246,26 +246,8 @@ func modVV[T kernels.Numeric](a, b, outVals []T, out *vector.Vector, sel []int32
 	return nil
 }
 
-// evalDecimal handles decimal arithmetic with scale alignment. The narrow
-// (int64) attempt runs first; on a miss or overflow escape the 128-bit
-// kernels below produce the identical result.
+// evalDecimal handles decimal arithmetic with scale alignment, in 128 bits.
 func (a *Arith) evalDecimal(ctx *Ctx, b *vector.Batch) (*vector.Vector, error) {
-	if ctx.Dec64 {
-		out, st, err := a.evalDec64(ctx, b)
-		if err != nil {
-			return nil, err
-		}
-		switch st {
-		case dec64Hit:
-			ctx.Dec64Batches++
-			return out, nil
-		case dec64Escape:
-			ctx.Dec64Escapes++
-		default:
-			ctx.Dec128Batches++
-		}
-	}
-
 	lt, rt := a.Left.Type(), a.Right.Type()
 	out := ctx.Get(a.out)
 	n := b.NumRows

@@ -2,31 +2,16 @@ package expr
 
 import (
 	"photon/internal/kernels"
-	"photon/internal/types"
 	"photon/internal/vector"
 )
 
-// Narrow-decimal (int64) evaluation. Decimal Arith subtrees whose leaves are
-// narrow — statically (declared precision ≤ 18) or adaptively (batch-level
-// Dec64 metadata, discovered from Parquet stats or the check kernel) — are
-// evaluated on pooled int64 lane vectors: leaves extracted once, interior
-// add/sub/mul/rescale/div running pure int64 loops, and the final result
-// widened back to canonical Decimal128 in a single pass. Every interior
-// kernel is overflow-checked; any overflow abandons the attempt and the
-// caller re-runs the 128-bit path, producing identical results (the escape
-// tier). Physical representation between operators stays []Decimal128, so no
-// serde, shuffle, or hash-table path ever sees lanes.
+// Narrow-decimal (int64) qualification. Decimal arithmetic has one evaluator,
+// the 128-bit kernels of Arith.evalDecimal; what reads a decimal vector's low
+// limbs only — the narrow compare and cast kernels here, HashAgg's
+// pre-aggregation scratch in package exec — first asks whether every value
+// fits an int64. Physical representation stays []Decimal128 everywhere.
 
-// dec64Status classifies the outcome of a narrow-decimal attempt.
-type dec64Status uint8
-
-const (
-	dec64Miss   dec64Status = iota // not qualified; run the 128-bit path
-	dec64Hit                       // evaluated narrow; result valid
-	dec64Escape                    // overflow mid-batch; run the 128-bit path
-)
-
-// dec64Qualified reports whether v can feed the narrow evaluator: statically
+// dec64Qualified reports whether v can feed a narrow kernel: statically
 // when the declared precision guarantees int64 (≤ 18 digits fit), adaptively
 // via batch metadata or the check kernel otherwise.
 func (c *Ctx) dec64Qualified(v *vector.Vector, sel []int32, n int) bool {
@@ -37,7 +22,7 @@ func (c *Ctx) dec64Qualified(v *vector.Vector, sel []int32, n int) bool {
 }
 
 // Dec64Qualified is the exported form of dec64Qualified for operator fast
-// paths outside this package (e.g. hashagg's int64 sum accumulator).
+// paths outside this package (HashAgg's int64 pre-aggregation scratch).
 func (c *Ctx) Dec64Qualified(v *vector.Vector, sel []int32, n int) bool {
 	return c.dec64Qualified(v, sel, n)
 }
@@ -65,427 +50,4 @@ func (c *Ctx) decFits64(v *vector.Vector, sel []int32, n int) bool {
 		}
 	}
 	return fits
-}
-
-// Dec64CacheScope arms the per-batch leaf-lane cache and returns its release
-// function. Inside the scope, dec64Leaf memoizes the narrowed lanes of stable
-// (operator-owned) vectors, so an expression set sharing leaves — Q1's seven
-// aggregate arguments reuse l_extendedprice and l_discount — extracts each
-// column once instead of once per expression. The cache is keyed to the
-// selection armed here: evaluations under any other selection (a CASE branch
-// narrows b.Sel to its matched rows) bypass it, since their lanes are only
-// valid at those rows. The caller (one operator, one batch) must invoke the
-// release before the next batch; release returns the cached lane vectors to
-// the pool.
-func (c *Ctx) Dec64CacheScope(sel []int32, n int) func() {
-	c.dec64CacheOn = true
-	c.dec64CacheSel = sel
-	c.dec64CacheN = n
-	return func() {
-		c.dec64CacheOn = false
-		c.dec64CacheSel = nil
-		for i := range c.dec64CacheSrc {
-			c.Put(c.dec64CacheLanes[i])
-			c.dec64CacheSrc[i] = nil
-			c.dec64CacheLanes[i] = nil
-		}
-		c.dec64CacheSrc = c.dec64CacheSrc[:0]
-		c.dec64CacheLanes = c.dec64CacheLanes[:0]
-	}
-}
-
-// dec64CacheSelMatch reports whether the current evaluation selection is the
-// one the cache scope was armed with (same nil-ness, length, backing array,
-// and row count — position lists are append-built, so header identity
-// implies identical content).
-func (c *Ctx) dec64CacheSelMatch(sel []int32, n int) bool {
-	if n != c.dec64CacheN || len(sel) != len(c.dec64CacheSel) {
-		return false
-	}
-	if len(sel) == 0 {
-		return (sel == nil) == (c.dec64CacheSel == nil)
-	}
-	return &sel[0] == &c.dec64CacheSel[0]
-}
-
-// EvalDec64Lanes attempts to evaluate a decimal Arith tree entirely on int64
-// lanes (scale = e.Type().Scale) and hands the pooled lane vector straight to
-// the caller, skipping the final widen-to-Decimal128 pass. Operator fast
-// paths that consume raw lanes — hashagg's fused decimal-sum pass — call this
-// instead of Eval. ok=false reports a miss or an overflow escape; the caller
-// then evaluates the expression generically. The returned vector is owned by
-// the caller, which must Put it.
-func (c *Ctx) EvalDec64Lanes(e Expr, b *vector.Batch) (*vector.Vector, bool, error) {
-	a, isArith := e.(*Arith)
-	if !c.Dec64 || !isArith || a.out.ID != types.Decimal {
-		return nil, false, nil
-	}
-	lanes, owned, st, err := dec64Node(c, a, b)
-	if st != dec64Hit || err != nil {
-		return nil, false, err
-	}
-	if !owned {
-		// Interior nodes always allocate their output; guard anyway so a
-		// cached vector can never leak to a caller that will Put it.
-		out := c.Get(types.Int64Type)
-		copy(out.I64, lanes.I64)
-		if lanes.HasNulls() {
-			out.SetHasNulls(kernels.CopyNulls(lanes.Nulls, out.Nulls, b.Sel, b.NumRows))
-		}
-		lanes = out
-	}
-	return lanes, true, nil
-}
-
-// evalDec64 attempts to evaluate the whole decimal Arith subtree on int64
-// lanes. On dec64Hit the returned vector is canonical Decimal128 marked
-// Dec64All; on miss or escape the caller runs the 128-bit path.
-func (a *Arith) evalDec64(ctx *Ctx, b *vector.Batch) (*vector.Vector, dec64Status, error) {
-	lanes, owned, st, err := dec64Node(ctx, a, b)
-	if st != dec64Hit {
-		return nil, st, err
-	}
-	n, sel := b.NumRows, b.Sel
-	out := ctx.Get(a.out)
-	kernels.Dec64WidenV(lanes.I64, out.Dec, sel, n)
-	if lanes.HasNulls() {
-		out.SetHasNulls(kernels.CopyNulls(lanes.Nulls, out.Nulls, sel, n))
-	}
-	out.Dec64 = vector.Dec64All
-	putOwned(ctx, lanes, owned)
-	return out, dec64Hit, nil
-}
-
-// dec64Node recursively evaluates e into an int64 lane vector (scale =
-// e.Type().Scale, nulls merged). Interior nodes are decimal Arith ops; all
-// other expressions are leaves evaluated generically and lane-extracted.
-// owned reports whether the caller must Put the vector (false for cached
-// leaf lanes, which the cache scope releases).
-func dec64Node(ctx *Ctx, e Expr, b *vector.Batch) (*vector.Vector, bool, dec64Status, error) {
-	a, isArith := e.(*Arith)
-	if !isArith || a.out.ID != types.Decimal {
-		return dec64Leaf(ctx, e, b)
-	}
-	n, sel := b.NumRows, b.Sel
-	lt, rt := a.Left.Type(), a.Right.Type()
-
-	switch a.Op {
-	case OpAdd, OpSub:
-		s := max(lt.Scale, rt.Scale)
-		// Scalar specializations for expr-with-constant shapes, e.g.
-		// (1 - l_discount) and (1 + l_tax) in TPC-H Q1.
-		if rlit, ok := a.Right.(*Literal); ok && !rlit.IsNullLit() {
-			c := rlit.Dec(s)
-			if a.Op == OpSub {
-				c = c.Neg()
-			}
-			if !types.Fits64(c) {
-				return nil, false, dec64Miss, nil
-			}
-			if lt.Scale == s {
-				if dv, ok := dec64ColDec(ctx, a.Left, b); ok {
-					out := ctx.Get(types.Int64Type)
-					return dec64Checked(ctx, out,
-						kernels.Dec64AddDecS(dv, c.ToInt64(), out.I64, sel, n))
-				}
-			}
-			lv, lo, st, err := dec64Node(ctx, a.Left, b)
-			if st != dec64Hit {
-				return nil, false, st, err
-			}
-			if lv, lo, st = dec64Rescale(ctx, lv, lo, lt.Scale, s, sel, n); st != dec64Hit {
-				return nil, false, st, nil
-			}
-			out := ctx.Get(types.Int64Type)
-			if lv.HasNulls() {
-				out.SetHasNulls(kernels.CopyNulls(lv.Nulls, out.Nulls, sel, n))
-			}
-			ok := kernels.Dec64AddVS(lv.I64, c.ToInt64(), out.I64, sel, n)
-			putOwned(ctx, lv, lo)
-			return dec64Checked(ctx, out, ok)
-		}
-		if llit, ok := a.Left.(*Literal); ok && !llit.IsNullLit() && a.Op == OpAdd {
-			// lit + expr commutes into the expr + lit shape, e.g. (1 + l_tax).
-			c := llit.Dec(s)
-			if !types.Fits64(c) {
-				return nil, false, dec64Miss, nil
-			}
-			if rt.Scale == s {
-				if dv, ok := dec64ColDec(ctx, a.Right, b); ok {
-					out := ctx.Get(types.Int64Type)
-					return dec64Checked(ctx, out,
-						kernels.Dec64AddDecS(dv, c.ToInt64(), out.I64, sel, n))
-				}
-			}
-			rv, ro, st, err := dec64Node(ctx, a.Right, b)
-			if st != dec64Hit {
-				return nil, false, st, err
-			}
-			if rv, ro, st = dec64Rescale(ctx, rv, ro, rt.Scale, s, sel, n); st != dec64Hit {
-				return nil, false, st, nil
-			}
-			out := ctx.Get(types.Int64Type)
-			if rv.HasNulls() {
-				out.SetHasNulls(kernels.CopyNulls(rv.Nulls, out.Nulls, sel, n))
-			}
-			ok := kernels.Dec64AddVS(rv.I64, c.ToInt64(), out.I64, sel, n)
-			putOwned(ctx, rv, ro)
-			return dec64Checked(ctx, out, ok)
-		}
-		if llit, ok := a.Left.(*Literal); ok && !llit.IsNullLit() && a.Op == OpSub {
-			c := llit.Dec(s)
-			if !types.Fits64(c) {
-				return nil, false, dec64Miss, nil
-			}
-			if rt.Scale == s {
-				if dv, ok := dec64ColDec(ctx, a.Right, b); ok {
-					out := ctx.Get(types.Int64Type)
-					return dec64Checked(ctx, out,
-						kernels.Dec64SubSDec(c.ToInt64(), dv, out.I64, sel, n))
-				}
-			}
-			rv, ro, st, err := dec64Node(ctx, a.Right, b)
-			if st != dec64Hit {
-				return nil, false, st, err
-			}
-			if rv, ro, st = dec64Rescale(ctx, rv, ro, rt.Scale, s, sel, n); st != dec64Hit {
-				return nil, false, st, nil
-			}
-			out := ctx.Get(types.Int64Type)
-			if rv.HasNulls() {
-				out.SetHasNulls(kernels.CopyNulls(rv.Nulls, out.Nulls, sel, n))
-			}
-			ok := kernels.Dec64SubSV(c.ToInt64(), rv.I64, out.I64, sel, n)
-			putOwned(ctx, rv, ro)
-			return dec64Checked(ctx, out, ok)
-		}
-		lv, lo, rv, ro, st, err := dec64Children(ctx, a, b)
-		if st != dec64Hit {
-			return nil, false, st, err
-		}
-		if lv, lo, st = dec64Rescale(ctx, lv, lo, lt.Scale, s, sel, n); st != dec64Hit {
-			putOwned(ctx, rv, ro)
-			return nil, false, st, nil
-		}
-		if rv, ro, st = dec64Rescale(ctx, rv, ro, rt.Scale, s, sel, n); st != dec64Hit {
-			putOwned(ctx, lv, lo)
-			return nil, false, st, nil
-		}
-		out := dec64Out(ctx, lv, rv, sel, n)
-		var ok bool
-		if a.Op == OpAdd {
-			ok = kernels.Dec64AddVV(lv.I64, rv.I64, out.I64, sel, n)
-		} else {
-			ok = kernels.Dec64SubVV(lv.I64, rv.I64, out.I64, sel, n)
-		}
-		putOwned(ctx, lv, lo)
-		putOwned(ctx, rv, ro)
-		return dec64Checked(ctx, out, ok)
-
-	case OpMul:
-		if rlit, ok := a.Right.(*Literal); ok && !rlit.IsNullLit() {
-			return dec64MulLit(ctx, a.Left, rlit.Dec(rt.Scale), b)
-		}
-		if llit, ok := a.Left.(*Literal); ok && !llit.IsNullLit() {
-			return dec64MulLit(ctx, a.Right, llit.Dec(lt.Scale), b)
-		}
-		// Column×expr: multiplication needs no rescale, so a NULL-free
-		// qualified column side feeds the kernel in place (commutative).
-		if dv, ok := dec64ColDec(ctx, a.Left, b); ok {
-			return dec64MulDec(ctx, dv, a.Right, b)
-		}
-		if dv, ok := dec64ColDec(ctx, a.Right, b); ok {
-			return dec64MulDec(ctx, dv, a.Left, b)
-		}
-		lv, lo, rv, ro, st, err := dec64Children(ctx, a, b)
-		if st != dec64Hit {
-			return nil, false, st, err
-		}
-		out := dec64Out(ctx, lv, rv, sel, n)
-		ok := kernels.Dec64MulVV(lv.I64, rv.I64, out.I64, sel, n)
-		putOwned(ctx, lv, lo)
-		putOwned(ctx, rv, ro)
-		return dec64Checked(ctx, out, ok)
-
-	case OpDiv:
-		shift := a.out.Scale - lt.Scale + rt.Scale
-		if shift < 0 || shift > 18 {
-			return nil, false, dec64Miss, nil
-		}
-		lv, lo, rv, ro, st, err := dec64Children(ctx, a, b)
-		if st != dec64Hit {
-			return nil, false, st, err
-		}
-		out := dec64Out(ctx, lv, rv, sel, n)
-		ok, produced := kernels.Dec64DivVV(lv.I64, rv.I64, shift, out.I64, out.Nulls, sel, n)
-		if produced {
-			out.SetHasNulls(true)
-		}
-		putOwned(ctx, lv, lo)
-		putOwned(ctx, rv, ro)
-		return dec64Checked(ctx, out, ok)
-	}
-	return nil, false, dec64Miss, nil
-}
-
-// dec64ColDec returns the in-place Decimal128 view of a column-reference
-// leaf when the Dec-input kernels can consume it directly: NULL-free and
-// narrow-qualified, so every low limb is the lane and the high limb its sign
-// extension. Anything else — interior nodes, computed leaves, NULL-bearing
-// vectors — takes the generic lane-extraction route.
-func dec64ColDec(ctx *Ctx, e Expr, b *vector.Batch) ([]types.Decimal128, bool) {
-	cr, ok := e.(*ColRef)
-	if !ok || cr.T.ID != types.Decimal {
-		return nil, false
-	}
-	v := b.Vecs[cr.Idx]
-	if v.HasNulls() || !ctx.dec64Qualified(v, b.Sel, b.NumRows) {
-		return nil, false
-	}
-	return v.Dec, true
-}
-
-// dec64MulDec multiplies a NULL-free qualified column (in place, low limbs)
-// by a narrow subtree.
-func dec64MulDec(ctx *Ctx, dv []types.Decimal128, e Expr, b *vector.Batch) (*vector.Vector, bool, dec64Status, error) {
-	n, sel := b.NumRows, b.Sel
-	v, vo, st, err := dec64Node(ctx, e, b)
-	if st != dec64Hit {
-		return nil, false, st, err
-	}
-	out := ctx.Get(types.Int64Type)
-	if v.HasNulls() {
-		out.SetHasNulls(kernels.CopyNulls(v.Nulls, out.Nulls, sel, n))
-	}
-	ok := kernels.Dec64MulDecV(dv, v.I64, out.I64, sel, n)
-	putOwned(ctx, v, vo)
-	return dec64Checked(ctx, out, ok)
-}
-
-// dec64MulLit multiplies a narrow subtree by a literal constant.
-func dec64MulLit(ctx *Ctx, e Expr, c types.Decimal128, b *vector.Batch) (*vector.Vector, bool, dec64Status, error) {
-	if !types.Fits64(c) {
-		return nil, false, dec64Miss, nil
-	}
-	n, sel := b.NumRows, b.Sel
-	if dv, ok := dec64ColDec(ctx, e, b); ok {
-		out := ctx.Get(types.Int64Type)
-		return dec64Checked(ctx, out,
-			kernels.Dec64MulDecS(dv, c.ToInt64(), out.I64, sel, n))
-	}
-	v, vo, st, err := dec64Node(ctx, e, b)
-	if st != dec64Hit {
-		return nil, false, st, err
-	}
-	out := ctx.Get(types.Int64Type)
-	if v.HasNulls() {
-		out.SetHasNulls(kernels.CopyNulls(v.Nulls, out.Nulls, sel, n))
-	}
-	ok := kernels.Dec64MulVS(v.I64, c.ToInt64(), out.I64, sel, n)
-	putOwned(ctx, v, vo)
-	return dec64Checked(ctx, out, ok)
-}
-
-// dec64Children evaluates both Arith children into lane vectors.
-func dec64Children(ctx *Ctx, a *Arith, b *vector.Batch) (lv *vector.Vector, lo bool, rv *vector.Vector, ro bool, st dec64Status, err error) {
-	lv, lo, st, err = dec64Node(ctx, a.Left, b)
-	if st != dec64Hit {
-		return nil, false, nil, false, st, err
-	}
-	rv, ro, st, err = dec64Node(ctx, a.Right, b)
-	if st != dec64Hit {
-		putOwned(ctx, lv, lo)
-		return nil, false, nil, false, st, err
-	}
-	return lv, lo, rv, ro, dec64Hit, nil
-}
-
-// dec64Out allocates the result lane vector with the children's nulls merged.
-func dec64Out(ctx *Ctx, lv, rv *vector.Vector, sel []int32, n int) *vector.Vector {
-	out := ctx.Get(types.Int64Type)
-	if lv.HasNulls() || rv.HasNulls() {
-		out.SetHasNulls(kernels.OrNulls(lv.Nulls, rv.Nulls, out.Nulls, sel, n))
-	}
-	return out
-}
-
-// dec64Checked converts a kernel's overflow verdict into a node result.
-func dec64Checked(ctx *Ctx, out *vector.Vector, ok bool) (*vector.Vector, bool, dec64Status, error) {
-	if !ok {
-		ctx.Put(out)
-		return nil, false, dec64Escape, nil
-	}
-	return out, true, dec64Hit, nil
-}
-
-// dec64Rescale aligns lanes from one scale to another in a fresh pooled
-// vector, propagating nulls. Shifts beyond the int64 power-of-ten range
-// report dec64Miss (a static property); kernel overflow reports dec64Escape.
-func dec64Rescale(ctx *Ctx, v *vector.Vector, owned bool, from, to int, sel []int32, n int) (*vector.Vector, bool, dec64Status) {
-	if from == to {
-		return v, owned, dec64Hit
-	}
-	d := from - to
-	if d < 0 {
-		d = -d
-	}
-	if d > 18 {
-		putOwned(ctx, v, owned)
-		return nil, false, dec64Miss
-	}
-	out := ctx.Get(types.Int64Type)
-	if v.HasNulls() {
-		out.SetHasNulls(kernels.CopyNulls(v.Nulls, out.Nulls, sel, n))
-	}
-	ok := kernels.Dec64RescaleV(v.I64, out.I64, from, to, sel, n)
-	putOwned(ctx, v, owned)
-	if !ok {
-		ctx.Put(out)
-		return nil, false, dec64Escape
-	}
-	return out, true, dec64Hit
-}
-
-// dec64Leaf evaluates a non-Arith expression generically and extracts its
-// int64 lanes when it qualifies (NULL rows zeroed so masked garbage can
-// never force an escape). With the cache scope armed, lanes of stable
-// operator-owned vectors are memoized for the batch and returned unowned.
-func dec64Leaf(ctx *Ctx, e Expr, b *vector.Batch) (*vector.Vector, bool, dec64Status, error) {
-	if e.Type().ID != types.Decimal {
-		return nil, false, dec64Miss, nil
-	}
-	n, sel := b.NumRows, b.Sel
-	v, vOwned, err := evalChild(ctx, e, b)
-	if err != nil {
-		return nil, false, dec64Miss, err
-	}
-	if !ctx.dec64Qualified(v, sel, n) {
-		putOwned(ctx, v, vOwned)
-		return nil, false, dec64Miss, nil
-	}
-	// Cache only unowned child vectors — their pointers are stable for the
-	// whole batch, while pooled vectors get recycled underneath the key —
-	// and only under the armed selection (lanes computed for a CASE
-	// branch's subset are garbage at every other row).
-	cacheable := ctx.dec64CacheOn && !vOwned && ctx.dec64CacheSelMatch(sel, n)
-	if cacheable {
-		for i, src := range ctx.dec64CacheSrc {
-			if src == v {
-				return ctx.dec64CacheLanes[i], false, dec64Hit, nil
-			}
-		}
-	}
-	out := ctx.Get(types.Int64Type)
-	hn := v.HasNulls()
-	kernels.Dec64NarrowV(v.Dec, out.I64, v.Nulls, hn, sel, n)
-	if hn {
-		out.SetHasNulls(kernels.CopyNulls(v.Nulls, out.Nulls, sel, n))
-	}
-	putOwned(ctx, v, vOwned)
-	if cacheable {
-		ctx.dec64CacheSrc = append(ctx.dec64CacheSrc, v)
-		ctx.dec64CacheLanes = append(ctx.dec64CacheLanes, out)
-		return out, false, dec64Hit, nil
-	}
-	return out, true, dec64Hit, nil
 }

@@ -55,26 +55,21 @@ type Ctx struct {
 	SharedVectors bool
 
 	// Dec64 enables the adaptive narrow-decimal fast path: decimal
-	// arithmetic, comparison, and casts on int64 lanes with a checked
-	// escape back to the 128-bit kernels. Semantics-free (results are
-	// identical either way); disabled via Config.DisableDecimal64.
+	// comparison and casts on the low limbs of vectors whose values all fit
+	// an int64 (the cast with a checked escape back to the 128-bit kernel),
+	// and HashAgg's int64 pre-aggregation scratch. Semantics-free (results
+	// are identical either way); disabled via Config.DisableDecimal64.
 	Dec64 bool
 
-	// Narrow-decimal dispatch tallies, folded per task by the driver into
+	// Narrow-decimal dispatch tallies: one per (raw decimal sum/avg
+	// aggregate or decimal-to-decimal cast, batch) — it ran narrow, it ran
+	// 128-bit, or it started narrow and escaped. Arithmetic and comparisons
+	// count nowhere. Folded per task by the driver into
 	// photon_decimal_fastpath_batches_total and the EXPLAIN ANALYZE
 	// dec64[batches= escapes=] stage line.
 	Dec64Batches  int64
 	Dec128Batches int64
 	Dec64Escapes  int64
-
-	// Leaf-lane cache for the narrow-decimal evaluator, armed per batch via
-	// Dec64CacheScope: parallel src→lanes slices (a linear scan beats a map
-	// at the handful of decimal leaves a query shares).
-	dec64CacheOn    bool
-	dec64CacheSel   []int32
-	dec64CacheN     int
-	dec64CacheSrc   []*vector.Vector
-	dec64CacheLanes []*vector.Vector
 
 	free    map[types.DataType][]*vector.Vector
 	selPool [][]int32

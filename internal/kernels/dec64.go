@@ -1,25 +1,23 @@
 package kernels
 
 import (
-	"math"
 	"math/bits"
 
 	"photon/internal/types"
 )
 
-// Narrow-decimal (int64) kernel family. TPC-H decimals (prices, discounts,
+// Narrow-decimal (int64) kernels. TPC-H decimals (prices, discounts,
 // quantities) almost always fit in 64 bits even when typed DECIMAL(38,s), so
-// the expr layer runs decimal arithmetic on native int64 lanes whenever the
-// values allow — the same batch-level adaptivity as the ASCII and no-NULLs
-// metadata (§4.6) — with every kernel overflow-checked so execution can
-// escape back to the 128-bit family with identical results.
+// where one loop over the low limbs can stand in for a 128-bit one — compare,
+// cast, key hashing — the expr and exec layers take it whenever the values
+// allow, the same batch-level adaptivity as the ASCII and no-NULLs metadata
+// (§4.6). Arithmetic is not among them: it runs the 128-bit kernels of
+// arith.go.
 //
 // Conventions: a value is "narrow" when its high limb is the sign extension
-// of its low limb (types.Fits64). Lane vectors hold the low limb as int64;
-// NULL slots are zeroed at extraction (Dec64NarrowV) so garbage can never
-// trigger a spurious overflow escape. Arithmetic kernels return ok=false the
-// moment any computed row overflows int64; the caller then discards the
-// narrow attempt and re-runs the 128-bit path.
+// of its low limb (types.Fits64); Dec64CheckV is how a vector is found to
+// hold only such values. The cast kernel reports ok=false the moment a
+// computed row overflows int64; the caller then runs the 128-bit kernel.
 
 // Dec64CheckV reports whether every active non-NULL value is narrow. The
 // NULL-free path is a branch-free accumulation over Hi ^ sext(Lo); the
@@ -55,136 +53,6 @@ func Dec64CheckV(a []types.Decimal128, nulls []byte, hasNulls bool, sel []int32,
 	return true
 }
 
-// Dec64NarrowV extracts the int64 lanes of a narrow decimal vector. NULL
-// rows write 0 so downstream arithmetic on masked slots cannot overflow.
-func Dec64NarrowV(a []types.Decimal128, out []int64, nulls []byte, hasNulls bool, sel []int32, n int) {
-	if !hasNulls {
-		if sel == nil {
-			a, o := a[:n], out[:n]
-			for i := range o {
-				o[i] = int64(a[i].Lo)
-			}
-			return
-		}
-		for _, i := range sel {
-			out[i] = int64(a[i].Lo)
-		}
-		return
-	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if nulls[i] != 0 {
-				out[i] = 0
-			} else {
-				out[i] = int64(a[i].Lo)
-			}
-		}
-		return
-	}
-	for _, i := range sel {
-		if nulls[i] != 0 {
-			out[i] = 0
-		} else {
-			out[i] = int64(a[i].Lo)
-		}
-	}
-}
-
-// Dec64WidenV sign-extends int64 lanes back to canonical Decimal128.
-func Dec64WidenV(a []int64, out []types.Decimal128, sel []int32, n int) {
-	if sel == nil {
-		a, o := a[:n], out[:n]
-		for i := range o {
-			o[i] = types.Decimal128{Hi: a[i] >> 63, Lo: uint64(a[i])}
-		}
-		return
-	}
-	for _, i := range sel {
-		out[i] = types.Decimal128{Hi: a[i] >> 63, Lo: uint64(a[i])}
-	}
-}
-
-// Dec64AddVV computes out[i] = a[i] + b[i], reporting ok=false if any
-// active row overflowed int64. Overflow sign-bits accumulate branch-free.
-func Dec64AddVV(a, b, out []int64, sel []int32, n int) bool {
-	var ovf uint64
-	if sel == nil {
-		a, b, o := a[:n], b[:n], out[:n]
-		for i := range o {
-			s := a[i] + b[i]
-			ovf |= uint64((a[i] ^ s) & (b[i] ^ s))
-			o[i] = s
-		}
-	} else {
-		for _, i := range sel {
-			s := a[i] + b[i]
-			ovf |= uint64((a[i] ^ s) & (b[i] ^ s))
-			out[i] = s
-		}
-	}
-	return int64(ovf) >= 0
-}
-
-// Dec64SubVV computes out[i] = a[i] - b[i] with overflow detection.
-func Dec64SubVV(a, b, out []int64, sel []int32, n int) bool {
-	var ovf uint64
-	if sel == nil {
-		a, b, o := a[:n], b[:n], out[:n]
-		for i := range o {
-			d := a[i] - b[i]
-			ovf |= uint64((a[i] ^ b[i]) & (a[i] ^ d))
-			o[i] = d
-		}
-	} else {
-		for _, i := range sel {
-			d := a[i] - b[i]
-			ovf |= uint64((a[i] ^ b[i]) & (a[i] ^ d))
-			out[i] = d
-		}
-	}
-	return int64(ovf) >= 0
-}
-
-// Dec64AddVS computes out[i] = a[i] + s with overflow detection.
-func Dec64AddVS(a []int64, s int64, out []int64, sel []int32, n int) bool {
-	var ovf uint64
-	if sel == nil {
-		a, o := a[:n], out[:n]
-		for i := range o {
-			r := a[i] + s
-			ovf |= uint64((a[i] ^ r) & (s ^ r))
-			o[i] = r
-		}
-	} else {
-		for _, i := range sel {
-			r := a[i] + s
-			ovf |= uint64((a[i] ^ r) & (s ^ r))
-			out[i] = r
-		}
-	}
-	return int64(ovf) >= 0
-}
-
-// Dec64SubSV computes out[i] = s - a[i] with overflow detection.
-func Dec64SubSV(s int64, a, out []int64, sel []int32, n int) bool {
-	var ovf uint64
-	if sel == nil {
-		a, o := a[:n], out[:n]
-		for i := range o {
-			d := s - a[i]
-			ovf |= uint64((s ^ a[i]) & (s ^ d))
-			o[i] = d
-		}
-	} else {
-		for _, i := range sel {
-			d := s - a[i]
-			ovf |= uint64((s ^ a[i]) & (s ^ d))
-			out[i] = d
-		}
-	}
-	return int64(ovf) >= 0
-}
-
 // mulOvf64 returns x*y truncated to 64 bits plus an overflow tag that is 0
 // iff the full signed product fits in int64: one unsigned Mul64 with a
 // high-word sign correction, compared against the sign extension of the low
@@ -193,232 +61,6 @@ func mulOvf64(x, y int64) (lo int64, tag uint64) {
 	uhi, ulo := bits.Mul64(uint64(x), uint64(y))
 	shi := int64(uhi) - ((x >> 63) & y) - ((y >> 63) & x)
 	return int64(ulo), uint64(shi ^ (int64(ulo) >> 63))
-}
-
-// Dec64MulVV computes out[i] = a[i] * b[i] with overflow detection.
-func Dec64MulVV(a, b, out []int64, sel []int32, n int) bool {
-	var ovf uint64
-	if sel == nil {
-		a, b, o := a[:n], b[:n], out[:n]
-		for i := range o {
-			r, tag := mulOvf64(a[i], b[i])
-			ovf |= tag
-			o[i] = r
-		}
-	} else {
-		for _, i := range sel {
-			r, tag := mulOvf64(a[i], b[i])
-			ovf |= tag
-			out[i] = r
-		}
-	}
-	return ovf == 0
-}
-
-// Dec64MulVS computes out[i] = a[i] * s with overflow detection.
-func Dec64MulVS(a []int64, s int64, out []int64, sel []int32, n int) bool {
-	var ovf uint64
-	if sel == nil {
-		a, o := a[:n], out[:n]
-		for i := range o {
-			r, tag := mulOvf64(a[i], s)
-			ovf |= tag
-			o[i] = r
-		}
-	} else {
-		for _, i := range sel {
-			r, tag := mulOvf64(a[i], s)
-			ovf |= tag
-			out[i] = r
-		}
-	}
-	return ovf == 0
-}
-
-// Dec-input variants: the same checked loops, but reading the int64 lane
-// straight from a canonical narrow Decimal128 vector's low limbs. The expr
-// layer uses these for NULL-free qualified column leaves (every high limb is
-// the sign extension of its low limb), skipping the Dec64NarrowV extraction
-// pass entirely.
-
-// Dec64AddDecS computes out[i] = a[i].lane + s with overflow detection.
-func Dec64AddDecS(a []types.Decimal128, s int64, out []int64, sel []int32, n int) bool {
-	var ovf uint64
-	if sel == nil {
-		a, o := a[:n], out[:n]
-		for i := range o {
-			x := int64(a[i].Lo)
-			r := x + s
-			ovf |= uint64((x ^ r) & (s ^ r))
-			o[i] = r
-		}
-	} else {
-		for _, i := range sel {
-			x := int64(a[i].Lo)
-			r := x + s
-			ovf |= uint64((x ^ r) & (s ^ r))
-			out[i] = r
-		}
-	}
-	return int64(ovf) >= 0
-}
-
-// Dec64SubSDec computes out[i] = s - a[i].lane with overflow detection.
-func Dec64SubSDec(s int64, a []types.Decimal128, out []int64, sel []int32, n int) bool {
-	var ovf uint64
-	if sel == nil {
-		a, o := a[:n], out[:n]
-		for i := range o {
-			x := int64(a[i].Lo)
-			d := s - x
-			ovf |= uint64((s ^ x) & (s ^ d))
-			o[i] = d
-		}
-	} else {
-		for _, i := range sel {
-			x := int64(a[i].Lo)
-			d := s - x
-			ovf |= uint64((s ^ x) & (s ^ d))
-			out[i] = d
-		}
-	}
-	return int64(ovf) >= 0
-}
-
-// Dec64MulDecV computes out[i] = a[i].lane * b[i] with overflow detection.
-func Dec64MulDecV(a []types.Decimal128, b, out []int64, sel []int32, n int) bool {
-	var ovf uint64
-	if sel == nil {
-		a, b, o := a[:n], b[:n], out[:n]
-		for i := range o {
-			r, tag := mulOvf64(int64(a[i].Lo), b[i])
-			ovf |= tag
-			o[i] = r
-		}
-	} else {
-		for _, i := range sel {
-			r, tag := mulOvf64(int64(a[i].Lo), b[i])
-			ovf |= tag
-			out[i] = r
-		}
-	}
-	return ovf == 0
-}
-
-// Dec64MulDecS computes out[i] = a[i].lane * s with overflow detection.
-func Dec64MulDecS(a []types.Decimal128, s int64, out []int64, sel []int32, n int) bool {
-	var ovf uint64
-	if sel == nil {
-		a, o := a[:n], out[:n]
-		for i := range o {
-			r, tag := mulOvf64(int64(a[i].Lo), s)
-			ovf |= tag
-			o[i] = r
-		}
-	} else {
-		for _, i := range sel {
-			r, tag := mulOvf64(int64(a[i].Lo), s)
-			ovf |= tag
-			out[i] = r
-		}
-	}
-	return ovf == 0
-}
-
-// Dec64RescaleV rescales each active lane from one scale to another,
-// multiplying by 10^(to-from) (overflow-checked) when scaling up and
-// dividing with round-half-away-from-zero when scaling down — bit-identical
-// to Decimal128.Rescale for narrow values. Returns ok=false on overflow or
-// when the shift exceeds the int64 power-of-ten range.
-func Dec64RescaleV(a, out []int64, from, to int, sel []int32, n int) bool {
-	switch {
-	case to == from:
-		if sel == nil {
-			copy(out[:n], a[:n])
-		} else {
-			for _, i := range sel {
-				out[i] = a[i]
-			}
-		}
-		return true
-	case to > from:
-		shift := to - from
-		if shift > 18 {
-			return false
-		}
-		return Dec64MulVS(a, types.Pow10(shift).ToInt64(), out, sel, n)
-	default:
-		shift := from - to
-		if shift > 18 {
-			return false
-		}
-		div := types.Pow10(shift).ToInt64()
-		body := func(i int32) {
-			x := a[i]
-			q, r := x/div, x%div
-			if r < 0 {
-				r = -r
-			}
-			if r*2 >= div { // round half away from zero
-				if x >= 0 {
-					q++
-				} else {
-					q--
-				}
-			}
-			out[i] = q
-		}
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				body(int32(i))
-			}
-		} else {
-			for _, i := range sel {
-				body(i)
-			}
-		}
-		return true
-	}
-}
-
-// Dec64DivVV computes out[i] = (a[i] * 10^shift) / b[i] truncated toward
-// zero (matching DecDivVV), marking zero-divisor rows NULL. Returns ok=false
-// when any scaled numerator or the MinInt64/-1 quotient overflows int64.
-func Dec64DivVV(a, b []int64, shift int, out []int64, outNulls []byte, sel []int32, n int) (ok, produced bool) {
-	if shift < 0 || shift > 18 {
-		return false, false
-	}
-	m := types.Pow10(shift).ToInt64()
-	body := func(i int32) bool {
-		if outNulls[i] != 0 {
-			return true
-		}
-		if b[i] == 0 {
-			outNulls[i] = 1
-			produced = true
-			return true
-		}
-		num, tag := mulOvf64(a[i], m)
-		if tag != 0 || (num == math.MinInt64 && b[i] == -1) {
-			return false
-		}
-		out[i] = num / b[i]
-		return true
-	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if !body(int32(i)) {
-				return false, produced
-			}
-		}
-		return true, produced
-	}
-	for _, i := range sel {
-		if !body(i) {
-			return false, produced
-		}
-	}
-	return true, produced
 }
 
 // Dec64RescaleDecV rescales a narrow canonical decimal vector in place of

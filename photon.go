@@ -114,9 +114,10 @@ type Config struct {
 	// never changes results, only speed.
 	DisableFusedPipelines bool
 	// DisableDecimal64 turns off the adaptive narrow-decimal fast path
-	// (decimal arithmetic, comparison, hashing, and aggregation on int64
-	// lanes with a checked escape to the 128-bit kernels). On by default;
-	// semantics-free — results are byte-identical either way, only speed.
+	// (decimal comparison, casts and sum/avg pre-aggregation in int64 when
+	// the values fit, with a checked escape to the 128-bit kernels). On by
+	// default; semantics-free — results are byte-identical either way, only
+	// speed.
 	DisableDecimal64 bool
 	// PhotonUnsupported forces row-engine fallback for the listed logical
 	// node kinds ("filter", "project", "aggregate", "join", "sort",
