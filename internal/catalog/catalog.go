@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"photon/internal/kernels"
 	"photon/internal/storage/delta"
 	"photon/internal/types"
 	"photon/internal/vector"
@@ -40,6 +41,27 @@ func (t *MemTable) NumRows() int64 {
 		n += int64(b.NumRows)
 	}
 	return n
+}
+
+// seedDec64 records, on every decimal vector not yet judged, whether all its
+// values fit an int64 — what the Parquet reader takes from chunk statistics.
+// A table's vectors are shared by every task that scans it, and shared
+// vectors cache no verdicts, so without this each consumer of a table column
+// would run the check kernel on every batch. Inactive rows are checked too:
+// the verdict then holds under any position list.
+func (t *MemTable) seedDec64() {
+	for _, b := range t.Batches {
+		for _, v := range b.Vecs {
+			if v.Type.ID != types.Decimal || v.Dec64 != vector.Dec64Unknown {
+				continue
+			}
+			if kernels.Dec64CheckV(v.Dec, v.Nulls, v.HasNulls(), nil, b.NumRows) {
+				v.Dec64 = vector.Dec64All
+			} else {
+				v.Dec64 = vector.Dec64Wide
+			}
+		}
+	}
 }
 
 // VirtualTable is a table whose contents are produced on demand — the
@@ -98,6 +120,9 @@ func New() *Catalog {
 
 // Register adds or replaces a table.
 func (c *Catalog) Register(t Table) {
+	if mt, ok := t.(*MemTable); ok {
+		mt.seedDec64()
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tables[strings.ToLower(t.Name())] = t

@@ -142,7 +142,7 @@ func (c *Cast) Eval(ctx *Ctx, b *vector.Batch) (*vector.Vector, error) {
 		case types.Decimal:
 			rescaled := false
 			if ctx.Dec64 {
-				if ctx.dec64Qualified(iv, sel, n) {
+				if ctx.Dec64Qualified(iv, sel, n) {
 					if kernels.Dec64RescaleDecV(iv.Dec, out.Dec, from.Scale, c.To.Scale, iv.Nulls, hn, sel, n) {
 						out.Dec64 = vector.Dec64All
 						ctx.Dec64Batches++

@@ -101,7 +101,7 @@ func (c *Cmp) EvalSel(ctx *Ctx, b *vector.Batch, out []int32) ([]int32, error) {
 			// vector and the constant both fit (no escape needed — NULL
 			// rows never match and active rows are narrow by contract).
 			c := lit.Dec(lv.Type.Scale)
-			if ctx.Dec64 && types.Fits64(c) && ctx.dec64Qualified(lv, sel, n) {
+			if ctx.Dec64 && types.Fits64(c) && ctx.Dec64Qualified(lv, sel, n) {
 				return kernels.SelCmpDec64VS(op, lv.Dec, c.ToInt64(), lv.Nulls, hn, sel, n, out), nil
 			}
 			return kernels.SelCmpDecVS(op, lv.Dec, c, lv.Nulls, hn, sel, n, out), nil
@@ -156,7 +156,7 @@ func (c *Cmp) EvalSel(ctx *Ctx, b *vector.Batch, out []int32) ([]int32, error) {
 	case types.Decimal:
 		// Narrow fast path when scales already agree and both sides fit.
 		if ctx.Dec64 && a.Type.Scale == bb.Type.Scale &&
-			ctx.dec64Qualified(a, sel, n) && ctx.dec64Qualified(bb, sel, n) {
+			ctx.Dec64Qualified(a, sel, n) && ctx.Dec64Qualified(bb, sel, n) {
 			return kernels.SelCmpDec64VV(vop, a.Dec, bb.Dec, a.Nulls, bb.Nulls, hn, sel, n, out), nil
 		}
 		// Align scales before comparing.

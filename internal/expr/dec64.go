@@ -11,27 +11,15 @@ import (
 // pre-aggregation scratch in package exec — first asks whether every value
 // fits an int64. Physical representation stays []Decimal128 everywhere.
 
-// dec64Qualified reports whether v can feed a narrow kernel: statically
-// when the declared precision guarantees int64 (≤ 18 digits fit), adaptively
-// via batch metadata or the check kernel otherwise.
-func (c *Ctx) dec64Qualified(v *vector.Vector, sel []int32, n int) bool {
-	if p := v.Type.Precision; p > 0 && p <= 18 {
-		return true
-	}
-	return c.decFits64(v, sel, n)
-}
-
-// Dec64Qualified is the exported form of dec64Qualified for operator fast
-// paths outside this package (HashAgg's int64 pre-aggregation scratch).
+// Dec64Qualified reports whether every active non-NULL value of v fits an
+// int64, so a kernel may read low limbs only. It is a property of the values,
+// never of the declared precision, which nothing checks them against. Cached
+// Dec64 metadata (seeded by the Parquet reader from chunk statistics and by
+// the catalog for memory tables) answers for free; otherwise the check kernel
+// runs and its verdict is cached on the vector — unless it is shared across
+// tasks, in which case the verdict is computed per call (same contract as the
+// ASCII cache).
 func (c *Ctx) Dec64Qualified(v *vector.Vector, sel []int32, n int) bool {
-	return c.dec64Qualified(v, sel, n)
-}
-
-// decFits64 is the check-and-cache step of the adaptive tier: trust cached
-// Dec64 metadata when present, otherwise run the check kernel and cache the
-// verdict on the vector — unless it is shared across tasks, in which case
-// the verdict is computed per call (same contract as the ASCII cache).
-func (c *Ctx) decFits64(v *vector.Vector, sel []int32, n int) bool {
 	switch v.Dec64 {
 	case vector.Dec64All:
 		return true

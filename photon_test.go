@@ -1,9 +1,12 @@
 package photon
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"photon/internal/types"
 )
 
 func peopleSession(t *testing.T, cfg ...Config) *Session {
@@ -175,5 +178,56 @@ func TestSQLWithProfile(t *testing.T) {
 	}
 	if p.Transitions != 0 {
 		t.Errorf("transitions = %d", p.Transitions)
+	}
+}
+
+// TestDecimalNarrownessIsOfValues: nothing checks a value against its
+// column's declared precision, so whether a decimal vector may be read by
+// its low limbs has to come from the values. A DECIMAL(10,2) column holding
+// 2^64+1 must compare, sum and multiply the same with the narrow fast path
+// on and off, serial and parallel, from memory and from Parquet.
+func TestDecimalNarrownessIsOfValues(t *testing.T) {
+	wide := types.Decimal128{Lo: 1, Hi: 1} // unscaled 2^64+1
+	one := types.DecimalFromInt64(100)     // 1.00
+	rows := [][]any{{wide}}
+	for i := 0; i < 7; i++ {
+		rows = append(rows, []any{one})
+	}
+	schema := NewSchema(Col("x", Decimal(10, 2)))
+	want := []struct {
+		q string
+		v any
+	}{
+		{"SELECT count(*) FROM t WHERE x > 5.00", int64(1)},
+		{"SELECT sum(x) FROM t", types.Decimal128{Lo: 701, Hi: 1}},
+		{"SELECT sum(x * 2) FROM t", types.Decimal128{Lo: 140200, Hi: 200}}, // the 2 is cast to 2.00
+	}
+	for _, src := range []string{"mem", "delta"} {
+		for _, off := range []bool{false, true} {
+			for _, par := range []int{1, 4} {
+				sess := NewSession(Config{Parallelism: par, SpillDir: t.TempDir(), DisableDecimal64: off})
+				if src == "mem" {
+					sess.RegisterRows("t", schema, rows)
+				} else {
+					dt, err := sess.CreateDeltaTable("t", filepath.Join(t.TempDir(), "t"), schema)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := dt.AppendRows(rows); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, w := range want {
+					label := fmt.Sprintf("%s DisableDecimal64=%v par=%d: %s", src, off, par, w.q)
+					res, err := sess.SQL(w.q)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if len(res.Rows) != 1 || res.Rows[0][0] != w.v {
+						t.Errorf("%s = %v, want %v", label, res.Rows, w.v)
+					}
+				}
+			}
+		}
 	}
 }
