@@ -97,7 +97,7 @@ func (c *Cmp) EvalSel(ctx *Ctx, b *vector.Batch, out []int32) ([]int32, error) {
 		case types.String:
 			return kernels.SelCmpBytesVS(op, lv.Str, lit.Bytes(), lv.Nulls, hn, sel, n, out), nil
 		case types.Decimal:
-			// Narrow fast path: compare int64 lanes directly when the
+			// Narrow fast path: compare low limbs as int64 when the
 			// vector and the constant both fit (no escape needed — NULL
 			// rows never match and active rows are narrow by contract).
 			c := lit.Dec(lv.Type.Scale)

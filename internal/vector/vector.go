@@ -34,10 +34,11 @@ const (
 )
 
 // Dec64Info is batch-level metadata about a decimal vector's narrowness:
-// whether every active unscaled value fits in an int64. Like AsciiInfo it is
-// discovered at runtime — for free from Parquet chunk min-max statistics at
-// scan time, or by the Dec64CheckV kernel elsewhere — and it stays valid as
-// the selection vector shrinks (§4.6 batch-level adaptivity).
+// whether every active unscaled value fits in an int64, which the declared
+// precision does not say. Like AsciiInfo it is discovered at runtime — for
+// free from Parquet chunk min-max statistics at scan time, once when a memory
+// table is registered, or by the Dec64CheckV kernel elsewhere — and it stays
+// valid as the selection vector shrinks (§4.6 batch-level adaptivity).
 type Dec64Info uint8
 
 const (
