@@ -1,8 +1,10 @@
 package delta
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -27,9 +29,67 @@ func pinTableRows(file int) [][]any {
 	return rows
 }
 
+// pinBatches hands rows to Append in batches of size rows; as views, each
+// batch interleaves its rows with decoy rows (the same rows, reversed) that
+// its selection vector leaves out.
+func pinBatches(schema *types.Schema, rows [][]any, size int, views bool) []*vector.Batch {
+	var out []*vector.Batch
+	for lo := 0; lo < len(rows); lo += size {
+		b := vector.NewBatch(schema, 2*size)
+		var sel []int32
+		for i, row := range rows[lo:min(lo+size, len(rows))] {
+			if views {
+				b.AppendRow(rows[len(rows)-1-lo-i]...)
+				sel = append(sel, int32(b.NumRows))
+			}
+			b.AppendRow(row...)
+		}
+		b.Sel = sel
+		out = append(out, b)
+	}
+	return out
+}
+
+// writePinTable creates the pinned table at dir: create, then one append per
+// file of rows, each handed over as feed makes batches of it.
+func writePinTable(t *testing.T, dir string, schema *types.Schema, feed func([][]any) []*vector.Batch) {
+	t.Helper()
+	tbl, err := Create(dir, schema, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for file := 0; file < 2; file++ {
+		if err := tbl.Append(feed(pinTableRows(file)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// dirFiles reads every regular file under dir, keyed by its relative path.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		if err != nil {
+			return err
+		}
+		files[rel], err = os.ReadFile(path)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
 // TestPinnedTable: a table written by the commit that introduced this test
 // (create + two appends: log JSON, Parquet/LZ4 data files) still opens and
-// scans to the same rows.
+// scans to the same rows, and this build's writers reproduce it byte for
+// byte, log included, however the rows arrive.
 func TestPinnedTable(t *testing.T) {
 	schema := types.NewSchema(
 		types.Field{Name: "id", Type: types.Int64Type},
@@ -42,16 +102,29 @@ func TestPinnedTable(t *testing.T) {
 		if err := os.RemoveAll(dir); err != nil {
 			t.Fatal(err)
 		}
-		tbl, err := Create(dir, schema, nil)
-		if err != nil {
-			t.Fatal(err)
+		writePinTable(t, dir, schema, func(rows [][]any) []*vector.Batch { return []*vector.Batch{makeBatch(t, schema, rows)} })
+	}
+	pinned := dirFiles(t, dir)
+	for _, feed := range []struct {
+		name  string
+		size  int
+		views bool
+	}{{"dense512", 512, false}, {"dense2048", 2048, false}, {"views", 512, true}} {
+		out := filepath.Join(t.TempDir(), "pinned_table")
+		writePinTable(t, out, schema, func(rows [][]any) []*vector.Batch {
+			return pinBatches(schema, rows, feed.size, feed.views)
+		})
+		got := dirFiles(t, out)
+		if len(got) != len(pinned) {
+			t.Errorf("%s: wrote %d files, pinned table has %d", feed.name, len(got), len(pinned))
 		}
-		for file := 0; file < 2; file++ {
-			if err := tbl.Append([]*vector.Batch{makeBatch(t, schema, pinTableRows(file))}, nil); err != nil {
-				t.Fatal(err)
+		for name, want := range pinned {
+			if !bytes.Equal(got[name], want) {
+				t.Errorf("%s: %s: %d bytes differ from the pinned %d", feed.name, name, len(got[name]), len(want))
 			}
 		}
 	}
+
 	tbl, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)

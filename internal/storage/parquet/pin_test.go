@@ -1,6 +1,8 @@
 package parquet
 
 import (
+	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -9,6 +11,7 @@ import (
 	"testing"
 
 	"photon/internal/types"
+	"photon/internal/vector"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/pinned.parquet with this build's writer")
@@ -61,13 +64,78 @@ func pinRows() [][]any {
 	return rows
 }
 
+// pinFeed is one way of handing the pinned rows to a writer.
+type pinFeed struct {
+	name    string
+	batches []*vector.Batch
+}
+
+// pinFeeds returns the rows as dense batches of 512 rows, dense batches of up
+// to 2048 rows, and position-list views: 512 rows interleaved with decoy rows
+// (other rows, reversed) that the selection vector leaves out. No batch spans
+// a multiple of cut rows, the pinned file's row-group boundary.
+func pinFeeds(schema *types.Schema, rows [][]any, cut int) []pinFeed {
+	chunks := func(size int) [][][]any {
+		var out [][][]any
+		for lo := 0; lo < len(rows); {
+			hi := min(lo+size, len(rows), (lo/cut+1)*cut)
+			out = append(out, rows[lo:hi])
+			lo = hi
+		}
+		return out
+	}
+	dense := func(size int) []*vector.Batch {
+		var out []*vector.Batch
+		for _, c := range chunks(size) {
+			out = append(out, batchesOf(schema, c, size)...)
+		}
+		return out
+	}
+	var views []*vector.Batch
+	decoy := len(rows) - 1
+	for _, c := range chunks(512) {
+		b := vector.NewBatch(schema, 2*len(c))
+		var sel []int32
+		for _, row := range c {
+			sel = append(sel, int32(b.NumRows))
+			b.AppendRow(row...)
+			b.AppendRow(rows[decoy]...)
+			decoy--
+		}
+		b.Sel = sel
+		views = append(views, b)
+	}
+	return []pinFeed{{"dense512", dense(512)}, {"dense2048", dense(2048)}, {"views", views}}
+}
+
+// writeBatches writes batches as one file image.
+func writeBatches(t *testing.T, schema *types.Schema, batches []*vector.Batch, opts Options) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, schema, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		if err := w.WriteBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestPinnedFile: a file written by the commit that introduced this test
-// (LZ4, two row groups of 1024 and 476 rows) decodes to the same rows.
+// (LZ4, two row groups of 1024 and 476 rows) decodes to the same rows, and
+// this build's writer reproduces it byte for byte however the rows arrive.
 func TestPinnedFile(t *testing.T) {
 	path := filepath.Join("testdata", "pinned.parquet")
 	rows := pinRows()
+	opts := Options{Compression: CompLZ4, RowGroupRows: 1000}
 	if *update {
-		data := writeVectorized(t, pinSchema(), rows, Options{Compression: CompLZ4, RowGroupRows: 1000})
+		data := writeVectorized(t, pinSchema(), rows, opts)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -75,6 +143,11 @@ func TestPinnedFile(t *testing.T) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, feed := range pinFeeds(pinSchema(), rows, 1024) {
+		if got := writeBatches(t, pinSchema(), feed.batches, opts); !bytes.Equal(got, data) {
+			t.Errorf("%s: writer produced %d bytes that differ from the pinned %d", feed.name, len(got), len(data))
+		}
 	}
 	r, err := NewReader(data)
 	if err != nil {
@@ -130,5 +203,115 @@ func TestPinnedFile(t *testing.T) {
 	}
 	if i != len(rows) {
 		t.Fatalf("projected scan returned %d rows", i)
+	}
+}
+
+// referenceStringDict is the writer's dictionary rule as it stood when
+// TestPinnedDictDecision was written: build the whole map, then judge it —
+// no more than 65,536 entries, and no more than half as many entries as
+// non-NULL values.
+func referenceStringDict(v *vector.Vector, n int) *stringDict {
+	d := &stringDict{}
+	idx := make(map[string]uint32)
+	hn := v.HasNulls()
+	for k := 0; k < n; k++ {
+		if hn && v.Nulls[k] != 0 {
+			continue
+		}
+		s := v.Str[k]
+		id, ok := idx[string(s)]
+		if !ok {
+			id = uint32(len(d.values))
+			if id >= 1<<16 {
+				return nil
+			}
+			idx[string(s)] = id
+			d.values = append(d.values, s)
+		}
+		d.indices = append(d.indices, id)
+	}
+	if n == 0 || float64(len(d.values)) > 0.5*float64(len(d.indices)) {
+		return nil
+	}
+	return d
+}
+
+// TestPinnedDictDecision: at each edge of the dictionary rule the writer
+// chooses the encoding the reference builder chooses and writes the chunk
+// bytes the reference implies.
+func TestPinnedDictDecision(t *testing.T) {
+	schema := types.NewSchema(types.Field{Name: "s", Type: types.StringType, Nullable: true})
+	// column holds n rows, row i NULL when null(i); the non-NULL rows cycle
+	// through distinct(nonNull) values, in order of first occurrence.
+	column := func(n int, null func(i int) bool, distinct func(nonNull int) int) *vector.Batch {
+		nonNull := 0
+		for i := 0; i < n; i++ {
+			if !null(i) {
+				nonNull++
+			}
+		}
+		d, j := max(distinct(nonNull), 1), 0
+		b := vector.NewBatch(schema, n)
+		for i := 0; i < n; i++ {
+			if null(i) {
+				b.AppendRow(nil)
+				continue
+			}
+			b.AppendRow(fmt.Sprintf("v%d", j%d))
+			j++
+		}
+		return b
+	}
+	everyThird := func(i int) bool { return i%3 == 1 }
+	none := func(int) bool { return false }
+	half := func(nonNull int) int { return nonNull / 2 }
+	halfPlusOne := func(nonNull int) int { return nonNull/2 + 1 }
+	cases := []struct {
+		name string
+		b    *vector.Batch
+		want Encoding
+	}{
+		{"half_distinct_odd", column(1501, everyThird, half), EncDict},
+		{"half_plus_one_distinct_odd", column(1501, everyThird, halfPlusOne), EncPlain},
+		{"half_distinct_even", column(1500, everyThird, half), EncDict},
+		{"half_plus_one_distinct_even", column(1500, everyThird, halfPlusOne), EncPlain},
+		{"all_null", column(700, func(int) bool { return true }, half), EncDict},
+		{"max_entries", column(1<<17, none, func(int) int { return 1 << 16 }), EncDict},
+		{"max_entries_plus_one", column(1<<17+2, none, func(int) int { return 1<<16 + 1 }), EncPlain},
+	}
+	for _, c := range cases {
+		v, n := c.b.Vecs[0], c.b.NumRows
+		ref := referenceStringDict(v, n)
+		if (ref != nil) != (c.want == EncDict) {
+			t.Fatalf("%s: reference builder chose dictionary=%v", c.name, ref != nil)
+		}
+		data := writeBatches(t, schema, []*vector.Batch{c.b}, Options{Compression: CompNone, RowGroupRows: 1 << 20})
+		r, err := NewReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm := r.Meta().RowGroups[0].Columns[0]
+		body := binary.LittleEndian.AppendUint32(nil, uint32(n))
+		if v.HasNulls() {
+			body = append(body, 1)
+			body, _ = packValidity(body, 0, v.Nulls[:n])
+		} else {
+			body = append(body, 0)
+		}
+		if ref != nil {
+			body = ref.encodeInto(body)
+			if cm.DictValues != len(ref.values) {
+				t.Errorf("%s: %d dictionary entries, reference %d", c.name, cm.DictValues, len(ref.values))
+			}
+		} else {
+			body = appendPlain(body, v, n)
+		}
+		want := append(binary.LittleEndian.AppendUint32(nil, uint32(len(body))), body...)
+		if cm.Encoding != c.want {
+			t.Errorf("%s: encoding %d, want %d", c.name, cm.Encoding, c.want)
+		}
+		if got := data[cm.Offset : cm.Offset+cm.Size]; !bytes.Equal(got, want) {
+			t.Errorf("%s: chunk of %d bytes differs from the reference's %d", c.name, len(got), len(want))
+		}
 	}
 }
