@@ -10,6 +10,7 @@ import (
 	"photon/internal/kernels"
 	"photon/internal/mem"
 	"photon/internal/types"
+	"photon/internal/vector"
 )
 
 func intSchema(names ...string) *types.Schema {
@@ -352,5 +353,57 @@ func TestHashAggSpilling(t *testing.T) {
 	sortRows(want)
 	if !reflect.DeepEqual(got, want) {
 		t.Error("spilled aggregation differs from in-memory aggregation")
+	}
+}
+
+// TestPivotRowsMatchesAppendRow: the column-at-a-time pivot builds the
+// batches row-at-a-time AppendRow builds, for every type, NULLs, empty
+// strings and []byte values included.
+func TestPivotRowsMatchesAppendRow(t *testing.T) {
+	schema := types.NewSchema(
+		types.Field{Name: "b", Type: types.BoolType, Nullable: true},
+		types.Field{Name: "i", Type: types.Int32Type, Nullable: true},
+		types.Field{Name: "d", Type: types.DateType, Nullable: true},
+		types.Field{Name: "l", Type: types.Int64Type, Nullable: true},
+		types.Field{Name: "ts", Type: types.TimestampType, Nullable: true},
+		types.Field{Name: "f", Type: types.Float64Type, Nullable: true},
+		types.Field{Name: "m", Type: types.DecimalType(12, 2), Nullable: true},
+		types.Field{Name: "s", Type: types.StringType, Nullable: true},
+		types.Field{Name: "e", Type: types.StringType}, // empty, never NULL
+	)
+	var rows, want [][]any
+	for i := 0; i < 8; i++ {
+		row := []any{i%2 == 0, int32(i), int32(9000 + i), int64(i) << 40, int64(i) * 1e9,
+			float64(i) / 3, types.DecimalFromInt64(int64(i) * 101), fmt.Sprintf("s%d", i), ""}
+		if i%3 == 1 {
+			clear(row[:8])
+		}
+		want = append(want, row)
+		if i == 5 {
+			row = append([]any(nil), row...)
+			row[7] = []byte("s5")
+		}
+		rows = append(rows, row)
+	}
+	got, err := PivotRows(schema, rows, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 {
+		t.Fatalf("%d batches, want 3", len(got))
+	}
+	for k, b := range got {
+		w := vector.NewBatch(schema, 3)
+		for _, row := range want[3*k : min(3*k+3, len(want))] {
+			w.AppendRow(row...)
+		}
+		if !reflect.DeepEqual(b.Rows(), w.Rows()) {
+			t.Errorf("batch %d: %v, want %v", k, b.Rows(), w.Rows())
+		}
+		for c, v := range b.Vecs {
+			if v.HasNulls() != w.Vecs[c].HasNulls() {
+				t.Errorf("batch %d column %d: HasNulls %v, want %v", k, c, v.HasNulls(), w.Vecs[c].HasNulls())
+			}
+		}
 	}
 }

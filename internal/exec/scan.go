@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+
 	"photon/internal/types"
 	"photon/internal/vector"
 )
@@ -86,19 +88,104 @@ func (s *MemScan) Next() (*vector.Batch, error) {
 func (s *MemScan) Close() error { return nil }
 
 // BuildBatches materializes rows into batches of the given size (test and
-// data-generator helper).
+// data-generator helper); it panics where PivotRows returns an error.
 func BuildBatches(schema *types.Schema, rows [][]any, batchSize int) []*vector.Batch {
+	out, err := PivotRows(schema, rows, batchSize)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// PivotRows turns boxed rows (nil = NULL) into batches of batchSize rows, one
+// column at a time; the string payloads of each column of a batch are copied
+// into one byte arena. A row whose arity or whose values' Go types do not
+// match the schema is an error naming the row, the column and both types.
+func PivotRows(schema *types.Schema, rows [][]any, batchSize int) ([]*vector.Batch, error) {
 	if batchSize <= 0 {
 		batchSize = vector.DefaultBatchSize
 	}
 	var out []*vector.Batch
 	for start := 0; start < len(rows); start += batchSize {
-		end := min(start+batchSize, len(rows))
-		b := vector.NewBatch(schema, batchSize)
-		for _, r := range rows[start:end] {
-			b.AppendRow(r...)
+		chunk := rows[start:min(start+batchSize, len(rows))]
+		for i, r := range chunk {
+			if len(r) != schema.Len() {
+				return nil, fmt.Errorf("row %d holds %d values for %d columns", start+i, len(r), schema.Len())
+			}
 		}
+		b := vector.NewBatch(schema, batchSize)
+		for c, v := range b.Vecs {
+			if i := pivotColumn(v, chunk, c); i >= 0 {
+				f := schema.Field(c)
+				return nil, fmt.Errorf("row %d column %d (%q %s): value of Go type %T", start+i, c, f.Name, f.Type, chunk[i][c])
+			}
+		}
+		b.NumRows = len(chunk)
 		out = append(out, b)
 	}
-	return out
+	return out, nil
+}
+
+// pivotColumn fills v from column c of rows and returns the index of the
+// first row whose value is neither nil nor of a Go type v stores, or -1.
+func pivotColumn(v *vector.Vector, rows [][]any, c int) int {
+	switch v.Type.ID {
+	case types.Int32, types.Date:
+		return pivotFixed(v, v.I32, rows, c)
+	case types.Int64, types.Timestamp:
+		return pivotFixed(v, v.I64, rows, c)
+	case types.Float64:
+		return pivotFixed(v, v.F64, rows, c)
+	case types.Decimal:
+		return pivotFixed(v, v.Dec, rows, c)
+	}
+	size := 0 // string payload bytes, copied into one arena
+	for i, r := range rows {
+		if !settable(v, r[c]) {
+			return i
+		}
+		if s, ok := r[c].(string); ok {
+			size += len(s)
+		}
+	}
+	arena := make([]byte, 0, size)
+	for i, r := range rows {
+		if s, ok := r[c].(string); ok {
+			at := len(arena)
+			arena = append(arena, s...)
+			v.Str[i] = arena[at:len(arena):len(arena)]
+		} else {
+			v.Set(i, r[c])
+		}
+	}
+	return -1
+}
+
+// pivotFixed is pivotColumn for a fixed-width vector of Go values of type T.
+func pivotFixed[T any](v *vector.Vector, dst []T, rows [][]any, c int) int {
+	for i, r := range rows {
+		switch x := r[c].(type) {
+		case nil:
+			v.SetNull(i)
+		case T:
+			dst[i] = x
+		default:
+			return i
+		}
+	}
+	return -1
+}
+
+// settable reports whether x is NULL or a Go value Set stores in v, a Bool or
+// String vector.
+func settable(v *vector.Vector, x any) bool {
+	switch x.(type) {
+	case nil:
+		return true
+	case bool:
+		return v.Type.ID == types.Bool
+	case string, []byte:
+		return v.Type.ID == types.String
+	}
+	return false
 }

@@ -434,26 +434,34 @@ type DeltaTable struct {
 	tbl  *delta.Table
 }
 
-// AppendRows writes rows as a new file in one ACID commit.
+// AppendRows writes rows as a new file in one ACID commit. Rows that do not
+// fit the table's schema are an error, and nothing is written.
 func (d *DeltaTable) AppendRows(rows [][]any) error {
 	snap, err := d.tbl.Snapshot(-1)
 	if err != nil {
 		return err
 	}
-	batches := exec.BuildBatches(snap.Schema, rows, d.sess.batchSize())
+	batches, err := exec.PivotRows(snap.Schema, rows, d.sess.batchSize())
+	if err != nil {
+		return fmt.Errorf("table %s: %w", d.name, err)
+	}
 	if err := d.tbl.Append(batches, nil); err != nil {
 		return err
 	}
 	return d.refresh()
 }
 
-// Overwrite replaces the table contents in one ACID commit.
+// Overwrite replaces the table contents in one ACID commit. Rows that do not
+// fit the table's schema are an error, and nothing is written.
 func (d *DeltaTable) Overwrite(rows [][]any) error {
 	snap, err := d.tbl.Snapshot(-1)
 	if err != nil {
 		return err
 	}
-	batches := exec.BuildBatches(snap.Schema, rows, d.sess.batchSize())
+	batches, err := exec.PivotRows(snap.Schema, rows, d.sess.batchSize())
+	if err != nil {
+		return fmt.Errorf("table %s: %w", d.name, err)
+	}
 	if err := d.tbl.Overwrite(batches); err != nil {
 		return err
 	}

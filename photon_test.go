@@ -2,6 +2,7 @@ package photon
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -124,6 +125,78 @@ func TestSessionDelta(t *testing.T) {
 	}
 	if res.Rows[0][0].(int64) != 3 {
 		t.Errorf("reopened count = %v", res.Rows[0][0])
+	}
+}
+
+// TestDeltaWriteRejectsMistypedRows: rows that do not fit the table's schema
+// are an error naming the row, the column, the declared type and the Go
+// type — not a panic — and neither AppendRows nor Overwrite writes or
+// commits anything.
+func TestDeltaWriteRejectsMistypedRows(t *testing.T) {
+	sess := NewSession()
+	dir := filepath.Join(t.TempDir(), "tbl")
+	dt, err := sess.CreateDeltaTable("t", dir, NewSchema(Col("id", Int64), Col("name", String)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dt.AppendRows([][]any{{int64(1), "a"}}); err != nil {
+		t.Fatal(err)
+	}
+	listing := func() string {
+		var names []string
+		for _, sub := range []string{dir, filepath.Join(dir, "_delta_log")} {
+			entries, err := os.ReadDir(sub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				names = append(names, e.Name())
+			}
+		}
+		return strings.Join(names, " ")
+	}
+	before := listing()
+	write := func(f func([][]any) error, rows [][]any) (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("panic: %v", p)
+			}
+		}()
+		return f(rows)
+	}
+	for _, c := range []struct {
+		rows [][]any
+		want []string // in the error
+	}{
+		{[][]any{{int64(2), "b"}, {int64(1)}}, []string{"row 1", "1 value", "2 columns"}},
+		{[][]any{{1, "x"}}, []string{"row 0", "column 0", `"id"`, "BIGINT", "int"}},
+		{[][]any{{int64(2), "b"}, {int64(1), 7}}, []string{"row 1", "column 1", `"name"`, "STRING", "int"}},
+	} {
+		for name, f := range map[string]func([][]any) error{"AppendRows": dt.AppendRows, "Overwrite": dt.Overwrite} {
+			err := write(f, c.rows)
+			if err == nil || strings.HasPrefix(err.Error(), "panic: ") {
+				t.Errorf("%s(%v): err = %v, want an error", name, c.rows, err)
+				continue
+			}
+			for _, w := range c.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Errorf("%s(%v): error %q does not name %s", name, c.rows, err, w)
+				}
+			}
+		}
+	}
+	if after := listing(); after != before {
+		t.Errorf("failed writes left files behind:\nbefore %s\nafter  %s", before, after)
+	}
+	if v, err := dt.Version(); err != nil || v != 1 {
+		t.Errorf("version = %d, %v; want 1", v, err)
+	}
+	res, err := sess.SQL("SELECT count(*) FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rows[0][0].(int64) != 1 {
+		t.Errorf("count = %v, want 1", res.Rows[0][0])
 	}
 }
 
