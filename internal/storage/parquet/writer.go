@@ -55,10 +55,10 @@ type Writer struct {
 	closed    bool
 }
 
-// colBuffer accumulates one column's values for the current row group.
+// colBuffer accumulates one column's values for the current row group, one
+// dense vector per batch written, each exactly as long as its rows.
 type colBuffer struct {
 	vecs []*vector.Vector
-	ns   []int
 }
 
 // NewWriter starts a file: writes the head magic immediately.
@@ -85,18 +85,15 @@ func (pw *Writer) WriteBatch(b *vector.Batch) error {
 	if pw.closed {
 		return fmt.Errorf("parquet: writer closed")
 	}
-	// Gather active rows densely (clone vectors so callers can reuse b).
+	// Gather active rows densely (copies, so callers can reuse b).
 	n := b.NumActive()
 	if n == 0 {
 		return nil
 	}
-	for c, v := range b.Vecs {
-		dense := vector.New(v.Type, n)
-		for k := 0; k < n; k++ {
-			dense.CopyRow(k, v, b.RowIndex(k))
-		}
-		pw.groupCols[c].vecs = append(pw.groupCols[c].vecs, dense)
-		pw.groupCols[c].ns = append(pw.groupCols[c].ns, n)
+	dense := vector.NewBatch(pw.schema, n)
+	b.GatherInto(dense)
+	for c, v := range dense.Vecs {
+		pw.groupCols[c].vecs = append(pw.groupCols[c].vecs, v)
 	}
 	pw.groupRows += n
 	if pw.groupRows >= pw.opts.RowGroupRows {
@@ -132,8 +129,8 @@ func (pw *Writer) writeChunk(t types.DataType, cb *colBuffer) (ColumnChunkMeta, 
 	encStart := time.Now()
 	total := 0
 	hasNulls := false
-	for i, v := range cb.vecs {
-		total += cb.ns[i]
+	for _, v := range cb.vecs {
+		total += v.Capacity()
 		if v.HasNulls() {
 			hasNulls = true
 		}
@@ -148,15 +145,15 @@ func (pw *Writer) writeChunk(t types.DataType, cb *colBuffer) (ColumnChunkMeta, 
 	body = append(body, hdr[:]...)
 	if hasNulls {
 		bit := 0
-		for i, v := range cb.vecs {
-			body, bit = packValidity(body, bit, v.Nulls[:cb.ns[i]])
+		for _, v := range cb.vecs {
+			body, bit = packValidity(body, bit, v.Nulls)
 		}
 	}
 
 	// Statistics pass (vectorized: one tight loop per segment).
 	stats := statsAcc{t: t}
-	for i, v := range cb.vecs {
-		stats.update(v, cb.ns[i])
+	for _, v := range cb.vecs {
+		stats.update(v, v.Capacity())
 	}
 
 	meta := ColumnChunkMeta{NumValues: int64(total), NullCount: stats.nullCount}
@@ -166,7 +163,7 @@ func (pw *Writer) writeChunk(t types.DataType, cb *colBuffer) (ColumnChunkMeta, 
 	enc := EncPlain
 	var dict *stringDict
 	if t.ID == types.String && !pw.opts.DisableDict {
-		dict = buildStringDict(cb)
+		dict = buildStringDict(cb, total-int(stats.nullCount))
 		if dict != nil {
 			enc = EncDict
 		}
@@ -178,8 +175,8 @@ func (pw *Writer) writeChunk(t types.DataType, cb *colBuffer) (ColumnChunkMeta, 
 		body = dict.encodeInto(body)
 		meta.DictValues = len(dict.values)
 	default:
-		for i, v := range cb.vecs {
-			body = appendPlain(body, v, cb.ns[i])
+		for _, v := range cb.vecs {
+			body = appendPlain(body, v, v.Capacity())
 		}
 	}
 	pw.metrics.EncodeTime += time.Since(encStart)
@@ -248,36 +245,34 @@ type stringDict struct {
 
 const (
 	dictMaxValues = 1 << 16
-	dictMaxRatio  = 0.5 // dictionary must be < 50% of the values
+	dictMaxRatio  = 0.5 // at most this many entries per non-NULL value
 )
 
-func buildStringDict(cb *colBuffer) *stringDict {
-	d := &stringDict{}
+// buildStringDict dictionary-encodes a chunk of nonNull non-NULL strings, or
+// returns nil at the first entry past dictMaxRatio × nonNull or dictMaxValues
+// (neither bound can be met again), rather than building the whole map and
+// then rejecting it. An all-NULL chunk keeps its empty dictionary.
+func buildStringDict(cb *colBuffer, nonNull int) *stringDict {
+	limit := min(int(dictMaxRatio*float64(nonNull)), dictMaxValues)
+	d := &stringDict{indices: make([]uint32, 0, nonNull)}
 	idx := make(map[string]uint32)
-	total := 0
-	for i, v := range cb.vecs {
-		n := cb.ns[i]
-		total += n
+	for _, v := range cb.vecs {
 		hn := v.HasNulls()
-		for k := 0; k < n; k++ {
+		for k, s := range v.Str {
 			if hn && v.Nulls[k] != 0 {
 				continue
 			}
-			s := v.Str[k]
 			id, ok := idx[string(s)]
 			if !ok {
-				id = uint32(len(d.values))
-				if int(id) >= dictMaxValues {
+				if len(d.values) == limit {
 					return nil
 				}
+				id = uint32(len(d.values))
 				idx[string(s)] = id
 				d.values = append(d.values, s)
 			}
 			d.indices = append(d.indices, id)
 		}
-	}
-	if total == 0 || float64(len(d.values)) > dictMaxRatio*float64(len(d.indices)) {
-		return nil
 	}
 	return d
 }
