@@ -572,7 +572,8 @@ func (b *builder) deltaSource(t *catalog.DeltaTable, n *sql.LScan, partitionThis
 
 // deltaScan streams a list of data files one after another. At most one
 // file is open at a time, and none once the stream has ended, failed or
-// been closed.
+// been closed. Each file's reader takes over the buffers of the one before,
+// so they live as long as the stream, not as long as a file.
 type deltaScan struct {
 	tbl         *delta.Table
 	files       []delta.AddFile
@@ -582,6 +583,7 @@ type deltaScan struct {
 
 	next int // index of the next file to open
 	cur  *parquet.Reader
+	done *parquet.Reader // the last reader closed, whose buffers the next one reuses
 }
 
 // Next implements exec.Source and rowengine.BatchSource.
@@ -612,6 +614,8 @@ func (s *deltaScan) Next() (*vector.Batch, error) {
 				return nil, err
 			}
 		}
+		r.Reuse(s.done)
+		s.done = nil
 		if s.groupFilter != nil {
 			r.SetGroupFilter(s.groupFilter)
 		}
@@ -628,6 +632,7 @@ func (s *deltaScan) Close() error {
 	if s.onIO != nil {
 		s.onIO(r.IO())
 	}
+	s.done = r
 	return r.Close()
 }
 

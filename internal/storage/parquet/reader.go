@@ -138,6 +138,21 @@ func (r *Reader) Project(names []string) error {
 	return nil
 }
 
+// Reuse gives r the chunk, compressed-chunk and index buffers of prev, a
+// reader its caller is done with (prev's last batch included), and its output
+// batch when both project the same schema, so a scan of many files allocates
+// them once. Call it after Project, before r's first NextBatch.
+func (r *Reader) Reuse(prev *Reader) {
+	if prev == nil {
+		return
+	}
+	r.comp, r.idx = prev.comp, prev.idx
+	if prev.schema.Equal(r.schema) {
+		r.cols, r.out = prev.cols, prev.out
+	}
+	prev.cols, prev.out, prev.comp, prev.idx = nil, nil, nil, nil
+}
+
 // chunkCursor streams one column chunk's values, batch by batch. Its slices
 // point into buf, which the next chunk of the same column reuses.
 type chunkCursor struct {
@@ -153,7 +168,7 @@ type chunkCursor struct {
 	used     int      // valid values consumed (= indices consumed)
 
 	// staleNulls: the output vector holds NULL bytes this chunk did not
-	// write (from a batch of an earlier row group).
+	// write (from a batch of an earlier row group, or of an earlier file).
 	staleNulls bool
 
 	// narrow marks a decimal chunk whose min/max stats both fit int64:
