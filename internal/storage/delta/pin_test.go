@@ -91,12 +91,7 @@ func dirFiles(t *testing.T, dir string) map[string][]byte {
 // scans to the same rows, and this build's writers reproduce it byte for
 // byte, log included, however the rows arrive.
 func TestPinnedTable(t *testing.T) {
-	schema := types.NewSchema(
-		types.Field{Name: "id", Type: types.Int64Type},
-		types.Field{Name: "name", Type: types.StringType, Nullable: true},
-		types.Field{Name: "amount", Type: types.DecimalType(12, 2)},
-		types.Field{Name: "day", Type: types.DateType},
-	)
+	schema := pinTableSchema()
 	dir := filepath.Join("testdata", "pinned_table")
 	if *update {
 		if err := os.RemoveAll(dir); err != nil {
@@ -124,7 +119,30 @@ func TestPinnedTable(t *testing.T) {
 			}
 		}
 	}
+	checkPinnedScan(t, dir)
+}
 
+// TestPinnedPlainTable: testdata/pinned_table_plain is pinned_table as first
+// written, its data files' fixed-width chunks all PLAIN, and is never
+// regenerated: a table written in that form still opens and scans to the
+// pinned rows.
+func TestPinnedPlainTable(t *testing.T) {
+	checkPinnedScan(t, filepath.Join("testdata", "pinned_table_plain"))
+}
+
+func pinTableSchema() *types.Schema {
+	return types.NewSchema(
+		types.Field{Name: "id", Type: types.Int64Type},
+		types.Field{Name: "name", Type: types.StringType, Nullable: true},
+		types.Field{Name: "amount", Type: types.DecimalType(12, 2)},
+		types.Field{Name: "day", Type: types.DateType},
+	)
+}
+
+// checkPinnedScan checks that the table at dir is at version 2 with two data
+// files and scans to the pinned rows.
+func checkPinnedScan(t *testing.T, dir string) {
+	t.Helper()
 	tbl, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +151,7 @@ func TestPinnedTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Version != 2 || len(snap.Files) != 2 || !snap.Schema.Equal(schema) {
+	if snap.Version != 2 || len(snap.Files) != 2 || !snap.Schema.Equal(pinTableSchema()) {
 		t.Fatalf("version=%d files=%d schema=%v", snap.Version, len(snap.Files), snap.Schema)
 	}
 	want := append(pinTableRows(0), pinTableRows(1)...)
