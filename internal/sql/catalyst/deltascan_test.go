@@ -34,8 +34,8 @@ func record(b *vector.Batch) scanned {
 
 // TestScanReusesBuffersAcrossFiles: a deltaScan whose readers hand their
 // buffers from file to file returns what a fresh reader per file returns,
-// across files that differ in row-group size, NULL layout, string encoding
-// and decimal width; it leaves no file open, even when closed early; and
+// across files that differ in row-group size, NULL layout, string encoding,
+// decimal width and fixed-width encoding (PLAIN or FOR); it leaves no file open, even when closed early; and
 // after the first file it allocates no more per file than a fixed overhead.
 func TestScanReusesBuffersAcrossFiles(t *testing.T) {
 	schema := types.NewSchema(
@@ -106,51 +106,52 @@ func TestScanReusesBuffersAcrossFiles(t *testing.T) {
 		files = append(files, delta.AddFile{Path: name})
 	}
 	names := []string{"d", "s", "id"}
+	checkScanMatchesFreshReaders(t, tbl, files, names)
 
-	var want []scanned
-	for i := range files {
-		r, err := tbl.OpenDataFile(&files[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := r.Project(names); err != nil {
-			t.Fatal(err)
-		}
-		for {
-			b, err := r.NextBatch(vector.DefaultBatchSize)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b == nil {
-				break
-			}
-			want = append(want, record(b))
-		}
+	// Buffers also pass between a file whose fixed-width chunks are all
+	// PLAIN, as every file written before FOR was, and FOR ones: the pinned
+	// table's first data file as first written, then as written now.
+	pinned := filepath.Join("..", "..", "storage", "delta", "testdata")
+	mixed := []struct {
+		src string
+		enc parquet.Encoding
+	}{
+		{filepath.Join(pinned, "pinned_table_plain", "part-00001.parquet"), parquet.EncPlain},
+		{filepath.Join(pinned, "pinned_table", "part-00001.parquet"), parquet.EncFOR},
+		{filepath.Join(pinned, "pinned_table_plain", "part-00002.parquet"), parquet.EncPlain},
 	}
-	var got []scanned
-	s := &deltaScan{tbl: tbl, files: files, names: names}
-	for {
-		b, err := s.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			break
-		}
-		got = append(got, record(b))
-	}
-	if err := s.Close(); err != nil {
+	mixedDir := t.TempDir()
+	mixedTbl, err := delta.Create(mixedDir, types.NewSchema(
+		types.Field{Name: "id", Type: types.Int64Type},
+		types.Field{Name: "name", Type: types.StringType, Nullable: true},
+		types.Field{Name: "amount", Type: types.DecimalType(12, 2)},
+		types.Field{Name: "day", Type: types.DateType},
+	), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("scan returned %d batches, fresh readers %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Fatalf("batch %d differs from a fresh reader's:\n got HasNulls %v Dec64 %v\nwant HasNulls %v Dec64 %v",
-				i, got[i].hasNulls, got[i].dec64, want[i].hasNulls, want[i].dec64)
+	var mixedFiles []delta.AddFile
+	for i, m := range mixed {
+		data, err := os.ReadFile(m.src)
+		if err != nil {
+			t.Fatal(err)
 		}
+		name := fmt.Sprintf("m%d.parquet", i)
+		if err := os.WriteFile(filepath.Join(mixedDir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := parquet.NewReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []int{0, 2, 3} { // id, amount, day
+			if enc := r.Meta().RowGroups[0].Columns[c].Encoding; enc != m.enc {
+				t.Fatalf("%s column %d: encoding %d, want %d", m.src, c, enc, m.enc)
+			}
+		}
+		mixedFiles = append(mixedFiles, delta.AddFile{Path: name})
 	}
+	checkScanMatchesFreshReaders(t, mixedTbl, mixedFiles, []string{"amount", "name", "day", "id"})
 
 	early := &deltaScan{tbl: tbl, files: files, names: names}
 	if b, err := early.Next(); err != nil || b == nil {
@@ -195,5 +196,55 @@ func TestScanReusesBuffersAcrossFiles(t *testing.T) {
 	t.Logf("one file %d B, %d files %d B (%d B per extra file)", one, k, all, (all-one)/(k-1))
 	if all > one+(k-1)*perFile {
 		t.Errorf("%d files allocated %d B, more than one file's %d B + %d B per extra file", k, all, one, perFile)
+	}
+}
+
+// checkScanMatchesFreshReaders checks that a deltaScan of files, projected to
+// names, returns batch for batch what a fresh reader per file returns.
+func checkScanMatchesFreshReaders(t *testing.T, tbl *delta.Table, files []delta.AddFile, names []string) {
+	t.Helper()
+	var want []scanned
+	for i := range files {
+		r, err := tbl.OpenDataFile(&files[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Project(names); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			b, err := r.NextBatch(vector.DefaultBatchSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			want = append(want, record(b))
+		}
+	}
+	var got []scanned
+	s := &deltaScan{tbl: tbl, files: files, names: names}
+	for {
+		b, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		got = append(got, record(b))
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("scan returned %d batches, fresh readers %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Fatalf("batch %d differs from a fresh reader's:\n got HasNulls %v Dec64 %v\nwant HasNulls %v Dec64 %v",
+				i, got[i].hasNulls, got[i].dec64, want[i].hasNulls, want[i].dec64)
+		}
 	}
 }

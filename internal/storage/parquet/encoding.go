@@ -16,7 +16,71 @@ import (
 //	u8  hasNulls; if 1: bit-packed validity bitmap (1 bit per value, 1=valid)
 //	encoding payload:
 //	  PLAIN: values back to back (strings: u32 len + bytes each)
-//	  DICT:  u32 dictCount, PLAIN dictionary, u8 bitWidth, packed indices
+//	  DICT:  u32 dictCount, PLAIN dictionary, u8 bitWidth, u32 count, packed indices
+//	  FOR:   i64 base, u8 bitWidth, u32 count, packed offsets (value − base)
+//
+// Both bit-packed runs hold one entry per non-NULL row. The writer stores a
+// chunk of a forType as FOR whenever its values span less than 2^32; the
+// base is in the chunk, so decoding never trusts the footer's statistics.
+
+// forType reports whether chunks of type t may be stored as FOR: the
+// integer-valued types, decimals included (the writer uses FOR for a decimal
+// chunk only when its values fit int64).
+func forType(t types.TypeID) bool {
+	switch t {
+	case types.Int32, types.Date, types.Int64, types.Timestamp, types.Decimal:
+		return true
+	}
+	return false
+}
+
+// appendFOR appends the FOR payload of a chunk held in vecs, base its
+// minimum and width the bits of its span, and returns it with offs, the
+// scratch the offsets were gathered in.
+func appendFOR(dst []byte, vecs []*vector.Vector, base int64, width int, offs []uint32) ([]byte, []uint32) {
+	offs = offs[:0]
+	for _, v := range vecs {
+		var nulls []byte
+		if v.HasNulls() {
+			nulls = v.Nulls
+		}
+		n := v.Capacity()
+		switch v.Type.ID {
+		case types.Int32, types.Date:
+			offs = appendOffsets(offs, v.I32[:n], nulls, base)
+		case types.Int64, types.Timestamp:
+			offs = appendOffsets(offs, v.I64[:n], nulls, base)
+		case types.Decimal:
+			for i, d := range v.Dec[:n] {
+				if nulls == nil || nulls[i] == 0 {
+					offs = append(offs, uint32(d.ToInt64()-base))
+				}
+			}
+		}
+	}
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(base))
+	dst = append(dst, byte(width))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(offs)))
+	return lebytes.BitPack(dst, offs, width), offs
+}
+
+// appendOffsets appends vals[i] − base for each non-NULL row i (nulls nil:
+// none are NULL).
+func appendOffsets[T int32 | int64](offs []uint32, vals []T, nulls []byte, base int64) []uint32 {
+	for i, x := range vals {
+		if nulls == nil || nulls[i] == 0 {
+			offs = append(offs, uint32(int64(x)-base))
+		}
+	}
+	return offs
+}
+
+// widen writes base + offs[i] to dst[i], the inverse of appendOffsets.
+func widen[T int32 | int64](dst []T, offs []uint32, base int64) {
+	for i, o := range offs {
+		dst[i] = T(base + int64(o))
+	}
+}
 
 // bitWidthFor returns the bits needed to represent values in [0, n).
 func bitWidthFor(n int) int {

@@ -159,21 +159,23 @@ type chunkCursor struct {
 	buf      []byte   // the chunk, decompressed
 	validity []byte   // validity bitmap, 1 bit per row (nil = no NULLs)
 	body     []byte   // PLAIN values not yet consumed
-	dictEnc  bool     // dictionary chunk: dict, packed, width, count are set
+	enc      Encoding // EncDict and EncFOR set packed, width and count
 	dict     [][]byte // dictionary entries
-	packed   []byte   // bit-packed dictionary indices, one per valid row
-	width    int      // bits per index
-	count    int      // indices in packed
+	base     int64    // the FOR base
+	packed   []byte   // bit-packed dictionary indices or FOR offsets, one per valid row
+	width    int      // bits per packed entry
+	count    int      // entries in packed
 	pos      int      // rows consumed
-	used     int      // valid values consumed (= indices consumed)
+	used     int      // valid values consumed (= entries consumed)
 
 	// staleNulls: the output vector holds NULL bytes this chunk did not
 	// write (from a batch of an earlier row group, or of an earlier file).
 	staleNulls bool
 
-	// narrow marks a decimal chunk whose min/max stats both fit int64:
-	// every value in between does too, so scan batches carry Dec64All
-	// metadata for free (adaptive tier of the narrow-decimal fast path).
+	// narrow marks a decimal chunk whose values all fit int64 — a FOR chunk,
+	// whose values are decoded as int64, or one whose min/max stats both fit
+	// int64 — so scan batches carry Dec64All metadata for free (adaptive
+	// tier of the narrow-decimal fast path).
 	narrow bool
 }
 
@@ -221,11 +223,11 @@ func (r *Reader) openChunk(cc *chunkCursor, cm *ColumnChunkMeta, t types.DataTyp
 	hasNulls := payload[4] == 1
 	body := payload[5:]
 
-	*cc = chunkCursor{buf: cc.buf, dict: cc.dict[:0], staleNulls: cc.staleNulls}
-	if t.ID == types.Decimal && len(cm.Min) == 16 && len(cm.Max) == 16 {
+	*cc = chunkCursor{buf: cc.buf, dict: cc.dict[:0], enc: cm.Encoding, staleNulls: cc.staleNulls}
+	if t.ID == types.Decimal {
 		lo, okLo := DecodeStatValue(cm.Min, t).(types.Decimal128)
 		hi, okHi := DecodeStatValue(cm.Max, t).(types.Decimal128)
-		cc.narrow = okLo && okHi && types.Fits64(lo) && types.Fits64(hi)
+		cc.narrow = cm.Encoding == EncFOR || (okLo && okHi && types.Fits64(lo) && types.Fits64(hi))
 	}
 	if hasNulls {
 		need := (rows + 7) / 8
@@ -234,7 +236,17 @@ func (r *Reader) openChunk(cc *chunkCursor, cm *ColumnChunkMeta, t types.DataTyp
 		}
 		cc.validity, body = body[:need], body[need:]
 	}
-	if cm.Encoding == EncDict {
+	switch cm.Encoding {
+	case EncPlain:
+		cc.body = body
+		return nil
+	case EncFOR:
+		if len(body) < 8 {
+			return fmt.Errorf("parquet: FOR header truncated")
+		}
+		cc.base = int64(binary.LittleEndian.Uint64(body))
+		body = body[8:]
+	case EncDict:
 		if len(body) < 4 {
 			return fmt.Errorf("parquet: dict header truncated")
 		}
@@ -255,19 +267,16 @@ func (r *Reader) openChunk(cc *chunkCursor, cm *ColumnChunkMeta, t types.DataTyp
 			cc.dict[i] = body[4 : 4+l : 4+l]
 			body = body[4+l:]
 		}
-		if len(body) < 5 {
-			return fmt.Errorf("parquet: index header truncated")
-		}
-		cc.width = int(body[0])
-		cc.count = int(binary.LittleEndian.Uint32(body[1:]))
-		cc.packed = body[5:]
-		if cc.width > 32 || cc.count > rows || len(cc.packed) < (cc.count*cc.width+7)/8 {
-			return fmt.Errorf("parquet: dictionary index run out of range")
-		}
-		cc.dictEnc = true
-		body = nil
 	}
-	cc.body = body
+	if len(body) < 5 {
+		return fmt.Errorf("parquet: bit-packed run header truncated")
+	}
+	cc.width = int(body[0])
+	cc.count = int(binary.LittleEndian.Uint32(body[1:]))
+	cc.packed = body[5:]
+	if cc.width > 32 || cc.count > rows || len(cc.packed) < (cc.count*cc.width+7)/8 {
+		return fmt.Errorf("parquet: bit-packed run out of range")
+	}
 	return nil
 }
 
@@ -292,21 +301,38 @@ func (r *Reader) readInto(cc *chunkCursor, v *vector.Vector, k int) error {
 		v.Dec64 = vector.Dec64All
 	}
 	cc.pos += k
-	if !cc.dictEnc {
+	if cc.enc == EncPlain {
 		var err error
 		cc.body, err = readPlain(cc.body, v, k, nv)
 		return err
 	}
-	// Dictionary decode: indices cover valid rows in order.
+	// Packed entries cover valid rows in order.
 	if cc.used+nv > cc.count {
-		return fmt.Errorf("parquet: dictionary index overrun")
+		return fmt.Errorf("parquet: bit-packed run overrun")
 	}
 	r.idx = slices.Grow(r.idx[:0], nv)[:nv]
 	if err := lebytes.BitUnpack(r.idx, cc.packed, cc.width, cc.used); err != nil {
-		return fmt.Errorf("parquet: dictionary indices: %w", err)
+		return fmt.Errorf("parquet: bit-packed run: %w", err)
 	}
 	cc.used += nv
 	idx := r.idx
+	if cc.enc == EncFOR {
+		nulls := v.Nulls[:k]
+		switch v.Type.ID {
+		case types.Int32, types.Date:
+			widen(v.I32[:nv], idx, cc.base)
+			spread(v.I32[:k], nulls, nv)
+		case types.Int64, types.Timestamp:
+			widen(v.I64[:nv], idx, cc.base)
+			spread(v.I64[:k], nulls, nv)
+		case types.Decimal:
+			for i, o := range idx {
+				v.Dec[i] = types.SignExtend64(cc.base + int64(o))
+			}
+			spread(v.Dec[:k], nulls, nv)
+		}
+		return nil
+	}
 	for i := range v.Str[:k] {
 		if v.Nulls[i] != 0 {
 			v.Str[i] = nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/bits"
 
 	"photon/internal/types"
 	"photon/internal/vector"
@@ -90,6 +91,25 @@ func (s *statsAcc) updS(x []byte) {
 		s.maxS = append(s.maxS[:0], x...)
 	}
 	s.seen = true
+}
+
+// frame returns the minimum of a chunk of a forType and the bits its values
+// span above it, and whether they can be stored as FOR: some value is
+// non-NULL, the span is below 2^32, and a decimal's minimum and maximum fit
+// int64.
+func (s *statsAcc) frame() (base int64, width int, ok bool) {
+	lo, hi := s.minI, s.maxI
+	if s.t.ID == types.Decimal {
+		if !types.Fits64(s.minD) || !types.Fits64(s.maxD) {
+			return 0, 0, false
+		}
+		lo, hi = s.minD.ToInt64(), s.maxD.ToInt64()
+	}
+	span := uint64(hi - lo) // exact: hi ≥ lo, and the difference wraps mod 2^64
+	if !s.seen || !forType(s.t.ID) || span >= 1<<32 {
+		return 0, 0, false
+	}
+	return lo, bits.Len64(span), true
 }
 
 const statsStringCap = 32 // strings truncate in stats, like Parquet

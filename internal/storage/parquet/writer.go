@@ -52,6 +52,7 @@ type Writer struct {
 	groupCols []colBuffer
 	groupRows int
 	lz        *lz4.Compressor // kept from chunk to chunk, dropped at Close
+	offs      []uint32        // a FOR chunk's offsets, kept from chunk to chunk
 	closed    bool
 }
 
@@ -159,10 +160,15 @@ func (pw *Writer) writeChunk(t types.DataType, cb *colBuffer) (ColumnChunkMeta, 
 	meta := ColumnChunkMeta{NumValues: int64(total), NullCount: stats.nullCount}
 	meta.Min, meta.Max = stats.encode()
 
-	// Encoding choice: dictionary for strings when profitable.
+	// Encoding choice: FOR whenever the values allow it, dictionary for
+	// strings when profitable.
 	enc := EncPlain
 	var dict *stringDict
-	if t.ID == types.String && !pw.opts.DisableDict {
+	base, width, isFOR := stats.frame()
+	switch {
+	case isFOR:
+		enc = EncFOR
+	case t.ID == types.String && !pw.opts.DisableDict:
 		dict = buildStringDict(cb, total-int(stats.nullCount))
 		if dict != nil {
 			enc = EncDict
@@ -174,6 +180,8 @@ func (pw *Writer) writeChunk(t types.DataType, cb *colBuffer) (ColumnChunkMeta, 
 	case EncDict:
 		body = dict.encodeInto(body)
 		meta.DictValues = len(dict.values)
+	case EncFOR:
+		body, pw.offs = appendFOR(body, cb.vecs, base, width, pw.offs)
 	default:
 		for _, v := range cb.vecs {
 			body = appendPlain(body, v, v.Capacity())
@@ -223,7 +231,7 @@ func (pw *Writer) Close() error {
 	if err := pw.flushGroup(); err != nil {
 		return err
 	}
-	pw.lz = nil
+	pw.lz, pw.offs = nil, nil
 	wStart := time.Now()
 	n, err := writeFooter(pw.w, &pw.meta)
 	pw.metrics.WriteTime += time.Since(wStart)
