@@ -208,6 +208,42 @@ func (st *rowColState) updateStats(val any) {
 	}
 }
 
+// frame is statsAcc.frame over the boxed statistics.
+func (st *rowColState) frame() (base int64, width int, ok bool) {
+	s := statsAcc{t: st.t, seen: st.statMin != nil}
+	switch lo := st.statMin.(type) {
+	case int32:
+		s.minI, s.maxI = int64(lo), int64(st.statMax.(int32))
+	case int64:
+		s.minI, s.maxI = lo, st.statMax.(int64)
+	case types.Decimal128:
+		s.minD, s.maxD = lo, st.statMax.(types.Decimal128)
+	}
+	return s.frame()
+}
+
+// packPerValue appends u8 width, u32 count and vals bit-packed width bits
+// each, one value at a time (the value-at-a-time path).
+func packPerValue(body []byte, vals []uint32, width int) []byte {
+	body = append(body, byte(width))
+	body = binary.LittleEndian.AppendUint32(body, uint32(len(vals)))
+	var acc uint64
+	accBits := 0
+	for _, v := range vals {
+		acc |= uint64(v) << accBits
+		accBits += width
+		for accBits >= 8 {
+			body = append(body, byte(acc))
+			acc >>= 8
+			accBits -= 8
+		}
+	}
+	if accBits > 0 {
+		body = append(body, byte(acc))
+	}
+	return body
+}
+
 func boxedLess(a, b any, t types.DataType) bool {
 	switch t.ID {
 	case types.Bool:
@@ -303,8 +339,7 @@ func (rw *RowWriter) writeChunk(st *rowColState) (ColumnChunkMeta, error) {
 	meta.Min = encodeStatBoxed(st.statMin, st.t)
 	meta.Max = encodeStatBoxed(st.statMax, st.t)
 
-	useDict := !st.dictDead && len(st.indices) > 0 &&
-		float64(len(st.dictVals)) <= dictMaxRatio*float64(len(st.indices))
+	useDict := !st.dictDead && float64(len(st.dictVals)) <= dictMaxRatio*float64(len(st.indices))
 	if !useDict && !st.dictDead {
 		st.abandonDict() // materialize PLAIN from the dictionary state
 	}
@@ -320,26 +355,19 @@ func (rw *RowWriter) writeChunk(st *rowColState) (ColumnChunkMeta, error) {
 			body = append(body, l[:]...)
 			body = append(body, s...)
 		}
-		width := bitWidthFor(len(st.dictVals))
-		body = append(body, byte(width))
-		var ic [4]byte
-		binary.LittleEndian.PutUint32(ic[:], uint32(len(st.indices)))
-		body = append(body, ic[:]...)
-		// Per-value bit packing (the value-at-a-time path).
-		var acc uint64
-		accBits := 0
-		for _, v := range st.indices {
-			acc |= uint64(v) << accBits
-			accBits += width
-			for accBits >= 8 {
-				body = append(body, byte(acc))
-				acc >>= 8
-				accBits -= 8
-			}
+		body = packPerValue(body, st.indices, bitWidthFor(len(st.dictVals)))
+	} else if base, width, ok := st.frame(); ok {
+		// The same FOR rule as the vectorized writer, the offsets read back
+		// value by value from the PLAIN buffer. The span is below 2^32, so
+		// an offset is the difference of the low 32 bits of value and base.
+		meta.Encoding = EncFOR
+		size := len(st.plain) / int(int64(rw.groupRows)-st.nullCount)
+		var offs []uint32
+		for p := 0; p < len(st.plain); p += size {
+			offs = append(offs, binary.LittleEndian.Uint32(st.plain[p:])-uint32(base))
 		}
-		if accBits > 0 {
-			body = append(body, byte(acc))
-		}
+		body = binary.LittleEndian.AppendUint64(body, uint64(base))
+		body = packPerValue(body, offs, width)
 	} else {
 		meta.Encoding = EncPlain
 		body = append(body, st.plain...)
