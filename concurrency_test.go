@@ -16,6 +16,7 @@ import (
 
 	"photon/internal/catalog"
 	"photon/internal/mem"
+	"photon/internal/shuffle"
 	"photon/internal/storage/parquet"
 	"photon/internal/tpch"
 )
@@ -116,12 +117,16 @@ func assertNoExchangeHeld(t *testing.T, sess *Session) {
 	}
 }
 
-// assertNoOpenFiles asserts that every data file a scan opened has been
-// closed: each scan, however it ended, let go of its files.
+// assertNoOpenFiles asserts that every data file a scan opened and every
+// partition file an exchange read opened has been closed: each scan and each
+// exchange read, however it ended, let go of its files.
 func assertNoOpenFiles(t *testing.T) {
 	t.Helper()
 	if n := parquet.OpenFiles(); n != 0 {
 		t.Errorf("%d data files opened by scans were never closed", n)
+	}
+	if n := shuffle.OpenFiles(); n != 0 {
+		t.Errorf("%d partition files opened by exchange reads were never closed", n)
 	}
 }
 

@@ -1137,7 +1137,7 @@ func execSortKeys(keys []sql.SortKeyPlan) []exec.SortKey {
 // task handles about an even share of the input's rows or more (the AQE
 // partition-coalescing heuristic, §5.5). It counts rows, which a partition
 // has whether it is a file or in memory and which do not change with how
-// well a block compressed; and nine tenths of an even share count as one,
+// compactly a block encodes; and nine tenths of an even share count as one,
 // because hash partitions of a large input are that even, and which side of
 // exactly even the first falls on must not decide whether a stage runs one
 // task or two. Partitions stay in order; every partition is assigned

@@ -211,6 +211,38 @@ func TestProfileMixedExchange(t *testing.T) {
 	}
 }
 
+// TestExchangeReadStoppedEarlyClosesItsFile: a LIMIT over a shuffle join
+// stops its task while the probe side's reader is inside a partition file
+// it has not finished; closing the operator tree closes that file.
+func TestExchangeReadStoppedEarlyClosesItsFile(t *testing.T) {
+	cat := tpch.NewGen(0.01).Generate()
+	stmt, err := sql.Parse("SELECT l_orderkey, o_orderdate FROM lineitem JOIN orders ON l_orderkey = o_orderkey LIMIT 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sql.Analyze(cat, stmt)
+	if err == nil {
+		plan, err = catalyst.Optimize(plan)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	rows, _, err := Run(context.Background(), plan, Options{Parallelism: 2, ShuffleDir: t.TempDir(),
+		BroadcastRows: -1, DisableRuntimeFilters: true, Metrics: reg, testTaskStart: spillAtTaskStart(t)})
+	if err != nil || len(rows) != 5 {
+		t.Fatalf("%d rows, err %v", len(rows), err)
+	}
+	written := reg.Counter("photon_shuffle_write_bytes_total", "").Load()
+	read := reg.Counter("photon_shuffle_read_bytes_total", "").Load()
+	if read == 0 || read >= written {
+		t.Fatalf("read %d of the %d bytes written: no consumer stopped inside its exchange", read, written)
+	}
+	if n := shuffle.OpenFiles(); n != 0 {
+		t.Fatalf("%d partition files still open after Run", n)
+	}
+}
+
 // TestExchangeUnderMemoryLimit: with a memory limit below what a broadcast
 // build holds, the query still completes, through files, with the clean
 // run's rows, and the exchange store reports what it wrote out.

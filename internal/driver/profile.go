@@ -68,8 +68,8 @@ type StageProfile struct {
 
 	// Output-exchange volume (hash/broadcast stages): rows, how many of them
 	// the next stage was handed in memory, and for the rest, written to
-	// files: encoded bytes before framing, compressed bytes on disk, and the
-	// §4.6 adaptive encoding decisions by column block.
+	// files: encoded bytes, bytes on disk (encoded bytes and block headers),
+	// and the §4.6 adaptive encoding decisions by column block.
 	ShuffleRawBytes, ShuffleBytes, ShuffleRows int64
 	ShuffleMemRows                             int64
 	EncCounts                                  [3]int64

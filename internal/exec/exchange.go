@@ -35,9 +35,11 @@ type ShuffleSink interface {
 // by shuffle.Reader). NextBatch returns nil at the partition's end, and
 // otherwise either a batch the exchange holds in memory — shared with every
 // other reader of it, so never to be written to — or the next block of a
-// file, decoded into the batch decodeInto returns.
+// file, decoded into the batch decodeInto returns. Close releases a file the
+// source has open, for a consumer that stops before the end.
 type ShuffleSource interface {
 	NextBatch(decodeInto func() *vector.Batch) (*vector.Batch, error)
+	Close() error
 }
 
 // PartitionFunc maps a batch's active rows to output partitions, returning
@@ -224,8 +226,14 @@ func (e *exchangeRead) Next() (*vector.Batch, error) {
 }
 
 func (e *exchangeRead) Close() error {
+	var first error
+	for _, src := range e.srcs {
+		if err := src.Close(); err != nil && first == nil {
+			first = err
+		}
+	}
 	e.srcs = nil
-	return nil
+	return first
 }
 
 // ShuffleReadOp reads this task's (possibly coalesced) set of hash

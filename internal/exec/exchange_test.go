@@ -51,6 +51,8 @@ func (s *memSource) NextBatch(decodeInto func() *vector.Batch) (*vector.Batch, e
 	return dst, nil
 }
 
+func (s *memSource) Close() error { return nil }
+
 func exchangeSchema() *types.Schema {
 	return types.NewSchema(types.Field{Name: "k", Type: types.Int64Type})
 }

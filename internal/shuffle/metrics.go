@@ -38,9 +38,9 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	}
 	m := &Metrics{
 		BytesWritten: r.Counter("photon_shuffle_write_bytes_total",
-			"Compressed bytes written to shuffle/broadcast files"),
+			"Bytes written to shuffle/broadcast files, block headers included"),
 		RawBytesWritten: r.Counter("photon_shuffle_write_raw_bytes_total",
-			"Encoded bytes before LZ4 framing"),
+			"Encoded bytes written to shuffle/broadcast files, without block headers"),
 		RowsWritten: r.Counter("photon_shuffle_write_rows_total",
 			"Rows written across exchange boundaries, to files or to memory"),
 		BlocksWritten: r.Counter("photon_shuffle_write_blocks_total",

@@ -75,9 +75,10 @@ func pinBatches() []*vector.Batch {
 	return out
 }
 
-// TestPinnedPartitionFiles: partition files written by the commit that
-// introduced this test (adaptive encodings, one block per input batch and
-// partition) read back as the rows that were routed to them, in order.
+// TestPinnedPartitionFiles: the pinned partition files (adaptive encodings,
+// uncompressed blocks) read back as the rows that were routed to them, in
+// order. Exchange files never outlive a query, so a format change
+// regenerates them with -update.
 func TestPinnedPartitionFiles(t *testing.T) {
 	schema := pinSchema()
 	split := NewPartitioner(pinParts, []int{0})

@@ -107,8 +107,5 @@ func FuzzLZ4Decompress(f *testing.F) {
 		if n, err := Decompress(back, comp); err != nil || n != len(data) || !bytes.Equal(back, data) {
 			t.Fatalf("round trip: %d of %d bytes, err %v", n, len(data), err)
 		}
-		if payload, rest, err := ReadFrame(nil, data); err == nil && (len(payload) > MaxExpansion*len(data) || len(rest) > len(data)) {
-			t.Fatalf("frame of %d bytes yielded %d", len(data), len(payload))
-		}
 	})
 }

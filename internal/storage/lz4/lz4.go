@@ -1,6 +1,6 @@
 // Package lz4 implements the LZ4 block format (compress + decompress),
-// needed because the paper's shuffle and Parquet paths compress with LZ4
-// (§6.4, Table 1) and the Go standard library has no LZ4 codec.
+// needed because the paper's Parquet path compresses with LZ4 (§6.1) and the
+// Go standard library has no LZ4 codec.
 //
 // The compressor is a greedy single-pass matcher with a 16-bit hash chain,
 // like the reference LZ4 fast path. The format is the standard block
@@ -238,66 +238,7 @@ func Decompress(dst, src []byte) (int, error) {
 	return di, nil
 }
 
-// Frame helpers: a tiny envelope [u32 rawLen][u32 compLen][block] so readers
-// can size buffers; used by spill/shuffle files.
-
-const frameHeader = 8
-
 // MaxExpansion is the most an LZ4 block can grow on decompression: a match
 // length byte adds 255 bytes of output. A length claimed for a block's
 // output is checked against it before a buffer is sized from it.
 const MaxExpansion = 255
-
-// AppendFrame compresses src and appends an envelope-framed block to dst, as
-// a one-off Compressor would.
-func AppendFrame(dst, src []byte) []byte {
-	var c Compressor
-	return c.AppendFrame(dst, src)
-}
-
-// AppendFrame compresses src and appends an envelope-framed block to dst.
-func (c *Compressor) AppendFrame(dst, src []byte) []byte {
-	start := len(dst) + frameHeader
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(src)))
-	dst = append(dst, 0, 0, 0, 0)
-	dst = c.Compress(dst, src)
-	binary.LittleEndian.PutUint32(dst[start-4:start], uint32(len(dst)-start))
-	return dst
-}
-
-// FrameLen returns the length of the frame at the head of src — header plus
-// compressed block — so a caller can verify those bytes before anything in
-// them is trusted.
-func FrameLen(src []byte) (int, error) {
-	if len(src) < frameHeader {
-		return 0, fmt.Errorf("lz4: short frame header")
-	}
-	compLen := binary.LittleEndian.Uint32(src[4:])
-	if uint64(len(src)-frameHeader) < uint64(compLen) {
-		return 0, fmt.Errorf("lz4: short frame body")
-	}
-	return frameHeader + int(compLen), nil
-}
-
-// ReadFrame decodes the frame at the head of src into buf's storage (grown
-// when too small) and returns the payload, which aliases that storage, and
-// the bytes after the frame. Callers keep the payload as their next buf.
-func ReadFrame(buf, src []byte) (payload, rest []byte, err error) {
-	n, err := FrameLen(src)
-	if err != nil {
-		return nil, nil, err
-	}
-	rawLen := uint64(binary.LittleEndian.Uint32(src))
-	if rawLen > MaxExpansion*uint64(n-frameHeader) {
-		return nil, nil, fmt.Errorf("lz4: frame claims %d bytes from a %d-byte block", rawLen, n-frameHeader)
-	}
-	payload = slices.Grow(buf[:0], int(rawLen))[:rawLen]
-	got, err := Decompress(payload, src[frameHeader:n])
-	if err != nil {
-		return nil, nil, err
-	}
-	if got != len(payload) {
-		return nil, nil, fmt.Errorf("lz4: frame length mismatch: %d != %d", got, rawLen)
-	}
-	return payload, src[n:], nil
-}

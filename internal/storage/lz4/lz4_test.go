@@ -110,43 +110,6 @@ func TestDecompressCorruptInput(t *testing.T) {
 	}
 }
 
-func TestFrames(t *testing.T) {
-	var buf []byte
-	payloads := [][]byte{
-		[]byte("first frame"),
-		bytes.Repeat([]byte("second "), 500),
-		{},
-	}
-	for _, p := range payloads {
-		buf = AppendFrame(buf, p)
-	}
-	rest := buf
-	for i, want := range payloads {
-		var got []byte
-		var err error
-		got, rest, err = ReadFrame(got, rest)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("frame %d mismatch", i)
-		}
-	}
-	if len(rest) != 0 {
-		t.Errorf("trailing bytes: %d", len(rest))
-	}
-	if _, _, err := ReadFrame(nil, []byte{1, 2, 3}); err == nil {
-		t.Error("short frame not detected")
-	}
-	// A header claiming more than LZ4 can expand its block to is rejected
-	// before any buffer is sized from it.
-	huge := AppendFrame(nil, []byte("abc"))
-	huge[0], huge[1], huge[2], huge[3] = 0xff, 0xff, 0xff, 0x7f
-	if _, _, err := ReadFrame(nil, huge); err == nil {
-		t.Error("oversized rawLen not detected")
-	}
-}
-
 // TestCompressorReuse: what a Compressor compressed before — including a
 // base offset about to wrap — leaves no trace in the next block's bytes.
 func TestCompressorReuse(t *testing.T) {
