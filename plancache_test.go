@@ -3,6 +3,8 @@ package photon
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -57,6 +59,73 @@ func TestPlanCacheTPCHEquivalence(t *testing.T) {
 	hits := cached.svc.CacheHits.Load()
 	if hits < int64(len(tpch.QueryNumbers()))*3/4 {
 		t.Errorf("only %d/%d warm runs hit the plan cache", hits, len(tpch.QueryNumbers()))
+	}
+}
+
+// TestPlanCacheDisjunctionOverJoin runs Q7 and Q19, whose WHERE clauses are
+// disjunctions over a join, through the plan cache: cold, warm with other
+// literals, then prepared with placeholders. Each result must equal an
+// uncached run of the same literals, so whatever the optimizer derives from
+// such a disjunction takes each execution's values, not the first compile's.
+func TestPlanCacheDisjunctionOverJoin(t *testing.T) {
+	cached := tpchSession(0.01, Config{})
+	uncached := tpchSession(0.01, Config{PlanCacheSize: -1})
+	type run struct {
+		with []string // old, new literal pairs applied to the query text
+		args []any    // placeholder values when the run is prepared
+	}
+	cases := []struct {
+		q    int
+		runs []run
+	}{
+		{7, []run{
+			{with: nil},
+			{with: []string{"'FRANCE'", "'JAPAN'", "'GERMANY'", "'CHINA'"}},
+			{with: []string{"'FRANCE'", "?", "'GERMANY'", "?"}, args: []any{"INDIA", "IRAN", "IRAN", "INDIA"}},
+		}},
+		{19, []run{
+			{with: nil},
+			{with: []string{"'Brand#12'", "'Brand#13'", "'Brand#23'", "'Brand#25'", "'Brand#34'", "'Brand#31'"}},
+			{with: []string{"'Brand#12'", "?", "'Brand#23'", "?", "'Brand#34'", "?"}, args: []any{"Brand#22", "Brand#45", "Brand#11"}},
+		}},
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		for i, r := range c.runs {
+			text := strings.NewReplacer(r.with...).Replace(tpch.Queries[c.q])
+			var got *Result
+			var stats *QueryStats
+			var err error
+			if r.args != nil {
+				stmt, perr := cached.Prepare(text)
+				if perr != nil {
+					t.Fatalf("Q%d prepare: %v", c.q, perr)
+				}
+				got, stats, err = stmt.ExecuteStats(ctx, r.args...)
+				// The reference is the same query with the values inlined.
+				for _, a := range r.args {
+					text = strings.Replace(text, "?", "'"+a.(string)+"'", 1)
+				}
+			} else {
+				got, stats, err = cached.SQLContextStats(ctx, text)
+			}
+			if err != nil {
+				t.Fatalf("Q%d run %d: %v", c.q, i, err)
+			}
+			if i > 0 && !stats.Cached {
+				t.Errorf("Q%d run %d missed the plan cache", c.q, i)
+			}
+			want, err := uncached.SQL(text)
+			if err != nil {
+				t.Fatalf("Q%d run %d uncached: %v", c.q, i, err)
+			}
+			if len(want.Rows) == 0 || want.Rows[0][len(want.Rows[0])-1] == nil {
+				t.Fatalf("Q%d run %d: the literals select nothing, so the check is vacuous", c.q, i)
+			}
+			if g, w := renderSorted(got.Rows), renderSorted(want.Rows); !reflect.DeepEqual(g, w) {
+				t.Fatalf("Q%d run %d: cached %v, uncached %v", c.q, i, g, w)
+			}
+		}
 	}
 }
 
