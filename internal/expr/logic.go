@@ -94,9 +94,8 @@ func (o *Or) EvalSel(ctx *Ctx, b *vector.Batch, out []int32) ([]int32, error) {
 
 // Not negates a filter: parent selection minus the child's survivors.
 // SQL caveat: NOT(pred) is TRUE only where pred is FALSE — rows where pred
-// was NULL must not pass. Children therefore also exclude NULL rows via
-// their own NULL handling; Not additionally removes rows where the child's
-// operands were NULL using the child's NullSel when available.
+// was NULL must not pass, so Not also removes the rows the child reports
+// through NullSel (every filter that can be NULL reports them).
 type Not struct {
 	Inner Filter
 }
@@ -109,35 +108,74 @@ func (n *Not) String() string { return fmt.Sprintf("(NOT %s)", n.Inner) }
 
 // EvalSel implements Filter.
 func (n *Not) EvalSel(ctx *Ctx, b *vector.Batch, out []int32) ([]int32, error) {
-	sub, err := n.Inner.EvalSel(ctx, b, ctx.GetSel())
+	notFalse, err := trueOrNull(ctx, n.Inner, b, ctx.GetSel())
 	if err != nil {
 		return nil, err
 	}
-	parent := b.Sel
-	var parentBuf []int32
-	if parent == nil {
-		parentBuf = kernels.DenseSel(b.NumRows, ctx.GetSel())
-		parent = parentBuf
+	out = activeMinus(ctx, b, notFalse, out)
+	ctx.PutSel(notFalse)
+	return out, nil
+}
+
+// NullSel implements nullAware: NOT is NULL where its operand is.
+func (n *Not) NullSel(ctx *Ctx, b *vector.Batch, out []int32) ([]int32, error) {
+	return nullSel(ctx, n.Inner, b, out)
+}
+
+// NullSel implements nullAware: the rows where some child is NULL and none
+// is TRUE.
+func (o *Or) NullSel(ctx *Ctx, b *vector.Batch, out []int32) ([]int32, error) {
+	l, err := nullSel(ctx, o.Left, b, ctx.GetSel())
+	if err != nil {
+		return nil, err
 	}
-	passed := kernels.DiffSel(parent, sub, ctx.GetSel())
-	ctx.PutSel(sub)
-	if parentBuf != nil {
-		ctx.PutSel(parentBuf)
+	r, err := nullSel(ctx, o.Right, b, ctx.GetSel())
+	if err != nil {
+		ctx.PutSel(l)
+		return nil, err
 	}
-	// Exclude rows where the inner predicate evaluated to NULL.
-	if ns, ok := n.Inner.(nullAware); ok {
-		nullRows, err := ns.NullSel(ctx, b, ctx.GetSel())
+	nulls := kernels.UnionSel(l, r, ctx.GetSel())
+	ctx.PutSel(l)
+	ctx.PutSel(r)
+	hit, err := o.EvalSel(ctx, b, ctx.GetSel())
+	if err != nil {
+		ctx.PutSel(nulls)
+		return nil, err
+	}
+	out = kernels.DiffSel(nulls, hit, out)
+	ctx.PutSel(nulls)
+	ctx.PutSel(hit)
+	return out, nil
+}
+
+// NullSel implements nullAware: the rows where no child is FALSE and some
+// child is NULL. Each child runs over the rows no earlier child is FALSE
+// on; of what remains, the rows where every child is TRUE are not NULL.
+func (a *And) NullSel(ctx *Ctx, b *vector.Batch, out []int32) ([]int32, error) {
+	saved := b.Sel
+	defer func() { b.Sel = saved }()
+	var notFalse []int32
+	for _, f := range a.Filters {
+		next, err := trueOrNull(ctx, f, b, ctx.GetSel())
+		if notFalse != nil {
+			ctx.PutSel(notFalse)
+		}
 		if err != nil {
-			ctx.PutSel(passed)
 			return nil, err
 		}
-		out = kernels.DiffSel(passed, nullRows, out)
-		ctx.PutSel(nullRows)
-		ctx.PutSel(passed)
-		return out, nil
+		notFalse, b.Sel = next, next
 	}
-	out = append(out, passed...)
-	ctx.PutSel(passed)
+	if notFalse == nil {
+		return out, nil // no children: always TRUE
+	}
+	hit, err := a.EvalSel(ctx, b, ctx.GetSel())
+	if err != nil {
+		ctx.PutSel(notFalse)
+		return nil, err
+	}
+	out = kernels.DiffSel(notFalse, hit, out)
+	ctx.PutSel(notFalse)
+	ctx.PutSel(hit)
 	return out, nil
 }
 
@@ -145,6 +183,43 @@ func (n *Not) EvalSel(ctx *Ctx, b *vector.Batch, out []int32) ([]int32, error) {
 // they evaluate to NULL (needed for correct NOT semantics).
 type nullAware interface {
 	NullSel(ctx *Ctx, b *vector.Batch, out []int32) ([]int32, error)
+}
+
+// nullSel appends the active rows where f is NULL; a filter that is never
+// NULL (IS NULL) appends none.
+func nullSel(ctx *Ctx, f Filter, b *vector.Batch, out []int32) ([]int32, error) {
+	if ns, ok := f.(nullAware); ok {
+		return ns.NullSel(ctx, b, out)
+	}
+	return out, nil
+}
+
+// trueOrNull appends the active rows where f is TRUE or NULL, in order.
+func trueOrNull(ctx *Ctx, f Filter, b *vector.Batch, out []int32) ([]int32, error) {
+	hit, err := f.EvalSel(ctx, b, ctx.GetSel())
+	if err != nil {
+		return nil, err
+	}
+	nulls, err := nullSel(ctx, f, b, ctx.GetSel())
+	if err != nil {
+		ctx.PutSel(hit)
+		return nil, err
+	}
+	out = kernels.UnionSel(hit, nulls, out)
+	ctx.PutSel(hit)
+	ctx.PutSel(nulls)
+	return out, nil
+}
+
+// activeMinus appends the batch's active rows that are not in sub (sorted).
+func activeMinus(ctx *Ctx, b *vector.Batch, sub, out []int32) []int32 {
+	if b.Sel != nil {
+		return kernels.DiffSel(b.Sel, sub, out)
+	}
+	dense := kernels.DenseSel(b.NumRows, ctx.GetSel())
+	out = kernels.DiffSel(dense, sub, out)
+	ctx.PutSel(dense)
+	return out
 }
 
 // NullSel for comparisons: rows where either operand is NULL.

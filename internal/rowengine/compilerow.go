@@ -341,8 +341,11 @@ func compilePred(f expr.Filter) (triPred, error) {
 		}
 		t := n.Inner.Type()
 		var vals []any
+		notFound := triFalse
 		for _, lit := range n.Vals {
-			if !lit.IsNullLit() {
+			if lit.IsNullLit() {
+				notFound = triNull // x IN (..., NULL) is never FALSE
+			} else {
 				vals = append(vals, normLit(lit, t))
 			}
 		}
@@ -363,7 +366,7 @@ func compilePred(f expr.Filter) (triPred, error) {
 					return triTrue, nil
 				}
 			}
-			return triFalse, nil
+			return notFound, nil
 		}, nil
 	case *expr.Like:
 		inner, err := compileExpr(n.Inner)

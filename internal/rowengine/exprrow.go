@@ -264,8 +264,10 @@ func evalPred(f expr.Filter, row []any) (tri, error) {
 		if v == nil {
 			return triNull, nil
 		}
+		notFound := triFalse
 		for _, lit := range n.Vals {
 			if lit.IsNullLit() {
+				notFound = triNull // x IN (..., NULL) is never FALSE
 				continue
 			}
 			c, err := compareAny(v, normLit(lit, n.Inner.Type()), n.Inner.Type())
@@ -276,7 +278,7 @@ func evalPred(f expr.Filter, row []any) (tri, error) {
 				return triTrue, nil
 			}
 		}
-		return triFalse, nil
+		return notFound, nil
 	case *expr.Like:
 		v, err := evalRow(n.Inner, row)
 		if err != nil {

@@ -336,3 +336,41 @@ func containsStr(s, sub string) bool {
 	}
 	return false
 }
+
+// TestNotAndInAreThreeValued: NOT keeps a row only where its operand is
+// FALSE, so a NULL operand — from a NULL column under AND, OR or NOT, or
+// from a value missing from an IN list that holds NULL — filters the row
+// out. Each engine must return the counts three-valued logic gives on
+// ('a', 1), ('b', 2), (NULL, NULL).
+func TestNotAndInAreThreeValued(t *testing.T) {
+	cat := catalog.New()
+	sch := types.NewSchema(
+		types.Field{Name: "x", Type: types.StringType, Nullable: true},
+		types.Field{Name: "y", Type: types.Int64Type, Nullable: true},
+	)
+	rows := [][]any{{"a", int64(1)}, {"b", int64(2)}, {nil, nil}}
+	cat.Register(&catalog.MemTable{TableName: "t", Sch: sch, Batches: exec.BuildBatches(sch, rows, 64)})
+	cases := []struct {
+		where string
+		want  int64
+	}{
+		{"NOT (x = 'a' OR y = 5)", 1},
+		{"NOT (x = 'a' AND y = 5)", 2},
+		{"NOT (NOT (x = 'a'))", 1},
+		{"NOT (NOT (x = 'a') OR y = 2)", 1},
+		{"x NOT IN ('a', NULL)", 0},
+		{"x IN ('a', NULL)", 1},
+		{"NOT (x IN ('a', NULL) AND y = 2)", 1},
+		{"y NOT IN (5, NULL)", 0},
+		{"x NOT IN ('a')", 1},
+	}
+	for _, c := range cases {
+		q := "SELECT count(*) FROM t WHERE " + c.where
+		for _, eng := range []Engine{EnginePhoton, EngineDBRCompiled, EngineDBRInterpreted} {
+			got, _ := runSQL(t, cat, q, eng, nil)
+			if n := got[0][0].(int64); n != c.want {
+				t.Errorf("%s: %v counts %d rows, want %d", c.where, eng, n, c.want)
+			}
+		}
+	}
+}

@@ -105,7 +105,8 @@ func randomQuery(rng *rand.Rand) string {
 		"val > 0", "val <= -100", "val BETWEEN -50 AND 200", "t.grp IN (1, 3, 5)",
 		"s LIKE '%a%'", "s NOT LIKE 'G%'", "s IS NOT NULL", "f < 50.0",
 		"dec > 100.00", "NOT (val = 0)", "upper(s) = 'ALPHA'",
-		"length(s) > 3", "val % 2 = 0",
+		"length(s) > 3", "val % 2 = 0", "s NOT IN ('alpha', NULL)",
+		"NOT (s = 'GAMMA' OR val < 0)", "NOT (NOT (f < 50.0))",
 	}
 	pick := func() string { return preds[rng.Intn(len(preds))] }
 	where := pick()
@@ -115,6 +116,9 @@ func randomQuery(rng *rand.Rand) string {
 		} else {
 			where += " OR " + pick()
 		}
+	}
+	if rng.Intn(4) == 0 { // NOT over a composite: NULL operands must not pass
+		where = "NOT (" + where + " AND " + pick() + ")"
 	}
 	switch rng.Intn(4) {
 	case 0: // plain projection
