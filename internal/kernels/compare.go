@@ -273,7 +273,26 @@ func SelBetweenVS[T Ordered](a []T, lo, hi T, nulls []byte, hasNulls bool, sel [
 }
 
 // SelCmpBytesVS appends rows where bytes.Compare(a[i], s) satisfies op.
+// = and <> test equality alone, which compares lengths before bytes; only
+// the ordering operators pay for a three-way compare.
 func SelCmpBytesVS(op CmpOp, a [][]byte, s []byte, nulls []byte, hasNulls bool, sel []int32, n int, out []int32) []int32 {
+	if op == CmpEq || op == CmpNe {
+		eq := op == CmpEq
+		if sel == nil {
+			for i := 0; i < n; i++ {
+				if (!hasNulls || nulls[i] == 0) && (string(a[i]) == string(s)) == eq {
+					out = append(out, int32(i))
+				}
+			}
+			return out
+		}
+		for _, i := range sel {
+			if (!hasNulls || nulls[i] == 0) && (string(a[i]) == string(s)) == eq {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
 	want := wantMask(op)
 	body := func(i int32) {
 		if hasNulls && nulls[i] != 0 {
