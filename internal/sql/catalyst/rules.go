@@ -36,6 +36,14 @@ func splitConjuncts(f expr.Filter, out []expr.Filter) []expr.Filter {
 	return append(out, f)
 }
 
+// splitDisjuncts flattens ORs into a branch list.
+func splitDisjuncts(f expr.Filter, out []expr.Filter) []expr.Filter {
+	if or, ok := f.(*expr.Or); ok {
+		return splitDisjuncts(or.Right, splitDisjuncts(or.Left, out))
+	}
+	return append(out, f)
+}
+
 func andOf(fs []expr.Filter) expr.Filter {
 	switch len(fs) {
 	case 0:
@@ -173,11 +181,7 @@ func convertCrossJoin(n *sql.LCrossJoin, pending []expr.Filter) (sql.LogicalPlan
 		case hi < leftW && hi >= 0:
 			leftOnly = append(leftOnly, c)
 		case lo >= leftW && lo < total:
-			m := identityMapping(total)
-			for i := leftW; i < total; i++ {
-				m[i] = i - leftW
-			}
-			mapped, err := RemapFilter(c, m)
+			mapped, err := RemapFilter(c, rightFrame(leftW, total))
 			if err != nil {
 				return nil, err
 			}
@@ -191,6 +195,11 @@ func convertCrossJoin(n *sql.LCrossJoin, pending []expr.Filter) (sql.LogicalPlan
 					continue
 				}
 			}
+			l, r, err := impliedByOr(c, leftW, total)
+			if err != nil {
+				return nil, err
+			}
+			leftOnly, rightOnly = appendFilter(leftOnly, l), appendFilter(rightOnly, r)
 			residual = append(residual, c)
 		}
 	}
@@ -246,12 +255,7 @@ func splitEquiKey(cmp *expr.Cmp, leftW, total int) (expr.Expr, expr.Expr, bool) 
 	if ls == 1 { // normalize to (left, right)
 		a, b = b, a
 	}
-	// Remap the right side's ordinals into the right child's frame.
-	m := identityMapping(total)
-	for i := leftW; i < total; i++ {
-		m[i] = i - leftW
-	}
-	rb, err := RemapExpr(b, m)
+	rb, err := RemapExpr(b, rightFrame(leftW, total))
 	if err != nil {
 		return nil, nil, false
 	}
@@ -266,6 +270,64 @@ func identityMapping(n int) []int {
 	return m
 }
 
+// rightFrame maps a join's output ordinals into its right input's; the left
+// input's columns are unavailable there.
+func rightFrame(leftW, total int) []int {
+	m := make([]int, total)
+	for i := range m {
+		m[i] = i - leftW
+	}
+	return m
+}
+
+// impliedByOr derives, from a conjunct spanning both join inputs that is a
+// disjunction B1 OR ... OR Bn, the predicate it implies on each input: the
+// OR over the branches of each branch's conjuncts that reference only that
+// input, or nil when some branch has none. A row pair passing the
+// disjunction passes some Bi, so each of its rows passes its own part of
+// Bi; a filter built from those parts removes only rows the disjunction
+// would remove above the join. Both are fresh nodes in the input's frame
+// (RemapFilter), sharing only literals with c, so a plan-cache rebind
+// reaches their Param-tagged literals through the same slots as c's.
+func impliedByOr(c expr.Filter, leftW, total int) (left, right expr.Filter, err error) {
+	if _, ok := c.(*expr.Or); !ok {
+		return nil, nil, nil
+	}
+	branches := splitDisjuncts(c, nil)
+	part := func(mine func(lo, hi int) bool, frame []int) (expr.Filter, error) {
+		var out expr.Filter
+		for _, b := range branches {
+			var own []expr.Filter
+			for _, conj := range splitConjuncts(b, nil) {
+				if lo, hi := minColRef(conj), maxColRef(conj); hi >= 0 && mine(lo, hi) {
+					own = append(own, conj)
+				}
+			}
+			if len(own) == 0 {
+				return nil, nil
+			}
+			if out == nil {
+				out = andOf(own)
+			} else {
+				out = expr.NewOr(out, andOf(own))
+			}
+		}
+		return RemapFilter(out, frame)
+	}
+	if left, err = part(func(_, hi int) bool { return hi < leftW }, identityMapping(total)); err != nil {
+		return nil, nil, err
+	}
+	right, err = part(func(lo, _ int) bool { return lo >= leftW }, rightFrame(leftW, total))
+	return left, right, err
+}
+
+func appendFilter(fs []expr.Filter, f expr.Filter) []expr.Filter {
+	if f == nil {
+		return fs
+	}
+	return append(fs, f)
+}
+
 // pushIntoJoin routes conjuncts over a join's output to its inputs.
 func pushIntoJoin(n *sql.LJoin, pending []expr.Filter) (sql.LogicalPlan, error) {
 	leftW := n.Left.Schema().Len()
@@ -277,16 +339,23 @@ func pushIntoJoin(n *sql.LJoin, pending []expr.Filter) (sql.LogicalPlan, error) 
 		case hi < leftW:
 			leftOnly = append(leftOnly, c)
 		case lo >= leftW && n.Kind == sql.JoinInner:
-			m := identityMapping(total)
-			for i := leftW; i < total; i++ {
-				m[i] = i - leftW
-			}
-			mapped, err := RemapFilter(c, m)
+			mapped, err := RemapFilter(c, rightFrame(leftW, total))
 			if err != nil {
 				return nil, err
 			}
 			rightOnly = append(rightOnly, mapped)
 		default:
+			l, r, err := impliedByOr(c, leftW, total)
+			if err != nil {
+				return nil, err
+			}
+			leftOnly = appendFilter(leftOnly, l)
+			// Never into a left outer join's right input: a right row it
+			// removes turns its matches into NULL-padded rows, which a
+			// branch such as r.x IS NULL would then keep.
+			if n.Kind == sql.JoinInner {
+				rightOnly = appendFilter(rightOnly, r)
+			}
 			above = append(above, c)
 		}
 	}
