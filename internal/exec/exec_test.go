@@ -309,29 +309,33 @@ func TestHashAggPartialFinalEquivalence(t *testing.T) {
 	}
 }
 
+// TestHashAggSpilling groups rows of every type on a string and a bool key,
+// with a min and a max of every column, under a limit that spills.
 func TestHashAggSpilling(t *testing.T) {
-	schema := intSchema("g", "v")
-	var rows [][]any
-	for i := 0; i < 5000; i++ {
-		rows = append(rows, []any{int64(i % 997), int64(i)})
+	schema := spillSchema()
+	rows := spillRows(5000, 5)
+	col := func(i int) expr.Expr { return expr.Col(i, schema.Field(i).Name, schema.Field(i).Type) }
+	newAgg := func() *HashAggOp {
+		specs := []expr.AggSpec{{Kind: expr.AggCount, Name: "c"}, {Kind: expr.AggSum, Arg: col(8), Name: "sm"}}
+		for i := 2; i < schema.Len(); i++ {
+			specs = append(specs, expr.AggSpec{Kind: expr.AggMin, Arg: col(i)}, expr.AggSpec{Kind: expr.AggMax, Arg: col(i)})
+		}
+		scan := NewMemScan(schema, BuildBatches(schema, rows, 64))
+		agg, err := NewHashAgg(scan, AggComplete, []expr.Expr{col(1), col(2)}, []string{"s", "b"}, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return agg
 	}
-	scan := NewMemScan(schema, BuildBatches(schema, rows, 64))
-	agg, _ := NewHashAgg(scan, AggComplete, []expr.Expr{expr.Col(0, "g", types.Int64Type)}, []string{"g"},
-		[]expr.AggSpec{
-			{Kind: expr.AggCount, Name: "c"},
-			{Kind: expr.AggSum, Arg: expr.Col(1, "v", types.Int64Type), Name: "s"},
-		})
-	tc := NewTaskCtx(mem.NewManager(32<<10), 64) // tiny limit forces spills
+	agg := newAgg()
+	tc := NewTaskCtx(mem.NewManager(96<<10), 64) // tiny limit forces spills
 	tc.SpillDir = t.TempDir()
 	got, err := CollectRows(agg, tc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 997 {
-		t.Fatalf("groups = %d, want 997", len(got))
-	}
 	if agg.Stats().SpillCount.Load() == 0 {
-		t.Error("expected at least one spill under a 32KB limit")
+		t.Error("expected at least one spill under a 96KB limit")
 	}
 	// Spill epochs and the 16 partition merges borrow their partial-state
 	// buffer from the task's pool: one allocation, then hits.
@@ -339,18 +343,15 @@ func TestHashAggSpilling(t *testing.T) {
 		t.Errorf("spill and partition merge bypassed the batch pool: hits=%d misses=%d", tc.Pool.Hits, tc.Pool.Misses)
 	}
 	// Verify against unconstrained run.
-	scan2 := NewMemScan(schema, BuildBatches(schema, rows, 64))
-	agg2, _ := NewHashAgg(scan2, AggComplete, []expr.Expr{expr.Col(0, "g", types.Int64Type)}, []string{"g"},
-		[]expr.AggSpec{
-			{Kind: expr.AggCount, Name: "c"},
-			{Kind: expr.AggSum, Arg: expr.Col(1, "v", types.Int64Type), Name: "s"},
-		})
-	want, err := CollectRows(agg2, newTC(t))
+	want, err := CollectRows(newAgg(), newTC(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	sortRows(got)
 	sortRows(want)
+	if len(got) != len(want) {
+		t.Fatalf("groups = %d, want %d", len(got), len(want))
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("spilled aggregation differs from in-memory aggregation")
 	}

@@ -124,20 +124,16 @@ func TestJoinLargeWithDuplicatesAndResume(t *testing.T) {
 	}
 }
 
+// TestGraceJoinSpillMatchesInMemory joins rows of every type on a string key
+// under a limit that sends both sides to grace partitions.
 func TestGraceJoinSpillMatchesInMemory(t *testing.T) {
-	ls := intSchema("k", "lv")
-	rs := intSchema("k", "rv")
-	var lrows, rrows [][]any
-	for i := 0; i < 3000; i++ {
-		lrows = append(lrows, []any{int64(i % 500), int64(i)})
-	}
-	for i := 0; i < 2000; i++ {
-		rrows = append(rrows, []any{int64(i % 700), int64(i * 10)})
-	}
+	schema := spillSchema()
+	lrows, rrows := spillRows(1000, 7), spillRows(600, 8)
+	key := []expr.Expr{expr.Col(1, "s", types.StringType)}
 	run := func(limit int64) ([][]any, *HashJoinOp) {
-		l := NewMemScan(ls, BuildBatches(ls, lrows, 64))
-		r := NewMemScan(rs, BuildBatches(rs, rrows, 64))
-		j, _ := NewHashJoin(l, r, []expr.Expr{keyCol(0, "k")}, []expr.Expr{keyCol(0, "k")}, InnerJoin)
+		l := NewMemScan(schema, BuildBatches(schema, lrows, 64))
+		r := NewMemScan(schema, BuildBatches(schema, rrows, 64))
+		j, _ := NewHashJoin(l, r, key, key, InnerJoin)
 		tc := NewTaskCtx(mem.NewManager(limit), 64)
 		tc.SpillDir = t.TempDir()
 		rows, err := CollectRows(j, tc)
@@ -147,9 +143,9 @@ func TestGraceJoinSpillMatchesInMemory(t *testing.T) {
 		return rows, j
 	}
 	want, _ := run(0)
-	got, j := run(48 << 10)
+	got, j := run(128 << 10)
 	if j.Stats().SpillCount.Load() == 0 {
-		t.Fatal("expected the 48KB-limit join to spill")
+		t.Fatal("expected the 128KB-limit join to spill")
 	}
 	sortRows(want)
 	sortRows(got)

@@ -67,16 +67,17 @@ func TestSortMultiKeyStrings(t *testing.T) {
 	}
 }
 
+// TestExternalSortMatchesInMemory sorts rows of every type on a string key
+// under a limit that spills several runs. Each run holds many blocks, so an
+// output batch takes rows from a run's earlier block after its cursor has
+// read the next one: their strings must survive that read.
 func TestExternalSortMatchesInMemory(t *testing.T) {
-	schema := intSchema("v")
-	rng := rand.New(rand.NewSource(3))
-	var rows [][]any
-	for i := 0; i < 8000; i++ {
-		rows = append(rows, []any{rng.Int63n(10_000)})
-	}
+	schema := spillSchema()
+	rows := spillRows(3000, 3)
+	keys := []SortKey{{Col: 1}, {Col: 0, Desc: true}} // s, then the unique id: a total order
 	run := func(limit int64) ([][]any, *SortOp) {
 		scan := NewMemScan(schema, BuildBatches(schema, rows, 64))
-		s := NewSort(scan, []SortKey{{Col: 0}})
+		s := NewSort(scan, keys)
 		tc := NewTaskCtx(mem.NewManager(limit), 64)
 		tc.SpillDir = t.TempDir()
 		out, err := CollectRows(s, tc)
@@ -86,16 +87,23 @@ func TestExternalSortMatchesInMemory(t *testing.T) {
 		return out, s
 	}
 	want, _ := run(0)
-	got, s := run(16 << 10)
-	if s.Stats().SpillCount.Load() == 0 {
-		t.Fatal("expected external sort to spill under 16KB")
+	got, s := run(48 << 10)
+	if n := s.Stats().SpillCount.Load(); n < 2 {
+		t.Fatalf("%d runs spilled under 48KB, want at least 2", n)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Error("external sort differs from in-memory sort")
 	}
 	// And both are actually sorted permutations of the input.
+	key := func(r []any) string { // NULL first, then the strings in order
+		if r[1] == nil {
+			return ""
+		}
+		return "\x00" + r[1].(string)
+	}
 	if !sort.SliceIsSorted(got, func(i, j int) bool {
-		return got[i][0].(int64) < got[j][0].(int64)
+		ki, kj := key(got[i]), key(got[j])
+		return ki < kj || ki == kj && got[i][0].(int64) > got[j][0].(int64)
 	}) {
 		t.Error("output not sorted")
 	}
