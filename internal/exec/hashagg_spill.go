@@ -2,11 +2,9 @@ package exec
 
 import (
 	"fmt"
-	"io"
 	"os"
 
 	"photon/internal/expr"
-	"photon/internal/fault"
 	"photon/internal/kernels"
 	"photon/internal/serde"
 	"photon/internal/vector"
@@ -78,9 +76,8 @@ func (op *HashAggOp) spill(need int64) (int64, error) {
 }
 
 // mergePartition rebuilds a fresh table from one spill partition. The merge
-// loop checks cancellation per batch (a giant spilled partition must not pin
-// a cancelled query), probes the spill-read failpoint, and classifies
-// transient OS read errors as retryable.
+// loop checks cancellation per batch: a giant spilled partition must not pin
+// a cancelled query.
 func (op *HashAggOp) mergePartition(f *os.File) error {
 	op.merging = true
 	defer func() { op.merging = false }()
@@ -93,15 +90,8 @@ func (op *HashAggOp) mergePartition(f *os.File) error {
 		if err := op.tc.Cancelled(); err != nil {
 			return err
 		}
-		if err := fault.Hit(op.tc.Ctx, fault.SpillRead); err != nil {
+		if ok, err := op.tc.readSpill(rd, buf); !ok {
 			return err
-		}
-		err := rd.ReadBatch(buf)
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fault.ClassifyIO(fault.SpillRead, err)
 		}
 		if err := op.mergeBatch(buf, &op.part); err != nil {
 			return err

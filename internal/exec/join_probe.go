@@ -4,10 +4,8 @@ import (
 	"io"
 	"os"
 
-	"photon/internal/fault"
 	"photon/internal/ht"
 	"photon/internal/serde"
-	"photon/internal/types"
 	"photon/internal/vector"
 )
 
@@ -395,15 +393,12 @@ func (op *HashJoinOp) nextProbeBatch() (*vector.Batch, error) {
 			if op.partProbeB == nil {
 				op.partProbeB = vector.NewBatch(op.left.Schema(), op.tc.Pool.BatchSize())
 			}
-			if err := fault.Hit(op.tc.Ctx, fault.SpillRead); err != nil {
+			ok, err := op.tc.readSpill(op.partProbeRd, op.partProbeB)
+			if err != nil {
 				return nil, err
 			}
-			err := op.partProbeRd.ReadBatch(op.partProbeB)
-			if err == nil {
+			if ok {
 				return op.partProbeB, nil
-			}
-			if err != io.EOF {
-				return nil, fault.ClassifyIO(fault.SpillRead, err)
 			}
 			op.partProbeRd = nil
 		}
@@ -464,20 +459,20 @@ func (op *HashJoinOp) loadPartition(p int) error {
 	if _, err := bf.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	rd := newSerdeReader(bf, op.right.Schema())
+	rd := serde.NewReader(bf, op.right.Schema())
 	buf := vector.NewBatch(op.right.Schema(), op.tc.Pool.BatchSize())
 	for {
-		// Per-batch cancellation + transient-I/O classification while
-		// rebuilding a grace partition's table from spill.
+		// Per-batch cancellation while rebuilding a grace partition's table
+		// from spill.
 		if err := op.tc.Cancelled(); err != nil {
 			return err
 		}
-		err := rd.ReadBatch(buf)
-		if err == io.EOF {
-			break
-		}
+		ok, err := op.tc.readSpill(rd, buf)
 		if err != nil {
-			return fault.ClassifyIO(fault.SpillRead, err)
+			return err
+		}
+		if !ok {
+			break
 		}
 		if err := op.insertBuildBatch(buf, op.tbl); err != nil {
 			return err
@@ -487,7 +482,7 @@ func (op *HashJoinOp) loadPartition(p int) error {
 	if _, err := pf.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
-	op.partProbeRd = newSerdeReader(pf, op.left.Schema())
+	op.partProbeRd = serde.NewReader(pf, op.left.Schema())
 	return nil
 }
 
@@ -657,10 +652,4 @@ func (op *HashJoinOp) Close() error {
 		return err
 	}
 	return op.right.Close()
-}
-
-// newSerdeReader is a narrow indirection so join files avoid importing serde
-// twice under different names.
-func newSerdeReader(f *os.File, schema *types.Schema) *serde.Reader {
-	return serde.NewReader(f, schema)
 }

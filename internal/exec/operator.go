@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,6 +20,7 @@ import (
 	"photon/internal/expr"
 	"photon/internal/fault"
 	"photon/internal/mem"
+	"photon/internal/serde"
 	"photon/internal/types"
 	"photon/internal/vector"
 )
@@ -216,6 +218,25 @@ func (tc *TaskCtx) NewSpillFile(prefix string) (*os.File, error) {
 		return nil, fault.ClassifyIO(fault.SpillWrite, err)
 	}
 	return f, nil
+}
+
+// readSpill reads a spill stream's next batch into dst; false at the
+// stream's end. It is how every operator reads spilled state back: it fires
+// the spill-read failpoint, and a damaged or truncated stream, like a
+// transient OS error, fails the task as retryable — its re-run writes the
+// spill files afresh.
+func (tc *TaskCtx) readSpill(rd *serde.Reader, dst *vector.Batch) (bool, error) {
+	if err := fault.Hit(tc.Ctx, fault.SpillRead); err != nil {
+		return false, err
+	}
+	err := rd.ReadBatch(dst)
+	switch {
+	case err == io.EOF:
+		return false, nil
+	case errors.Is(err, serde.ErrCorrupt):
+		return false, &fault.Error{Site: fault.SpillRead, Transient: true, Err: err}
+	}
+	return err == nil, fault.ClassifyIO(fault.SpillRead, err)
 }
 
 // base provides common Operator plumbing.

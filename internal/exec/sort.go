@@ -3,7 +3,6 @@ package exec
 import (
 	"bytes"
 	"container/heap"
-	"context"
 	"fmt"
 	"io"
 	"os"
@@ -289,25 +288,9 @@ func (rc *runCursor) advance() error {
 	if rc.pos < rc.batch.NumRows {
 		return nil
 	}
-	// spill-read failpoint + transient-I/O classification: a flaky read of a
-	// spilled sort run retries the task rather than failing the query.
-	var ctx context.Context
-	if rc.tc != nil {
-		ctx = rc.tc.Ctx
-	}
-	if err := fault.Hit(ctx, fault.SpillRead); err != nil {
-		return err
-	}
-	err := rc.rd.ReadBatch(rc.batch)
-	if err == io.EOF {
-		rc.done = true
-		return nil
-	}
-	if err != nil {
-		return fault.ClassifyIO(fault.SpillRead, err)
-	}
-	rc.pos = 0
-	return nil
+	ok, err := rc.tc.readSpill(rc.rd, rc.batch)
+	rc.pos, rc.done = 0, !ok
+	return err
 }
 
 // mergeHeap merges the memory cursor and run cursors.

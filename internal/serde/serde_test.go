@@ -2,47 +2,74 @@ package serde
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"photon/internal/shuffle"
 	"photon/internal/types"
 	"photon/internal/vector"
 )
 
-func roundTrip(t *testing.T, schema *types.Schema, batches []*vector.Batch) []*vector.Batch {
-	t.Helper()
+// writeStream writes batches as one stream, end marker included.
+func writeStream(tb testing.TB, batches ...*vector.Batch) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	for _, b := range batches {
 		if err := w.WriteBatch(b); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := w.Close(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	r := NewReader(&buf, schema)
+	return buf.Bytes()
+}
+
+// readAll reads a stream to its end marker: the batches, or the first error.
+func readAll(schema *types.Schema, stream []byte) ([]*vector.Batch, error) {
+	r := NewReader(bytes.NewReader(stream), schema)
 	var out []*vector.Batch
 	for {
 		dst := vector.NewBatch(schema, 4096)
-		err := r.ReadBatch(dst)
-		if err == io.EOF {
-			return out
+		switch err := r.ReadBatch(dst); err {
+		case nil:
+			out = append(out, dst)
+		case io.EOF:
+			return out, nil
+		default:
+			return out, err
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, dst)
 	}
 }
 
-func TestRoundTripAllTypes(t *testing.T) {
+func roundTrip(t *testing.T, schema *types.Schema, batches []*vector.Batch) []*vector.Batch {
+	t.Helper()
+	out, err := readAll(schema, writeStream(t, batches...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func rowsOf(batches []*vector.Batch) [][]any {
+	var rows [][]any
+	for _, b := range batches {
+		rows = append(rows, b.Rows()...)
+	}
+	return rows
+}
+
+// pinBatches are batches of a schema with every type: NULLs in every
+// column, an empty string, a batch with a selection vector and an empty one.
+func pinBatches() (*types.Schema, []*vector.Batch) {
 	schema := types.NewSchema(
+		types.Field{Name: "l", Type: types.Int64Type, Nullable: true},
 		types.Field{Name: "b", Type: types.BoolType, Nullable: true},
 		types.Field{Name: "i", Type: types.Int32Type, Nullable: true},
-		types.Field{Name: "l", Type: types.Int64Type, Nullable: true},
 		types.Field{Name: "f", Type: types.Float64Type, Nullable: true},
 		types.Field{Name: "s", Type: types.StringType, Nullable: true},
 		types.Field{Name: "d", Type: types.DateType, Nullable: true},
@@ -50,15 +77,25 @@ func TestRoundTripAllTypes(t *testing.T) {
 		types.Field{Name: "dec", Type: types.DecimalType(20, 2), Nullable: true},
 	)
 	b := vector.NewBatch(schema, 16)
-	b.AppendRow(true, int32(1), int64(2), 3.5, "hello", int32(100), int64(1e12), types.DecimalFromInt64(1234))
-	b.AppendRow(false, nil, int64(-9), -0.5, "", int32(-5), nil, types.DecimalFromInt64(-77))
-	b.AppendRow(nil, int32(7), nil, nil, nil, nil, int64(0), nil)
-	got := roundTrip(t, schema, []*vector.Batch{b})
+	b.AppendRow(int64(2), true, int32(1), 3.5, "hello", int32(100), int64(1e12), types.DecimalFromInt64(1234))
+	b.AppendRow(int64(-9), false, nil, -0.5, "", int32(-5), nil, types.DecimalFromInt64(-77))
+	b.AppendRow(nil, nil, int32(7), nil, nil, nil, int64(0), nil)
+	sel := vector.NewBatch(schema, 16)
+	for i := 0; i < 8; i++ {
+		sel.AppendRow(int64(i), i%2 == 0, int32(i), float64(i), string(rune('a'+i)), int32(i), int64(i), types.Decimal128{Lo: 1 << 63, Hi: -int64(i % 2)})
+	}
+	sel.SetSel([]int32{1, 3, 5})
+	return schema, []*vector.Batch{b, sel, vector.NewBatch(schema, 4)}
+}
+
+func TestRoundTripAllTypes(t *testing.T) {
+	schema, batches := pinBatches()
+	got := roundTrip(t, schema, batches[:1])
 	if len(got) != 1 {
 		t.Fatalf("batches = %d", len(got))
 	}
-	if !reflect.DeepEqual(got[0].Rows(), b.Rows()) {
-		t.Errorf("round trip mismatch:\n got %v\nwant %v", got[0].Rows(), b.Rows())
+	if !reflect.DeepEqual(got[0].Rows(), batches[0].Rows()) {
+		t.Errorf("round trip mismatch:\n got %v\nwant %v", got[0].Rows(), batches[0].Rows())
 	}
 }
 
@@ -92,26 +129,38 @@ func TestEmptyStreamAndEmptyBatch(t *testing.T) {
 	}
 }
 
+// TestTruncationDetected cuts a stream at every byte — inside a block, its
+// header or the end marker — and makes its first block's header claim 2 GiB:
+// each is an ErrCorrupt, and no read sizes a buffer from the claim.
 func TestTruncationDetected(t *testing.T) {
-	schema := types.NewSchema(types.Field{Name: "x", Type: types.Int64Type})
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	b := vector.NewBatch(schema, 4)
-	b.AppendRow(int64(42))
-	if err := w.WriteBatch(b); err != nil {
-		t.Fatal(err)
+	schema, batches := pinBatches()
+	stream := writeStream(t, batches...)
+	for cut := 0; cut < len(stream); cut++ {
+		if _, err := readAll(schema, stream[:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("stream cut to %d of %d bytes: err = %v, want ErrCorrupt", cut, len(stream), err)
+		}
 	}
-	if err := w.Flush(); err != nil { // no Close: no end marker
-		t.Fatal(err)
+	lying := bytes.Clone(stream)
+	lying[shuffle.BlockHeader-1] = 0x80
+	r := NewReader(bytes.NewReader(lying), schema)
+	if err := r.ReadBatch(vector.NewBatch(schema, 16)); !errors.Is(err, ErrCorrupt) || cap(r.block) > 2*len(lying) {
+		t.Errorf("a 2 GiB length in a %d-byte stream: err = %v, a %d-byte buffer", len(lying), err, cap(r.block))
 	}
-	r := NewReader(&buf, schema)
-	dst := vector.NewBatch(schema, 4)
-	if err := r.ReadBatch(dst); err != nil {
-		t.Fatal(err)
-	}
-	err := r.ReadBatch(dst)
-	if err == nil || err == io.EOF {
-		t.Errorf("truncated stream not detected: %v", err)
+}
+
+// TestDamagedStreamIsAnError flips each byte of a stream in turn: every read
+// ends in an error, or in exactly the rows written — never in other rows.
+func TestDamagedStreamIsAnError(t *testing.T) {
+	schema, batches := pinBatches()
+	stream := writeStream(t, batches...)
+	want := rowsOf(batches)
+	for i := range stream {
+		bad := bytes.Clone(stream)
+		bad[i] ^= 0xff
+		got, err := readAll(schema, bad)
+		if err == nil && !reflect.DeepEqual(rowsOf(got), want) {
+			t.Fatalf("byte %d of %d flipped: read back %v, want %v or an error", i, len(stream), rowsOf(got), want)
+		}
 	}
 }
 
@@ -139,31 +188,9 @@ func TestRandomRoundTripProperty(t *testing.T) {
 			b.AppendRow(iv, sv)
 			want = append(want, []any{iv, sv})
 		}
-		got := roundTrip(t, schema, []*vector.Batch{b})
-		var gotRows [][]any
-		for _, g := range got {
-			gotRows = append(gotRows, g.Rows()...)
-		}
+		gotRows := rowsOf(roundTrip(t, schema, []*vector.Batch{b}))
 		if !reflect.DeepEqual(gotRows, want) && !(len(want) == 0 && len(gotRows) == 0) {
 			t.Fatalf("trial %d mismatch (n=%d)", trial, n)
 		}
-	}
-}
-
-func TestWriterMetrics(t *testing.T) {
-	schema := types.NewSchema(types.Field{Name: "x", Type: types.Int64Type})
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	b := vector.NewBatch(schema, 4)
-	b.AppendRow(int64(1))
-	b.AppendRow(int64(2))
-	if err := w.WriteBatch(b); err != nil {
-		t.Fatal(err)
-	}
-	if w.Rows != 2 {
-		t.Errorf("Rows = %d", w.Rows)
-	}
-	if w.Bytes == 0 {
-		t.Error("Bytes not counted")
 	}
 }

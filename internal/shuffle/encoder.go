@@ -1,9 +1,13 @@
 // Package shuffle implements the data-exchange layer (§5.2, §6.4): hash
-// partitioning, Photon's columnar shuffle serialization with runtime-
-// adaptive encodings, and the baseline row-oriented serialization. Shuffle
-// files are checksummed blocks, stored uncompressed; a Photon shuffle write
-// must be paired with a Photon shuffle read (the format is engine-private,
-// §5.2).
+// partitioning, the engine's one columnar block format with runtime-
+// adaptive encodings, and the baseline row-oriented serialization.
+//
+// This package owns the block: its layout, encodings, header and checksum
+// (this file). A block is [u32 checksum][u32 length][encoded rows], and
+// exactly one function, BlockDecoder.Decode, verifies one and decodes it.
+// Exchange files are sequences of blocks, stored uncompressed; spill
+// streams (package serde) are too. The format is engine-private (§5.2): a
+// block is read back by the engine build that wrote it.
 //
 // The adaptive encoder reproduces §4.6/Table 1: string columns whose values
 // are canonical 36-character UUIDs are detected per batch and re-encoded as
@@ -16,6 +20,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/bits"
 	"slices"
 
@@ -24,6 +29,34 @@ import (
 	"photon/internal/types"
 	"photon/internal/vector"
 )
+
+// A block is [u32 checksum][u32 length][length encoded bytes], the checksum
+// taken over the length and the encoded bytes.
+const (
+	checksumLen = 4
+	// BlockHeader is the size of a block's header.
+	BlockHeader = checksumLen + 4
+)
+
+// blockChecksum is the per-block integrity checksum written ahead of every
+// block's length and bytes: the engine's bytes hash folded to 32 bits. It
+// catches truncations, bit flips, and torn writes.
+func blockChecksum(b []byte) uint32 {
+	h := kernels.HashBytesOne(b)
+	return uint32(h) ^ uint32(h>>32)
+}
+
+// sealBlock fills in the header of a block laid out after BlockHeader bytes.
+func sealBlock(frame []byte) {
+	binary.LittleEndian.PutUint32(frame[checksumLen:], uint32(len(frame)-BlockHeader))
+	binary.LittleEndian.PutUint32(frame, blockChecksum(frame[checksumLen:]))
+}
+
+// BlockSize returns the size of the block whose header h is: the header and
+// the length it states. Nothing else in a header is trusted before Decode.
+func BlockSize(h []byte) int {
+	return BlockHeader + int(binary.LittleEndian.Uint32(h[checksumLen:]))
+}
 
 // ColEncoding is the per-column, per-block encoding choice.
 type ColEncoding uint8
@@ -41,7 +74,7 @@ type EncoderOptions struct {
 	Adaptive bool
 }
 
-// Block wire layout (after the block header, see blockHeader):
+// Block wire layout (after the block header, see BlockHeader):
 //
 //	u32 rows
 //	per column: u8 encoding, u8 hasNulls, [rows NULL bytes],
@@ -51,9 +84,10 @@ type EncoderOptions struct {
 //	  DICT:              u32 count, PLAIN string entries, u8 width, u32 n,
 //	                     n bit-packed indices, one per valid row
 
-// blockEncoder serializes dense batches. Its dictionary state is reused from
-// block to block, so encoding allocates nothing once warm.
-type blockEncoder struct {
+// BlockEncoder serializes dense batches. Its dictionary state is reused from
+// block to block, so encoding allocates nothing once warm. The zero value
+// writes every column PLAIN.
+type BlockEncoder struct {
 	opts EncoderOptions
 	// counts, when non-nil, tallies the per-column encoding decisions
 	// (indexed by ColEncoding) — the §4.6 adaptivity statistic surfaced in
@@ -67,9 +101,21 @@ type blockEncoder struct {
 	indices []uint32
 }
 
-// encodeBlock appends one self-contained block holding b's rows. b is dense
-// (no selection vector): the writer's staging batches are.
-func (e *blockEncoder) encodeBlock(dst []byte, b *vector.Batch) []byte {
+// AppendBlock appends one sealed block holding b's rows to dst. b is dense
+// (no selection vector). A nil b appends an empty block, which Decode
+// reports as io.EOF: the end marker of a stream.
+func (e *BlockEncoder) AppendBlock(dst []byte, b *vector.Batch) []byte {
+	at := len(dst)
+	dst = append(dst, make([]byte, BlockHeader)...)
+	if b != nil {
+		dst = e.encodeBlock(dst, b)
+	}
+	sealBlock(dst[at:])
+	return dst
+}
+
+// encodeBlock appends the encoded rows of dense b.
+func (e *BlockEncoder) encodeBlock(dst []byte, b *vector.Batch) []byte {
 	n := b.NumRows
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
 	for _, v := range b.Vecs {
@@ -78,7 +124,7 @@ func (e *blockEncoder) encodeBlock(dst []byte, b *vector.Batch) []byte {
 	return dst
 }
 
-func (e *blockEncoder) encodeColumn(dst []byte, v *vector.Vector, n int) []byte {
+func (e *BlockEncoder) encodeColumn(dst []byte, v *vector.Vector, n int) []byte {
 	hasNulls := v.HasNulls()
 	nulls := v.Nulls[:n]
 	valid := n
@@ -173,7 +219,7 @@ const (
 // e.indices. It gives up — returns false — at the first value that takes
 // the dictionary past dictMaxValues or past dictMaxRatio of the valid rows,
 // since neither bound can be met again once missed.
-func (e *blockEncoder) buildDict(strs [][]byte, nulls []byte, hasNulls bool, valid int) bool {
+func (e *BlockEncoder) buildDict(strs [][]byte, nulls []byte, hasNulls bool, valid int) bool {
 	limit := min(dictMaxValues, int(dictMaxRatio*float64(valid)))
 	size := 1 << bits.Len(uint(2*limit)) // a power of two, at most half full
 	e.slots = slices.Grow(e.slots[:0], size)[:size]
@@ -211,16 +257,33 @@ func bitWidthFor(n int) int {
 	return w
 }
 
-// blockDecoder reads blocks into batches. Decoded strings alias the block's
-// bytes or the decoder's own scratch, both valid until the next decode.
-type blockDecoder struct {
+// BlockDecoder reads blocks into batches. Decoded strings alias the block's
+// bytes (PLAIN and dictionary columns) or the decoder's own scratch (UUID
+// columns), which the next decode overwrites.
+type BlockDecoder struct {
 	uuids []byte   // formatted UUID strings of the block being decoded
 	dict  [][]byte // dictionary of the column being decoded
 	idx   []uint32 // its indices
 }
 
-// decodeBlock reads one block into dst (sized to hold the rows).
-func (d *blockDecoder) decodeBlock(src []byte, dst *vector.Batch) error {
+// Decode verifies one sealed block — the length its header states, then its
+// checksum — and only then decodes its rows into dst (sized to hold them).
+// An empty block is io.EOF. Every exchange and spill read comes through here.
+func (d *BlockDecoder) Decode(block []byte, dst *vector.Batch) error {
+	if len(block) < BlockHeader || BlockSize(block) != len(block) {
+		return fmt.Errorf("shuffle: a block of %d bytes with a wrong length in its header", len(block))
+	}
+	if want, got := binary.LittleEndian.Uint32(block), blockChecksum(block[checksumLen:]); got != want {
+		return fmt.Errorf("checksum mismatch: stored %08x computed %08x", want, got)
+	}
+	if len(block) == BlockHeader {
+		return io.EOF
+	}
+	return d.decodeBlock(block[BlockHeader:], dst)
+}
+
+// decodeBlock reads one block's encoded rows into dst (sized to hold them).
+func (d *BlockDecoder) decodeBlock(src []byte, dst *vector.Batch) error {
 	if len(src) < 4 {
 		return fmt.Errorf("shuffle: truncated block header")
 	}
@@ -259,7 +322,7 @@ func takeString(src []byte) (s, rest []byte, err error) {
 	return take(src[4:], int(binary.LittleEndian.Uint32(src)))
 }
 
-func (d *blockDecoder) decodeColumn(src []byte, v *vector.Vector, n int) ([]byte, error) {
+func (d *BlockDecoder) decodeColumn(src []byte, v *vector.Vector, n int) ([]byte, error) {
 	if len(src) < 2 {
 		return nil, fmt.Errorf("shuffle: truncated column header")
 	}

@@ -34,21 +34,21 @@ func FuzzShuffleDecodeBlock(f *testing.F) {
 		f.Add(block[:len(block)/2])
 	}
 	for _, data := range pinnedFiles(f) {
-		for len(data) >= blockHeader {
-			n := blockHeader + int(binary.LittleEndian.Uint32(data[checksumLen:]))
-			add(data[blockHeader:n])
+		for len(data) >= BlockHeader {
+			n := BlockHeader + int(binary.LittleEndian.Uint32(data[checksumLen:]))
+			add(data[BlockHeader:n])
 			data = data[n:]
 		}
 	}
 	for _, b := range pinBatches() {
 		b.Sel = nil
-		add((&blockEncoder{opts: EncoderOptions{Adaptive: true}}).encodeBlock(nil, b))
-		add((&blockEncoder{}).encodeBlock(nil, b))
+		add((&BlockEncoder{opts: EncoderOptions{Adaptive: true}}).encodeBlock(nil, b))
+		add((&BlockEncoder{}).encodeBlock(nil, b))
 	}
 
 	f.Fuzz(func(t *testing.T, block []byte) {
 		dst := vector.NewBatch(schema, 1024)
-		if err := new(blockDecoder).decodeBlock(block, dst); err != nil {
+		if err := new(BlockDecoder).decodeBlock(block, dst); err != nil {
 			return
 		}
 		if dst.NumRows > dst.Capacity() || dst.Sel != nil {

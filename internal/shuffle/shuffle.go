@@ -35,14 +35,6 @@ func (e *CorruptBlockError) Error() string {
 		e.Path, e.ShuffleID, e.MapTask, e.Part, e.Reason)
 }
 
-// blockChecksum is the per-block integrity checksum written ahead of every
-// block's length and bytes: the engine's bytes hash folded to 32 bits. It
-// catches truncations, bit flips, and torn writes.
-func blockChecksum(b []byte) uint32 {
-	h := kernels.HashBytesOne(b)
-	return uint32(h) ^ uint32(h>>32)
-}
-
 // writerSeq distinguishes concurrent attempts (speculative duplicates,
 // recovery re-runs) writing the same logical shuffle output: each Writer
 // stages blocks under unique temp names and Commit atomically renames them
@@ -201,7 +193,7 @@ type Writer struct {
 	// after block and dropped at Close.
 	staging []*vector.Batch
 	arenas  [][]byte
-	enc     blockEncoder
+	enc     BlockEncoder
 	frame   []byte // the block being written: header, then encoded rows
 
 	// Store writers only: the batches kept for the store, per partition, and
@@ -245,7 +237,7 @@ func newWriter(shuffleID string, mapTask, numPartitions int, opts EncoderOptions
 		PartRows: make([]int64, numPartitions),
 		staging:  make([]*vector.Batch, numPartitions),
 		arenas:   make([][]byte, numPartitions),
-		enc:      blockEncoder{opts: opts}}
+		enc:      BlockEncoder{opts: opts}}
 	w.enc.counts = &w.EncCounts
 	return w
 }
@@ -391,12 +383,12 @@ func (w *Writer) spill() error {
 
 // writeBlock writes b to the partition's file as one block.
 func (w *Writer) writeBlock(part int, b *vector.Batch) error {
-	w.frame = sealBlock(w.enc.encodeBlock(append(w.frame[:0], make([]byte, blockHeader)...), b))
+	w.frame = w.enc.AppendBlock(w.frame[:0], b)
 	stored := int64(len(w.frame))
-	w.RawBytes += stored - blockHeader
+	w.RawBytes += stored - BlockHeader
 	w.Bytes += stored
 	if w.Obs != nil {
-		w.Obs.RawBytesWritten.Add(stored - blockHeader)
+		w.Obs.RawBytesWritten.Add(stored - BlockHeader)
 		w.Obs.BytesWritten.Add(stored)
 		w.Obs.BlocksWritten.Inc()
 	}
@@ -404,20 +396,6 @@ func (w *Writer) writeBlock(part int, b *vector.Batch) error {
 		return fault.ClassifyIO(fault.ShuffleWrite, err)
 	}
 	return nil
-}
-
-// A block is [u32 checksum][u32 length][length encoded bytes], the checksum
-// taken over the length and the encoded bytes.
-const (
-	checksumLen = 4
-	blockHeader = checksumLen + 4
-)
-
-// sealBlock fills in the header of a block laid out after blockHeader bytes.
-func sealBlock(frame []byte) []byte {
-	binary.LittleEndian.PutUint32(frame[checksumLen:], uint32(len(frame)-blockHeader))
-	binary.LittleEndian.PutUint32(frame, blockChecksum(frame[checksumLen:]))
-	return frame
 }
 
 // Close moves every partition's last, partial block out of staging, closes
@@ -444,7 +422,7 @@ func (w *Writer) Close() error {
 			first = err
 		}
 	}
-	w.staging, w.arenas, w.frame, w.enc = nil, nil, nil, blockEncoder{}
+	w.staging, w.arenas, w.frame, w.enc = nil, nil, nil, BlockEncoder{}
 	if w.Obs != nil {
 		for i, n := range w.EncCounts {
 			w.Obs.Encodings[i].Add(n)
@@ -535,7 +513,7 @@ type Reader struct {
 	off      int64           // where in it the next block starts
 	size     int64           // its size
 	buf      []byte          // the current block, header included
-	dec      blockDecoder
+	dec      BlockDecoder
 	file     int // index of the next map output to open; f and held are from file-1
 	// Obs, when set, counts bytes read from shuffle files and corrupt
 	// blocks detected.
@@ -604,7 +582,7 @@ func (r *Reader) NextBatch(decodeInto func() *vector.Batch) (*vector.Batch, erro
 			return b, err
 		}
 		if r.file >= r.mapTasks {
-			r.buf, r.dec = nil, blockDecoder{}
+			r.buf, r.dec = nil, BlockDecoder{}
 			return nil, nil
 		}
 		if err := fault.Hit(r.Ctx, r.Site); err != nil {
@@ -651,14 +629,14 @@ func (r *Reader) open() error {
 }
 
 // readBlock reads the block at r.off — its header, then the length the
-// header gives — verifies its checksum and decodes it in place. The file is
-// closed after its last block.
+// header gives — and verifies and decodes it in place. The file is closed
+// after its last block.
 func (r *Reader) readBlock(decodeInto func() *vector.Batch) (*vector.Batch, error) {
-	if err := r.fill(0, blockHeader); err != nil {
+	if err := r.fill(0, BlockHeader); err != nil {
 		return nil, err
 	}
-	n := blockHeader + int(binary.LittleEndian.Uint32(r.buf[checksumLen:]))
-	if err := r.fill(blockHeader, n); err != nil {
+	n := BlockSize(r.buf)
+	if err := r.fill(BlockHeader, n); err != nil {
 		return nil, err
 	}
 	if r.off += int64(n); r.off == r.size {
@@ -667,11 +645,8 @@ func (r *Reader) readBlock(decodeInto func() *vector.Batch) (*vector.Batch, erro
 	if r.Obs != nil {
 		r.Obs.BytesRead.Add(int64(n))
 	}
-	if want, got := binary.LittleEndian.Uint32(r.buf), blockChecksum(r.buf[checksumLen:]); got != want {
-		return nil, r.corrupt(fmt.Sprintf("checksum mismatch: stored %08x computed %08x", want, got))
-	}
 	dst := decodeInto()
-	if err := r.dec.decodeBlock(r.buf[blockHeader:], dst); err != nil {
+	if err := r.dec.Decode(r.buf, dst); err != nil { // io.EOF too: an exchange file holds no empty block
 		return nil, r.corrupt(err.Error())
 	}
 	return dst, nil
@@ -733,7 +708,7 @@ func NewRowWriter(dir, shuffleID string, mapTask, numPartitions int) (*RowWriter
 			return nil, err
 		}
 		w.files = append(w.files, f)
-		w.bufs = append(w.bufs, make([]byte, blockHeader))
+		w.bufs = append(w.bufs, make([]byte, BlockHeader))
 	}
 	return w, nil
 }
@@ -792,13 +767,13 @@ func (w *RowWriter) WriteRow(part int, row []any, schema *types.Schema) error {
 
 func (w *RowWriter) flush(part int) error {
 	buf := w.bufs[part]
-	if len(buf) == blockHeader {
+	if len(buf) == BlockHeader {
 		return nil
 	}
 	sealBlock(buf)
-	w.RawBytes += int64(len(buf) - blockHeader)
+	w.RawBytes += int64(len(buf) - BlockHeader)
 	w.Bytes += int64(len(buf))
-	w.bufs[part] = buf[:blockHeader]
+	w.bufs[part] = buf[:BlockHeader]
 	_, err := w.files[part].Write(buf)
 	return err
 }

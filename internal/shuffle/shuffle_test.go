@@ -206,11 +206,11 @@ func TestRowShuffleWriterVolume(t *testing.T) {
 		}
 		stored += int64(len(data))
 		for len(data) > 0 {
-			n := blockHeader + int(binary.LittleEndian.Uint32(data[checksumLen:]))
+			n := BlockHeader + int(binary.LittleEndian.Uint32(data[checksumLen:]))
 			if n > len(data) || blockChecksum(data[checksumLen:n]) != binary.LittleEndian.Uint32(data) {
 				t.Fatalf("partition %d: a block of %d bytes does not verify", part, n)
 			}
-			raw += int64(n - blockHeader)
+			raw += int64(n - BlockHeader)
 			data = data[n:]
 		}
 	}
@@ -323,9 +323,9 @@ func TestDecodeCorruptBlocks(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		rows = append(rows, []any{int64(i), fmt.Sprintf("s%d", i%7)})
 	}
-	good := (&blockEncoder{opts: EncoderOptions{Adaptive: true}}).encodeBlock(nil, mkBatch(schema, rows))
+	good := (&BlockEncoder{opts: EncoderOptions{Adaptive: true}}).encodeBlock(nil, mkBatch(schema, rows))
 	dst := vector.NewBatch(schema, 256)
-	var dec blockDecoder
+	var dec BlockDecoder
 	if err := dec.decodeBlock(good, dst); err != nil || !reflect.DeepEqual(dst.Rows(), rows) {
 		t.Fatalf("intact block: err %v", err)
 	}
@@ -362,12 +362,12 @@ func TestDecodeRejectsLyingLengths(t *testing.T) {
 		"rows beyond the batch":             cat(u32(17), []byte{byte(EncPlain), 0}),
 		"unknown encoding":                  cat(u32(1), []byte{9, 0}),
 	} {
-		if err := new(blockDecoder).decodeBlock(block, dst); err == nil {
+		if err := new(BlockDecoder).decodeBlock(block, dst); err == nil {
 			t.Errorf("%s: decoded", name)
 		}
 	}
 	ints := vector.NewBatch(types.NewSchema(types.Field{Name: "k", Type: types.Int64Type}), 16)
-	if err := new(blockDecoder).decodeBlock(cat(u32(1), []byte{byte(EncUUID), 0}, make([]byte, 16)), ints); err == nil {
+	if err := new(BlockDecoder).decodeBlock(cat(u32(1), []byte{byte(EncUUID), 0}, make([]byte, 16)), ints); err == nil {
 		t.Error("UUID encoding on an integer column decoded")
 	}
 }
