@@ -20,10 +20,11 @@ import (
 // transient failures and latency stalls across the 22-query sweep, all of
 // which the scheduler must absorb via bounded retries with jittered backoff.
 //
-// Only retry-covered sites are armed. Spill and mem-reserve failpoints fire
-// on paths shared with non-retried execution (admission, single-task
-// fallback) and are exercised by their own targeted tests instead
-// (exec.TestSpillFailpointsRetryable, fault package tests).
+// Only retry-covered sites are armed. Every query runs as a job of stages, so
+// only admission-time mem-reserve faults go unretried; spill and mem-reserve
+// failpoints are exercised by their own targeted tests instead
+// (exec.TestSpillFailpointsRetryable, TestSingleTaskSpillReadRetried, fault
+// package tests).
 func TestChaosSoak(t *testing.T) {
 	const sf = 0.002
 	queries := tpch.QueryNumbers()

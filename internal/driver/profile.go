@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"photon/internal/exec"
-	"photon/internal/expr"
 	"photon/internal/shuffle"
 )
 
@@ -265,9 +264,9 @@ func encString(c [3]int64) string {
 }
 
 // BoundaryFraction reports the fraction of total operator time spent in
-// row<->column boundary nodes (Adapter/Transition) — the §6.3 metric. The
-// distributed path runs pure-Photon fragments, so this is mainly meaningful
-// on single-task hybrid plans. Returns 0 when no operator time was recorded.
+// row<->column boundary nodes (Adapter/Transition) — the §6.3 metric.
+// Staged fragments are pure Photon, so this is mainly meaningful on
+// one-fragment hybrid plans. Returns 0 when no operator time was recorded.
 func (q *QueryProfile) BoundaryFraction() float64 {
 	var boundary, total int64
 	for _, st := range q.Stages {
@@ -282,22 +281,4 @@ func (q *QueryProfile) BoundaryFraction() float64 {
 		return 0
 	}
 	return float64(boundary) / float64(total)
-}
-
-// singleProfile wraps one task's operator tree as a one-stage profile so
-// single-task runs and distributed runs share the EXPLAIN ANALYZE surface.
-func singleProfile(root any, wall time.Duration, e *expr.Ctx) *QueryProfile {
-	ops := mergeSnapshots(nil, exec.SnapshotStats(root))
-	sp := StageProfile{
-		ID: 0, Label: "single-task", Out: "gather",
-		TasksPlanned: 1, TasksRun: 1,
-		WallNanos: int64(wall), Ops: ops,
-		Dec64Batches: e.Dec64Batches, Dec64Escapes: e.Dec64Escapes,
-	}
-	for _, pi := range exec.CollectPipelines(root) {
-		sp.PipelineOps += pi.Ops
-		sp.PipelineBatches += pi.Batches
-		sp.PipelineRows += pi.Rows
-	}
-	return &QueryProfile{Root: 0, Stages: []StageProfile{sp}}
 }

@@ -144,6 +144,10 @@ type TaskCtx struct {
 	// speculative re-execution candidates by least progress.
 	Progress func(rows, bytes int64)
 
+	// Transitions counts the column-to-row boundary nodes the physical
+	// planner built into this task's plan (§6.3).
+	Transitions int
+
 	spillSeq atomic.Int64
 }
 

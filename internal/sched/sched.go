@@ -368,15 +368,24 @@ func (d *Driver) runStage(jobCtx context.Context, cancel context.CancelCauseFunc
 		}
 	}
 
+	// Only a stage the straggler detector watches can have twin attempts,
+	// so only its attempts get a context of their own (for cancelling the
+	// losing twin) and a progress sink (for ranking stragglers).
+	watched := !cfg.spec.Disable && st.NumTasks > 1
+
 	// runAttempt runs one attempt of a task on an already-held slot,
 	// releasing the slot when done. The first attempt to return commits
 	// the task outcome; a late twin's return is ignored.
 	runAttempt := func(tr *taskRun, taskID int, speculative bool) {
 		defer pool.Release(tok)
-		actx, acancel := context.WithCancel(jobCtx)
-		defer acancel()
-		prog := &Progress{}
-		actx = WithProgress(actx, prog)
+		actx, prog := jobCtx, (*Progress)(nil)
+		var acancel context.CancelFunc
+		if watched {
+			actx, acancel = context.WithCancel(jobCtx)
+			defer acancel()
+			prog = &Progress{}
+			actx = WithProgress(actx, prog)
+		}
 
 		tr.mu.Lock()
 		if tr.finished {
@@ -384,7 +393,9 @@ func (d *Driver) runStage(jobCtx context.Context, cancel context.CancelCauseFunc
 			tr.mu.Unlock()
 			return
 		}
-		tr.cancels = append(tr.cancels, acancel)
+		if acancel != nil {
+			tr.cancels = append(tr.cancels, acancel)
+		}
 		if !tr.started {
 			tr.started = true
 			tr.start = time.Now()
@@ -435,23 +446,32 @@ func (d *Driver) runStage(jobCtx context.Context, cancel context.CancelCauseFunc
 		}
 	}
 
-	for id := 0; id < st.NumTasks; id++ {
-		wg.Add(1)
-		go func(taskID int) {
-			defer wg.Done()
-			// Queued: wait for an executor slot (fair across jobs).
-			if err := pool.Acquire(jobCtx, tok); err != nil {
-				skip()
-				return
-			}
-			if jobCtx.Err() != nil {
-				// Cancelled between grant and start.
-				pool.Release(tok)
-				skip()
-				return
-			}
-			runAttempt(runs[taskID], taskID, false)
-		}(id)
+	launch := func(taskID int) {
+		// Queued: wait for an executor slot (fair across jobs).
+		if err := pool.Acquire(jobCtx, tok); err != nil {
+			skip()
+			return
+		}
+		if jobCtx.Err() != nil {
+			// Cancelled between grant and start.
+			pool.Release(tok)
+			skip()
+			return
+		}
+		runAttempt(runs[taskID], taskID, false)
+	}
+	if st.NumTasks == 1 {
+		// Nothing runs beside a one-task stage's task, and no straggler
+		// detector watches it: it runs on the calling goroutine.
+		launch(0)
+	} else {
+		for id := 0; id < st.NumTasks; id++ {
+			wg.Add(1)
+			go func(taskID int) {
+				defer wg.Done()
+				launch(taskID)
+			}(id)
+		}
 	}
 
 	// Straggler detector: once the stage is mostly complete, duplicate any
@@ -460,7 +480,7 @@ func (d *Driver) runStage(jobCtx context.Context, cancel context.CancelCauseFunc
 	// queued tasks).
 	stopMon := make(chan struct{})
 	var monWg sync.WaitGroup
-	if !cfg.spec.Disable && st.NumTasks > 1 {
+	if watched {
 		monWg.Add(1)
 		go func() {
 			defer monWg.Done()

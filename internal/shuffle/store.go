@@ -292,7 +292,11 @@ func (s *Store) SpilledBytes() int64 {
 
 // Close drops every output and gives back what is still reserved for them.
 // The query's tasks have finished: nothing reads or writes the store now.
+// A nil store, that of a job without exchanges, has nothing to close.
 func (s *Store) Close() {
+	if s == nil {
+		return
+	}
 	s.mu.Lock()
 	var bytes int64
 	for _, out := range s.outs {

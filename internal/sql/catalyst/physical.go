@@ -740,9 +740,11 @@ func (b *builder) buildRow(plan sql.LogicalPlan) (rowengine.Operator, error) {
 	return row, nil
 }
 
-// BuildOperator plans a fragment as a pure Photon operator tree, erroring
-// if any node would fall back to the row engine. Used by the distributed
-// driver to build per-task map pipelines.
+// BuildOperator plans a fragment as the operator tree one task runs. A plan
+// whose top is on the row engine — a baseline-engine plan, or a hybrid one
+// whose fallback reaches the root — is wrapped in an adapter, so the root is
+// always an exec.Operator; tc.Transitions records the plan's engine
+// boundaries.
 func BuildOperator(plan sql.LogicalPlan, cfg Config, tc *exec.TaskCtx) (exec.Operator, error) {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = vector.DefaultBatchSize
@@ -751,12 +753,20 @@ func BuildOperator(plan sql.LogicalPlan, cfg Config, tc *exec.TaskCtx) (exec.Ope
 		cfg.TopKThreshold = 10000
 	}
 	b := &builder{cfg: cfg, tc: tc}
-	ph, _, err := b.buildHybrid(plan)
+	var ph exec.Operator
+	var row rowengine.Operator
+	var err error
+	if cfg.Engine == EnginePhoton {
+		ph, row, err = b.buildHybrid(plan)
+	} else {
+		row, err = b.buildRow(plan)
+	}
 	if err != nil {
 		return nil, err
 	}
+	tc.Transitions = b.transitions
 	if ph == nil {
-		return nil, fmt.Errorf("catalyst: fragment fell back to the row engine")
+		return exec.NewAdapter(row), nil
 	}
 	return fusePipelines(ph, cfg), nil
 }

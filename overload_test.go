@@ -85,9 +85,10 @@ func TestOverloadSoak(t *testing.T) {
 	// A third of the submissions read lineitem from Delta files, so queries
 	// are cancelled, shed, timed out and fault-injected with scans open.
 	lakeCopy(t, sess, "lineitem", t.TempDir())
-	// Retry headroom for the armed transient failpoints on staged paths;
-	// fast-path and single-task executions surface them instead, which the
-	// classification below allows as injected.
+	// Retry headroom for the armed transient failpoints: every query runs as
+	// a job of stages, so the scheduler retries them; only admission-time
+	// mem-reserve faults go unretried, which the classification below
+	// allows as injected.
 	sess.slotPool().SetOptions(sched.PoolOptions{
 		MaxAttempts:     8,
 		RetryBackoff:    50 * time.Microsecond,

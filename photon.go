@@ -92,7 +92,8 @@ type Config struct {
 	// Parallelism > 1 executes every query as a DAG of parallel stages on
 	// the task scheduler: partitioned scans, shuffle/broadcast joins, split
 	// aggregations, parallel DISTINCT, and two-phase parallel sorts.
-	// Queries the stage planner cannot split fall back to a single task.
+	// Queries the stage planner cannot split, and plans with row-engine
+	// parts, run as a job of one stage with one task.
 	Parallelism int
 	// BroadcastRows caps the estimated build-side row count for broadcast
 	// hash joins; larger build sides shuffle both inputs instead. 0 uses
@@ -133,8 +134,8 @@ type Config struct {
 	// classification).
 	PlanCacheSize int
 	// DisableFastPath turns off the small-query fast path (single-fragment
-	// plans over inputs that fit one task skip stage planning, exchange
-	// setup, and shuffle-dir creation, running inline on one pool slot).
+	// plans over inputs that fit one task skip stage planning and run as a
+	// one-task job on one pool slot).
 	// Semantics-free — disabling never changes results, only speed.
 	DisableFastPath bool
 	// FastPathRows is the base-table input-row ceiling for the fast path
@@ -616,8 +617,7 @@ func (p *Profile) BoundaryFraction() float64 {
 }
 
 // SQLWithProfile executes a query and returns the result along with
-// per-operator metrics — single-task or distributed (stage-merged) per the
-// session's Parallelism. It is SQLWithProfileContext with a background
+// per-operator metrics, merged per stage across its tasks. It is SQLWithProfileContext with a background
 // context.
 func (s *Session) SQLWithProfile(query string) (*Profile, error) {
 	return s.SQLWithProfileContext(context.Background(), query)

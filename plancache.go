@@ -37,7 +37,7 @@ const DefaultFastPathRows = 1 << 20
 type boundQuery struct {
 	plan     sql.LogicalPlan
 	cached   bool   // compile phase was served from the plan cache
-	fastPath bool   // single-fragment small input: run inline on one slot
+	fastPath bool   // single-fragment small input: one task, no stage planning
 	norm     string // normalized SQL ("" when the shape didn't normalize)
 
 	// Execution identity, stamped by runQuery after admission (a bound

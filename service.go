@@ -49,10 +49,9 @@ type QueryStats struct {
 	Planning time.Duration
 	// Running covers execution (scheduling, tasks, driver tail).
 	Running time.Duration
-	// SlotsHeldPeak is the most executor slots the query held at once
-	// (0 when the query ran inline as a single task).
+	// SlotsHeldPeak is the most executor slots the query held at once.
 	SlotsHeldPeak int
-	// Stages is the number of scheduler stages (1 for single-task runs).
+	// Stages is the number of scheduler stages (1 for a one-fragment job).
 	Stages int
 	// PeakReservedBytes is the query's memory-reservation high-water mark.
 	PeakReservedBytes int64
@@ -60,7 +59,7 @@ type QueryStats struct {
 	// plan cache (planning was bind-only: no parse-to-optimize work).
 	Cached bool
 	// FastPath reports that execution took the small-query fast path
-	// (inline single task, no stage planning or shuffle directory).
+	// (no stage planning: the whole plan ran as one task).
 	FastPath bool
 	// Rows is the result row count (0 when the query failed before
 	// producing a result).
@@ -622,20 +621,14 @@ func (s *Session) SQLWithProfileContext(ctx context.Context, query string) (*Pro
 			stats.SlotsHeldPeak = rs.SlotsHeldPeak
 			stats.Stages = rs.Stages
 			stats.Rows = int64(len(rows))
-			if rs.Profile != nil {
-				rs.Profile.Cached = stats.Cached
-				rs.Profile.FastPath = stats.FastPath
-			}
+			rs.Profile.Cached = stats.Cached
+			rs.Profile.FastPath = stats.FastPath
 			p = &Profile{
 				Result:      &Result{Schema: schema, Rows: rows},
+				Operators:   rs.Profile.Render(),
 				Plan:        rs.Profile,
 				Transitions: rs.Transitions,
 				Trace:       trace,
-			}
-			if rs.Profile != nil && profiledOps(rs.Profile) > 0 {
-				p.Operators = rs.Profile.Render()
-			} else {
-				p.Operators = "(plan executed on the row engine)"
 			}
 			return &rs, nil
 		})
@@ -644,16 +637,6 @@ func (s *Session) SQLWithProfileContext(ctx context.Context, query string) (*Pro
 	}
 	p.Lifecycle = stats
 	return p, nil
-}
-
-// profiledOps counts operator rows across a profile's stages; a hybrid plan
-// that ran entirely on the row engine records none.
-func profiledOps(q *driver.QueryProfile) int {
-	n := 0
-	for _, st := range q.Stages {
-		n += len(st.Ops)
-	}
-	return n
 }
 
 // runQuery drives the query lifecycle state machine around fn:
