@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"photon/internal/catalog"
@@ -385,18 +386,11 @@ func containsAgg(items []SelectItem) bool {
 	return false
 }
 
-var aggNames = map[string]expr.AggKind{
-	"COUNT": expr.AggCount, "SUM": expr.AggSum, "MIN": expr.AggMin,
-	"MAX": expr.AggMax, "AVG": expr.AggAvg, "COLLECT_LIST": expr.AggCollectList,
-}
-
 func containsAggExpr(e AstExpr) bool {
 	found := false
 	walkAst(e, func(n AstExpr) {
-		if f, ok := n.(*FuncCall); ok {
-			if _, isAgg := aggNames[f.Name]; isAgg {
-				found = true
-			}
+		if f, _ := aggCall(n); f != nil {
+			found = true
 		}
 	})
 	return found
@@ -540,37 +534,18 @@ type aggCollect struct {
 func (c *aggCollect) scan(e AstExpr) error {
 	var scanErr error
 	walkAst(e, func(n AstExpr) {
-		if scanErr != nil {
+		f, fn := aggCall(n)
+		if scanErr != nil || f == nil || slices.Contains(c.calls, f) {
 			return
 		}
-		f, ok := n.(*FuncCall)
-		if !ok {
+		args, _, err := fn.bind(f, &baseConv{a: c.a, sc: c.sc})
+		if err != nil {
+			scanErr = err
 			return
 		}
-		kind, isAgg := aggNames[f.Name]
-		if !isAgg {
-			return
-		}
-		for _, existing := range c.calls {
-			if existing == f {
-				return
-			}
-		}
-		spec := expr.AggSpec{Kind: kind, Distinct: f.Distinct, Name: fmt.Sprintf("agg%d", len(c.specs))}
-		if !f.Star {
-			if len(f.Args) != 1 {
-				scanErr = fmt.Errorf("sql: %s takes one argument", f.Name)
-				return
-			}
-			arg, err := c.a.toScalar(f.Args[0], c.sc)
-			if err != nil {
-				scanErr = err
-				return
-			}
-			spec.Arg = arg
-		} else if kind != expr.AggCount {
-			scanErr = fmt.Errorf("sql: only COUNT(*) may use *")
-			return
+		spec := expr.AggSpec{Kind: fn.agg, Distinct: f.Distinct, Name: fmt.Sprintf("agg%d", len(c.specs))}
+		if len(args) > 0 {
+			spec.Arg = args[0]
 		}
 		c.calls = append(c.calls, f)
 		c.specs = append(c.specs, spec)
@@ -580,12 +555,8 @@ func (c *aggCollect) scan(e AstExpr) error {
 
 // find returns the aggregate output ordinal for a registered call.
 func (c *aggCollect) find(f *FuncCall) (int, bool) {
-	for i, existing := range c.calls {
-		if existing == f {
-			return i, true
-		}
-	}
-	return 0, false
+	i := slices.Index(c.calls, f)
+	return i, i >= 0
 }
 
 // postAggScope converts expressions over the aggregate's output: group-by

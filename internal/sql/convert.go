@@ -60,15 +60,7 @@ func (a *analyzer) convertScalar(e AstExpr, c exprConverter) (expr.Expr, error) 
 		case "+", "-", "*", "/", "%":
 			return a.convertArith(n, c)
 		case "||":
-			l, err := c.convertChild(n.Left)
-			if err != nil {
-				return nil, err
-			}
-			r, err := c.convertChild(n.Right)
-			if err != nil {
-				return nil, err
-			}
-			return expr.Concat(l, r), nil
+			return a.convertFunc(concatCall(n.Left, n.Right), c)
 		case "=", "<>", "<", "<=", ">", ">=":
 			l, r, err := a.convertCmpSides(n, c)
 			if err != nil {
@@ -416,147 +408,20 @@ func alignCaseTypes(branches []expr.CaseBranch, els expr.Expr) ([]expr.CaseBranc
 	return branches, els, err
 }
 
-// convertFunc lowers scalar function calls.
+// convertFunc lowers a scalar function call through its table entry.
 func (a *analyzer) convertFunc(n *FuncCall, c exprConverter) (expr.Expr, error) {
-	if _, isAgg := aggNames[n.Name]; isAgg {
+	f := functions[n.Name]
+	switch {
+	case f == nil:
+		return nil, fmt.Errorf("sql: unknown function %s", n.Name)
+	case f.build == nil:
 		return nil, fmt.Errorf("sql: aggregate %s is not allowed here", n.Name)
 	}
-	argAt := func(i int) (expr.Expr, error) {
-		if i >= len(n.Args) {
-			return nil, fmt.Errorf("sql: %s: missing argument %d", n.Name, i+1)
-		}
-		return c.convertChild(n.Args[i])
-	}
-	switch n.Name {
-	case "UPPER":
-		e, err := argAt(0)
-		if err != nil {
-			return nil, err
-		}
-		return expr.Upper(e), nil
-	case "LOWER":
-		e, err := argAt(0)
-		if err != nil {
-			return nil, err
-		}
-		return expr.Lower(e), nil
-	case "LENGTH":
-		e, err := argAt(0)
-		if err != nil {
-			return nil, err
-		}
-		return expr.Length(e), nil
-	case "TRIM":
-		e, err := argAt(0)
-		if err != nil {
-			return nil, err
-		}
-		return expr.Trim(e), nil
-	case "SUBSTRING", "SUBSTR":
-		e, err := argAt(0)
-		if err != nil {
-			return nil, err
-		}
-		start, err := intArg(n, 1)
-		if err != nil {
-			return nil, err
-		}
-		length := 1 << 30
-		if len(n.Args) > 2 {
-			length, err = intArg(n, 2)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return expr.Substr(e, start, length), nil
-	case "CONCAT":
-		e, err := argAt(0)
-		if err != nil {
-			return nil, err
-		}
-		for i := 1; i < len(n.Args); i++ {
-			r, err := argAt(i)
-			if err != nil {
-				return nil, err
-			}
-			e = expr.Concat(e, r)
-		}
-		return e, nil
-	case "YEAR":
-		e, err := argAt(0)
-		if err != nil {
-			return nil, err
-		}
-		return expr.Year(e), nil
-	case "MONTH":
-		e, err := argAt(0)
-		if err != nil {
-			return nil, err
-		}
-		return expr.Month(e), nil
-	case "DAY":
-		e, err := argAt(0)
-		if err != nil {
-			return nil, err
-		}
-		return expr.Day(e), nil
-	case "SQRT":
-		e, err := argAt(0)
-		if err != nil {
-			return nil, err
-		}
-		if e.Type().ID != types.Float64 {
-			e = expr.NewCast(e, types.Float64Type)
-		}
-		return &expr.Unary{Op: expr.OpSqrt, Inner: e}, nil
-	case "ABS":
-		e, err := argAt(0)
-		if err != nil {
-			return nil, err
-		}
-		return &expr.Unary{Op: expr.OpAbs, Inner: e}, nil
-	case "COALESCE":
-		var args []expr.Expr
-		for i := range n.Args {
-			e, err := argAt(i)
-			if err != nil {
-				return nil, err
-			}
-			args = append(args, e)
-		}
-		// Adapt literal args to the first non-literal type.
-		var target types.DataType
-		for _, e := range args {
-			if _, isLit := e.(*expr.Literal); !isLit {
-				target = e.Type()
-				break
-			}
-		}
-		if target.ID != types.Unknown {
-			for i, e := range args {
-				if lit, ok := e.(*expr.Literal); ok {
-					if adapted, ok2 := adaptLiteral(lit, target); ok2 {
-						args[i] = adapted
-					}
-				}
-			}
-		}
-		return expr.NewCoalesce(args...)
-	}
-	return nil, fmt.Errorf("sql: unknown function %s", n.Name)
-}
-
-// intArg extracts a constant integer argument.
-func intArg(n *FuncCall, i int) (int, error) {
-	num, ok := n.Args[i].(*NumberLit)
-	if !ok || !num.IsInt {
-		return 0, fmt.Errorf("sql: %s argument %d must be an integer literal", n.Name, i+1)
-	}
-	v, err := strconv.Atoi(num.Text)
+	args, ints, err := f.bind(n, c)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return v, nil
+	return f.build(args, ints)
 }
 
 // parseTypeName maps SQL type names to DataTypes.

@@ -32,8 +32,17 @@ func Parse(src string) (*SelectStmt, error) {
 }
 
 func (p *Parser) peek() Token { return p.toks[p.pos] }
-func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
 func (p *Parser) atEOF() bool { return p.peek().Kind == TokEOF }
+
+// next consumes a token; at the end it returns EOF again instead of
+// running past it.
+func (p *Parser) next() Token {
+	t := p.peek()
+	if t.Kind != TokEOF {
+		p.pos++
+	}
+	return t
+}
 
 // accept consumes the token if it matches.
 func (p *Parser) accept(kind TokKind, text string) bool {
@@ -580,14 +589,6 @@ func (p *Parser) parsePrimary() (AstExpr, error) {
 				return nil, err
 			}
 			return &FuncCall{Name: strings.ToUpper(field.Text), Args: []AstExpr{inner}}, nil
-		case "SUBSTRING", "COUNT", "SUM", "MIN", "MAX", "AVG", "YEAR", "MONTH", "DAY":
-			p.next()
-			// Function keywords double as column names when no call
-			// follows (e.g. a column literally named "day").
-			if p.peek().Kind == TokOp && p.peek().Text == "(" {
-				return p.parseCallArgs(t.Text)
-			}
-			return &ColName{Name: t.Text}, nil
 		}
 		return nil, fmt.Errorf("sql: unexpected keyword %q in expression", t.Text)
 	case t.Kind == TokIdent:

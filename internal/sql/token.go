@@ -49,9 +49,7 @@ var keywords = map[string]bool{
 	"LEFT": true, "RIGHT": true, "OUTER": true, "SEMI": true, "ANTI": true,
 	"ON": true, "ASC": true, "DESC": true, "DISTINCT": true, "TRUE": true,
 	"FALSE": true, "INTERVAL": true, "DATE": true, "ALL": true, "UNION": true,
-	"EXISTS": true, "COUNT": true, "SUM": true, "MIN": true, "MAX": true,
-	"AVG": true, "SUBSTRING": true, "EXTRACT": true, "YEAR": true,
-	"MONTH": true, "DAY": true, "CROSS": true, "USING": true,
+	"EXISTS": true, "EXTRACT": true, "CROSS": true, "USING": true,
 }
 
 // Lexer splits SQL text into tokens.
