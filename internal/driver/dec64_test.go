@@ -8,22 +8,22 @@ import (
 	"testing"
 
 	"photon/internal/fault"
+	"photon/internal/sql/catalyst"
 	"photon/internal/tpch"
 )
 
 // TestDecimal64Equivalence is the correctness gate of the narrow-decimal
 // fast path: it is a pure execution-strategy choice, so every TPC-H query
-// must produce byte-identical results with the path forced on and off, at
-// parallelism 1 and 4 (exercising the narrow hash lanes and the int64 sum
-// accumulators through partial/final aggregation and shuffles).
+// must produce byte-identical results to the interpreted row engine, which
+// has no narrow path, at parallelism 1 and 4 (exercising the narrow hash
+// lanes and the int64 sum accumulators through partial/final aggregation
+// and shuffles).
 func TestDecimal64Equivalence(t *testing.T) {
 	cat := tpch.NewGen(0.002).Generate()
 	for _, q := range tpch.QueryNumbers() {
 		q := q
 		t.Run(fmt.Sprintf("Q%02d", q), func(t *testing.T) {
-			ref := render(runTPCH(t, cat, q, Options{
-				Parallelism: 1, ShuffleDir: t.TempDir(), DisableDecimal64: true,
-			}))
+			ref := render(runTPCH(t, cat, q, rowEngineRef(t)))
 			sort.Strings(ref)
 			variants := []struct {
 				name string
@@ -31,7 +31,6 @@ func TestDecimal64Equivalence(t *testing.T) {
 			}{
 				{"par1-dec64", Options{Parallelism: 1, ShuffleDir: t.TempDir()}},
 				{"par4-dec64", Options{Parallelism: 4, ShuffleDir: t.TempDir()}},
-				{"par4-dec128", Options{Parallelism: 4, ShuffleDir: t.TempDir(), DisableDecimal64: true}},
 				{"par4-shuffle-dec64", Options{Parallelism: 4, ShuffleDir: t.TempDir(), BroadcastRows: -1}},
 			}
 			for _, v := range variants {
@@ -48,14 +47,12 @@ func TestDecimal64Equivalence(t *testing.T) {
 // TestDecimal64EquivalenceUnderChaos re-checks the narrow path with
 // deterministic fault injection armed on the retry-covered distributed
 // sites: task re-runs restart int64 accumulators mid-query, and results
-// must still match the clean 128-bit reference.
+// must still match the interpreted row engine's.
 func TestDecimal64EquivalenceUnderChaos(t *testing.T) {
 	cat := tpch.NewGen(0.002).Generate()
 	refs := map[int][]string{}
 	for _, q := range []int{1, 3, 17} { // decimal-aggregation-heavy queries
-		ref := render(runTPCH(t, cat, q, Options{
-			Parallelism: 1, ShuffleDir: t.TempDir(), DisableDecimal64: true,
-		}))
+		ref := render(runTPCH(t, cat, q, rowEngineRef(t)))
 		sort.Strings(ref)
 		refs[q] = ref
 	}
@@ -107,16 +104,11 @@ func TestDecimal64Profile(t *testing.T) {
 	if !strings.Contains(rs.Profile.Render(), "dec64[batches=") {
 		t.Errorf("profile missing dec64[...] stage line:\n%s", rs.Profile.Render())
 	}
+}
 
-	// With the knob off, the counters (and the profile line) must vanish.
-	var off RunStats
-	runTPCH(t, cat, 1, Options{
-		Parallelism: 4, ShuffleDir: t.TempDir(), Stats: &off, DisableDecimal64: true,
-	})
-	if off.Profile == nil {
-		t.Fatal("missing disabled-path profile")
-	}
-	if strings.Contains(off.Profile.Render(), "dec64[batches=") {
-		t.Errorf("disabled path still reports dec64 batches:\n%s", off.Profile.Render())
-	}
+// rowEngineRef runs a query on the interpreted row engine in one task: the
+// reference the narrow-decimal path is checked against.
+func rowEngineRef(t *testing.T) Options {
+	return Options{Parallelism: 1, ShuffleDir: t.TempDir(),
+		Config: catalyst.Config{Engine: catalyst.EngineDBRInterpreted}}
 }

@@ -164,7 +164,7 @@ func TestPlanCacheSharesShapes(t *testing.T) {
 // results, and the fast path must actually engage.
 func TestFastPathEquivalence(t *testing.T) {
 	fast := tpchSession(0.01, Config{Parallelism: 4})
-	staged := tpchSession(0.01, Config{Parallelism: 4, DisableFastPath: true})
+	staged := tpchSession(0.01, Config{Parallelism: 4, PlanCacheSize: -1})
 	queries := []string{
 		"SELECT count(*) FROM lineitem WHERE l_quantity < 10",
 		"SELECT l_returnflag, sum(l_quantity) FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag",
@@ -183,7 +183,7 @@ func TestFastPathEquivalence(t *testing.T) {
 			t.Fatalf("staged q%d: %v", i, err)
 		}
 		if ss.FastPath {
-			t.Errorf("q%d: DisableFastPath session took the fast path", i)
+			t.Errorf("q%d: uncached session took the fast path", i)
 		}
 		if fs.FastPath {
 			tookFast++
@@ -212,7 +212,7 @@ func TestFastPathEquivalence(t *testing.T) {
 // input fits one task, so the fast session must reroute every query.
 func TestFastPathTPCHEquivalence(t *testing.T) {
 	fast := tpchSession(0.01, Config{Parallelism: 1})
-	staged := tpchSession(0.01, Config{Parallelism: 4, DisableFastPath: true})
+	staged := tpchSession(0.01, Config{Parallelism: 4, PlanCacheSize: -1})
 	for _, q := range tpch.QueryNumbers() {
 		fr, _, err := fast.SQLContextStats(context.Background(), tpch.Queries[q])
 		if err != nil {
