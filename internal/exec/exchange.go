@@ -170,10 +170,9 @@ func (e *exchangeRead) Open(tc *TaskCtx) error {
 	return nil
 }
 
-// capacity is the row capacity of every batch the leaf emits, whatever the
-// vectors under it hold: operators size their scratch from the first batch
-// they see. A block is a full writer-side batch at most, so at least the
-// default batch size.
+// capacity is the row capacity of every batch the leaf emits. A block is a
+// full writer-side batch at most, so at least the default batch size, which
+// is the batch size of every task that reads an exchange.
 func (e *exchangeRead) capacity() int {
 	return max(e.tc.Pool.BatchSize(), vector.DefaultBatchSize)
 }

@@ -143,7 +143,7 @@ func (op *HashJoinOp) probeNextFilterMode() (*vector.Batch, error) {
 		}
 		if op.tc.EnableCompaction && b.Sparsity() > op.tc.CompactionThreshold {
 			if op.fmAcc == nil {
-				op.fmAcc = vector.NewBatch(op.left.Schema(), b.Capacity())
+				op.fmAcc = vector.NewBatch(op.left.Schema(), op.tc.Pool.BatchSize())
 				flushThreshold = op.fmAcc.Capacity() * 3 / 4
 			}
 			if op.fmAcc.NumRows+b.NumActive() > op.fmAcc.Capacity() {
@@ -342,7 +342,7 @@ func (op *HashJoinOp) fillBuildCols(b *vector.Batch, matched []int32) {
 	if op.fmBuild == nil {
 		op.fmBuild = make([]*vector.Vector, len(op.buildTypes))
 		for c, t := range op.buildTypes {
-			op.fmBuild[c] = vector.New(t, b.Capacity())
+			op.fmBuild[c] = vector.New(t, op.tc.Pool.BatchSize())
 		}
 	}
 	for c, v := range op.fmBuild {
@@ -358,7 +358,7 @@ func (op *HashJoinOp) fillBuildCols(b *vector.Batch, matched []int32) {
 func (op *HashJoinOp) fmWrap(b *vector.Batch, sel []int32, withBuild bool) *vector.Batch {
 	if op.fmOut == nil {
 		op.fmOut = vector.WrapBatch(op.schema, nil, nil, 0)
-		op.fmOut.SetCapacity(b.Capacity())
+		op.fmOut.SetCapacity(op.tc.Pool.BatchSize())
 	}
 	op.fmOut.Vecs = op.fmOut.Vecs[:0]
 	op.fmOut.Vecs = append(op.fmOut.Vecs, b.Vecs...)
@@ -494,7 +494,7 @@ func (op *HashJoinOp) startProbe(b *vector.Batch) error {
 	// memory bandwidth and downstream gathers run dense.
 	if op.tc.EnableCompaction && b.Sparsity() > op.tc.CompactionThreshold {
 		if op.compacted == nil {
-			op.compacted = vector.NewBatch(op.left.Schema(), b.Capacity())
+			op.compacted = vector.NewBatch(op.left.Schema(), op.tc.Pool.BatchSize())
 		}
 		b.GatherInto(op.compacted)
 		b = op.compacted

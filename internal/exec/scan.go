@@ -15,6 +15,7 @@ type MemScan struct {
 	base
 	batches []*vector.Batch
 	pos     int
+	off     int // first row of batches[pos] not yet emitted
 	// Projection maps output columns to source columns; nil = all.
 	Projection []int
 	out        *vector.Batch
@@ -43,12 +44,13 @@ func (s *MemScan) WithProjection(cols []int) *MemScan {
 // Open implements Operator.
 func (s *MemScan) Open(tc *TaskCtx) error {
 	s.tc = tc
-	s.pos = 0
+	s.pos, s.off = 0, 0
 	return nil
 }
 
 // Next implements Operator. Batches are passed through zero-copy (projected
-// scans share the underlying vectors).
+// scans share the underlying vectors); a stored batch larger than the task's
+// batch size goes out as consecutive row ranges of it.
 func (s *MemScan) Next() (*vector.Batch, error) {
 	var out *vector.Batch
 	err := s.timed(func() error {
@@ -61,10 +63,14 @@ func (s *MemScan) Next() (*vector.Batch, error) {
 			return nil
 		}
 		src := s.batches[s.pos]
-		s.pos++
+		lo, hi := s.off, min(src.NumRows, s.off+s.tc.Pool.BatchSize())
+		if hi < src.NumRows {
+			s.off = hi
+		} else {
+			s.pos, s.off = s.pos+1, 0
+		}
 		if s.out == nil {
 			s.out = vector.WrapBatch(s.schema, nil, nil, 0)
-			s.out.SetCapacity(src.Capacity())
 		}
 		s.out.Vecs = s.out.Vecs[:0]
 		if s.Projection == nil {
@@ -74,8 +80,15 @@ func (s *MemScan) Next() (*vector.Batch, error) {
 				s.out.Vecs = append(s.out.Vecs, src.Vecs[c])
 			}
 		}
+		s.out.SetCapacity(src.Capacity())
+		if hi-lo < src.NumRows {
+			for i, v := range s.out.Vecs {
+				s.out.Vecs[i] = v.Slice(lo, hi)
+			}
+			s.out.SetCapacity(hi - lo)
+		}
 		s.out.Sel = nil
-		s.out.NumRows = src.NumRows
+		s.out.NumRows = hi - lo
 		out = s.out
 		s.stats.RowsOut.Add(int64(out.NumActive()))
 		s.stats.BatchesOut.Add(1)

@@ -11,6 +11,7 @@ import (
 	"photon/internal/exec"
 	"photon/internal/sql"
 	"photon/internal/storage/delta"
+	"photon/internal/tpch"
 	"photon/internal/types"
 	"photon/internal/vector"
 )
@@ -370,6 +371,50 @@ func TestNotAndInAreThreeValued(t *testing.T) {
 			got, _ := runSQL(t, cat, q, eng, nil)
 			if n := got[0][0].(int64); n != c.want {
 				t.Errorf("%s: %v counts %d rows, want %d", c.where, eng, n, c.want)
+			}
+		}
+	}
+}
+
+// TestTaskBatchSizes runs TPC-H queries whose joins and expressions hold
+// per-batch scratch under task batch sizes below, at and above the tables'
+// 2,048-row batches: every size must return the default run's rows.
+func TestTaskBatchSizes(t *testing.T) {
+	cat := tpch.NewGen(0.01).Generate()
+	run := func(plan sql.LogicalPlan, batchSize int) []string {
+		tc := exec.NewTaskCtx(nil, batchSize)
+		tc.SpillDir = t.TempDir()
+		op, err := BuildOperator(plan, Config{}, tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := exec.CollectRows(op, tc)
+		if err != nil {
+			t.Fatalf("batch size %d: %v", batchSize, err)
+		}
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = fmt.Sprint(r)
+		}
+		sort.Strings(out)
+		return out
+	}
+	for _, q := range []int{3, 7, 9, 19} {
+		stmt, err := sql.Parse(tpch.Queries[q])
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := sql.Analyze(cat, stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan, err = Optimize(plan); err != nil {
+			t.Fatal(err)
+		}
+		want := run(plan, 0)
+		for _, n := range []int{64, 256, 1024, 2048} {
+			if got := run(plan, n); !reflect.DeepEqual(got, want) {
+				t.Errorf("Q%d at batch size %d: %d rows, want the default run's %d", q, n, len(got), len(want))
 			}
 		}
 	}

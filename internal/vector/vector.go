@@ -7,6 +7,11 @@
 // filtered out. A nil Sel means every row in [0, NumRows) is active, which is
 // the fast path kernels specialize on (Listing 2's kAllRowsActive). Data at
 // inactive row indices may still be valid and must never be overwritten.
+//
+// A batch holds at most its task's batch size rows, and no operator or
+// expression sizes scratch from the first batch it sees: scratch takes the
+// task's batch size, and a scan hands out a stored batch larger than that as
+// zero-copy row ranges (Vector.Slice).
 package vector
 
 import (
@@ -92,6 +97,28 @@ func New(t types.DataType, capacity int) *Vector {
 		panic(fmt.Sprintf("vector: unsupported type %v", t))
 	}
 	return v
+}
+
+// Slice returns rows [lo, hi) of v as a vector sharing v's storage. Its
+// metadata is v's, which stays true of any subset of the rows.
+func (v *Vector) Slice(lo, hi int) *Vector {
+	s := *v
+	s.Nulls = v.Nulls[lo:hi]
+	switch v.Type.ID {
+	case types.Bool:
+		s.Bool = v.Bool[lo:hi]
+	case types.Int32, types.Date:
+		s.I32 = v.I32[lo:hi]
+	case types.Int64, types.Timestamp:
+		s.I64 = v.I64[lo:hi]
+	case types.Float64:
+		s.F64 = v.F64[lo:hi]
+	case types.Decimal:
+		s.Dec = v.Dec[lo:hi]
+	case types.String:
+		s.Str = v.Str[lo:hi]
+	}
+	return &s
 }
 
 // Capacity returns the number of row slots.
