@@ -453,103 +453,6 @@ func BenchmarkObservabilityOverhead(b *testing.B) {
 	b.Run("metrics-on", func(b *testing.B) { run(b, obs.NewRegistry()) })
 }
 
-// ----- Runtime filters: build-side min/max + Bloom pushed to the probe side -----
-
-// rfBenchResult is one (query, mode) measurement of BenchmarkRuntimeFilters,
-// persisted to BENCH_runtime_filters.json.
-type rfBenchResult struct {
-	Query        string  `json:"query"`
-	Mode         string  `json:"mode"` // "on" | "off"
-	WallMs       float64 `json:"wall_ms"`
-	ScanRows     int64   `json:"scan_rows"`     // rows produced by table scans
-	ShuffleRows  int64   `json:"shuffle_rows"`  // rows crossing hash/broadcast exchanges
-	ShuffleBytes int64   `json:"shuffle_bytes"` // compressed exchange bytes
-	RowsPruned   int64   `json:"rows_pruned"`   // runtime-filter drops (all levels)
-	FilesPruned  int64   `json:"files_pruned"`  // Delta files skipped (0 for mem tables)
-}
-
-// BenchmarkRuntimeFilters measures the end-to-end effect of runtime filters
-// on join-heavy TPC-H queries at parallelism 4 with broadcast joins disabled
-// (every join shuffles both sides, so pre-shuffle filtering is on the
-// critical path). Each query runs with filters on and off; wall time, scan
-// rows, shuffle volume, and pruning counts land in
-// BENCH_runtime_filters.json.
-func BenchmarkRuntimeFilters(b *testing.B) {
-	cat := tpch.NewGen(0.02).Generate()
-	results := map[string]rfBenchResult{}
-	for _, q := range []int{5, 8, 17, 21} {
-		stmt, err := sql.Parse(tpch.Queries[q])
-		if err != nil {
-			b.Fatal(err)
-		}
-		plan, err := sql.Analyze(cat, stmt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		plan, err = catalyst.Optimize(plan)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, mode := range []struct {
-			name string
-			off  bool
-		}{{"on", false}, {"off", true}} {
-			key := fmt.Sprintf("Q%02d/%s", q, mode.name)
-			b.Run(key, func(b *testing.B) {
-				dir := b.TempDir()
-				var last driver.RunStats
-				b.ResetTimer()
-				start := time.Now()
-				for i := 0; i < b.N; i++ {
-					var rs driver.RunStats
-					if _, _, err := driver.Run(context.Background(), plan, driver.Options{
-						Parallelism: 4, ShuffleDir: dir, BroadcastRows: -1,
-						DisableRuntimeFilters: mode.off, Stats: &rs,
-					}); err != nil {
-						b.Fatal(err)
-					}
-					last = rs
-				}
-				res := rfBenchResult{
-					Query:  fmt.Sprintf("Q%02d", q),
-					Mode:   mode.name,
-					WallMs: float64(time.Since(start).Microseconds()) / 1000 / float64(b.N),
-				}
-				for _, st := range last.Profile.Stages {
-					res.ShuffleRows += st.ShuffleRows
-					res.ShuffleBytes += st.ShuffleBytes
-					res.RowsPruned += st.RFRowsPruned
-					res.FilesPruned += st.RFFilesPruned
-					for _, op := range st.Ops {
-						if strings.HasPrefix(op.Name, "MemScan") || strings.HasPrefix(op.Name, "Scan") {
-							res.ScanRows += op.RowsOut
-						}
-					}
-				}
-				b.ReportMetric(float64(res.ShuffleRows), "shuffle_rows")
-				b.ReportMetric(float64(res.ShuffleBytes), "shuffle_bytes")
-				b.ReportMetric(float64(res.RowsPruned), "rows_pruned")
-				results[key] = res
-			})
-		}
-	}
-	out := make([]rfBenchResult, 0, len(results))
-	for _, q := range []int{5, 8, 17, 21} {
-		for _, m := range []string{"on", "off"} {
-			if r, ok := results[fmt.Sprintf("Q%02d/%s", q, m)]; ok {
-				out = append(out, r)
-			}
-		}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_runtime_filters.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // ----- Fused pipelines: operator chains compiled into selection-vector loops -----
 
 // fusedBenchResult is one (query, batch size, mode) measurement of
@@ -606,31 +509,28 @@ func BenchmarkFusedPipelines(b *testing.B) {
 				key := fmt.Sprintf("Q%02d/bs=%d/%s", qc.q, bs, mode.name)
 				order = append(order, key)
 				b.Run(key, func(b *testing.B) {
-					var last driver.RunStats
+					var pipes []exec.PipelineInfo
 					b.ResetTimer()
 					start := time.Now()
 					for i := 0; i < b.N; i++ {
-						var rs driver.RunStats
-						if _, _, err := driver.Run(context.Background(), plan, driver.Options{
-							Parallelism: 1,
-							BatchSize:   bs,
-							Config:      catalyst.Config{BatchSize: bs, DisableFusedPipelines: mode.off},
-							Stats:       &rs,
-						}); err != nil {
+						tc := exec.NewTaskCtx(nil, bs)
+						root, err := catalyst.BuildOperator(plan, catalyst.Config{DisableFusedPipelines: mode.off}, tc)
+						if err != nil {
 							b.Fatal(err)
 						}
-						last = rs
+						if err := exec.Drain(root, tc); err != nil {
+							b.Fatal(err)
+						}
+						pipes = exec.CollectPipelines(root)
 					}
 					res := fusedBenchResult{
 						Query: fmt.Sprintf("Q%02d", qc.q), Kind: qc.kind,
 						Mode: mode.name, BatchSize: bs,
 						WallMs: float64(time.Since(start).Microseconds()) / 1000 / float64(b.N),
 					}
-					if last.Profile != nil {
-						for _, st := range last.Profile.Stages {
-							res.PipelineOps += st.PipelineOps
-							res.PipelineRows += st.PipelineRows
-						}
+					for _, pi := range pipes {
+						res.PipelineOps += pi.Ops
+						res.PipelineRows += pi.Rows
 					}
 					b.ReportMetric(float64(res.PipelineOps), "pipeline_ops")
 					results[key] = res
@@ -771,7 +671,7 @@ func BenchmarkFusedPipelines(b *testing.B) {
 // BenchmarkServingPath, persisted to BENCH_plan_cache.json.
 type servingBenchResult struct {
 	Workload string  `json:"workload"`
-	Mode     string  `json:"mode"` // cold | warm | warm_nofast
+	Mode     string  `json:"mode"` // cold | warm
 	Runs     int     `json:"runs"`
 	P50Ms    float64 `json:"p50_ms"`
 	P99Ms    float64 `json:"p99_ms"`
@@ -794,9 +694,9 @@ func servingPercentile(sorted []time.Duration, p float64) float64 {
 // BenchmarkServingPath measures the prepare/bind/execute lifecycle on
 // repeated short queries — the serving workload the plan cache and
 // small-query fast path exist for. Each workload runs cold (cache
-// disabled: full parse→optimize→classify per query), warm (default
-// session: first run compiles, the rest bind a cached plan), and warm
-// with the fast path off. Per-run latency distributions (p50/p99) land in
+// disabled: full parse→optimize→classify per query) and warm (default
+// session: first run compiles, the rest bind a cached plan). Per-run
+// latency distributions (p50/p99) land in
 // BENCH_plan_cache.json; the acceptance gate is warm p50 >= 2x better
 // than cold p50 on the point lookup.
 func BenchmarkServingPath(b *testing.B) {
@@ -826,7 +726,6 @@ func BenchmarkServingPath(b *testing.B) {
 		}{
 			{"cold", Config{Parallelism: w.par, PlanCacheSize: -1}},
 			{"warm", Config{Parallelism: w.par}},
-			{"warm_nofast", Config{Parallelism: w.par, DisableFastPath: true}},
 		} {
 			sess := NewSession(mode.cfg)
 			sess.cat = cat

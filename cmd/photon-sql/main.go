@@ -43,9 +43,7 @@ var (
 	analyzeFlag = flag.Bool("analyze", false, "print the merged EXPLAIN ANALYZE profile after each query")
 	traceFlag   = flag.String("trace", "", "write a Chrome trace-event JSON file per query (load in chrome://tracing or ui.perfetto.dev)")
 	metricsFlag = flag.Bool("metrics", false, "dump the session's Prometheus metrics on exit")
-	rfFlag      = flag.Bool("runtime-filters", true, "apply hash-join runtime filters to probe-side scans and shuffles (par > 1)")
 	fusedFlag   = flag.Bool("fused-pipelines", true, "compile intra-stage Filter/Project/RuntimeFilter chains into fused selection-vector pipelines")
-	dec64Flag   = flag.Bool("decimal64", true, "run decimal comparison, casts and sum/avg pre-aggregation on int64 fast-path kernels when values fit, with checked escape to 128-bit")
 	chaosFlag   = flag.Int64("chaos-seed", 0, "arm deterministic fault injection on the distributed execution sites with this seed; pair with -par > 1 (0 = off)")
 	cacheFlag   = flag.Bool("plan-cache", true, "cache compiled plans per normalized query shape (prepare/bind/execute lifecycle)")
 	repeatFlag  = flag.Int("repeat", 1, "run each query N times, reporting per-run latency and cache/fast-path routing (pair with -plan-cache)")
@@ -68,9 +66,7 @@ func main() {
 
 	cfg := photon.Config{
 		Parallelism:           *parFlag,
-		DisableRuntimeFilters: !*rfFlag,
 		DisableFusedPipelines: !*fusedFlag,
-		DisableDecimal64:      !*dec64Flag,
 	}
 	if !*cacheFlag {
 		cfg.PlanCacheSize = -1

@@ -675,34 +675,25 @@ func TestQueueMemoryBound(t *testing.T) {
 
 // TestMemoryPressureDegradation: under memory pressure (hog holding > 3/4
 // of the session limit) an admitted query gets a shrunken soft grant and
-// spills toward it instead of failing; with DisableDegradation the knob
-// stays off.
+// spills toward it instead of failing.
 func TestMemoryPressureDegradation(t *testing.T) {
-	run := func(disable bool) *QueryStats {
-		t.Helper()
-		sess := tpchSession(0.005, Config{
-			Parallelism:        2,
-			MemoryLimit:        64 << 20,
-			MinQueryMemory:     1 << 20,
-			SpillDir:           t.TempDir(),
-			DisableDegradation: disable,
-		})
-		hog := &mem.FuncConsumer{ConsumerName: "hog",
-			SpillFunc: func(n int64) (int64, error) { return 0, nil }}
-		if err := sess.mm.Reserve(hog, 52<<20); err != nil { // > 3/4 of limit
-			t.Fatal(err)
-		}
-		defer sess.mm.ReleaseAll(hog)
-		_, stats, err := sess.SQLContextStats(context.Background(), tpch.Queries[6])
-		if err != nil {
-			t.Fatalf("degraded query failed: %v (degradation must not fail queries)", err)
-		}
-		return stats
+	sess := tpchSession(0.005, Config{
+		Parallelism:    2,
+		MemoryLimit:    64 << 20,
+		MinQueryMemory: 1 << 20,
+		SpillDir:       t.TempDir(),
+	})
+	hog := &mem.FuncConsumer{ConsumerName: "hog",
+		SpillFunc: func(n int64) (int64, error) { return 0, nil }}
+	if err := sess.mm.Reserve(hog, 52<<20); err != nil { // > 3/4 of limit
+		t.Fatal(err)
 	}
-	if stats := run(false); !stats.Degraded {
+	defer sess.mm.ReleaseAll(hog)
+	_, stats, err := sess.SQLContextStats(context.Background(), tpch.Queries[6])
+	if err != nil {
+		t.Fatalf("degraded query failed: %v (degradation must not fail queries)", err)
+	}
+	if !stats.Degraded {
 		t.Error("query under memory pressure not marked Degraded")
-	}
-	if stats := run(true); stats.Degraded {
-		t.Error("DisableDegradation did not disable degradation")
 	}
 }

@@ -36,7 +36,6 @@ type Options struct {
 	Parallelism int
 	ShuffleDir  string
 	Mem         *mem.Manager
-	BatchSize   int
 	Config      catalyst.Config
 	// BroadcastRows is the broadcast-join build-side ceiling passed to the
 	// stage planner (0 = default, negative = never broadcast).
@@ -65,21 +64,6 @@ type Options struct {
 	// instead of written back. Required whenever two queries can touch
 	// the same registered tables concurrently.
 	SharedVectors bool
-	// Adaptivity switches (ablation/experiments).
-	DisableCompaction bool
-	DisableAdaptivity bool
-	// DisableRuntimeFilters turns off build-side runtime filter production
-	// and probe-side consumption (file/row-group pruning, pre-shuffle and
-	// pre-probe row filtering). Filters are on by default and strictly
-	// semantics-free: disabling them never changes results, only speed.
-	DisableRuntimeFilters bool
-	// DisableDecimal64 turns off the adaptive narrow-decimal fast path
-	// (int64 compare and cast kernels, HashAgg's int64 pre-aggregation
-	// scratch, each with a checked escape to 128-bit). On by default and
-	// strictly semantics-free: results are byte-identical either way, only
-	// speed changes.
-	DisableDecimal64 bool
-
 	// Progress, when non-nil, receives batch-boundary (rows, bytes) deltas
 	// from every running task — the live feed behind the session's in-flight
 	// query registry. It must be cheap and concurrency-safe (atomic adds);
@@ -102,6 +86,10 @@ type Options struct {
 	// (Spill), then damage the files once a consumer starts; drop a runtime
 	// filter between a map task's run and its lineage re-run.
 	testTaskStart func(f *catalyst.Fragment, taskID int, j *stagedJob)
+	// testNoRuntimeFilters plans stages without runtime filters, for tests
+	// whose exchange and operator counts must not depend on how soon a
+	// filter arrives.
+	testNoRuntimeFilters bool
 }
 
 // RunStats reports one query run's scheduling footprint and profile.
@@ -121,16 +109,13 @@ type RunStats struct {
 	Transitions int
 }
 
-// newTaskCtx builds a task context honoring the options; ctx is the query
-// context operators observe at batch boundaries.
+// newTaskCtx builds a task context with the exec and expr defaults; ctx is
+// the query context operators observe at batch boundaries.
 func (o *Options) newTaskCtx(ctx context.Context) *exec.TaskCtx {
-	tc := exec.NewTaskCtx(o.Mem, o.BatchSize)
+	tc := exec.NewTaskCtx(o.Mem, 0)
 	tc.Ctx = ctx
 	tc.MakeSpillDir = o.dir.Ensure
-	tc.EnableCompaction = !o.DisableCompaction
-	tc.Expr.Adaptive = !o.DisableAdaptivity
 	tc.Expr.SharedVectors = o.SharedVectors
-	tc.Expr.Dec64 = !o.DisableDecimal64
 	return tc
 }
 
@@ -184,7 +169,7 @@ func planJob(plan sql.LogicalPlan, opts Options) *catalyst.Fragment {
 		frag, err := catalyst.PlanStages(plan, catalyst.StageConfig{
 			Parallelism:    opts.Parallelism,
 			BroadcastRows:  opts.BroadcastRows,
-			RuntimeFilters: !opts.DisableRuntimeFilters,
+			RuntimeFilters: !opts.testNoRuntimeFilters,
 		})
 		if err == nil {
 			return frag

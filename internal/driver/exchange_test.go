@@ -171,7 +171,7 @@ func TestProfileMixedExchange(t *testing.T) {
 	// Every join a shuffle, and no runtime filter thinning the probe side:
 	// lineitem's exchange fills blocks, the aggregation's does not.
 	runTPCH(t, cat, 3, Options{Parallelism: 2, ShuffleDir: t.TempDir(), BroadcastRows: -1,
-		DisableRuntimeFilters: true, Stats: &stats, Metrics: reg})
+		testNoRuntimeFilters: true, Stats: &stats, Metrics: reg})
 	var filed, kept *StageProfile
 	var rows, memRows, bytes int64
 	for i := range stats.Profile.Stages {
@@ -229,7 +229,7 @@ func TestExchangeReadStoppedEarlyClosesItsFile(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	rows, _, err := Run(context.Background(), plan, Options{Parallelism: 2, ShuffleDir: t.TempDir(),
-		BroadcastRows: -1, DisableRuntimeFilters: true, Metrics: reg, testTaskStart: spillAtTaskStart(t)})
+		BroadcastRows: -1, testNoRuntimeFilters: true, Metrics: reg, testTaskStart: spillAtTaskStart(t)})
 	if err != nil || len(rows) != 5 {
 		t.Fatalf("%d rows, err %v", len(rows), err)
 	}

@@ -114,7 +114,7 @@ func TestFusedExplainAnalyzeProfile(t *testing.T) {
 		var rs RunStats
 		runTPCH(t, cat, 3, Options{
 			Parallelism: 4, ShuffleDir: t.TempDir(),
-			Config: cfg, DisableRuntimeFilters: true, Stats: &rs,
+			Config: cfg, testNoRuntimeFilters: true, Stats: &rs,
 		})
 		return &rs
 	}

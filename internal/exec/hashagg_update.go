@@ -435,7 +435,7 @@ const preAggMaxGroups = 1 << 16
 // aggregation-heavy shapes (Q1: seven decimal accumulators per row): the
 // per-row closure dispatch, payload lookups and count read-modify-writes of
 // the generic loops collapse into a handful of adds per row. Everything else
-// — and everything when Config.DisableDecimal64 is set, which means no
+// — and everything when expr.Ctx.Dec64 is off, which means no
 // scratch — takes the direct per-row 128-bit loop.
 func (op *HashAggOp) updateDecimalSums(b *vector.Batch) error {
 	if op.numDecSums == 0 {

@@ -10,8 +10,8 @@ import (
 // rows into fresh batches. System tables (query history, active queries,
 // metrics) use this to route diagnostics through the same MemScan →
 // filter → aggregate path as user data.
-func VirtualSource(schema *types.Schema, rows func() [][]any, batchSize int) func() []*vector.Batch {
+func VirtualSource(schema *types.Schema, rows func() [][]any) func() []*vector.Batch {
 	return func() []*vector.Batch {
-		return BuildBatches(schema, rows(), batchSize)
+		return BuildBatches(schema, rows(), vector.DefaultBatchSize)
 	}
 }

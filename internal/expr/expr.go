@@ -58,7 +58,8 @@ type Ctx struct {
 	// comparison and casts on the low limbs of vectors whose values all fit
 	// an int64 (the cast with a checked escape back to the 128-bit kernel),
 	// and HashAgg's int64 pre-aggregation scratch. Semantics-free (results
-	// are identical either way); disabled via Config.DisableDecimal64.
+	// are identical either way); turned off only by kernel tests and
+	// experiments, which use the 128-bit path as their reference.
 	Dec64 bool
 
 	// Narrow-decimal dispatch tallies: one per (raw decimal sum/avg

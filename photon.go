@@ -82,8 +82,6 @@ func Decimal(precision, scale int) DataType { return types.DecimalType(precision
 type Config struct {
 	// Engine selects the backend (default EnginePhoton).
 	Engine Engine
-	// BatchSize is the column-batch row capacity (default 2048).
-	BatchSize int
 	// MemoryLimit bounds execution memory in bytes; operators spill to
 	// SpillDir under pressure (0 = unlimited).
 	MemoryLimit int64
@@ -99,27 +97,11 @@ type Config struct {
 	// hash joins; larger build sides shuffle both inputs instead. 0 uses
 	// the default (4Mi rows); negative disables broadcast joins.
 	BroadcastRows int64
-	// DisableCompaction turns off adaptive join batch compaction (§4.6).
-	DisableCompaction bool
-	// DisableAdaptivity turns off batch-level adaptivity (ASCII fast
-	// paths etc.); for ablation.
-	DisableAdaptivity bool
-	// DisableRuntimeFilters turns off hash-join runtime filters (build-side
-	// min/max + Bloom filters applied to the probe side as file/row-group
-	// pruning, pre-shuffle and pre-probe row filtering). On by default;
-	// strictly semantics-free — disabling never changes results, only speed.
-	DisableRuntimeFilters bool
 	// DisableFusedPipelines turns off fused pipeline execution (compiling
 	// intra-stage Filter/Project/RuntimeFilter chains into single
 	// selection-vector loops). On by default; semantics-free — disabling
 	// never changes results, only speed.
 	DisableFusedPipelines bool
-	// DisableDecimal64 turns off the adaptive narrow-decimal fast path
-	// (decimal comparison, casts and sum/avg pre-aggregation in int64 when
-	// the values fit, with a checked escape to the 128-bit kernels). On by
-	// default; semantics-free — results are byte-identical either way, only
-	// speed.
-	DisableDecimal64 bool
 	// PhotonUnsupported forces row-engine fallback for the listed logical
 	// node kinds ("filter", "project", "aggregate", "join", "sort",
 	// "limit"), demonstrating partial rollout (§3.5).
@@ -133,14 +115,6 @@ type Config struct {
 	// staged execution — fast-path eligibility is part of the compiled
 	// classification).
 	PlanCacheSize int
-	// DisableFastPath turns off the small-query fast path (single-fragment
-	// plans over inputs that fit one task skip stage planning and run as a
-	// one-task job on one pool slot).
-	// Semantics-free — disabling never changes results, only speed.
-	DisableFastPath bool
-	// FastPathRows is the base-table input-row ceiling for the fast path
-	// (0 = DefaultFastPathRows).
-	FastPathRows int64
 
 	// ---- Concurrent query service (admission control + lifecycle) ----
 
@@ -164,7 +138,9 @@ type Config struct {
 	// admit a query: admission waits until at least this much of
 	// MemoryLimit is unreserved. 0 disables the memory predicate. It is
 	// also the floor degraded queries' memory grants shrink toward under
-	// pressure (see DisableDegradation).
+	// pressure: with less than a quarter of MemoryLimit unreserved at
+	// admission, a new query gets its fair share of what remains, floored
+	// here, and spills its own operators first when it outgrows it.
 	MinQueryMemory int64
 
 	// ---- Multi-tenant isolation (weighted fairness + quotas) ----
@@ -178,13 +154,6 @@ type Config struct {
 	// (weight 1, no per-tenant quota). The map is read at NewSession and
 	// must not be mutated afterwards.
 	Tenants map[string]TenantConfig
-	// DisableDegradation turns off graceful degradation under memory
-	// pressure (on by default when MemoryLimit is set): with less than a
-	// quarter of MemoryLimit unreserved at admission, new queries get a
-	// shrunk memory grant — their fair share of what remains, floored at
-	// MinQueryMemory — and spill their own operators first when they
-	// outgrow it, instead of pressuring the whole pool toward OOM.
-	DisableDegradation bool
 	// QueryTimeout cancels each query after the given duration (0 = no
 	// timeout). Cancellation takes effect at operator batch boundaries.
 	QueryTimeout time.Duration
@@ -397,7 +366,7 @@ func (s *Session) RegisterRows(name string, schema *Schema, rows [][]any) {
 	s.cat.Register(&catalog.MemTable{
 		TableName: name,
 		Sch:       schema,
-		Batches:   exec.BuildBatches(schema, rows, s.batchSize()),
+		Batches:   exec.BuildBatches(schema, rows, vector.DefaultBatchSize),
 	})
 }
 
@@ -442,7 +411,7 @@ func (d *DeltaTable) AppendRows(rows [][]any) error {
 	if err != nil {
 		return err
 	}
-	batches, err := exec.PivotRows(snap.Schema, rows, d.sess.batchSize())
+	batches, err := exec.PivotRows(snap.Schema, rows, vector.DefaultBatchSize)
 	if err != nil {
 		return fmt.Errorf("table %s: %w", d.name, err)
 	}
@@ -459,7 +428,7 @@ func (d *DeltaTable) Overwrite(rows [][]any) error {
 	if err != nil {
 		return err
 	}
-	batches, err := exec.PivotRows(snap.Schema, rows, d.sess.batchSize())
+	batches, err := exec.PivotRows(snap.Schema, rows, vector.DefaultBatchSize)
 	if err != nil {
 		return fmt.Errorf("table %s: %w", d.name, err)
 	}
@@ -492,18 +461,10 @@ func (d *DeltaTable) Version() (int64, error) {
 // refresh re-registers the latest snapshot.
 func (d *DeltaTable) refresh() error { return d.AsOf(-1) }
 
-func (s *Session) batchSize() int {
-	if s.cfg.BatchSize > 0 {
-		return s.cfg.BatchSize
-	}
-	return vector.DefaultBatchSize
-}
-
 // plannerConfig lowers session config to the physical planner's.
 func (s *Session) plannerConfig() catalyst.Config {
 	cfg := catalyst.Config{
 		Engine:                s.cfg.Engine,
-		BatchSize:             s.cfg.BatchSize,
 		DisableFusedPipelines: s.cfg.DisableFusedPipelines,
 	}
 	if len(s.cfg.PhotonUnsupported) > 0 {
@@ -515,19 +476,6 @@ func (s *Session) plannerConfig() catalyst.Config {
 	return cfg
 }
 
-// Plan parses, analyzes, and optimizes a query (shared by SQL/Explain).
-func (s *Session) plan(query string) (sql.LogicalPlan, error) {
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := sql.Analyze(s.cat, stmt)
-	if err != nil {
-		return nil, err
-	}
-	return catalyst.Optimize(plan)
-}
-
 // SQL executes a query and materializes the result. It is
 // SQLContext(context.Background(), query): the query passes through the
 // session's admission gate and runs inside its own memory scope.
@@ -537,7 +485,7 @@ func (s *Session) SQL(query string) (*Result, error) {
 
 // Explain renders the optimized logical plan.
 func (s *Session) Explain(query string) (string, error) {
-	plan, err := s.plan(query)
+	plan, err := s.uncachedPlan(func() (*sql.SelectStmt, error) { return sql.Parse(query) })
 	if err != nil {
 		return "", err
 	}
@@ -546,18 +494,6 @@ func (s *Session) Explain(query string) (string, error) {
 
 // Tables lists registered table names.
 func (s *Session) Tables() []string { return s.cat.Names() }
-
-// TaskContext builds an execution context honoring the session's
-// adaptivity settings (used by advanced callers driving exec operators
-// directly; the benchmark harness does).
-func (s *Session) TaskContext() *exec.TaskCtx {
-	tc := exec.NewTaskCtx(s.mm, s.cfg.BatchSize)
-	tc.SpillDir = s.cfg.SpillDir
-	tc.EnableCompaction = !s.cfg.DisableCompaction
-	tc.Expr.Adaptive = !s.cfg.DisableAdaptivity
-	tc.Expr.Dec64 = !s.cfg.DisableDecimal64
-	return tc
-}
 
 // ParseDate parses a "YYYY-MM-DD" literal into the DATE physical value
 // (days since the Unix epoch).

@@ -29,7 +29,7 @@ import (
 const DefaultPlanCacheSize = 256
 
 // DefaultFastPathRows is the base-table input-row ceiling for the
-// small-query fast path when Config.FastPathRows is 0.
+// small-query fast path.
 const DefaultFastPathRows = 1 << 20
 
 // boundQuery is the bind phase's product: a private, value-substituted
@@ -131,11 +131,8 @@ func (c *planCache) Len() int {
 // defense in depth against entries outliving a config change.
 func (s *Session) fingerprintConfig() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "engine=%v;bs=%d;par=%d;bcast=%d;norf=%t;nofuse=%t;nocomp=%t;noadapt=%t;nodec64=%t;nofast=%t;fprows=%d",
-		s.cfg.Engine, s.cfg.BatchSize, s.cfg.Parallelism, s.cfg.BroadcastRows,
-		s.cfg.DisableRuntimeFilters, s.cfg.DisableFusedPipelines,
-		s.cfg.DisableCompaction, s.cfg.DisableAdaptivity,
-		s.cfg.DisableDecimal64, s.cfg.DisableFastPath, s.fastPathRows())
+	fmt.Fprintf(&sb, "engine=%v;par=%d;bcast=%d;nofuse=%t",
+		s.cfg.Engine, s.cfg.Parallelism, s.cfg.BroadcastRows, s.cfg.DisableFusedPipelines)
 	if len(s.cfg.PhotonUnsupported) > 0 {
 		ks := append([]string(nil), s.cfg.PhotonUnsupported...)
 		sort.Strings(ks)
@@ -144,20 +141,13 @@ func (s *Session) fingerprintConfig() string {
 	return sb.String()
 }
 
-func (s *Session) fastPathRows() int64 {
-	if s.cfg.FastPathRows > 0 {
-		return s.cfg.FastPathRows
-	}
-	return DefaultFastPathRows
-}
-
 // stageConfig is the stage-planner configuration the compile phase
 // classifies against — identical to what driver.Run will use at execute.
 func (s *Session) stageConfig() catalyst.StageConfig {
 	return catalyst.StageConfig{
 		Parallelism:    s.cfg.Parallelism,
 		BroadcastRows:  s.cfg.BroadcastRows,
-		RuntimeFilters: !s.cfg.DisableRuntimeFilters,
+		RuntimeFilters: true,
 	}
 }
 
@@ -166,7 +156,7 @@ func (s *Session) stageConfig() catalyst.StageConfig {
 // to split the plan into more than one fragment (plans it cannot split at
 // all run single-task anyway).
 func (s *Session) fastPathEligible(cq *catalyst.CompiledQuery) bool {
-	if s.cfg.DisableFastPath || cq.InputRows > s.fastPathRows() {
+	if cq.InputRows > DefaultFastPathRows {
 		return false
 	}
 	if s.cfg.Parallelism > 1 && cq.Stageable && !cq.SingleFragment {

@@ -527,26 +527,20 @@ func (s *Session) runOptions(qm *mem.Manager, rs *driver.RunStats, trace *obs.Tr
 		progress = aq.Progress
 	}
 	return driver.Options{
-		Progress:          progress,
-		Parallelism:       s.cfg.Parallelism,
-		ShuffleDir:        s.cfg.SpillDir,
-		Mem:               qm,
-		BatchSize:         s.cfg.BatchSize,
-		Config:            s.plannerConfig(),
-		BroadcastRows:     s.cfg.BroadcastRows,
-		Pool:              s.slotPool(),
-		Stats:             rs,
-		Metrics:           s.reg,
-		Trace:             trace,
-		SharedVectors:     true,
-		DisableCompaction: s.cfg.DisableCompaction,
-		DisableAdaptivity: s.cfg.DisableAdaptivity,
-
-		DisableRuntimeFilters: s.cfg.DisableRuntimeFilters,
-		DisableDecimal64:      s.cfg.DisableDecimal64,
-		FastPath:              bq.fastPath,
-		Tenant:                bq.tenant,
-		TenantWeight:          bq.tenantWeight,
+		Progress:      progress,
+		Parallelism:   s.cfg.Parallelism,
+		ShuffleDir:    s.cfg.SpillDir,
+		Mem:           qm,
+		Config:        s.plannerConfig(),
+		BroadcastRows: s.cfg.BroadcastRows,
+		Pool:          s.slotPool(),
+		Stats:         rs,
+		Metrics:       s.reg,
+		Trace:         trace,
+		SharedVectors: true,
+		FastPath:      bq.fastPath,
+		Tenant:        bq.tenant,
+		TenantWeight:  bq.tenantWeight,
 	}
 }
 
@@ -721,7 +715,7 @@ func (s *Session) runQuery(ctx context.Context, text string, stats *QueryStats, 
 	// share — floored at MinQueryMemory — so it spills toward the floor
 	// instead of failing or forcing siblings out. Advisory: the soft limit
 	// never fails a reservation.
-	if !s.cfg.DisableDegradation && s.mm.Limited() {
+	if s.mm.Limited() {
 		if avail := s.mm.Available(); avail < s.mm.Limit()/4 {
 			running := int64(s.gate.Running())
 			if running < 1 {

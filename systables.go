@@ -99,7 +99,7 @@ func (s *Session) registerSystemTables() {
 				rows = append(rows, queryRow(&records[i]))
 			}
 			return rows
-		}, s.batchSize()),
+		}),
 		EstRows: func() int64 { return int64(rec.Len()) },
 	})
 	s.cat.Register(&catalog.VirtualTable{
@@ -116,7 +116,7 @@ func (s *Session) registerSystemTables() {
 				})
 			}
 			return rows
-		}, s.batchSize()),
+		}),
 		EstRows: func() int64 { return int64(rec.ActiveCount()) },
 	})
 	s.cat.Register(&catalog.VirtualTable{
@@ -141,7 +141,7 @@ func (s *Session) registerSystemTables() {
 				})
 			}
 			return rows
-		}, s.batchSize()),
+		}),
 		EstRows: func() int64 { return 4 },
 	})
 	s.cat.Register(&catalog.VirtualTable{
@@ -162,7 +162,7 @@ func (s *Session) registerSystemTables() {
 				}
 			}
 			return rows
-		}, s.batchSize()),
+		}),
 		EstRows: func() int64 { return int64(len(reg.Names())) },
 	})
 }
