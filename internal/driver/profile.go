@@ -73,10 +73,8 @@ type StageProfile struct {
 	ShuffleMemRows                             int64
 	EncCounts                                  [3]int64
 
-	// Runtime-filter pruning observed by this (probe-side) stage: Delta
-	// files and Parquet row groups skipped entirely, and rows eliminated
-	// (scan-level skips plus row-level RuntimeFilter drops).
-	RFFilesPruned, RFGroupsPruned, RFRowsPruned int64
+	// Rows this (probe-side) stage's RuntimeFilter operators dropped.
+	RFRowsPruned int64
 	// Runtime filter published by this (build-side) stage: the keys it holds
 	// and the keys its Bloom filters were sized for from the planner's row
 	// estimate. Both zero when the stage publishes none.
@@ -202,9 +200,8 @@ func (q *QueryProfile) Render() string {
 				encString(st.EncCounts), st.ShuffleMemRows)
 		}
 		var rfParts []string
-		if st.RFFilesPruned > 0 || st.RFGroupsPruned > 0 || st.RFRowsPruned > 0 {
-			rfParts = append(rfParts, fmt.Sprintf("files=%d groups=%d rows=%d",
-				st.RFFilesPruned, st.RFGroupsPruned, st.RFRowsPruned))
+		if st.RFRowsPruned > 0 {
+			rfParts = append(rfParts, fmt.Sprintf("rows=%d", st.RFRowsPruned))
 		}
 		if st.RFSizedFor > 0 {
 			rfParts = append(rfParts, fmt.Sprintf("keys=%d/%d", st.RFKeys, st.RFSizedFor))

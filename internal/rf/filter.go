@@ -3,7 +3,6 @@ package rf
 import (
 	"math"
 
-	"photon/internal/expr"
 	"photon/internal/kernels"
 	"photon/internal/types"
 	"photon/internal/vector"
@@ -260,62 +259,6 @@ func (c *ColFilter) Merge(o *ColFilter) {
 	c.maxI = max(c.maxI, o.maxI)
 	c.minF = math.Min(c.minF, o.minF)
 	c.maxF = math.Max(c.maxF, o.maxF)
-}
-
-// RangeFilter renders the envelope as a pushdown predicate (col >= min AND
-// col <= max) for file-level statistics skipping, or nil when no range is
-// tracked. col must reference the probe-side scan column.
-func (c *ColFilter) RangeFilter(col *expr.ColRef) expr.Filter {
-	if !c.hasRange {
-		return nil
-	}
-	var loV, hiV any
-	switch c.Type.ID {
-	case types.Int32, types.Date:
-		loV, hiV = int32(c.minI), int32(c.maxI)
-	case types.Int64, types.Timestamp:
-		loV, hiV = c.minI, c.maxI
-	case types.Float64:
-		loV, hiV = c.minF, c.maxF
-	default:
-		return nil
-	}
-	return &expr.And{Filters: []expr.Filter{
-		expr.MustCmp(kernels.CmpGe, col, expr.Lit(loV, col.T)),
-		expr.MustCmp(kernels.CmpLe, col, expr.Lit(hiV, col.T)),
-	}}
-}
-
-// OverlapsBoxed reports whether a statistics envelope [lo, hi] (boxed
-// values, e.g. decoded Parquet chunk stats) can intersect the filter's key
-// range. Conservative: unknown types or an untracked range report true. A
-// nil bound (all-NULL chunk) reports false — NULL keys never join. An
-// empty filter (N == 0) reports false.
-func (c *ColFilter) OverlapsBoxed(lo, hi any) bool {
-	if c.N == 0 {
-		return false
-	}
-	if lo == nil || hi == nil {
-		return false
-	}
-	if !c.hasRange {
-		return true
-	}
-	switch c.Type.ID {
-	case types.Int32, types.Date:
-		l, lok := lo.(int32)
-		h, hok := hi.(int32)
-		return !lok || !hok || (int64(h) >= c.minI && int64(l) <= c.maxI)
-	case types.Int64, types.Timestamp:
-		l, lok := lo.(int64)
-		h, hok := hi.(int64)
-		return !lok || !hok || (h >= c.minI && l <= c.maxI)
-	case types.Float64:
-		l, lok := lo.(float64)
-		h, hok := hi.(float64)
-		return !lok || !hok || (h >= c.minF && l <= c.maxF)
-	}
-	return true
 }
 
 // Filter is the runtime filter of one join: one ColFilter per key column

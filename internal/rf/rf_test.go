@@ -177,20 +177,6 @@ func TestColFilterRejects(t *testing.T) {
 	if got := empty.ProbeVec(probe, nil, 4, &s, nil); len(got) != 0 {
 		t.Fatalf("empty build side must reject everything, got %v", got)
 	}
-
-	// Range-stat overlap checks (file/row-group pruning path).
-	if c.OverlapsBoxed(int64(400), int64(500)) {
-		t.Fatal("disjoint stats must not overlap")
-	}
-	if !c.OverlapsBoxed(int64(250), int64(500)) {
-		t.Fatal("intersecting stats must overlap")
-	}
-	if c.OverlapsBoxed(nil, nil) {
-		t.Fatal("all-NULL chunk must not overlap (NULL keys never join)")
-	}
-	if empty.OverlapsBoxed(int64(0), int64(1<<40)) {
-		t.Fatal("empty filter must not overlap anything")
-	}
 }
 
 // TestColFilterMerge: merged partials behave like a filter built from the
@@ -227,9 +213,6 @@ func TestFilterNaNKillsRange(t *testing.T) {
 	// build NaN, so row 2 passing is acceptable too.
 	if len(out) < 2 || out[0] != 0 || out[1] != 1 {
 		t.Fatalf("NaN build: want rows 0,1 to survive, got %v", out)
-	}
-	if !c.OverlapsBoxed(float64(1e12), float64(2e12)) {
-		t.Fatal("range must be disabled (conservative overlap) after NaN")
 	}
 }
 

@@ -74,20 +74,8 @@ type Fragment struct {
 	// filters this fragment consults, wherever in the plan above it the join
 	// they come from sits (scheduler dependencies in addition to Inputs — the
 	// driver runs stages sequentially in dependency order, so every filter is
-	// complete before a consuming task plans). ScanRF maps producer filter
-	// columns onto this fragment's scan for file/row-group pruning.
+	// complete before a consuming task plans).
 	RFInputs []*Fragment
-	ScanRF   []ScanRFSpec
-}
-
-// ScanRFSpec projects one runtime-filter key column onto a consuming
-// fragment's table scan: the filter built by Producer over its key column
-// KeyIdx applies to the scan's output column ScanCol (recorded by
-// sinkRuntimeFilter when the filter comes to rest above the scan).
-type ScanRFSpec struct {
-	Producer *Fragment
-	KeyIdx   int
-	ScanCol  int
 }
 
 // Label is a short human-readable stage name ("FinalAgg->gather",

@@ -60,15 +60,6 @@ type Config struct {
 	// to a pass-through (best-effort semantics). Set by the distributed
 	// driver.
 	RuntimeFilterSource func(producerID int) *rf.Filter
-	// ScanRuntimeFilters are per-column runtime filters applied to the
-	// fragment's Delta scan: their range envelopes prune whole files
-	// (against Delta file stats) and row groups (against Parquet chunk
-	// stats) before any byte is decoded.
-	ScanRuntimeFilters []ScanColFilter
-	// OnScanPrune reports scan-level runtime-filter pruning: files and row
-	// groups skipped, and the rows they contained. May be called from the
-	// task goroutine during both planning and execution.
-	OnScanPrune func(files, groups, rows int64)
 	// OnScanIO reports, once per data file a Delta scan is done with, the
 	// bytes it read from the file and the bytes its chunks decompressed to.
 	// Called from the task goroutine.
@@ -77,12 +68,6 @@ type Config struct {
 	// every operator executes one-batch-per-operator pull (equivalence
 	// testing and the fusion ablation bench).
 	DisableFusedPipelines bool
-}
-
-// ScanColFilter applies one runtime-filter column to scan-output column Col.
-type ScanColFilter struct {
-	Col int
-	F   *rf.ColFilter
 }
 
 func (c Config) rowMode() rowengine.Mode {
@@ -538,14 +523,9 @@ func pickBatches(batches []*vector.Batch, k, p int) []*vector.Batch {
 // deltaSource plans the scan of a Delta table: files pruned by statistics,
 // columns projected, in batches of the task's batch size. The returned
 // factory yields a fresh stream per Open.
-// Runtime filters prune at two levels before any byte is decoded: their
-// range envelopes join the static predicate for file-level stats skipping,
-// and a row-group predicate checks Parquet chunk min/max inside each
-// surviving file.
 func (b *builder) deltaSource(t *catalog.DeltaTable, n *sql.LScan, partitionThis bool) func() *deltaScan {
 	part := b.partitionSpec(partitionThis)
 	files := t.Snap.PruneFiles(n.Filter)
-	files, groupFilter := runtimePrune(t, n, files, b.cfg.ScanRuntimeFilters, part, b.cfg.OnScanPrune)
 	if part[1] > 1 {
 		var mine []delta.AddFile
 		for i := part[0]; i < len(files); i += part[1] {
@@ -561,7 +541,7 @@ func (b *builder) deltaSource(t *catalog.DeltaTable, n *sql.LScan, partitionThis
 	}
 	onIO, rows := b.cfg.OnScanIO, b.tc.Pool.BatchSize()
 	return func() *deltaScan {
-		return &deltaScan{tbl: t.Tbl, files: files, names: names, groupFilter: groupFilter, onIO: onIO, rows: rows}
+		return &deltaScan{tbl: t.Tbl, files: files, names: names, onIO: onIO, rows: rows}
 	}
 }
 
@@ -570,12 +550,11 @@ func (b *builder) deltaSource(t *catalog.DeltaTable, n *sql.LScan, partitionThis
 // been closed. Each file's reader takes over the buffers of the one before,
 // so they live as long as the stream, not as long as a file.
 type deltaScan struct {
-	tbl         *delta.Table
-	files       []delta.AddFile
-	names       []string // projected columns; nil = all
-	groupFilter func(*parquet.RowGroupMeta) bool
-	onIO        func(read, decoded int64)
-	rows        int // batch size
+	tbl   *delta.Table
+	files []delta.AddFile
+	names []string // projected columns; nil = all
+	onIO  func(read, decoded int64)
+	rows  int // batch size
 
 	next int // index of the next file to open
 	cur  *parquet.Reader
@@ -612,9 +591,6 @@ func (s *deltaScan) Next() (*vector.Batch, error) {
 		}
 		r.Reuse(s.done)
 		s.done = nil
-		if s.groupFilter != nil {
-			r.SetGroupFilter(s.groupFilter)
-		}
 	}
 }
 
@@ -630,92 +606,6 @@ func (s *deltaScan) Close() error {
 	}
 	s.done = r
 	return r.Close()
-}
-
-// runtimePrune applies runtime-filter envelopes at the file level and
-// returns the Parquet row-group predicate for the chunk level. Pruning is
-// strictly conservative: a skipped file or group provably contains no row
-// whose key columns all fall inside the build side's value ranges (or, for
-// an empty build side, no joinable row at all).
-func runtimePrune(t *catalog.DeltaTable, n *sql.LScan, files []delta.AddFile,
-	rfs []ScanColFilter, part [2]int, onPrune func(files, groups, rows int64)) ([]delta.AddFile, func(*parquet.RowGroupMeta) bool) {
-	if len(rfs) == 0 {
-		return files, nil
-	}
-	// Every task prunes the identical full file list before taking its
-	// round-robin slice, so file-level counts report from partition 0 only.
-	countFiles := part[0] == 0 && onPrune != nil
-
-	type colRF struct {
-		tableCol int
-		t        types.DataType
-		f        *rf.ColFilter
-	}
-	var cols []colRF
-	var preds []expr.Filter
-	empty := false
-	for _, s := range rfs {
-		if s.F == nil {
-			continue
-		}
-		tc := s.Col
-		if n.Projection != nil {
-			tc = n.Projection[s.Col]
-		}
-		ft := t.Snap.Schema.Field(tc)
-		cols = append(cols, colRF{tableCol: tc, t: ft.Type, f: s.F})
-		if s.F.N == 0 {
-			empty = true // build side has no joinable rows: nothing matches
-		}
-		if p := s.F.RangeFilter(expr.Col(tc, ft.Name, ft.Type)); p != nil {
-			preds = append(preds, p)
-		}
-	}
-	if len(cols) == 0 {
-		return files, nil
-	}
-
-	kept := files
-	switch {
-	case empty:
-		kept = nil
-	case len(preds) > 0:
-		// Re-prune with static predicate AND the runtime ranges: exactly the
-		// static skipping machinery, fed a dynamically derived predicate.
-		all := preds
-		if n.Filter != nil {
-			all = append([]expr.Filter{n.Filter}, preds...)
-		}
-		kept = t.Snap.PruneFiles(&expr.And{Filters: all})
-	}
-	if countFiles && len(kept) < len(files) {
-		sum := func(fs []delta.AddFile) (r int64) {
-			for i := range fs {
-				r += fs[i].NumRecords
-			}
-			return r
-		}
-		onPrune(int64(len(files)-len(kept)), 0, sum(files)-sum(kept))
-	}
-
-	gf := func(rg *parquet.RowGroupMeta) bool {
-		for _, c := range cols {
-			if c.tableCol >= len(rg.Columns) {
-				continue
-			}
-			ch := &rg.Columns[c.tableCol]
-			lo := parquet.DecodeStatValue(ch.Min, c.t)
-			hi := parquet.DecodeStatValue(ch.Max, c.t)
-			if !c.f.OverlapsBoxed(lo, hi) {
-				if onPrune != nil {
-					onPrune(0, 1, rg.NumRows)
-				}
-				return false
-			}
-		}
-		return true
-	}
-	return kept, gf
 }
 
 // buildRow plans the whole query on the row engine (the DBR baseline).

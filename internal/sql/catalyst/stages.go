@@ -252,8 +252,7 @@ const (
 // the build side of an inner or left-semi join, and follows a column born on
 // an inner join's build side there; it never enters the build side of an
 // outer or anti join. Where it stops it stays: above a scan (and the filter
-// directly over one, which is cheaper and runs first), where it also prunes
-// the scan's files and row groups (ScanRF).
+// directly over one, which is cheaper and runs first).
 func sinkRuntimeFilter(plan sql.LogicalPlan, own, prod *Fragment, cols []int) sql.LogicalPlan {
 	switch n := plan.(type) {
 	case *RuntimeFilterPlan:
@@ -296,15 +295,6 @@ func sinkRuntimeFilter(plan sql.LogicalPlan, own, prod *Fragment, cols []int) sq
 		}
 		if left != nil || right != nil {
 			return n
-		}
-	}
-	scan := plan
-	if f, ok := plan.(*sql.LFilter); ok {
-		scan = f.Child
-	}
-	if _, ok := scan.(*sql.LScan); ok {
-		for k, c := range cols {
-			own.ScanRF = append(own.ScanRF, ScanRFSpec{Producer: prod, KeyIdx: k, ScanCol: c})
 		}
 	}
 	if !slices.Contains(own.RFInputs, prod) {

@@ -340,9 +340,9 @@ func TestCorruptFooter(t *testing.T) {
 	}
 
 	// Statistics of a fixed-width column are decoded without a length check
-	// (DecodeStatValue, runtime row-group pruning), so the footer must
-	// vouch for their length, a string's being any length; and for an
-	// encoding its column's type can carry.
+	// (DecodeStatValue: Delta file statistics, a decimal chunk's width), so
+	// the footer must vouch for their length, a string's being any length;
+	// and for an encoding its column's type can carry.
 	schema = types.NewSchema(
 		types.Field{Name: "v", Type: types.Int64Type},
 		types.Field{Name: "d", Type: types.DecimalType(12, 2)},

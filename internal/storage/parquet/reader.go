@@ -37,11 +37,6 @@ type Reader struct {
 	comp  []byte   // a compressed chunk as read, before it expands into its cursor
 	idx   []uint32 // one batch of dictionary indices
 
-	// groupFilter, when set, is consulted before a row group is decoded;
-	// returning false skips the whole group (stats-based row-group pruning,
-	// e.g. runtime-filter key ranges against chunk min/max).
-	groupFilter func(*RowGroupMeta) bool
-
 	bytesRead, bytesDecoded int64
 }
 
@@ -348,12 +343,6 @@ func (r *Reader) readInto(cc *chunkCursor, v *vector.Vector, k int) error {
 	return nil
 }
 
-// SetGroupFilter installs a row-group predicate: groups for which f returns
-// false are skipped without decoding any chunk. Skipping must be
-// conservative — f sees the group's column-chunk statistics and should
-// return true whenever a match cannot be ruled out.
-func (r *Reader) SetGroupFilter(f func(*RowGroupMeta) bool) { r.groupFilter = f }
-
 // NextBatch decodes up to batchSize rows and returns them in the reader's
 // one output batch, valid until the next call; it returns nil at end of
 // file. Reaching the end, or failing, closes the file.
@@ -378,9 +367,6 @@ func (r *Reader) nextBatch(batchSize int) (*vector.Batch, error) {
 		}
 		rg := &r.meta.RowGroups[r.group]
 		r.group++
-		if r.groupFilter != nil && !r.groupFilter(rg) {
-			continue
-		}
 		if r.cols == nil {
 			r.cols = make([]chunkCursor, len(r.proj))
 		}

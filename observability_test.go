@@ -236,7 +236,6 @@ func TestSessionMetricsCoverage(t *testing.T) {
 		"photon_mem_pool_hits_total", "photon_mem_pool_misses_total",
 		"photon_shuffle_write_bytes_total", "photon_shuffle_columns_total{encoding=",
 		"photon_runtime_filter_built_total", "photon_runtime_filter_applied_total",
-		"photon_runtime_filter_files_pruned_total", "photon_runtime_filter_row_groups_pruned_total",
 		"photon_runtime_filter_rows_pruned_total",
 		"photon_query_run_micros_count 1",
 	} {
