@@ -32,13 +32,15 @@ func main() {
 		photon.Col("amount", photon.String),   // decimal as text, sometimes ""
 		photon.Col("when_str", photon.String), // date as text
 	)
-	sess.RegisterRows("raw_events", rawSchema, [][]any{
+	if err := sess.RegisterRows("raw_events", rawSchema, [][]any{
 		{"9f86d081-8842-4a1b-9b67-0c55ad674b9a", "1001", "19.99", "2023-03-01"},
 		{"6b86b273-ff34-4ce1-9d49-ffa0f3564a52", "1002", "5.00", "2023-03-01"},
 		{"4e07408562bedb8b60ce05c1decfe3ad16b722", "N/A", "oops", "2023-03-02"}, // junk row
 		{"d4735e3a-265e-46ee-8c6e-fc1b2b5f2cbb", "1001", "250.10", "2023-03-02"},
 		{"ef2d127d-e37b-4b94-a723-eab6fca038b9", "1003", "", "not-a-date"},
-	})
+	}); err != nil {
+		log.Fatal(err)
+	}
 
 	// 2. Normalize: casts turn malformed text into NULL, CASE handles the
 	//    placeholder conventions raw feeds use instead of NULL.

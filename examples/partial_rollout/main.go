@@ -31,7 +31,9 @@ func main() {
 
 	// Fully vectorized plan.
 	full := photon.NewSession()
-	full.RegisterRows("sales", schema, rows)
+	if err := full.RegisterRows("sales", schema, rows); err != nil {
+		log.Fatal(err)
+	}
 	a, err := full.SQL(query)
 	if err != nil {
 		log.Fatal(err)
@@ -43,7 +45,9 @@ func main() {
 	partial := photon.NewSession(photon.Config{
 		PhotonUnsupported: []string{"aggregate"},
 	})
-	partial.RegisterRows("sales", schema, rows)
+	if err := partial.RegisterRows("sales", schema, rows); err != nil {
+		log.Fatal(err)
+	}
 	b, err := partial.SQL(query)
 	if err != nil {
 		log.Fatal(err)

@@ -24,13 +24,15 @@ func main() {
 		}
 		return d
 	}
-	sess.RegisterRows("weather", schema, [][]any{
+	if err := sess.RegisterRows("weather", schema, [][]any{
 		{"Philadelphia", 21.5, day("2022-06-12")},
 		{"Philadelphia", 24.0, day("2022-06-13")},
 		{"Amsterdam", 17.0, day("2022-06-12")},
 		{"Amsterdam", nil, day("2022-06-13")}, // sensors drop readings
 		{"Tokyo", 26.5, day("2022-06-12")},
-	})
+	}); err != nil {
+		log.Fatal(err)
+	}
 
 	res, err := sess.SQL(`
 		SELECT city, count(temp_c) readings, avg(temp_c) avg_temp
@@ -46,9 +48,11 @@ func main() {
 	// The same query, on the baseline row engine the paper compares
 	// against — results are identical by construction (§5.6).
 	baseline := photon.NewSession(photon.Config{Engine: photon.EngineDBR})
-	baseline.RegisterRows("weather", schema, [][]any{
+	if err := baseline.RegisterRows("weather", schema, [][]any{
 		{"Tokyo", 26.5, day("2022-06-12")},
-	})
+	}); err != nil {
+		log.Fatal(err)
+	}
 	res2, err := baseline.SQL("SELECT upper(city) FROM weather")
 	if err != nil {
 		log.Fatal(err)

@@ -342,6 +342,8 @@ func (r *Result) String() string {
 				sb.WriteString(types.FormatDecimal(d, r.Schema.Field(c).Type.Scale))
 			} else if r.Schema.Field(c).Type.ID == types.Date {
 				sb.WriteString(types.FormatDate(v.(int32)))
+			} else if r.Schema.Field(c).Type.ID == types.Timestamp {
+				sb.WriteString(types.FormatTimestamp(v.(int64)))
 			} else {
 				fmt.Fprintf(&sb, "%v", v)
 			}
@@ -361,13 +363,15 @@ func NewSchema(fields ...Field) *Schema { return types.NewSchema(fields...) }
 func Col(name string, t DataType) Field { return Field{Name: name, Type: t, Nullable: true} }
 
 // RegisterRows registers an in-memory table from materialized rows
-// (nil = NULL).
-func (s *Session) RegisterRows(name string, schema *Schema, rows [][]any) {
-	s.cat.Register(&catalog.MemTable{
-		TableName: name,
-		Sch:       schema,
-		Batches:   exec.BuildBatches(schema, rows, vector.DefaultBatchSize),
-	})
+// (nil = NULL). Rows that do not fit the schema are an error, and nothing
+// is registered.
+func (s *Session) RegisterRows(name string, schema *Schema, rows [][]any) error {
+	batches, err := exec.PivotRows(schema, rows, vector.DefaultBatchSize)
+	if err != nil {
+		return fmt.Errorf("table %s: %w", name, err)
+	}
+	s.cat.Register(&catalog.MemTable{TableName: name, Sch: schema, Batches: batches})
+	return nil
 }
 
 // RegisterBatches registers an in-memory table from column batches

@@ -46,6 +46,65 @@ func TestSessionSQL(t *testing.T) {
 	}
 }
 
+// TestResultStringFormatsValues: the rendered result prints DATE and
+// TIMESTAMP in SQL form and NULL as NULL.
+func TestResultStringFormatsValues(t *testing.T) {
+	sess := NewSession()
+	ts, err := ParseTimestamp("2020-01-02 03:04:05")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := types.ParseDate("2020-01-02")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.RegisterRows("t", NewSchema(Col("ts", Timestamp), Col("d", Date), Col("n", Int64)),
+		[][]any{{ts, d, nil}}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.SQL("SELECT ts, d, n FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.String(), "ts | d | n\n2020-01-02 03:04:05 | 2020-01-02 | NULL\n"; got != want {
+		t.Errorf("render = %q, want %q", got, want)
+	}
+}
+
+// TestRegisterRowsRejectsMistypedRows: rows that do not fit the schema are
+// an error naming the table, the row, the column and both types — not a
+// panic — and the catalog keeps what it held.
+func TestRegisterRowsRejectsMistypedRows(t *testing.T) {
+	sess := peopleSession(t)
+	schema := NewSchema(Col("k", Int64))
+	for _, name := range []string{"people", "fresh"} {
+		var err error
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					err = fmt.Errorf("panic: %v", p)
+				}
+			}()
+			err = sess.RegisterRows(name, schema, [][]any{{"x"}})
+		}()
+		if err == nil || strings.HasPrefix(err.Error(), "panic: ") {
+			t.Fatalf("RegisterRows(%s): err = %v, want an error", name, err)
+		}
+		for _, w := range []string{"table " + name + ": ", "row 0", "column 0", `"k"`, "BIGINT", "string"} {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("error %q does not name %s", err, w)
+			}
+		}
+	}
+	res, err := sess.SQL("SELECT count(*) FROM people")
+	if err != nil || res.Rows[0][0] != int64(5) {
+		t.Errorf("people after a failed registration: %v, %v; want 5 rows", res, err)
+	}
+	if _, err := sess.SQL("SELECT k FROM fresh"); err == nil {
+		t.Error("a failed registration registered a table")
+	}
+}
+
 func TestSessionEnginesAgree(t *testing.T) {
 	q := "SELECT upper(name), score + 1 FROM people WHERE score >= 80 ORDER BY name"
 	photon, err := peopleSession(t).SQL(q)
