@@ -10,13 +10,18 @@ import (
 )
 
 // fuzzForms are SQL forms over fuzzRows' table t: the function table,
-// aggregation, date arithmetic and joins.
+// aggregation, date arithmetic, joins, and group keys that are expressions
+// matched again in the select list and HAVING.
 var fuzzForms = []string{
 	"SELECT i, UPPER(s), SUBSTRING(s, 2, 3), s || 'x', YEAR(d), ABS(i) FROM t WHERE i > 1 ORDER BY i",
 	"SELECT s, COUNT(DISTINCT i), SUM(i), AVG(i), MIN(d), MAX(s), COLLECT_LIST(s) FROM t GROUP BY s",
 	"SELECT COALESCE(s, 'none'), CONCAT(s, s), LENGTH(s), TRIM(s), SQRT(i) FROM t",
 	"SELECT EXTRACT(YEAR FROM d), MONTH(d), DAY(d) FROM t WHERE d < DATE '1970-01-01' + INTERVAL '3' MONTH",
 	"SELECT a.i, b.s FROM t a JOIN t b ON a.i = b.i LEFT JOIN t c ON c.s = b.s",
+	"SELECT i * 2, COUNT(*) FROM t GROUP BY i * 2 HAVING i * 2 > 3",
+	"SELECT i + 1, COUNT(*) FROM t GROUP BY i + 1 HAVING i + 1 BETWEEN 0 AND 9 AND i + 1 IN (2, 8)",
+	"SELECT CASE WHEN i > 1 THEN 1 ELSE 0 END, COUNT(*) FROM t GROUP BY CASE WHEN i > 1 THEN 1 ELSE 0 END",
+	"SELECT s IS NULL, MAX(i) FROM t GROUP BY s IS NULL",
 }
 
 var fuzzSchema = NewSchema(Col("i", Int64), Col("s", String), Col("d", Date))
