@@ -226,35 +226,19 @@ func shiftDate(days int32, n int64, unit string) int32 {
 	return days
 }
 
-// convertCmpSides converts and coerces both sides of a comparison.
+// convertCmpSides converts and coerces both sides of a comparison. Each
+// side goes through the converter, so a post-aggregation scope matches it
+// against the group keys before converting it piecewise.
 func (a *analyzer) convertCmpSides(n *BinaryExpr, c exprConverter) (expr.Expr, expr.Expr, error) {
-	// Fold interval arithmetic inside comparisons first.
-	left, right := n.Left, n.Right
-	l, err := a.convertScalarOrArith(left, c)
+	l, err := c.convertChild(n.Left)
 	if err != nil {
 		return nil, nil, err
 	}
-	r, err := a.convertScalarOrArith(right, c)
+	r, err := c.convertChild(n.Right)
 	if err != nil {
 		return nil, nil, err
 	}
-	l, r, err = coercePair(l, r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return l, r, nil
-}
-
-func (a *analyzer) convertScalarOrArith(e AstExpr, c exprConverter) (expr.Expr, error) {
-	if b, ok := e.(*BinaryExpr); ok {
-		switch b.Op {
-		case "+", "-", "*", "/", "%":
-			return a.convertArith(b, c)
-		}
-	}
-	// Route through the converter so scope-specific resolution applies
-	// (e.g. aggregate calls in HAVING resolve to aggregate outputs).
-	return c.convertChild(e)
+	return coercePair(l, r)
 }
 
 // coercePair reconciles the two sides' types: literal adaptation first,
@@ -499,15 +483,15 @@ func (a *analyzer) convertPred(e AstExpr, c exprConverter) (expr.Filter, error) 
 			return expr.NewNot(inner), nil
 		}
 	case *BetweenExpr:
-		inner, err := a.convertScalarOrArith(n.Inner, c)
+		inner, err := c.convertChild(n.Inner)
 		if err != nil {
 			return nil, err
 		}
-		loE, err := a.convertScalarOrArith(n.Lo, c)
+		loE, err := c.convertChild(n.Lo)
 		if err != nil {
 			return nil, err
 		}
-		hiE, err := a.convertScalarOrArith(n.Hi, c)
+		hiE, err := c.convertChild(n.Hi)
 		if err != nil {
 			return nil, err
 		}
@@ -532,13 +516,13 @@ func (a *analyzer) convertPred(e AstExpr, c exprConverter) (expr.Filter, error) 
 		}
 		return f, nil
 	case *InExpr:
-		inner, err := a.convertScalarOrArith(n.Inner, c)
+		inner, err := c.convertChild(n.Inner)
 		if err != nil {
 			return nil, err
 		}
 		var lits []*expr.Literal
 		for _, item := range n.List {
-			le, err := a.convertScalarOrArith(item, c)
+			le, err := c.convertChild(item)
 			if err != nil {
 				return nil, err
 			}
