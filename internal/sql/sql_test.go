@@ -177,6 +177,35 @@ func TestAstEqual(t *testing.T) {
 	if astEqual(c1, c3) {
 		t.Error("different qualifiers compared equal")
 	}
+	// Every scalar kind matches itself, and differs in any field.
+	for _, q := range []string{
+		"CASE WHEN x > 1 THEN 'a' ELSE NULL END", "x IS NOT NULL", "d + INTERVAL '3' DAY",
+		"CAST(x AS DOUBLE)", "-x", "COUNT(DISTINCT x)", "TRUE", "DATE '1998-01-01'",
+	} {
+		e1 := mustParse(t, "SELECT "+q+" FROM t").Items[0].Expr
+		e2 := mustParse(t, "SELECT "+q+" FROM t").Items[0].Expr
+		if !astEqual(e1, e2) {
+			t.Errorf("%s does not equal itself", q)
+		}
+	}
+	for _, p := range [][2]string{
+		{"CASE WHEN x > 1 THEN 1 END", "CASE WHEN x > 2 THEN 1 END"},
+		{"CASE WHEN x > 1 THEN 1 END", "CASE WHEN x > 1 THEN 1 ELSE 0 END"},
+		{"x IS NULL", "x IS NOT NULL"},
+		{"d + INTERVAL '3' DAY", "d + INTERVAL '3' MONTH"},
+		{"COUNT(x)", "COUNT(DISTINCT x)"},
+	} {
+		e1 := mustParse(t, "SELECT "+p[0]+" FROM t").Items[0].Expr
+		e2 := mustParse(t, "SELECT "+p[1]+" FROM t").Items[0].Expr
+		if astEqual(e1, e2) {
+			t.Errorf("%s equals %s", p[0], p[1])
+		}
+	}
+	// A parameter never equals the verbatim literal it was lifted from.
+	num := &NumberLit{Text: "1", IsInt: true}
+	if astEqual(&ParamLit{Inner: num}, num) || astEqual(num, &ParamLit{Inner: num}) {
+		t.Error("a parameter compared equal to a verbatim literal")
+	}
 }
 
 func TestParseOperatorPrecedence(t *testing.T) {
