@@ -247,8 +247,10 @@ func BenchmarkAblationBetween(b *testing.B) {
 	}
 	run := func(b *testing.B, unfused bool) {
 		col := expr.Col(0, "d", types.Int32Type)
-		between := expr.NewBetween(col, expr.Int32Lit(200), expr.Int32Lit(700))
-		between.Unfused = unfused
+		var between expr.Filter = expr.NewBetween(col, expr.Int32Lit(200), expr.Int32Lit(700))
+		if unfused {
+			between = expr.NewAnd(expr.Ge(col, expr.Int32Lit(200)), expr.Le(col, expr.Int32Lit(700)))
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			tc := exec.NewTaskCtx(nil, 0)

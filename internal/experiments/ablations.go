@@ -31,8 +31,10 @@ func Ablations() ([]Measurement, error) {
 		}
 		run := func(unfused bool) (time.Duration, error) {
 			col := expr.Col(0, "d", types.Int32Type)
-			between := expr.NewBetween(col, expr.Int32Lit(200), expr.Int32Lit(700))
-			between.Unfused = unfused
+			var between expr.Filter = expr.NewBetween(col, expr.Int32Lit(200), expr.Int32Lit(700))
+			if unfused {
+				between = expr.NewAnd(expr.Ge(col, expr.Int32Lit(200)), expr.Le(col, expr.Int32Lit(700)))
+			}
 			return timeIt(func() error {
 				tc := exec.NewTaskCtx(nil, 0)
 				filt := exec.NewFilter(exec.NewMemScan(schema, data), between)

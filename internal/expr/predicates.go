@@ -18,8 +18,6 @@ import (
 type Between struct {
 	Inner  Expr
 	Lo, Hi *Literal
-	// Unfused forces the two-kernel path for the ablation bench.
-	Unfused bool
 }
 
 // NewBetween builds a fused BETWEEN filter.
@@ -34,10 +32,6 @@ func (f *Between) String() string {
 
 // EvalSel implements Filter.
 func (f *Between) EvalSel(ctx *Ctx, b *vector.Batch, out []int32) ([]int32, error) {
-	if f.Unfused {
-		and := NewAnd(MustCmp(kernels.CmpGe, f.Inner, f.Lo), MustCmp(kernels.CmpLe, f.Inner, f.Hi))
-		return and.EvalSel(ctx, b, out)
-	}
 	v, owned, err := evalChild(ctx, f.Inner, b)
 	if err != nil {
 		return nil, err
