@@ -134,72 +134,3 @@ func (c *Ctx) ResetPerBatch() { c.Arena.Reset() }
 func errType(op string, ts ...types.DataType) error {
 	return fmt.Errorf("expr: %s unsupported for types %v", op, ts)
 }
-
-// Walk visits e and all its children in pre-order. Filters embedded in
-// expressions (CASE conditions) are visited through their expression parts.
-func Walk(e Expr, visit func(Expr)) {
-	if e == nil {
-		return
-	}
-	visit(e)
-	switch n := e.(type) {
-	case *Arith:
-		Walk(n.Left, visit)
-		Walk(n.Right, visit)
-	case *Cmp:
-		Walk(n.Left, visit)
-		Walk(n.Right, visit)
-	case *Case:
-		for _, br := range n.Branches {
-			WalkFilter(br.When, visit)
-			Walk(br.Then, visit)
-		}
-		Walk(n.Else, visit)
-	case *Coalesce:
-		for _, a := range n.Args {
-			Walk(a, visit)
-		}
-	case *Cast:
-		Walk(n.Inner, visit)
-	case *Unary:
-		Walk(n.Inner, visit)
-	case *StrFunc:
-		Walk(n.Inner, visit)
-		for _, a := range n.Args {
-			Walk(a, visit)
-		}
-	case *IsNull:
-		Walk(n.Inner, visit)
-	case *Extract:
-		Walk(n.Inner, visit)
-	case *DateAdd:
-		Walk(n.Inner, visit)
-	}
-}
-
-// WalkFilter visits the expression parts inside a filter tree.
-func WalkFilter(f Filter, visit func(Expr)) {
-	switch n := f.(type) {
-	case *And:
-		for _, sub := range n.Filters {
-			WalkFilter(sub, visit)
-		}
-	case *Or:
-		WalkFilter(n.Left, visit)
-		WalkFilter(n.Right, visit)
-	case *Not:
-		WalkFilter(n.Inner, visit)
-	case *Cmp:
-		Walk(n, visit)
-	case *Between:
-		Walk(n.Inner, visit)
-	case *In:
-		Walk(n.Inner, visit)
-	case *Like:
-		Walk(n.Inner, visit)
-	case *IsNull:
-		Walk(n, visit)
-	case *BoolColFilter:
-		Walk(n.Inner, visit)
-	}
-}

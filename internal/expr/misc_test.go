@@ -95,33 +95,25 @@ func TestWalkVisitsAllNodes(t *testing.T) {
 		[]CaseBranch{{When: NewAnd(Gt(col, Int64Lit(0)), NewLike(scol, "a%", false)), Then: Upper(scol)}},
 		NewCast(col, types.StringType),
 	)
-	count := 0
-	cols := 0
-	Walk(caseNode, func(e Expr) {
-		count++
+	// The map reaches every leaf, literal bounds of BETWEEN and IN included.
+	var leaves, cols int
+	count := func(e Expr) (Expr, error) {
+		leaves++
 		if _, ok := e.(*ColRef); ok {
 			cols++
 		}
-	})
-	if count < 7 {
-		t.Errorf("walk visited only %d nodes", count)
+		return e, nil
 	}
-	if cols < 3 {
-		t.Errorf("walk found %d column refs", cols)
+	if _, err := MapLeaves(caseNode, count); err != nil || leaves != 5 || cols != 4 {
+		t.Errorf("CASE: %d leaves, %d column refs (err %v), want 5 and 4", leaves, cols, err)
 	}
-	// WalkFilter covers Or/Not/Between/In/IsNull branches.
 	f := NewOr(
 		NewNot(NewBetween(col, Int64Lit(1), Int64Lit(2))),
 		NewAnd(&IsNull{Inner: scol}, NewIn(col, []*Literal{Int64Lit(3)}), &BoolColFilter{Inner: Eq(col, Int64Lit(9))}),
 	)
-	cols = 0
-	WalkFilter(f, func(e Expr) {
-		if _, ok := e.(*ColRef); ok {
-			cols++
-		}
-	})
-	if cols < 4 {
-		t.Errorf("WalkFilter found %d column refs", cols)
+	leaves, cols = 0, 0
+	if _, err := MapFilterLeaves(f, count); err != nil || leaves != 8 || cols != 4 {
+		t.Errorf("filter: %d leaves, %d column refs (err %v), want 8 and 4", leaves, cols, err)
 	}
 }
 

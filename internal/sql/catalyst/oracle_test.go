@@ -220,10 +220,11 @@ func TestDisjunctionOverJoinPlanShape(t *testing.T) {
 					scanned = append(scanned, n.Table.Name())
 					if c.q == 7 {
 						names := map[any]bool{}
-						expr.WalkFilter(n.Filter, func(e expr.Expr) {
+						expr.MapFilterLeaves(n.Filter, func(e expr.Expr) (expr.Expr, error) {
 							if l, ok := e.(*expr.Literal); ok {
 								names[l.Val] = true
 							}
+							return e, nil
 						})
 						if !reflect.DeepEqual(names, map[any]bool{"FRANCE": true, "GERMANY": true}) {
 							t.Errorf("Q7 nation scan filters %s", n.Filter)

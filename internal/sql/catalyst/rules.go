@@ -286,9 +286,9 @@ func rightFrame(leftW, total int) []int {
 // input, or nil when some branch has none. A row pair passing the
 // disjunction passes some Bi, so each of its rows passes its own part of
 // Bi; a filter built from those parts removes only rows the disjunction
-// would remove above the join. Both are fresh nodes in the input's frame
-// (RemapFilter), sharing only literals with c, so a plan-cache rebind
-// reaches their Param-tagged literals through the same slots as c's.
+// would remove above the join. Both are in the input's frame (RemapFilter)
+// and may share subtrees with c; a plan-cache rebind reaches their
+// Param-tagged literals through the same slots as c's.
 func impliedByOr(c expr.Filter, leftW, total int) (left, right expr.Filter, err error) {
 	if _, ok := c.(*expr.Or); !ok {
 		return nil, nil, nil
