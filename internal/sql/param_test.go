@@ -38,6 +38,14 @@ func TestNormalizeDistinguishesStructure(t *testing.T) {
 	if a == b || a == c {
 		t.Errorf("different shapes share a key:\n  %s\n  %s\n  %s", a, b, c)
 	}
+	// A result column is named as the query spells it, so spellings that
+	// differ in case name different columns.
+	d, _ := normalize(t, "SELECT X FROM t WHERE x < 7")
+	e, _ := normalize(t, "SELECT x AS Y FROM t WHERE x < 7")
+	f, _ := normalize(t, "SELECT x AS y FROM t WHERE x < 7")
+	if a == d || e == f {
+		t.Errorf("column names differing in case share a key:\n  %s\n  %s\n  %s\n  %s", a, d, e, f)
+	}
 }
 
 func TestParameterizeExclusions(t *testing.T) {

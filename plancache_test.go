@@ -159,6 +159,25 @@ func TestPlanCacheSharesShapes(t *testing.T) {
 	}
 }
 
+// TestPlanCacheNamesBoundColumns: a select item without an alias is named
+// after its expression, so a value bound into a cached plan names the
+// column too, as a fresh compile would.
+func TestPlanCacheNamesBoundColumns(t *testing.T) {
+	sess := tpchSession(0.01, Config{})
+	for _, c := range []struct{ q, names string }{
+		{"SELECT o_orderkey + 1, 7 FROM orders WHERE o_orderkey = 1", "(o_orderkey + 1) 7"},
+		{"SELECT o_orderkey + 2, 8 FROM orders WHERE o_orderkey = 1", "(o_orderkey + 2) 8"},
+	} {
+		res, stats, err := sess.SQLContextStats(context.Background(), c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Schema.Field(0).Name + " " + res.Schema.Field(1).Name; got != c.names {
+			t.Errorf("%s (cached %v): columns named %q, want %q", c.q, stats.Cached, got, c.names)
+		}
+	}
+}
+
 // TestFastPathEquivalence compares fast-path and staged execution of
 // single-fragment-eligible queries on a parallel session: identical
 // results, and the fast path must actually engage.
