@@ -119,6 +119,14 @@ func (l *Literal) Dec(scale int) types.Decimal128 {
 	return l.Val.(types.Decimal128).Rescale(l.T.Scale, scale)
 }
 
+// boolByte returns a BOOLEAN literal as its vector byte.
+func (l *Literal) boolByte() byte {
+	if l.Val.(bool) {
+		return 1
+	}
+	return 0
+}
+
 // Bytes returns a string literal's bytes.
 func (l *Literal) Bytes() []byte { return []byte(l.Val.(string)) }
 

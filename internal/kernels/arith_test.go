@@ -204,44 +204,51 @@ func TestSelDecimalCompare(t *testing.T) {
 func TestSelVVAllOps(t *testing.T) {
 	a := []int64{1, 2, 3, 4}
 	b := []int64{4, 2, 1, 4}
-	if got := SelEqVV(a, b, nil, nil, false, nil, 4, nil); !eqSel(got, []int32{1, 3}) {
+	if got := SelCmpVV(CmpEq, a, b, nil, nil, false, nil, 4, nil); !eqSel(got, []int32{1, 3}) {
 		t.Errorf("eq: %v", got)
 	}
-	if got := SelNeVV(a, b, nil, nil, false, nil, 4, nil); !eqSel(got, []int32{0, 2}) {
+	if got := SelCmpVV(CmpNe, a, b, nil, nil, false, nil, 4, nil); !eqSel(got, []int32{0, 2}) {
 		t.Errorf("ne: %v", got)
 	}
-	if got := SelLtVV(a, b, nil, nil, false, nil, 4, nil); !eqSel(got, []int32{0}) {
+	if got := SelCmpVV(CmpLt, a, b, nil, nil, false, nil, 4, nil); !eqSel(got, []int32{0}) {
 		t.Errorf("lt: %v", got)
 	}
-	if got := SelLeVV(a, b, nil, nil, false, nil, 4, nil); !eqSel(got, []int32{0, 1, 3}) {
+	if got := SelCmpVV(CmpLe, a, b, nil, nil, false, nil, 4, nil); !eqSel(got, []int32{0, 1, 3}) {
 		t.Errorf("le: %v", got)
+	}
+	if got := SelCmpVV(CmpGt, a, b, nil, nil, false, nil, 4, nil); !eqSel(got, []int32{2}) {
+		t.Errorf("gt: %v", got)
+	}
+	if got := SelCmpVV(CmpGe, a, b, nil, nil, false, nil, 4, nil); !eqSel(got, []int32{1, 2, 3}) {
+		t.Errorf("ge: %v", got)
 	}
 	// With nulls and selection.
 	nulls := []byte{0, 1, 0, 0}
-	if got := SelEqVV(a, b, nulls, nulls, true, []int32{0, 1, 3}, 4, nil); !eqSel(got, []int32{3}) {
+	if got := SelCmpVV(CmpEq, a, b, nulls, nulls, true, []int32{0, 1, 3}, 4, nil); !eqSel(got, []int32{3}) {
 		t.Errorf("eq nulls+sel: %v", got)
 	}
-	if got := SelNeVV(a, b, nulls, nulls, true, nil, 4, nil); !eqSel(got, []int32{0, 2}) {
+	if got := SelCmpVV(CmpNe, a, b, nulls, nulls, true, nil, 4, nil); !eqSel(got, []int32{0, 2}) {
 		t.Errorf("ne nulls: %v", got)
 	}
-	if got := SelLtVV(a, b, nulls, nulls, true, nil, 4, nil); !eqSel(got, []int32{0}) {
+	if got := SelCmpVV(CmpLt, a, b, nulls, nulls, true, nil, 4, nil); !eqSel(got, []int32{0}) {
 		t.Errorf("lt nulls: %v", got)
 	}
-	if got := SelLeVV(a, b, nulls, nulls, true, []int32{1, 2, 3}, 4, nil); !eqSel(got, []int32{3}) {
+	if got := SelCmpVV(CmpLe, a, b, nulls, nulls, true, []int32{1, 2, 3}, 4, nil); !eqSel(got, []int32{3}) {
 		t.Errorf("le nulls+sel: %v", got)
 	}
 }
 
+// TestSelFromBool: a BOOLEAN vector's TRUE rows are the rows <> FALSE.
 func TestSelFromBool(t *testing.T) {
 	vals := []byte{1, 0, 1, 1}
 	nulls := []byte{0, 0, 1, 0}
-	if got := SelFromBool(vals, nulls, false, nil, 4, nil); !eqSel(got, []int32{0, 2, 3}) {
+	if got := SelCmpVS(CmpNe, vals, 0, nulls, false, nil, 4, nil); !eqSel(got, []int32{0, 2, 3}) {
 		t.Errorf("no-null: %v", got)
 	}
-	if got := SelFromBool(vals, nulls, true, nil, 4, nil); !eqSel(got, []int32{0, 3}) {
+	if got := SelCmpVS(CmpNe, vals, 0, nulls, true, nil, 4, nil); !eqSel(got, []int32{0, 3}) {
 		t.Errorf("nulls: %v", got)
 	}
-	if got := SelFromBool(vals, nulls, true, []int32{0, 1, 2}, 4, nil); !eqSel(got, []int32{0}) {
+	if got := SelCmpVS(CmpNe, vals, 0, nulls, true, []int32{0, 1, 2}, 4, nil); !eqSel(got, []int32{0}) {
 		t.Errorf("sel: %v", got)
 	}
 }

@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"bytes"
+	"slices"
 
 	"photon/internal/types"
 )
@@ -11,144 +12,12 @@ import (
 // rows where the predicate is TRUE (§4.3). NULL comparisons are FALSE (SQL
 // three-valued logic collapses to "row filtered out" at this level).
 //
-// Gt/Ge over two vectors are expressed by swapping operands into Lt/Le at
-// the call site, so each element type needs only Eq/Ne/Lt/Le VV loops.
-
-// SelEqVV appends rows where a[i] == b[i].
-func SelEqVV[T Ordered](a, b []T, nulls1, nulls2 []byte, hasNulls bool, sel []int32, n int, out []int32) []int32 {
-	if !hasNulls {
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				if a[i] == b[i] {
-					out = append(out, int32(i))
-				}
-			}
-			return out
-		}
-		for _, i := range sel {
-			if a[i] == b[i] {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if nulls1[i]|nulls2[i] == 0 && a[i] == b[i] {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		if nulls1[i]|nulls2[i] == 0 && a[i] == b[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelNeVV appends rows where a[i] != b[i].
-func SelNeVV[T Ordered](a, b []T, nulls1, nulls2 []byte, hasNulls bool, sel []int32, n int, out []int32) []int32 {
-	if !hasNulls {
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				if a[i] != b[i] {
-					out = append(out, int32(i))
-				}
-			}
-			return out
-		}
-		for _, i := range sel {
-			if a[i] != b[i] {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if nulls1[i]|nulls2[i] == 0 && a[i] != b[i] {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		if nulls1[i]|nulls2[i] == 0 && a[i] != b[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelLtVV appends rows where a[i] < b[i].
-func SelLtVV[T Ordered](a, b []T, nulls1, nulls2 []byte, hasNulls bool, sel []int32, n int, out []int32) []int32 {
-	if !hasNulls {
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				if a[i] < b[i] {
-					out = append(out, int32(i))
-				}
-			}
-			return out
-		}
-		for _, i := range sel {
-			if a[i] < b[i] {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if nulls1[i]|nulls2[i] == 0 && a[i] < b[i] {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		if nulls1[i]|nulls2[i] == 0 && a[i] < b[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// SelLeVV appends rows where a[i] <= b[i].
-func SelLeVV[T Ordered](a, b []T, nulls1, nulls2 []byte, hasNulls bool, sel []int32, n int, out []int32) []int32 {
-	if !hasNulls {
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				if a[i] <= b[i] {
-					out = append(out, int32(i))
-				}
-			}
-			return out
-		}
-		for _, i := range sel {
-			if a[i] <= b[i] {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if nulls1[i]|nulls2[i] == 0 && a[i] <= b[i] {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		if nulls1[i]|nulls2[i] == 0 && a[i] <= b[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
+// The op is a mask, not a branch: a kernel computes each row's three-way
+// outcome as one bit — less, equal or greater, none for an unordered pair
+// (NaN on either side) — and looks it up in the op's truth table. Every
+// candidate row is written at the output cursor, which advances by the
+// answer, so one loop per (nulls × activity) shape serves all six ops and
+// has no branch on the data.
 
 // CmpOp identifies a comparison operator for table-driven kernels.
 type CmpOp uint8
@@ -163,263 +32,276 @@ const (
 	CmpGe
 )
 
-// wantMask maps a CmpOp to a bitmask over three-way compare results
-// (bit 0 = less, bit 1 = equal, bit 2 = greater).
-func wantMask(op CmpOp) uint8 {
-	switch op {
-	case CmpEq:
-		return 0b010
-	case CmpNe:
-		return 0b101
-	case CmpLt:
-		return 0b001
-	case CmpLe:
-		return 0b011
-	case CmpGt:
-		return 0b100
-	case CmpGe:
-		return 0b110
-	}
-	panic("kernels: bad CmpOp")
+// Outcomes of a three-way comparison, one bit each.
+const (
+	less    = 1
+	equal   = 2
+	greater = 4
+)
+
+// cmpTest returns op's truth table: bit m is set when outcome m passes. <>
+// is "not equal", so it also passes the unordered outcome 0 (IEEE).
+func cmpTest(op CmpOp) uint8 {
+	return [...]uint8{
+		CmpEq: 1 << equal,
+		CmpNe: 1<<0 | 1<<less | 1<<greater,
+		CmpLt: 1 << less,
+		CmpLe: 1<<less | 1<<equal,
+		CmpGt: 1 << greater,
+		CmpGe: 1<<equal | 1<<greater,
+	}[op]
 }
 
-// SelCmpVS appends rows where a[i] <op> s holds for numeric element types.
-// Each op gets its own tight loop; vector-vs-constant is the hottest filter
-// shape in analytics (e.g. o_shipdate > '2021-01-01').
+// pass is 1 when table t holds outcome m, else 0.
+func pass(t, m uint8) int { return int(t>>(m&7)) & 1 }
+
+func b2i(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// live is 1 for a non-NULL row, else 0.
+func live(null byte) int { return int(b2i(null == 0)) }
+
+// outcome is x's outcome against y; NaN on either side is unordered.
+func outcome[T Ordered](x, y T) uint8 {
+	return b2i(x < y)*less | b2i(x == y)*equal | b2i(x > y)*greater
+}
+
+// sign turns a -1/0/+1 three-way compare into an outcome.
+func sign(c int) uint8 { return 1 << uint(c+1) }
+
+// bytesOutcome is x's outcome against y, bytewise. A caller that needs
+// only equality (= and <>) passes unequal for strings of different lengths
+// and gets the unordered outcome without a look at their bytes.
+func bytesOutcome(x, y []byte, unequal bool) uint8 {
+	if unequal {
+		return 0
+	}
+	return sign(bytes.Compare(x, y))
+}
+
+// room extends out by a slot per candidate row (len(sel), or n when dense);
+// a kernel writes every candidate at its cursor and cuts out back to it.
+func room(out []int32, n int, sel []int32) []int32 {
+	if sel != nil {
+		n = len(sel)
+	}
+	return slices.Grow(out, n)[:len(out)+n]
+}
+
+// SelCmpVS appends rows where a[i] <op> s holds. Vector-vs-constant is the
+// hottest filter shape in analytics (e.g. o_shipdate > '2021-01-01').
 func SelCmpVS[T Ordered](op CmpOp, a []T, s T, nulls []byte, hasNulls bool, sel []int32, n int, out []int32) []int32 {
-	appendIf := func(pred func(T) bool) {
-		if !hasNulls {
-			if sel == nil {
-				for i := 0; i < n; i++ {
-					if pred(a[i]) {
-						out = append(out, int32(i))
-					}
-				}
-				return
-			}
-			for _, i := range sel {
-				if pred(a[i]) {
-					out = append(out, i)
-				}
-			}
-			return
+	t, k := cmpTest(op), len(out)
+	out = room(out, n, sel)
+	switch {
+	case sel == nil && !hasNulls:
+		for i, x := range a[:n] {
+			out[k] = int32(i)
+			k += pass(t, outcome(x, s))
 		}
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				if nulls[i] == 0 && pred(a[i]) {
-					out = append(out, int32(i))
-				}
-			}
-			return
+	case sel == nil:
+		for i, x := range a[:n] {
+			out[k] = int32(i)
+			k += pass(t, outcome(x, s)) & live(nulls[i])
 		}
+	case !hasNulls:
 		for _, i := range sel {
-			if nulls[i] == 0 && pred(a[i]) {
-				out = append(out, i)
-			}
+			out[k] = i
+			k += pass(t, outcome(a[i], s))
+		}
+	default:
+		for _, i := range sel {
+			out[k] = i
+			k += pass(t, outcome(a[i], s)) & live(nulls[i])
 		}
 	}
-	switch op {
-	case CmpEq:
-		appendIf(func(v T) bool { return v == s })
-	case CmpNe:
-		appendIf(func(v T) bool { return v != s })
-	case CmpLt:
-		appendIf(func(v T) bool { return v < s })
-	case CmpLe:
-		appendIf(func(v T) bool { return v <= s })
-	case CmpGt:
-		appendIf(func(v T) bool { return v > s })
-	case CmpGe:
-		appendIf(func(v T) bool { return v >= s })
+	return out[:k]
+}
+
+// SelCmpVV appends rows where a[i] <op> b[i] holds.
+func SelCmpVV[T Ordered](op CmpOp, a, b []T, nulls1, nulls2 []byte, hasNulls bool, sel []int32, n int, out []int32) []int32 {
+	t, k := cmpTest(op), len(out)
+	out = room(out, n, sel)
+	switch {
+	case sel == nil && !hasNulls:
+		b := b[:n]
+		for i, x := range a[:n] {
+			out[k] = int32(i)
+			k += pass(t, outcome(x, b[i]))
+		}
+	case sel == nil:
+		b := b[:n]
+		for i, x := range a[:n] {
+			out[k] = int32(i)
+			k += pass(t, outcome(x, b[i])) & live(nulls1[i]|nulls2[i])
+		}
+	case !hasNulls:
+		for _, i := range sel {
+			out[k] = i
+			k += pass(t, outcome(a[i], b[i]))
+		}
+	default:
+		for _, i := range sel {
+			out[k] = i
+			k += pass(t, outcome(a[i], b[i])) & live(nulls1[i]|nulls2[i])
+		}
 	}
-	return out
+	return out[:k]
 }
 
 // SelBetweenVS is the fused BETWEEN kernel (§3.3): col >= lo AND col <= hi
 // in one pass, avoiding the interpretation overhead of a conjunction of two
-// comparison kernels. The ablation bench compares this against the unfused
-// form.
+// comparison kernels.
 func SelBetweenVS[T Ordered](a []T, lo, hi T, nulls []byte, hasNulls bool, sel []int32, n int, out []int32) []int32 {
-	if !hasNulls {
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				if a[i] >= lo && a[i] <= hi {
-					out = append(out, int32(i))
-				}
-			}
-			return out
+	k := len(out)
+	out = room(out, n, sel)
+	switch {
+	case sel == nil && !hasNulls:
+		for i, x := range a[:n] {
+			out[k] = int32(i)
+			k += int(b2i(x >= lo) & b2i(x <= hi))
 		}
+	case sel == nil:
+		for i, x := range a[:n] {
+			out[k] = int32(i)
+			k += int(b2i(x >= lo)&b2i(x <= hi)) & live(nulls[i])
+		}
+	case !hasNulls:
 		for _, i := range sel {
-			if a[i] >= lo && a[i] <= hi {
-				out = append(out, i)
-			}
+			out[k] = i
+			k += int(b2i(a[i] >= lo) & b2i(a[i] <= hi))
 		}
-		return out
-	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if nulls[i] == 0 && a[i] >= lo && a[i] <= hi {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		if nulls[i] == 0 && a[i] >= lo && a[i] <= hi {
-			out = append(out, i)
+	default:
+		for _, i := range sel {
+			out[k] = i
+			k += int(b2i(a[i] >= lo)&b2i(a[i] <= hi)) & live(nulls[i])
 		}
 	}
-	return out
+	return out[:k]
 }
 
-// SelCmpBytesVS appends rows where bytes.Compare(a[i], s) satisfies op.
-// = and <> test equality alone, which compares lengths before bytes; only
-// the ordering operators pay for a three-way compare.
+// SelCmpBytesVS appends rows where a[i] <op> s holds, bytewise.
 func SelCmpBytesVS(op CmpOp, a [][]byte, s []byte, nulls []byte, hasNulls bool, sel []int32, n int, out []int32) []int32 {
-	if op == CmpEq || op == CmpNe {
-		eq := op == CmpEq
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				if (!hasNulls || nulls[i] == 0) && (string(a[i]) == string(s)) == eq {
-					out = append(out, int32(i))
-				}
-			}
-			return out
+	t, k, eq := cmpTest(op), len(out), op <= CmpNe
+	out = room(out, n, sel)
+	switch {
+	case sel == nil && !hasNulls:
+		for i, x := range a[:n] {
+			out[k] = int32(i)
+			k += pass(t, bytesOutcome(x, s, eq && len(x) != len(s)))
 		}
+	case sel == nil:
+		for i, x := range a[:n] {
+			out[k] = int32(i)
+			k += pass(t, bytesOutcome(x, s, eq && len(x) != len(s))) & live(nulls[i])
+		}
+	case !hasNulls:
 		for _, i := range sel {
-			if (!hasNulls || nulls[i] == 0) && (string(a[i]) == string(s)) == eq {
-				out = append(out, i)
-			}
+			out[k] = i
+			k += pass(t, bytesOutcome(a[i], s, eq && len(a[i]) != len(s)))
 		}
-		return out
-	}
-	want := wantMask(op)
-	body := func(i int32) {
-		if hasNulls && nulls[i] != 0 {
-			return
-		}
-		c := bytes.Compare(a[i], s)
-		if want&(1<<uint(c+1)) != 0 {
-			out = append(out, i)
-		}
-	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			body(int32(i))
-		}
-	} else {
+	default:
 		for _, i := range sel {
-			body(i)
+			out[k] = i
+			k += pass(t, bytesOutcome(a[i], s, eq && len(a[i]) != len(s))) & live(nulls[i])
 		}
 	}
-	return out
+	return out[:k]
 }
 
-// SelCmpBytesVV appends rows where bytes.Compare(a[i], b[i]) satisfies op.
+// SelCmpBytesVV appends rows where a[i] <op> b[i] holds, bytewise.
 func SelCmpBytesVV(op CmpOp, a, b [][]byte, nulls1, nulls2 []byte, hasNulls bool, sel []int32, n int, out []int32) []int32 {
-	want := wantMask(op)
-	body := func(i int32) {
-		if hasNulls && nulls1[i]|nulls2[i] != 0 {
-			return
+	t, k, eq := cmpTest(op), len(out), op <= CmpNe
+	out = room(out, n, sel)
+	switch {
+	case sel == nil && !hasNulls:
+		b := b[:n]
+		for i, x := range a[:n] {
+			out[k] = int32(i)
+			k += pass(t, bytesOutcome(x, b[i], eq && len(x) != len(b[i])))
 		}
-		c := bytes.Compare(a[i], b[i])
-		if want&(1<<uint(c+1)) != 0 {
-			out = append(out, i)
+	case sel == nil:
+		b := b[:n]
+		for i, x := range a[:n] {
+			out[k] = int32(i)
+			k += pass(t, bytesOutcome(x, b[i], eq && len(x) != len(b[i]))) & live(nulls1[i]|nulls2[i])
 		}
-	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			body(int32(i))
-		}
-	} else {
+	case !hasNulls:
 		for _, i := range sel {
-			body(i)
+			out[k] = i
+			k += pass(t, bytesOutcome(a[i], b[i], eq && len(a[i]) != len(b[i])))
+		}
+	default:
+		for _, i := range sel {
+			out[k] = i
+			k += pass(t, bytesOutcome(a[i], b[i], eq && len(a[i]) != len(b[i]))) & live(nulls1[i]|nulls2[i])
 		}
 	}
-	return out
+	return out[:k]
 }
 
-// SelCmpDecVS appends rows where a[i].Cmp(s) satisfies op.
+// SelCmpDecVS appends rows where a[i] <op> s holds, over 128 bits.
 func SelCmpDecVS(op CmpOp, a []types.Decimal128, s types.Decimal128, nulls []byte, hasNulls bool, sel []int32, n int, out []int32) []int32 {
-	want := wantMask(op)
-	body := func(i int32) {
-		if hasNulls && nulls[i] != 0 {
-			return
+	t, k := cmpTest(op), len(out)
+	out = room(out, n, sel)
+	switch {
+	case sel == nil && !hasNulls:
+		for i, x := range a[:n] {
+			out[k] = int32(i)
+			k += pass(t, sign(x.Cmp(s)))
 		}
-		c := a[i].Cmp(s)
-		if want&(1<<uint(c+1)) != 0 {
-			out = append(out, i)
+	case sel == nil:
+		for i, x := range a[:n] {
+			out[k] = int32(i)
+			k += pass(t, sign(x.Cmp(s))) & live(nulls[i])
 		}
-	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			body(int32(i))
-		}
-	} else {
+	case !hasNulls:
 		for _, i := range sel {
-			body(i)
+			out[k] = i
+			k += pass(t, sign(a[i].Cmp(s)))
+		}
+	default:
+		for _, i := range sel {
+			out[k] = i
+			k += pass(t, sign(a[i].Cmp(s))) & live(nulls[i])
 		}
 	}
-	return out
+	return out[:k]
 }
 
-// SelCmpDecVV appends rows where a[i].Cmp(b[i]) satisfies op.
+// SelCmpDecVV appends rows where a[i] <op> b[i] holds, over 128 bits.
 func SelCmpDecVV(op CmpOp, a, b []types.Decimal128, nulls1, nulls2 []byte, hasNulls bool, sel []int32, n int, out []int32) []int32 {
-	want := wantMask(op)
-	body := func(i int32) {
-		if hasNulls && nulls1[i]|nulls2[i] != 0 {
-			return
+	t, k := cmpTest(op), len(out)
+	out = room(out, n, sel)
+	switch {
+	case sel == nil && !hasNulls:
+		b := b[:n]
+		for i, x := range a[:n] {
+			out[k] = int32(i)
+			k += pass(t, sign(x.Cmp(b[i])))
 		}
-		c := a[i].Cmp(b[i])
-		if want&(1<<uint(c+1)) != 0 {
-			out = append(out, i)
+	case sel == nil:
+		b := b[:n]
+		for i, x := range a[:n] {
+			out[k] = int32(i)
+			k += pass(t, sign(x.Cmp(b[i]))) & live(nulls1[i]|nulls2[i])
 		}
-	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			body(int32(i))
-		}
-	} else {
+	case !hasNulls:
 		for _, i := range sel {
-			body(i)
+			out[k] = i
+			k += pass(t, sign(a[i].Cmp(b[i])))
 		}
-	}
-	return out
-}
-
-// SelFromBool appends rows whose computed boolean value is TRUE (used for
-// predicates like LIKE whose kernels produce a bool vector).
-func SelFromBool(vals []byte, nulls []byte, hasNulls bool, sel []int32, n int, out []int32) []int32 {
-	if !hasNulls {
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				if vals[i] != 0 {
-					out = append(out, int32(i))
-				}
-			}
-			return out
-		}
+	default:
 		for _, i := range sel {
-			if vals[i] != 0 {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if nulls[i] == 0 && vals[i] != 0 {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		if nulls[i] == 0 && vals[i] != 0 {
-			out = append(out, i)
+			out[k] = i
+			k += pass(t, sign(a[i].Cmp(b[i]))) & live(nulls1[i]|nulls2[i])
 		}
 	}
-	return out
+	return out[:k]
 }
 
 // SelIsNull appends rows whose value is NULL.
@@ -427,47 +309,18 @@ func SelIsNull(nulls []byte, hasNulls bool, sel []int32, n int, out []int32) []i
 	if !hasNulls {
 		return out
 	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if nulls[i] != 0 {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		if nulls[i] != 0 {
-			out = append(out, i)
-		}
-	}
-	return out
+	return SelCmpVS(CmpNe, nulls, 0, nil, false, sel, n, out)
 }
 
 // SelIsNotNull appends rows whose value is not NULL.
 func SelIsNotNull(nulls []byte, hasNulls bool, sel []int32, n int, out []int32) []int32 {
-	if !hasNulls {
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				out = append(out, int32(i))
-			}
-			return out
-		}
+	switch {
+	case hasNulls:
+		return SelCmpVS(CmpEq, nulls, 0, nil, false, sel, n, out)
+	case sel != nil:
 		return append(out, sel...)
 	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			if nulls[i] == 0 {
-				out = append(out, int32(i))
-			}
-		}
-		return out
-	}
-	for _, i := range sel {
-		if nulls[i] == 0 {
-			out = append(out, i)
-		}
-	}
-	return out
+	return DenseSel(n, out)
 }
 
 // UnionSel merges two sorted position lists (logical OR of two predicate

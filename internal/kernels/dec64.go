@@ -143,103 +143,63 @@ func Dec64RescaleDecV(a, out []types.Decimal128, from, to int, nulls []byte, has
 // arithmetic, comparison needs no escape: NULL rows never match, and all
 // active non-NULL rows are narrow by contract.
 func SelCmpDec64VS(op CmpOp, a []types.Decimal128, s int64, nulls []byte, hasNulls bool, sel []int32, n int, out []int32) []int32 {
-	appendIf := func(pred func(int64) bool) {
-		if !hasNulls {
-			if sel == nil {
-				for i := 0; i < n; i++ {
-					if pred(int64(a[i].Lo)) {
-						out = append(out, int32(i))
-					}
-				}
-				return
-			}
-			for _, i := range sel {
-				if pred(int64(a[i].Lo)) {
-					out = append(out, i)
-				}
-			}
-			return
+	t, k := cmpTest(op), len(out)
+	out = room(out, n, sel)
+	switch {
+	case sel == nil && !hasNulls:
+		for i, x := range a[:n] {
+			out[k] = int32(i)
+			k += pass(t, outcome(int64(x.Lo), s))
 		}
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				if nulls[i] == 0 && pred(int64(a[i].Lo)) {
-					out = append(out, int32(i))
-				}
-			}
-			return
+	case sel == nil:
+		for i, x := range a[:n] {
+			out[k] = int32(i)
+			k += pass(t, outcome(int64(x.Lo), s)) & live(nulls[i])
 		}
+	case !hasNulls:
 		for _, i := range sel {
-			if nulls[i] == 0 && pred(int64(a[i].Lo)) {
-				out = append(out, i)
-			}
+			out[k] = i
+			k += pass(t, outcome(int64(a[i].Lo), s))
+		}
+	default:
+		for _, i := range sel {
+			out[k] = i
+			k += pass(t, outcome(int64(a[i].Lo), s)) & live(nulls[i])
 		}
 	}
-	switch op {
-	case CmpEq:
-		appendIf(func(v int64) bool { return v == s })
-	case CmpNe:
-		appendIf(func(v int64) bool { return v != s })
-	case CmpLt:
-		appendIf(func(v int64) bool { return v < s })
-	case CmpLe:
-		appendIf(func(v int64) bool { return v <= s })
-	case CmpGt:
-		appendIf(func(v int64) bool { return v > s })
-	case CmpGe:
-		appendIf(func(v int64) bool { return v >= s })
-	}
-	return out
+	return out[:k]
 }
 
 // SelCmpDec64VV appends rows where int64(a[i].Lo) <op> int64(b[i].Lo). Both
 // vectors must carry Dec64All metadata and share a scale.
 func SelCmpDec64VV(op CmpOp, a, b []types.Decimal128, nulls1, nulls2 []byte, hasNulls bool, sel []int32, n int, out []int32) []int32 {
-	appendIf := func(pred func(x, y int64) bool) {
-		if !hasNulls {
-			if sel == nil {
-				for i := 0; i < n; i++ {
-					if pred(int64(a[i].Lo), int64(b[i].Lo)) {
-						out = append(out, int32(i))
-					}
-				}
-				return
-			}
-			for _, i := range sel {
-				if pred(int64(a[i].Lo), int64(b[i].Lo)) {
-					out = append(out, i)
-				}
-			}
-			return
+	t, k := cmpTest(op), len(out)
+	out = room(out, n, sel)
+	switch {
+	case sel == nil && !hasNulls:
+		b := b[:n]
+		for i, x := range a[:n] {
+			out[k] = int32(i)
+			k += pass(t, outcome(int64(x.Lo), int64(b[i].Lo)))
 		}
-		if sel == nil {
-			for i := 0; i < n; i++ {
-				if nulls1[i]|nulls2[i] == 0 && pred(int64(a[i].Lo), int64(b[i].Lo)) {
-					out = append(out, int32(i))
-				}
-			}
-			return
+	case sel == nil:
+		b := b[:n]
+		for i, x := range a[:n] {
+			out[k] = int32(i)
+			k += pass(t, outcome(int64(x.Lo), int64(b[i].Lo))) & live(nulls1[i]|nulls2[i])
 		}
+	case !hasNulls:
 		for _, i := range sel {
-			if nulls1[i]|nulls2[i] == 0 && pred(int64(a[i].Lo), int64(b[i].Lo)) {
-				out = append(out, i)
-			}
+			out[k] = i
+			k += pass(t, outcome(int64(a[i].Lo), int64(b[i].Lo)))
+		}
+	default:
+		for _, i := range sel {
+			out[k] = i
+			k += pass(t, outcome(int64(a[i].Lo), int64(b[i].Lo))) & live(nulls1[i]|nulls2[i])
 		}
 	}
-	switch op {
-	case CmpEq:
-		appendIf(func(x, y int64) bool { return x == y })
-	case CmpNe:
-		appendIf(func(x, y int64) bool { return x != y })
-	case CmpLt:
-		appendIf(func(x, y int64) bool { return x < y })
-	case CmpLe:
-		appendIf(func(x, y int64) bool { return x <= y })
-	case CmpGt:
-		appendIf(func(x, y int64) bool { return x > y })
-	case CmpGe:
-		appendIf(func(x, y int64) bool { return x >= y })
-	}
-	return out
+	return out[:k]
 }
 
 // dec64HashNegK is the two's-complement negation of the decimal hash-lane

@@ -13,6 +13,10 @@
 //   - "VV" kernels combine two vectors, "VS" a vector and a scalar;
 //   - selection kernels append surviving row indices to an out position
 //     list and return it — filters only ever shrink position lists;
+//   - a comparison's op is a mask, not a branch: one loop per (nulls ×
+//     activity) shape serves all six ops, writes every candidate row at its
+//     output cursor and advances the cursor by the op's answer, branch-free
+//     (compare.go);
 //   - kernels never write to inactive rows (their data may still be live).
 package kernels
 
@@ -21,9 +25,10 @@ type Numeric interface {
 	~int32 | ~int64 | ~float64
 }
 
-// Ordered adds orderable element types used by comparison kernels.
+// Ordered is the set of element types comparison kernels order: the
+// numeric types and BOOLEAN's bytes (FALSE < TRUE).
 type Ordered interface {
-	~int32 | ~int64 | ~float64
+	~int32 | ~int64 | ~float64 | ~uint8
 }
 
 // orNulls merges two null byte vectors over the active rows into out.
