@@ -194,3 +194,77 @@ func TestWrongCallsFailAtAnalysis(t *testing.T) {
 		}
 	}
 }
+
+// TestFloatPredicatesAgreeAcrossEngines runs DOUBLE comparisons, BETWEEN
+// and IN over NaN, ±0, ±Inf and NULL, in WHERE (also under NOT) and as
+// values, on Photon, DBR codegen and DBR interpreted. Every engine follows
+// IEEE: NaN fails =, <, <=, >, >=, BETWEEN and IN and passes <>.
+func TestFloatPredicatesAgreeAcrossEngines(t *testing.T) {
+	nan := math.NaN()
+	schema := NewSchema(Col("k", Int64), Col("f", Float64), Col("g", Float64))
+	rows := [][]any{
+		{int64(1), nan, 1.0}, {int64(2), 1.0, nan}, {int64(3), nan, nan},
+		{int64(4), 1.0, 1.0}, {int64(5), math.Copysign(0, -1), 0.0}, {int64(6), math.Inf(1), math.Inf(-1)},
+		{int64(7), nil, nan}, {int64(8), 7.0, nil}, {int64(9), 0.5, 1.5},
+	}
+	preds := []string{
+		"f = 1.0", "f <> 1.0", "f < 1.0", "f <= 1.0", "f > 1.0", "f >= 1.0",
+		"f = g", "f <> g", "f < g", "f <= g", "f > g", "f >= g", "1.0 < f",
+		"f = 0.0", "f = CAST('NaN' AS DOUBLE)", "f <> CAST('NaN' AS DOUBLE)",
+		"CAST('NaN' AS DOUBLE) >= 1.0", "CAST('NaN' AS DOUBLE) <> 1.0",
+		"f BETWEEN 0.5 AND 1.5", "CAST('NaN' AS DOUBLE) BETWEEN 0.5 AND 1.5",
+		"f IN (1.0, 7.0)", "f IN (0.0, 1.0)", "CAST('NaN' AS DOUBLE) IN (1.0, 7.0)", "f IN (1.0, NULL)",
+	}
+	var queries []string
+	for _, p := range preds {
+		queries = append(queries,
+			"SELECT k FROM d WHERE "+p+" ORDER BY k",
+			"SELECT k FROM d WHERE NOT ("+p+") ORDER BY k")
+		if !strings.Contains(p, "BETWEEN") && !strings.Contains(p, " IN ") {
+			queries = append(queries, "SELECT k, "+p+" FROM d ORDER BY k")
+		}
+	}
+	engines := []struct {
+		name string
+		cfg  Config
+	}{
+		{"photon", Config{}},
+		{"dbr", Config{Engine: EngineDBR}},
+		{"dbr-interpreted", Config{Engine: EngineDBRInterpreted}},
+	}
+	want := map[string]string{}
+	for _, e := range engines {
+		sess := NewSession(e.cfg)
+		sess.RegisterRows("d", schema, rows)
+		for _, q := range queries {
+			res, err := sess.SQL(q)
+			if err != nil {
+				t.Errorf("%s: %s: %v", e.name, q, err)
+				continue
+			}
+			got := fmt.Sprint(res.Rows)
+			if w, ok := want[q]; !ok {
+				want[q] = got
+			} else if got != w {
+				t.Errorf("%s\n  photon: %s\n  %s: %s", q, w, e.name, got)
+			}
+		}
+	}
+	// The IEEE answers on one row each: NaN against 1.0.
+	for q, w := range map[string]string{
+		"SELECT k FROM d WHERE f >= 1.0 ORDER BY k":              "[[2] [4] [6] [8]]",
+		"SELECT k FROM d WHERE f <> 1.0 ORDER BY k":              "[[1] [3] [5] [6] [8] [9]]",
+		"SELECT k FROM d WHERE f BETWEEN 0.5 AND 1.5 ORDER BY k": "[[2] [4] [9]]",
+		"SELECT k FROM d WHERE f IN (1.0, 7.0) ORDER BY k":       "[[2] [4] [8]]",
+	} {
+		sess := NewSession(Config{})
+		sess.RegisterRows("d", schema, rows)
+		res, err := sess.SQL(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if got := fmt.Sprint(res.Rows); got != w {
+			t.Errorf("%s: got %s, want %s", q, got, w)
+		}
+	}
+}

@@ -2,7 +2,7 @@ package expr
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -72,7 +72,7 @@ func (f *Between) NullSel(ctx *Ctx, b *vector.Batch, out []int32) ([]int32, erro
 	return kernels.SelIsNull(v.Nulls, v.HasNulls(), b.Sel, b.NumRows, out), nil
 }
 
-// In filters rows whose value appears in a literal list. Integer lists use
+// In filters rows whose value appears in a literal list. Numeric lists use
 // a sorted-slice binary search; string lists of up to inLinearMax values a
 // linear scan, longer ones a map. The lookup structures build once (plans
 // are shared across concurrent tasks).
@@ -85,6 +85,7 @@ type In struct {
 	strSet  map[string]struct{}
 	i64s    []int64
 	i32s    []int32
+	f64s    []float64
 	nullLit bool // a NULL in the list: a value not found is NULL, not FALSE
 }
 
@@ -131,20 +132,39 @@ func (f *In) build() {
 			}
 		}
 	case types.Int64, types.Timestamp:
-		for _, v := range f.Vals {
-			if !v.IsNullLit() {
-				f.i64s = append(f.i64s, v.I64())
-			}
-		}
-		sort.Slice(f.i64s, func(i, j int) bool { return f.i64s[i] < f.i64s[j] })
+		f.i64s = sortedList(f.Vals, (*Literal).I64)
 	case types.Int32, types.Date:
-		for _, v := range f.Vals {
-			if !v.IsNullLit() {
-				f.i32s = append(f.i32s, v.I32())
-			}
-		}
-		sort.Slice(f.i32s, func(i, j int) bool { return f.i32s[i] < f.i32s[j] })
+		f.i32s = sortedList(f.Vals, (*Literal).I32)
+	case types.Float64:
+		f.f64s = sortedList(f.Vals, (*Literal).F64)
 	}
+}
+
+// sortedList is a list's non-NULL values, sorted. NaN equals nothing, not
+// even NaN, so it is left out.
+func sortedList[T int32 | int64 | float64](vals []*Literal, get func(*Literal) T) []T {
+	var out []T
+	for _, v := range vals {
+		if !v.IsNullLit() && get(v) == get(v) {
+			out = append(out, get(v))
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// inSorted appends the rows whose value is in list (sorted), by binary
+// search.
+func inSorted[T int32 | int64 | float64](vals, list []T, nulls []byte, hn bool, sel []int32, n int, out []int32) []int32 {
+	apply(sel, n, func(i int32) {
+		if hn && nulls[i] != 0 {
+			return
+		}
+		if _, ok := slices.BinarySearch(list, vals[i]); ok {
+			out = append(out, i)
+		}
+	})
+	return out
 }
 
 // EvalSel implements Filter.
@@ -167,27 +187,11 @@ func (f *In) EvalSel(ctx *Ctx, b *vector.Batch, out []int32) ([]int32, error) {
 			}
 		})
 	case types.Int64, types.Timestamp:
-		apply(b.Sel, b.NumRows, func(i int32) {
-			if hn && v.Nulls[i] != 0 {
-				return
-			}
-			x := v.I64[i]
-			j := sort.Search(len(f.i64s), func(k int) bool { return f.i64s[k] >= x })
-			if j < len(f.i64s) && f.i64s[j] == x {
-				out = append(out, i)
-			}
-		})
+		out = inSorted(v.I64, f.i64s, v.Nulls, hn, b.Sel, b.NumRows, out)
 	case types.Int32, types.Date:
-		apply(b.Sel, b.NumRows, func(i int32) {
-			if hn && v.Nulls[i] != 0 {
-				return
-			}
-			x := v.I32[i]
-			j := sort.Search(len(f.i32s), func(k int) bool { return f.i32s[k] >= x })
-			if j < len(f.i32s) && f.i32s[j] == x {
-				out = append(out, i)
-			}
-		})
+		out = inSorted(v.I32, f.i32s, v.Nulls, hn, b.Sel, b.NumRows, out)
+	case types.Float64:
+		out = inSorted(v.F64, f.f64s, v.Nulls, hn, b.Sel, b.NumRows, out)
 	default:
 		return nil, errType("in", v.Type)
 	}

@@ -321,6 +321,9 @@ func compilePred(f expr.Filter) (triPred, error) {
 			if v == nil {
 				return triNull, nil
 			}
+			if isNaN(v) || isNaN(lo) || isNaN(hi) {
+				return triFalse, nil
+			}
 			cLo, err := compareAny(v, lo, t)
 			if err != nil {
 				return triNull, err
@@ -343,10 +346,11 @@ func compilePred(f expr.Filter) (triPred, error) {
 		var vals []any
 		notFound := triFalse
 		for _, lit := range n.Vals {
-			if lit.IsNullLit() {
+			switch w := normLit(lit, t); {
+			case w == nil:
 				notFound = triNull // x IN (..., NULL) is never FALSE
-			} else {
-				vals = append(vals, normLit(lit, t))
+			case !isNaN(w): // NaN equals nothing
+				vals = append(vals, w)
 			}
 		}
 		return func(row []any) (tri, error) {
@@ -356,6 +360,9 @@ func compilePred(f expr.Filter) (triPred, error) {
 			}
 			if v == nil {
 				return triNull, nil
+			}
+			if isNaN(v) {
+				return notFound, nil
 			}
 			for _, w := range vals {
 				c, err := compareAny(v, w, t)

@@ -241,17 +241,18 @@ func evalPred(f expr.Filter, row []any) (tri, error) {
 		if v == nil {
 			return triNull, nil
 		}
-		lo, hi := n.Lo.Val, n.Hi.Val
-		cLo, err := compareAny(v, normLit(n.Lo, n.Inner.Type()), n.Inner.Type())
+		lo, hi := normLit(n.Lo, n.Inner.Type()), normLit(n.Hi, n.Inner.Type())
+		if isNaN(v) || isNaN(lo) || isNaN(hi) {
+			return triFalse, nil
+		}
+		cLo, err := compareAny(v, lo, n.Inner.Type())
 		if err != nil {
 			return triNull, err
 		}
-		cHi, err := compareAny(v, normLit(n.Hi, n.Inner.Type()), n.Inner.Type())
+		cHi, err := compareAny(v, hi, n.Inner.Type())
 		if err != nil {
 			return triNull, err
 		}
-		_ = lo
-		_ = hi
 		if cLo >= 0 && cHi <= 0 {
 			return triTrue, nil
 		}
@@ -270,7 +271,11 @@ func evalPred(f expr.Filter, row []any) (tri, error) {
 				notFound = triNull // x IN (..., NULL) is never FALSE
 				continue
 			}
-			c, err := compareAny(v, normLit(lit, n.Inner.Type()), n.Inner.Type())
+			w := normLit(lit, n.Inner.Type())
+			if isNaN(v) || isNaN(w) {
+				continue
+			}
+			c, err := compareAny(v, w, n.Inner.Type())
 			if err != nil {
 				return triNull, err
 			}
@@ -330,6 +335,12 @@ func cmpTri(n *expr.Cmp, row []any, ev func(expr.Expr, []any) (any, error)) (tri
 	if l == nil || r == nil {
 		return triNull, nil
 	}
+	if isNaN(l) || isNaN(r) { // unordered: only <> holds
+		if n.Op == kernels.CmpNe {
+			return triTrue, nil
+		}
+		return triFalse, nil
+	}
 	// Decimal comparisons align scales through big.Int.
 	t := n.Left.Type()
 	if t.ID == types.Decimal {
@@ -381,6 +392,15 @@ func normLit(l *expr.Literal, t types.DataType) any {
 		return l.Dec(t.Scale)
 	}
 	return l.Val
+}
+
+// isNaN reports whether v is a DOUBLE NaN. Predicates treat NaN as IEEE
+// and Photon's kernels do: it fails =, <, <=, >, >=, BETWEEN and IN and
+// passes <>. compareAny's order, which calls NaN equal to everything, is
+// left to sort, min/max and join keys.
+func isNaN(v any) bool {
+	f, ok := v.(float64)
+	return ok && f != f
 }
 
 // compareAny compares two boxed values of the same type.
