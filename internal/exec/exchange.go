@@ -321,7 +321,7 @@ func (h *runHeap) Len() int { return len(h.cur) }
 func (h *runHeap) Less(x, y int) bool {
 	ba, ia := h.cur[x].current()
 	bb, ib := h.cur[y].current()
-	return compareBatchRowsMixed(ba, ia, bb, ib, h.keys) < 0
+	return compareBatchRows(ba, ia, bb, ib, h.keys) < 0
 }
 func (h *runHeap) Swap(x, y int) { h.cur[x], h.cur[y] = h.cur[y], h.cur[x] }
 func (h *runHeap) Push(x any)    { h.cur = append(h.cur, x.(*mergeCursor)) }

@@ -518,7 +518,7 @@ func (t *TopKOp) consume() error {
 			if h.Len() == t.k {
 				// Compare against the current worst; skip if not better.
 				worst := h.idx[0]
-				if compareBatchRowsMixed(b, i, h.batch, int(worst), t.keys) >= 0 {
+				if compareBatchRows(b, i, h.batch, int(worst), t.keys) >= 0 {
 					continue
 				}
 				heap.Pop(h)
@@ -535,21 +535,6 @@ func (t *TopKOp) consume() error {
 			heap.Push(h, slot)
 		}
 	}
-}
-
-// compareBatchRowsMixed compares a row from one batch against a row of
-// another (same schema).
-func compareBatchRowsMixed(a *vector.Batch, i int, b *vector.Batch, j int, keys []SortKey) int {
-	for _, k := range keys {
-		c := compareVecRows(a.Vecs[k.Col], i, b.Vecs[k.Col], j)
-		if c != 0 {
-			if k.Desc {
-				return -c
-			}
-			return c
-		}
-	}
-	return 0
 }
 
 // materialize pops the heap into ascending order.
