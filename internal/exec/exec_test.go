@@ -337,6 +337,7 @@ func TestHashAggSpilling(t *testing.T) {
 	if agg.Stats().SpillCount.Load() == 0 {
 		t.Error("expected at least one spill under a 96KB limit")
 	}
+	expectNoSpillFiles(t, tc)
 	// Spill epochs and the 16 partition merges borrow their partial-state
 	// buffer from the task's pool: one allocation, then hits.
 	if tc.Pool.Hits == 0 {

@@ -124,36 +124,45 @@ func TestJoinLargeWithDuplicatesAndResume(t *testing.T) {
 	}
 }
 
-// TestGraceJoinSpillMatchesInMemory joins rows of every type on a string key
-// under a limit that sends both sides to grace partitions.
+// TestGraceJoinSpillMatchesInMemory joins rows of every type on a string key,
+// for every join type, under a limit that sends both sides to grace
+// partitions.
 func TestGraceJoinSpillMatchesInMemory(t *testing.T) {
 	schema := spillSchema()
 	lrows, rrows := spillRows(1000, 7), spillRows(600, 8)
 	key := []expr.Expr{expr.Col(1, "s", types.StringType)}
-	run := func(limit int64) ([][]any, *HashJoinOp) {
-		l := NewMemScan(schema, BuildBatches(schema, lrows, 64))
-		r := NewMemScan(schema, BuildBatches(schema, rrows, 64))
-		j, _ := NewHashJoin(l, r, key, key, InnerJoin)
-		tc := NewTaskCtx(mem.NewManager(limit), 64)
-		tc.SpillDir = t.TempDir()
-		rows, err := CollectRows(j, tc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rows, j
-	}
-	want, _ := run(0)
-	got, j := run(128 << 10)
-	if j.Stats().SpillCount.Load() == 0 {
-		t.Fatal("expected the 128KB-limit join to spill")
-	}
-	sortRows(want)
-	sortRows(got)
-	if len(got) != len(want) {
-		t.Fatalf("grace join rows = %d, in-memory = %d", len(got), len(want))
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("grace join results differ from in-memory join")
+	for _, tt := range []struct {
+		jt   JoinType
+		rows int
+	}{{InnerJoin, 1981}, {LeftOuterJoin, 2188}, {LeftSemiJoin, 793}, {LeftAntiJoin, 207}} {
+		t.Run(tt.jt.String(), func(t *testing.T) {
+			run := func(limit int64) ([][]any, *HashJoinOp) {
+				l := NewMemScan(schema, BuildBatches(schema, lrows, 64))
+				r := NewMemScan(schema, BuildBatches(schema, rrows, 64))
+				j, _ := NewHashJoin(l, r, key, key, tt.jt)
+				tc := NewTaskCtx(mem.NewManager(limit), 64)
+				tc.SpillDir = t.TempDir()
+				rows, err := CollectRows(j, tc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				expectNoSpillFiles(t, tc)
+				return rows, j
+			}
+			want, _ := run(0)
+			got, j := run(128 << 10)
+			if j.Stats().SpillCount.Load() == 0 {
+				t.Fatal("expected the 128KB-limit join to spill")
+			}
+			sortRows(want)
+			sortRows(got)
+			if len(got) != len(want) || len(got) != tt.rows {
+				t.Fatalf("grace join rows = %d, in-memory = %d, want %d", len(got), len(want), tt.rows)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Error("grace join results differ from in-memory join")
+			}
+		})
 	}
 }
 

@@ -84,6 +84,7 @@ func TestExternalSortMatchesInMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		expectNoSpillFiles(t, tc)
 		return out, s
 	}
 	want, _ := run(0)
