@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 
@@ -289,50 +288,6 @@ func Drain(op Operator, tc *TaskCtx) error {
 	}
 }
 
-// mergeCursor walks one sorted run (a task's ordered output batches).
-type mergeCursor struct {
-	batches []*vector.Batch
-	bi      int // batch index
-	ri      int // row position within batches[bi]'s active rows
-}
-
-func (c *mergeCursor) skipEmpty() {
-	for c.bi < len(c.batches) && c.ri >= c.batches[c.bi].NumActive() {
-		c.bi++
-		c.ri = 0
-	}
-}
-
-func (c *mergeCursor) done() bool { return c.bi >= len(c.batches) }
-
-// current returns the (batch, physical row) under the cursor.
-func (c *mergeCursor) current() (*vector.Batch, int) {
-	b := c.batches[c.bi]
-	return b, b.RowIndex(c.ri)
-}
-
-// runHeap is a min-heap of cursors ordered by their current row.
-type runHeap struct {
-	keys []SortKey
-	cur  []*mergeCursor
-}
-
-func (h *runHeap) Len() int { return len(h.cur) }
-func (h *runHeap) Less(x, y int) bool {
-	ba, ia := h.cur[x].current()
-	bb, ib := h.cur[y].current()
-	return compareBatchRows(ba, ia, bb, ib, h.keys) < 0
-}
-func (h *runHeap) Swap(x, y int) { h.cur[x], h.cur[y] = h.cur[y], h.cur[x] }
-func (h *runHeap) Push(x any)    { h.cur = append(h.cur, x.(*mergeCursor)) }
-func (h *runHeap) Pop() any {
-	old := h.cur
-	n := len(old)
-	x := old[n-1]
-	h.cur = old[:n-1]
-	return x
-}
-
 // MergeSortedRuns k-way merges per-task sorted outputs into globally
 // ordered rows — the driver-side second phase of a two-phase parallel sort.
 // Each run must already be ordered under keys; limit >= 0 truncates the
@@ -344,41 +299,31 @@ func MergeSortedRuns(ctx context.Context, runs [][]*vector.Batch, keys []SortKey
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("exec: merge requires sort keys")
 	}
-	h := &runHeap{keys: keys}
+	var cursors []rowCursor
 	var total int64
 	for _, run := range runs {
-		c := &mergeCursor{batches: run}
-		c.skipEmpty()
-		if !c.done() {
-			h.cur = append(h.cur, c)
-		}
-		for _, b := range run {
-			total += int64(b.NumActive())
-		}
+		refs := rowRefs(run)
+		cursors = append(cursors, &refCursor{batches: run, refs: refs, pos: -1})
+		total += int64(len(refs))
 	}
 	if limit >= 0 && limit < total {
 		total = limit
 	}
-	heap.Init(h)
+	m, err := newRowMerge(keys, cursors)
+	if err != nil {
+		return nil, err
+	}
 	out := make([][]any, 0, total)
-	for h.Len() > 0 {
-		if limit >= 0 && int64(len(out)) >= limit {
-			break
-		}
+	for m.Len() > 0 && (limit < 0 || int64(len(out)) < limit) {
 		if ctx != nil && len(out)%mergeCheckRows == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("exec: merge cancelled: %w", err)
 			}
 		}
-		c := h.cur[0]
-		b, i := c.current()
+		b, i := m.cur[0].row()
 		out = append(out, b.Row(i))
-		c.ri++
-		c.skipEmpty()
-		if c.done() {
-			heap.Pop(h)
-		} else {
-			heap.Fix(h, 0)
+		if err := m.advance(); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

@@ -2,12 +2,10 @@ package exec
 
 import (
 	"fmt"
-	"os"
 
 	"photon/internal/expr"
 	"photon/internal/ht"
 	"photon/internal/mem"
-	"photon/internal/serde"
 	"photon/internal/types"
 	"photon/internal/vector"
 )
@@ -89,12 +87,10 @@ type HashAggOp struct {
 	blobBuf   []byte
 
 	// Spilling.
-	consumer     *mem.FuncConsumer
-	reserved     int64
-	spillFiles   []*os.File
-	spillWriters []*serde.Writer
-	spilled      bool
-	merging      bool
+	consumer  *mem.FuncConsumer
+	reserved  int64
+	spillRuns spillRuns // one per hash partition, made by the first spill
+	merging   bool
 
 	// Output iteration state.
 	inputDone bool
@@ -260,7 +256,6 @@ func (op *HashAggOp) Open(tc *TaskCtx) error {
 	op.keyVecs = make([]*vector.Vector, len(op.keyExprs))
 	op.keyOwned = make([]bool, len(op.keyExprs))
 	op.inputDone = false
-	op.spilled = false
 	op.emitPos = 0
 	op.emitPart = 0
 	return op.child.Open(tc)
@@ -352,7 +347,7 @@ func (op *HashAggOp) Next() (*vector.Batch, error) {
 			op.inputDone = true
 			// SQL semantics: a keyless aggregation over empty input still
 			// produces one row (count 0, sums NULL).
-			if len(op.keyExprs) == 0 && op.mode != AggFinal && op.tbl.NumRows() == 0 && !op.spilled {
+			if len(op.keyExprs) == 0 && op.mode != AggFinal && op.tbl.NumRows() == 0 && op.spillRuns == nil {
 				if err := op.newGlobalGroup(&op.groupState); err != nil {
 					return err
 				}
@@ -360,16 +355,14 @@ func (op *HashAggOp) Next() (*vector.Batch, error) {
 			// Once any state has spilled, the live table may share groups
 			// with the partitions; flush it too so every group is emitted
 			// exactly once via the partition merge.
-			if op.spilled && op.tbl.Len() > 0 {
+			if op.spillRuns != nil && op.tbl.Len() > 0 {
 				if _, err := op.spill(0); err != nil {
 					return err
 				}
 			}
-			// Flush and reopen spill partitions for reading.
-			for _, w := range op.spillWriters {
-				if err := w.Close(); err != nil {
-					return err
-				}
+			// End the spill partitions; emitNext reads them back.
+			if err := op.spillRuns.finish(); err != nil {
+				return err
 			}
 		}
 		var err error
@@ -389,12 +382,7 @@ func (op *HashAggOp) Next() (*vector.Batch, error) {
 // Close implements Operator.
 func (op *HashAggOp) Close() error {
 	op.tc.Mem.ReleaseAll(op.consumer)
-	for _, f := range op.spillFiles {
-		if f != nil {
-			f.Close()
-			os.Remove(f.Name())
-		}
-	}
-	op.spillFiles = nil
+	op.spillRuns.remove()
+	op.spillRuns = nil
 	return op.child.Close()
 }

@@ -2,8 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"io"
-	"os"
 
 	"photon/internal/expr"
 	"photon/internal/types"
@@ -25,22 +23,15 @@ func (op *HashAggOp) emitNext() (*vector.Batch, error) {
 			}
 		}
 		// Phase 3: merge the next spilled partition.
-		if op.emitPart >= len(op.spillFiles) {
+		if op.emitPart >= len(op.spillRuns) {
 			return nil, nil
 		}
-		f := op.spillFiles[op.emitPart]
+		run := op.spillRuns[op.emitPart]
 		op.emitPart++
-		if f == nil {
-			continue
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
+		if err := op.mergePartition(run); err != nil {
 			return nil, err
 		}
-		if err := op.mergePartition(f); err != nil {
-			return nil, err
-		}
-		f.Close()
-		os.Remove(f.Name())
+		run.remove()
 	}
 }
 

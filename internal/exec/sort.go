@@ -4,13 +4,9 @@ import (
 	"bytes"
 	"container/heap"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 
-	"photon/internal/fault"
 	"photon/internal/mem"
-	"photon/internal/serde"
 	"photon/internal/types"
 	"photon/internal/vector"
 )
@@ -116,11 +112,10 @@ type SortOp struct {
 	bufBytes int64
 	consumer *mem.FuncConsumer
 
-	runs []*os.File
+	runs spillRuns
 
 	inputDone bool
-	merge     *mergeHeap
-	memIter   *memCursor
+	merge     *rowMerge
 	out       *vector.Batch
 }
 
@@ -142,16 +137,23 @@ func (s *SortOp) Open(tc *TaskCtx) error {
 	return s.child.Open(tc)
 }
 
+// rowRefs lists the active rows of batches as (batchIdx, rowIdx) pairs, in
+// order.
+func rowRefs(batches []*vector.Batch) [][2]int32 {
+	var refs [][2]int32
+	for bi, b := range batches {
+		n := b.NumActive()
+		for k := 0; k < n; k++ {
+			refs = append(refs, [2]int32{int32(bi), int32(b.RowIndex(k))})
+		}
+	}
+	return refs
+}
+
 // sortedRowOrder sorts the buffered rows and returns (batchIdx, rowIdx)
 // pairs in order.
 func sortedRowOrder(buffered []*vector.Batch, keys []SortKey) [][2]int32 {
-	var order [][2]int32
-	for bi, b := range buffered {
-		n := b.NumActive()
-		for k := 0; k < n; k++ {
-			order = append(order, [2]int32{int32(bi), int32(b.RowIndex(k))})
-		}
-	}
+	order := rowRefs(buffered)
 	sort.SliceStable(order, func(x, y int) bool {
 		a, b := order[x], order[y]
 		return compareBatchRows(buffered[a[0]], int(a[1]), buffered[b[0]], int(b[1]), keys) < 0
@@ -159,41 +161,35 @@ func sortedRowOrder(buffered []*vector.Batch, keys []SortKey) [][2]int32 {
 	return order
 }
 
-// spill sorts the current buffer and writes it as a run file.
+// spill sorts the current buffer and writes it as a run.
 func (s *SortOp) spill(need int64) (int64, error) {
 	if len(s.buffered) == 0 || !s.tc.CanSpill() {
 		return 0, nil
 	}
-	f, err := s.tc.NewSpillFile("sort-run")
+	run, err := newSpillRun(s.tc, "sort-run")
 	if err != nil {
 		return 0, err
 	}
-	w := serde.NewWriter(f)
+	s.runs = append(s.runs, run)
 	order := sortedRowOrder(s.buffered, s.keys)
 	out := vector.NewBatch(s.schema, s.tc.Pool.BatchSize())
-	for _, ref := range order {
+	for k, ref := range order {
 		src := s.buffered[ref[0]]
 		i := out.NumRows
 		for c, v := range src.Vecs {
 			out.Vecs[c].CopyRow(i, v, int(ref[1]))
 		}
 		out.NumRows++
-		if out.NumRows == out.Capacity() {
-			if err := w.WriteBatch(out); err != nil {
-				return 0, fault.ClassifyIO(fault.SpillWrite, err)
+		if out.NumRows == out.Capacity() || k == len(order)-1 {
+			if err := run.write(out); err != nil {
+				return 0, err
 			}
 			out.Reset()
 		}
 	}
-	if out.NumRows > 0 {
-		if err := w.WriteBatch(out); err != nil {
-			return 0, fault.ClassifyIO(fault.SpillWrite, err)
-		}
+	if err := run.finish(); err != nil {
+		return 0, err
 	}
-	if err := w.Close(); err != nil {
-		return 0, fault.ClassifyIO(fault.SpillWrite, err)
-	}
-	s.runs = append(s.runs, f)
 	freed := s.bufBytes
 	s.tc.Mem.Release(s.consumer, s.bufBytes)
 	s.buffered = nil
@@ -262,102 +258,122 @@ func (s *SortOp) Next() (*vector.Batch, error) {
 	return out, nil
 }
 
-// memCursor iterates the sorted in-memory buffer.
-type memCursor struct {
-	buffered []*vector.Batch
-	order    [][2]int32
-	pos      int
+// rowCursor walks sorted rows. next moves to the next row, false past the
+// last; row returns the row under the cursor, valid until the next move.
+// Strings copied out of a run's row keep their bytes after the cursor moves
+// on: a run reads each block into a buffer of its own.
+type rowCursor interface {
+	next() (bool, error)
+	row() (*vector.Batch, int)
 }
 
-func (m *memCursor) current() (*vector.Batch, int) {
-	ref := m.order[m.pos]
-	return m.buffered[ref[0]], int(ref[1])
+// refCursor walks in-memory rows through (batchIdx, rowIdx) references. It
+// starts at pos -1.
+type refCursor struct {
+	batches []*vector.Batch
+	refs    [][2]int32
+	pos     int
 }
 
-// runCursor streams one spilled run.
+func (c *refCursor) next() (bool, error) {
+	c.pos++
+	return c.pos < len(c.refs), nil
+}
+
+func (c *refCursor) row() (*vector.Batch, int) {
+	ref := c.refs[c.pos]
+	return c.batches[ref[0]], int(ref[1])
+}
+
+// runCursor walks the rows of a spill run, one block at a time.
 type runCursor struct {
-	rd    *serde.Reader
-	batch *vector.Batch
-	pos   int
-	done  bool
-	tc    *TaskCtx
+	run *spillRun
+	b   *vector.Batch // the block being walked
+	i   int
 }
 
-func (rc *runCursor) advance() error {
-	rc.pos++
-	if rc.pos < rc.batch.NumRows {
-		return nil
+func (c *runCursor) next() (bool, error) {
+	for c.i++; c.i >= c.b.NumRows; c.i = 0 {
+		if ok, err := c.run.read(c.b); !ok {
+			return false, err
+		}
 	}
-	ok, err := rc.tc.readSpill(rc.rd, rc.batch)
-	rc.pos, rc.done = 0, !ok
-	return err
+	return true, nil
 }
 
-// mergeHeap merges the memory cursor and run cursors.
-type mergeHeap struct {
+func (c *runCursor) row() (*vector.Batch, int) { return c.b, c.i }
+
+// rowMerge k-way merges sorted cursors through one heap; cur[0] holds the
+// smallest row. Cursors enter the heap in the order given, which fixes how
+// ties between them break.
+type rowMerge struct {
 	keys []SortKey
-	mem  *memCursor
-	runs []*runCursor
-	// items: -1 = memory cursor, else run index.
-	items []int
+	cur  []rowCursor
 }
 
-func (h *mergeHeap) rowOf(item int) (*vector.Batch, int) {
-	if item == -1 {
-		return h.mem.current()
+// newRowMerge moves each cursor to its first row and starts the merge;
+// exhausted cursors drop out.
+func newRowMerge(keys []SortKey, cursors []rowCursor) (*rowMerge, error) {
+	m := &rowMerge{keys: keys}
+	for _, c := range cursors {
+		ok, err := c.next()
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			m.cur = append(m.cur, c)
+		}
 	}
-	rc := h.runs[item]
-	return rc.batch, rc.pos
+	heap.Init(m)
+	return m, nil
 }
 
-func (h *mergeHeap) Len() int { return len(h.items) }
-func (h *mergeHeap) Less(x, y int) bool {
-	ba, ia := h.rowOf(h.items[x])
-	bb, ib := h.rowOf(h.items[y])
-	return compareBatchRows(ba, ia, bb, ib, h.keys) < 0
-}
-func (h *mergeHeap) Swap(x, y int) { h.items[x], h.items[y] = h.items[y], h.items[x] }
-func (h *mergeHeap) Push(x any)    { h.items = append(h.items, x.(int)) }
-func (h *mergeHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	x := old[n-1]
-	h.items = old[:n-1]
-	return x
-}
-
-// initMerge prepares output iteration over buffer + runs.
-func (s *SortOp) initMerge() error {
-	s.merge = &mergeHeap{keys: s.keys}
-	if len(s.buffered) > 0 {
-		s.memIter = &memCursor{buffered: s.buffered, order: sortedRowOrder(s.buffered, s.keys)}
-		if len(s.memIter.order) > 0 {
-			s.merge.items = append(s.merge.items, -1)
-			s.merge.mem = s.memIter
-		}
+// advance moves the cursor holding the smallest row past it.
+func (m *rowMerge) advance() error {
+	ok, err := m.cur[0].next()
+	if err != nil {
+		return err
 	}
-	for ri, f := range s.runs {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return err
-		}
-		rc := &runCursor{rd: serde.NewReader(f, s.schema), batch: vector.NewBatch(s.schema, s.tc.Pool.BatchSize()), pos: -1, tc: s.tc}
-		if err := rc.advance(); err != nil {
-			return err
-		}
-		if !rc.done {
-			s.merge.runs = append(s.merge.runs, rc)
-			s.merge.items = append(s.merge.items, len(s.merge.runs)-1)
-		} else {
-			_ = ri
-		}
+	if ok {
+		heap.Fix(m, 0)
+	} else {
+		heap.Pop(m)
 	}
-	heap.Init(s.merge)
 	return nil
 }
 
-// emit produces the next sorted output batch from the merge heap. The merge
-// loop checks cancellation per emitted batch, so a cancelled query aborts a
-// giant merge promptly even when the consumer isn't polling the context.
+func (m *rowMerge) Len() int { return len(m.cur) }
+func (m *rowMerge) Less(x, y int) bool {
+	ba, ia := m.cur[x].row()
+	bb, ib := m.cur[y].row()
+	return compareBatchRows(ba, ia, bb, ib, m.keys) < 0
+}
+func (m *rowMerge) Swap(x, y int) { m.cur[x], m.cur[y] = m.cur[y], m.cur[x] }
+func (m *rowMerge) Push(x any)    { m.cur = append(m.cur, x.(rowCursor)) }
+func (m *rowMerge) Pop() any {
+	x := m.cur[len(m.cur)-1]
+	m.cur = m.cur[:len(m.cur)-1]
+	return x
+}
+
+// initMerge prepares output iteration over the buffer, then the runs in the
+// order they were spilled.
+func (s *SortOp) initMerge() error {
+	var cursors []rowCursor
+	if len(s.buffered) > 0 {
+		cursors = append(cursors, &refCursor{batches: s.buffered, refs: sortedRowOrder(s.buffered, s.keys), pos: -1})
+	}
+	for _, run := range s.runs {
+		cursors = append(cursors, &runCursor{run: run, b: vector.NewBatch(s.schema, s.tc.Pool.BatchSize())})
+	}
+	var err error
+	s.merge, err = newRowMerge(s.keys, cursors)
+	return err
+}
+
+// emit produces the next sorted output batch from the merge. The merge loop
+// checks cancellation per emitted batch, so a cancelled query aborts a giant
+// merge promptly even when the consumer isn't polling the context.
 func (s *SortOp) emit() (*vector.Batch, error) {
 	if err := s.tc.Cancelled(); err != nil {
 		return nil, err
@@ -367,29 +383,14 @@ func (s *SortOp) emit() (*vector.Batch, error) {
 	}
 	s.out.Reset()
 	for s.out.NumRows < s.out.Capacity() && s.merge.Len() > 0 {
-		item := s.merge.items[0]
-		b, i := s.merge.rowOf(item)
+		b, i := s.merge.cur[0].row()
 		o := s.out.NumRows
 		for c, v := range b.Vecs {
 			s.out.Vecs[c].CopyRow(o, v, i)
 		}
 		s.out.NumRows++
-		// Advance the winning cursor and restore heap order.
-		exhausted := false
-		if item == -1 {
-			s.memIter.pos++
-			exhausted = s.memIter.pos >= len(s.memIter.order)
-		} else {
-			rc := s.merge.runs[item]
-			if err := rc.advance(); err != nil {
-				return nil, err
-			}
-			exhausted = rc.done
-		}
-		if exhausted {
-			heap.Pop(s.merge)
-		} else {
-			heap.Fix(s.merge, 0)
+		if err := s.merge.advance(); err != nil {
+			return nil, err
 		}
 	}
 	if s.out.NumRows == 0 {
@@ -401,10 +402,7 @@ func (s *SortOp) emit() (*vector.Batch, error) {
 // Close implements Operator.
 func (s *SortOp) Close() error {
 	s.tc.Mem.ReleaseAll(s.consumer)
-	for _, f := range s.runs {
-		f.Close()
-		os.Remove(f.Name())
-	}
+	s.runs.remove()
 	s.runs = nil
 	return s.child.Close()
 }
