@@ -95,11 +95,7 @@ func (f *FilterOp) evalSelWindowed(b *vector.Batch, active int) ([]int32, error)
 			return nil, err
 		}
 		hi := min(lo+cancelCheckRows, active)
-		if savedSel != nil {
-			b.Sel = savedSel[lo:hi]
-		} else {
-			b.Sel = f.windowSel(lo, hi)
-		}
+		b.Sel = window(savedSel, lo, hi, &f.winSel)
 		var err error
 		out, err = f.pred.EvalSel(f.tc.Expr, b, out)
 		if err != nil {
@@ -107,18 +103,6 @@ func (f *FilterOp) evalSelWindowed(b *vector.Batch, active int) ([]int32, error)
 		}
 	}
 	return out, nil
-}
-
-// windowSel returns a synthetic selection covering physical rows [lo, hi).
-func (f *FilterOp) windowSel(lo, hi int) []int32 {
-	if cap(f.winSel) < hi-lo {
-		f.winSel = make([]int32, hi-lo)
-	}
-	w := f.winSel[:hi-lo]
-	for i := range w {
-		w[i] = int32(lo + i)
-	}
-	return w
 }
 
 // bind attaches the task context without opening the child (fused path).

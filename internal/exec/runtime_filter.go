@@ -143,7 +143,7 @@ func (op *RuntimeFilterOp) processBatch(b *vector.Batch) (*vector.Batch, error) 
 				return nil, err
 			}
 			hi := min(lo+cancelCheckRows, active)
-			acc = append(acc, op.probeRows(b, op.window(savedSel, lo, hi))...)
+			acc = append(acc, op.probeRows(b, window(savedSel, lo, hi, &op.winSel))...)
 		}
 		op.selAcc = acc
 		sel = acc
@@ -220,21 +220,6 @@ func (op *RuntimeFilterOp) adapt() {
 	if judged {
 		slices.SortStableFunc(op.probes, func(a, b rfProbe) int { return cmp.Compare(a.pass, b.pass) })
 	}
-}
-
-// window returns a selection for active rows [lo, hi).
-func (op *RuntimeFilterOp) window(sel []int32, lo, hi int) []int32 {
-	if sel != nil {
-		return sel[lo:hi]
-	}
-	if cap(op.winSel) < hi-lo {
-		op.winSel = make([]int32, hi-lo)
-	}
-	w := op.winSel[:hi-lo]
-	for i := range w {
-		w[i] = int32(lo + i)
-	}
-	return w
 }
 
 // bind attaches the task context without opening the child (fused path).
@@ -318,24 +303,9 @@ func (op *RuntimeFilterBuildOp) fold(b *vector.Batch) error {
 			return err
 		}
 		hi := min(lo+cancelCheckRows, active)
-		op.filter.Add(b, op.keys, op.window(b.Sel, lo, hi), b.NumRows, &op.hs)
+		op.filter.Add(b, op.keys, window(b.Sel, lo, hi, &op.winSel), b.NumRows, &op.hs)
 	}
 	return nil
-}
-
-// window returns a selection for active rows [lo, hi).
-func (op *RuntimeFilterBuildOp) window(sel []int32, lo, hi int) []int32 {
-	if sel != nil {
-		return sel[lo:hi]
-	}
-	if cap(op.winSel) < hi-lo {
-		op.winSel = make([]int32, hi-lo)
-	}
-	w := op.winSel[:hi-lo]
-	for i := range w {
-		w[i] = int32(lo + i)
-	}
-	return w
 }
 
 // Close implements Operator.
