@@ -262,50 +262,119 @@ func TestHashAggCountDistinct(t *testing.T) {
 	}
 }
 
+// TestHashAggPartialFinalEquivalence runs every aggregate kind through
+// partial→final and through one complete aggregation and compares the rows,
+// floats at nine significant digits. The inputs are 40k rows in 2,048-row
+// batches: few groups with few distinct values (the partial reduces), unique
+// keys (it keeps every row), and few groups whose DISTINCT arguments rarely
+// repeat (its sets keep almost every row), each with no, some and only NULL
+// arguments.
 func TestHashAggPartialFinalEquivalence(t *testing.T) {
-	schema := intSchema("g", "v")
-	var rows [][]any
-	for i := 0; i < 500; i++ {
-		v := any(int64(i))
-		if i%7 == 0 {
-			v = nil
-		}
-		rows = append(rows, []any{int64(i % 13), v})
-	}
+	schema := types.NewSchema(
+		types.Field{Name: "g", Type: types.Int64Type, Nullable: true},
+		types.Field{Name: "l", Type: types.Int64Type, Nullable: true},
+		types.Field{Name: "s", Type: types.StringType, Nullable: true},
+		types.Field{Name: "m", Type: types.DecimalType(12, 2), Nullable: true},
+		types.Field{Name: "f", Type: types.Float64Type, Nullable: true},
+		types.Field{Name: "b", Type: types.BoolType, Nullable: true},
+		types.Field{Name: "i", Type: types.Int32Type, Nullable: true},
+		types.Field{Name: "d", Type: types.DateType, Nullable: true},
+		types.Field{Name: "ts", Type: types.TimestampType, Nullable: true},
+	)
+	col := func(i int) expr.Expr { return expr.Col(i, schema.Field(i).Name, schema.Field(i).Type) }
+	const l, s, m, f = 1, 2, 3, 4
 	specs := []expr.AggSpec{
-		{Kind: expr.AggCount, Name: "c"},
-		{Kind: expr.AggSum, Arg: expr.Col(1, "v", types.Int64Type), Name: "s"},
-		{Kind: expr.AggMin, Arg: expr.Col(1, "v", types.Int64Type), Name: "mn"},
-		{Kind: expr.AggMax, Arg: expr.Col(1, "v", types.Int64Type), Name: "mx"},
-		{Kind: expr.AggAvg, Arg: expr.Col(1, "v", types.Int64Type), Name: "av"},
+		{Kind: expr.AggCount},
+		{Kind: expr.AggCount, Arg: col(l)},
+		{Kind: expr.AggCount, Arg: col(s)},
+		{Kind: expr.AggCount, Arg: col(l), Distinct: true},
+		{Kind: expr.AggCount, Arg: col(s), Distinct: true},
+		{Kind: expr.AggCount, Arg: col(m), Distinct: true},
+		{Kind: expr.AggCollectList, Arg: col(s)},
+		{Kind: expr.AggCollectList, Arg: col(l)},
 	}
-	keys := []expr.Expr{expr.Col(0, "g", types.Int64Type)}
+	for _, c := range []int{l, m, f} {
+		specs = append(specs, expr.AggSpec{Kind: expr.AggSum, Arg: col(c)}, expr.AggSpec{Kind: expr.AggAvg, Arg: col(c)})
+	}
+	for c := 1; c < schema.Len(); c++ {
+		specs = append(specs, expr.AggSpec{Kind: expr.AggMin, Arg: col(c)}, expr.AggSpec{Kind: expr.AggMax, Arg: col(c)})
+	}
+	for i := range specs {
+		specs[i].Name = fmt.Sprintf("a%d", i)
+	}
+	keys := []expr.Expr{col(0)}
 
-	// Complete in one shot.
-	scan1 := NewMemScan(schema, BuildBatches(schema, rows, 64))
-	complete, _ := NewHashAgg(scan1, AggComplete, keys, []string{"g"}, specs)
-	want, err := CollectRows(complete, newTC(t))
-	if err != nil {
-		t.Fatal(err)
+	const n = 40_000
+	shapes := []struct {
+		name  string
+		key   func(i int) int64
+		value func(i int) int // what the arguments derive from
+	}{
+		{"reducing", func(i int) int64 { return int64(i % 13) }, func(i int) int { return i * 7919 % 211 }},
+		{"unique", func(i int) int64 { return int64(i) }, func(i int) int { return i * 7919 % 100_003 }},
+		{"distinct-heavy", func(i int) int64 { return int64(i % 13) }, func(i int) int { return i * 7919 % 100_003 }},
 	}
-
-	// Partial → Final, with partial keys re-referenced by ordinal.
-	scan2 := NewMemScan(schema, BuildBatches(schema, rows, 64))
-	partial, _ := NewHashAgg(scan2, AggPartial, keys, []string{"g"}, specs)
-	finalKeys := []expr.Expr{expr.Col(0, "g", types.Int64Type)}
-	final, err := NewHashAgg(partial, AggFinal, finalKeys, []string{"g"}, specs)
-	if err != nil {
-		t.Fatal(err)
+	nulls := []struct {
+		name string
+		null func(i, c int) bool
+	}{
+		{"no-nulls", func(i, c int) bool { return false }},
+		{"some-nulls", func(i, c int) bool { return (i+c)%7 == 0 }},
+		{"all-null", func(i, c int) bool { return c > 0 }},
 	}
-	got, err := CollectRows(final, newTC(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sortRows(want)
-	sortRows(got)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("partial+final != complete\n got %v\nwant %v", got, want)
+	for _, sh := range shapes {
+		for _, nl := range nulls {
+			t.Run(sh.name+"/"+nl.name, func(t *testing.T) {
+				rows := make([][]any, n)
+				for i := range rows {
+					v := sh.value(i)
+					row := []any{sh.key(i), int64(v) - 50, fmt.Sprintf("s%d", v), types.DecimalFromInt64(int64(v)*37 - 1000),
+						float64(v)/7 - 5, v%3 == 0, int32(v) - 30, int32(9000 + v), int64(v) * 1e9}
+					for c := range row {
+						if nl.null(i, c) {
+							row[c] = nil
+						}
+					}
+					rows[i] = row
+				}
+				run := func(plan func(Operator) Operator) [][]any {
+					got, err := CollectRows(plan(NewMemScan(schema, BuildBatches(schema, rows, 2048))), NewTaskCtx(nil, 2048))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, r := range got {
+						for c, x := range r {
+							if x, ok := x.(float64); ok {
+								r[c] = fmt.Sprintf("%.9g", x)
+							}
+						}
+					}
+					// Group keys are unique, so the key orders the rows (NULL first).
+					sort.Slice(got, func(i, j int) bool {
+						a, b := got[i][0], got[j][0]
+						return a == nil && b != nil || a != nil && b != nil && a.(int64) < b.(int64)
+					})
+					return got
+				}
+				agg := func(child Operator, mode AggMode) Operator {
+					op, err := NewHashAgg(child, mode, keys, []string{"g"}, specs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return op
+				}
+				want := run(func(scan Operator) Operator { return agg(scan, AggComplete) })
+				got := run(func(scan Operator) Operator { return agg(agg(scan, AggPartial), AggFinal) })
+				if len(got) != len(want) {
+					t.Fatalf("partial+final: %d groups, complete: %d", len(got), len(want))
+				}
+				for i := range want {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						t.Fatalf("partial+final != complete at group %d\n got %v\nwant %v", i, got[i], want[i])
+					}
+				}
+			})
+		}
 	}
 }
 
