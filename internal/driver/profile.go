@@ -29,6 +29,7 @@ type OpProfile struct {
 
 	RowsIn, RowsOut, BatchesOut, TimeNanos          int64
 	SpillCount, SpillBytes, PeakMemory, Compactions int64
+	PassedRows                                      int64
 }
 
 // line renders the merged operator row, matching exec.OpStats.String's
@@ -46,6 +47,9 @@ func (o *OpProfile) line() string {
 	}
 	if o.Compactions > 0 {
 		fmt.Fprintf(&sb, " compactions=%d", o.Compactions)
+	}
+	if o.PassedRows > 0 {
+		fmt.Fprintf(&sb, " passthrough=%d", o.PassedRows)
 	}
 	if o.Upstream >= 0 {
 		fmt.Fprintf(&sb, " <- stage %d", o.Upstream)
@@ -127,7 +131,7 @@ func fromSnapshot(s exec.StatsSnapshot) OpProfile {
 		ID: s.ID, Depth: s.Depth, Name: s.Name, Upstream: s.Upstream, Tasks: 1,
 		RowsIn: s.RowsIn, RowsOut: s.RowsOut, BatchesOut: s.BatchesOut,
 		TimeNanos: s.TimeNanos, SpillCount: s.SpillCount, SpillBytes: s.SpillBytes,
-		PeakMemory: s.PeakMemory, Compactions: s.Compactions,
+		PeakMemory: s.PeakMemory, Compactions: s.Compactions, PassedRows: s.PassedRows,
 	}
 }
 
@@ -160,6 +164,7 @@ func mergeSnapshots(ops []OpProfile, snaps []exec.StatsSnapshot) []OpProfile {
 		t.SpillCount += s.SpillCount
 		t.SpillBytes += s.SpillBytes
 		t.Compactions += s.Compactions
+		t.PassedRows += s.PassedRows
 		if s.PeakMemory > t.PeakMemory {
 			t.PeakMemory = s.PeakMemory
 		}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"photon/internal/expr"
+	"photon/internal/types"
 	"photon/internal/vector"
 )
 
@@ -82,10 +83,10 @@ func (op *HashAggOp) appendGroup(dst *vector.Batch, g *groupState, row int32, pa
 }
 
 // writePartialStates fills row i of the partial-state columns from one
-// group's states. It is the only writer of the partial format mergeBatch
-// reads back, whether the bytes travel through a spill file or a shuffle.
-// Blobs alias operator memory (op.blobBuf, the list states) that holds until
-// the batch they are written to has been consumed.
+// group's states. It and writePassStates are the only writers of the partial
+// format mergeBatch reads back, whether the bytes travel through a spill
+// file or a shuffle. Blobs alias operator memory (op.blobBuf, the list
+// states) that holds until the batch they are written to has been consumed.
 func (op *HashAggOp) writePartialStates(cols []*vector.Vector, i int, g *groupState, row int32) {
 	p := g.tbl.PayloadBytes(row)
 	col := 0
@@ -121,4 +122,83 @@ func (op *HashAggOp) writePartialStates(cols []*vector.Vector, i int, g *groupSt
 			}
 		}
 	}
+}
+
+// writePassStates fills the pass-through batch with one partial-state row
+// per row of b: the state of a group that holds only that row. Key columns
+// and min/max values are the evaluated input itself, valid until the
+// child's next Next; counts, sums and one-element blobs are written here.
+func (op *HashAggOp) writePassStates(b *vector.Batch) (*vector.Batch, error) {
+	if op.pass.Capacity() < b.NumRows {
+		op.pass = vector.NewBatch(op.schema, b.NumRows)
+	}
+	out := op.pass
+	op.blobBuf = op.blobBuf[:0]
+	for c, k := range op.keyExprs {
+		v, err := op.evalHeld(k, b)
+		if err != nil {
+			return nil, err
+		}
+		out.Vecs[c] = v
+	}
+	col := len(op.keyExprs)
+	for _, info := range op.infos {
+		var av *vector.Vector
+		var nulls []byte // the argument's NULL bytes; nil when it has none
+		if info.spec.Arg != nil {
+			var err error
+			if av, err = op.evalHeld(info.spec.Arg, b); err != nil {
+				return nil, err
+			}
+			if av.HasNulls() {
+				nulls = av.Nulls
+			}
+		}
+		v := out.Vecs[col]
+		col++
+		switch {
+		case info.spec.Distinct, info.spec.Kind == expr.AggCollectList:
+			// A NULL argument is an empty blob, not NULL.
+			var buf [16]byte
+			apply(b.Sel, b.NumRows, func(i int32) {
+				at := len(op.blobBuf)
+				switch {
+				case nulls != nil && nulls[i] != 0:
+				case info.spec.Distinct:
+					op.blobBuf = appendLenPrefixed(op.blobBuf, distinctElem(av, int(i), &buf))
+				default:
+					op.blobBuf = appendLenPrefixed(op.blobBuf, listElem(av, int(i)))
+				}
+				v.Nulls[i], v.Str[i] = 0, op.blobBuf[at:len(op.blobBuf):len(op.blobBuf)]
+			})
+		case info.spec.Kind == expr.AggCount:
+			apply(b.Sel, b.NumRows, func(i int32) {
+				v.I64[i] = 1
+				if nulls != nil && nulls[i] != 0 {
+					v.I64[i] = 0
+				}
+			})
+		case info.spec.Kind == expr.AggSum || info.spec.Kind == expr.AggAvg:
+			cnt := out.Vecs[col]
+			col++
+			apply(b.Sel, b.NumRows, func(i int32) {
+				v.Nulls[i], cnt.I64[i] = 0, 1
+				switch {
+				case nulls != nil && nulls[i] != 0:
+					v.Nulls[i], cnt.I64[i] = 1, 0
+				case info.sumType.ID == types.Decimal:
+					v.Dec[i] = av.Dec[i]
+				case info.sumType.ID == types.Float64:
+					v.F64[i] = floatArg(av, i)
+				default:
+					v.I64[i] = intArg(av, i)
+				}
+			})
+			v.SetHasNulls(nulls != nil)
+		default: // min/max
+			out.Vecs[col-1] = av
+		}
+	}
+	out.Sel, out.NumRows = b.Sel, b.NumRows
+	return out, nil
 }

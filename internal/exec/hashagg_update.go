@@ -199,7 +199,9 @@ func (op *HashAggOp) updateAgg(b *vector.Batch, info aggInfo) error {
 		apply(b.Sel, b.NumRows, func(i int32) {
 			if st := s.at(i); st != nil {
 				ls := listOf(op.lists, st)
-				ls.blob = appendLenPrefixed(ls.blob, encodeListElem(av, int(i), &op.listPool))
+				// Element bytes go to the shared arena (allocation
+				// coalescing across groups, Fig. 5).
+				ls.blob = appendLenPrefixed(ls.blob, op.listPool.Copy(listElem(av, int(i))))
 				ls.count++
 			}
 		})
@@ -371,28 +373,13 @@ func (op *HashAggOp) foldAgg(b *vector.Batch, info aggInfo, val *vector.Vector, 
 		case types.Float64:
 			apply(b.Sel, b.NumRows, func(i int32) {
 				if st := s.at(i); st != nil {
-					var x float64
-					switch val.Type.ID {
-					case types.Float64:
-						x = val.F64[i]
-					case types.Int32:
-						x = float64(val.I32[i])
-					default:
-						x = float64(val.I64[i])
-					}
-					addFloatSum(st, x, rowsAt(cnt, i))
+					addFloatSum(st, floatArg(val, i), rowsAt(cnt, i))
 				}
 			})
 		default: // int64 accumulator
 			apply(b.Sel, b.NumRows, func(i int32) {
 				if st := s.at(i); st != nil {
-					var x int64
-					if val.Type.ID == types.Int32 || val.Type.ID == types.Date {
-						x = int64(val.I32[i])
-					} else {
-						x = val.I64[i]
-					}
-					addIntSum(st, x, rowsAt(cnt, i))
+					addIntSum(st, intArg(val, i), rowsAt(cnt, i))
 				}
 			})
 		}
@@ -406,6 +393,25 @@ func (op *HashAggOp) foldAgg(b *vector.Batch, info aggInfo, val *vector.Vector, 
 			}
 		})
 	}
+}
+
+// floatArg reads v[i] as a float64 sum/avg state adds it.
+func floatArg(v *vector.Vector, i int32) float64 {
+	switch v.Type.ID {
+	case types.Float64:
+		return v.F64[i]
+	case types.Int32:
+		return float64(v.I32[i])
+	}
+	return float64(v.I64[i])
+}
+
+// intArg reads v[i] as an int64 sum state adds it.
+func intArg(v *vector.Vector, i int32) int64 {
+	if v.Type.ID == types.Int32 || v.Type.ID == types.Date {
+		return int64(v.I32[i])
+	}
+	return v.I64[i]
 }
 
 // decSumAgg is one decimal sum/avg input column inside a row pass: the

@@ -118,6 +118,7 @@ type StatsSnapshot struct {
 
 	RowsIn, RowsOut, BatchesOut, TimeNanos          int64
 	SpillCount, SpillBytes, PeakMemory, Compactions int64
+	PassedRows                                      int64
 }
 
 // Snapshot copies the operator's counters at the given plan depth.
@@ -139,6 +140,7 @@ func (s *OpStats) Snapshot(depth int) StatsSnapshot {
 		SpillBytes:  s.SpillBytes.Load(),
 		PeakMemory:  s.PeakMemory.Load(),
 		Compactions: s.Compactions.Load(),
+		PassedRows:  s.PassedRows.Load(),
 	}
 }
 
