@@ -376,9 +376,10 @@ func TestNotAndInAreThreeValued(t *testing.T) {
 	}
 }
 
-// TestTaskBatchSizes runs TPC-H queries whose joins and expressions hold
-// per-batch scratch under task batch sizes below, at and above the tables'
-// 2,048-row batches: every size must return the default run's rows.
+// TestTaskBatchSizes runs TPC-H queries whose joins (semi, outer and anti
+// among them) and expressions hold per-batch scratch under task batch sizes
+// below, at and above the tables' 2,048-row batches: every size must return
+// the default run's rows.
 func TestTaskBatchSizes(t *testing.T) {
 	cat := tpch.NewGen(0.01).Generate()
 	run := func(plan sql.LogicalPlan, batchSize int) []string {
@@ -399,7 +400,7 @@ func TestTaskBatchSizes(t *testing.T) {
 		sort.Strings(out)
 		return out
 	}
-	for _, q := range []int{3, 7, 9, 19} {
+	for _, q := range []int{3, 4, 7, 9, 13, 19, 22} {
 		stmt, err := sql.Parse(tpch.Queries[q])
 		if err != nil {
 			t.Fatal(err)
