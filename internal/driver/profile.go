@@ -29,7 +29,7 @@ type OpProfile struct {
 
 	RowsIn, RowsOut, BatchesOut, TimeNanos          int64
 	SpillCount, SpillBytes, PeakMemory, Compactions int64
-	PassedRows                                      int64
+	PassedRows, BuiltLeft                           int64
 }
 
 // line renders the merged operator row, matching exec.OpStats.String's
@@ -50,6 +50,9 @@ func (o *OpProfile) line() string {
 	}
 	if o.PassedRows > 0 {
 		fmt.Fprintf(&sb, " passthrough=%d", o.PassedRows)
+	}
+	if o.BuiltLeft > 0 {
+		fmt.Fprintf(&sb, " build=left×%d", o.BuiltLeft)
 	}
 	if o.Upstream >= 0 {
 		fmt.Fprintf(&sb, " <- stage %d", o.Upstream)
@@ -132,6 +135,7 @@ func fromSnapshot(s exec.StatsSnapshot) OpProfile {
 		RowsIn: s.RowsIn, RowsOut: s.RowsOut, BatchesOut: s.BatchesOut,
 		TimeNanos: s.TimeNanos, SpillCount: s.SpillCount, SpillBytes: s.SpillBytes,
 		PeakMemory: s.PeakMemory, Compactions: s.Compactions, PassedRows: s.PassedRows,
+		BuiltLeft: s.BuiltLeft,
 	}
 }
 
@@ -165,6 +169,7 @@ func mergeSnapshots(ops []OpProfile, snaps []exec.StatsSnapshot) []OpProfile {
 		t.SpillBytes += s.SpillBytes
 		t.Compactions += s.Compactions
 		t.PassedRows += s.PassedRows
+		t.BuiltLeft += s.BuiltLeft
 		if s.PeakMemory > t.PeakMemory {
 			t.PeakMemory = s.PeakMemory
 		}

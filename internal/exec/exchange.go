@@ -155,7 +155,17 @@ type exchangeRead struct {
 	view *vector.Batch // header over a held batch
 	// target is decodeInto, bound once instead of once per batch.
 	target func() *vector.Batch
+	// rows is the exact number of rows the leaf yields, when known (SetRows).
+	rows      int64
+	rowsKnown bool
 }
+
+// SetRows records the exact number of rows the leaf will yield: its
+// producer stages have finished, so the driver holds their row counts.
+func (e *exchangeRead) SetRows(n int64) { e.rows, e.rowsKnown = n, true }
+
+// ExactRows returns the row count recorded by SetRows.
+func (e *exchangeRead) ExactRows() (int64, bool) { return e.rows, e.rowsKnown }
 
 func (e *exchangeRead) Open(tc *TaskCtx) error {
 	e.tc = tc

@@ -66,6 +66,9 @@ type OpStats struct {
 	// PassedRows counts the input rows a partial aggregation passed on
 	// without aggregating them (HashAggOp.passThrough).
 	PassedRows atomic.Int64
+	// BuiltLeft counts the tasks whose hash join built its table on the left
+	// input (HashJoinOp.readAhead).
+	BuiltLeft atomic.Int64
 }
 
 // SetUpstream records the producing fragment of an exchange-read leaf.
@@ -87,8 +90,8 @@ func (s *OpStats) observePeak(n int64) {
 }
 
 // String renders a one-line metrics summary with aligned columns. Rows,
-// batches, and time always print; spill, peak-memory, compaction and
-// pass-through fields appear only when nonzero, so the common case stays one
+// batches, and time always print; spill, peak-memory, compaction,
+// pass-through and build-side fields appear only when nonzero, so the common case stays one
 // clean line.
 func (s *OpStats) String() string {
 	var sb strings.Builder
@@ -106,6 +109,9 @@ func (s *OpStats) String() string {
 	}
 	if n := s.PassedRows.Load(); n > 0 {
 		fmt.Fprintf(&sb, " passthrough=%d", n)
+	}
+	if n := s.BuiltLeft.Load(); n > 0 {
+		fmt.Fprintf(&sb, " build=left×%d", n)
 	}
 	if f, ok := s.UpstreamFrag(); ok {
 		fmt.Fprintf(&sb, " <- stage %d", f)

@@ -118,7 +118,7 @@ type StatsSnapshot struct {
 
 	RowsIn, RowsOut, BatchesOut, TimeNanos          int64
 	SpillCount, SpillBytes, PeakMemory, Compactions int64
-	PassedRows                                      int64
+	PassedRows, BuiltLeft                           int64
 }
 
 // Snapshot copies the operator's counters at the given plan depth.
@@ -141,6 +141,7 @@ func (s *OpStats) Snapshot(depth int) StatsSnapshot {
 		PeakMemory:  s.PeakMemory.Load(),
 		Compactions: s.Compactions.Load(),
 		PassedRows:  s.PassedRows.Load(),
+		BuiltLeft:   s.BuiltLeft.Load(),
 	}
 }
 

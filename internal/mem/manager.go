@@ -118,9 +118,10 @@ func (m *Manager) Reserve(c Consumer, n int64) error {
 	if met != nil {
 		met.ReserveCalls.Inc()
 	}
+	var spent map[Consumer]bool // victims that freed nothing
 	for m.total+n > m.limit {
 		need := m.total + n - m.limit
-		victim := m.pickVictimLocked(c, need)
+		victim := m.pickVictimLocked(c, need, spent)
 		if victim == nil {
 			avail := m.limit - m.total
 			m.mu.Unlock()
@@ -144,16 +145,12 @@ func (m *Manager) Reserve(c Consumer, n int64) error {
 			met.SpilledBytes.Add(freed)
 		}
 		if freed <= 0 {
-			// The victim could not free anything; exclude it by treating
-			// this as terminal if no progress is possible.
-			if m.total+n > m.limit {
-				avail := m.limit - m.total
-				m.mu.Unlock()
-				if met != nil {
-					met.OOMs.Inc()
-				}
-				return &OOMError{Requested: n, Available: avail}
+			// The victim could not free anything (an operator whose state
+			// is in use): ask the next one.
+			if spent == nil {
+				spent = map[Consumer]bool{}
 			}
+			spent[victim] = true
 		}
 	}
 	m.addLocked(c, n)
@@ -195,16 +192,17 @@ func (m *Manager) TryReserve(c Consumer, n int64) bool {
 // pickVictimLocked chooses a spill victim for a reservation that is `need`
 // bytes short. It prefers, among consumers sorted by ascending reservation,
 // the first holding at least `need`; otherwise the largest consumer.
-// Consumers with zero reservation are skipped. The requester itself is
-// eligible ("self-spill" and recursive spill both occur in practice).
-func (m *Manager) pickVictimLocked(requester Consumer, need int64) Consumer {
+// Consumers with zero reservation, and those in skip, are passed over. The
+// requester itself is eligible ("self-spill" and recursive spill both occur
+// in practice).
+func (m *Manager) pickVictimLocked(requester Consumer, need int64, skip map[Consumer]bool) Consumer {
 	type entry struct {
 		c Consumer
 		n int64
 	}
 	var entries []entry
 	for c, n := range m.reserved {
-		if n > 0 {
+		if n > 0 && !skip[c] {
 			entries = append(entries, entry{c, n})
 		}
 	}
@@ -216,7 +214,7 @@ func (m *Manager) pickVictimLocked(requester Consumer, need int64) Consumer {
 	// preference applies only when the query holds enough to cover the
 	// shortfall; otherwise the standard policy may pick a sibling
 	// (recursive spill across queries, §5.3).
-	if _, isQuery := requester.(*childConsumer); isQuery && m.reserved[requester] >= need {
+	if _, isQuery := requester.(*childConsumer); isQuery && m.reserved[requester] >= need && !skip[requester] {
 		return requester
 	}
 	sort.Slice(entries, func(i, j int) bool {

@@ -131,9 +131,10 @@ func (m *Manager) reserveChild(c Consumer, n int64) error {
 // (recursive spill).
 func (m *Manager) spillOwn(need int64) (int64, error) {
 	var freed int64
+	var spent map[Consumer]bool // victims that freed nothing
 	for freed < need {
 		m.mu.Lock()
-		victim := m.pickVictimLocked(nil, need-freed)
+		victim := m.pickVictimLocked(nil, need-freed, spent)
 		m.mu.Unlock()
 		if victim == nil {
 			break
@@ -143,7 +144,11 @@ func (m *Manager) spillOwn(need int64) (int64, error) {
 			return freed, err
 		}
 		if f <= 0 {
-			break
+			if spent == nil {
+				spent = map[Consumer]bool{}
+			}
+			spent[victim] = true
+			continue
 		}
 		freed += f
 		m.mu.Lock()
