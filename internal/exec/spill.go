@@ -94,9 +94,10 @@ func (r *spillRun) read(dst *vector.Batch) (bool, error) {
 	return err == nil, fault.ClassifyIO(fault.SpillRead, err)
 }
 
-// remove closes and deletes the file. It is safe to call more than once.
+// remove closes and deletes the file. It is safe to call more than once, and
+// on a nil run.
 func (r *spillRun) remove() {
-	if r.f == nil {
+	if r == nil || r.f == nil {
 		return
 	}
 	r.f.Close()
