@@ -182,6 +182,29 @@ func TestOOMWhenNothingToSpill(t *testing.T) {
 	}
 }
 
+// TestSpillPassesOverVictimThatFreesNothing: a consumer whose state is in
+// use frees nothing when asked; the reservation asks the next victim instead
+// of failing.
+func TestSpillPassesOverVictimThatFreesNothing(t *testing.T) {
+	m := NewManager(1000)
+	busy := &spillRec{name: "busy", mgr: m} // freed = 0
+	idle := &spillRec{name: "idle", freed: 1 << 40, mgr: m}
+	if err := m.Reserve(busy, 400); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Reserve(idle, 500); err != nil {
+		t.Fatal(err)
+	}
+	// Need 300 more: the smallest sufficient victim is busy, which frees
+	// nothing; idle then spills.
+	if err := m.Reserve(&spillRec{name: "new", mgr: m}, 400); err != nil {
+		t.Fatal(err)
+	}
+	if busy.calls != 1 || idle.calls != 1 {
+		t.Errorf("spill calls busy=%d idle=%d, want 1 and 1", busy.calls, idle.calls)
+	}
+}
+
 func TestRecursiveSpillSelfVictim(t *testing.T) {
 	// A consumer's own reservation can be the spill victim ("self-spill").
 	m := NewManager(100)
