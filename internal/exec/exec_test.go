@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"photon/internal/expr"
@@ -476,5 +477,56 @@ func TestPivotRowsMatchesAppendRow(t *testing.T) {
 				t.Errorf("batch %d column %d: HasNulls %v, want %v", k, c, v.HasNulls(), w.Vecs[c].HasNulls())
 			}
 		}
+	}
+}
+
+// TestCollectAllKeepsSparseStrings: CollectAll keeps the active rows of
+// batches that its input refills and scribbles over — one row in three
+// active, strings NULL, empty and long — and hands back exactly those rows,
+// with NULL metadata that covers them.
+func TestCollectAllKeepsSparseStrings(t *testing.T) {
+	schema := types.NewSchema(
+		types.Field{Name: "id", Type: types.Int64Type, Nullable: true},
+		types.Field{Name: "s", Type: types.StringType, Nullable: true},
+	)
+	var rows, want [][]any
+	for i := 0; i < 500; i++ {
+		var s any = fmt.Sprintf("row-%d-%s", i, strings.Repeat("z", i%37))
+		switch i % 5 {
+		case 1:
+			s = nil
+		case 2:
+			s = ""
+		}
+		var id any = int64(i)
+		if i%7 == 0 {
+			id = nil
+		}
+		rows = append(rows, []any{id, s})
+	}
+	batches := BuildBatches(schema, rows, 64)
+	for lo := 0; lo < len(rows); lo += 64 {
+		for r := lo; r < min(lo+64, len(rows)); r += 3 {
+			want = append(want, rows[r])
+		}
+	}
+	src := NewSource("volatile", schema, func() (Source, error) { return &volatileSource{batches: batches}, nil })
+	kept, err := CollectAll(src, newTC(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [][]any
+	for _, b := range kept {
+		for c, v := range b.Vecs {
+			for j := 0; j < b.NumActive(); j++ {
+				if v.IsNull(b.RowIndex(j)) && !v.HasNulls() {
+					t.Fatalf("column %d holds a NULL under hasNulls=false", c)
+				}
+			}
+		}
+		got = append(got, b.Rows()...)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("collected %d rows, want %d; first %v vs %v", len(got), len(want), got[:min(3, len(got))], want[:3])
 	}
 }
