@@ -261,7 +261,11 @@ func TestExchangeUnderMemoryLimit(t *testing.T) {
 	reg = obs.NewRegistry()
 	var store *shuffle.Store
 	var once sync.Once
-	mm := mem.NewManager(held / 2)
+	// A quarter of what the exchanges hold: the store keeps what fits and
+	// sends the rest to files, and the joins' and aggregations' reservations
+	// must then push held outputs out. At half, operators whose scratch is
+	// sized by the rows they see fit in the room the store leaves unused.
+	mm := mem.NewManager(held / 4)
 	// One slot, so one task at a time: under a limit this low the joins spill
 	// too, and an operator's Spill is not safe to call from another running
 	// task's reservation (the memory manager's standing limitation; this test
@@ -273,7 +277,7 @@ func TestExchangeUnderMemoryLimit(t *testing.T) {
 		t.Fatalf("under the limit: %d rows, want %d", len(b), len(a))
 	}
 	if n := reg.Counter("photon_shuffle_write_bytes_total", "").Load(); n == 0 {
-		t.Error("no exchange went through a file under a limit half the exchanges' size")
+		t.Error("no exchange went through a file under a limit a quarter of the exchanges' size")
 	}
 	if store.SpilledBytes() == 0 {
 		t.Error("the exchange consumer reports no spilled bytes")
@@ -282,5 +286,5 @@ func TestExchangeUnderMemoryLimit(t *testing.T) {
 		t.Errorf("after Run: store holds %d batches, %d bytes; manager %d", batches, bytes, mm.Used())
 	}
 	t.Logf("exchanges hold %d bytes unconstrained; limit %d: %d spilled by the store, %d bytes of files",
-		held, held/2, store.SpilledBytes(), reg.Counter("photon_shuffle_write_bytes_total", "").Load())
+		held, held/4, store.SpilledBytes(), reg.Counter("photon_shuffle_write_bytes_total", "").Load())
 }

@@ -261,7 +261,6 @@ func (op *HashAggOp) Open(tc *TaskCtx) error {
 	op.resetGroups(&op.groupState)
 	op.consumer = &mem.FuncConsumer{ConsumerName: op.stats.Name, SpillFunc: op.spill}
 	op.listPool = *mem.NewArena(0)
-	op.ensureScratch(tc.Pool.BatchSize())
 	op.keyVecs = make([]*vector.Vector, len(op.keyExprs))
 	op.keyOwned = make([]bool, len(op.keyExprs))
 	op.inputDone = false
@@ -278,7 +277,7 @@ func (op *HashAggOp) newTable(keyTypes []types.DataType, payloadW int) *ht.Table
 	return tbl
 }
 
-// ensureScratch sizes the per-batch scratch arrays.
+// ensureScratch grows the per-batch scratch arrays to n rows.
 func (op *HashAggOp) ensureScratch(n int) {
 	if len(op.hashes) < n {
 		op.hashes = make([]uint64, n)

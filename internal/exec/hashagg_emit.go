@@ -37,9 +37,11 @@ func (op *HashAggOp) emitNext() (*vector.Batch, error) {
 
 // emitFrom materializes up to one batch of groups from g, whose entries are
 // its groups in insertion order (a FindOrInsert-only table has no others).
+// The output batch holds at most the groups left; a larger one replaces it
+// only when more remain.
 func (op *HashAggOp) emitFrom(g *groupState) *vector.Batch {
-	if op.out == nil {
-		op.out = vector.NewBatch(op.schema, op.tc.Pool.BatchSize())
+	if want := min(op.tc.Pool.BatchSize(), g.tbl.Len()-op.emitPos); op.out == nil || op.out.Capacity() < want {
+		op.out = vector.NewBatch(op.schema, want)
 	}
 	op.out.Reset()
 	op.blobBuf = op.blobBuf[:0]

@@ -278,6 +278,12 @@ func (op *HashAggOp) mergeDistinct(info aggInfo, g *groupState, blobs *vector.Ve
 func (op *HashAggOp) mergeBatch(b *vector.Batch, g *groupState) error {
 	// Key columns are the first len(keyTypes) columns of the partial schema.
 	col := len(op.keyTypes)
+	if op.numDistinct > 0 {
+		// mergeDistinct folds a batch's worth of elements at a time through
+		// this scratch; grown now, it cannot drop the group ids findGroups
+		// leaves in op.rowIDs.
+		op.ensureScratch(op.tc.Pool.BatchSize())
+	}
 	if err := op.findGroups(b.Vecs[:col], b, g); err != nil {
 		return err
 	}

@@ -200,17 +200,13 @@ func (op *HashJoinOp) Open(tc *TaskCtx) error {
 	op.built = false
 	op.graced = false
 	op.curPart = 0
-	n := tc.Pool.BatchSize()
-	op.hashes = make([]uint64, n)
-	op.rowIDs = make([]int32, n)
-	op.chain = make([]int32, n)
-	op.matchedAny = make([]bool, n)
 	op.keyVecs = make([]*vector.Vector, len(op.keyTypes))
 	op.keyOwned = make([]bool, len(op.keyTypes))
 	// fmSel and keySel must be non-nil even when empty: a nil position list
-	// means "all rows active", the opposite of an empty selection.
-	op.fmSel = make([]int32, 0, n)
-	op.keySel = []int32{} // grown by the first batch with a NULL key
+	// means "all rows active", the opposite of an empty selection. Both, and
+	// the scratch arrays (ensureCap), grow with the batches that need them.
+	op.fmSel = []int32{}
+	op.keySel = []int32{}
 	if err := op.left.Open(tc); err != nil {
 		return err
 	}
@@ -414,7 +410,7 @@ func (op *HashJoinOp) releaseKeys() {
 	}
 }
 
-// ensureCap grows scratch arrays to batch capacity cap.
+// ensureCap grows the scratch arrays to n rows.
 func (op *HashJoinOp) ensureCap(n int) {
 	if len(op.hashes) < n {
 		op.hashes = make([]uint64, n)

@@ -115,10 +115,7 @@ func (op *HashJoinOp) probeNext() (*vector.Batch, error) {
 // accumulator until it is reasonably full, then probe as one dense batch —
 // downstream operators see few full batches instead of many sparse ones.
 func (op *HashJoinOp) probeNextFilterMode() (*vector.Batch, error) {
-	flushThreshold := 0
-	if op.fmAcc != nil {
-		flushThreshold = op.fmAcc.Capacity() * 3 / 4
-	}
+	flushThreshold := op.tc.Pool.BatchSize() * 3 / 4
 	for {
 		// A dense batch deferred while the accumulator flushed goes first.
 		b := op.fmStash
@@ -151,11 +148,11 @@ func (op *HashJoinOp) probeNextFilterMode() (*vector.Batch, error) {
 			continue
 		}
 		if op.tc.EnableCompaction && b.Sparsity() > op.tc.CompactionThreshold {
-			if op.fmAcc == nil {
-				op.fmAcc = vector.NewBatch(op.left.Schema(), op.tc.Pool.BatchSize())
-				flushThreshold = op.fmAcc.Capacity() * 3 / 4
+			held := 0
+			if op.fmAcc != nil {
+				held = op.fmAcc.NumRows
 			}
-			if op.fmAcc.NumRows+b.NumActive() > op.fmAcc.Capacity() {
+			if held > 0 && held+b.NumActive() > op.tc.Pool.BatchSize() {
 				// No room: flush first, keep b for the next iteration.
 				op.fmStash = b
 				out, err := op.flushAcc()
@@ -167,9 +164,15 @@ func (op *HashJoinOp) probeNextFilterMode() (*vector.Batch, error) {
 				}
 				continue
 			}
+			if op.fmAcc == nil || held+b.NumActive() > op.fmAcc.Capacity() {
+				grown := vector.NewBatch(op.left.Schema(), grownRows(held+b.NumActive(), op.tc.Pool.BatchSize()))
+				if op.fmAcc != nil {
+					op.fmAcc.GatherAppend(grown) // its strings stay in op.fmStrings
+				}
+				op.fmAcc = grown
+			}
 			// The accumulator outlives b, so it takes its own copy of b's
 			// strings; a new accumulation reuses the previous one's bytes.
-			held := op.fmAcc.NumRows
 			if held == 0 {
 				op.fmStrings = op.fmStrings[:0]
 			}
@@ -347,10 +350,10 @@ func mergeSorted(a, b []int32) []int32 {
 // fillBuildCols decodes build columns into op.fmBuild at the matched probe
 // row positions.
 func (op *HashJoinOp) fillBuildCols(b *vector.Batch, matched []int32) {
-	if op.fmBuild == nil {
+	if op.fmBuild == nil || op.fmBuild[0].Capacity() < b.NumRows {
 		op.fmBuild = make([]*vector.Vector, len(op.build.types))
 		for c, t := range op.build.types {
-			op.fmBuild[c] = vector.New(t, op.tc.Pool.BatchSize())
+			op.fmBuild[c] = vector.New(t, grownRows(b.NumRows, op.tc.Pool.BatchSize()))
 		}
 	}
 	for c, v := range op.fmBuild {

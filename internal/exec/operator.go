@@ -225,6 +225,13 @@ func window(sel []int32, lo, hi int, scratch *[]int32) []int32 {
 	return w
 }
 
+// grownRows sizes a buffer that must hold need rows the way an exchange's
+// staging batch grows: 64 rows at first, then double what is needed, up to
+// the batch size — so a query of a few rows never pays for full batches.
+func grownRows(need, batchSize int) int {
+	return min(max(need, batchSize), max(64, 2*need))
+}
+
 // CanSpill reports whether the task has somewhere to put spill files.
 func (tc *TaskCtx) CanSpill() bool { return tc.SpillDir != "" || tc.MakeSpillDir != nil }
 
@@ -258,7 +265,7 @@ func (b *base) timed(f func() error) error {
 	return err
 }
 
-// CollectAll drains op into a slice of cloned batches (test/result helper).
+// CollectAll drains op into a slice of kept batches (test/result helper).
 func CollectAll(op Operator, tc *TaskCtx) ([]*vector.Batch, error) {
 	if err := op.Open(tc); err != nil {
 		return nil, err
@@ -278,7 +285,7 @@ func CollectAll(op Operator, tc *TaskCtx) ([]*vector.Batch, error) {
 			return out, nil
 		}
 		if b.NumActive() > 0 {
-			out = append(out, b.Clone())
+			out = append(out, b.Keep())
 			tc.ReportProgress(int64(b.NumActive()), 0)
 		}
 	}

@@ -134,10 +134,16 @@ func randomBatches(r *rand.Rand, schema *types.Schema, sparse bool) []*vector.Ba
 	return out
 }
 
+// cloneBatches gives each batch its own position list (kept non-nil when
+// empty); filters shrink a position list in place and never write vectors.
 func cloneBatches(in []*vector.Batch) []*vector.Batch {
 	out := make([]*vector.Batch, len(in))
 	for i, b := range in {
-		out[i] = b.Clone()
+		c := *b
+		if b.Sel != nil {
+			c.Sel = append([]int32{}, b.Sel...)
+		}
+		out[i] = &c
 	}
 	return out
 }

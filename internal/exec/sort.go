@@ -110,6 +110,7 @@ type SortOp struct {
 
 	buffered []*vector.Batch
 	bufBytes int64
+	rows     int // rows consumed, which bounds the output batch
 	consumer *mem.FuncConsumer
 
 	runs spillRuns
@@ -134,6 +135,7 @@ func (s *SortOp) Open(tc *TaskCtx) error {
 	s.inputDone = false
 	s.buffered = nil
 	s.bufBytes = 0
+	s.rows = 0
 	return s.child.Open(tc)
 }
 
@@ -172,7 +174,7 @@ func (s *SortOp) spill(need int64) (int64, error) {
 	}
 	s.runs = append(s.runs, run)
 	order := sortedRowOrder(s.buffered, s.keys)
-	out := vector.NewBatch(s.schema, s.tc.Pool.BatchSize())
+	out := vector.NewBatch(s.schema, min(s.tc.Pool.BatchSize(), len(order)))
 	for k, ref := range order {
 		src := s.buffered[ref[0]]
 		i := out.NumRows
@@ -218,7 +220,8 @@ func (s *SortOp) consume() error {
 		if b.NumActive() == 0 {
 			continue
 		}
-		cl := b.Clone()
+		cl := b.Keep()
+		s.rows += cl.NumRows
 		sz := estimateBatchBytes(cl)
 		if err := s.tc.Mem.Reserve(s.consumer, sz); err != nil {
 			return err
@@ -379,7 +382,7 @@ func (s *SortOp) emit() (*vector.Batch, error) {
 		return nil, err
 	}
 	if s.out == nil {
-		s.out = vector.NewBatch(s.schema, s.tc.Pool.BatchSize())
+		s.out = vector.NewBatch(s.schema, min(s.tc.Pool.BatchSize(), s.rows))
 	}
 	s.out.Reset()
 	for s.out.NumRows < s.out.Capacity() && s.merge.Len() > 0 {

@@ -88,7 +88,11 @@ func (l *Literal) Eval(ctx *Ctx, b *vector.Batch) (*vector.Vector, error) {
 		}
 		return out, nil
 	}
-	set := func(i int) { out.Set(i, l.normVal()) }
+	val := l.Val
+	if s, ok := val.(string); ok {
+		val = []byte(s) // one payload that every row points at
+	}
+	set := func(i int) { out.Set(i, val) }
 	if b.Sel == nil {
 		for i := 0; i < n; i++ {
 			set(i)
@@ -100,10 +104,6 @@ func (l *Literal) Eval(ctx *Ctx, b *vector.Batch) (*vector.Vector, error) {
 	}
 	return out, nil
 }
-
-// normVal normalizes the literal's Go representation to what vector.Set
-// expects for the type.
-func (l *Literal) normVal() any { return l.Val }
 
 // I64 returns the literal as int64 (Int64/Timestamp literals).
 func (l *Literal) I64() int64 { return l.Val.(int64) }

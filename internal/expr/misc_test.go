@@ -194,3 +194,27 @@ func TestLiteralBroadcastEval(t *testing.T) {
 		t.Error("null literal broadcast wrong")
 	}
 }
+
+// TestStringLiteralSharesOnePayload: a projected string literal points every
+// row at one copy of its bytes; the allocations of an Eval do not grow with
+// the rows.
+func TestStringLiteralSharesOnePayload(t *testing.T) {
+	const n = 1024
+	b := vector.NewBatch(types.NewSchema(types.Field{Name: "x", Type: types.Int64Type}), n)
+	b.NumRows = n
+	ctx := NewCtx(n)
+	lit := StringLit("a string literal")
+	allocs := testing.AllocsPerRun(20, func() {
+		v, err := lit.Eval(ctx, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(v.Str[n-1]) != "a string literal" || &v.Str[0][0] != &v.Str[n-1][0] {
+			t.Fatal("rows do not share the literal's payload")
+		}
+		ctx.Put(v)
+	})
+	if allocs > 2 {
+		t.Errorf("string literal Eval over %d rows: %.0f allocations, want at most 2", n, allocs)
+	}
+}

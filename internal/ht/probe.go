@@ -20,7 +20,7 @@ import (
 // entries need their aggregation state initialized.
 func (t *Table) FindOrInsert(keys []*vector.Vector, hashes []uint64, sel []int32, n int, rowIDs []int32, inserted []bool) error {
 	t.maybeGrowFor(n)
-	t.ensureScratch(len(rowIDs))
+	t.ensureScratch(n)
 
 	pending := t.pending[:0]
 	if sel == nil {
@@ -119,7 +119,7 @@ func (t *Table) FindOrInsert(keys []*vector.Vector, hashes []uint64, sel []int32
 // factor, nearly every row resolves in that first pass. Find never mutates
 // the directory, so the phase-1 loads are authoritative.
 func (t *Table) Find(keys []*vector.Vector, hashes []uint64, sel []int32, n int, rowIDs []int32) error {
-	t.ensureScratch(len(rowIDs))
+	t.ensureScratch(n)
 	slots, cand, step := t.slots, t.cand, t.step
 	pending := t.pending[:0]
 	buckets, rowHash, mask := t.buckets, t.rowHash, t.mask

@@ -434,7 +434,7 @@ func (t *Table) KeyBytes(row int32, c int) []byte {
 	return t.HeapBytes(binary.LittleEndian.Uint32(src), binary.LittleEndian.Uint32(src[4:]))
 }
 
-// ensureScratch sizes the probe scratch arrays for capacity rows.
+// ensureScratch sizes the probe scratch arrays for a call over capacity rows.
 func (t *Table) ensureScratch(capacity int) {
 	if cap(t.cand) < capacity {
 		t.cand = make([]int32, capacity)

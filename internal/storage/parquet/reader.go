@@ -394,8 +394,8 @@ func (r *Reader) nextBatch(batchSize int) (*vector.Batch, error) {
 	return r.out, nil
 }
 
-// ReadAll decodes the whole file into batches of its own (copies of the
-// reader's output batch).
+// ReadAll decodes the whole file into batches of its own (kept copies of
+// the reader's output batch).
 func (r *Reader) ReadAll(batchSize int) ([]*vector.Batch, error) {
 	var out []*vector.Batch
 	for {
@@ -406,6 +406,6 @@ func (r *Reader) ReadAll(batchSize int) ([]*vector.Batch, error) {
 		if b == nil {
 			return out, nil
 		}
-		out = append(out, b.Clone())
+		out = append(out, b.Keep())
 	}
 }

@@ -298,37 +298,28 @@ func (b *Batch) String() string {
 	return sb.String()
 }
 
-// Clone deep-copies the batch (including string payloads); used when a
-// consumer must retain data beyond the producer's reuse of the batch.
-func (b *Batch) Clone() *Batch {
-	nb := NewBatch(b.Schema, b.capacity)
-	nb.NumRows = b.NumRows
-	if b.Sel != nil {
-		nb.Sel = append([]int32(nil), b.Sel...)
-	}
+// Keep copies the active rows densely into a new batch of exactly that many
+// rows, for a consumer that holds rows past the producer's next refill. The
+// string payloads of all its columns are copied into one buffer sized up
+// front. The NULL, ASCII and Dec64 verdicts carry over: they hold for any
+// subset of the rows.
+func (b *Batch) Keep() *Batch {
+	n := b.NumActive()
+	vecs := make([]*Vector, len(b.Vecs))
+	size := 0
 	for c, v := range b.Vecs {
-		dst := nb.Vecs[c]
-		copy(dst.Nulls, v.Nulls[:b.NumRows])
-		dst.SetHasNulls(v.HasNulls())
-		dst.Ascii = v.Ascii
-		switch v.Type.ID {
-		case types.Bool:
-			copy(dst.Bool, v.Bool[:b.NumRows])
-		case types.Int32, types.Date:
-			copy(dst.I32, v.I32[:b.NumRows])
-		case types.Int64, types.Timestamp:
-			copy(dst.I64, v.I64[:b.NumRows])
-		case types.Float64:
-			copy(dst.F64, v.F64[:b.NumRows])
-		case types.Decimal:
-			copy(dst.Dec, v.Dec[:b.NumRows])
-		case types.String:
-			for i := 0; i < b.NumRows; i++ {
-				if v.Str[i] != nil {
-					dst.Str[i] = append([]byte(nil), v.Str[i]...)
-				}
+		vecs[c] = New(v.Type, n)
+		if v.Type.ID == types.String {
+			for j := 0; j < n; j++ {
+				size += len(v.Str[b.RowIndex(j)])
 			}
 		}
 	}
-	return nb
+	out := &Batch{Schema: b.Schema, Vecs: vecs, capacity: n}
+	b.GatherInto(out)
+	out.OwnStrings(0, make([]byte, 0, size))
+	for c, v := range b.Vecs {
+		vecs[c].Dec64 = v.Dec64
+	}
+	return out
 }
