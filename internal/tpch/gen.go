@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"photon/internal/catalog"
+	"photon/internal/exec"
 	"photon/internal/types"
 	"photon/internal/vector"
 )
@@ -113,11 +114,13 @@ func NewGen(sf float64) *Gen {
 	return g
 }
 
-// tableBuilder accumulates rows into batches.
+// tableBuilder accumulates rows into batches. A batch's rows are pivoted
+// together, so each string column's payloads land in one buffer and
+// registration finds them packed.
 type tableBuilder struct {
 	schema *types.Schema
 	size   int
-	cur    *vector.Batch
+	rows   [][]any
 	out    []*vector.Batch
 }
 
@@ -126,21 +129,20 @@ func newTableBuilder(schema *types.Schema, size int) *tableBuilder {
 }
 
 func (tb *tableBuilder) add(row []any) {
-	if tb.cur == nil {
-		tb.cur = vector.NewBatch(tb.schema, tb.size)
+	if tb.rows = append(tb.rows, row); len(tb.rows) == tb.size {
+		tb.flush()
 	}
-	tb.cur.AppendRow(row...)
-	if tb.cur.NumRows == tb.size {
-		tb.out = append(tb.out, tb.cur)
-		tb.cur = nil
+}
+
+func (tb *tableBuilder) flush() {
+	if len(tb.rows) > 0 {
+		tb.out = append(tb.out, exec.BuildBatches(tb.schema, tb.rows, tb.size)...)
+		tb.rows = tb.rows[:0]
 	}
 }
 
 func (tb *tableBuilder) finish() []*vector.Batch {
-	if tb.cur != nil && tb.cur.NumRows > 0 {
-		tb.out = append(tb.out, tb.cur)
-		tb.cur = nil
-	}
+	tb.flush()
 	return tb.out
 }
 
