@@ -9,9 +9,9 @@
 // inactive row indices may still be valid and must never be overwritten.
 //
 // A batch holds at most its task's batch size rows, and no operator or
-// expression sizes scratch from the first batch it sees: scratch takes the
-// task's batch size, and a scan hands out a stored batch larger than that as
-// zero-copy row ranges (Vector.Slice).
+// expression sizes scratch from the first batch it sees: scratch is checked
+// against every batch and grown to it, and a scan hands out a stored batch
+// larger than the batch size as zero-copy row ranges (Vector.Slice).
 package vector
 
 import (
