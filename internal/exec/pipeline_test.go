@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -57,8 +58,12 @@ type statRow struct {
 // buildChain assembles Filter(a >= lo) → Filter(b < hi) → Project(b, a+1000)
 // over the given batches.
 func buildChain(schema *types.Schema, batches []*vector.Batch, lo, hi int64) Operator {
-	scan := NewMemScan(schema, batches)
-	f1 := NewFilter(scan, expr.MustCmp(kernels.CmpGe, expr.Col(0, "a", types.Int64Type), expr.Int64Lit(lo)))
+	return buildChainOver(NewMemScan(schema, batches), lo, hi)
+}
+
+// buildChainOver assembles the same chain over src.
+func buildChainOver(src Operator, lo, hi int64) Operator {
+	f1 := NewFilter(src, expr.MustCmp(kernels.CmpGe, expr.Col(0, "a", types.Int64Type), expr.Int64Lit(lo)))
 	f2 := NewFilter(f1, expr.MustCmp(kernels.CmpLt, expr.Col(1, "b", types.Int64Type), expr.Int64Lit(hi)))
 	return NewProject(f2, []expr.Expr{
 		expr.Col(1, "b", types.Int64Type),
@@ -148,33 +153,154 @@ func cloneBatches(in []*vector.Batch) []*vector.Batch {
 	return out
 }
 
+// sliceSource emits its batches exactly as given, position lists included
+// (MemScan emits dense batches only).
+type sliceSource struct {
+	base
+	batches []*vector.Batch
+	next    int
+}
+
+func newSliceSource(schema *types.Schema, batches []*vector.Batch) *sliceSource {
+	s := &sliceSource{batches: batches}
+	s.schema = schema
+	s.stats.Name = "SliceSource"
+	return s
+}
+
+func (s *sliceSource) Open(tc *TaskCtx) error { s.tc = tc; s.next = 0; return nil }
+func (s *sliceSource) Close() error           { return nil }
+func (s *sliceSource) Next() (*vector.Batch, error) {
+	if s.next == len(s.batches) {
+		return nil, nil
+	}
+	s.next++
+	return s.batches[s.next-1], nil
+}
+
+// drainChain runs root to the end, returning a snapshot of every batch it emitted
+// and the stats rows of its operators.
+func drainChain(t *testing.T, root Operator) ([]batchSnap, []statRow) {
+	t.Helper()
+	AssignStatsIDs(root)
+	if err := root.Open(newTC(t)); err != nil {
+		t.Fatal(err)
+	}
+	var snaps []batchSnap
+	for {
+		b, err := root.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		snaps = append(snaps, snapshotBatch(b))
+	}
+	var stats []statRow
+	for _, s := range SnapshotStats(root) {
+		stats = append(stats, statRow{
+			ID: s.ID, Depth: s.Depth, Name: s.Name,
+			RowsIn: s.RowsIn, RowsOut: s.RowsOut, BatchesOut: s.BatchesOut,
+		})
+	}
+	if err := root.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return snaps, stats
+}
+
+// referenceChain evaluates Filter(a >= lo) → Filter(b < hi) → Project(b,
+// a+1000) row by row in plain Go: the batches the chain must emit — a dense
+// batch all of whose rows pass keeps no position list, a batch none of whose
+// rows pass is not emitted — and the stats rows it must report.
+func referenceChain(batches []*vector.Batch, lo, hi int64) ([]batchSnap, []statRow) {
+	var snaps []batchSnap
+	var in, passLo, passBoth, loBatches int64
+	for _, b := range batches {
+		rows := b.Sel
+		if rows == nil {
+			for r := 0; r < b.NumRows; r++ {
+				rows = append(rows, int32(r))
+			}
+		}
+		a, bv := b.Vecs[0].I64, b.Vecs[1].I64
+		var kept []int32
+		var keptLo int64
+		for _, r := range rows {
+			if a[r] >= lo {
+				keptLo++
+				if bv[r] < hi {
+					kept = append(kept, r)
+				}
+			}
+		}
+		in += int64(len(rows))
+		passLo += keptLo
+		passBoth += int64(len(kept))
+		if keptLo > 0 {
+			loBatches++
+		}
+		if len(kept) == 0 {
+			continue
+		}
+		s := batchSnap{SelNil: b.Sel == nil && len(kept) == b.NumRows, NumRows: b.NumRows}
+		if !s.SelNil {
+			s.Sel = kept
+		}
+		for _, r := range kept {
+			s.Rows = append(s.Rows, []any{bv[r], a[r] + 1000})
+		}
+		snaps = append(snaps, s)
+	}
+	out := int64(len(snaps))
+	return snaps, []statRow{
+		{ID: 0, Depth: 0, Name: "Project", RowsIn: passBoth, RowsOut: passBoth, BatchesOut: out},
+		{ID: 1, Depth: 1, Name: fmt.Sprintf("Filter((b < %d))", hi), RowsIn: passLo, RowsOut: passBoth, BatchesOut: out},
+		{ID: 2, Depth: 2, Name: fmt.Sprintf("Filter((a >= %d))", lo), RowsIn: in, RowsOut: passLo, BatchesOut: loBatches},
+		{ID: 3, Depth: 3, Name: "SliceSource"},
+	}
+}
+
+// TestFusedPipelinePropertyEquivalence: a Filter→Filter→Project chain emits
+// exactly the batches and reports exactly the per-step row and batch counts
+// that the chain evaluated row by row does, over dense and sparse batches,
+// batches with an empty position list, and predicates that pass or drop
+// everything.
 func TestFusedPipelinePropertyEquivalence(t *testing.T) {
 	schema := intSchema("a", "b")
 	cases := []struct {
 		name   string
 		sparse bool
+		empty  bool  // every batch arrives with an empty position list
 		lo, hi int64 // Filter(a >= lo), Filter(b < hi)
 	}{
-		{"dense_selective", false, 500, 500},
-		{"sparse_selective", true, 500, 500},
-		{"dense_all_pass", false, 0, 1 << 40}, // dense fast path: Sel must stay nil
-		{"sparse_all_pass", true, 0, 1 << 40},
-		{"dense_all_drop", false, 1 << 40, 500},
-		{"sparse_all_drop", true, 1 << 40, 500},
+		{"dense_selective", false, false, 500, 500},
+		{"sparse_selective", true, false, 500, 500},
+		{"dense_all_pass", false, false, 0, 1 << 40}, // dense fast path: Sel must stay nil
+		{"sparse_all_pass", true, false, 0, 1 << 40},
+		{"dense_all_drop", false, false, 1 << 40, 500},
+		{"sparse_all_drop", true, false, 1 << 40, 500},
+		{"empty_selections", true, true, 0, 1 << 40},
 	}
 	for _, tcase := range cases {
 		t.Run(tcase.name, func(t *testing.T) {
 			for trial := 0; trial < 20; trial++ {
 				r := rand.New(rand.NewSource(int64(trial)*7919 + 1))
 				batches := randomBatches(r, schema, tcase.sparse)
-				// Filters shrink Sel in place, so each run gets its own copy.
-				ref, refStats := runChain(t, schema, cloneBatches(batches), tcase.lo, tcase.hi, false)
-				got, gotStats := runChain(t, schema, cloneBatches(batches), tcase.lo, tcase.hi, true)
-				if !reflect.DeepEqual(ref, got) {
-					t.Fatalf("trial %d: fused output differs\nunfused: %v\nfused:   %v", trial, ref, got)
+				if tcase.empty {
+					for _, b := range batches {
+						b.SetSel([]int32{})
+					}
 				}
-				if !reflect.DeepEqual(refStats, gotStats) {
-					t.Fatalf("trial %d: fused stats differ\nunfused: %v\nfused:   %v", trial, refStats, gotStats)
+				want, wantStats := referenceChain(batches, tcase.lo, tcase.hi)
+				// Filters replace a batch's position list, so the run gets its own headers.
+				got, gotStats := drainChain(t, buildChainOver(newSliceSource(schema, cloneBatches(batches)), tcase.lo, tcase.hi))
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("trial %d: output differs\nwant: %v\ngot:  %v", trial, want, got)
+				}
+				if !reflect.DeepEqual(wantStats, gotStats) {
+					t.Fatalf("trial %d: stats differ\nwant: %v\ngot:  %v", trial, wantStats, gotStats)
 				}
 				if tcase.name == "dense_all_pass" {
 					for i, s := range got {
