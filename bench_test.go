@@ -455,218 +455,6 @@ func BenchmarkObservabilityOverhead(b *testing.B) {
 	b.Run("metrics-on", func(b *testing.B) { run(b, obs.NewRegistry()) })
 }
 
-// ----- Fused pipelines: operator chains compiled into selection-vector loops -----
-
-// fusedBenchResult is one (query, batch size, mode) measurement of
-// BenchmarkFusedPipelines, persisted to BENCH_fused_pipelines.json.
-type fusedBenchResult struct {
-	Query        string  `json:"query"`
-	Kind         string  `json:"kind"` // "scan-heavy" | "probe-heavy"
-	Mode         string  `json:"mode"` // "fused" | "unfused"
-	BatchSize    int     `json:"batch_size"`
-	WallMs       float64 `json:"wall_ms"`
-	PipelineOps  int     `json:"pipeline_ops"`  // operators fused (0 when unfused)
-	PipelineRows int64   `json:"pipeline_rows"` // rows emitted by fused pipelines
-}
-
-// BenchmarkFusedPipelines measures fused vs unfused execution on scan-heavy
-// (Q1, Q6: filter+project chains into aggregation) and probe-heavy (Q17,
-// Q20: filter chains into join probes) TPC-H queries. Fusion removes the
-// per-operator-per-batch interpretive overhead — virtual dispatch, the timed
-// stats closure, batch handoffs — so its effect scales inversely with batch
-// size: each query runs at the default 2048-row batches and at 64-row
-// batches (the interpretive-overhead regime the paper's fused baselines
-// operate in; small batches are also what cache-resident intermediates
-// want). Wall time and pipeline shape land in BENCH_fused_pipelines.json.
-func BenchmarkFusedPipelines(b *testing.B) {
-	queries := []struct {
-		q    int
-		kind string
-	}{{1, "scan-heavy"}, {6, "scan-heavy"}, {17, "probe-heavy"}, {20, "probe-heavy"}}
-	batchSizes := []int{vector.DefaultBatchSize, 64, 16}
-
-	results := map[string]fusedBenchResult{}
-	var order []string
-	for _, bs := range batchSizes {
-		gen := tpch.NewGen(0.02)
-		gen.BatchSize = bs
-		cat := gen.Generate()
-		for _, qc := range queries {
-			stmt, err := sql.Parse(tpch.Queries[qc.q])
-			if err != nil {
-				b.Fatal(err)
-			}
-			plan, err := sql.Analyze(cat, stmt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			plan, err = catalyst.Optimize(plan)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, mode := range []struct {
-				name string
-				off  bool
-			}{{"fused", false}, {"unfused", true}} {
-				key := fmt.Sprintf("Q%02d/bs=%d/%s", qc.q, bs, mode.name)
-				order = append(order, key)
-				b.Run(key, func(b *testing.B) {
-					var pipes []exec.PipelineInfo
-					b.ResetTimer()
-					start := time.Now()
-					for i := 0; i < b.N; i++ {
-						tc := exec.NewTaskCtx(nil, bs)
-						root, err := catalyst.BuildOperator(plan, catalyst.Config{DisableFusedPipelines: mode.off}, tc)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if err := exec.Drain(root, tc); err != nil {
-							b.Fatal(err)
-						}
-						pipes = exec.CollectPipelines(root)
-					}
-					res := fusedBenchResult{
-						Query: fmt.Sprintf("Q%02d", qc.q), Kind: qc.kind,
-						Mode: mode.name, BatchSize: bs,
-						WallMs: float64(time.Since(start).Microseconds()) / 1000 / float64(b.N),
-					}
-					for _, pi := range pipes {
-						res.PipelineOps += pi.Ops
-						res.PipelineRows += pi.Rows
-					}
-					b.ReportMetric(float64(res.PipelineOps), "pipeline_ops")
-					results[key] = res
-				})
-			}
-		}
-	}
-	// Operator-chain micros: the fused-loop regime isolated from SQL
-	// planning and decimal-kernel weight. A Q6-style Filter→Project→
-	// Filter→Project chain over int64 columns and a Q17-style filtered
-	// probe into a hash join, both driven straight through the exec layer,
-	// so the per-operator-per-batch overhead fusion removes is the
-	// dominant non-kernel cost.
-	const chainRows = 1 << 19
-	chainSchema := &types.Schema{Fields: []types.Field{
-		{Name: "a", Type: types.Int64Type, Nullable: true},
-		{Name: "b", Type: types.Int64Type, Nullable: true},
-	}}
-	buildSchema := &types.Schema{Fields: []types.Field{
-		{Name: "k", Type: types.Int64Type, Nullable: true},
-		{Name: "w", Type: types.Int64Type, Nullable: true},
-	}}
-	chainBatches := func(bs int) []*vector.Batch {
-		var out []*vector.Batch
-		for lo := 0; lo < chainRows; lo += bs {
-			n := min(bs, chainRows-lo)
-			cb := vector.NewBatch(chainSchema, n)
-			for i := 0; i < n; i++ {
-				cb.Vecs[0].I64[i] = int64((lo + i) % 4096)
-				cb.Vecs[1].I64[i] = int64(lo + i)
-			}
-			cb.NumRows = n
-			out = append(out, cb)
-		}
-		return out
-	}
-	buildBatches := func() []*vector.Batch {
-		bb := vector.NewBatch(buildSchema, 1024)
-		for i := 0; i < 1024; i++ {
-			bb.Vecs[0].I64[i] = int64(i)
-			bb.Vecs[1].I64[i] = int64(i * 3)
-		}
-		bb.NumRows = 1024
-		return []*vector.Batch{bb}
-	}()
-	colA := expr.Col(0, "a", types.Int64Type)
-	scanChain := func(batches []*vector.Batch) exec.Operator {
-		scan := exec.NewMemScan(chainSchema, batches)
-		f1 := exec.NewFilter(scan, expr.MustCmp(kernels.CmpGe, colA, expr.Int64Lit(256)))
-		p1 := exec.NewProject(f1, []expr.Expr{
-			colA,
-			expr.MustArith(expr.OpAdd, expr.Col(1, "b", types.Int64Type), expr.Int64Lit(7)),
-		}, []string{"a", "b7"})
-		f2 := exec.NewFilter(p1, expr.MustCmp(kernels.CmpLt, colA, expr.Int64Lit(3840)))
-		return exec.NewProject(f2, []expr.Expr{
-			expr.MustArith(expr.OpAdd, colA, expr.Col(1, "b7", types.Int64Type)),
-		}, []string{"s"})
-	}
-	probeChain := func(batches []*vector.Batch) exec.Operator {
-		scan := exec.NewMemScan(chainSchema, batches)
-		f1 := exec.NewFilter(scan, expr.MustCmp(kernels.CmpLt, colA, expr.Int64Lit(2048)))
-		p1 := exec.NewProject(f1, []expr.Expr{
-			colA,
-			expr.MustArith(expr.OpAdd, expr.Col(1, "b", types.Int64Type), expr.Int64Lit(1)),
-		}, []string{"a", "b1"})
-		f2 := exec.NewFilter(p1, expr.MustCmp(kernels.CmpGe, expr.Col(1, "b1", types.Int64Type), expr.Int64Lit(1)))
-		build := exec.NewMemScan(buildSchema, buildBatches)
-		j, err := exec.NewHashJoin(f2, build,
-			[]expr.Expr{colA},
-			[]expr.Expr{expr.Col(0, "k", types.Int64Type)}, exec.InnerJoin)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return j
-	}
-	chains := []struct {
-		name string
-		kind string
-		mk   func([]*vector.Batch) exec.Operator
-	}{
-		{"chain-scan", "scan-heavy-chain", scanChain},
-		{"chain-probe", "probe-heavy-chain", probeChain},
-	}
-	for _, bs := range []int{vector.DefaultBatchSize, 64, 16} {
-		batches := chainBatches(bs)
-		for _, c := range chains {
-			for _, mode := range []struct {
-				name string
-				off  bool
-			}{{"fused", false}, {"unfused", true}} {
-				key := fmt.Sprintf("%s/bs=%d/%s", c.name, bs, mode.name)
-				order = append(order, key)
-				b.Run(key, func(b *testing.B) {
-					b.ResetTimer()
-					start := time.Now()
-					var pipeOps int
-					for i := 0; i < b.N; i++ {
-						root := c.mk(batches)
-						if !mode.off {
-							root = exec.FusePipelines(root)
-						}
-						pipeOps = 0
-						for _, pi := range exec.CollectPipelines(root) {
-							pipeOps += pi.Ops
-						}
-						if err := exec.Drain(root, exec.NewTaskCtx(nil, bs)); err != nil {
-							b.Fatal(err)
-						}
-					}
-					results[key] = fusedBenchResult{
-						Query: c.name, Kind: c.kind, Mode: mode.name, BatchSize: bs,
-						WallMs:      float64(time.Since(start).Microseconds()) / 1000 / float64(b.N),
-						PipelineOps: pipeOps,
-					}
-				})
-			}
-		}
-	}
-
-	out := make([]fusedBenchResult, 0, len(order))
-	for _, k := range order {
-		if r, ok := results[k]; ok {
-			out = append(out, r)
-		}
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_fused_pipelines.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // ----- Serving path: plan cache + small-query fast path -----
 
 // servingBenchResult is one (workload, mode) latency distribution of

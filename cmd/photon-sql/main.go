@@ -43,7 +43,6 @@ var (
 	analyzeFlag = flag.Bool("analyze", false, "print the merged EXPLAIN ANALYZE profile after each query")
 	traceFlag   = flag.String("trace", "", "write a Chrome trace-event JSON file per query (load in chrome://tracing or ui.perfetto.dev)")
 	metricsFlag = flag.Bool("metrics", false, "dump the session's Prometheus metrics on exit")
-	fusedFlag   = flag.Bool("fused-pipelines", true, "compile intra-stage Filter/Project/RuntimeFilter chains into fused selection-vector pipelines")
 	chaosFlag   = flag.Int64("chaos-seed", 0, "arm deterministic fault injection on the distributed execution sites with this seed; pair with -par > 1 (0 = off)")
 	cacheFlag   = flag.Bool("plan-cache", true, "cache compiled plans per normalized query shape (prepare/bind/execute lifecycle)")
 	repeatFlag  = flag.Int("repeat", 1, "run each query N times, reporting per-run latency and cache/fast-path routing (pair with -plan-cache)")
@@ -64,10 +63,7 @@ func main() {
 	flag.Var(&deltas, "delta", "register a Delta table as name=path (repeatable)")
 	flag.Parse()
 
-	cfg := photon.Config{
-		Parallelism:           *parFlag,
-		DisableFusedPipelines: !*fusedFlag,
-	}
+	cfg := photon.Config{Parallelism: *parFlag}
 	if !*cacheFlag {
 		cfg.PlanCacheSize = -1
 	}

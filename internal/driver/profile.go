@@ -89,7 +89,8 @@ type StageProfile struct {
 
 	// Fused-pipeline execution: operators running inside fused pipelines in
 	// one task's plan, and the batches/rows the stage's pipelines emitted
-	// across all tasks. All zero when fusion is disabled or nothing fused.
+	// across all tasks. All zero when the stage has no Filter, Project or
+	// RuntimeFilter.
 	PipelineOps                   int
 	PipelineBatches, PipelineRows int64
 

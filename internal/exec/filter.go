@@ -6,56 +6,26 @@ import (
 	"photon/internal/vector"
 )
 
-// FilterOp applies a filtering expression by shrinking each batch's position
-// list (§4.3). Data vectors are untouched; only the selection changes.
+// FilterOp is the pipeline step that applies a filtering expression by
+// shrinking each batch's position list (§4.3). Data vectors are untouched;
+// only the selection changes.
 type FilterOp struct {
-	base
-	child  Operator
+	stepBase
 	pred   expr.Filter
 	sel    []int32
 	winSel []int32
 }
 
-// NewFilter builds a filter over child.
-func NewFilter(child Operator, pred expr.Filter) *FilterOp {
-	f := &FilterOp{child: child, pred: pred}
+// NewFilter adds a filter step over child.
+func NewFilter(child Operator, pred expr.Filter) *PipelineOp {
+	f := &FilterOp{pred: pred}
 	f.schema = child.Schema()
 	f.stats.Name = "Filter(" + pred.String() + ")"
-	return f
-}
-
-// Open implements Operator.
-func (f *FilterOp) Open(tc *TaskCtx) error {
-	f.tc = tc
-	return f.child.Open(tc)
-}
-
-// Next implements Operator.
-func (f *FilterOp) Next() (*vector.Batch, error) {
-	for {
-		b, err := f.child.Next()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		var out *vector.Batch
-		err = f.timed(func() error {
-			var err error
-			out, err = f.processBatch(b)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		if out != nil {
-			return out, nil
-		}
-	}
+	return fuse(child, f)
 }
 
 // processBatch applies the predicate to one batch, shrinking its position
-// list; nil output means the batch was fully filtered. Shared by the pull
-// path and fused pipelines — all stats counting lives here, so both report
-// identically.
+// list; nil output means the batch was fully filtered.
 func (f *FilterOp) processBatch(b *vector.Batch) (*vector.Batch, error) {
 	f.stats.RowsIn.Add(int64(b.NumActive()))
 	f.sel = f.sel[:0]
@@ -105,33 +75,20 @@ func (f *FilterOp) evalSelWindowed(b *vector.Batch, active int) ([]int32, error)
 	return out, nil
 }
 
-// bind attaches the task context without opening the child (fused path).
-func (f *FilterOp) bind(tc *TaskCtx) { f.tc = tc }
-
-// source returns the operator's input (fused path).
-func (f *FilterOp) source() Operator { return f.child }
-
-// closeLocal releases operator-local resources (fused path; none to free).
-func (f *FilterOp) closeLocal() error { return nil }
-
-// Close implements Operator.
-func (f *FilterOp) Close() error { return f.child.Close() }
-
-// ProjectOp evaluates expressions into an output batch whose header is
-// pooled and whose vectors are expression results or zero-copy column
-// references, forwarding the input's position list.
+// ProjectOp is the pipeline step that evaluates expressions into an output
+// batch whose header is pooled and whose vectors are expression results or
+// zero-copy column references, forwarding the input's position list.
 type ProjectOp struct {
-	base
-	child    Operator
+	stepBase
 	exprs    []expr.Expr
 	out      *vector.Batch
 	ownedVec []bool
 }
 
-// NewProject builds a projection. names provides output column names
-// (empty entries fall back to the expression's rendering).
-func NewProject(child Operator, exprs []expr.Expr, names []string) *ProjectOp {
-	p := &ProjectOp{child: child, exprs: exprs}
+// NewProject adds a projection step over child. names provides output
+// column names (empty entries fall back to the expression's rendering).
+func NewProject(child Operator, exprs []expr.Expr, names []string) *PipelineOp {
+	p := &ProjectOp{exprs: exprs}
 	fields := make([]types.Field, len(exprs))
 	for i, e := range exprs {
 		name := ""
@@ -145,35 +102,10 @@ func NewProject(child Operator, exprs []expr.Expr, names []string) *ProjectOp {
 	}
 	p.schema = &types.Schema{Fields: fields}
 	p.stats.Name = "Project"
-	return p
+	return fuse(child, p)
 }
 
-// Open implements Operator.
-func (p *ProjectOp) Open(tc *TaskCtx) error {
-	p.tc = tc
-	return p.child.Open(tc)
-}
-
-// Next implements Operator.
-func (p *ProjectOp) Next() (*vector.Batch, error) {
-	b, err := p.child.Next()
-	if err != nil || b == nil {
-		return nil, err
-	}
-	var out *vector.Batch
-	err = p.timed(func() error {
-		var err error
-		out, err = p.processBatch(b)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// processBatch evaluates the projection expressions over one batch. Shared
-// by the pull path and fused pipelines — all stats counting lives here.
+// processBatch evaluates the projection expressions over one batch.
 func (p *ProjectOp) processBatch(b *vector.Batch) (*vector.Batch, error) {
 	p.stats.RowsIn.Add(int64(b.NumActive()))
 	p.tc.Expr.ResetPerBatch()
@@ -209,15 +141,9 @@ func (p *ProjectOp) processBatch(b *vector.Batch) (*vector.Batch, error) {
 	return p.out, nil
 }
 
-// bind attaches the task context without opening the child (fused path).
-func (p *ProjectOp) bind(tc *TaskCtx) { p.tc = tc }
-
-// source returns the operator's input (fused path).
-func (p *ProjectOp) source() Operator { return p.child }
-
-// closeLocal returns owned output vectors to the expression pool and the
+// release returns owned output vectors to the expression pool and the
 // output header to the batch pool.
-func (p *ProjectOp) closeLocal() error {
+func (p *ProjectOp) release() {
 	if p.out != nil {
 		for i, v := range p.out.Vecs {
 			if v != nil && p.ownedVec[i] {
@@ -227,11 +153,4 @@ func (p *ProjectOp) closeLocal() error {
 		p.tc.Pool.PutView(p.out)
 		p.out = nil
 	}
-	return nil
-}
-
-// Close implements Operator.
-func (p *ProjectOp) Close() error {
-	p.closeLocal()
-	return p.child.Close()
 }

@@ -240,25 +240,13 @@ type base struct {
 	schema *types.Schema
 	stats  OpStats
 	tc     *TaskCtx
-	// untimed suppresses per-batch wall-clock reads (fused-pipeline
-	// members: two clock syscalls per operator per batch are part of the
-	// interpretive overhead fusion removes).
-	untimed bool
 }
 
 func (b *base) Schema() *types.Schema { return b.schema }
 func (b *base) Stats() *OpStats       { return &b.stats }
 
-// disableTiming turns off per-batch time accrual for this operator. The
-// fused-pipeline compiler applies it to pipeline members; their TimeNanos
-// reads as zero, which EXPLAIN ANALYZE documents as fused-mode semantics.
-func (b *base) disableTiming() { b.untimed = true }
-
 // timed runs f and accrues wall time into the operator's stats.
 func (b *base) timed(f func() error) error {
-	if b.untimed {
-		return f()
-	}
 	start := time.Now()
 	err := f()
 	b.stats.TimeNanos.Add(int64(time.Since(start)))

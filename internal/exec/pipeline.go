@@ -1,89 +1,94 @@
 package exec
 
 import (
-	"fmt"
+	"time"
 
+	"photon/internal/types"
 	"photon/internal/vector"
 )
 
 // Fused pipeline execution (§4.3; Flare's loop fusion; Shaikhha et al.'s
-// observation that fusion, not push-vs-pull, is what wins): instead of one
-// virtual Next() dispatch, stats closure, and batch handoff per operator per
-// batch, a maximal run of fusable operators above a pipeline breaker is
-// compiled into a single PipelineOp that drives one loop per source batch.
-// The selection vector shrinks in place through the run's filters,
+// observation that fusion, not push-vs-pull, is what wins): Filter, Project
+// and RuntimeFilter are steps of a PipelineOp, never operators of their own.
+// NewFilter, NewProject and NewRuntimeFilter start a pipeline over their
+// input, or join the one their input already is, so a maximal run of steps
+// above a pipeline breaker is one loop per source batch from the moment it
+// is built. The selection vector shrinks in place through the run's filters,
 // projections feed zero-copy off it, and the consuming breaker (HashAgg's
-// update side, HashJoin's probe side, a sort or shuffle write) acts as the
-// run's terminal by pulling from the pipeline directly.
+// update side, HashJoin's probe side, a sort or shuffle write) pulls from
+// the pipeline directly.
 
-// batchProcessor is the contract fused operators implement: the per-batch
-// body of Next, detached from the pull loop. processBatch returns the
-// operator's output batch (usually its input with a shrunk position list or
-// replaced vectors) or nil when the batch was consumed entirely (fully
-// filtered). All stats counting happens inside processBatch, so fused and
-// unfused execution report identical RowsIn/RowsOut/BatchesOut.
-type batchProcessor interface {
-	Operator
+// step is one per-batch stage of a pipeline. processBatch returns the step's
+// output batch (usually its input with a shrunk position list or replaced
+// vectors) or nil when the batch was consumed entirely (fully filtered); it
+// counts the step's rows and batches.
+type step interface {
+	core() *stepBase
 	processBatch(b *vector.Batch) (*vector.Batch, error)
-	// bind attaches the task context without opening the child: the
-	// pipeline opens its source exactly once.
-	bind(tc *TaskCtx)
-	// source returns the operator's input.
-	source() Operator
-	// closeLocal releases operator-local resources without closing the
-	// child.
-	closeLocal() error
+	// release frees step-local resources when the pipeline closes.
+	release()
 }
 
-// PipelineOp executes a fused run of operators (Filter, Project,
-// RuntimeFilter) over one source as a single loop per batch.
-//
-// The wrapped operators stay linked as children for the stats walk, and
-// PipelineOp hides its own stats node (statsHidden), so pre-order OpStats
-// IDs — and therefore distributed EXPLAIN ANALYZE merging — are identical
-// to unfused execution. Per-operator wall time is not recorded in fused
-// mode — per-batch clock reads are themselves part of the interpretive
-// overhead fusion removes; pipeline activity surfaces through the stage
-// profile's pipeline[ops= batches= rows=] line instead.
-type PipelineOp struct {
+// stepBase is the plumbing every step shares: its metrics and task context,
+// and its input in the stats walk — the step below it, or the pipeline's
+// source.
+type stepBase struct {
 	base
-	src   Operator
-	chain []batchProcessor // outermost (output side) first
+	in any
 }
 
-// newPipeline fuses chain (outermost first) over src.
-func newPipeline(chain []batchProcessor, src Operator) *PipelineOp {
-	p := &PipelineOp{src: src, chain: chain}
-	p.schema = chain[0].Schema()
-	p.stats.Name = fmt.Sprintf("Pipeline[%d ops]", len(chain)+1)
+func (s *stepBase) core() *stepBase { return s }
+func (s *stepBase) children() []any { return []any{s.in} }
+func (s *stepBase) release()        {}
+
+// PipelineOp runs its steps over one source as a single loop per batch.
+// It reports as its outermost step: its schema, stats and stats-walk
+// children are that step's, so the stats walk sees every step with the
+// pre-order IDs and depths of a plain operator chain, and distributed
+// EXPLAIN ANALYZE merges them like any operator.
+type PipelineOp struct {
+	src   Operator
+	steps []step // innermost (input side) first
+	tc    *TaskCtx
+}
+
+// fuse adds s on top of child: it joins child when child is a pipeline and
+// starts one over child otherwise. s's stats-walk input becomes the step it
+// now follows — never the pipeline itself, which reports as s and would
+// make the walk cycle.
+func fuse(child Operator, s step) *PipelineOp {
+	p, ok := child.(*PipelineOp)
+	if !ok {
+		p = &PipelineOp{src: child}
+		s.core().in = child
+	} else {
+		s.core().in = p.steps[len(p.steps)-1]
+	}
+	p.steps = append(p.steps, s)
 	return p
 }
 
-// statsHidden hides the pipeline's own stats node from the walk.
-func (p *PipelineOp) statsHidden() {}
+func (p *PipelineOp) out() *stepBase        { return p.steps[len(p.steps)-1].core() }
+func (p *PipelineOp) Schema() *types.Schema { return p.out().schema }
+func (p *PipelineOp) Stats() *OpStats       { return &p.out().stats }
+func (p *PipelineOp) children() []any       { return p.out().children() }
 
-// children links the fused chain into the stats walk unchanged.
-func (p *PipelineOp) children() []any { return []any{p.chain[0]} }
-
-// Open implements Operator: the source opens once; fused operators only
-// bind the task context. The source's per-batch timing is switched off —
-// inside a pipeline, clock reads per batch are interpretive overhead, and
-// fused mode documents per-operator times as unrecorded.
+// Open implements Operator: the source opens once; steps only take the task
+// context.
 func (p *PipelineOp) Open(tc *TaskCtx) error {
 	p.tc = tc
-	for _, op := range p.chain {
-		op.bind(tc)
-	}
-	if u, ok := p.src.(interface{ disableTiming() }); ok {
-		u.disableTiming()
+	for _, s := range p.steps {
+		s.core().tc = tc
 	}
 	return p.src.Open(tc)
 }
 
-// Next implements Operator: one fused loop per source batch. Cancellation is
-// checked per batch here and every ~64K rows inside the stages' own windowed
-// kernels (filter evaluation, runtime-filter probes, hash-table guards), so
-// even a single giant batch cancels promptly.
+// Next implements Operator: one loop per source batch. The source times its
+// own Next; the clock is read before the first step and after each one, and
+// each difference is that step's own time. Cancellation is checked
+// per batch here and every ~64K rows inside the steps' own windowed kernels
+// (filter evaluation, runtime-filter probes), so even a single giant batch
+// cancels promptly.
 func (p *PipelineOp) Next() (*vector.Batch, error) {
 	for {
 		if err := p.tc.Cancelled(); err != nil {
@@ -93,86 +98,30 @@ func (p *PipelineOp) Next() (*vector.Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		// Deliberately untimed: per-batch clock reads are exactly the
-		// interpretive overhead fusion exists to remove, and the hidden
-		// stats node never surfaces a duration anyway.
-		for i := len(p.chain) - 1; i >= 0; i-- {
-			b, err = p.chain[i].processBatch(b)
-			if err != nil || b == nil {
-				break
+		t0 := time.Now()
+		for _, s := range p.steps {
+			if b, err = s.processBatch(b); err != nil {
+				return nil, err
+			}
+			t1 := time.Now()
+			s.core().stats.TimeNanos.Add(int64(t1.Sub(t0)))
+			t0 = t1
+			if b == nil {
+				break // fully filtered: pull the next source batch
 			}
 		}
-		if err != nil {
-			return nil, err
+		if b != nil {
+			return b, nil
 		}
-		if b == nil {
-			continue // fully filtered: pull the next source batch
-		}
-		p.stats.RowsOut.Add(int64(b.NumActive()))
-		p.stats.BatchesOut.Add(1)
-		return b, nil
 	}
 }
 
 // Close implements Operator.
 func (p *PipelineOp) Close() error {
-	var first error
-	for _, op := range p.chain {
-		if err := op.closeLocal(); err != nil && first == nil {
-			first = err
-		}
+	for _, s := range p.steps {
+		s.release()
 	}
-	if err := p.src.Close(); err != nil && first == nil {
-		first = err
-	}
-	return first
-}
-
-// FusePipelines rewrites an operator tree, compiling every maximal run of
-// fusable operators into a PipelineOp. Pipeline breakers — exchanges,
-// sorts, limits, aggregation and join builds — keep their place and have
-// their inputs fused recursively, which makes HashAgg's update side and
-// HashJoin's probe side the terminals of the pipelines feeding them.
-func FusePipelines(root Operator) Operator {
-	if root == nil {
-		return nil
-	}
-	var chain []batchProcessor
-	cur := root
-	for {
-		bp, ok := cur.(batchProcessor)
-		if !ok {
-			break
-		}
-		chain = append(chain, bp)
-		cur = bp.source()
-	}
-	if rw, ok := cur.(childRewriter); ok {
-		rw.rewriteChildren(FusePipelines)
-	}
-	if len(chain) == 0 {
-		return cur
-	}
-	return newPipeline(chain, cur)
-}
-
-// childRewriter lets the fusion pass rewrite a pipeline breaker's inputs in
-// place, preserving the node (and its stats identity) itself.
-type childRewriter interface {
-	rewriteChildren(func(Operator) Operator)
-}
-
-func (op *HashAggOp) rewriteChildren(f func(Operator) Operator) { op.child = f(op.child) }
-func (op *HashJoinOp) rewriteChildren(f func(Operator) Operator) {
-	op.left = f(op.left)
-	op.right = f(op.right)
-}
-func (s *SortOp) rewriteChildren(f func(Operator) Operator)         { s.child = f(s.child) }
-func (t *TopKOp) rewriteChildren(f func(Operator) Operator)         { t.child = f(t.child) }
-func (l *LimitOp) rewriteChildren(f func(Operator) Operator)        { l.child = f(l.child) }
-func (s *ShuffleWriteOp) rewriteChildren(f func(Operator) Operator) { s.child = f(s.child) }
-func (op *RuntimeFilterBuildOp) rewriteChildren(f func(Operator) Operator) {
-	op.child = f(op.child)
+	return p.src.Close()
 }
 
 // PipelineInfo summarizes one fused pipeline's execution for the stage
@@ -191,9 +140,9 @@ func CollectPipelines(root any) []PipelineInfo {
 	walk = func(n any) {
 		if p, ok := n.(*PipelineOp); ok {
 			out = append(out, PipelineInfo{
-				Ops:     len(p.chain) + 1,
-				Batches: p.stats.BatchesOut.Load(),
-				Rows:    p.stats.RowsOut.Load(),
+				Ops:     len(p.steps) + 1,
+				Batches: p.Stats().BatchesOut.Load(),
+				Rows:    p.Stats().RowsOut.Load(),
 			})
 		}
 		if sc, ok := n.(statsChild); ok {

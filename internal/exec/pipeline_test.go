@@ -16,8 +16,8 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Property test: a Filter→Filter→Project chain must produce byte-identical
-// batches fused and unfused — same values, same NumRows, and the same
+// Property test: a Filter→Filter→Project chain must emit the batches a
+// row-by-row evaluation does — same values, same NumRows, and the same
 // selection-vector representation (including the dense fast path where an
 // all-pass filter over a dense batch keeps Sel == nil instead of
 // materializing the identity selection).
@@ -46,9 +46,7 @@ func snapshotBatch(b *vector.Batch) batchSnap {
 	return s
 }
 
-// statRow is the ID-stable subset of a stats snapshot that must match
-// between fused and unfused execution (TimeNanos legitimately differs: in
-// fused mode loop time accrues to the hidden pipeline node).
+// statRow is the ID-stable subset of a stats snapshot (everything but time).
 type statRow struct {
 	ID, Depth                   int
 	Name                        string
@@ -69,46 +67,6 @@ func buildChainOver(src Operator, lo, hi int64) Operator {
 		expr.Col(1, "b", types.Int64Type),
 		expr.MustArith(expr.OpAdd, expr.Col(0, "a", types.Int64Type), expr.Int64Lit(1000)),
 	}, []string{"b", "a1k"})
-}
-
-// runChain executes the chain (optionally fused) and returns per-batch
-// snapshots plus the stats rows of the logical operators.
-func runChain(t *testing.T, schema *types.Schema, batches []*vector.Batch, lo, hi int64, fused bool) ([]batchSnap, []statRow) {
-	t.Helper()
-	root := buildChain(schema, batches, lo, hi)
-	if fused {
-		root = FusePipelines(root)
-		if _, ok := root.(*PipelineOp); !ok {
-			t.Fatalf("FusePipelines did not fuse the chain: %T", root)
-		}
-	}
-	AssignStatsIDs(root)
-	tc := newTC(t)
-	if err := root.Open(tc); err != nil {
-		t.Fatal(err)
-	}
-	var snaps []batchSnap
-	for {
-		b, err := root.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			break
-		}
-		snaps = append(snaps, snapshotBatch(b))
-	}
-	var stats []statRow
-	for _, s := range SnapshotStats(root) {
-		stats = append(stats, statRow{
-			ID: s.ID, Depth: s.Depth, Name: s.Name,
-			RowsIn: s.RowsIn, RowsOut: s.RowsOut, BatchesOut: s.BatchesOut,
-		})
-	}
-	if err := root.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return snaps, stats
 }
 
 // randomBatches generates batches of random size; sparse=true attaches a
@@ -314,26 +272,40 @@ func TestFusedPipelinePropertyEquivalence(t *testing.T) {
 	}
 }
 
-// TestFusedPipelineStatsIDs: fusing must not shift pre-order operator IDs,
-// names, or depths — distributed EXPLAIN ANALYZE merges snapshots by ID.
+// TestFusedPipelineStatsIDs: steps keep the pre-order IDs, depths and names
+// of a plain operator chain, on both sides of a breaker — a pipeline whose
+// source is a HashAgg fed by another pipeline.
 func TestFusedPipelineStatsIDs(t *testing.T) {
 	schema := intSchema("a", "b")
 	r := rand.New(rand.NewSource(42))
-	batches := randomBatches(r, schema, false)
-	_, refStats := runChain(t, schema, cloneBatches(batches), 250, 750, false)
-	_, gotStats := runChain(t, schema, cloneBatches(batches), 250, 750, true)
-	if len(refStats) == 0 || !reflect.DeepEqual(refStats, gotStats) {
-		t.Fatalf("stats rows differ\nunfused: %v\nfused:   %v", refStats, gotStats)
+	below := buildChain(schema, randomBatches(r, schema, false), 250, 750)
+	agg, err := NewHashAgg(below, AggComplete,
+		[]expr.Expr{expr.Col(0, "b", types.Int64Type)}, []string{"b"},
+		[]expr.AggSpec{{Kind: expr.AggCount, Name: "c"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := NewProject(NewFilter(agg, expr.MustCmp(kernels.CmpGt, expr.Col(1, "c", types.Int64Type), expr.Int64Lit(0))),
+		[]expr.Expr{expr.Col(1, "c", types.Int64Type)}, []string{"c"})
+	_, got := drainChain(t, root)
+	var names []string
+	for _, s := range got {
+		names = append(names, fmt.Sprintf("%d:%d:%s", s.ID, s.Depth, s.Name))
+	}
+	want := []string{"0:0:Project", "1:1:Filter((c > 0))", "2:2:HashAgg(0)",
+		"3:3:Project", "4:4:Filter((b < 750))", "5:5:Filter((a >= 250))", "6:6:MemScan"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("stats rows = %v, want %v", names, want)
 	}
 }
 
-// TestCollectPipelines: the fused plan reports its pipeline shape for the
-// stage profile's pipeline[...] line.
+// TestCollectPipelines: a plan reports its pipeline shape for the stage
+// profile's pipeline[...] line.
 func TestCollectPipelines(t *testing.T) {
 	schema := intSchema("a", "b")
 	r := rand.New(rand.NewSource(7))
 	batches := randomBatches(r, schema, false)
-	root := FusePipelines(buildChain(schema, batches, 0, 1<<40))
+	root := buildChain(schema, batches, 0, 1<<40)
 	tc := newTC(t)
 	rows, err := CollectRows(root, tc)
 	if err != nil {
@@ -356,13 +328,13 @@ func TestCollectPipelines(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Prompt cancellation inside fused loops (the 1M-row giant-batch tests,
-// extended to the fused path).
+// Prompt cancellation inside pipeline loops and breakers (the 1M-row
+// giant-batch tests).
 // ---------------------------------------------------------------------------
 
-// TestFusedFilterCancelsWithinGiantBatch: a fused filter pipeline must
-// observe cancellation inside one giant batch via the windowed selection
-// kernel, not only between batches.
+// TestFusedFilterCancelsWithinGiantBatch: a filter step must observe
+// cancellation inside one giant batch via the windowed selection kernel, not
+// only between batches.
 func TestFusedFilterCancelsWithinGiantBatch(t *testing.T) {
 	const n = 1 << 20
 	schema := intSchema("a")
@@ -370,11 +342,7 @@ func TestFusedFilterCancelsWithinGiantBatch(t *testing.T) {
 	src := &cancelOnNextSource{batch: giantBatch(schema, n), cancel: cancel}
 	src.schema = schema
 
-	filt := NewFilter(src, expr.MustCmp(kernels.CmpGe, expr.Col(0, "a", types.Int64Type), expr.Int64Lit(0)))
-	root := FusePipelines(filt)
-	if _, ok := root.(*PipelineOp); !ok {
-		t.Fatalf("expected fused pipeline, got %T", root)
-	}
+	root := NewFilter(src, expr.MustCmp(kernels.CmpGe, expr.Col(0, "a", types.Int64Type), expr.Int64Lit(0)))
 	tc := newTC(t)
 	tc.Ctx = ctx
 	_, err := CollectRows(root, tc)
@@ -442,8 +410,8 @@ func TestJoinProbeCancelsWithinGiantBatch(t *testing.T) {
 	}
 }
 
-// TestFusedRuntimeFilterCancelsWithinGiantBatch: the runtime-filter probe
-// operator windows its row probes inside a fused pipeline as well.
+// TestFusedRuntimeFilterCancelsWithinGiantBatch: the runtime-filter step
+// windows its row probes as well.
 func TestFusedRuntimeFilterCancelsWithinGiantBatch(t *testing.T) {
 	const n = 1 << 20
 	schema := intSchema("k")
@@ -460,11 +428,7 @@ func TestFusedRuntimeFilterCancelsWithinGiantBatch(t *testing.T) {
 	var hs rf.HashScratch
 	f.Add(build, []int{0}, nil, 3, &hs)
 
-	rfo := NewRuntimeFilter(src).Stack([]int{0}, f, 0)
-	root := FusePipelines(rfo)
-	if _, ok := root.(*PipelineOp); !ok {
-		t.Fatalf("expected fused pipeline, got %T", root)
-	}
+	root := NewRuntimeFilter(src, []ProducerFilter{{Keys: []int{0}, Filter: f}})
 	tc := newTC(t)
 	tc.Ctx = ctx
 	_, err := CollectRows(root, tc)

@@ -10,13 +10,13 @@ import (
 	"photon/internal/vector"
 )
 
-// RuntimeFilterOp drops rows that cannot match any build-side key of the
-// joins above it, using the runtime filters those joins' build stages
-// published: all the filters the planner left at one place in the plan run
-// as one operator. Like FilterOp it only shrinks each batch's position list —
-// data vectors are untouched, and Bloom false positives merely pass extra
-// rows, so the operator is semantics-free by construction: it may skip any
-// filter for any batch.
+// RuntimeFilterOp is the pipeline step that drops rows that cannot match any
+// build-side key of the joins above it, using the runtime filters those
+// joins' build stages published: all the filters the planner left at one
+// place in the plan run as one step. Like FilterOp it only shrinks each
+// batch's position list — data vectors are untouched, and Bloom false
+// positives merely pass extra rows, so the step is semantics-free by
+// construction: it may skip any filter for any batch.
 //
 // It uses that freedom (batch-level adaptivity, §4.6; off under
 // TaskCtx.Expr.Adaptive = false): each column filter's pass rate is measured
@@ -27,10 +27,8 @@ import (
 // nothing, and one that rejects nothing of the first batches may still reject
 // much of a table stored in another order.
 type RuntimeFilterOp struct {
-	base
-	child  Operator
+	stepBase
 	probes []rfProbe // in probing order
-	ids    []string  // producer stages, for the display name
 	hs     rf.HashScratch
 	selA   []int32
 	selB   []int32
@@ -60,67 +58,39 @@ const (
 	rfNapBatches = 32
 )
 
-// NewRuntimeFilter builds a runtime-filter operator over child; Stack gives
-// it its filters.
-func NewRuntimeFilter(child Operator) *RuntimeFilterOp {
-	// Empty, not nil: a probe result that aliases them must never read as
-	// the nil position list that means "every row".
-	op := &RuntimeFilterOp{child: child, selA: []int32{}, selB: []int32{}, selAcc: []int32{}}
-	op.schema = child.Schema()
-	return op
+// ProducerFilter is the filter one build stage published for a runtime
+// filter step.
+type ProducerFilter struct {
+	Keys     []int      // child-schema ordinals of the join key columns
+	Filter   *rf.Filter // nil removes nothing
+	Producer int        // fragment ID of the build stage (display only)
 }
 
-// Stack adds one producer's filter. keys are the child-schema ordinals of the
-// join key columns, producer the fragment ID of the build stage that
-// published filter (display only). filter may be nil: it then removes
-// nothing.
-func (op *RuntimeFilterOp) Stack(keys []int, filter *rf.Filter, producer int) *RuntimeFilterOp {
-	op.ids = append(op.ids, strconv.Itoa(producer))
-	op.stats.Name = "RuntimeFilter(stage=" + strings.Join(op.ids, ",") + ")"
-	if filter != nil {
-		for k, c := range filter.Cols {
+// NewRuntimeFilter adds a runtime-filter step over child that probes
+// filters in the order given until adaptivity reorders them.
+func NewRuntimeFilter(child Operator, filters []ProducerFilter) *PipelineOp {
+	// Empty, not nil: a probe result that aliases them must never read as
+	// the nil position list that means "every row".
+	op := &RuntimeFilterOp{selA: []int32{}, selB: []int32{}, selAcc: []int32{}}
+	op.schema = child.Schema()
+	ids := make([]string, len(filters))
+	for i, pf := range filters {
+		ids[i] = strconv.Itoa(pf.Producer)
+		if pf.Filter == nil {
+			continue
+		}
+		for k, c := range pf.Filter.Cols {
 			if c != nil { // nil: unsupported key type, the column passes all
-				op.probes = append(op.probes, rfProbe{col: keys[k], f: c})
+				op.probes = append(op.probes, rfProbe{col: pf.Keys[k], f: c})
 			}
 		}
 	}
-	return op
-}
-
-// Open implements Operator.
-func (op *RuntimeFilterOp) Open(tc *TaskCtx) error {
-	op.tc = tc
-	return op.child.Open(tc)
-}
-
-// Next implements Operator.
-func (op *RuntimeFilterOp) Next() (*vector.Batch, error) {
-	for {
-		if err := op.tc.Cancelled(); err != nil {
-			return nil, err
-		}
-		b, err := op.child.Next()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		var out *vector.Batch
-		err = op.timed(func() error {
-			var err error
-			out, err = op.processBatch(b)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		if out != nil {
-			return out, nil
-		}
-	}
+	op.stats.Name = "RuntimeFilter(stage=" + strings.Join(ids, ",") + ")"
+	return fuse(child, op)
 }
 
 // processBatch probes one batch through the runtime filters, shrinking its
-// position list; nil output means every row was pruned. Shared by the pull
-// path and fused pipelines — all stats counting lives here.
+// position list; nil output means every row was pruned.
 func (op *RuntimeFilterOp) processBatch(b *vector.Batch) (*vector.Batch, error) {
 	active := b.NumActive()
 	op.stats.RowsIn.Add(int64(active))
@@ -221,18 +191,6 @@ func (op *RuntimeFilterOp) adapt() {
 		slices.SortStableFunc(op.probes, func(a, b rfProbe) int { return cmp.Compare(a.pass, b.pass) })
 	}
 }
-
-// bind attaches the task context without opening the child (fused path).
-func (op *RuntimeFilterOp) bind(tc *TaskCtx) { op.tc = tc }
-
-// source returns the operator's input (fused path).
-func (op *RuntimeFilterOp) source() Operator { return op.child }
-
-// closeLocal releases operator-local resources (fused path; none to free).
-func (op *RuntimeFilterOp) closeLocal() error { return nil }
-
-// Close implements Operator.
-func (op *RuntimeFilterOp) Close() error { return op.child.Close() }
 
 // RuntimeFilterBuildOp is a pass-through tap on a join build stage's output:
 // every batch flowing to the shuffle/broadcast writer is also folded into a

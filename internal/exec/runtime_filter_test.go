@@ -119,7 +119,7 @@ func TestRuntimeFilterOpSelections(t *testing.T) {
 	var hs rf.HashScratch
 	f.Add(build, []int{0, 1}, nil, 4, &hs)
 
-	op := NewRuntimeFilter(src).Stack([]int{0, 1}, f, 0)
+	op := NewRuntimeFilter(src, []ProducerFilter{{Keys: []int{0, 1}, Filter: f}})
 	got, err := CollectRows(op, newTC(t))
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestRuntimeFilterOpSelections(t *testing.T) {
 	}
 	// A nil / unusable filter is a pure pass-through.
 	src2 := NewMemScan(schema, BuildBatches(schema, rows, 64))
-	pass := NewRuntimeFilter(src2).Stack([]int{0, 1}, nil, 0)
+	pass := NewRuntimeFilter(src2, []ProducerFilter{{Keys: []int{0, 1}}})
 	got2, err := CollectRows(pass, newTC(t))
 	if err != nil {
 		t.Fatal(err)
@@ -178,11 +178,14 @@ func TestRuntimeFilterOpAdapts(t *testing.T) {
 	half := keyFilter(seq(0, 50)...)        // over b: rejects half
 	late := keyFilter(seq(0, 100*batch)...) // over a: rejects nothing of the first 100 batches, all of the rest
 	tenth := keyFilter(seq(0, 10)...)       // over b: rejects nine tenths
-	build := func() *RuntimeFilterOp {
+	build := func() *PipelineOp {
 		src := NewMemScan(schema, BuildBatches(schema, rows, batch))
-		return NewRuntimeFilter(src).Stack([]int{1}, all, 1).Stack([]int{1}, half, 2).
-			Stack([]int{0}, late, 3).Stack([]int{1}, tenth, 4)
+		return NewRuntimeFilter(src, []ProducerFilter{
+			{Keys: []int{1}, Filter: all, Producer: 1}, {Keys: []int{1}, Filter: half, Producer: 2},
+			{Keys: []int{0}, Filter: late, Producer: 3}, {Keys: []int{1}, Filter: tenth, Producer: 4},
+		})
 	}
+	probes := func(p *PipelineOp) []rfProbe { return p.steps[0].(*RuntimeFilterOp).probes }
 	if got := build().Stats().Name; got != "RuntimeFilter(stage=1,2,3,4)" {
 		t.Errorf("name = %q", got)
 	}
@@ -197,7 +200,7 @@ func TestRuntimeFilterOpAdapts(t *testing.T) {
 	if len(want) != 100*batch/10 {
 		t.Fatalf("%d rows pass all four filters, want %d", len(want), 100*batch/10)
 	}
-	for i, p := range static.probes {
+	for i, p := range probes(static) {
 		if p.sleep != 0 || p.f != []*rf.ColFilter{all.Cols[0], half.Cols[0], late.Cols[0], tenth.Cols[0]}[i] {
 			t.Errorf("adaptivity off: filter %d moved or slept: %+v", i, p)
 		}
@@ -218,10 +221,10 @@ func TestRuntimeFilterOpAdapts(t *testing.T) {
 	if extra := len(got) - len(want); extra > (rfNapBatches+20)*batch/10 {
 		t.Errorf("%d rows slipped past the filter that began rejecting at batch 100: it was not measured again", extra)
 	}
-	if adaptive.probes[0].f != late.Cols[0] && adaptive.probes[0].f != tenth.Cols[0] {
-		t.Errorf("most selective filter is not probed first: %+v", adaptive.probes)
+	if probes(adaptive)[0].f != late.Cols[0] && probes(adaptive)[0].f != tenth.Cols[0] {
+		t.Errorf("most selective filter is not probed first: %+v", probes(adaptive))
 	}
-	for _, p := range adaptive.probes {
+	for _, p := range probes(adaptive) {
 		switch p.f {
 		case all.Cols[0]:
 			if p.pass < rfDropPass {
@@ -249,7 +252,7 @@ func TestRuntimeFilterOpGiantBatch(t *testing.T) {
 		want int
 	}{{[]int64{-1}, 0}, {[]int64{5, 2*cancelCheckRows + 1}, 2}} {
 		src := NewMemScan(schema, []*vector.Batch{giantBatch(schema, n)})
-		got, err := CollectRows(NewRuntimeFilter(src).Stack([]int{0}, keyFilter(c.keys...), 0), newTC(t))
+		got, err := CollectRows(NewRuntimeFilter(src, []ProducerFilter{{Keys: []int{0}, Filter: keyFilter(c.keys...)}}), newTC(t))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,14 +22,6 @@ type statsNode interface{ Stats() *OpStats }
 // RowIterator; TransitionOp wraps an Operator).
 type statsChild interface{ children() []any }
 
-// statsHidden marks a node whose own stats must be skipped by the walk while
-// its children are still visited. PipelineOp uses this so a fused plan
-// assigns the exact pre-order IDs of its unfused equivalent — distributed
-// EXPLAIN ANALYZE merges on those IDs across fused and unfused tasks.
-type statsHidden interface{ statsHidden() }
-
-func (f *FilterOp) children() []any   { return []any{f.child} }
-func (p *ProjectOp) children() []any  { return []any{p.child} }
 func (op *HashAggOp) children() []any { return []any{op.child} }
 func (op *HashJoinOp) children() []any {
 	return []any{op.left, op.right}
@@ -57,8 +49,7 @@ func (s *ShuffleWriteOp) children() []any  { return []any{s.child} }
 func (e *ShuffleReadOp) children() []any   { return nil }
 func (e *BroadcastReadOp) children() []any { return nil }
 
-// Runtime-filter operators (build-side tap and probe-side prune).
-func (op *RuntimeFilterOp) children() []any      { return []any{op.child} }
+// The runtime filter's build-side tap (its probe side is a pipeline step).
 func (op *RuntimeFilterBuildOp) children() []any { return []any{op.child} }
 
 // WalkStats visits every metrics-carrying node reachable from root with
@@ -70,10 +61,8 @@ func WalkStats(root any, visit func(s *OpStats, depth int)) {
 	walk = func(n any, d int) {
 		next := d
 		if sn, ok := n.(statsNode); ok {
-			if _, hidden := n.(statsHidden); !hidden {
-				visit(sn.Stats(), d)
-				next = d + 1
-			}
+			visit(sn.Stats(), d)
+			next = d + 1
 		}
 		if sc, ok := n.(statsChild); ok {
 			for _, c := range sc.children() {

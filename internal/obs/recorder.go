@@ -97,9 +97,8 @@ type QueryRecord struct {
 
 	// Stages is the compact per-stage profile (nil for rejected queries
 	// and plans that failed before execution). Per-operator timings are
-	// deliberately not retained: in fused mode they are not recorded at
-	// all (clock reads are the overhead fusion removes), and the full
-	// profile is available on demand via EXPLAIN ANALYZE.
+	// not retained; the full profile is available on demand via EXPLAIN
+	// ANALYZE.
 	Stages []StageSummary `json:"stages,omitempty"`
 }
 

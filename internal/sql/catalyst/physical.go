@@ -64,10 +64,6 @@ type Config struct {
 	// bytes it read from the file and the bytes its chunks decompressed to.
 	// Called from the task goroutine.
 	OnScanIO func(read, decoded int64)
-	// DisableFusedPipelines skips the fused-pipeline compilation pass, so
-	// every operator executes one-batch-per-operator pull (equivalence
-	// testing and the fusion ablation bench).
-	DisableFusedPipelines bool
 }
 
 func (c Config) rowMode() rowengine.Mode {
@@ -116,7 +112,6 @@ func Build(plan sql.LogicalPlan, cfg Config, tc *exec.TaskCtx) (*Executable, err
 	if err != nil {
 		return nil, err
 	}
-	ph = fusePipelines(ph, cfg)
 	return &Executable{Photon: ph, Row: row, Transitions: b.transitions}, nil
 }
 
@@ -325,15 +320,15 @@ func (b *builder) buildHybrid(plan sql.LogicalPlan) (exec.Operator, rowengine.Op
 		if ph == nil {
 			return nil, nil, fmt.Errorf("catalyst: runtime filter requires a Photon input")
 		}
-		op := exec.NewRuntimeFilter(ph)
+		filters := make([]exec.ProducerFilter, 0, len(stack))
 		for i := len(stack) - 1; i >= 0; i-- {
-			var f *rf.Filter
+			pf := exec.ProducerFilter{Keys: stack[i].Keys, Producer: stack[i].Producer.ID}
 			if b.cfg.RuntimeFilterSource != nil {
-				f = b.cfg.RuntimeFilterSource(stack[i].Producer.ID)
+				pf.Filter = b.cfg.RuntimeFilterSource(stack[i].Producer.ID)
 			}
-			op.Stack(stack[i].Keys, f, stack[i].Producer.ID)
+			filters = append(filters, pf)
 		}
-		return op, nil, nil
+		return exec.NewRuntimeFilter(ph, filters), nil, nil
 
 	case *sql.LJoin:
 		lph, lrow, err := b.buildHybrid(n.Left)
@@ -648,5 +643,5 @@ func BuildOperator(plan sql.LogicalPlan, cfg Config, tc *exec.TaskCtx) (exec.Ope
 	if ph == nil {
 		return exec.NewAdapter(row), nil
 	}
-	return fusePipelines(ph, cfg), nil
+	return ph, nil
 }

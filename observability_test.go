@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"photon/internal/driver"
 	"photon/internal/tpch"
@@ -109,6 +110,29 @@ func TestDistributedProfileMergeCorrectness(t *testing.T) {
 	t.Logf("%d operators compared", compared)
 	if compared < 44 {
 		t.Fatalf("only %d invariant operators compared across 22 queries — predicate too narrow?", compared)
+	}
+}
+
+// TestExplainAnalyzeTimesEveryOperator: every operator that saw a row
+// reports its own time — pipeline steps and their sources as much as the
+// breakers above them — at par 1 (the fast path's one task) and at par 4.
+func TestExplainAnalyzeTimesEveryOperator(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		sess := tpchSession(0.01, Config{Parallelism: par})
+		for _, q := range []int{3, 9, 18} {
+			p, err := sess.SQLWithProfile(tpch.Queries[q])
+			if err != nil {
+				t.Fatalf("Q%02d par=%d: %v", q, par, err)
+			}
+			for _, st := range p.Plan.Stages {
+				for _, op := range st.Ops {
+					if (op.RowsIn > 0 || op.RowsOut > 0) && op.TimeNanos <= 0 {
+						t.Errorf("Q%02d par=%d stage %d: %s moved rows but reports time=%v\n%s",
+							q, par, st.ID, op.Name, time.Duration(op.TimeNanos), p.Operators)
+					}
+				}
+			}
+		}
 	}
 }
 

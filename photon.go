@@ -97,10 +97,10 @@ type Config struct {
 	// hash joins; larger build sides shuffle both inputs instead. 0 uses
 	// the default (4Mi rows); negative disables broadcast joins.
 	BroadcastRows int64
-	// DisableFusedPipelines turns off fused pipeline execution (compiling
-	// intra-stage Filter/Project/RuntimeFilter chains into single
-	// selection-vector loops). On by default; semantics-free — disabling
-	// never changes results, only speed.
+	// DisableFusedPipelines is read nowhere and selects nothing: Filter,
+	// Project and RuntimeFilter only ever run as steps of a fused pipeline.
+	// It stays while bench/layers.go's profile pass still sets it
+	// (cfg.DisableFusedPipelines = true) and goes with that line.
 	DisableFusedPipelines bool
 	// PhotonUnsupported forces row-engine fallback for the listed logical
 	// node kinds ("filter", "project", "aggregate", "join", "sort",
@@ -469,10 +469,7 @@ func (d *DeltaTable) refresh() error { return d.AsOf(-1) }
 
 // plannerConfig lowers session config to the physical planner's.
 func (s *Session) plannerConfig() catalyst.Config {
-	cfg := catalyst.Config{
-		Engine:                s.cfg.Engine,
-		DisableFusedPipelines: s.cfg.DisableFusedPipelines,
-	}
+	cfg := catalyst.Config{Engine: s.cfg.Engine}
 	if len(s.cfg.PhotonUnsupported) > 0 {
 		cfg.PhotonUnsupported = map[string]bool{}
 		for _, k := range s.cfg.PhotonUnsupported {

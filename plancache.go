@@ -131,8 +131,7 @@ func (c *planCache) Len() int {
 // defense in depth against entries outliving a config change.
 func (s *Session) fingerprintConfig() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "engine=%v;par=%d;bcast=%d;nofuse=%t",
-		s.cfg.Engine, s.cfg.Parallelism, s.cfg.BroadcastRows, s.cfg.DisableFusedPipelines)
+	fmt.Fprintf(&sb, "engine=%v;par=%d;bcast=%d", s.cfg.Engine, s.cfg.Parallelism, s.cfg.BroadcastRows)
 	if len(s.cfg.PhotonUnsupported) > 0 {
 		ks := append([]string(nil), s.cfg.PhotonUnsupported...)
 		sort.Strings(ks)
