@@ -35,6 +35,7 @@ func (m *memSink) Close() error {
 type memSource struct {
 	schema *types.Schema
 	rows   [][]any
+	keep   func([]any) bool // when set, the block's position list holds the rows it accepts
 	done   bool
 }
 
@@ -46,6 +47,15 @@ func (s *memSource) NextBatch(decodeInto func() *vector.Batch) (*vector.Batch, e
 	dst.Reset()
 	for _, r := range s.rows {
 		dst.AppendRow(r...)
+	}
+	if s.keep != nil {
+		sel := []int32{}
+		for i, r := range s.rows {
+			if s.keep(r) {
+				sel = append(sel, int32(i))
+			}
+		}
+		dst.Sel = sel
 	}
 	s.done = true
 	return dst, nil
