@@ -377,7 +377,9 @@ func (s *Session) RegisterRows(name string, schema *Schema, rows [][]any) error 
 // RegisterBatches registers an in-memory table from column batches
 // (zero-copy ingestion path). Registration hands the batches to the engine:
 // the caller must not change them afterwards, and the engine may repoint a
-// string column's rows at one packed copy of their payloads.
+// string column's rows at one packed copy of their payloads. A batch's
+// position list counts: the table holds only its active rows, which a batch
+// with one is copied down to.
 func (s *Session) RegisterBatches(name string, schema *Schema, batches []*Batch) {
 	s.cat.Register(&catalog.MemTable{TableName: name, Sch: schema, Batches: batches})
 }

@@ -427,6 +427,28 @@ func TestRegisteredBatchesOfAnySize(t *testing.T) {
 	}
 }
 
+// TestRegisteredBatchPositionList: a registered batch's position list says
+// which of its rows the table holds, on every engine.
+func TestRegisteredBatchPositionList(t *testing.T) {
+	schema := NewSchema(Col("a", Int64), Col("s", String))
+	b := vector.NewBatch(schema, 3)
+	b.AppendRow(int64(1), "one")
+	b.AppendRow(int64(2), "two")
+	b.AppendRow(int64(3), "three")
+	b.Sel = []int32{0, 2}
+	for _, engine := range []Engine{EnginePhoton, EngineDBRInterpreted} {
+		sess := NewSession(Config{Engine: engine})
+		sess.RegisterBatches("t", schema, []*Batch{b})
+		got, err := sess.SQL("SELECT a, s FROM t ORDER BY a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := fmt.Sprint(got.Rows); g != "[[1 one] [3 three]]" {
+			t.Errorf("%v: rows %s, want the two active rows", engine, g)
+		}
+	}
+}
+
 // TestRegisteredStringBatches: string columns holding NULLs, empty strings,
 // repeated values and payloads larger than 4 KB, registered through
 // RegisterBatches (one allocation per value) and through RegisterRows, must
