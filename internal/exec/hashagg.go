@@ -70,7 +70,7 @@ type HashAggOp struct {
 	decSrcAgg  []int // representative argument per distinct input source
 
 	// Scratch.
-	lanes    laneScratch
+	lanes    []uint64
 	hashes   []uint64
 	rowIDs   []int32
 	inserted []bool

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"encoding/binary"
-	"math"
 
 	"photon/internal/expr"
 	"photon/internal/ht"
@@ -27,7 +26,7 @@ func (op *HashAggOp) findGroups(keys []*vector.Vector, b *vector.Batch, g *group
 		apply(b.Sel, n, func(i int32) { op.rowIDs[i] = 0 })
 		return nil
 	}
-	hashKeyVectorsScratch(keys, b.Sel, n, op.hashes, &op.lanes)
+	op.lanes = kernels.HashKeys(keys, b.Sel, n, op.hashes, op.lanes)
 	if err := g.tbl.FindOrInsert(keys, op.hashes, b.Sel, n, op.rowIDs, op.inserted); err != nil {
 		return err
 	}
@@ -48,65 +47,6 @@ func (op *HashAggOp) newGlobalGroup(g *groupState) error {
 	}
 	op.initState(g, 0)
 	return nil
-}
-
-// laneScratch provides per-operator hash-lane scratch without per-batch
-// allocation.
-type laneScratch struct{ buf []uint64 }
-
-func (ls *laneScratch) get(n int) []uint64 {
-	if cap(ls.buf) < n {
-		ls.buf = make([]uint64, n)
-	}
-	return ls.buf[:n]
-}
-
-// hashKeyVectorsScratch runs the hashing kernels over the key columns with
-// caller-owned lane scratch (one dispatch per batch, §4.4 step 1).
-func hashKeyVectorsScratch(keys []*vector.Vector, sel []int32, n int, hashes []uint64, ls *laneScratch) {
-	for c, v := range keys {
-		first := c == 0
-		switch v.Type.ID {
-		case types.String:
-			if first {
-				kernels.HashBytes(v.Str, v.Nulls, v.HasNulls(), sel, n, hashes)
-			} else {
-				kernels.RehashBytes(v.Str, v.Nulls, v.HasNulls(), sel, n, hashes)
-			}
-		default:
-			lanes := u64Lanes(v, sel, n, ls)
-			if first {
-				kernels.HashU64(lanes, v.Nulls, v.HasNulls(), sel, n, hashes)
-			} else {
-				kernels.RehashU64(lanes, v.Nulls, v.HasNulls(), sel, n, hashes)
-			}
-		}
-	}
-}
-
-// u64Lanes widens a fixed-width vector into raw 64-bit lanes for hashing.
-func u64Lanes(v *vector.Vector, sel []int32, n int, ls *laneScratch) []uint64 {
-	out := ls.get(n)
-	switch v.Type.ID {
-	case types.Bool:
-		apply(sel, n, func(i int32) { out[i] = uint64(v.Bool[i]) })
-	case types.Int32, types.Date:
-		apply(sel, n, func(i int32) { out[i] = uint64(uint32(v.I32[i])) })
-	case types.Int64, types.Timestamp:
-		apply(sel, n, func(i int32) { out[i] = uint64(v.I64[i]) })
-	case types.Float64:
-		apply(sel, n, func(i int32) { out[i] = math.Float64bits(v.F64[i]) })
-	case types.Decimal:
-		// Narrow-marked vectors skip the 128-bit mix; the kernel produces
-		// bit-identical lanes for values that fit int64, so hash layouts
-		// (and spill partitioning) are unchanged either way.
-		if v.Dec64 == vector.Dec64All && sel == nil {
-			kernels.Dec64HashLanes(v.Dec, out, n)
-		} else {
-			apply(sel, n, func(i int32) { out[i] = v.Dec[i].Lo ^ uint64(v.Dec[i].Hi)*0x9e3779b97f4a7c15 })
-		}
-	}
-	return out
 }
 
 // apply runs body over active rows (local copy of the expr helper). It is
@@ -219,7 +159,7 @@ func (op *HashAggOp) foldDistinct(info aggInfo, g *groupState, gids, vals *vecto
 	// The group lookup is done with op.hashes and op.inserted; only its ids
 	// (the gids column, when the input is raw) are still needed.
 	keys := []*vector.Vector{gids, vals}
-	hashKeyVectorsScratch(keys, sel, n, op.hashes, &op.lanes)
+	op.lanes = kernels.HashKeys(keys, sel, n, op.hashes, op.lanes)
 	if err := g.sets[info.dist].tbl.FindOrInsert(keys, op.hashes, sel, n, op.setIDs, op.inserted); err != nil {
 		return err
 	}

@@ -1,6 +1,12 @@
 package kernels
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+
+	"photon/internal/types"
+	"photon/internal/vector"
+)
 
 // Hashing kernels (§4.4 step 1): evaluate a 64-bit hash over a batch of
 // keys, one kernel call per key column; subsequent columns combine into the
@@ -147,6 +153,73 @@ func RehashBytes(vals [][]byte, nulls []byte, hasNulls bool, sel []int32, n int,
 		for _, i := range sel {
 			body(i)
 		}
+	}
+}
+
+// HashKeys hashes the key columns' active rows into hashes, indexed by
+// physical row: the first column sets each hash and every later one is
+// folded in. It is the one key hash of the engine — the join and the
+// aggregation table, grace and shuffle partitioning and the runtime filters
+// all use it, so equal keys meet wherever they are hashed. A string hashes
+// its bytes; any other value hashes as a 64-bit lane, widened into lanes,
+// which grows to n rows and is returned for the next call.
+func HashKeys(keys []*vector.Vector, sel []int32, n int, hashes, lanes []uint64) []uint64 {
+	for c, v := range keys {
+		if v.Type.ID == types.String {
+			if c == 0 {
+				HashBytes(v.Str, v.Nulls, v.HasNulls(), sel, n, hashes)
+			} else {
+				RehashBytes(v.Str, v.Nulls, v.HasNulls(), sel, n, hashes)
+			}
+			continue
+		}
+		if cap(lanes) < n {
+			lanes = make([]uint64, n)
+		}
+		lanes = lanes[:n]
+		widenLanes(v, sel, n, lanes)
+		if c == 0 {
+			HashU64(lanes, v.Nulls, v.HasNulls(), sel, n, hashes)
+		} else {
+			RehashU64(lanes, v.Nulls, v.HasNulls(), sel, n, hashes)
+		}
+	}
+	return lanes
+}
+
+// widenLanes widens a fixed-width vector's active rows into 64-bit lanes.
+func widenLanes(v *vector.Vector, sel []int32, n int, out []uint64) {
+	switch v.Type.ID {
+	case types.Bool:
+		forRows(sel, n, func(i int32) { out[i] = uint64(v.Bool[i]) })
+	case types.Int32, types.Date:
+		forRows(sel, n, func(i int32) { out[i] = uint64(uint32(v.I32[i])) })
+	case types.Int64, types.Timestamp:
+		forRows(sel, n, func(i int32) { out[i] = uint64(v.I64[i]) })
+	case types.Float64:
+		forRows(sel, n, func(i int32) { out[i] = math.Float64bits(v.F64[i]) })
+	case types.Decimal:
+		// A narrow vector skips the high limbs: Dec64HashLanes gives the
+		// same lanes for values that fit an int64.
+		if v.Dec64 == vector.Dec64All && sel == nil {
+			Dec64HashLanes(v.Dec, out, n)
+		} else {
+			forRows(sel, n, func(i int32) { out[i] = v.Dec[i].Lo ^ uint64(v.Dec[i].Hi)*hashNullSeed })
+		}
+	}
+}
+
+// forRows runs body over the active rows; it and the closure passed to it
+// inline, giving one dense and one selective loop.
+func forRows(sel []int32, n int, body func(i int32)) {
+	if sel == nil {
+		for i := 0; i < n; i++ {
+			body(int32(i))
+		}
+		return
+	}
+	for _, i := range sel {
+		body(i)
 	}
 }
 

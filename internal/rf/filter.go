@@ -37,7 +37,7 @@ func Supported(t types.DataType) bool {
 		types.Float64, types.String:
 		return true
 	}
-	return false // Decimal et al.: no hash widening defined here
+	return false // Decimal et al.: the column passes everything
 }
 
 // ranged reports whether t keeps a min/max envelope.
@@ -61,39 +61,20 @@ func NewColFilter(t types.DataType, expectedKeys int64) *ColFilter {
 // HashScratch holds the per-operator scratch buffers of the hashing and
 // probing loops (a task-local object, never shared).
 type HashScratch struct {
+	key    [1]*vector.Vector
 	hashes []uint64
 	lanes  []uint64
 }
 
-func (s *HashScratch) ensure(n int) {
+// hash hashes one key column's active rows into the scratch hash array
+// (indexed by physical row) with the join's key hash, so a key hashes here
+// as it does in the join's table.
+func (s *HashScratch) hash(v *vector.Vector, sel []int32, n int) []uint64 {
 	if len(s.hashes) < n {
 		s.hashes = make([]uint64, n)
-		s.lanes = make([]uint64, n)
 	}
-}
-
-// HashVec hashes one key column's active rows into the scratch hash array
-// (indexed by physical row). This is the single-column variant of the join
-// hashing kernels and must stay in lockstep with them: Mix64 over widened
-// 64-bit lanes for fixed-width types, FNV-1a+Mix64 for strings.
-func HashVec(v *vector.Vector, sel []int32, n int, s *HashScratch) []uint64 {
-	s.ensure(n)
-	if v.Type.ID == types.String {
-		kernels.HashBytes(v.Str, v.Nulls, v.HasNulls(), sel, n, s.hashes)
-		return s.hashes
-	}
-	lanes := s.lanes
-	switch v.Type.ID {
-	case types.Bool:
-		apply(sel, n, func(i int32) { lanes[i] = uint64(v.Bool[i]) })
-	case types.Int32, types.Date:
-		apply(sel, n, func(i int32) { lanes[i] = uint64(uint32(v.I32[i])) })
-	case types.Int64, types.Timestamp:
-		apply(sel, n, func(i int32) { lanes[i] = uint64(v.I64[i]) })
-	case types.Float64:
-		apply(sel, n, func(i int32) { lanes[i] = math.Float64bits(v.F64[i]) })
-	}
-	kernels.HashU64(lanes, v.Nulls, v.HasNulls(), sel, n, s.hashes)
+	s.key[0] = v
+	s.lanes = kernels.HashKeys(s.key[:], sel, n, s.hashes, s.lanes)
 	return s.hashes
 }
 
@@ -114,7 +95,7 @@ func apply(sel []int32, n int, f func(int32)) {
 // skipped: an equi-join can never match them, so the probe side is free to
 // drop its own NULL keys. sel/n follow the batch position-list convention.
 func (c *ColFilter) AddVec(v *vector.Vector, sel []int32, n int, s *HashScratch) {
-	hashes := HashVec(v, sel, n, s)
+	hashes := s.hash(v, sel, n)
 	nulls := v.HasNulls()
 	add := func(i int32) {
 		if nulls && v.Nulls[i] != 0 {
@@ -177,7 +158,7 @@ func (c *ColFilter) ProbeVec(v *vector.Vector, sel []int32, n int, s *HashScratc
 	if c.N == 0 {
 		return out // empty build side: nothing can join
 	}
-	hashes := HashVec(v, sel, n, s)
+	hashes := s.hash(v, sel, n)
 	nulls := v.HasNulls()
 	switch {
 	case c.hasRange && (c.Type.ID == types.Int32 || c.Type.ID == types.Date):

@@ -47,6 +47,7 @@ var writerSeq atomic.Int64
 type Partitioner struct {
 	NumPartitions int
 	KeyCols       []int
+	keys          []*vector.Vector
 	hashes        []uint64
 	lanes         []uint64
 	parts         [][]int32
@@ -64,7 +65,6 @@ func (p *Partitioner) Split(b *vector.Batch) [][]int32 {
 	n := b.NumRows
 	if cap(p.hashes) < n {
 		p.hashes = make([]uint64, n)
-		p.lanes = make([]uint64, n)
 	}
 	if p.parts == nil {
 		p.parts = make([][]int32, p.NumPartitions)
@@ -72,26 +72,11 @@ func (p *Partitioner) Split(b *vector.Batch) [][]int32 {
 	for i := range p.parts {
 		p.parts[i] = p.parts[i][:0]
 	}
-	for ki, c := range p.KeyCols {
-		v := b.Vecs[c]
-		first := ki == 0
-		switch v.Type.ID {
-		case types.String:
-			if first {
-				kernels.HashBytes(v.Str, v.Nulls, v.HasNulls(), b.Sel, n, p.hashes)
-			} else {
-				kernels.RehashBytes(v.Str, v.Nulls, v.HasNulls(), b.Sel, n, p.hashes)
-			}
-		default:
-			lanes := p.lanes[:n]
-			fillLanes(v, b.Sel, n, lanes)
-			if first {
-				kernels.HashU64(lanes, v.Nulls, v.HasNulls(), b.Sel, n, p.hashes)
-			} else {
-				kernels.RehashU64(lanes, v.Nulls, v.HasNulls(), b.Sel, n, p.hashes)
-			}
-		}
+	p.keys = p.keys[:0]
+	for _, c := range p.KeyCols {
+		p.keys = append(p.keys, b.Vecs[c])
 	}
+	p.lanes = kernels.HashKeys(p.keys, b.Sel, n, p.hashes, p.lanes)
 	np := uint64(p.NumPartitions)
 	apply := func(i int32) {
 		part := p.hashes[i] % np
@@ -107,32 +92,6 @@ func (p *Partitioner) Split(b *vector.Batch) [][]int32 {
 		}
 	}
 	return p.parts
-}
-
-func fillLanes(v *vector.Vector, sel []int32, n int, out []uint64) {
-	body := func(i int32) {
-		switch v.Type.ID {
-		case types.Bool:
-			out[i] = uint64(v.Bool[i])
-		case types.Int32, types.Date:
-			out[i] = uint64(uint32(v.I32[i]))
-		case types.Int64, types.Timestamp:
-			out[i] = uint64(v.I64[i])
-		case types.Float64:
-			out[i] = math.Float64bits(v.F64[i])
-		case types.Decimal:
-			out[i] = v.Dec[i].Lo ^ uint64(v.Dec[i].Hi)*0x9e3779b97f4a7c15
-		}
-	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			body(int32(i))
-		}
-	} else {
-		for _, i := range sel {
-			body(i)
-		}
-	}
 }
 
 // Writer writes one map task's output: one file per reduce partition, each
