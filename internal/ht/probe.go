@@ -271,8 +271,14 @@ func (t *Table) InsertDup(keys []*vector.Vector, hashes []uint64, sel []int32, n
 	return nil
 }
 
-// Next returns the next entry in row's duplicate chain, or -1.
-func (t *Table) Next(row int32) int32 { return t.next[row>>PageShift][row&PageMask] }
+// Next returns the next entry in row's duplicate chain, or -1. A table
+// whose keys are all distinct answers without loading the link.
+func (t *Table) Next(row int32) int32 {
+	if t.numHeads == t.numRows {
+		return -1
+	}
+	return t.next[row>>PageShift][row&PageMask]
+}
 
 // maybeGrowFor grows the bucket directory, in one step, if inserting up to n
 // new keys could exceed the load factor.
