@@ -33,8 +33,8 @@ func uniqueKeyAgg(t *testing.T, rows int) *HashAggOp {
 	return agg
 }
 
-// drain pulls every batch from an opened operator and counts active rows.
-func drain(t *testing.T, op Operator) int {
+// countRows pulls every batch from an opened operator and counts active rows.
+func countRows(t *testing.T, op Operator) int {
 	t.Helper()
 	n := 0
 	for {
@@ -77,7 +77,7 @@ func TestPassThroughDropsReservation(t *testing.T) {
 	if got := tc.Mem.UsedBy(agg.consumer); got > oneBatch || agg.tbl != nil {
 		t.Errorf("passing rows through: %d bytes reserved (one output batch is %d), table kept: %v", got, oneBatch, agg.tbl != nil)
 	}
-	if out += drain(t, agg); out != rows {
+	if out += countRows(t, agg); out != rows {
 		t.Errorf("%d partial states out of %d unique-key rows", out, rows)
 	}
 	if in, passed := agg.Stats().RowsIn.Load(), agg.Stats().PassedRows.Load(); in != rows || passed < rows-2*passMinRows {
@@ -102,7 +102,7 @@ func TestPassThroughAllocationBounded(t *testing.T) {
 		if err := agg.Open(NewTaskCtx(nil, 2048)); err != nil {
 			t.Fatal(err)
 		}
-		n := drain(t, agg)
+		n := countRows(t, agg)
 		agg.Close()
 		runtime.ReadMemStats(&after)
 		if n != rows {

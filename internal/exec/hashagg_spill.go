@@ -43,9 +43,7 @@ func (op *HashAggOp) spill(need int64) (int64, error) {
 	return freedBytes, nil
 }
 
-// mergePartition rebuilds a fresh table from one spill partition. The merge
-// loop checks cancellation per batch: a giant spilled partition must not pin
-// a cancelled query.
+// mergePartition rebuilds a fresh table from one spill partition.
 func (op *HashAggOp) mergePartition(run *spillRun) error {
 	op.merging = true
 	defer func() { op.merging = false }()
@@ -53,17 +51,9 @@ func (op *HashAggOp) mergePartition(run *spillRun) error {
 	op.emitPos = 0
 	buf := op.tc.Pool.Get(op.partSchema)
 	defer op.tc.Pool.Put(buf)
-	for {
-		if err := op.tc.Cancelled(); err != nil {
-			return err
-		}
-		if ok, err := run.read(buf); !ok {
-			return err
-		}
-		if err := op.mergeBatch(buf, &op.part); err != nil {
-			return err
-		}
-	}
+	return drain(op.tc, nil, run.next(buf), func(b *vector.Batch) (bool, error) {
+		return true, op.mergeBatch(b, &op.part)
+	})
 }
 
 // appendGroup appends one group to dst: its key columns, then its states in

@@ -94,6 +94,17 @@ func (r *spillRun) read(dst *vector.Batch) (bool, error) {
 	return err == nil, fault.ClassifyIO(fault.SpillRead, err)
 }
 
+// next returns a function that reads the run's next block into dst and
+// returns it, nil at the run's end: the run as drain's input.
+func (r *spillRun) next(dst *vector.Batch) func() (*vector.Batch, error) {
+	return func() (*vector.Batch, error) {
+		if ok, err := r.read(dst); !ok {
+			return nil, err
+		}
+		return dst, nil
+	}
+}
+
 // remove closes and deletes the file. It is safe to call more than once, and
 // on a nil run.
 func (r *spillRun) remove() {

@@ -27,7 +27,6 @@ func (op *HashJoinOp) children() []any {
 	return []any{op.left, op.right}
 }
 func (s *SortOp) children() []any  { return []any{s.child} }
-func (t *TopKOp) children() []any  { return []any{t.child} }
 func (l *LimitOp) children() []any { return []any{l.child} }
 
 // Engine-boundary nodes: without these the walk silently truncated any

@@ -35,9 +35,6 @@ func (e Engine) String() string {
 	return [...]string{"photon", "dbr-codegen", "dbr-interpreted"}[e]
 }
 
-// topKThreshold is the largest LIMIT under which a Sort+Limit becomes a TopK.
-const topKThreshold = 10000
-
 // Config controls physical planning.
 type Config struct {
 	Engine Engine
@@ -180,15 +177,14 @@ func (b *builder) buildHybrid(plan sql.LogicalPlan) (exec.Operator, rowengine.Op
 		return nil, rowengine.NewSort(rowIn, rowSortKeys(n.Keys)), nil
 
 	case *sql.LLimit:
-		// TopK fusion: Limit(Sort(x)) with small N.
-		if s, ok := n.Child.(*sql.LSort); ok && n.N <= topKThreshold {
+		// Limit(Sort(x)) is one sort bounded to N rows.
+		if s, ok := n.Child.(*sql.LSort); ok {
 			ph, row, err := b.buildHybrid(s.Child)
 			if err != nil {
 				return nil, nil, err
 			}
 			if ph != nil && !unsupported && !b.cfg.PhotonUnsupported["sort"] {
-				tk, err := exec.NewTopK(ph, sortKeys(s.Keys), int(n.N))
-				return tk, nil, err
+				return exec.NewSortLimit(ph, sortKeys(s.Keys), int(n.N)), nil, nil
 			}
 			rowIn, err := b.toRow(ph, row)
 			if err != nil {
