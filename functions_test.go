@@ -78,7 +78,15 @@ func TestFunctionsAgreeAcrossEngines(t *testing.T) {
 		"MAX(s)", "MAX(i)", "MAX(f)", "MAX(d)", "MAX(ts)", "MAX(x)",
 		"COLLECT_LIST(s)", "COLLECT_LIST(i)",
 	}
-	var queries []string
+	// layered applies a string function to another's output, through a
+	// filter, a join and a grouping: each must read its input's strings
+	// before anything above it overwrites them.
+	layered := []string{
+		"SELECT k, CONCAT(u, '-x') FROM (SELECT UPPER(g) AS u, k FROM t) v WHERE u LIKE '%A%' ORDER BY k",
+		"SELECT k, CONCAT(u, '-x') FROM (SELECT UPPER(g) AS u, k FROM t) v JOIN (SELECT k AS j FROM t WHERE k > 0) w ON k = j WHERE u LIKE '%A%' ORDER BY k",
+		"SELECT CONCAT(u, '-x') AS c FROM (SELECT UPPER(g) AS u, k FROM t) v WHERE u LIKE '%A%' GROUP BY CONCAT(u, '-x') ORDER BY c",
+	}
+	queries := layered
 	for _, f := range scalars {
 		queries = append(queries, fmt.Sprintf("SELECT k, %s FROM t ORDER BY k", f))
 	}
@@ -105,6 +113,7 @@ func TestFunctionsAgreeAcrossEngines(t *testing.T) {
 		{"photon", funcSession(Config{})},
 		{"dbr", funcSession(Config{Engine: EngineDBR})},
 		{"dbr-interpreted", funcSession(Config{Engine: EngineDBRInterpreted})},
+		{"photon-par4", funcSession(Config{Parallelism: 4})},
 	}
 	for _, q := range queries {
 		var want string
@@ -168,6 +177,7 @@ func TestWrongCallsFailAtAnalysis(t *testing.T) {
 		{"photon-row-aggregate", funcSession(Config{PhotonUnsupported: []string{"aggregate"}})},
 		{"dbr", funcSession(Config{Engine: EngineDBR})},
 		{"dbr-interpreted", funcSession(Config{Engine: EngineDBRInterpreted})},
+		{"photon-par4", funcSession(Config{Parallelism: 4})},
 	}
 	run := func(sess *Session, q string) (err error) {
 		defer func() {

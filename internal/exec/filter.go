@@ -108,7 +108,6 @@ func NewProject(child Operator, exprs []expr.Expr, names []string) *PipelineOp {
 // processBatch evaluates the projection expressions over one batch.
 func (p *ProjectOp) processBatch(b *vector.Batch) (*vector.Batch, error) {
 	p.stats.RowsIn.Add(int64(b.NumActive()))
-	p.tc.Expr.ResetPerBatch()
 	if p.out == nil {
 		// The output header comes from the task's batch pool and recycles
 		// across batches; vectors are expression-pool outputs or zero-copy

@@ -3,6 +3,7 @@ package exec
 import (
 	"time"
 
+	"photon/internal/mem"
 	"photon/internal/types"
 	"photon/internal/vector"
 )
@@ -50,6 +51,7 @@ type PipelineOp struct {
 	src   Operator
 	steps []step // innermost (input side) first
 	tc    *TaskCtx
+	arena mem.Arena // the strings the steps compute for the batch at hand
 }
 
 // fuse adds s on top of child: it joins child when child is a pipeline and
@@ -83,9 +85,11 @@ func (p *PipelineOp) Open(tc *TaskCtx) error {
 	return p.src.Open(tc)
 }
 
-// Next implements Operator: one loop per source batch. The source times its
-// own Next; the clock is read before the first step and after each one, and
-// each difference is that step's own time. Cancellation is checked
+// Next implements Operator: one loop per source batch. The steps evaluate
+// into the pipeline's arena, which holds one source batch's strings: the
+// batch it returned last is dead once Next is called again. The source times
+// its own Next; the clock is read before the first step and after each one,
+// and each difference is that step's own time. Cancellation is checked
 // per batch here and every ~64K rows inside the steps' own windowed kernels
 // (filter evaluation, runtime-filter probes), so even a single giant batch
 // cancels promptly.
@@ -94,10 +98,12 @@ func (p *PipelineOp) Next() (*vector.Batch, error) {
 		if err := p.tc.Cancelled(); err != nil {
 			return nil, err
 		}
+		p.arena.Reset()
 		b, err := p.src.Next()
 		if err != nil || b == nil {
 			return nil, err
 		}
+		p.tc.Expr.Arena = &p.arena
 		t0 := time.Now()
 		for _, s := range p.steps {
 			if b, err = s.processBatch(b); err != nil {

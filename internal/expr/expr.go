@@ -38,9 +38,11 @@ type Filter interface {
 	EvalSel(ctx *Ctx, b *vector.Batch, out []int32) ([]int32, error)
 }
 
-// Ctx carries per-task evaluation state: the variable-length arena (reset
-// by the enclosing operator before each input batch, §4.5), a transient
-// vector pool, and adaptivity switches for the ablation benches.
+// Ctx carries per-task evaluation state: the variable-length arena (§4.5),
+// a transient vector pool, and adaptivity switches for the ablation benches.
+// Arena is where string results go: an operator that evaluates points it at
+// an arena of its own, which it resets before it takes its next input batch,
+// so the strings of a batch it hands on outlive anything evaluated above it.
 type Ctx struct {
 	Arena     *mem.Arena
 	BatchSize int
@@ -125,10 +127,6 @@ func (c *Ctx) PutSel(s []int32) {
 		c.selPool = append(c.selPool, s)
 	}
 }
-
-// ResetPerBatch releases per-batch transient state (the var-len arena).
-// Operators call this before pulling each new input batch.
-func (c *Ctx) ResetPerBatch() { c.Arena.Reset() }
 
 // errType builds a consistent type-mismatch error.
 func errType(op string, ts ...types.DataType) error {

@@ -165,9 +165,9 @@ func TestCtxPools(t *testing.T) {
 		t.Error("sel pool did not reuse")
 	}
 	ctx.Arena.Alloc(10)
-	ctx.ResetPerBatch()
+	ctx.Arena.Reset()
 	if ctx.Arena.Used() != 0 {
-		t.Error("ResetPerBatch did not reset the arena")
+		t.Error("Reset did not reset the arena")
 	}
 }
 

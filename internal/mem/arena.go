@@ -11,9 +11,10 @@
 package mem
 
 // Arena is an append-only variable-length allocator. All memory is released
-// at once by Reset, which the engine calls before processing each new input
+// at once by Reset, which an operator calls before it takes each new input
 // batch. Allocations are tracked so the engine could shrink batch sizes when
-// large strings appear (§4.5).
+// large strings appear (§4.5). The zero Arena is ready to use and grows in
+// DefaultArenaChunk steps.
 type Arena struct {
 	chunks    [][]byte
 	cur       []byte
@@ -40,6 +41,9 @@ func (a *Arena) Alloc(n int) []byte {
 	}
 	if a.off+n > len(a.cur) {
 		size := a.chunkSize
+		if size == 0 {
+			size = DefaultArenaChunk
+		}
 		if n > size {
 			size = n
 		}
