@@ -256,6 +256,19 @@ func (b *Batch) OwnStrings(from int, arena []byte) []byte {
 	return arena
 }
 
+// StringBytes is the length of the string payloads of the active rows.
+func (b *Batch) StringBytes() int {
+	n, size := b.NumActive(), 0
+	for _, v := range b.Vecs {
+		if v.Type.ID == types.String {
+			for j := 0; j < n; j++ {
+				size += len(v.Str[b.RowIndex(j)])
+			}
+		}
+	}
+	return size
+}
+
 // AppendRow appends one row of values (one per column, nil = NULL) to the
 // batch. Boundary/test use only; the data plane fills vectors with kernels.
 func (b *Batch) AppendRow(vals ...any) {
@@ -306,18 +319,12 @@ func (b *Batch) String() string {
 func (b *Batch) Keep() *Batch {
 	n := b.NumActive()
 	vecs := make([]*Vector, len(b.Vecs))
-	size := 0
 	for c, v := range b.Vecs {
 		vecs[c] = New(v.Type, n)
-		if v.Type.ID == types.String {
-			for j := 0; j < n; j++ {
-				size += len(v.Str[b.RowIndex(j)])
-			}
-		}
 	}
 	out := &Batch{Schema: b.Schema, Vecs: vecs, capacity: n}
 	b.GatherInto(out)
-	out.OwnStrings(0, make([]byte, 0, size))
+	out.OwnStrings(0, make([]byte, 0, b.StringBytes()))
 	for c, v := range b.Vecs {
 		vecs[c].Dec64 = v.Dec64
 	}
