@@ -998,7 +998,7 @@ func (j *stagedJob) buildProfile(root *catalyst.Fragment) *QueryProfile {
 			sp.Retries = st.Retries.Load()
 		}
 		if flt := j.rfReg.Filter(f.ID); flt != nil {
-			sp.RFKeys, sp.RFSizedFor = flt.Keys()
+			sp.RFKeys, sp.RFSizedFor, sp.RFExact = flt.Keys()
 		}
 		for _, o := range sp.Ops {
 			if strings.HasPrefix(o.Name, "RuntimeFilter(") {

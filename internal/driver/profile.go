@@ -84,8 +84,10 @@ type StageProfile struct {
 	RFRowsPruned int64
 	// Runtime filter published by this (build-side) stage: the keys it holds
 	// and the keys its Bloom filters were sized for from the planner's row
-	// estimate. Both zero when the stage publishes none.
+	// estimate, both zero when the stage publishes none; and whether every
+	// key column stayed an exact set rather than a Bloom filter.
 	RFKeys, RFSizedFor int64
+	RFExact            bool
 
 	// Fused-pipeline execution: operators running inside fused pipelines in
 	// one task's plan, and the batches/rows the stage's pipelines emitted
@@ -215,7 +217,11 @@ func (q *QueryProfile) Render() string {
 			rfParts = append(rfParts, fmt.Sprintf("rows=%d", st.RFRowsPruned))
 		}
 		if st.RFSizedFor > 0 {
-			rfParts = append(rfParts, fmt.Sprintf("keys=%d/%d", st.RFKeys, st.RFSizedFor))
+			form := "bloom"
+			if st.RFExact {
+				form = "exact"
+			}
+			rfParts = append(rfParts, fmt.Sprintf("keys=%d/%d %s", st.RFKeys, st.RFSizedFor, form))
 		}
 		if len(rfParts) > 0 {
 			fmt.Fprintf(&sb, " rf[%s]", strings.Join(rfParts, " "))
