@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -258,6 +259,31 @@ func TestRuntimeFilterDropsDeltaProbeRows(t *testing.T) {
 	}
 	if !strings.Contains(rs.Profile.Render(), " rf[") {
 		t.Errorf("profile render missing rf[...] segment:\n%s", rs.Profile.Render())
+	}
+}
+
+// TestProfileShowsFilterForm: EXPLAIN ANALYZE says which form each published
+// filter ran as. Q17's integer join keys stay exact sets; a STRING key is
+// hashed into a Bloom filter.
+func TestProfileShowsFilterForm(t *testing.T) {
+	cat := tpch.NewGen(0.01).Generate()
+	form := regexp.MustCompile(`rf\[[^]]*keys=\d+/\d+ (exact|bloom)\]`)
+	forms := func(out string) map[string]int {
+		m := map[string]int{}
+		for _, sub := range form.FindAllStringSubmatch(out, -1) {
+			m[sub[1]]++
+		}
+		return m
+	}
+	var rs RunStats
+	runTPCH(t, cat, 17, Options{Parallelism: 4, ShuffleDir: t.TempDir(), Stats: &rs})
+	if got := forms(rs.Profile.Render()); got["exact"] == 0 || got["bloom"] != 0 {
+		t.Errorf("Q17 filter forms = %v, want only exact:\n%s", got, rs.Profile.Render())
+	}
+	_, rs = runRF(t, cat, "SELECT count(*) FROM customer JOIN nation ON c_mktsegment = n_name",
+		Options{Parallelism: 4, ShuffleDir: t.TempDir()})
+	if got := forms(rs.Profile.Render()); got["bloom"] != 1 || got["exact"] != 0 {
+		t.Errorf("STRING-key filter forms = %v, want one bloom:\n%s", got, rs.Profile.Render())
 	}
 }
 

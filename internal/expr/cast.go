@@ -74,10 +74,11 @@ func (c *Cast) Eval(ctx *Ctx, b *vector.Batch) (*vector.Vector, error) {
 				if out.Nulls[i] != 0 {
 					return
 				}
+				var buf [32]byte
 				if from.ID == types.Date {
-					out.Str[i] = []byte(types.FormatDate(iv.I32[i]))
+					out.Str[i] = ctx.Arena.Copy(types.AppendDate(buf[:0], iv.I32[i]))
 				} else {
-					out.Str[i] = strconv.AppendInt(ctx.Arena.Alloc(0), int64(iv.I32[i]), 10)
+					out.Str[i] = ctx.Arena.Copy(strconv.AppendInt(buf[:0], int64(iv.I32[i]), 10))
 				}
 			})
 		default:
@@ -99,10 +100,11 @@ func (c *Cast) Eval(ctx *Ctx, b *vector.Batch) (*vector.Vector, error) {
 				if out.Nulls[i] != 0 {
 					return
 				}
+				var buf [64]byte
 				if from.ID == types.Timestamp {
-					out.Str[i] = []byte(types.FormatTimestamp(iv.I64[i]))
+					out.Str[i] = ctx.Arena.Copy(types.AppendTimestamp(buf[:0], iv.I64[i]))
 				} else {
-					out.Str[i] = []byte(strconv.FormatInt(iv.I64[i], 10))
+					out.Str[i] = ctx.Arena.Copy(strconv.AppendInt(buf[:0], iv.I64[i], 10))
 				}
 			})
 		case types.Date:
@@ -132,7 +134,8 @@ func (c *Cast) Eval(ctx *Ctx, b *vector.Batch) (*vector.Vector, error) {
 				if out.Nulls[i] != 0 {
 					return
 				}
-				out.Str[i] = strconv.AppendFloat(nil, iv.F64[i], 'g', -1, 64)
+				var buf [32]byte
+				out.Str[i] = ctx.Arena.Copy(strconv.AppendFloat(buf[:0], iv.F64[i], 'g', -1, 64))
 			})
 		default:
 			return fail()

@@ -37,7 +37,13 @@ func ParseDate(s string) (int32, error) {
 
 // FormatDate renders a day count as "YYYY-MM-DD".
 func FormatDate(days int32) string {
-	return DateToTime(days).Format("2006-01-02")
+	var buf [32]byte
+	return string(AppendDate(buf[:0], days))
+}
+
+// AppendDate appends FormatDate's text to b.
+func AppendDate(b []byte, days int32) []byte {
+	return DateToTime(days).AppendFormat(b, "2006-01-02")
 }
 
 // TimestampFromTime converts t to microseconds since the epoch.
@@ -67,11 +73,17 @@ func ParseTimestamp(s string) (int64, error) {
 
 // FormatTimestamp renders microseconds since the epoch in SQL form.
 func FormatTimestamp(micros int64) string {
+	var buf [64]byte
+	return string(AppendTimestamp(buf[:0], micros))
+}
+
+// AppendTimestamp appends FormatTimestamp's text to b.
+func AppendTimestamp(b []byte, micros int64) []byte {
 	t := TimestampToTime(micros)
 	if micros%MicrosPerSecond == 0 {
-		return t.Format("2006-01-02 15:04:05")
+		return t.AppendFormat(b, "2006-01-02 15:04:05")
 	}
-	return t.Format("2006-01-02 15:04:05.999999")
+	return t.AppendFormat(b, "2006-01-02 15:04:05.999999")
 }
 
 // DateYear extracts the calendar year of a day count.
