@@ -225,12 +225,15 @@ func TestSpeculativeStragglerDistributed(t *testing.T) {
 	r.Arm(fault.TaskStart, fault.Policy{Latency: 2 * time.Second, LatencyN: 1})
 	defer fault.Activate(r)()
 
+	// MinTaskTime sits far above a clean task, even under -race on a loaded
+	// host (where 15 ms let a second task be duplicated), and far below the
+	// injected stall.
 	pool := sched.NewPool(8)
 	pool.SetOptions(sched.PoolOptions{Speculation: sched.SpeculationOptions{
 		Multiplier:          2,
 		MinCompleteFraction: 0.5,
 		Interval:            time.Millisecond,
-		MinTaskTime:         15 * time.Millisecond,
+		MinTaskTime:         250 * time.Millisecond,
 	}})
 	reg := obs.NewRegistry()
 	pool.Instrument(reg)
