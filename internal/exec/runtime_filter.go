@@ -14,8 +14,8 @@ import (
 // build-side key of the joins above it, using the runtime filters those
 // joins' build stages published: all the filters the planner left at one
 // place in the plan run as one step. Like FilterOp it only shrinks each
-// batch's position list — data vectors are untouched, and Bloom false
-// positives merely pass extra rows, so the step is semantics-free by
+// batch's position list — data vectors are untouched, and a Bloom filter's
+// false positives merely pass extra rows, so the step is semantics-free by
 // construction: it may skip any filter for any batch.
 //
 // It uses that freedom (batch-level adaptivity, §4.6; off under
@@ -23,9 +23,10 @@ import (
 // over the rows it is shown, the filters are probed most-selective-first so
 // the rest see only the survivors, and one that passes rfDropPass of its rows
 // or more sits out rfNapBatches batches before it is measured again — a
-// filter that rejects nothing costs a hash and a cache line per row for
-// nothing, and one that rejects nothing of the first batches may still reject
-// much of a table stored in another order.
+// filter that rejects nothing costs a range check and a bit test per row for
+// nothing (an exact set over integer keys), or a hash and a cache line (a
+// Bloom filter), and one that rejects nothing of the first batches may still
+// reject much of a table stored in another order.
 type RuntimeFilterOp struct {
 	stepBase
 	probes []rfProbe // in probing order
