@@ -328,19 +328,18 @@ func TestCollectPipelines(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Prompt cancellation inside pipeline loops and breakers (the 1M-row
-// giant-batch tests).
+// Prompt cancellation in pipelines and breakers: a stored batch of a million
+// rows is scanned a task batch at a time, and every consumer stops at the
+// next batch boundary once the query is cancelled.
 // ---------------------------------------------------------------------------
 
-// TestFusedFilterCancelsWithinGiantBatch: a filter step must observe
-// cancellation inside one giant batch via the windowed selection kernel, not
-// only between batches.
+// TestFusedFilterCancelsWithinGiantBatch: a filter step stops within one
+// task batch of a giant stored batch.
 func TestFusedFilterCancelsWithinGiantBatch(t *testing.T) {
 	const n = 1 << 20
 	schema := intSchema("a")
 	ctx, cancel := context.WithCancel(context.Background())
-	src := &cancelOnNextSource{batch: giantBatch(schema, n), cancel: cancel}
-	src.schema = schema
+	src := newCancelOnNextSource(schema, n, cancel)
 
 	root := NewFilter(src, expr.MustCmp(kernels.CmpGe, expr.Col(0, "a", types.Int64Type), expr.Int64Lit(0)))
 	tc := newTC(t)
@@ -351,15 +350,13 @@ func TestFusedFilterCancelsWithinGiantBatch(t *testing.T) {
 	}
 }
 
-// TestAggUpdateCancelsWithinGiantBatch: the hash-aggregate group-resolution
-// loop runs under the hash table's guard, so cancellation lands inside a
-// single giant batch with a bounded number of groups inserted.
+// TestAggUpdateCancelsWithinGiantBatch: the hash aggregate stops with at
+// most one task batch of groups inserted.
 func TestAggUpdateCancelsWithinGiantBatch(t *testing.T) {
 	const n = 1 << 20
 	schema := intSchema("g")
 	ctx, cancel := context.WithCancel(context.Background())
-	src := &cancelOnNextSource{batch: giantBatch(schema, n), cancel: cancel}
-	src.schema = schema
+	src := newCancelOnNextSource(schema, n, cancel)
 
 	agg, err := NewHashAgg(src, AggComplete,
 		[]expr.Expr{expr.Col(0, "g", types.Int64Type)}, []string{"g"},
@@ -373,20 +370,18 @@ func TestAggUpdateCancelsWithinGiantBatch(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if got := agg.tbl.NumRows(); got > cancelCheckRows {
-		t.Fatalf("agg inserted %d groups after cancellation (window=%d)", got, cancelCheckRows)
+	if got, bs := agg.tbl.NumRows(), tc.Pool.BatchSize(); got > bs {
+		t.Fatalf("agg inserted %d groups after cancellation (batch=%d)", got, bs)
 	}
 }
 
-// TestJoinProbeCancelsWithinGiantBatch: the probe-side Find runs under the
-// hash table's guard too; cancellation during one giant probe batch aborts
-// without resolving the whole batch.
+// TestJoinProbeCancelsWithinGiantBatch: the probe side stops within one task
+// batch of a giant stored batch.
 func TestJoinProbeCancelsWithinGiantBatch(t *testing.T) {
 	const n = 1 << 20
 	probeSchema := intSchema("rid")
 	ctx, cancel := context.WithCancel(context.Background())
-	src := &cancelOnNextSource{batch: giantBatch(probeSchema, n), cancel: cancel}
-	src.schema = probeSchema
+	src := newCancelOnNextSource(probeSchema, n, cancel)
 
 	buildSchema := intSchema("bid")
 	var buildRows [][]any
@@ -410,14 +405,13 @@ func TestJoinProbeCancelsWithinGiantBatch(t *testing.T) {
 	}
 }
 
-// TestFusedRuntimeFilterCancelsWithinGiantBatch: the runtime-filter step
-// windows its row probes as well.
+// TestFusedRuntimeFilterCancelsWithinGiantBatch: so does the runtime-filter
+// step.
 func TestFusedRuntimeFilterCancelsWithinGiantBatch(t *testing.T) {
 	const n = 1 << 20
 	schema := intSchema("k")
 	ctx, cancel := context.WithCancel(context.Background())
-	src := &cancelOnNextSource{batch: giantBatch(schema, n), cancel: cancel}
-	src.schema = schema
+	src := newCancelOnNextSource(schema, n, cancel)
 
 	f := rf.NewFilter([]types.DataType{types.Int64Type}, 4)
 	build := vector.NewBatch(schema, 3)

@@ -11,26 +11,25 @@ import (
 	"photon/internal/vector"
 )
 
-// cancelOnNextSource emits one giant batch and cancels the query context as
-// it hands the batch over — modelling a user cancelling mid-build. A prompt
-// consumer must abandon the batch at the next intra-batch checkpoint rather
-// than processing all of it.
+// cancelOnNextSource scans one stored giant batch the way a registered
+// table's MemScan does, a task batch at a time, and cancels the query
+// context as it hands over the first batch — modelling a user cancelling
+// mid-build. A prompt consumer stops at the next batch boundary rather than
+// processing the stored batch to its end.
 type cancelOnNextSource struct {
-	base
-	batch  *vector.Batch
+	*MemScan
 	cancel context.CancelFunc
-	done   bool
 }
 
-func (s *cancelOnNextSource) Open(tc *TaskCtx) error { s.tc = tc; return nil }
-func (s *cancelOnNextSource) Close() error           { return nil }
+// newCancelOnNextSource scans a stored batch of n sequential int64 keys.
+func newCancelOnNextSource(schema *types.Schema, n int, cancel context.CancelFunc) *cancelOnNextSource {
+	return &cancelOnNextSource{MemScan: NewMemScan(schema, []*vector.Batch{giantBatch(schema, n)}), cancel: cancel}
+}
+
 func (s *cancelOnNextSource) Next() (*vector.Batch, error) {
-	if s.done {
-		return nil, nil
-	}
-	s.done = true
+	b, err := s.MemScan.Next()
 	s.cancel()
-	return s.batch, nil
+	return b, err
 }
 
 // giantBatch builds one batch of n sequential int64 keys.
@@ -43,15 +42,13 @@ func giantBatch(schema *types.Schema, n int) *vector.Batch {
 	return b
 }
 
-// TestJoinBuildCancelsWithinGiantBatch: the hash-join build loop must
-// observe cancellation inside a single batch much larger than the
-// cancellation window, not only at batch boundaries.
+// TestJoinBuildCancelsWithinGiantBatch: the hash-join build stops one task
+// batch into a stored batch of a million rows once the query is cancelled.
 func TestJoinBuildCancelsWithinGiantBatch(t *testing.T) {
-	const n = 1 << 20 // 16 cancellation windows
+	const n = 1 << 20
 	schema := intSchema("rid")
 	ctx, cancel := context.WithCancel(context.Background())
-	src := &cancelOnNextSource{batch: giantBatch(schema, n), cancel: cancel}
-	src.schema = schema
+	src := newCancelOnNextSource(schema, n, cancel)
 
 	left := NewMemScan(intSchema("lid"), BuildBatches(intSchema("lid"), [][]any{{int64(1)}}, 4))
 	j, err := NewHashJoin(left, src,
@@ -66,21 +63,20 @@ func TestJoinBuildCancelsWithinGiantBatch(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	// Promptness: at most one cancellation window of rows may have been
-	// inserted before the build noticed.
-	if got := j.tbl.NumRows(); got > cancelCheckRows {
-		t.Fatalf("build inserted %d rows after cancellation (window=%d)", got, cancelCheckRows)
+	// Promptness: at most one task batch of rows may have been inserted
+	// before the build noticed.
+	if got, bs := j.tbl.NumRows(), tc.Pool.BatchSize(); got > bs {
+		t.Fatalf("build inserted %d rows after cancellation (batch=%d)", got, bs)
 	}
 }
 
-// TestRuntimeFilterBuildCancelsWithinGiantBatch: the filter-build tap checks
-// cancellation between windows of one giant batch too.
+// TestRuntimeFilterBuildCancelsWithinGiantBatch: the filter-build step stops
+// one task batch into a giant stored batch too.
 func TestRuntimeFilterBuildCancelsWithinGiantBatch(t *testing.T) {
 	const n = 1 << 20
 	schema := intSchema("k")
 	ctx, cancel := context.WithCancel(context.Background())
-	src := &cancelOnNextSource{batch: giantBatch(schema, n), cancel: cancel}
-	src.schema = schema
+	src := newCancelOnNextSource(schema, n, cancel)
 
 	f := rf.NewFilter([]types.DataType{types.Int64Type}, n)
 	op := NewRuntimeFilterBuild(src, []int{0}, f)
@@ -90,8 +86,8 @@ func TestRuntimeFilterBuildCancelsWithinGiantBatch(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if got := f.Cols[0].N; got > cancelCheckRows {
-		t.Fatalf("filter folded %d rows after cancellation (window=%d)", got, cancelCheckRows)
+	if got, bs := f.Cols[0].N, tc.Pool.BatchSize(); got > int64(bs) {
+		t.Fatalf("filter folded %d rows after cancellation (batch=%d)", got, bs)
 	}
 }
 
@@ -241,16 +237,16 @@ func TestRuntimeFilterOpAdapts(t *testing.T) {
 	}
 }
 
-// TestRuntimeFilterOpGiantBatch: a batch probed in cancellation windows
-// keeps exactly the rows a small one would — none, when no window has a
+// TestRuntimeFilterOpGiantBatch: a stored batch far larger than a task batch
+// keeps exactly the rows a small one would — none, when no task batch has a
 // survivor.
 func TestRuntimeFilterOpGiantBatch(t *testing.T) {
 	schema := intSchema("k")
-	const n = 3*cancelCheckRows + 17
+	const n = 3<<16 + 17
 	for _, c := range []struct {
 		keys []int64
 		want int
-	}{{[]int64{-1}, 0}, {[]int64{5, 2*cancelCheckRows + 1}, 2}} {
+	}{{[]int64{-1}, 0}, {[]int64{5, 2<<16 + 1}, 2}} {
 		src := NewMemScan(schema, []*vector.Batch{giantBatch(schema, n)})
 		got, err := CollectRows(NewRuntimeFilter(src, []ProducerFilter{{Keys: []int{0}, Filter: keyFilter(c.keys...)}}), newTC(t))
 		if err != nil {
