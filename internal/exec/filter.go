@@ -11,9 +11,8 @@ import (
 // only the selection changes.
 type FilterOp struct {
 	stepBase
-	pred   expr.Filter
-	sel    []int32
-	winSel []int32
+	pred expr.Filter
+	sel  []int32
 }
 
 // NewFilter adds a filter step over child.
@@ -28,14 +27,7 @@ func NewFilter(child Operator, pred expr.Filter) *PipelineOp {
 // list; nil output means the batch was fully filtered.
 func (f *FilterOp) processBatch(b *vector.Batch) (*vector.Batch, error) {
 	f.stats.RowsIn.Add(int64(b.NumActive()))
-	f.sel = f.sel[:0]
-	var sel []int32
-	var err error
-	if active := b.NumActive(); active > cancelCheckRows {
-		sel, err = f.evalSelWindowed(b, active)
-	} else {
-		sel, err = f.pred.EvalSel(f.tc.Expr, b, f.sel)
-	}
+	sel, err := f.pred.EvalSel(f.tc.Expr, b, f.sel[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -51,28 +43,6 @@ func (f *FilterOp) processBatch(b *vector.Batch) (*vector.Batch, error) {
 	f.stats.RowsOut.Add(int64(b.NumActive()))
 	f.stats.BatchesOut.Add(1)
 	return b, nil
-}
-
-// evalSelWindowed evaluates the predicate over cancelCheckRows-sized windows
-// of active rows with a cancellation check between windows, so one giant
-// batch cannot pin a cancelled task inside the filter kernel.
-func (f *FilterOp) evalSelWindowed(b *vector.Batch, active int) ([]int32, error) {
-	savedSel := b.Sel
-	defer func() { b.Sel = savedSel }()
-	out := f.sel[:0]
-	for lo := 0; lo < active; lo += cancelCheckRows {
-		if err := f.tc.Cancelled(); err != nil {
-			return nil, err
-		}
-		hi := min(lo+cancelCheckRows, active)
-		b.Sel = window(savedSel, lo, hi, &f.winSel)
-		var err error
-		out, err = f.pred.EvalSel(f.tc.Expr, b, out)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // ProjectOp is the pipeline step that evaluates expressions into an output

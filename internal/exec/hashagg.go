@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"photon/internal/expr"
-	"photon/internal/ht"
 	"photon/internal/mem"
 	"photon/internal/types"
 	"photon/internal/vector"
@@ -269,13 +268,6 @@ func (op *HashAggOp) Open(tc *TaskCtx) error {
 	op.emitPart = 0
 	op.passing, op.pass = false, nil
 	return op.child.Open(tc)
-}
-
-// newTable returns an empty table that checks cancellation while it probes.
-func (op *HashAggOp) newTable(keyTypes []types.DataType, payloadW int) *ht.Table {
-	tbl := ht.New(keyTypes, payloadW)
-	tbl.Guard = op.tc.Cancelled
-	return tbl
 }
 
 // ensureScratch grows the per-batch scratch arrays to n rows.

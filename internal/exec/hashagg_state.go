@@ -153,12 +153,12 @@ type distinctSet struct {
 
 // resetGroups gives g empty tables.
 func (op *HashAggOp) resetGroups(g *groupState) {
-	g.tbl = op.newTable(op.keyTypes, op.payloadW)
+	g.tbl = ht.New(op.keyTypes, op.payloadW)
 	g.lists = g.lists[:0]
 	g.sets = g.sets[:0]
 	for _, info := range op.infos {
 		if info.spec.Distinct { // appended in aggInfo.dist order
-			g.sets = append(g.sets, distinctSet{tbl: op.newTable([]types.DataType{types.Int32Type, info.spec.Arg.Type()}, 0)})
+			g.sets = append(g.sets, distinctSet{tbl: ht.New([]types.DataType{types.Int32Type, info.spec.Arg.Type()}, 0)})
 		}
 	}
 	g.indexed = false

@@ -119,7 +119,6 @@ type HashJoinOp struct {
 	keySel               []int32 // nonNullKeySel's result
 	lanes                []uint64
 	insertedScratch      []bool
-	winSel               []int32 // synthetic selection for chunked giant-batch builds
 }
 
 // NewHashJoin builds a hash join; key lists must be type-aligned.
@@ -211,7 +210,6 @@ func (op *HashJoinOp) Open(tc *TaskCtx) error {
 // newTable makes an empty table for the build side's layout.
 func (op *HashJoinOp) newTable() {
 	op.tbl = ht.New(op.keyTypes, op.build.width)
-	op.tbl.Guard = op.tc.Cancelled
 }
 
 // keepsNullKeys reports whether NULL-key build rows go into the table: a
@@ -458,8 +456,6 @@ func (op *HashJoinOp) resetMatched() {
 }
 
 // insertBuildBatch inserts one batch into tbl (keys + payload columns).
-// Batches larger than cancelCheckRows are inserted in windows with a
-// cancellation check between windows.
 func (op *HashJoinOp) insertBuildBatch(b *vector.Batch, tbl *ht.Table) error {
 	n := b.NumRows
 	op.ensureCap(n)
@@ -472,27 +468,6 @@ func (op *HashJoinOp) insertBuildBatch(b *vector.Batch, tbl *ht.Table) error {
 	if cap(op.insertedScratch) < n {
 		op.insertedScratch = make([]bool, n)
 	}
-	active := n
-	if sel != nil {
-		active = len(sel)
-	}
-	if active <= cancelCheckRows {
-		return op.insertBuildRows(b, tbl, sel, n)
-	}
-	for lo := 0; lo < active; lo += cancelCheckRows {
-		if err := op.tc.Cancelled(); err != nil {
-			return err
-		}
-		hi := min(lo+cancelCheckRows, active)
-		if err := op.insertBuildRows(b, tbl, window(sel, lo, hi, &op.winSel), n); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// insertBuildRows inserts the sel window of an already-hashed batch.
-func (op *HashJoinOp) insertBuildRows(b *vector.Batch, tbl *ht.Table, sel []int32, n int) error {
 	inserted := op.insertedScratch[:n]
 	if err := tbl.InsertDup(op.keyVecs, op.hashes, sel, n, op.rowIDs, inserted); err != nil {
 		return err

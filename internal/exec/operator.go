@@ -203,28 +203,6 @@ func (tc *TaskCtx) Cancelled() error {
 	return nil
 }
 
-// cancelCheckRows bounds how many rows a long-running loop over one batch
-// processes between TaskCtx cancellation checks, so even a single giant batch
-// cancels promptly.
-const cancelCheckRows = 64 << 10
-
-// window returns a selection covering active rows [lo, hi) of a batch with
-// selection sel: a reslice of sel when one exists, else a run of physical row
-// indexes built in *scratch.
-func window(sel []int32, lo, hi int, scratch *[]int32) []int32 {
-	if sel != nil {
-		return sel[lo:hi]
-	}
-	if cap(*scratch) < hi-lo {
-		*scratch = make([]int32, hi-lo)
-	}
-	w := (*scratch)[:hi-lo]
-	for i := range w {
-		w[i] = int32(lo + i)
-	}
-	return w
-}
-
 // grownRows sizes a buffer that must hold need rows the way an exchange's
 // staging batch grows: 64 rows at first, then double what is needed, up to
 // the batch size — so a query of a few rows never pays for full batches.

@@ -9,15 +9,16 @@ import (
 )
 
 // Fused pipeline execution (§4.3; Flare's loop fusion; Shaikhha et al.'s
-// observation that fusion, not push-vs-pull, is what wins): Filter, Project
-// and RuntimeFilter are steps of a PipelineOp, never operators of their own.
-// NewFilter, NewProject and NewRuntimeFilter start a pipeline over their
-// input, or join the one their input already is, so a maximal run of steps
-// above a pipeline breaker is one loop per source batch from the moment it
-// is built. The selection vector shrinks in place through the run's filters,
-// projections feed zero-copy off it, and the consuming breaker (HashAgg's
-// update side, HashJoin's probe side, a sort or shuffle write) pulls from
-// the pipeline directly.
+// observation that fusion, not push-vs-pull, is what wins): Filter, Project,
+// RuntimeFilter and RuntimeFilterBuild are steps of a PipelineOp, never
+// operators of their own. NewFilter, NewProject, NewRuntimeFilter and
+// NewRuntimeFilterBuild start a pipeline over their input, or join the one
+// their input already is, so a maximal run of steps above a pipeline breaker
+// is one loop per source batch from the moment it is built. The selection
+// vector shrinks in place through the run's filters, projections feed
+// zero-copy off it, and the consuming breaker (HashAgg's update side,
+// HashJoin's probe side, a sort or shuffle write) pulls from the pipeline
+// directly.
 
 // step is one per-batch stage of a pipeline. processBatch returns the step's
 // output batch (usually its input with a shrunk position list or replaced
@@ -90,9 +91,9 @@ func (p *PipelineOp) Open(tc *TaskCtx) error {
 // batch it returned last is dead once Next is called again. The source times
 // its own Next; the clock is read before the first step and after each one,
 // and each difference is that step's own time. Cancellation is checked
-// per batch here and every ~64K rows inside the steps' own windowed kernels
-// (filter evaluation, runtime-filter probes), so even a single giant batch
-// cancels promptly.
+// here before each source batch and nowhere inside the steps: a source never
+// hands over more than the task's batch size, so a cancelled task stops
+// within one batch.
 func (p *PipelineOp) Next() (*vector.Batch, error) {
 	for {
 		if err := p.tc.Cancelled(); err != nil {

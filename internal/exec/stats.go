@@ -48,9 +48,6 @@ func (s *ShuffleWriteOp) children() []any  { return []any{s.child} }
 func (e *ShuffleReadOp) children() []any   { return nil }
 func (e *BroadcastReadOp) children() []any { return nil }
 
-// The runtime filter's build-side tap (its probe side is a pipeline step).
-func (op *RuntimeFilterBuildOp) children() []any { return []any{op.child} }
-
 // WalkStats visits every metrics-carrying node reachable from root with
 // its depth. Root is usually an Operator but may be any plan node; nodes
 // without metrics (pure row-engine operators) are traversed silently when

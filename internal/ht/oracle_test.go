@@ -3,7 +3,6 @@ package ht
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -387,119 +386,6 @@ func runChainOracle(t *testing.T, specs []oracleKeySpec, hashBits uint) {
 			t.Fatalf("entry %d: ReadKey gives %s, want %s", row, got, key)
 		}
 		checkOraclePayload(t, tbl, row, uint32(row)+5)
-	}
-}
-
-// TestGuardAbortKeepsEarlierEntries aborts a FindOrInsert and an InsertDup in
-// the middle of one large batch and requires the table to stay a table:
-// entries from before the call are untouched, whatever the aborted call did
-// insert is findable exactly once, and the same batch can be replayed.
-func TestGuardAbortKeepsEarlierEntries(t *testing.T) {
-	for _, dup := range []bool{false, true} {
-		dup := dup
-		t.Run(fmt.Sprintf("dup=%v", dup), func(t *testing.T) {
-			insert := func(tbl *Table, keys []*vector.Vector, hashes []uint64, n int, ids []int32, ins []bool) error {
-				if dup {
-					return tbl.InsertDup(keys, hashes, nil, n, ids, ins)
-				}
-				return tbl.FindOrInsert(keys, hashes, nil, n, ids, ins)
-			}
-			tbl := New([]types.DataType{types.Int64Type}, 8)
-			early := make([]int64, 3000)
-			for i := range early {
-				early[i] = int64(i) * 7
-			}
-			eKeys, eHashes := buildKeys(early, nil)
-			eIDs := make([]int32, len(early))
-			if err := insert(tbl, eKeys, eHashes, len(early), eIDs, make([]bool, len(early))); err != nil {
-				t.Fatal(err)
-			}
-			for i, r := range eIDs {
-				binary.LittleEndian.PutUint64(tbl.PayloadBytes(r), uint64(early[i])+1)
-			}
-
-			// One batch several guard periods long; the second check aborts.
-			big := make([]int64, 3*guardRows)
-			for i := range big {
-				big[i] = 1_000_003 + int64(i)*7 // disjoint from early
-			}
-			bKeys, bHashes := buildKeys(big, nil)
-			bIDs := make([]int32, len(big))
-			bIns := make([]bool, len(big))
-			stop := errors.New("cancelled")
-			calls := 0
-			tbl.Guard = func() error {
-				if calls++; calls >= 2 {
-					return stop
-				}
-				return nil
-			}
-			if err := insert(tbl, bKeys, bHashes, len(big), bIDs, bIns); !errors.Is(err, stop) {
-				t.Fatalf("aborted insert returned %v, want the guard's error", err)
-			}
-			tbl.Guard = nil
-			partial := tbl.NumRows() - len(early)
-			if partial <= 0 || partial >= len(big) {
-				t.Fatalf("abort left %d of %d rows inserted: not mid-batch", partial, len(big))
-			}
-
-			got := make([]int32, len(early))
-			if err := tbl.Find(eKeys, eHashes, nil, len(early), got); err != nil {
-				t.Fatal(err)
-			}
-			for i := range early {
-				if got[i] != eIDs[i] {
-					t.Fatalf("early key %d: entry %d after the abort, %d before", early[i], got[i], eIDs[i])
-				}
-				if p := binary.LittleEndian.Uint64(tbl.PayloadBytes(got[i])); p != uint64(early[i])+1 {
-					t.Fatalf("early key %d: payload %d after the abort", early[i], p)
-				}
-				if n := tbl.Next(got[i]); n != -1 {
-					t.Fatalf("early key %d grew a chain link %d", early[i], n)
-				}
-			}
-
-			// What the aborted call inserted is there exactly once.
-			found := make([]int32, len(big))
-			if err := tbl.Find(bKeys, bHashes, nil, len(big), found); err != nil {
-				t.Fatal(err)
-			}
-			seen := map[int32]bool{}
-			nFound := 0
-			kv := vector.New(types.Int64Type, 1)
-			for i, e := range found {
-				if e == -1 {
-					continue
-				}
-				nFound++
-				if seen[e] || int(e) < len(early) || int(e) >= tbl.NumRows() {
-					t.Fatalf("key %d: entry %d shared or out of range", big[i], e)
-				}
-				seen[e] = true
-				if tbl.ReadKey(e, 0, kv, 0); kv.I64[0] != big[i] {
-					t.Fatalf("entry %d holds key %d, want %d", e, kv.I64[0], big[i])
-				}
-			}
-			if nFound != partial {
-				t.Fatalf("%d keys of the aborted batch are findable, %d entries were added", nFound, partial)
-			}
-
-			// Replaying the batch finishes the job (group shape: no second
-			// entry for a key the aborted call already inserted).
-			if !dup {
-				if err := insert(tbl, bKeys, bHashes, len(big), bIDs, bIns); err != nil {
-					t.Fatal(err)
-				}
-				for i := range big {
-					if was := found[i]; was != -1 && (bIns[i] || bIDs[i] != was) {
-						t.Fatalf("key %d: replay gave entry %d inserted=%v, abort had left %d", big[i], bIDs[i], bIns[i], was)
-					}
-				}
-				if tbl.Len() != len(early)+len(big) {
-					t.Fatalf("after replay: %d keys, want %d", tbl.Len(), len(early)+len(big))
-				}
-			}
-		})
 	}
 }
 

@@ -10,14 +10,14 @@ import (
 // cache misses (memory-level parallelism, §4.4/§5); phase 2 compares the
 // candidate entries against the lookup keys. Rows whose candidate fails the
 // key comparison advance their bucket index by quadratic probing and move to
-// a pending list that loops until empty. A Guard hook fires every guardRows
-// processed rows so cancellation is observed inside the loop, not only at
-// batch boundaries.
+// a pending list that loops until empty. A call runs over one batch from
+// start to end: the operators above check cancellation between batches, and
+// a batch is never larger than its task's batch size.
 
 // FindOrInsert locates or creates an entry for every active row.
 // rowIDs[i] (physical indexing) receives the entry id; inserted[i] is set
 // when this call created the entry. Used by hash aggregation: newly inserted
-// entries need their aggregation state initialized.
+// entries need their aggregation state initialized. The error is always nil.
 func (t *Table) FindOrInsert(keys []*vector.Vector, hashes []uint64, sel []int32, n int, rowIDs []int32, inserted []bool) error {
 	t.maybeGrowFor(n)
 	t.ensureScratch(n)
@@ -44,10 +44,6 @@ func (t *Table) FindOrInsert(keys []*vector.Vector, hashes []uint64, sel []int32
 	next := t.scratch[:0]
 	for lo := 0; lo < len(pending); lo += probeWindow {
 		hi := min(lo+probeWindow, len(pending))
-		if err := t.checkGuard(hi - lo); err != nil {
-			t.pending = pending[:0]
-			return err
-		}
 		win := pending[lo:hi]
 		for _, i := range win {
 			t.cand[i] = t.buckets[t.slots[i]]
@@ -78,10 +74,6 @@ func (t *Table) FindOrInsert(keys []*vector.Vector, hashes []uint64, sel []int32
 	pending, t.scratch = next, pending
 
 	for len(pending) > 0 {
-		if err := t.checkGuard(len(pending)); err != nil {
-			t.pending = pending[:0]
-			return err
-		}
 		next := t.scratch[:0]
 		for _, i := range pending {
 			s := t.slots[i]
@@ -117,7 +109,8 @@ func (t *Table) FindOrInsert(keys []*vector.Vector, hashes []uint64, sel []int32
 // every candidate back-to-back, then compare and resolve — with only
 // mismatches falling into the pending-list machinery. With a healthy load
 // factor, nearly every row resolves in that first pass. Find never mutates
-// the directory, so the phase-1 loads are authoritative.
+// the directory, so the phase-1 loads are authoritative. The error is always
+// nil.
 func (t *Table) Find(keys []*vector.Vector, hashes []uint64, sel []int32, n int, rowIDs []int32) error {
 	t.ensureScratch(n)
 	slots, cand, step := t.slots, t.cand, t.step
@@ -126,10 +119,6 @@ func (t *Table) Find(keys []*vector.Vector, hashes []uint64, sel []int32, n int,
 	if sel == nil {
 		for lo := 0; lo < n; lo += probeWindow {
 			hi := min(lo+probeWindow, n)
-			if err := t.checkGuard(hi - lo); err != nil {
-				t.pending = pending[:0]
-				return err
-			}
 			for i := lo; i < hi; i++ {
 				s := int32(hashes[i] & mask)
 				slots[i] = s
@@ -153,10 +142,6 @@ func (t *Table) Find(keys []*vector.Vector, hashes []uint64, sel []int32, n int,
 	} else {
 		for lo := 0; lo < len(sel); lo += probeWindow {
 			hi := min(lo+probeWindow, len(sel))
-			if err := t.checkGuard(hi - lo); err != nil {
-				t.pending = pending[:0]
-				return err
-			}
 			win := sel[lo:hi]
 			for _, i := range win {
 				s := int32(hashes[i] & mask)
@@ -180,10 +165,6 @@ func (t *Table) Find(keys []*vector.Vector, hashes []uint64, sel []int32, n int,
 		}
 	}
 	for len(pending) > 0 {
-		if err := t.checkGuard(len(pending)); err != nil {
-			t.pending = pending[:0]
-			return err
-		}
 		next := t.scratch[:0]
 		for _, i := range pending {
 			c := t.buckets[slots[i]]
@@ -238,7 +219,7 @@ func (t *Table) FindScalar(keys []*vector.Vector, hashes []uint64, sel []int32, 
 }
 
 // InsertDup inserts every active row, chaining duplicate keys (join build
-// side). Use Find + Next to iterate matches.
+// side). Use Find + Next to iterate matches. The error is always nil.
 func (t *Table) InsertDup(keys []*vector.Vector, hashes []uint64, sel []int32, n int, rowIDs []int32, inserted []bool) error {
 	// First resolve chain heads (insert when absent)...
 	if err := t.FindOrInsert(keys, hashes, sel, n, rowIDs, inserted); err != nil {

@@ -44,10 +44,6 @@ const (
 	// memory system overlaps their cache misses.
 	probeWindow = 256
 
-	// guardRows bounds how many rows a probe/insert loop may process between
-	// Guard invocations.
-	guardRows = 64 << 10
-
 	// Entry storage is paged by entry count, so one shift and mask address an
 	// entry's row, hash and chain link alike. 256 entries keep a page of
 	// typical rows (17–105 bytes) inside Go's small-object size classes: it
@@ -73,12 +69,6 @@ const (
 
 // Table is a vectorized open-addressing hash table with quadratic probing.
 type Table struct {
-	// Guard, when set, is invoked at least every guardRows processed rows
-	// inside Find/FindOrInsert/InsertDup; a non-nil return aborts the call
-	// with that error. Operators install TaskCtx.Cancelled so a single giant
-	// batch cannot pin a cancelled task inside the hash table.
-	Guard func() error
-
 	keyTypes []types.DataType
 	colOff   []int // byte offset of each key column within a row
 	keyWidth int
@@ -97,8 +87,6 @@ type Table struct {
 	heap [][]byte // variable-length key/payload bytes; len = bytes used
 
 	pageBytes int64 // bytes allocated in entry and heap pages
-
-	guardCtr int // rows processed since the last Guard call
 
 	// Scratch for the batched probe loop, reused across calls.
 	cand    []int32 // candidate entry loaded per row (prefetch phase)
@@ -443,19 +431,4 @@ func (t *Table) ensureScratch(capacity int) {
 		t.pending = make([]int32, 0, capacity)
 		t.scratch = make([]int32, 0, capacity)
 	}
-}
-
-// checkGuard accumulates processed-row counts and invokes Guard once the
-// accumulator crosses guardRows, so cancellation latency inside probe loops
-// is bounded regardless of batch size.
-func (t *Table) checkGuard(n int) error {
-	if t.Guard == nil {
-		return nil
-	}
-	t.guardCtr += n
-	if t.guardCtr < guardRows {
-		return nil
-	}
-	t.guardCtr = 0
-	return t.Guard()
 }
