@@ -18,6 +18,10 @@ type Cast struct {
 	To    types.DataType
 }
 
+// trueText and falseText are the payloads every BOOLEAN row cast to STRING
+// points at, as every row of a STRING literal points at one.
+var trueText, falseText = []byte("true"), []byte("false")
+
 // NewCast builds a cast node.
 func NewCast(inner Expr, to types.DataType) *Cast { return &Cast{Inner: inner, To: to} }
 
@@ -171,7 +175,8 @@ func (c *Cast) Eval(ctx *Ctx, b *vector.Batch) (*vector.Vector, error) {
 				if out.Nulls[i] != 0 {
 					return
 				}
-				out.Str[i] = []byte(types.FormatDecimal(iv.Dec[i], scale))
+				var buf [48]byte
+				out.Str[i] = ctx.Arena.Copy(types.AppendDecimal(buf[:0], iv.Dec[i], scale))
 			})
 		default:
 			return fail()
@@ -224,9 +229,9 @@ func (c *Cast) Eval(ctx *Ctx, b *vector.Batch) (*vector.Vector, error) {
 					return
 				}
 				if iv.Bool[i] != 0 {
-					out.Str[i] = []byte("true")
+					out.Str[i] = trueText
 				} else {
-					out.Str[i] = []byte("false")
+					out.Str[i] = falseText
 				}
 			})
 		default:

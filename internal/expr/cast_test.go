@@ -9,12 +9,13 @@ import (
 	"photon/internal/vector"
 )
 
-// TestCastToStringWritesArena: CAST of INT, BIGINT, DATE, TIMESTAMP and
-// DOUBLE to STRING renders what strconv and the types package render, keeps
-// NULLs and the types' extremes, and writes every row into the expression
-// arena: the allocations of an Eval over a 2,048-row batch do not grow with
-// the rows.
+// TestCastToStringWritesArena: CAST of INT, BIGINT, DATE, TIMESTAMP, DOUBLE,
+// DECIMAL and BOOLEAN to STRING renders what strconv and the types package
+// render, keeps NULLs and the types' extremes, and writes every row into the
+// expression arena (BOOLEAN rows share two constant payloads): the
+// allocations of an Eval over a 2,048-row batch do not grow with the rows.
 func TestCastToStringWritesArena(t *testing.T) {
+	dec38 := types.Pow10(38).Sub(types.DecimalFromInt64(1)) // 38 nines
 	const n = 2048
 	cases := []struct {
 		tp       types.DataType
@@ -37,6 +38,15 @@ func TestCastToStringWritesArena(t *testing.T) {
 		{types.Float64Type, []any{-math.MaxFloat64, math.SmallestNonzeroFloat64, 0.0, math.Inf(-1)},
 			func(i int) any { return float64(i)/7 - 100 },
 			func(x any) string { return strconv.FormatFloat(x.(float64), 'g', -1, 64) }},
+		{types.DecimalType(38, 0), []any{dec38, dec38.Neg(), types.Decimal128{}, types.DecimalFromInt64(-1)},
+			func(i int) any { return types.DecimalFromInt64(int64(i)*1_000_000_007 - 1<<40) },
+			func(x any) string { return types.FormatDecimal(x.(types.Decimal128), 0) }},
+		{types.DecimalType(38, 10), []any{dec38, dec38.Neg(), types.Decimal128{}, types.DecimalFromInt64(-1)},
+			func(i int) any { return types.DecimalFromInt64(int64(i)*7_919 - 5_000_000) },
+			func(x any) string { return types.FormatDecimal(x.(types.Decimal128), 10) }},
+		{types.BoolType, []any{true, false},
+			func(i int) any { return i%3 == 0 },
+			func(x any) string { return strconv.FormatBool(x.(bool)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.tp.String(), func(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/big"
 	"math/bits"
+	"slices"
 	"strings"
 )
 
@@ -318,39 +319,38 @@ func ParseDecimal(s string, scale int) (Decimal128, error) {
 // FormatDecimal renders the unscaled value at the given scale, e.g.
 // (12345, scale 2) -> "123.45".
 func FormatDecimal(d Decimal128, scale int) string {
-	neg := d.IsNeg()
-	a := d.Abs()
-	// Convert magnitude to decimal digits via repeated division by 1e19.
-	var groups []uint64
-	for {
+	var buf [48]byte
+	return string(AppendDecimal(buf[:0], d, scale))
+}
+
+// AppendDecimal appends the text FormatDecimal returns to dst.
+func AppendDecimal(dst []byte, d Decimal128, scale int) []byte {
+	if d.IsNeg() {
+		dst = append(dst, '-')
+	}
+	// The magnitude's digits, least significant first, 19 per division;
+	// every group but the most significant keeps its leading zeros.
+	start := len(dst)
+	for a := d.Abs(); ; {
 		q, r := a.divmod64(pow10[19])
-		groups = append(groups, r)
 		a = q
+		for k := 0; k < 19 && (r != 0 || !a.IsZero()); k++ {
+			dst = append(dst, byte('0'+r%10))
+			r /= 10
+		}
 		if a.IsZero() {
 			break
 		}
 	}
-	var b strings.Builder
-	for i := len(groups) - 1; i >= 0; i-- {
-		if i == len(groups)-1 {
-			fmt.Fprintf(&b, "%d", groups[i])
-		} else {
-			fmt.Fprintf(&b, "%019d", groups[i])
-		}
+	for len(dst)-start <= scale {
+		dst = append(dst, '0')
 	}
-	digits := b.String()
-	if scale == 0 {
-		if neg {
-			return "-" + digits
-		}
-		return digits
+	slices.Reverse(dst[start:])
+	if scale > 0 {
+		p := len(dst) - scale
+		dst = append(dst, 0)
+		copy(dst[p+1:], dst[p:])
+		dst[p] = '.'
 	}
-	for len(digits) <= scale {
-		digits = "0" + digits
-	}
-	out := digits[:len(digits)-scale] + "." + digits[len(digits)-scale:]
-	if neg {
-		out = "-" + out
-	}
-	return out
+	return dst
 }

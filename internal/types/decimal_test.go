@@ -31,6 +31,8 @@ func TestDecimalParseFormat(t *testing.T) {
 		{"1", 0, "1"},
 		{"-0.01", 2, "-0.01"},
 		{"99999999999999999999.99", 2, "99999999999999999999.99"}, // > 64 bits unscaled
+		{"-99999999999999999999999999999999999999", 0, "-99999999999999999999999999999999999999"},
+		{"0.00000000000000000000000000000000000001", 38, "0.00000000000000000000000000000000000001"},
 	}
 	for _, c := range cases {
 		d := dec(t, c.in, c.scale)
