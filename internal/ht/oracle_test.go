@@ -215,11 +215,25 @@ func TestTableAgainstMapOracle(t *testing.T) {
 				runGroupOracle(t, specs, hashBits)
 			})
 			t.Run(fmt.Sprintf("%s/hash%d/chain", name, hashBits), func(t *testing.T) {
-				runChainOracle(t, specs, hashBits)
+				runChainOracle(t, specs, hashBits, 0)
 			})
+			if !manyKeys[name] {
+				continue
+			}
+			// The first duplicate arrives while the first entry page is
+			// still growing, and after three full pages.
+			for _, distinct := range []int{firstPageRows + 13, 3 * pageRows} {
+				distinct := distinct
+				t.Run(fmt.Sprintf("%s/hash%d/chain_after_%d", name, hashBits, distinct), func(t *testing.T) {
+					runChainOracle(t, specs, hashBits, distinct)
+				})
+			}
 		}
 	}
 }
+
+// manyKeys names the specs whose domains hold well over 3*pageRows keys.
+var manyKeys = map[string]bool{"int64": true, "string": true, "multi": true}
 
 // runGroupOracle is the aggregation shape: FindOrInsert, one entry per key.
 func runGroupOracle(t *testing.T, specs []oracleKeySpec, hashBits uint) {
@@ -301,9 +315,10 @@ func runGroupOracle(t *testing.T, specs []oracleKeySpec, hashBits uint) {
 }
 
 // runChainOracle is the join-build shape: InsertDup, one entry per row,
-// duplicates linked behind their key's head.
-func runChainOracle(t *testing.T, specs []oracleKeySpec, hashBits uint) {
-	r := rand.New(rand.NewSource(int64(len(specs))*977 + int64(hashBits)))
+// duplicates linked behind their key's head. The first distinct rows all
+// carry distinct keys, so no row is linked before them.
+func runChainOracle(t *testing.T, specs []oracleKeySpec, hashBits uint, distinct int) {
+	r := rand.New(rand.NewSource(int64(len(specs))*977 + int64(hashBits) + int64(distinct)))
 	keyTypes := make([]types.DataType, len(specs))
 	for c, s := range specs {
 		keyTypes[c] = s.typ
@@ -317,34 +332,65 @@ func runChainOracle(t *testing.T, specs []oracleKeySpec, hashBits uint) {
 	if hashBits < 64 {
 		rounds = 6
 	}
+	for total < distinct {
+		// Keep only rows whose keys the table has not seen.
+		b := genBatch(r, specs, 200, hashBits, false)
+		b.sel = []int32{}
+		seen := map[string]bool{}
+		for i := 0; i < b.n && total+len(b.sel) < distinct; i++ {
+			if len(entriesOf[b.canon[i]]) == 0 && !seen[b.canon[i]] {
+				seen[b.canon[i]] = true
+				b.sel = append(b.sel, int32(i))
+			}
+		}
+		batches = append(batches, b)
+		insertChained(t, tbl, b, -1, entriesOf, keyOf, &total)
+		if tbl.NumRows() != tbl.Len() {
+			t.Fatalf("%d rows of distinct keys make %d heads", tbl.NumRows(), tbl.Len())
+		}
+	}
 	for round := 0; round < rounds; round++ {
 		b := genBatch(r, specs, 200+r.Intn(400), hashBits, round%3 == 2)
 		batches = append(batches, b)
-		rowIDs := make([]int32, b.n)
-		inserted := make([]bool, b.n)
-		if err := tbl.InsertDup(b.keys, b.hashes, b.sel, b.n, rowIDs, inserted); err != nil {
-			t.Fatal(err)
-		}
-		b.active(func(i int) {
-			if _, dup := keyOf[rowIDs[i]]; dup || rowIDs[i] < 0 || int(rowIDs[i]) >= tbl.NumRows() {
-				t.Fatalf("round %d row %d: entry id %d reused or out of range", round, i, rowIDs[i])
-			}
-			if first := len(entriesOf[b.canon[i]]) == 0; first && !inserted[i] {
-				t.Fatalf("round %d row %d: first row of key %s not reported as a new head", round, i, b.canon[i])
-			}
-			keyOf[rowIDs[i]] = b.canon[i]
-			entriesOf[b.canon[i]] = append(entriesOf[b.canon[i]], rowIDs[i])
-			writeOraclePayload(tbl, rowIDs[i], uint32(rowIDs[i])+5)
-			total++
-		})
-		if tbl.NumRows() != total || tbl.Len() != len(entriesOf) {
-			t.Fatalf("round %d: NumRows %d Len %d, oracle %d rows %d keys", round, tbl.NumRows(), tbl.Len(), total, len(entriesOf))
-		}
+		insertChained(t, tbl, b, round, entriesOf, keyOf, &total)
 	}
 	if total < 1024 {
 		t.Fatalf("only %d entries: too few to cross storage growth steps", total)
 	}
-	probes := append(batches, genBatch(r, specs, 500, hashBits, true))
+	checkChains(t, tbl, specs, append(batches, genBatch(r, specs, 500, hashBits, true)), entriesOf, keyOf)
+}
+
+// insertChained inserts batch b through InsertDup and records every row's
+// entry in the oracle maps.
+func insertChained(t *testing.T, tbl *Table, b *oracleBatch, round int, entriesOf map[string][]int32, keyOf map[int32]string, total *int) {
+	t.Helper()
+	rowIDs := make([]int32, b.n)
+	inserted := make([]bool, b.n)
+	if err := tbl.InsertDup(b.keys, b.hashes, b.sel, b.n, rowIDs, inserted); err != nil {
+		t.Fatal(err)
+	}
+	b.active(func(i int) {
+		if _, dup := keyOf[rowIDs[i]]; dup || rowIDs[i] < 0 || int(rowIDs[i]) >= tbl.NumRows() {
+			t.Fatalf("round %d row %d: entry id %d reused or out of range", round, i, rowIDs[i])
+		}
+		if first := len(entriesOf[b.canon[i]]) == 0; first && !inserted[i] {
+			t.Fatalf("round %d row %d: first row of key %s not reported as a new head", round, i, b.canon[i])
+		}
+		keyOf[rowIDs[i]] = b.canon[i]
+		entriesOf[b.canon[i]] = append(entriesOf[b.canon[i]], rowIDs[i])
+		writeOraclePayload(tbl, rowIDs[i], uint32(rowIDs[i])+5)
+		*total++
+	})
+	if tbl.NumRows() != *total || tbl.Len() != len(entriesOf) {
+		t.Fatalf("round %d: NumRows %d Len %d, oracle %d rows %d keys", round, tbl.NumRows(), tbl.Len(), *total, len(entriesOf))
+	}
+}
+
+// checkChains probes every batch and requires each key's chain to hold
+// exactly the entries the oracle recorded for it, and every entry to keep
+// its key and payload.
+func checkChains(t *testing.T, tbl *Table, specs []oracleKeySpec, probes []*oracleBatch, entriesOf map[string][]int32, keyOf map[int32]string) {
+	t.Helper()
 	headOf := map[string]int32{} // keys whose chain has been walked
 	for _, b := range probes {
 		heads := make([]int32, b.n)
