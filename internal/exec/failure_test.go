@@ -97,7 +97,7 @@ func TestRecursiveSpillAcrossOperators(t *testing.T) {
 	for i := 0; i < 6000; i++ {
 		rows = append(rows, []any{int64(i % 1500), int64(i)})
 	}
-	mm := mem.NewManager(96 << 10)
+	mm := mem.NewManager(88 << 10)
 	tc := NewTaskCtx(mm, 64)
 	tc.SpillDir = t.TempDir()
 
@@ -121,7 +121,7 @@ func TestRecursiveSpillAcrossOperators(t *testing.T) {
 		}
 	}
 	if mm.SpillCount == 0 {
-		t.Error("expected spills under the shared 96KB limit")
+		t.Error("expected spills under the shared 88KB limit")
 	}
 	// Verify against unconstrained execution.
 	scan2 := NewMemScan(schema, BuildBatches(schema, rows, 64))

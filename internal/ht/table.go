@@ -1,14 +1,15 @@
 // Package ht implements Photon's vectorized hash table (§4.4).
 //
-// Lookups proceed in three vectorized steps: (1) a hashing kernel evaluates
-// hashes for a batch of keys (package kernels); (2) a probe kernel uses the
-// hashes to load candidate entry pointers for the whole batch — the
-// independent loads sit next to each other in the loop body so the hardware
-// overlaps the cache misses (memory-level parallelism, the paper's main
-// source of join speedup); (3) the candidate entries are compared against
-// the lookup keys column by column, producing a position list of
-// non-matching rows which advance their bucket index by quadratic probing
-// and loop.
+// Lookups proceed in three steps: (1) a hashing kernel evaluates hashes for
+// a batch of keys (package kernels); (2) the probe loop loads the candidate
+// entry of a window of rows — the independent loads sit next to each other in
+// the loop body so the hardware overlaps the cache misses (memory-level
+// parallelism, the paper's main source of join speedup); (3) each candidate
+// is compared against its row's key, one row at a time, and the rows whose
+// candidate holds another key advance their slot by quadratic probing on a
+// pending list. A key's home slot is taken from its hash's high bits: an
+// exchange partitions rows by the hash's residue, so the low bits of every
+// hash one table sees may be alike.
 //
 // Entries are stored as rows (null byte + fixed-width value per key column,
 // then an opaque payload region), so a single entry index represents a
@@ -21,7 +22,9 @@
 // bytes; a page is allocated once, entry row sits in page row>>PageShift at
 // index row&PageMask for the table's lifetime, and growing the table means
 // allocating the next page. Only the first page of each kind starts small
-// and doubles until it is a full page, so a five-row table costs five rows.
+// and grows until it is a full page, so a five-row table costs eight rows.
+// Chain links exist only once InsertDup links a duplicate: a grouping table
+// or a build of distinct keys has none.
 // Row hashes are retained so that growing the bucket directory — the one
 // structure that is rebuilt — re-links entries without touching row data.
 package ht
@@ -29,6 +32,7 @@ package ht
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 
 	"photon/internal/types"
 	"photon/internal/vector"
@@ -49,11 +53,12 @@ const (
 	// typical rows (17–105 bytes) inside Go's small-object size classes: it
 	// comes from the allocating P's cache without the heap lock, a table
 	// over-allocates at most one page (a few KB), and the only entries ever
-	// copied are the fewer than 256 of a first page still doubling.
+	// copied are the fewer than 256 of a first page still growing.
 	PageShift = 8
 	pageRows  = 1 << PageShift
 	PageMask  = pageRows - 1
-	// firstPageRows is the capacity the first entry page starts with.
+	// The first entry page starts at firstPageRows entries and grows ×4 a
+	// step (8, 32, 128, 256), so few entries are copied on the way.
 	firstPageRows = 8
 
 	// The var-len heap is paged by bytes. A value never straddles pages (at
@@ -76,10 +81,11 @@ type Table struct {
 
 	buckets []int32
 	mask    uint64
+	shift   uint // a hash's home slot is hash >> shift
 
 	rows     [][]byte   // entry pages, rowWidth bytes per entry
 	rowHash  [][]uint64 // retained hash per entry
-	next     [][]int32  // duplicate chain per entry (join build), -1 terminated
+	next     [][]int32  // duplicate chain per entry, -1 terminated; nil until a duplicate is linked
 	numRows  int
 	capRows  int // entries the allocated pages hold
 	numHeads int // chain-head entries, i.e. distinct keys
@@ -88,12 +94,9 @@ type Table struct {
 
 	pageBytes int64 // bytes allocated in entry and heap pages
 
-	// Scratch for the batched probe loop, reused across calls.
-	cand    []int32 // candidate entry loaded per row (prefetch phase)
-	slots   []int32 // current bucket slot per row
-	step    []int32
-	pending []int32
-	scratch []int32
+	// Probe scratch of one window, reused across calls.
+	cand []int32    // candidate entry loaded per row (phase 1)
+	pend []probeRow // rows whose candidate held another key
 }
 
 // keySlotWidth returns the per-row byte width of one key column
@@ -116,11 +119,7 @@ func New(keyTypes []types.DataType, payloadWidth int) *Table {
 	}
 	t.keyWidth = off
 	t.rowWidth = off + payloadWidth
-	t.buckets = make([]int32, initialSlots)
-	for i := range t.buckets {
-		t.buckets[i] = emptyBucket
-	}
-	t.mask = initialSlots - 1
+	t.grow(initialSlots)
 	return t
 }
 
@@ -142,7 +141,7 @@ func (t *Table) RowHash(row int32) uint64 { return t.rowHash[row>>PageShift][row
 // old one beside the new; nothing else is ever held twice.
 func (t *Table) MemoryUsage() int64 {
 	lists := cap(t.rows) + cap(t.rowHash) + cap(t.next) + cap(t.heap)
-	scratch := cap(t.cand) + cap(t.slots) + cap(t.step) + cap(t.pending) + cap(t.scratch)
+	scratch := cap(t.cand) + cap(t.pend)*3 // a probeRow is three int32s
 	return t.pageBytes + int64(lists)*sliceHeaderBytes + int64(len(t.buckets)+scratch)*4
 }
 
@@ -208,16 +207,16 @@ func (t *Table) growHeap(need int) int {
 	return last + 1
 }
 
-// grow rebuilds the bucket directory at newSize slots.
+// grow rebuilds the bucket directory at newSize slots, a power of two.
 func (t *Table) grow(newSize uint64) {
 	buckets := make([]int32, newSize)
 	for i := range buckets {
 		buckets[i] = emptyBucket
 	}
-	mask := newSize - 1
+	mask, shift := newSize-1, uint(64-bits.TrailingZeros64(newSize))
 	// Re-link every chain head into the new directory using retained hashes.
 	relink := func(row int32) {
-		slot := t.RowHash(row) & mask
+		slot := t.RowHash(row) >> shift
 		step := uint64(1)
 		for buckets[slot] != emptyBucket {
 			slot = (slot + step) & mask
@@ -237,8 +236,7 @@ func (t *Table) grow(newSize uint64) {
 			}
 		}
 	}
-	t.buckets = buckets
-	t.mask = mask
+	t.buckets, t.mask, t.shift = buckets, mask, shift
 }
 
 // appendRow reserves a new entry row, storing its hash, and returns its id.
@@ -253,28 +251,52 @@ func (t *Table) appendRow(h uint64) int32 {
 }
 
 // growRows adds entry capacity: the next full page or, while the first page
-// is smaller than one, a first page of twice the size — the only time stored
-// entries are copied.
+// is smaller than one, a first page four times the size — the only time
+// stored entries are copied.
 func (t *Table) growRows() {
 	n, first := pageRows, t.capRows < pageRows
 	if first {
-		n = max(firstPageRows, 2*t.capRows)
+		n = min(pageRows, max(firstPageRows, 4*t.capRows))
 	}
-	rows, hashes, next := make([]byte, n*t.rowWidth), make([]uint64, n), make([]int32, n)
-	for i := range next {
-		next[i] = emptyBucket
-	}
+	rows, hashes := make([]byte, n*t.rowWidth), make([]uint64, n)
 	if first && t.capRows > 0 {
 		copy(rows, t.rows[0])
 		copy(hashes, t.rowHash[0])
-		copy(next, t.next[0])
-		t.rows[0], t.rowHash[0], t.next[0] = rows, hashes, next
+		t.rows[0], t.rowHash[0] = rows, hashes
 		n -= t.capRows
 	} else {
-		t.rows, t.rowHash, t.next = append(t.rows, rows), append(t.rowHash, hashes), append(t.next, next)
+		t.rows, t.rowHash = append(t.rows, rows), append(t.rowHash, hashes)
 	}
 	t.capRows += n
-	t.pageBytes += int64(n) * int64(t.rowWidth+8+4)
+	t.pageBytes += int64(n) * int64(t.rowWidth+8)
+	if t.next != nil {
+		t.growLinks()
+	}
+}
+
+// growLinks gives every entry page its chain links, -1 terminated: each page
+// the table has when the first duplicate is linked, then each new page. Only
+// the last page that has links can be short of its entry page: the first
+// page, grown since.
+func (t *Table) growLinks() {
+	for p := max(len(t.next)-1, 0); p < len(t.rowHash); p++ {
+		n := len(t.rowHash[p])
+		if p < len(t.next) && len(t.next[p]) == n {
+			continue
+		}
+		next := make([]int32, n)
+		for i := range next {
+			next[i] = emptyBucket
+		}
+		if p < len(t.next) {
+			copy(next, t.next[p])
+			t.pageBytes -= int64(len(t.next[p])) * 4
+			t.next[p] = next
+		} else {
+			t.next = append(t.next, next)
+		}
+		t.pageBytes += int64(n) * 4
+	}
 }
 
 // Slots and values. A slot is a null byte followed by a value; a value is
@@ -420,15 +442,4 @@ func (t *Table) KeyBytes(row int32, c int) []byte {
 		return src[:kt.FixedWidth()]
 	}
 	return t.HeapBytes(binary.LittleEndian.Uint32(src), binary.LittleEndian.Uint32(src[4:]))
-}
-
-// ensureScratch sizes the probe scratch arrays for a call over capacity rows.
-func (t *Table) ensureScratch(capacity int) {
-	if cap(t.cand) < capacity {
-		t.cand = make([]int32, capacity)
-		t.slots = make([]int32, capacity)
-		t.step = make([]int32, capacity)
-		t.pending = make([]int32, 0, capacity)
-		t.scratch = make([]int32, 0, capacity)
-	}
 }

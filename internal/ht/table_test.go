@@ -284,3 +284,46 @@ func TestDecimalAndFloatKeys(t *testing.T) {
 		t.Error("decimal keys misgrouped")
 	}
 }
+
+// TestDirectoryIgnoresPartitionBits builds the table one reducer of an
+// np-way exchange sees: the exchange sends a row to hash % np, so every hash
+// here shares its residue. The home slot must not depend on those low bits:
+// a lookup must visit about as many slots as with uniform hashes.
+func TestDirectoryIgnoresPartitionBits(t *testing.T) {
+	const keys = 88_000 // a 131,072-slot directory 67 % full
+	slotsPerLookup := func(np uint64) float64 {
+		tbl := New([]types.DataType{types.Int64Type}, 0)
+		key := vector.New(types.Int64Type, 2048)
+		lanes, hashes := make([]uint64, 2048), make([]uint64, 2048)
+		rowIDs, inserted := make([]int32, 2048), make([]bool, 2048)
+		for k := uint64(0); tbl.Len() < keys; {
+			n := 0
+			for ; n < min(2048, keys-tbl.Len()); k++ {
+				if kernels.Mix64(k)%np == 0 {
+					key.I64[n], lanes[n] = int64(k), k
+					n++
+				}
+			}
+			kernels.HashU64(lanes, key.Nulls, false, nil, n, hashes)
+			if err := tbl.FindOrInsert([]*vector.Vector{key}, hashes, nil, n, rowIDs, inserted); err != nil {
+				t.Fatal(err)
+			}
+		}
+		visits := 0
+		for row := int32(0); row < keys; row++ {
+			slot, step := tbl.RowHash(row)>>tbl.shift, uint64(0)
+			for tbl.buckets[slot] != row {
+				step++
+				slot = (slot + step) & tbl.mask
+			}
+			visits += int(step) + 1
+		}
+		return float64(visits) / keys
+	}
+	uniform := slotsPerLookup(1)
+	for _, np := range []uint64{2, 4, 8} {
+		if got := slotsPerLookup(np); got > 1.05*uniform {
+			t.Errorf("np=%d: %.3f slots a lookup, %.3f with uniform hashes", np, got, uniform)
+		}
+	}
+}
