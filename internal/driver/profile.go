@@ -30,6 +30,7 @@ type OpProfile struct {
 	RowsIn, RowsOut, BatchesOut, TimeNanos          int64
 	SpillCount, SpillBytes, PeakMemory, Compactions int64
 	PassedRows, BuiltLeft                           int64
+	SkippedBatches, StoredBatches                   int64
 }
 
 // line renders the merged operator row, matching exec.OpStats.String's
@@ -53,6 +54,9 @@ func (o *OpProfile) line() string {
 	}
 	if o.BuiltLeft > 0 {
 		fmt.Fprintf(&sb, " build=left×%d", o.BuiltLeft)
+	}
+	if o.SkippedBatches > 0 {
+		fmt.Fprintf(&sb, " skipped=%d/%d", o.SkippedBatches, o.StoredBatches)
 	}
 	if o.Upstream >= 0 {
 		fmt.Fprintf(&sb, " <- stage %d", o.Upstream)
@@ -138,7 +142,7 @@ func fromSnapshot(s exec.StatsSnapshot) OpProfile {
 		RowsIn: s.RowsIn, RowsOut: s.RowsOut, BatchesOut: s.BatchesOut,
 		TimeNanos: s.TimeNanos, SpillCount: s.SpillCount, SpillBytes: s.SpillBytes,
 		PeakMemory: s.PeakMemory, Compactions: s.Compactions, PassedRows: s.PassedRows,
-		BuiltLeft: s.BuiltLeft,
+		BuiltLeft: s.BuiltLeft, SkippedBatches: int64(s.SkippedBatches), StoredBatches: int64(s.StoredBatches),
 	}
 }
 
@@ -173,6 +177,8 @@ func mergeSnapshots(ops []OpProfile, snaps []exec.StatsSnapshot) []OpProfile {
 		t.Compactions += s.Compactions
 		t.PassedRows += s.PassedRows
 		t.BuiltLeft += s.BuiltLeft
+		t.SkippedBatches += int64(s.SkippedBatches)
+		t.StoredBatches += int64(s.StoredBatches)
 		if s.PeakMemory > t.PeakMemory {
 			t.PeakMemory = s.PeakMemory
 		}

@@ -405,11 +405,17 @@ func (b *builder) buildPhotonScan(n *sql.LScan) (exec.Operator, error) {
 	var op exec.Operator
 	switch t := n.Table.(type) {
 	case *catalog.MemTable:
-		batches := t.Batches
+		// Tasks share the batches that survive skipping. The first task's
+		// scan counts what the table skipped, so merged profiles read it once.
+		batches, skipped := t.Survivors(n.Filter, n.Projection)
 		if partitionThis {
 			batches = pickBatches(batches, b.cfg.ScanPartitions, b.cfg.ScanPartition)
 		}
 		scan := exec.NewMemScan(t.Sch, batches)
+		if skipped > 0 && (!partitionThis || b.cfg.ScanPartition == 0) {
+			scan.Stats().SkippedBatches.Store(int32(skipped))
+			scan.Stats().StoredBatches.Store(int32(len(t.Batches)))
+		}
 		if n.Projection != nil {
 			scan = scan.WithProjection(n.Projection)
 		}

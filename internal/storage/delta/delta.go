@@ -18,6 +18,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"photon/internal/expr"
 	"photon/internal/storage/parquet"
 	"photon/internal/types"
 	"photon/internal/vector"
@@ -326,7 +327,7 @@ func cmpJSON(a, b json.RawMessage, t types.DataType) int {
 	if !aok || !bok {
 		return 0
 	}
-	return compareBoxed(av, bv, t)
+	return expr.CompareBoxed(av, bv, t.ID)
 }
 
 func minJSON(a, b json.RawMessage, t types.DataType) json.RawMessage {
@@ -353,46 +354,6 @@ func maxJSON(a, b json.RawMessage, t types.DataType) json.RawMessage {
 		return a
 	}
 	return b
-}
-
-// compareBoxed orders two boxed values of type t.
-func compareBoxed(a, b any, t types.DataType) int {
-	switch t.ID {
-	case types.Int32, types.Date:
-		return int(a.(int32)) - int(b.(int32))
-	case types.Int64, types.Timestamp:
-		x, y := a.(int64), b.(int64)
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		}
-		return 0
-	case types.Float64:
-		x, y := a.(float64), b.(float64)
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		}
-		return 0
-	case types.String:
-		return strings.Compare(a.(string), b.(string))
-	case types.Decimal:
-		return a.(types.Decimal128).Cmp(b.(types.Decimal128))
-	case types.Bool:
-		x, y := a.(bool), b.(bool)
-		switch {
-		case x == y:
-			return 0
-		case y:
-			return -1
-		}
-		return 1
-	}
-	return 0
 }
 
 // writeDataFile persists batches as one data file and returns its AddFile.

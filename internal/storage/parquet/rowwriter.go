@@ -294,8 +294,8 @@ func encodeStatBoxed(v any, t types.DataType) []byte {
 		return b[:]
 	case types.String:
 		s := v.(string)
-		if len(s) > statsStringCap {
-			s = s[:statsStringCap]
+		if len(s) > StatsStringCap {
+			s = s[:StatsStringCap]
 		}
 		return []byte(s)
 	}

@@ -112,7 +112,9 @@ func (s *statsAcc) frame() (base int64, width int, ok bool) {
 	return lo, bits.Len64(span), true
 }
 
-const statsStringCap = 32 // strings truncate in stats, like Parquet
+// StatsStringCap is the most bytes a string statistic keeps, like Parquet's:
+// a longer minimum or maximum is cut to its first StatsStringCap bytes.
+const StatsStringCap = 32
 
 // encode returns the (min, max) byte encodings, nil when all values NULL.
 func (s *statsAcc) encode() (minB, maxB []byte) {
@@ -151,8 +153,8 @@ func (s *statsAcc) encode() (minB, maxB []byte) {
 			if isMin {
 				x = s.minS
 			}
-			if len(x) > statsStringCap {
-				x = x[:statsStringCap]
+			if len(x) > StatsStringCap {
+				x = x[:StatsStringCap]
 			}
 			return append([]byte(nil), x...)
 		}

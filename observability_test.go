@@ -475,3 +475,40 @@ func TestPassThroughTPCH(t *testing.T) {
 		}
 	}
 }
+
+// TestProfileShowsSkippedBatches: an in-memory scan whose filter rules out
+// stored batches by their min/max shows how many as skipped=K/N in the merged
+// profile, counted once per table whatever the parallelism, and returns what
+// a scan of every batch returns.
+func TestProfileShowsSkippedBatches(t *testing.T) {
+	rows := make([][]any, 10_000) // five stored batches of up to 2,048 rows
+	for i := range rows {
+		rows[i] = []any{int64(i), int64(i % 7)}
+	}
+	for _, c := range []struct {
+		q       string
+		count   int64
+		skipped string
+	}{
+		{"SELECT count(*) FROM t WHERE k < 100", 100, "skipped=4/5"},
+		{"SELECT count(*) FROM t WHERE k BETWEEN 2047 AND 2048 OR k IN (9999, 20000)", 3, "skipped=2/5"},
+		{"SELECT count(*) FROM t WHERE v = 3", 1429, ""},
+	} {
+		for _, par := range []int{1, 2} {
+			sess := NewSession(Config{Parallelism: par})
+			if err := sess.RegisterRows("t", NewSchema(Col("k", Int64), Col("v", Int64)), rows); err != nil {
+				t.Fatal(err)
+			}
+			p, err := sess.SQLWithProfile(c.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := p.Result.Rows[0][0].(int64); got != c.count {
+				t.Errorf("%s at par %d: count %d, want %d", c.q, par, got, c.count)
+			}
+			if c.skipped == "" && strings.Contains(p.Operators, "skipped=") || !strings.Contains(p.Operators, c.skipped) {
+				t.Errorf("%s at par %d: want %q in the profile:\n%s", c.q, par, c.skipped, p.Operators)
+			}
+		}
+	}
+}

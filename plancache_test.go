@@ -3,11 +3,13 @@ package photon
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"photon/internal/catalog"
 	"photon/internal/tpch"
 )
 
@@ -477,5 +479,70 @@ func TestPlanCacheDisabled(t *testing.T) {
 	}
 	if hits := sess.svc.CacheHits.Load(); hits != 0 {
 		t.Errorf("disabled cache recorded %d hits", hits)
+	}
+}
+
+// TestPreparedLookupsAcrossBatchBoundaries runs a prepared point lookup and a
+// prepared BETWEEN on orders' stored key, which scans skip batches by, with
+// every batch's first and last key and with keys below, between and above
+// the stored range, serially and partitioned. Each result must equal the
+// uncached text's and the count taken from the stored keys.
+func TestPreparedLookupsAcrossBatchBoundaries(t *testing.T) {
+	gen := tpchSession(0.01, Config{})
+	tbl, err := gen.cat.Lookup("orders")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stored []int64
+	probes := []int64{math.MinInt64 + 1, -1, 0, math.MaxInt64}
+	for _, b := range tbl.(*catalog.MemTable).Batches {
+		keys := b.Vecs[0].I64[:b.NumRows]
+		stored = append(stored, keys...)
+		first, last := keys[0], keys[len(keys)-1]
+		probes = append(probes, first-1, first, first+1, last-1, last, last+1)
+	}
+	count := func(lo, hi int64) (n int64) {
+		for _, k := range stored {
+			if lo <= k && k <= hi {
+				n++
+			}
+		}
+		return n
+	}
+	uncached := tpchSession(0.01, Config{PlanCacheSize: -1})
+	ctx := context.Background()
+	for _, par := range []int{1, 4} {
+		sess := tpchSession(0.01, Config{Parallelism: par})
+		point, err := sess.Prepare("SELECT count(*), min(o_totalprice) FROM orders WHERE o_orderkey = ?")
+		if err != nil {
+			t.Fatal(err)
+		}
+		between, err := sess.Prepare("SELECT count(*), min(o_orderkey), max(o_orderkey) FROM orders WHERE o_orderkey BETWEEN ? AND ?")
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(got *Result, text string, want int64) {
+			t.Helper()
+			base, err := uncached.SQLContext(ctx, text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Rows, base.Rows) || got.Rows[0][0].(int64) != want {
+				t.Errorf("par %d: %s: prepared %v, uncached text %v, stored keys count %d", par, text, got.Rows, base.Rows, want)
+			}
+		}
+		for i, k := range probes {
+			got, err := point.Execute(ctx, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(got, fmt.Sprintf("SELECT count(*), min(o_totalprice) FROM orders WHERE o_orderkey = %d", k), count(k, k))
+			hi := probes[(i+7)%len(probes)]
+			got, err = between.Execute(ctx, k, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(got, fmt.Sprintf("SELECT count(*), min(o_orderkey), max(o_orderkey) FROM orders WHERE o_orderkey BETWEEN %d AND %d", k, hi), count(k, hi))
+		}
 	}
 }
