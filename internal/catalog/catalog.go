@@ -4,10 +4,7 @@
 package catalog
 
 import (
-	"bytes"
-	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -109,56 +106,10 @@ func (t *MemTable) envelopes(c int) []expr.Envelope {
 	ce.once.Do(func() {
 		ce.envs = make([]expr.Envelope, len(t.Batches))
 		for i, b := range t.Batches {
-			ce.envs[i] = envelope(b.Vecs[c], b.NumRows)
+			ce.envs[i] = expr.EnvelopeOf(b.Vecs[c], b.NumRows)
 		}
 	})
 	return ce.envs
-}
-
-// envelope records a stored column's NULLs and the least and greatest of its
-// other values; NaN is neither, as it passes no comparison skipping rules on.
-func envelope(v *vector.Vector, n int) expr.Envelope {
-	var lo, hi int
-	var nulls int64
-	switch v.Type.ID {
-	case types.Int32, types.Date:
-		lo, hi, nulls = bounds(v, v.I32, n, cmp.Compare[int32])
-	case types.Int64, types.Timestamp:
-		lo, hi, nulls = bounds(v, v.I64, n, cmp.Compare[int64])
-	case types.Float64:
-		lo, hi, nulls = bounds(v, v.F64, n, cmp.Compare[float64])
-	case types.Decimal:
-		lo, hi, nulls = bounds(v, v.Dec, n, types.Decimal128.Cmp)
-	case types.String:
-		lo, hi, nulls = bounds(v, v.Str, n, bytes.Compare)
-	default:
-		return expr.Envelope{}
-	}
-	e := expr.Envelope{Nulls: nulls, Rows: int64(n)}
-	if lo >= 0 {
-		e.Min, e.Max = v.Get(lo), v.Get(hi)
-	}
-	return e
-}
-
-// bounds returns the rows of the least and greatest non-NULL, non-NaN values
-// of v's first n rows (-1 for none) and the count of NULLs.
-func bounds[T any](v *vector.Vector, vals []T, n int, cmp func(a, b T) int) (lo, hi int, nulls int64) {
-	lo, hi = -1, -1
-	for i := range n {
-		switch {
-		case v.HasNulls() && v.Nulls[i] != 0:
-			nulls++
-		case v.Type.ID == types.Float64 && math.IsNaN(v.F64[i]):
-		case lo < 0:
-			lo, hi = i, i
-		case cmp(vals[i], vals[lo]) < 0:
-			lo = i
-		case cmp(vals[i], vals[hi]) > 0:
-			hi = i
-		}
-	}
-	return lo, hi, nulls
 }
 
 // Survivors returns the stored batches a scan projected by proj (nil: every

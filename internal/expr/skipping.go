@@ -1,11 +1,13 @@
 package expr
 
 import (
+	"bytes"
 	"cmp"
 	"strings"
 
 	"photon/internal/kernels"
 	"photon/internal/types"
+	"photon/internal/vector"
 )
 
 // Data skipping (§2.1, §2.3): a stored unit of a table — a Delta file, an
@@ -19,6 +21,94 @@ type Envelope struct {
 	Min, Max any
 	// Nulls of Rows rows are NULL. Rows = 0 means nothing is known.
 	Nulls, Rows int64
+}
+
+// EnvelopeOf folds v's first n rows: the count of NULLs and the least and
+// greatest other value, nil when there is none. NaN is never a bound, as it
+// passes no comparison skipping rules on. It is the one fold of column
+// statistics, for in-memory batches and Parquet chunks alike.
+func EnvelopeOf(v *vector.Vector, n int) Envelope {
+	var lo, hi int
+	var nulls int64
+	switch v.Type.ID {
+	case types.Bool:
+		lo, hi, nulls = bounds(v, v.Bool, n)
+	case types.Int32, types.Date:
+		lo, hi, nulls = bounds(v, v.I32, n)
+	case types.Int64, types.Timestamp:
+		lo, hi, nulls = bounds(v, v.I64, n)
+	case types.Float64:
+		lo, hi, nulls = bounds(v, v.F64, n)
+	case types.Decimal:
+		lo, hi, nulls = boundsFunc(v, v.Dec, n, types.Decimal128.Cmp)
+	case types.String:
+		lo, hi, nulls = boundsFunc(v, v.Str, n, bytes.Compare)
+	default:
+		return Envelope{}
+	}
+	e := Envelope{Nulls: nulls, Rows: int64(n)}
+	if lo >= 0 {
+		e.Min, e.Max = v.Get(lo), v.Get(hi)
+	}
+	return e
+}
+
+// bounds returns the rows of the first least and first greatest non-NULL,
+// non-NaN values of v's first n rows (-1 for none) and the count of NULLs.
+// Each instantiation compiles its own comparisons.
+func bounds[T cmp.Ordered](v *vector.Vector, vals []T, n int) (lo, hi int, nulls int64) {
+	lo, hi = -1, -1
+	hn := v.HasNulls()
+	var mn, mx T
+	for i, x := range vals[:n] {
+		switch {
+		case hn && v.Nulls[i] != 0:
+			nulls++
+		case x != x: // NaN
+		case lo < 0:
+			lo, hi, mn, mx = i, i, x, x
+		case x < mn:
+			lo, mn = i, x
+		case x > mx:
+			hi, mx = i, x
+		}
+	}
+	return lo, hi, nulls
+}
+
+// boundsFunc is bounds for the types that order by a function.
+func boundsFunc[T any](v *vector.Vector, vals []T, n int, cmp func(a, b T) int) (lo, hi int, nulls int64) {
+	lo, hi = -1, -1
+	hn := v.HasNulls()
+	for i := range n {
+		switch {
+		case hn && v.Nulls[i] != 0:
+			nulls++
+		case lo < 0:
+			lo, hi = i, i
+		case cmp(vals[i], vals[lo]) < 0:
+			lo = i
+		case cmp(vals[i], vals[hi]) > 0:
+			hi = i
+		}
+	}
+	return lo, hi, nulls
+}
+
+// Merge returns the envelope of e's and o's rows together, for a column of
+// type t whose envelopes leave a bound nil only where no value sets it, as
+// EnvelopeOf's do. Of equal bounds it keeps e's, so a fold split into
+// pieces records the bytes of the same value (−0.0 or +0.0) as one pass.
+func (e Envelope) Merge(o Envelope, t types.TypeID) Envelope {
+	e.Nulls += o.Nulls
+	e.Rows += o.Rows
+	if o.Min != nil && (e.Min == nil || CompareBoxed(o.Min, e.Min, t) < 0) {
+		e.Min = o.Min
+	}
+	if o.Max != nil && (e.Max == nil || CompareBoxed(o.Max, e.Max, t) > 0) {
+		e.Max = o.Max
+	}
+	return e
 }
 
 // StatsFilter is a filter resolved against column envelopes: each literal

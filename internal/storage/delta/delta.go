@@ -231,44 +231,34 @@ func (t *Table) Snapshot(version int64) (*Snapshot, error) {
 	return t.snapshotFrom(0, nil, version)
 }
 
-// statsFromFooter converts parquet chunk stats to file-level Delta stats.
+// statsFromFooter folds a file's chunk statistics into Delta's: each column's
+// chunks merged as envelopes, the bounds rendered as JSON once.
 func statsFromFooter(meta *parquet.FileMeta, schema *types.Schema) map[string]ColStats {
 	out := make(map[string]ColStats, schema.Len())
+	if len(meta.RowGroups) == 0 {
+		return out
+	}
 	for c, f := range schema.Fields {
-		var acc *ColStats
+		var env expr.Envelope
 		for gi := range meta.RowGroups {
-			cm := &meta.RowGroups[gi].Columns[c]
-			if acc == nil {
-				acc = &ColStats{NullCount: cm.NullCount}
-				acc.Min = statJSON(cm.Min, f.Type)
-				acc.Max = statJSON(cm.Max, f.Type)
-				continue
-			}
-			acc.NullCount += cm.NullCount
-			acc.Min = minJSON(acc.Min, statJSON(cm.Min, f.Type), f.Type)
-			acc.Max = maxJSON(acc.Max, statJSON(cm.Max, f.Type), f.Type)
+			env = env.Merge(meta.RowGroups[gi].Columns[c].Envelope(f.Type), f.Type.ID)
 		}
-		if acc != nil {
-			out[f.Name] = *acc
-		}
+		out[f.Name] = ColStats{Min: statJSON(env.Min, f.Type), Max: statJSON(env.Max, f.Type), NullCount: env.Nulls}
 	}
 	return out
 }
 
-// statJSON renders an encoded stat value as JSON.
-func statJSON(b []byte, t types.DataType) json.RawMessage {
-	v := parquet.DecodeStatValue(b, t)
+// statJSON renders a boxed bound as JSON, nil for none and for what JSON
+// cannot carry (±Inf).
+func statJSON(v any, t types.DataType) json.RawMessage {
+	if d, ok := v.(types.Decimal128); ok {
+		v = types.FormatDecimal(d, t.Scale)
+	}
 	if v == nil {
 		return nil
 	}
-	switch x := v.(type) {
-	case types.Decimal128:
-		s, _ := json.Marshal(types.FormatDecimal(x, t.Scale))
-		return s
-	default:
-		s, _ := json.Marshal(x)
-		return s
-	}
+	s, _ := json.Marshal(v)
+	return s
 }
 
 // StatValue parses a JSON stat back to a boxed value of type t.
@@ -319,41 +309,6 @@ func StatValue(raw json.RawMessage, t types.DataType) (any, bool) {
 		return d, true
 	}
 	return nil, false
-}
-
-func cmpJSON(a, b json.RawMessage, t types.DataType) int {
-	av, aok := StatValue(a, t)
-	bv, bok := StatValue(b, t)
-	if !aok || !bok {
-		return 0
-	}
-	return expr.CompareBoxed(av, bv, t.ID)
-}
-
-func minJSON(a, b json.RawMessage, t types.DataType) json.RawMessage {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	if cmpJSON(a, b, t) <= 0 {
-		return a
-	}
-	return b
-}
-
-func maxJSON(a, b json.RawMessage, t types.DataType) json.RawMessage {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	if cmpJSON(a, b, t) >= 0 {
-		return a
-	}
-	return b
 }
 
 // writeDataFile persists batches as one data file and returns its AddFile.

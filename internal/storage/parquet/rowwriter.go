@@ -7,6 +7,7 @@ import (
 	"math"
 	"time"
 
+	"photon/internal/expr"
 	"photon/internal/storage/lz4"
 	"photon/internal/types"
 )
@@ -194,32 +195,22 @@ func (st *rowColState) appendPlainBoxed(val any) {
 	}
 }
 
-// updateStats compares boxed values (the Java-object-comparison analogue).
+// updateStats compares boxed values one at a time (the Java-object-comparison
+// analogue), leaving NaN out as expr.EnvelopeOf does.
 func (st *rowColState) updateStats(val any) {
+	if f, ok := val.(float64); ok && math.IsNaN(f) {
+		return
+	}
 	if st.statMin == nil {
 		st.statMin, st.statMax = val, val
 		return
 	}
-	if boxedLess(val, st.statMin, st.t) {
+	if expr.CompareBoxed(val, st.statMin, st.t.ID) < 0 {
 		st.statMin = val
 	}
-	if boxedLess(st.statMax, val, st.t) {
+	if expr.CompareBoxed(st.statMax, val, st.t.ID) < 0 {
 		st.statMax = val
 	}
-}
-
-// frame is statsAcc.frame over the boxed statistics.
-func (st *rowColState) frame() (base int64, width int, ok bool) {
-	s := statsAcc{t: st.t, seen: st.statMin != nil}
-	switch lo := st.statMin.(type) {
-	case int32:
-		s.minI, s.maxI = int64(lo), int64(st.statMax.(int32))
-	case int64:
-		s.minI, s.maxI = lo, st.statMax.(int64)
-	case types.Decimal128:
-		s.minD, s.maxD = lo, st.statMax.(types.Decimal128)
-	}
-	return s.frame()
 }
 
 // packPerValue appends u8 width, u32 count and vals bit-packed width bits
@@ -242,64 +233,6 @@ func packPerValue(body []byte, vals []uint32, width int) []byte {
 		body = append(body, byte(acc))
 	}
 	return body
-}
-
-func boxedLess(a, b any, t types.DataType) bool {
-	switch t.ID {
-	case types.Bool:
-		return !a.(bool) && b.(bool)
-	case types.Int32, types.Date:
-		return a.(int32) < b.(int32)
-	case types.Int64, types.Timestamp:
-		return a.(int64) < b.(int64)
-	case types.Float64:
-		return a.(float64) < b.(float64)
-	case types.Decimal:
-		return a.(types.Decimal128).Cmp(b.(types.Decimal128)) < 0
-	case types.String:
-		return a.(string) < b.(string)
-	}
-	return false
-}
-
-// encodeStatBoxed renders a boxed stat in the footer encoding.
-func encodeStatBoxed(v any, t types.DataType) []byte {
-	if v == nil {
-		return nil
-	}
-	switch t.ID {
-	case types.Bool:
-		var b [8]byte
-		if v.(bool) {
-			b[0] = 1
-		}
-		return b[:]
-	case types.Int32, types.Date:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(int64(v.(int32))))
-		return b[:]
-	case types.Int64, types.Timestamp:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(v.(int64)))
-		return b[:]
-	case types.Float64:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.(float64)))
-		return b[:]
-	case types.Decimal:
-		d := v.(types.Decimal128)
-		var b [16]byte
-		binary.LittleEndian.PutUint64(b[:8], d.Lo)
-		binary.LittleEndian.PutUint64(b[8:], uint64(d.Hi))
-		return b[:]
-	case types.String:
-		s := v.(string)
-		if len(s) > StatsStringCap {
-			s = s[:StatsStringCap]
-		}
-		return []byte(s)
-	}
-	return nil
 }
 
 // flushGroup writes the buffered row group in the shared format.
@@ -335,9 +268,7 @@ func (rw *RowWriter) writeChunk(st *rowColState) (ColumnChunkMeta, error) {
 		body = append(body, st.validity...)
 	}
 
-	meta := ColumnChunkMeta{NumValues: int64(rw.groupRows), NullCount: st.nullCount}
-	meta.Min = encodeStatBoxed(st.statMin, st.t)
-	meta.Max = encodeStatBoxed(st.statMax, st.t)
+	meta := ColumnChunkMeta{NumValues: int64(rw.groupRows), NullCount: st.nullCount, Min: encodeStat(st.statMin, st.t), Max: encodeStat(st.statMax, st.t)}
 
 	useDict := !st.dictDead && float64(len(st.dictVals)) <= dictMaxRatio*float64(len(st.indices))
 	if !useDict && !st.dictDead {
@@ -356,7 +287,7 @@ func (rw *RowWriter) writeChunk(st *rowColState) (ColumnChunkMeta, error) {
 			body = append(body, s...)
 		}
 		body = packPerValue(body, st.indices, bitWidthFor(len(st.dictVals)))
-	} else if base, width, ok := st.frame(); ok {
+	} else if base, width, ok := frame(st.statMin, st.statMax); ok {
 		// The same FOR rule as the vectorized writer, the offsets read back
 		// value by value from the PLAIN buffer. The span is below 2^32, so
 		// an offset is the difference of the low 32 bits of value and base.

@@ -1,166 +1,55 @@
 package parquet
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math"
 	"math/bits"
 
+	"photon/internal/expr"
 	"photon/internal/types"
-	"photon/internal/vector"
 )
 
-// statsAcc accumulates per-chunk min/max/null-count statistics, the basis
-// for Delta's file skipping (§2.1) and part of the write-path cost Fig. 7
-// measures ("statistics computation kernels").
-type statsAcc struct {
-	t         types.DataType
-	nullCount int64
-	seen      bool
-	minI      int64
-	maxI      int64
-	minF      float64
-	maxF      float64
-	minD      types.Decimal128
-	maxD      types.Decimal128
-	minS      []byte
-	maxS      []byte
-}
-
-// update folds one vector's rows [0, n) into the accumulator — a tight
-// column loop in the vectorized writer.
-func (s *statsAcc) update(v *vector.Vector, n int) {
-	hn := v.HasNulls()
-	for i := 0; i < n; i++ {
-		if hn && v.Nulls[i] != 0 {
-			s.nullCount++
-			continue
-		}
-		switch s.t.ID {
-		case types.Bool:
-			s.updI(int64(v.Bool[i]))
-		case types.Int32, types.Date:
-			s.updI(int64(v.I32[i]))
-		case types.Int64, types.Timestamp:
-			s.updI(v.I64[i])
-		case types.Float64:
-			s.updF(v.F64[i])
-		case types.Decimal:
-			s.updD(v.Dec[i])
-		case types.String:
-			s.updS(v.Str[i])
-		}
-	}
-}
-
-func (s *statsAcc) updI(x int64) {
-	if !s.seen || x < s.minI {
-		s.minI = x
-	}
-	if !s.seen || x > s.maxI {
-		s.maxI = x
-	}
-	s.seen = true
-}
-
-func (s *statsAcc) updF(x float64) {
-	if !s.seen || x < s.minF {
-		s.minF = x
-	}
-	if !s.seen || x > s.maxF {
-		s.maxF = x
-	}
-	s.seen = true
-}
-
-func (s *statsAcc) updD(x types.Decimal128) {
-	if !s.seen || x.Cmp(s.minD) < 0 {
-		s.minD = x
-	}
-	if !s.seen || x.Cmp(s.maxD) > 0 {
-		s.maxD = x
-	}
-	s.seen = true
-}
-
-func (s *statsAcc) updS(x []byte) {
-	if !s.seen || bytes.Compare(x, s.minS) < 0 {
-		s.minS = append(s.minS[:0], x...)
-	}
-	if !s.seen || bytes.Compare(x, s.maxS) > 0 {
-		s.maxS = append(s.maxS[:0], x...)
-	}
-	s.seen = true
-}
-
-// frame returns the minimum of a chunk of a forType and the bits its values
-// span above it, and whether they can be stored as FOR: some value is
-// non-NULL, the span is below 2^32, and a decimal's minimum and maximum fit
-// int64.
-func (s *statsAcc) frame() (base int64, width int, ok bool) {
-	lo, hi := s.minI, s.maxI
-	if s.t.ID == types.Decimal {
-		if !types.Fits64(s.minD) || !types.Fits64(s.maxD) {
-			return 0, 0, false
-		}
-		lo, hi = s.minD.ToInt64(), s.maxD.ToInt64()
-	}
-	span := uint64(hi - lo) // exact: hi ≥ lo, and the difference wraps mod 2^64
-	if !s.seen || !forType(s.t.ID) || span >= 1<<32 {
-		return 0, 0, false
-	}
-	return lo, bits.Len64(span), true
-}
+// Chunk statistics — min, max and NULL count, the basis for Delta's file
+// skipping (§2.1) and part of the write-path cost Fig. 7 measures
+// ("statistics computation kernels") — are expr.Envelope's: the vectorized
+// writer folds them with expr.EnvelopeOf, the row writer one boxed value at
+// a time by the same rules, and both store the bounds through encodeStat.
 
 // StatsStringCap is the most bytes a string statistic keeps, like Parquet's:
 // a longer minimum or maximum is cut to its first StatsStringCap bytes.
 const StatsStringCap = 32
 
-// encode returns the (min, max) byte encodings, nil when all values NULL.
-func (s *statsAcc) encode() (minB, maxB []byte) {
-	if !s.seen {
-		return nil, nil
-	}
-	enc := func(isMin bool) []byte {
-		switch s.t.ID {
-		case types.Bool, types.Int32, types.Date, types.Int64, types.Timestamp:
-			var b [8]byte
-			x := s.maxI
-			if isMin {
-				x = s.minI
-			}
-			binary.LittleEndian.PutUint64(b[:], uint64(x))
-			return b[:]
-		case types.Float64:
-			var b [8]byte
-			x := s.maxF
-			if isMin {
-				x = s.minF
-			}
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
-			return b[:]
-		case types.Decimal:
-			var b [16]byte
-			x := s.maxD
-			if isMin {
-				x = s.minD
-			}
-			binary.LittleEndian.PutUint64(b[:8], x.Lo)
-			binary.LittleEndian.PutUint64(b[8:], uint64(x.Hi))
-			return b[:]
-		case types.String:
-			x := s.maxS
-			if isMin {
-				x = s.minS
-			}
-			if len(x) > StatsStringCap {
-				x = x[:StatsStringCap]
-			}
-			return append([]byte(nil), x...)
-		}
+// encodeStat renders a boxed bound in the footer encoding, nil for none:
+// 8 little-endian bytes for the fixed-width types but DECIMAL's 16, a
+// string's first StatsStringCap bytes (an empty string's are not nil).
+func encodeStat(v any, t types.DataType) []byte {
+	if v == nil {
 		return nil
 	}
-	return enc(true), enc(false)
+	var b [16]byte
+	switch t.ID {
+	case types.Bool:
+		if v.(bool) {
+			b[0] = 1
+		}
+	case types.Int32, types.Date:
+		binary.LittleEndian.PutUint64(b[:], uint64(int64(v.(int32))))
+	case types.Int64, types.Timestamp:
+		binary.LittleEndian.PutUint64(b[:], uint64(v.(int64)))
+	case types.Float64:
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.(float64)))
+	case types.Decimal:
+		d := v.(types.Decimal128)
+		binary.LittleEndian.PutUint64(b[:8], d.Lo)
+		binary.LittleEndian.PutUint64(b[8:], uint64(d.Hi))
+		return b[:]
+	case types.String:
+		s := v.(string)
+		return append([]byte{}, s[:min(len(s), StatsStringCap)]...)
+	default:
+		return nil
+	}
+	return b[:8]
 }
 
 // DecodeStatValue converts an encoded stat back to a boxed value for
@@ -187,4 +76,42 @@ func DecodeStatValue(b []byte, t types.DataType) any {
 		return string(b)
 	}
 	return nil
+}
+
+// Envelope returns the chunk's statistics for a column of type t. A string
+// maximum of StatsStringCap bytes may have been cut: not an upper bound.
+func (cm *ColumnChunkMeta) Envelope(t types.DataType) expr.Envelope {
+	return expr.Envelope{
+		Min:   DecodeStatValue(cm.Min, t),
+		Max:   DecodeStatValue(cm.Max, t),
+		Nulls: cm.NullCount,
+		Rows:  cm.NumValues,
+	}
+}
+
+// frame returns the least value of a chunk bounded by lo and hi (boxed) and
+// the bits its values span above it, and whether they can be stored as FOR:
+// the type is an integer or a DECIMAL, some value is non-NULL, the span is
+// below 2^32, and a decimal's bounds fit int64.
+func frame(lo, hi any) (base int64, width int, ok bool) {
+	var l, h int64
+	switch x := lo.(type) {
+	case int32:
+		l, h = int64(x), int64(hi.(int32))
+	case int64:
+		l, h = x, hi.(int64)
+	case types.Decimal128:
+		y := hi.(types.Decimal128)
+		if !types.Fits64(x) || !types.Fits64(y) {
+			return 0, 0, false
+		}
+		l, h = x.ToInt64(), y.ToInt64()
+	default:
+		return 0, 0, false
+	}
+	span := uint64(h - l) // exact: h ≥ l, and the difference wraps mod 2^64
+	if span >= 1<<32 {
+		return 0, 0, false
+	}
+	return l, bits.Len64(span), true
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"photon/internal/expr"
 	"photon/internal/lebytes"
 	"photon/internal/storage/lz4"
 	"photon/internal/types"
@@ -151,25 +152,23 @@ func (pw *Writer) writeChunk(t types.DataType, cb *colBuffer) (ColumnChunkMeta, 
 		}
 	}
 
-	// Statistics pass (vectorized: one tight loop per segment).
-	stats := statsAcc{t: t}
+	// Statistics: one tight fold per segment, merged.
+	var env expr.Envelope
 	for _, v := range cb.vecs {
-		stats.update(v, v.Capacity())
+		env = env.Merge(expr.EnvelopeOf(v, v.Capacity()), t.ID)
 	}
-
-	meta := ColumnChunkMeta{NumValues: int64(total), NullCount: stats.nullCount}
-	meta.Min, meta.Max = stats.encode()
+	meta := ColumnChunkMeta{NumValues: int64(total), NullCount: env.Nulls, Min: encodeStat(env.Min, t), Max: encodeStat(env.Max, t)}
 
 	// Encoding choice: FOR whenever the values allow it, dictionary for
 	// strings when profitable.
 	enc := EncPlain
 	var dict *stringDict
-	base, width, isFOR := stats.frame()
+	base, width, isFOR := frame(env.Min, env.Max)
 	switch {
 	case isFOR:
 		enc = EncFOR
 	case t.ID == types.String && !pw.opts.DisableDict:
-		dict = buildStringDict(cb, total-int(stats.nullCount))
+		dict = buildStringDict(cb, total-int(env.Nulls))
 		if dict != nil {
 			enc = EncDict
 		}
