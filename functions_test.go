@@ -86,7 +86,15 @@ func TestFunctionsAgreeAcrossEngines(t *testing.T) {
 		"SELECT k, CONCAT(u, '-x') FROM (SELECT UPPER(g) AS u, k FROM t) v JOIN (SELECT k AS j FROM t WHERE k > 0) w ON k = j WHERE u LIKE '%A%' ORDER BY k",
 		"SELECT CONCAT(u, '-x') AS c FROM (SELECT UPPER(g) AS u, k FROM t) v WHERE u LIKE '%A%' GROUP BY CONCAT(u, '-x') ORDER BY c",
 	}
-	queries := layered
+	// predicates filter on each type: IN over DECIMAL takes literals at,
+	// above and below the column's scale, and integers.
+	predicates := []string{
+		"SELECT k FROM t WHERE x IN (1.50, -0.01) ORDER BY k",
+		"SELECT k FROM t WHERE x IN (1.5, 12345678.99, 7, -2.250) ORDER BY k",
+		"SELECT k FROM t WHERE x NOT IN (0.00, -2.25) ORDER BY k",
+		"SELECT k FROM t WHERE x NOT IN (0.00, NULL) ORDER BY k",
+	}
+	queries := append(layered, predicates...)
 	for _, f := range scalars {
 		queries = append(queries, fmt.Sprintf("SELECT k, %s FROM t ORDER BY k", f))
 	}

@@ -153,7 +153,7 @@ func skipFilter(rng *rand.Rand, cols []skipCol, proj []int, depth int) expr.Filt
 		return expr.MustCmp(skipOps[rng.Intn(len(skipOps))], col, lit)
 	case k < 7:
 		return expr.NewBetween(col, skipLit(rng, c, false), skipLit(rng, c, false))
-	case k < 9 && c.t.ID != types.Decimal: // the engine has no IN over DECIMAL
+	case k < 9:
 		lits := make([]*expr.Literal, 1+rng.Intn(3))
 		for i := range lits {
 			lits[i] = skipLit(rng, c, true)
@@ -178,9 +178,8 @@ func passed(t *testing.T, schema *types.Schema, b *vector.Batch, proj []int, f e
 // registered MemTable or a Delta file, the engine's FilterOp passes none of
 // its rows. Filters are random trees over INT, BIGINT, DATE, TIMESTAMP,
 // DECIMAL at two scales, DOUBLE (NaN, ±Inf, ±0), STRING (empty, 31 to 41
-// bytes around the 32-byte stats cap, cut inside a character) and BOOLEAN
-// (which batches keep no bounds for), with keys at
-// the types' extremes, columns NULL-free, NULL-bearing or all NULL, and
+// bytes around the 32-byte stats cap, cut inside a character) and BOOLEAN,
+// with keys at the types' extremes, columns NULL-free, NULL-bearing or all NULL, and
 // scans projected in a random order.
 func TestSkippingIsSound(t *testing.T) {
 	cols := skipColumns()
