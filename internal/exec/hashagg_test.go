@@ -2,7 +2,6 @@ package exec
 
 import (
 	"bytes"
-	"fmt"
 	"math/big"
 	"math/rand"
 	"reflect"
@@ -28,8 +27,8 @@ type decBoundaryCase struct {
 	nullB    bool  // column b carries NULLs
 	sparse   bool  // a Filter leaves a sparse position list
 	memLimit int64 // > 0: small enough to force at least one spill epoch
-	// wantEscape: with Dec64 on, a per-group scratch total wraps int64 inside
-	// one batch, so the 128-bit replay must run.
+	// wantEscape: a per-group scratch total wraps int64 inside one batch, so
+	// the 128-bit replay must run.
 	wantEscape bool
 }
 
@@ -56,7 +55,7 @@ const decBoundaryBatch = 2048
 // scratch wrapping (the replay escape), running totals passing ±2^63 across
 // batches, spill epochs and a Partial→Final merge, individually wide inputs,
 // NULLs, sparse position lists, and both sides of the density guard —
-// against a math/big oracle, with the narrow path on and off.
+// against a math/big oracle.
 func TestHashAggDecimalSumBoundary(t *testing.T) {
 	small := func(r *rand.Rand, g int) types.Decimal128 {
 		return types.DecimalFromInt64(r.Int63n(2_000_000_000) - 1_000_000_000)
@@ -186,17 +185,16 @@ func runDecBoundaryCase(t *testing.T, c decBoundaryCase) {
 		}
 		return op
 	}
-	newCtx := func(dec64 bool) *TaskCtx {
+	newCtx := func() *TaskCtx {
 		var m *mem.Manager
 		if c.memLimit > 0 {
 			m = mem.NewManager(c.memLimit)
 		}
 		tc := NewTaskCtx(m, decBoundaryBatch)
 		tc.SpillDir = t.TempDir()
-		tc.Expr.Dec64 = dec64
 		return tc
 	}
-	check := func(label string, got [][]any, tc *TaskCtx, spills int64) {
+	check := func(label string, got [][]any, spills int64) {
 		t.Helper()
 		byGroup(got)
 		if !reflect.DeepEqual(got, wantRows) {
@@ -206,60 +204,52 @@ func runDecBoundaryCase(t *testing.T, c decBoundaryCase) {
 		if c.memLimit > 0 && spills == 0 {
 			t.Errorf("%s: expected at least one spill under a %d-byte limit", label, c.memLimit)
 		}
-		if e := tc.Expr; !e.Dec64 && e.Dec64Batches+e.Dec64Escapes+e.Dec128Batches != 0 {
-			t.Errorf("%s: narrow path off but counters moved: dec64=%d escapes=%d dec128=%d",
-				label, e.Dec64Batches, e.Dec64Escapes, e.Dec128Batches)
-		}
 	}
 
-	for _, dec64 := range []bool{true, false} {
-		label := fmt.Sprintf("dec64=%v", dec64)
-
-		tc := newCtx(dec64)
-		agg, err := NewHashAgg(input(batches), AggComplete, keys, []string{"g"}, specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := CollectRows(agg, tc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(label+" complete", got, tc, agg.Stats().SpillCount.Load())
-		if c.wantEscape && dec64 && tc.Expr.Dec64Escapes == 0 {
-			t.Errorf("%s: the scratch should have wrapped, but no escape was counted", label)
-		}
-
-		// Three partial operators over interleaved batches feed one final
-		// merge, so states also accumulate across partial rows.
-		var partials []*vector.Batch
-		var partialSchema *types.Schema
-		for p := 0; p < 3; p++ {
-			var mine []*vector.Batch
-			for i := p; i < len(batches); i += 3 {
-				mine = append(mine, batches[i])
-			}
-			part, err := NewHashAgg(input(mine), AggPartial, keys, []string{"g"}, specs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := CollectAll(part, newCtx(dec64))
-			if err != nil {
-				t.Fatal(err)
-			}
-			partials = append(partials, out...)
-			partialSchema = part.Schema()
-		}
-		tc = newCtx(dec64)
-		final, err := NewHashAgg(NewMemScan(partialSchema, partials), AggFinal, keys, []string{"g"}, specs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err = CollectRows(final, tc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(label+" partial→final", got, tc, final.Stats().SpillCount.Load())
+	tc := newCtx()
+	agg, err := NewHashAgg(input(batches), AggComplete, keys, []string{"g"}, specs)
+	if err != nil {
+		t.Fatal(err)
 	}
+	got, err := CollectRows(agg, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("complete", got, agg.Stats().SpillCount.Load())
+	if c.wantEscape && tc.Expr.Dec64Escapes == 0 {
+		t.Error("the scratch should have wrapped, but no escape was counted")
+	}
+
+	// Three partial operators over interleaved batches feed one final
+	// merge, so states also accumulate across partial rows.
+	var partials []*vector.Batch
+	var partialSchema *types.Schema
+	for p := 0; p < 3; p++ {
+		var mine []*vector.Batch
+		for i := p; i < len(batches); i += 3 {
+			mine = append(mine, batches[i])
+		}
+		part, err := NewHashAgg(input(mine), AggPartial, keys, []string{"g"}, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := CollectAll(part, newCtx())
+		if err != nil {
+			t.Fatal(err)
+		}
+		partials = append(partials, out...)
+		partialSchema = part.Schema()
+	}
+	tc = newCtx()
+	final, err := NewHashAgg(NewMemScan(partialSchema, partials), AggFinal, keys, []string{"g"}, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err = CollectRows(final, tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("partial→final", got, final.Stats().SpillCount.Load())
 }
 
 // TestHashAggPartialFormatPinned: an AggPartial batch holding every kind of

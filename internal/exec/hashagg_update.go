@@ -377,18 +377,16 @@ type decSumAgg struct {
 const preAggMaxGroups = 1 << 16
 
 // updateDecimalSums folds every decimal sum/avg aggregate over a raw batch
-// in one fused pass; it is their only way into the states. With the narrow
-// fast path on, narrow NULL-free arguments against small tables take the
-// batch-local pre-aggregation route: per row, each argument's low limb is
-// added (overflow-tracked branch-free) into a dense per-group int64 scratch
-// slab — all of a group's partial sums share one cache line — and the
+// in one fused pass; it is their only way into the states. Narrow NULL-free
+// arguments against small tables take the batch-local pre-aggregation
+// route: per row, each argument's low limb is added (overflow-tracked
+// branch-free) into a dense per-group int64 scratch slab — all of a group's partial sums share one cache line — and the
 // hash-table states are touched once per live group at flush time instead of
 // once per input row. This is where the narrow-decimal fast path pays off on
 // aggregation-heavy shapes (Q1: seven decimal accumulators per row): the
 // per-row closure dispatch, payload lookups and count read-modify-writes of
 // the generic loops collapse into a handful of adds per row. Everything else
-// — and everything when expr.Ctx.Dec64 is off, which means no
-// scratch — takes the direct per-row 128-bit loop.
+// takes the direct per-row 128-bit loop.
 func (op *HashAggOp) updateDecimalSums(b *vector.Batch) error {
 	if op.numDecSums == 0 {
 		return nil
@@ -418,7 +416,7 @@ func (op *HashAggOp) updateDecimalSums(b *vector.Batch) error {
 	// would double the work, so high group counts take the direct loop.
 	args := op.decSums
 	nPre := 0
-	if g := op.tbl.NumRows(); ctx.Dec64 && g <= preAggMaxGroups && g*4 <= b.NumActive() {
+	if g := op.tbl.NumRows(); g <= preAggMaxGroups && g*4 <= b.NumActive() {
 		for a := range args {
 			ag := &args[a]
 			if ag.nulls == nil && ctx.Dec64Qualified(ag.vec, b.Sel, b.NumRows) {
@@ -432,11 +430,9 @@ func (op *HashAggOp) updateDecimalSums(b *vector.Batch) error {
 
 	// One tally per (aggregate, batch): the input was pre-aggregated as
 	// int64, escaped from that, or ran 128-bit throughout.
-	if ctx.Dec64 {
-		ctx.Dec64Escapes += int64(escapes)
-		ctx.Dec64Batches += int64(nPre - escapes)
-		ctx.Dec128Batches += int64(len(args) - nPre)
-	}
+	ctx.Dec64Escapes += int64(escapes)
+	ctx.Dec64Batches += int64(nPre - escapes)
+	ctx.Dec128Batches += int64(len(args) - nPre)
 	return nil
 }
 

@@ -15,7 +15,7 @@ import (
 // operator shape (column and literal operands on either side, chains, mixed
 // scales that force a rescale, division at every result-scale shift) over
 // operands at and across the int64 boundary, with and without NULLs, dense
-// and under a position list, with Ctx.Dec64 on and off.
+// and under a position list.
 
 var (
 	big2p63  = new(big.Int).Lsh(big.NewInt(1), 63)
@@ -241,37 +241,34 @@ func runDecArith(t *testing.T, shape decShape, prec int, rows [][]any, sel []int
 	for _, i := range sel {
 		active[i] = true
 	}
-	for _, dec64 := range []bool{true, false} {
-		ctx := NewCtx(64)
-		ctx.Dec64 = dec64
-		b := vector.NewBatch(schema, 64)
-		for _, r := range rows {
-			b.AppendRow(r...)
-		}
-		if sel != nil {
-			b.SetSel(sel)
-		}
-		out, err := e.Eval(ctx, b)
-		if err != nil {
-			t.Fatalf("%s dec64=%v: Eval: %v", e, dec64, err)
-		}
-		for i, r := range rows {
-			if !active[i] {
-				if out.Nulls[i] != 0 {
-					t.Fatalf("%s dec64=%v row %d: NULL byte set at an inactive row", e, dec64, i)
-				}
-				continue
-			}
-			var want any
-			if w, ok := bigEval(t, e, r); ok {
-				want = decOf(t, w)
-			}
-			if got := out.Get(i); got != want {
-				t.Fatalf("%s dec64=%v row %d %v: got %v want %v", e, dec64, i, r, got, want)
-			}
-		}
-		ctx.Put(out)
+	ctx := NewCtx(64)
+	b := vector.NewBatch(schema, 64)
+	for _, r := range rows {
+		b.AppendRow(r...)
 	}
+	if sel != nil {
+		b.SetSel(sel)
+	}
+	out, err := e.Eval(ctx, b)
+	if err != nil {
+		t.Fatalf("%s: Eval: %v", e, err)
+	}
+	for i, r := range rows {
+		if !active[i] {
+			if out.Nulls[i] != 0 {
+				t.Fatalf("%s row %d: NULL byte set at an inactive row", e, i)
+			}
+			continue
+		}
+		var want any
+		if w, ok := bigEval(t, e, r); ok {
+			want = decOf(t, w)
+		}
+		if got := out.Get(i); got != want {
+			t.Fatalf("%s row %d %v: got %v want %v", e, i, r, got, want)
+		}
+	}
+	ctx.Put(out)
 }
 
 func TestArithDecimalAgainstBig(t *testing.T) {

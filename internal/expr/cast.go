@@ -148,18 +148,16 @@ func (c *Cast) Eval(ctx *Ctx, b *vector.Batch) (*vector.Vector, error) {
 		switch c.To.ID {
 		case types.Decimal:
 			rescaled := false
-			if ctx.Dec64 {
-				if ctx.Dec64Qualified(iv, sel, n) {
-					if kernels.Dec64RescaleDecV(iv.Dec, out.Dec, from.Scale, c.To.Scale, iv.Nulls, hn, sel, n) {
-						out.Dec64 = vector.Dec64All
-						ctx.Dec64Batches++
-						rescaled = true
-					} else {
-						ctx.Dec64Escapes++
-					}
+			if ctx.Dec64Qualified(iv, sel, n) {
+				if kernels.Dec64RescaleDecV(iv.Dec, out.Dec, from.Scale, c.To.Scale, iv.Nulls, hn, sel, n) {
+					out.Dec64 = vector.Dec64All
+					ctx.Dec64Batches++
+					rescaled = true
 				} else {
-					ctx.Dec128Batches++
+					ctx.Dec64Escapes++
 				}
+			} else {
+				ctx.Dec128Batches++
 			}
 			if !rescaled {
 				kernels.DecRescaleV(iv.Dec, out.Dec, from.Scale, c.To.Scale, sel, n)

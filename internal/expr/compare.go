@@ -143,7 +143,7 @@ func selVS(ctx *Ctx, op kernels.CmpOp, v *vector.Vector, lit *Literal, sel []int
 		// the constant both fit (no escape needed — NULL rows never match
 		// and active rows are narrow by contract).
 		c := lit.Dec(v.Type.Scale)
-		if ctx.Dec64 && types.Fits64(c) && ctx.Dec64Qualified(v, sel, n) {
+		if types.Fits64(c) && ctx.Dec64Qualified(v, sel, n) {
 			return kernels.SelCmpDec64VS(op, v.Dec, c.ToInt64(), v.Nulls, hn, sel, n, out), nil
 		}
 		return kernels.SelCmpDecVS(op, v.Dec, c, v.Nulls, hn, sel, n, out), nil
@@ -167,7 +167,7 @@ func selVV(ctx *Ctx, op kernels.CmpOp, a, bb *vector.Vector, sel []int32, n int,
 		return kernels.SelCmpBytesVV(op, a.Str, bb.Str, a.Nulls, bb.Nulls, hn, sel, n, out), nil
 	case types.Decimal:
 		// Narrow fast path when scales already agree and both sides fit.
-		if ctx.Dec64 && a.Type.Scale == bb.Type.Scale &&
+		if a.Type.Scale == bb.Type.Scale &&
 			ctx.Dec64Qualified(a, sel, n) && ctx.Dec64Qualified(bb, sel, n) {
 			return kernels.SelCmpDec64VV(op, a.Dec, bb.Dec, a.Nulls, bb.Nulls, hn, sel, n, out), nil
 		}

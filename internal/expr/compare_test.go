@@ -202,22 +202,19 @@ func checkCmp(t *testing.T, name string, c *Cmp, b *vector.Batch, want func([]an
 func checkFilter(t *testing.T, name string, f Filter, b *vector.Batch, want func([]any) any) {
 	t.Helper()
 	prefix := []int32{-3, -2, -1}
-	for _, dec64 := range []bool{true, false} {
-		ctx := NewCtx(b.Capacity())
-		ctx.Dec64 = dec64
-		got, err := f.EvalSel(ctx, b, slices.Clone(prefix))
-		if err != nil {
-			t.Fatalf("%s: EvalSel: %v", name, err)
+	ctx := NewCtx(b.Capacity())
+	got, err := f.EvalSel(ctx, b, slices.Clone(prefix))
+	if err != nil {
+		t.Fatalf("%s: EvalSel: %v", name, err)
+	}
+	wantSel := slices.Clone(prefix)
+	for _, i := range activeRows(b) {
+		if want(b.Row(int(i))) == true {
+			wantSel = append(wantSel, i)
 		}
-		wantSel := slices.Clone(prefix)
-		for _, i := range activeRows(b) {
-			if want(b.Row(int(i))) == true {
-				wantSel = append(wantSel, i)
-			}
-		}
-		if !slices.Equal(got, wantSel) {
-			t.Fatalf("%s (dec64=%v): got %v, want %v", name, dec64, got, wantSel)
-		}
+	}
+	if !slices.Equal(got, wantSel) {
+		t.Fatalf("%s: got %v, want %v", name, got, wantSel)
 	}
 }
 

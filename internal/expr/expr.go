@@ -56,14 +56,6 @@ type Ctx struct {
 	// computed per call instead of written back.
 	SharedVectors bool
 
-	// Dec64 enables the adaptive narrow-decimal fast path: decimal
-	// comparison and casts on the low limbs of vectors whose values all fit
-	// an int64 (the cast with a checked escape back to the 128-bit kernel),
-	// and HashAgg's int64 pre-aggregation scratch. Semantics-free (results
-	// are identical either way); turned off only by kernel tests and
-	// experiments, which use the 128-bit path as their reference.
-	Dec64 bool
-
 	// Narrow-decimal dispatch tallies: one per (raw decimal sum/avg
 	// aggregate or decimal-to-decimal cast, batch) — it ran narrow, it ran
 	// 128-bit, or it started narrow and escaped. Arithmetic and comparisons
@@ -87,7 +79,6 @@ func NewCtx(batchSize int) *Ctx {
 		Arena:     mem.NewArena(0),
 		BatchSize: batchSize,
 		Adaptive:  true,
-		Dec64:     true,
 		free:      make(map[types.DataType][]*vector.Vector),
 	}
 }
