@@ -1,6 +1,9 @@
 package delta
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +12,7 @@ import (
 
 	"photon/internal/expr"
 	"photon/internal/kernels"
+	"photon/internal/storage/parquet"
 	"photon/internal/types"
 	"photon/internal/vector"
 )
@@ -249,6 +253,41 @@ func TestStringAndDecimalStats(t *testing.T) {
 	}
 	if got := snap.PruneFiles(expr.MustCmp(kernels.CmpLt, dCol, expr.DecimalLit("0.50", 10, 2))); len(got) != 0 {
 		t.Error("decimal min should prune d < 0.50")
+	}
+}
+
+// TestStatsFromFooter: a file's statistics are its chunks' envelopes merged
+// per column and rendered once. A leading NaN leaves the bounds of the
+// values after it, an empty string is a bound, and a row group whose
+// minimum JSON cannot hold (−Inf) leaves the file no lower bound, not the
+// next row group's.
+func TestStatsFromFooter(t *testing.T) {
+	schema := types.NewSchema(
+		types.Field{Name: "f", Type: types.Float64Type, Nullable: true},
+		types.Field{Name: "s", Type: types.StringType, Nullable: true},
+	)
+	tbl, _ := Create(filepath.Join(t.TempDir(), "tbl"), schema, nil)
+	if err := tbl.Append([]*vector.Batch{makeBatch(t, schema, [][]any{
+		{math.NaN(), "b"}, {1.0, ""}, {2.0, "c"}, {nil, nil},
+	})}, nil); err != nil {
+		t.Fatal(err)
+	}
+	snap, _ := tbl.Snapshot(-1)
+	for col, want := range map[string]string{"f": "1..2 nulls=1", "s": `"".."c" nulls=1`} {
+		st := snap.Files[0].Stats[col]
+		if got := fmt.Sprintf("%s..%s nulls=%d", st.Min, st.Max, st.NullCount); got != want {
+			t.Errorf("%s: stats %s, want %s", col, got, want)
+		}
+	}
+
+	f64 := func(x float64) []byte { return binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)) }
+	meta := &parquet.FileMeta{RowGroups: []parquet.RowGroupMeta{
+		{NumRows: 2, Columns: []parquet.ColumnChunkMeta{{NumValues: 2, Min: f64(math.Inf(-1)), Max: f64(3)}}},
+		{NumRows: 2, Columns: []parquet.ColumnChunkMeta{{NumValues: 2, NullCount: 1, Min: f64(5), Max: f64(5)}}},
+	}}
+	st := statsFromFooter(meta, schema.Project([]int{0}))["f"]
+	if st.Min != nil || string(st.Max) != "5" || st.NullCount != 1 {
+		t.Errorf("two row groups, the first from −Inf: stats %s..%s nulls=%d, want no minimum, 5 and 1", st.Min, st.Max, st.NullCount)
 	}
 }
 
