@@ -150,3 +150,36 @@ func BenchmarkInStrings(b *testing.B) {
 }
 
 var benchSink int
+
+// TestInDecimalAtTheColumnScale: a DECIMAL IN-list matches at the column's
+// scale. A coarser or finer literal with an exact value there matches it;
+// one without (1.555 at scale 2) matches no row, not the row it rounds to.
+// NOT IN keeps the rows found in neither, and none when the list holds a
+// NULL.
+func TestInDecimalAtTheColumnScale(t *testing.T) {
+	dt := types.DecimalType(10, 2)
+	sch := types.NewSchema(types.Field{Name: "x", Type: dt, Nullable: true})
+	b := vector.NewBatch(sch, 8)
+	for _, s := range []string{"1.50", "1.55", "-2.25", "0.00", "", "7.00", "1.56"} {
+		if s == "" {
+			b.AppendRow(nil)
+			continue
+		}
+		d, _ := types.ParseDecimal(s, 2)
+		b.AppendRow(d)
+	}
+	listed := map[string]bool{"1.50": true, "-2.25": true, "7.00": true}
+	for _, withNull := range []bool{false, true} {
+		lits := []*Literal{DecimalLit("1.5", 2, 1), DecimalLit("1.555", 5, 3), DecimalLit("-2.250", 5, 3), DecimalLit("7", 1, 0)}
+		if withNull {
+			lits = append(lits, NullLit(dt))
+		}
+		in := NewIn(colRef(sch, 0), lits)
+		checkFilter(t, fmt.Sprintf("IN null=%v", withNull), in, b, func(r []any) any {
+			return r[0] != nil && listed[types.FormatDecimal(r[0].(types.Decimal128), 2)]
+		})
+		checkFilter(t, fmt.Sprintf("NOT IN null=%v", withNull), NewNot(in), b, func(r []any) any {
+			return !withNull && r[0] != nil && !listed[types.FormatDecimal(r[0].(types.Decimal128), 2)]
+		})
+	}
+}
