@@ -97,8 +97,8 @@ func skipTable(rng *rand.Rand, cols []skipCol, nBatches int) (*types.Schema, []*
 }
 
 // skipLit draws a literal for column c: one of its values, NaN for DOUBLE,
-// a DECIMAL at another scale (which the comparison rounds to the column's),
-// or now and then a typed NULL.
+// a DECIMAL a digit coarser or finer than the column, or now and then a
+// typed NULL.
 func skipLit(rng *rand.Rand, c skipCol, nullOK bool) *expr.Literal {
 	if nullOK && rng.Intn(12) == 0 {
 		return expr.NullLit(c.t)
@@ -113,8 +113,10 @@ func skipLit(rng *rand.Rand, c skipCol, nullOK bool) *expr.Literal {
 			// Coarser than the column: rescaled to it exactly.
 			return expr.Lit(d.Rescale(s, s-1), types.DecimalType(c.t.Precision-1, s-1))
 		}
-		// Finer, a few units either side of a stored value: rescaled to the
-		// column, it rounds.
+		// A digit finer, a few units either side of a stored value: most
+		// have no exact value at the column's scale, so = matches no row,
+		// <> every non-NULL row, and an order compares with the floor or
+		// the ceiling.
 		fine := d.Rescale(s, s+1).Add(types.DecimalFromInt64(int64(rng.Intn(11) - 5)))
 		return expr.Lit(fine, types.DecimalType(min(38, c.t.Precision+1), s+1))
 	}

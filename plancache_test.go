@@ -180,12 +180,12 @@ func TestPlanCacheNamesBoundColumns(t *testing.T) {
 	}
 }
 
-// TestFastPathEquivalence compares fast-path and staged execution of
-// single-fragment-eligible queries on a parallel session: identical
-// results, and the fast path must actually engage.
+// TestFastPathEquivalence compares fast-path execution of
+// single-fragment-eligible queries on a parallel session with the staged
+// reference (driver.Run with the fast path off): identical results, and the
+// fast path must actually engage.
 func TestFastPathEquivalence(t *testing.T) {
 	fast := tpchSession(0.01, Config{Parallelism: 4})
-	staged := tpchSession(0.01, Config{Parallelism: 4, PlanCacheSize: -1})
 	queries := []string{
 		"SELECT count(*) FROM lineitem WHERE l_quantity < 10",
 		"SELECT l_returnflag, sum(l_quantity) FROM lineitem GROUP BY l_returnflag ORDER BY l_returnflag",
@@ -199,17 +199,11 @@ func TestFastPathEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fast q%d: %v", i, err)
 		}
-		sr, ss, err := staged.SQLContextStats(context.Background(), q)
-		if err != nil {
-			t.Fatalf("staged q%d: %v", i, err)
-		}
-		if ss.FastPath {
-			t.Errorf("q%d: uncached session took the fast path", i)
-		}
+		staged, _ := stagedRun(t, fast, q)
 		if fs.FastPath {
 			tookFast++
 		}
-		fRows, sRows := renderSorted(fr.Rows), renderSorted(sr.Rows)
+		fRows, sRows := renderSorted(fr.Rows), renderSorted(staged)
 		if len(fRows) != len(sRows) {
 			t.Fatalf("q%d: row counts diverged fast=%d staged=%d", i, len(fRows), len(sRows))
 		}
@@ -228,22 +222,19 @@ func TestFastPathEquivalence(t *testing.T) {
 }
 
 // TestFastPathTPCHEquivalence runs all 22 TPC-H queries inline on the
-// fast path (Parallelism 1: every small plan is eligible) against a fully
-// distributed staged session; results must be identical. At SF 0.01 every
-// input fits one task, so the fast session must reroute every query.
+// fast path (Parallelism 1: every small plan is eligible) against the
+// staged reference at Parallelism 4 (driver.Run with the fast path off);
+// results must be identical.
 func TestFastPathTPCHEquivalence(t *testing.T) {
 	fast := tpchSession(0.01, Config{Parallelism: 1})
-	staged := tpchSession(0.01, Config{Parallelism: 4, PlanCacheSize: -1})
+	par4 := tpchSession(0.01, Config{Parallelism: 4})
 	for _, q := range tpch.QueryNumbers() {
 		fr, _, err := fast.SQLContextStats(context.Background(), tpch.Queries[q])
 		if err != nil {
 			t.Fatalf("Q%d fast: %v", q, err)
 		}
-		sr, _, err := staged.SQLContextStats(context.Background(), tpch.Queries[q])
-		if err != nil {
-			t.Fatalf("Q%d staged: %v", q, err)
-		}
-		fRows, sRows := renderSorted(fr.Rows), renderSorted(sr.Rows)
+		staged, _ := stagedRun(t, par4, tpch.Queries[q])
+		fRows, sRows := renderSorted(fr.Rows), renderSorted(staged)
 		if len(fRows) != len(sRows) {
 			t.Fatalf("Q%d: row counts diverged fast=%d staged=%d", q, len(fRows), len(sRows))
 		}

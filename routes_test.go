@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"photon/internal/driver"
+	"photon/internal/sql"
+	"photon/internal/sql/catalyst"
 	"photon/internal/tpch"
 )
 
@@ -68,21 +71,172 @@ func TestDriverRoutesTPCHEquivalence(t *testing.T) {
 		}
 	}
 
-	// An interior LIMIT cannot be staged; off the fast path (an uncached
-	// compile never takes it), a parallel session runs the plan as one task.
+	// An interior LIMIT cannot be staged, so it runs as one task: on the fast
+	// path from a session, cached or not, and as a one-stage job without it.
 	const interior = "SELECT o_orderpriority, count(*) FROM (SELECT o_orderpriority FROM orders ORDER BY o_orderkey LIMIT 50) t GROUP BY o_orderpriority"
 	want, err := base.SQL(interior)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stats, err := tpchSession(sf, Config{Parallelism: 4, PlanCacheSize: -1}).SQLContextStats(ctx, interior)
+	par4 := tpchSession(sf, Config{Parallelism: 4, PlanCacheSize: -1})
+	got, stats, err := par4.SQLContextStats(ctx, interior)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.FastPath || stats.Stages != 1 {
-		t.Errorf("interior limit: fast path %t, %d stages; want off the fast path in 1 stage", stats.FastPath, stats.Stages)
+	if !stats.FastPath || stats.Stages != 1 {
+		t.Errorf("interior limit: fast path %t, %d stages; want the fast path in 1 stage", stats.FastPath, stats.Stages)
 	}
-	if g, w := renderSorted(got.Rows), renderSorted(want.Rows); len(w) == 0 || !reflect.DeepEqual(g, w) {
-		t.Errorf("interior limit: got %v, want %v", g, w)
+	staged, rs := stagedRun(t, par4, interior)
+	if rs.Stages != 1 {
+		t.Errorf("interior limit off the fast path: %d stages, want 1", rs.Stages)
+	}
+	for _, rows := range [][][]any{got.Rows, staged} {
+		if g, w := renderSorted(rows), renderSorted(want.Rows); len(w) == 0 || !reflect.DeepEqual(g, w) {
+			t.Errorf("interior limit: got %v, want %v", g, w)
+		}
+	}
+}
+
+// stagedRun is the staged reference for s's queries: text compiled on s's
+// catalog and run by driver.Run with the fast path off, at s's parallelism.
+func stagedRun(t *testing.T, s *Session, text string) ([][]any, driver.RunStats) {
+	t.Helper()
+	stmt, err := sql.Parse(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sql.Analyze(s.cat, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan, err = catalyst.Optimize(plan); err != nil {
+		t.Fatal(err)
+	}
+	var rs driver.RunStats
+	rows, _, err := driver.Run(context.Background(), plan, driver.Options{
+		Parallelism: s.cfg.Parallelism, ShuffleDir: t.TempDir(), Config: s.plannerConfig(),
+		BroadcastRows: s.cfg.BroadcastRows, Stats: &rs,
+	})
+	if err != nil {
+		t.Fatalf("%s staged: %v", text, err)
+	}
+	return rows, rs
+}
+
+// TestEntryPointsAgree runs a point lookup and a join, warm, at
+// Parallelism 4 through all seven ways to run a query. Each returns the same
+// rows, and each that reports lifecycle statistics reports the same route.
+func TestEntryPointsAgree(t *testing.T) {
+	sess := tpchSession(0.01, Config{Parallelism: 4})
+	ctx := context.Background()
+	for _, q := range []string{
+		"SELECT o_totalprice FROM orders WHERE o_orderkey = 7",
+		"SELECT n_name, r_name FROM nation JOIN region ON n_regionkey = r_regionkey",
+	} {
+		if _, err := sess.SQL(q); err != nil { // warm the cache
+			t.Fatal(err)
+		}
+		stmt, err := sess.Prepare(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type outcome struct {
+			rows  [][]any
+			stats *QueryStats
+		}
+		profiled := func(p *Profile, err error) (outcome, error) {
+			if err != nil {
+				return outcome{}, err
+			}
+			return outcome{p.Result.Rows, p.Lifecycle}, nil
+		}
+		plain := func(r *Result, err error) (outcome, error) {
+			if err != nil {
+				return outcome{}, err
+			}
+			return outcome{r.Rows, nil}, nil
+		}
+		withStats := func(r *Result, st *QueryStats, err error) (outcome, error) {
+			if err != nil {
+				return outcome{}, err
+			}
+			return outcome{r.Rows, st}, nil
+		}
+		entries := []struct {
+			name string
+			run  func() (outcome, error)
+		}{
+			{"SQL", func() (outcome, error) { return plain(sess.SQL(q)) }},
+			{"SQLContext", func() (outcome, error) { return plain(sess.SQLContext(ctx, q)) }},
+			{"SQLContextStats", func() (outcome, error) { return withStats(sess.SQLContextStats(ctx, q)) }},
+			{"SQLWithProfile", func() (outcome, error) { return profiled(sess.SQLWithProfile(q)) }},
+			{"SQLWithProfileContext", func() (outcome, error) { return profiled(sess.SQLWithProfileContext(ctx, q)) }},
+			{"Execute", func() (outcome, error) { return plain(stmt.Execute(ctx)) }},
+			{"ExecuteStats", func() (outcome, error) { return withStats(stmt.ExecuteStats(ctx)) }},
+		}
+		var want outcome
+		for _, e := range entries {
+			got, err := e.run()
+			if err != nil {
+				t.Fatalf("%s %s: %v", e.name, q, err)
+			}
+			if len(got.rows) == 0 {
+				t.Fatalf("%s %s: no rows", e.name, q)
+			}
+			if want.rows == nil {
+				want.rows = got.rows
+			} else if g, w := renderSorted(got.rows), renderSorted(want.rows); !reflect.DeepEqual(g, w) {
+				t.Errorf("%s %s: rows %v, want %v", e.name, q, g, w)
+			}
+			if got.stats == nil {
+				continue
+			}
+			if want.stats == nil {
+				want.stats = got.stats
+				continue
+			}
+			g, w := got.stats, want.stats
+			if g.Cached != w.Cached || g.FastPath != w.FastPath || g.Stages != w.Stages || g.Rows != w.Rows || g.Tenant != w.Tenant {
+				t.Errorf("%s %s: stats %s rows=%d, want %s rows=%d", e.name, q, g, g.Rows, w, w.Rows)
+			}
+		}
+		if !want.stats.Cached || want.stats.Rows != int64(len(want.rows)) {
+			t.Errorf("%s: warm stats %s rows=%d for %d rows", q, want.stats, want.stats.Rows, len(want.rows))
+		}
+	}
+}
+
+// TestRouteIgnoresCache: how a query runs depends on the query alone. At
+// Parallelism 4, a point lookup takes the fast path when its cached plan
+// binds, when a literal at another scale cannot bind it, and on a session
+// with no plan cache; each returns the staged reference's rows.
+func TestRouteIgnoresCache(t *testing.T) {
+	const lookup = "SELECT o_totalprice FROM orders WHERE o_orderkey = 7"
+	cached := tpchSession(0.01, Config{Parallelism: 4})
+	uncached := tpchSession(0.01, Config{Parallelism: 4, PlanCacheSize: -1})
+	ctx := context.Background()
+	runs := []struct {
+		sess *Session
+		q    string
+	}{
+		{cached, lookup + " AND o_totalprice > 100.5"},
+		{cached, lookup + " AND o_totalprice > 100.5"},
+		{cached, lookup + " AND o_totalprice > 100.55"}, // unbindable: another literal scale
+		{cached, lookup + " AND o_totalprice > 100.55"},
+		{uncached, lookup},
+		{uncached, lookup},
+	}
+	for i, r := range runs {
+		got, stats, err := r.sess.SQLContextStats(ctx, r.q)
+		if err != nil {
+			t.Fatalf("run %d %s: %v", i, r.q, err)
+		}
+		if !stats.FastPath {
+			t.Errorf("run %d %s: off the fast path (%s)", i, r.q, stats)
+		}
+		want, _ := stagedRun(t, r.sess, r.q)
+		if g, w := renderSorted(got.Rows), renderSorted(want); len(w) != 1 || !reflect.DeepEqual(g, w) {
+			t.Errorf("run %d %s: rows %v, want %v", i, r.q, g, w)
+		}
 	}
 }
