@@ -110,10 +110,10 @@ type Config struct {
 	// ---- Prepare/bind/execute lifecycle (plan cache + fast path) ----
 
 	// PlanCacheSize bounds the session plan cache (LRU over normalized
-	// query shapes): 0 = DefaultPlanCacheSize, negative = cache disabled
-	// (every query recompiles from scratch and routes through classic
-	// staged execution — fast-path eligibility is part of the compiled
-	// classification).
+	// query shapes): 0 = DefaultPlanCacheSize, negative = no caching, so
+	// every execution compiles the statement as written. Caching changes
+	// nothing else: a query's route (fast path or staged) comes from its
+	// compiled classification either way.
 	PlanCacheSize int
 
 	// ---- Concurrent query service (admission control + lifecycle) ----
@@ -488,13 +488,18 @@ func (s *Session) SQL(query string) (*Result, error) {
 	return s.SQLContext(context.Background(), query)
 }
 
-// Explain renders the optimized logical plan.
+// Explain renders the optimized logical plan of the verbatim compile: the
+// statement as written, with no literal extracted.
 func (s *Session) Explain(query string) (string, error) {
-	plan, err := s.uncachedPlan(func() (*sql.SelectStmt, error) { return sql.Parse(query) })
+	stmt, err := sql.Parse(query)
 	if err != nil {
 		return "", err
 	}
-	return sql.ExplainPlan(plan), nil
+	cq, err := catalyst.Compile(s.cat, stmt, nil, s.stageConfig())
+	if err != nil {
+		return "", err
+	}
+	return sql.ExplainPlan(cq.Plan), nil
 }
 
 // Tables lists registered table names.

@@ -32,25 +32,19 @@ const DefaultPlanCacheSize = 256
 // small-query fast path.
 const DefaultFastPathRows = 1 << 20
 
-// boundQuery is the bind phase's product: a private, value-substituted
-// plan ready for driver.Run, plus the routing the compile phase decided.
+// boundQuery is one execution's plan and route: a private plan ready for
+// driver.Run and the fast-path decision of its compiled classification.
 type boundQuery struct {
 	plan     sql.LogicalPlan
-	cached   bool   // compile phase was served from the plan cache
+	cached   bool   // bound from a plan-cache entry
 	fastPath bool   // single-fragment small input: one task, no stage planning
 	norm     string // normalized SQL ("" when the shape didn't normalize)
-
-	// Execution identity, stamped by runQuery after admission (a bound
-	// query is per-execution, never shared): the tenant the query runs as
-	// and its scheduler weight, threaded into driver.Options.
-	tenant       string
-	tenantWeight int
 }
 
 // planCacheEntry is one cached shape. cq == nil is a negative entry: the
 // shape failed parameterized compilation once but compiles fine verbatim
 // (e.g. a literal whose extraction confuses structural GROUP BY matching),
-// so later executions skip straight to the uncached path.
+// so later executions skip straight to the verbatim compile.
 type planCacheEntry struct {
 	key  string
 	cq   *catalyst.CompiledQuery
@@ -164,102 +158,67 @@ func (s *Session) fastPathEligible(cq *catalyst.CompiledQuery) bool {
 	return true
 }
 
-// uncachedPlan is the classic compile path (parse → analyze → optimize)
-// on a fresh parse, used when the cache is disabled or a shape cannot be
-// parameterized. parse must return a pristine AST on every call.
-func (s *Session) uncachedPlan(parse func() (*sql.SelectStmt, error)) (sql.LogicalPlan, error) {
-	stmt, err := parse()
-	if err != nil {
-		return nil, err
-	}
-	plan, err := sql.Analyze(s.cat, stmt)
-	if err != nil {
-		return nil, err
-	}
-	return catalyst.Optimize(plan)
-}
-
-// bindQuery runs the compile + bind phases for one execution. parse must
-// produce a pristine AST each call: Parameterize mutates the tree in
-// place, so fallback paths re-parse. The catalog generation is captured
-// before parsing so a concurrent snapshot refresh can only make a freshly
-// inserted entry *more* conservative (stamped with the older generation,
-// hence invalidated on next lookup), never let it serve a stale snapshot.
+// bindQuery runs the compile and bind phases for one execution. Every plan
+// comes from catalyst.Compile, and every route from fastPathEligible: a
+// cache entry is bound with this execution's values, a miss is compiled,
+// inserted, then bound, and anything else is compiled verbatim (the
+// statement as written, cached nowhere): caching is off, the shape does not
+// normalize, its parameterized compile failed, or its values do not bind.
+// parse must produce a pristine AST each call: Parameterize mutates the
+// tree in place, so the verbatim compile re-parses. The catalog generation
+// is captured before parsing so a concurrent snapshot refresh can only make
+// a freshly inserted entry *more* conservative (stamped with the older
+// generation, hence invalidated on next lookup), never let it serve a stale
+// snapshot.
 func (s *Session) bindQuery(parse func() (*sql.SelectStmt, error)) (*boundQuery, error) {
-	if s.cache == nil {
-		plan, err := s.uncachedPlan(parse)
+	bq := &boundQuery{}
+	gen, negative := s.cat.Generation(), ""
+	if s.cache != nil {
+		stmt, err := parse()
 		if err != nil {
 			return nil, err
 		}
-		return &boundQuery{plan: plan}, nil
+		raws := sql.Parameterize(stmt)
+		if norm, err := sql.NormalizeStmt(stmt); err == nil {
+			bq.norm = norm
+			key := norm + "\x00" + s.fp
+			cq, hit, invalidated := s.cache.lookup(key, gen)
+			if invalidated {
+				s.svc.CacheInvalidations.Inc()
+			}
+			if !hit {
+				if cq, err = catalyst.Compile(s.cat, stmt, raws, s.stageConfig()); err == nil {
+					s.noteEvictions(s.cache.insert(key, cq, gen))
+				} else {
+					negative = key // filed once the verbatim compile succeeds
+				}
+			}
+			if cq != nil && s.bind(bq, cq, raws) {
+				bq.cached = hit // a miss paid full compilation
+			}
+		}
+		if bq.cached {
+			s.svc.CacheHits.Inc()
+			return bq, nil
+		}
+		s.svc.CacheMisses.Inc()
+		if bq.plan != nil {
+			return bq, nil
+		}
 	}
-	gen := s.cat.Generation()
 	stmt, err := parse()
 	if err != nil {
 		return nil, err
 	}
-	raws := sql.Parameterize(stmt)
-	norm, err := sql.NormalizeStmt(stmt)
+	cq, err := catalyst.Compile(s.cat, stmt, nil, s.stageConfig())
 	if err != nil {
-		// Shape the normalizer cannot render canonically: run uncached.
-		s.svc.CacheMisses.Inc()
-		plan, perr := s.uncachedPlan(parse)
-		if perr != nil {
-			return nil, perr
-		}
-		return &boundQuery{plan: plan}, nil
+		return nil, err
 	}
-	key := norm + "\x00" + s.fp
-
-	if cq, ok, invalidated := s.cache.lookup(key, gen); ok {
-		if cq != nil {
-			if bq, ok := s.bindCompiled(cq, raws); ok {
-				s.svc.CacheHits.Inc()
-				bq.cached = true
-				bq.norm = norm
-				return bq, nil
-			}
-			// The new values don't fit the compiled shape (a literal
-			// self-types differently, e.g. different decimal scale):
-			// recompile fresh for this execution, keep the entry for
-			// values that do fit.
-		}
-		s.svc.CacheMisses.Inc()
-		plan, perr := s.uncachedPlan(parse)
-		if perr != nil {
-			return nil, perr
-		}
-		return &boundQuery{plan: plan, norm: norm}, nil
-	} else if invalidated {
-		s.svc.CacheInvalidations.Inc()
+	if negative != "" {
+		s.noteEvictions(s.cache.insert(negative, nil, gen))
 	}
-
-	s.svc.CacheMisses.Inc()
-	cq, cerr := catalyst.Compile(s.cat, stmt, raws, s.stageConfig())
-	if cerr != nil {
-		// Parameterized compilation failed. Compile the original text: if
-		// that also fails the query is genuinely bad (surface that error);
-		// if it succeeds, the failure was an artifact of extraction (e.g.
-		// structural GROUP BY matching) — negative-cache the shape so the
-		// next execution skips the doomed attempt.
-		plan, perr := s.uncachedPlan(parse)
-		if perr != nil {
-			return nil, perr
-		}
-		s.noteEvictions(s.cache.insert(key, nil, gen))
-		return &boundQuery{plan: plan, norm: norm}, nil
-	}
-	s.noteEvictions(s.cache.insert(key, cq, gen))
-	if bq, ok := s.bindCompiled(cq, raws); ok {
-		bq.norm = norm
-		return bq, nil // a miss: this execution paid full compilation
-	}
-	// Binding the compile-time values back must succeed; degrade safely.
-	plan, perr := s.uncachedPlan(parse)
-	if perr != nil {
-		return nil, perr
-	}
-	return &boundQuery{plan: plan, norm: norm}, nil
+	bq.plan, bq.fastPath = cq.Plan, s.fastPathEligible(cq)
+	return bq, nil
 }
 
 func (s *Session) noteEvictions(n int) {
@@ -268,32 +227,28 @@ func (s *Session) noteEvictions(n int) {
 	}
 }
 
-// bindCompiled adapts the execution's raw literals to the compiled plan's
-// parameter slots and deep-copies the plan with the values substituted. A
-// false return means at least one value does not reproduce the compiled
-// shape and the caller must compile fresh.
-func (s *Session) bindCompiled(cq *catalyst.CompiledQuery, raws []sql.AstExpr) (*boundQuery, bool) {
+// bind adapts the execution's raw literals to cq's parameter slots and
+// fills bq with a private copy of its plan, the values substituted, and its
+// route. False means a value does not reproduce the compiled shape, and
+// the execution compiles verbatim.
+func (s *Session) bind(bq *boundQuery, cq *catalyst.CompiledQuery, raws []sql.AstExpr) bool {
 	if len(raws) != len(cq.ParamTypes) {
-		return nil, false
+		return false
 	}
-	var vals map[int]*expr.Literal
-	if len(raws) > 0 {
-		vals = make(map[int]*expr.Literal, len(raws))
-		for i, raw := range raws {
-			lit, ok := sql.BindParam(raw, cq.SelfTypes[i], cq.ParamTypes[i])
-			if !ok {
-				return nil, false
-			}
-			vals[i] = lit
+	vals := make(map[int]*expr.Literal, len(raws))
+	for i, raw := range raws {
+		lit, ok := sql.BindParam(raw, cq.SelfTypes[i], cq.ParamTypes[i])
+		if !ok {
+			return false
 		}
-	} else {
-		vals = map[int]*expr.Literal{}
+		vals[i] = lit
 	}
 	plan, err := cq.Bind(vals)
 	if err != nil {
-		return nil, false
+		return false
 	}
-	return &boundQuery{plan: plan, fastPath: s.fastPathEligible(cq)}, true
+	bq.plan, bq.fastPath = plan, s.fastPathEligible(cq)
+	return true
 }
 
 // PreparedStatement is a parsed statement with optional '?' placeholders,
@@ -337,16 +292,14 @@ func (ps *PreparedStatement) ExecuteStats(ctx context.Context, args ...any) (*Re
 	if len(args) != ps.nArgs {
 		return nil, nil, fmt.Errorf("photon: prepared statement has %d placeholders, got %d arguments", ps.nArgs, len(args))
 	}
-	return ps.sess.sqlStats(ctx, ps.text, func() (*sql.SelectStmt, error) {
+	p, err := ps.sess.run(ctx, ps.text, func() (*sql.SelectStmt, error) {
 		stmt, err := sql.Parse(ps.text)
 		if err != nil {
 			return nil, err
 		}
-		if err := sql.SubstituteArgs(stmt, args); err != nil {
-			return nil, err
-		}
-		return stmt, nil
-	})
+		return stmt, sql.SubstituteArgs(stmt, args)
+	}, nil)
+	return p.Result, p.Lifecycle, err
 }
 
 // PlanCacheLen reports the number of shapes currently cached (0 when the
