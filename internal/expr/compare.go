@@ -139,16 +139,52 @@ func selVS(ctx *Ctx, op kernels.CmpOp, v *vector.Vector, lit *Literal, sel []int
 	case types.String:
 		return kernels.SelCmpBytesVS(op, v.Str, lit.Bytes(), v.Nulls, hn, sel, n, out), nil
 	case types.Decimal:
+		op, c, ok := DecAtScale(op, lit, v.Type.Scale)
+		switch {
+		case ok:
+		case op == kernels.CmpNe:
+			return kernels.SelIsNotNull(v.Nulls, hn, sel, n, out), nil
+		default:
+			return out, nil
+		}
 		// Narrow fast path: compare low limbs as int64 when the vector and
 		// the constant both fit (no escape needed — NULL rows never match
 		// and active rows are narrow by contract).
-		c := lit.Dec(v.Type.Scale)
 		if types.Fits64(c) && ctx.Dec64Qualified(v, sel, n) {
 			return kernels.SelCmpDec64VS(op, v.Dec, c.ToInt64(), v.Nulls, hn, sel, n, out), nil
 		}
 		return kernels.SelCmpDecVS(op, v.Dec, c, v.Nulls, hn, sel, n, out), nil
 	}
 	return nil, errType("compare", v.Type)
+}
+
+// DecAtScale turns col op lit, col a DECIMAL at scale, into a comparison at
+// the column's scale that matches the same rows. A literal exact at that
+// scale keeps op. Otherwise < and <= become <= its floor, and > and >= become
+// >= its ceiling (floor and ceiling round toward −∞ and +∞), while = and <>
+// compare with nothing: ok is false, and = matches no row and <> every
+// non-NULL row.
+func DecAtScale(op kernels.CmpOp, lit *Literal, scale int) (_ kernels.CmpOp, v types.Decimal128, ok bool) {
+	d := lit.Val.(types.Decimal128)
+	v = d.Rescale(lit.T.Scale, scale) // rounded to the nearest
+	if lit.T.Scale <= scale {
+		return op, v, true
+	}
+	switch c := v.Rescale(scale, lit.T.Scale).Cmp(d); {
+	case c == 0:
+		return op, v, true
+	case op == kernels.CmpLt || op == kernels.CmpLe:
+		if c > 0 {
+			v = v.Sub(types.Decimal128{Lo: 1})
+		}
+		return kernels.CmpLe, v, true
+	case op == kernels.CmpGt || op == kernels.CmpGe:
+		if c < 0 {
+			v = v.Add(types.Decimal128{Lo: 1})
+		}
+		return kernels.CmpGe, v, true
+	}
+	return op, v, false
 }
 
 // selVV is the vector-vs-vector path.

@@ -46,7 +46,8 @@ func (f *Between) EvalSel(ctx *Ctx, b *vector.Batch, out []int32) ([]int32, erro
 	case types.Float64:
 		return kernels.SelBetweenVS(v.F64, f.Lo.F64(), f.Hi.F64(), v.Nulls, hn, sel, n, out), nil
 	case types.Decimal:
-		lo, hi := f.Lo.Dec(v.Type.Scale), f.Hi.Dec(v.Type.Scale)
+		_, lo, _ := DecAtScale(kernels.CmpGe, f.Lo, v.Type.Scale)
+		_, hi, _ := DecAtScale(kernels.CmpLe, f.Hi, v.Type.Scale)
 		tmp := ctx.GetSel()
 		tmp = kernels.SelCmpDecVS(kernels.CmpGe, v.Dec, lo, v.Nulls, hn, sel, n, tmp)
 		out = kernels.SelCmpDecVS(kernels.CmpLe, v.Dec, hi, v.Nulls, false, tmp, len(tmp), out)
@@ -140,14 +141,12 @@ func (f *In) build() {
 	case types.Float64:
 		f.f64s = sortedList(f.Vals, (*Literal).F64)
 	case types.Decimal:
-		// Rescaled as the comparison kernels round a literal; one with no
-		// exact value at the column's scale equals no row.
-		scale := f.Inner.Type().Scale
+		// At the column's scale; a value with none there equals no row.
 		for _, v := range f.Vals {
 			if v.IsNullLit() {
 				continue
 			}
-			if d := v.Dec(scale); d.Rescale(scale, v.T.Scale) == v.Val.(types.Decimal128) {
+			if _, d, ok := DecAtScale(kernels.CmpEq, v, f.Inner.Type().Scale); ok {
 				f.decs = append(f.decs, d)
 			}
 		}

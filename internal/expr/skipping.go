@@ -208,8 +208,16 @@ func cmpFilter(col *ColRef, op kernels.CmpOp, lit *Literal, slot func(*ColRef) i
 		return StatsFilter{}, false
 	}
 	sf := StatsFilter{kind: skipCmp, slot: slot(col), t: t.ID, op: op, val: lit.Val}
-	if t.ID == types.Decimal && lit.T.Scale != t.Scale {
-		sf.val = lit.Dec(t.Scale) // as the comparison kernels round it
+	if t.ID == types.Decimal {
+		var ok bool
+		sf.op, sf.val, ok = DecAtScale(op, lit, t.Scale)
+		switch {
+		case ok:
+		case op == kernels.CmpEq:
+			return StatsFilter{kind: skipOr}, true // matches no row
+		default:
+			sf.kind = skipNotNull // <> matches every non-NULL row
+		}
 	}
 	return sf, sf.slot >= 0
 }

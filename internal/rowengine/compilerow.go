@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"photon/internal/expr"
+	"photon/internal/kernels"
 )
 
 // Compiled mode: expression trees lower once into closure chains, the
@@ -312,7 +313,8 @@ func compilePred(f expr.Filter) (triPred, error) {
 			return nil, err
 		}
 		t := n.Inner.Type()
-		lo, hi := normLit(n.Lo, t), normLit(n.Hi, t)
+		lo, _ := normLit(n.Lo, t, kernels.CmpGe)
+		hi, _ := normLit(n.Hi, t, kernels.CmpLe)
 		return func(row []any) (tri, error) {
 			v, err := inner(row)
 			if err != nil {
@@ -346,10 +348,10 @@ func compilePred(f expr.Filter) (triPred, error) {
 		var vals []any
 		notFound := triFalse
 		for _, lit := range n.Vals {
-			switch w := normLit(lit, t); {
+			switch w, ok := normLit(lit, t, kernels.CmpEq); {
 			case w == nil:
 				notFound = triNull // x IN (..., NULL) is never FALSE
-			case !isNaN(w): // NaN equals nothing
+			case ok && !isNaN(w): // NaN equals nothing
 				vals = append(vals, w)
 			}
 		}

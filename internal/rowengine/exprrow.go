@@ -241,7 +241,8 @@ func evalPred(f expr.Filter, row []any) (tri, error) {
 		if v == nil {
 			return triNull, nil
 		}
-		lo, hi := normLit(n.Lo, n.Inner.Type()), normLit(n.Hi, n.Inner.Type())
+		lo, _ := normLit(n.Lo, n.Inner.Type(), kernels.CmpGe)
+		hi, _ := normLit(n.Hi, n.Inner.Type(), kernels.CmpLe)
 		if isNaN(v) || isNaN(lo) || isNaN(hi) {
 			return triFalse, nil
 		}
@@ -271,8 +272,8 @@ func evalPred(f expr.Filter, row []any) (tri, error) {
 				notFound = triNull // x IN (..., NULL) is never FALSE
 				continue
 			}
-			w := normLit(lit, n.Inner.Type())
-			if isNaN(v) || isNaN(w) {
+			w, ok := normLit(lit, n.Inner.Type(), kernels.CmpEq)
+			if !ok || isNaN(v) || isNaN(w) {
 				continue
 			}
 			c, err := compareAny(v, w, n.Inner.Type())
@@ -383,15 +384,18 @@ func cmpResultToTri(op kernels.CmpOp, c int) tri {
 	return triFalse
 }
 
-// normLit extracts a literal's Go value normalized to the comparison type.
-func normLit(l *expr.Literal, t types.DataType) any {
+// normLit extracts a literal's Go value for a comparison op with a value of
+// type t: a DECIMAL at t's scale, by expr.DecAtScale. False means no value
+// at that scale equals the literal (op is = then).
+func normLit(l *expr.Literal, t types.DataType, op kernels.CmpOp) (any, bool) {
 	if l.IsNullLit() {
-		return nil
+		return nil, true
 	}
 	if t.ID == types.Decimal {
-		return l.Dec(t.Scale)
+		_, d, ok := expr.DecAtScale(op, l, t.Scale)
+		return d, ok
 	}
-	return l.Val
+	return l.Val, true
 }
 
 // isNaN reports whether v is a DOUBLE NaN. Predicates treat NaN as IEEE
