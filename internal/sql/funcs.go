@@ -154,7 +154,7 @@ func coalesce(a []expr.Expr, _ []int) (expr.Expr, error) {
 	if i := slices.IndexFunc(a, func(e expr.Expr) bool { _, lit := e.(*expr.Literal); return !lit }); i >= 0 {
 		for j, e := range a {
 			if lit, ok := e.(*expr.Literal); ok {
-				if adapted, ok := adaptLiteral(lit, a[i].Type()); ok {
+				if adapted, ok := roundLiteral(lit, a[i].Type()); ok {
 					a[j] = adapted
 				}
 			}
