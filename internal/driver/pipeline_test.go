@@ -3,48 +3,11 @@ package driver
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
-	"photon/internal/fault"
 	"photon/internal/tpch"
 )
-
-// TestFusedPipelineEquivalenceUnderChaos re-checks fused execution with
-// deterministic fault injection armed on the retry-covered distributed
-// sites: recovery re-runs rebuild fused fragments too, and results must
-// still match the clean run at parallelism 1.
-func TestFusedPipelineEquivalenceUnderChaos(t *testing.T) {
-	cat := tpch.NewGen(0.002).Generate()
-	refs := map[int][]string{}
-	for _, q := range []int{3, 10, 18} { // shuffle-heavy multi-join queries
-		ref := render(runTPCH(t, cat, q, Options{Parallelism: 1, ShuffleDir: t.TempDir()}))
-		sort.Strings(ref)
-		refs[q] = ref
-	}
-
-	r := fault.NewRegistry(23)
-	for _, s := range []fault.Site{fault.ShuffleWrite, fault.ShuffleRead, fault.BroadcastFetch, fault.TaskStart} {
-		r.Arm(s, fault.Policy{FailN: 1})
-	}
-	defer fault.Activate(r)()
-
-	for q, ref := range refs {
-		got := render(runTPCH(t, cat, q, Options{
-			Parallelism: 4,
-			ShuffleDir:  t.TempDir(),
-			Pool:        faultTolerantPool(4, 8),
-		}))
-		sort.Strings(got)
-		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("Q%d fused under chaos: %d rows != reference %d rows", q, len(got), len(ref))
-		}
-	}
-	if r.TotalFires() == 0 {
-		t.Error("chaos variant injected zero faults")
-	}
-}
 
 // profileRows flattens the ID-stable part of a merged profile: per stage,
 // every operator's pre-order ID, depth, name, and row counters.
