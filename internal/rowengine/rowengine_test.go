@@ -44,47 +44,89 @@ func TestScanPivot(t *testing.T) {
 }
 
 func TestFilterProjectBothModes(t *testing.T) {
+	dec := types.DecimalType(12, 2)
 	schema := types.NewSchema(
 		types.Field{Name: "a", Type: types.Int64Type, Nullable: true},
 		types.Field{Name: "b", Type: types.Int64Type, Nullable: true},
+		types.Field{Name: "s", Type: types.StringType, Nullable: true},
+		types.Field{Name: "d", Type: types.DateType, Nullable: true},
+		types.Field{Name: "x", Type: dec, Nullable: true},
+		types.Field{Name: "f", Type: types.BoolType, Nullable: true},
 	)
 	var rows [][]any
 	for i := 0; i < 100; i++ {
-		rows = append(rows, []any{int64(i), int64(i * 3)})
+		var s, f any = fmt.Sprint(i), i%3 == 0
+		if i%10 == 0 {
+			s = nil
+		}
+		if i%7 == 0 {
+			f = nil
+		}
+		rows = append(rows, []any{int64(i), int64(i * 3), s, int32(i*100 - 3000), types.DecimalFromInt64(int64(i*125 - 5000)), f})
 	}
-	rows = append(rows, []any{nil, int64(5)})
+	rows = append(rows, []any{nil, int64(5), nil, nil, nil, nil})
 	colA := expr.Col(0, "a", types.Int64Type)
 	colB := expr.Col(1, "b", types.Int64Type)
-	pred := expr.NewAnd(
-		expr.MustCmp(kernels.CmpGe, colA, expr.Int64Lit(90)),
-		expr.MustCmp(kernels.CmpLt, colB, expr.Int64Lit(290)),
-	)
+	colS := expr.Col(2, "s", types.StringType)
+	colD := expr.Col(3, "d", types.DateType)
+	colX := expr.Col(4, "x", dec)
+	colF := expr.Col(5, "f", types.BoolType)
+	null := expr.NullLit(types.Int64Type)
+	// The first predicate's rows are pinned: 90..96 pass (b < 290 ⇒ a <
+	// 96.67). The rest reach every filter node kind, each with NULLs.
+	preds := []expr.Filter{
+		expr.NewAnd(
+			expr.MustCmp(kernels.CmpGe, colA, expr.Int64Lit(90)),
+			expr.MustCmp(kernels.CmpLt, colB, expr.Int64Lit(290)),
+		),
+		expr.NewBetween(colA, expr.Int64Lit(10), expr.Int64Lit(20)),
+		expr.NewBetween(colX, expr.DecimalLit("-10.5", 12, 1), expr.DecimalLit("20.25", 12, 2)),
+		expr.NewBetween(colD, expr.DateLit(-500), expr.DateLit(2500)),
+		expr.NewIn(colA, []*expr.Literal{expr.Int64Lit(3), expr.Int64Lit(50), expr.Int64Lit(77)}),
+		expr.NewIn(colA, []*expr.Literal{expr.Int64Lit(3), null}),
+		expr.NewNot(expr.NewIn(colA, []*expr.Literal{expr.Int64Lit(3), null})),
+		expr.NewNot(expr.NewIn(colA, []*expr.Literal{expr.Int64Lit(3), expr.Int64Lit(4)})),
+		expr.NewLike(colS, "%1%", false),
+		expr.NewLike(colS, "%1%", true),
+		expr.NewNot(expr.MustCmp(kernels.CmpLt, colA, expr.Int64Lit(50))),
+		expr.NewOr(expr.MustCmp(kernels.CmpLt, colA, expr.Int64Lit(5)), expr.NewLike(colS, "9%", false)),
+		expr.NewNot(expr.NewOr(expr.MustCmp(kernels.CmpGt, colA, expr.Int64Lit(95)), expr.NewLike(colS, "%5", false))),
+		&expr.BoolColFilter{Inner: colF},
+		expr.NewNot(&expr.BoolColFilter{Inner: colF}),
+		&expr.IsNull{Inner: colS},
+		&expr.IsNull{Inner: colS, Negate: true},
+		expr.MustCmp(kernels.CmpGt, expr.MustArith(expr.OpMul, colX, colX), expr.DecimalLit("100.5", 12, 1)),
+	}
 	proj := []expr.Expr{expr.MustArith(expr.OpAdd, colA, colB)}
 	outSchema := types.NewSchema(types.Field{Name: "sum", Type: types.Int64Type, Nullable: true})
 
-	var results [][][]any
-	for _, mode := range []Mode{Interpreted, Compiled} {
-		p, err := CompilePred(pred, mode)
+	for pi, pred := range preds {
+		photon, err := exec.CollectRows(exec.NewProject(exec.NewFilter(
+			exec.NewMemScan(schema, buildData(schema, rows)), pred), proj, []string{"sum"}), exec.NewTaskCtx(nil, 64))
 		if err != nil {
 			t.Fatal(err)
 		}
-		exprs, err := compileAll(proj, mode)
-		if err != nil {
-			t.Fatal(err)
+		for _, mode := range []Mode{Interpreted, Compiled} {
+			p, err := CompilePred(pred, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exprs, err := compileAll(proj, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := NewProject(NewFilter(NewScan(schema, buildData(schema, rows)), p), exprs, outSchema)
+			got, err := CollectRows(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, photon) {
+				t.Errorf("pred %d (%s) mode %v: photon %v, row %v", pi, pred, mode, photon, got)
+			}
 		}
-		plan := NewProject(NewFilter(NewScan(schema, buildData(schema, rows)), p), exprs, outSchema)
-		got, err := CollectRows(plan)
-		if err != nil {
-			t.Fatal(err)
+		if pi == 0 && len(photon) != 7 {
+			t.Errorf("rows = %d: %v", len(photon), photon)
 		}
-		results = append(results, got)
-	}
-	if !reflect.DeepEqual(results[0], results[1]) {
-		t.Error("interpreted and compiled modes disagree")
-	}
-	// 90..96 pass (b < 290 ⇒ a < 96.67).
-	if len(results[0]) != 7 {
-		t.Errorf("rows = %d: %v", len(results[0]), results[0])
 	}
 }
 
@@ -282,12 +324,21 @@ func TestRowLimit(t *testing.T) {
 // Fuzz-style consistency: random data and random simple expressions through
 // both engines (§5.6's third testing tier).
 func TestFuzzExpressionConsistency(t *testing.T) {
+	dec := types.DecimalType(12, 2)
 	schema := types.NewSchema(
 		types.Field{Name: "a", Type: types.Int64Type, Nullable: true},
 		types.Field{Name: "s", Type: types.StringType, Nullable: true},
+		types.Field{Name: "d", Type: types.DateType, Nullable: true},
+		types.Field{Name: "x", Type: dec, Nullable: true},
 	)
 	colA := expr.Col(0, "a", types.Int64Type)
 	colS := expr.Col(1, "s", types.StringType)
+	colD := expr.Col(2, "d", types.DateType)
+	colX := expr.Col(3, "x", dec)
+	coalesce, err := expr.NewCoalesce(colS, expr.StringLit("none"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	exprs := []expr.Expr{
 		expr.MustArith(expr.OpAdd, colA, expr.Int64Lit(7)),
 		expr.MustArith(expr.OpMul, colA, colA),
@@ -298,6 +349,23 @@ func TestFuzzExpressionConsistency(t *testing.T) {
 		expr.NewCast(colA, types.StringType),
 		expr.NewCast(colS, types.Int64Type),
 		mustCase(t, colA),
+		coalesce,
+		&expr.Unary{Op: expr.OpNeg, Inner: colA},
+		&expr.Unary{Op: expr.OpAbs, Inner: colX},
+		&expr.Unary{Op: expr.OpSqrt, Inner: expr.NewCast(&expr.Unary{Op: expr.OpAbs, Inner: colA}, types.Float64Type)},
+		expr.Year(colD),
+		expr.Month(colD),
+		expr.Day(colD),
+		&expr.DateAdd{Inner: colD, Days: -45},
+		expr.Concat(colS, expr.StringLit("!")),
+		expr.Concat(colS, colS),
+		expr.MustCmp(kernels.CmpLt, colA, expr.Int64Lit(0)),
+		&expr.IsNull{Inner: colS},
+		&expr.IsNull{Inner: colA, Negate: true},
+		expr.MustArith(expr.OpAdd, colX, expr.DecimalLit("0.125", 12, 3)),
+		expr.MustArith(expr.OpSub, colX, colX),
+		expr.MustArith(expr.OpMul, colX, colX),
+		expr.MustArith(expr.OpDiv, colX, expr.DecimalLit("3.00", 12, 2)),
 	}
 	seeds := []int64{1, 2, 3}
 	for _, seed := range seeds {
@@ -348,8 +416,9 @@ func mustCase(t *testing.T, colA expr.Expr) expr.Expr {
 }
 
 func fuzzRows(seed int64, n int) [][]any {
-	// Simple deterministic generator with NULLs, non-ASCII, numeric strings
-	// and placeholder values — the raw uncurated shapes §1 describes.
+	// Simple deterministic generator with NULLs, non-ASCII, numeric strings,
+	// placeholder values, dates either side of 1970 and DECIMALs of both
+	// signs — the raw uncurated shapes §1 describes.
 	var rows [][]any
 	state := uint64(seed)
 	next := func() uint64 {
@@ -358,14 +427,20 @@ func fuzzRows(seed int64, n int) [][]any {
 	}
 	samples := []string{"hello", "WORLD", "héllo wörld", "123", "-45", "", "N/A", "null", "9999999999999999999999", "café"}
 	for i := 0; i < n; i++ {
-		var a, s any
+		var a, s, d, x any
 		if next()%7 != 0 {
 			a = int64(next()%2000) - 1000
 		}
 		if next()%9 != 0 {
 			s = samples[next()%uint64(len(samples))]
 		}
-		rows = append(rows, []any{a, s})
+		if next()%11 != 0 {
+			d = int32(next()%40000) - 20000
+		}
+		if next()%13 != 0 {
+			x = types.DecimalFromInt64(int64(next()%200000) - 100000)
+		}
+		rows = append(rows, []any{a, s, d, x})
 	}
 	return rows
 }
