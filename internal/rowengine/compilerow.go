@@ -7,12 +7,68 @@ import (
 	"photon/internal/kernels"
 )
 
-// Compiled mode: expression trees lower once into closure chains, the
-// whole-stage-codegen analogue. Per-row execution runs straight-line
-// closures with no tree dispatch, no node-kind switches, and pre-resolved
-// literals/patterns — but still over boxed values, like generated Java.
+// One lowering serves both modes: lowerExpr and lowerPred hold the only
+// per-node cases, and turn a node into a row closure, reaching its children
+// through a lowering. The mode decides only when a child is lowered — its
+// binding time. Compiled lowers every child once per query, the
+// whole-stage-codegen analogue: a row runs straight-line closures with
+// pre-resolved literals and patterns and no node-kind switch, but still over
+// boxed values, like generated Java. Interpreted lowers a node each time a
+// row reaches it, so every row walks the tree and dispatches on node kind,
+// the Volcano path Spark falls back to when codegen bails out.
 
-func compileExpr(e expr.Expr) (RowExpr, error) {
+// CompileExpr lowers a vectorized expression tree into a row closure.
+func CompileExpr(e expr.Expr, mode Mode) (RowExpr, error) {
+	return lowering{mode}.expr(e)
+}
+
+// CompilePred lowers a filter tree into a row predicate.
+func CompilePred(f expr.Filter, mode Mode) (RowPred, error) {
+	tp, err := lowering{mode}.pred(f)
+	if err != nil {
+		return nil, err
+	}
+	return func(row []any) (bool, error) {
+		t, err := tp(row)
+		return t == triTrue, err
+	}, nil
+}
+
+// lowering is how a node reaches its children, and the one place Mode takes
+// effect.
+type lowering struct{ mode Mode }
+
+// expr lowers e now (Compiled) or returns a thunk that lowers it for each
+// row it evaluates (Interpreted).
+func (lw lowering) expr(e expr.Expr) (RowExpr, error) {
+	if lw.mode == Interpreted {
+		return func(row []any) (any, error) {
+			fn, err := lowerExpr(e, lw)
+			if err != nil {
+				return nil, err
+			}
+			return fn(row)
+		}, nil
+	}
+	return lowerExpr(e, lw)
+}
+
+// pred is expr for filters.
+func (lw lowering) pred(f expr.Filter) (triPred, error) {
+	if lw.mode == Interpreted {
+		return func(row []any) (tri, error) {
+			fn, err := lowerPred(f, lw)
+			if err != nil {
+				return triNull, err
+			}
+			return fn(row)
+		}, nil
+	}
+	return lowerPred(f, lw)
+}
+
+// lowerExpr holds the one case per expression node kind.
+func lowerExpr(e expr.Expr, lw lowering) (RowExpr, error) {
 	switch n := e.(type) {
 	case *expr.ColRef:
 		idx := n.Idx
@@ -24,15 +80,14 @@ func compileExpr(e expr.Expr) (RowExpr, error) {
 		v := n.Val
 		return func([]any) (any, error) { return v, nil }, nil
 	case *expr.Arith:
-		l, err := compileExpr(n.Left)
+		l, err := lw.expr(n.Left)
 		if err != nil {
 			return nil, err
 		}
-		r, err := compileExpr(n.Right)
+		r, err := lw.expr(n.Right)
 		if err != nil {
 			return nil, err
 		}
-		node := n
 		return func(row []any) (any, error) {
 			lv, err := l(row)
 			if err != nil {
@@ -42,10 +97,10 @@ func compileExpr(e expr.Expr) (RowExpr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return applyArith(node, lv, rv)
+			return applyArith(n, lv, rv)
 		}, nil
-	case *expr.Cmp:
-		tp, err := compileCmp(n)
+	case *expr.Cmp, *expr.IsNull: // filters used as BOOLEAN values
+		tp, err := lowerPred(e.(expr.Filter), lw)
 		if err != nil {
 			return nil, err
 		}
@@ -56,19 +111,6 @@ func compileExpr(e expr.Expr) (RowExpr, error) {
 			}
 			return triToAny(t), nil
 		}, nil
-	case *expr.IsNull:
-		inner, err := compileExpr(n.Inner)
-		if err != nil {
-			return nil, err
-		}
-		neg := n.Negate
-		return func(row []any) (any, error) {
-			v, err := inner(row)
-			if err != nil {
-				return nil, err
-			}
-			return (v == nil) != neg, nil
-		}, nil
 	case *expr.Case:
 		type branch struct {
 			when triPred
@@ -76,11 +118,11 @@ func compileExpr(e expr.Expr) (RowExpr, error) {
 		}
 		var branches []branch
 		for _, br := range n.Branches {
-			w, err := compilePred(br.When)
+			w, err := lw.pred(br.When)
 			if err != nil {
 				return nil, err
 			}
-			t, err := compileExpr(br.Then)
+			t, err := lw.expr(br.Then)
 			if err != nil {
 				return nil, err
 			}
@@ -89,7 +131,7 @@ func compileExpr(e expr.Expr) (RowExpr, error) {
 		var els RowExpr
 		if n.Else != nil {
 			var err error
-			els, err = compileExpr(n.Else)
+			els, err = lw.expr(n.Else)
 			if err != nil {
 				return nil, err
 			}
@@ -112,7 +154,7 @@ func compileExpr(e expr.Expr) (RowExpr, error) {
 	case *expr.Coalesce:
 		var args []RowExpr
 		for _, a := range n.Args {
-			c, err := compileExpr(a)
+			c, err := lw.expr(a)
 			if err != nil {
 				return nil, err
 			}
@@ -131,7 +173,7 @@ func compileExpr(e expr.Expr) (RowExpr, error) {
 			return nil, nil
 		}, nil
 	case *expr.Cast:
-		inner, err := compileExpr(n.Inner)
+		inner, err := lw.expr(n.Inner)
 		if err != nil {
 			return nil, err
 		}
@@ -144,55 +186,47 @@ func compileExpr(e expr.Expr) (RowExpr, error) {
 			return applyCast(v, from, to)
 		}, nil
 	case *expr.StrFunc:
-		node := n
-		inner, err := compileExpr(n.Inner)
+		inner, err := lw.expr(n.Inner)
 		if err != nil {
 			return nil, err
 		}
 		var arg RowExpr
 		if len(n.Args) > 0 {
-			arg, err = compileExpr(n.Args[0])
+			arg, err = lw.expr(n.Args[0])
 			if err != nil {
 				return nil, err
 			}
 		}
 		return func(row []any) (any, error) {
-			return evalStrFunc(node, row, func(e expr.Expr, r []any) (any, error) {
-				if e == node.Inner {
-					return inner(r)
-				}
-				return arg(r)
-			})
+			return evalStrFunc(n, inner, arg, row)
 		}, nil
 	case *expr.Unary:
-		inner, err := compileExpr(n.Inner)
+		inner, err := lw.expr(n.Inner)
 		if err != nil {
 			return nil, err
 		}
-		node := n
 		return func(row []any) (any, error) {
 			v, err := inner(row)
 			if err != nil {
 				return nil, err
 			}
-			return applyUnary(node, v)
+			return applyUnary(n, v)
 		}, nil
 	case *expr.Extract:
-		inner, err := compileExpr(n.Inner)
+		inner, err := lw.expr(n.Inner)
 		if err != nil {
 			return nil, err
 		}
-		node := n
 		from := n.Inner.Type()
 		return func(row []any) (any, error) {
 			v, err := inner(row)
 			if err != nil {
 				return nil, err
 			}
-			return applyExtract(node, v, from)
+			return applyExtract(n, v, from)
 		}, nil
 	case *expr.DateAdd:
-		inner, err := compileExpr(n.Inner)
+		inner, err := lw.expr(n.Inner)
 		if err != nil {
 			return nil, err
 		}
@@ -208,37 +242,29 @@ func compileExpr(e expr.Expr) (RowExpr, error) {
 			return v.(int32) + days, nil
 		}, nil
 	}
-	return nil, fmt.Errorf("rowengine: cannot compile %T", e)
+	return nil, fmt.Errorf("rowengine: unsupported expression %T", e)
 }
 
-func compileCmp(n *expr.Cmp) (triPred, error) {
-	l, err := compileExpr(n.Left)
-	if err != nil {
-		return nil, err
-	}
-	r, err := compileExpr(n.Right)
-	if err != nil {
-		return nil, err
-	}
-	node := n
-	return func(row []any) (tri, error) {
-		return cmpTri(node, row, func(e expr.Expr, rw []any) (any, error) {
-			if e == node.Left {
-				return l(rw)
-			}
-			return r(rw)
-		})
-	}, nil
-}
-
-func compilePred(f expr.Filter) (triPred, error) {
+// lowerPred holds the one case per filter node kind, with three-valued
+// logic.
+func lowerPred(f expr.Filter, lw lowering) (triPred, error) {
 	switch n := f.(type) {
 	case *expr.Cmp:
-		return compileCmp(n)
+		l, err := lw.expr(n.Left)
+		if err != nil {
+			return nil, err
+		}
+		r, err := lw.expr(n.Right)
+		if err != nil {
+			return nil, err
+		}
+		return func(row []any) (tri, error) {
+			return cmpTri(n, l, r, row)
+		}, nil
 	case *expr.And:
 		var subs []triPred
 		for _, s := range n.Filters {
-			c, err := compilePred(s)
+			c, err := lw.pred(s)
 			if err != nil {
 				return nil, err
 			}
@@ -261,11 +287,11 @@ func compilePred(f expr.Filter) (triPred, error) {
 			return result, nil
 		}, nil
 	case *expr.Or:
-		l, err := compilePred(n.Left)
+		l, err := lw.pred(n.Left)
 		if err != nil {
 			return nil, err
 		}
-		r, err := compilePred(n.Right)
+		r, err := lw.pred(n.Right)
 		if err != nil {
 			return nil, err
 		}
@@ -290,7 +316,7 @@ func compilePred(f expr.Filter) (triPred, error) {
 			return triFalse, nil
 		}, nil
 	case *expr.Not:
-		inner, err := compilePred(n.Inner)
+		inner, err := lw.pred(n.Inner)
 		if err != nil {
 			return nil, err
 		}
@@ -308,7 +334,7 @@ func compilePred(f expr.Filter) (triPred, error) {
 			return triNull, nil
 		}, nil
 	case *expr.Between:
-		inner, err := compileExpr(n.Inner)
+		inner, err := lw.expr(n.Inner)
 		if err != nil {
 			return nil, err
 		}
@@ -340,7 +366,7 @@ func compilePred(f expr.Filter) (triPred, error) {
 			return triFalse, nil
 		}, nil
 	case *expr.In:
-		inner, err := compileExpr(n.Inner)
+		inner, err := lw.expr(n.Inner)
 		if err != nil {
 			return nil, err
 		}
@@ -378,7 +404,7 @@ func compilePred(f expr.Filter) (triPred, error) {
 			return notFound, nil
 		}, nil
 	case *expr.Like:
-		inner, err := compileExpr(n.Inner)
+		inner, err := lw.expr(n.Inner)
 		if err != nil {
 			return nil, err
 		}
@@ -398,7 +424,7 @@ func compilePred(f expr.Filter) (triPred, error) {
 			return triFalse, nil
 		}, nil
 	case *expr.IsNull:
-		inner, err := compileExpr(n.Inner)
+		inner, err := lw.expr(n.Inner)
 		if err != nil {
 			return nil, err
 		}
@@ -414,7 +440,7 @@ func compilePred(f expr.Filter) (triPred, error) {
 			return triFalse, nil
 		}, nil
 	case *expr.BoolColFilter:
-		inner, err := compileExpr(n.Inner)
+		inner, err := lw.expr(n.Inner)
 		if err != nil {
 			return nil, err
 		}
@@ -432,5 +458,5 @@ func compilePred(f expr.Filter) (triPred, error) {
 			return triFalse, nil
 		}, nil
 	}
-	return nil, fmt.Errorf("rowengine: cannot compile filter %T", f)
+	return nil, fmt.Errorf("rowengine: unsupported filter %T", f)
 }
