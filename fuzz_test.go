@@ -10,8 +10,9 @@ import (
 )
 
 // fuzzForms are SQL forms over fuzzRows' table t: the function table,
-// aggregation, date arithmetic, joins, and group keys that are expressions
-// matched again in the select list and HAVING.
+// aggregation, date arithmetic, joins, group keys that are expressions
+// matched again in the select list and HAVING, and BETWEEN with a NULL
+// bound under NOT and OR.
 var fuzzForms = []string{
 	"SELECT i, UPPER(s), SUBSTRING(s, 2, 3), s || 'x', YEAR(d), ABS(i) FROM t WHERE i > 1 ORDER BY i",
 	"SELECT s, COUNT(DISTINCT i), SUM(i), AVG(i), MIN(d), MAX(s), COLLECT_LIST(s) FROM t GROUP BY s",
@@ -22,6 +23,8 @@ var fuzzForms = []string{
 	"SELECT i + 1, COUNT(*) FROM t GROUP BY i + 1 HAVING i + 1 BETWEEN 0 AND 9 AND i + 1 IN (2, 8)",
 	"SELECT CASE WHEN i > 1 THEN 1 ELSE 0 END, COUNT(*) FROM t GROUP BY CASE WHEN i > 1 THEN 1 ELSE 0 END",
 	"SELECT s IS NULL, MAX(i) FROM t GROUP BY s IS NULL",
+	"SELECT i, d FROM t WHERE NOT (i BETWEEN NULL AND 3) OR NOT (d BETWEEN NULL AND DATE '1970-01-01')",
+	"SELECT i, d FROM t WHERE i > 6 OR i NOT BETWEEN -5 AND NULL OR d NOT BETWEEN DATE '1969-01-01' AND NULL",
 }
 
 var fuzzSchema = NewSchema(Col("i", Int64), Col("s", String), Col("d", Date))

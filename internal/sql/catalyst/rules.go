@@ -445,7 +445,7 @@ func asColCmpLit(f expr.Filter, wantOp kernels.CmpOp) (colCmpLit, bool) {
 		return colCmpLit{}, false
 	}
 	lit, ok := cmp.Right.(*expr.Literal)
-	if !ok {
+	if !ok || lit.IsNullLit() { // Between has no NULL bound
 		return colCmpLit{}, false
 	}
 	return colCmpLit{col: col, lit: lit}, true

@@ -510,9 +510,12 @@ func (a *analyzer) convertPred(e AstExpr, c exprConverter) (expr.Filter, error) 
 		}
 		lo, okLo := litOf(loE, inner.Type())
 		hi, okHi := litOf(hiE, inner.Type())
+		// The fused kernel (§3.3) takes two non-NULL literal bounds; any
+		// other BETWEEN is the two comparisons, which carry a NULL bound's
+		// three-valued logic.
 		var f expr.Filter
-		if okLo && okHi {
-			f = expr.NewBetween(inner, lo, hi) // the fused kernel (§3.3)
+		if okLo && okHi && !lo.IsNullLit() && !hi.IsNullLit() {
+			f = expr.NewBetween(inner, lo, hi)
 		} else {
 			_, lo2, err1 := coercePairKeepLeft(inner, loE)
 			_, hi2, err2 := coercePairKeepLeft(inner, hiE)
