@@ -147,6 +147,17 @@ func TestTypeErrors(t *testing.T) {
 	if _, err := NewCoalesce(col, scol); err == nil {
 		t.Error("mixed-type COALESCE accepted")
 	}
+	null, one := NullLit(types.Int64Type), Int64Lit(1)
+	for _, b := range [][2]*Literal{{null, one}, {one, null}, {null, null}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("BETWEEN %s AND %s accepted", b[0], b[1])
+				}
+			}()
+			NewBetween(col, b[0], b[1])
+		}()
+	}
 }
 
 func TestCtxPools(t *testing.T) {

@@ -20,8 +20,14 @@ type Between struct {
 	Lo, Hi *Literal
 }
 
-// NewBetween builds a fused BETWEEN filter.
+// NewBetween builds a fused BETWEEN filter. Both bounds must be non-NULL
+// literals: the fused kernel has no NULL result, so a BETWEEN with a NULL
+// bound stays its two comparisons (the SQL front end and the optimizer
+// never build one), and NewBetween panics on it.
 func NewBetween(inner Expr, lo, hi *Literal) *Between {
+	if lo.IsNullLit() || hi.IsNullLit() {
+		panic(fmt.Sprintf("expr: BETWEEN with a NULL bound: %s AND %s; build the two comparisons", lo, hi))
+	}
 	return &Between{Inner: inner, Lo: lo, Hi: hi}
 }
 

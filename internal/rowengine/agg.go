@@ -64,7 +64,9 @@ func NewHashAgg(child Operator, keys []expr.Expr, keyNames []string, specs []exp
 			continue
 		}
 		// Variable-size aggregation state is incompatible with the codegen
-		// framework (§6.1): fall back to interpreted for collect_list.
+		// framework (§6.1): fall back to interpreted for collect_list, which
+		// lowers the argument again for every row (for a bare column, one
+		// closure allocation a row that Spark's interpreter does not make).
 		m := mode
 		if s.Kind == expr.AggCollectList {
 			m = Interpreted

@@ -5,10 +5,14 @@
 //
 //   - rows are boxed ([]any), paying allocation and dynamic-type dispatch
 //     per value, like Java object rows / UnsafeRow accessors;
-//   - operators are row-at-a-time Volcano iterators with a virtual call per
-//     row (Interpreted mode), or fused closure chains standing in for
-//     whole-stage code generation (Compiled mode) — closures are built once
-//     per query, eliminating per-row tree-walking just as codegen does;
+//   - operators are row-at-a-time Volcano iterators. Expressions run as
+//     closure chains built once per query (Compiled mode, standing in for
+//     whole-stage code generation: no per-row tree walk, as with codegen),
+//     or are lowered again each time a row reaches a node (Interpreted
+//     mode: a per-row walk with a node-kind switch per node, which also
+//     allocates the node's closures on every row — a cost Spark's
+//     interpreted path does not pay, so an Interpreted ratio overstates
+//     the tree walk's);
 //   - decimal arithmetic routes through math/big (the Java BigDecimal
 //     analogue) regardless of precision, which is what makes TPC-H Q1
 //     Photon's best case (§6.2);
@@ -36,8 +40,14 @@ type Operator interface {
 type Mode uint8
 
 const (
-	// Interpreted walks the expression tree per row (Volcano fallback path
-	// Spark uses when codegen bails out, §3.2).
+	// Interpreted lowers each expression node again for every row that
+	// reaches it, so a row walks the tree and dispatches on node kind, the
+	// Volcano fallback path Spark uses when codegen bails out (§3.2). Each
+	// lowering allocates the node's closure and a thunk per child, which
+	// Spark's interpreter does not. It runs under EngineDBRInterpreted
+	// (photon-sql -engine dbr-interpreted, and the reference runs of the
+	// golden digests and the oracle tests) and, whatever the mode, for
+	// collect_list's argument (HashAgg: the DBR side of Fig. 5).
 	Interpreted Mode = iota
 	// Compiled pre-builds closure chains per expression, standing in for
 	// whole-stage code generation.
