@@ -367,6 +367,51 @@ func TestSinkRuntimeFilterQ21(t *testing.T) {
 	}
 }
 
+// filterBy returns the runtime filter of producer prod in fragment f.
+func filterBy(t *testing.T, f, prod *Fragment) *RuntimeFilterPlan {
+	t.Helper()
+	for _, n := range planNodes(f.Root) {
+		if r, ok := n.(*RuntimeFilterPlan); ok && r.Producer == prod {
+			return r
+		}
+	}
+	t.Fatalf("stage %d has no filter of stage %d\n%s", f.ID, prod.ID, sql.ExplainPlan(f.Root))
+	return nil
+}
+
+// TestSinkRuntimeFilterQ17: part is a smaller build than avgq, which meets
+// the lineitem rows that already joined part, so part's filter prunes the
+// lineitem scan under avgq's partial aggregate, and avgq's filter does not
+// go into part, which would have to wait for all of lineitem to aggregate.
+func TestSinkRuntimeFilterQ17(t *testing.T) {
+	root := tpchStages(t, tpch.Queries[17], 0)
+	part := fragmentWith(t, root, "Scan(part,")
+	partial := fragmentWith(t, root, "PartialAgg(l_partkey, avg")
+	avgq := fragmentWith(t, root, "FinalAgg(l_partkey, avg")
+	if !slices.Contains(filtersOver(t, partial, "Scan(lineitem"), part) || !slices.Contains(partial.RFInputs, part) {
+		t.Errorf("avgq's partial aggregate is not filtered by part\n%s", root.Explain())
+	}
+	if part.reaches(avgq, map[*Fragment]bool{}) {
+		t.Errorf("part still waits for avgq\n%s", root.Explain())
+	}
+}
+
+// TestSinkRuntimeFilterQ20: fparts' one-column filter meets shipped, whose
+// join key is (lpk, lsk), on its first column, and prunes shipped's lineitem
+// scan on l_partkey alone.
+func TestSinkRuntimeFilterQ20(t *testing.T) {
+	root := tpchStages(t, tpch.Queries[20], 0)
+	fparts := fragmentWith(t, root, "Scan(part,")
+	shipped := fragmentWith(t, root, "PartialAgg(l_partkey, l_suppkey")
+	if !slices.Contains(filtersOver(t, shipped, "Scan(lineitem"), fparts) || !slices.Contains(shipped.RFInputs, fparts) {
+		t.Fatalf("shipped's lineitem scan is not filtered by fparts\n%s", root.Explain())
+	}
+	r := filterBy(t, shipped, fparts)
+	if len(r.Keys) != 1 || r.Child.Schema().Field(r.Keys[0]).Name != "l_partkey" {
+		t.Errorf("fparts' filter is on %v of %s, want l_partkey alone", r.Keys, r.Child)
+	}
+}
+
 // TestSinkRuntimeFilterSkipsOuterAndAntiBuild: a filter on the probe-side
 // key of a left-outer or anti join reaches the probe side's scan and never
 // the build side, join-key equivalence or not.
