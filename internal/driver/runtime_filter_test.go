@@ -48,6 +48,13 @@ func TestRuntimeFilterEquivalence(t *testing.T) {
 			check(t, fmt.Sprintf("Q%d", q), func(o Options) [][]any { return runTPCH(t, cat, q, o) })
 		})
 	}
+	fcat := randomCatalog(rand.New(rand.NewSource(1)))
+	for i, q := range smallerBuildForms {
+		q := q
+		t.Run(fmt.Sprintf("form=%d", i), func(t *testing.T) {
+			check(t, q, func(o Options) [][]any { rows, _ := runRF(t, fcat, q, o); return rows })
+		})
+	}
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -59,6 +66,28 @@ func TestRuntimeFilterEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// smallerBuildForms put a small build side B below a grouped subquery P
+// joined on B's key, over randomCatalog's tables. Where B's estimate is the
+// smaller, B's filter prunes P's scan under both aggregation halves and P's
+// filter stays out of B; otherwise P's filter goes into B as before.
+var smallerBuildForms = []string{
+	// B (d, filtered) is smaller than P: the Q17 shape, on a key with NULLs in t.
+	"SELECT t.id, t.val, av FROM t JOIN (SELECT grp dg FROM d WHERE label <> 'group-2') dd ON dg = t.grp " +
+		"JOIN (SELECT grp g, avg(val) av FROM t GROUP BY grp) a ON g = t.grp WHERE t.val < av",
+	// B (a filtered t) is larger than P (u grouped): P's filter goes into B.
+	"SELECT t.id, t.val, sw FROM t JOIN (SELECT id bid FROM t WHERE val > -400) b ON bid = t.id " +
+		"JOIN (SELECT tid g, sum(w) sw FROM u GROUP BY tid) a ON g = t.id",
+	// B's one key is one column of P's composite key: the Q20 shape.
+	"SELECT t.id, c FROM t JOIN (SELECT grp dg FROM d WHERE label <> 'group-1') dd ON dg = t.grp " +
+		"JOIN (SELECT grp g, val v, count(*) c FROM t GROUP BY grp, val) a ON g = t.grp AND v = t.val",
+	// B is the build side of a left-semi join.
+	"SELECT t.id, c FROM t LEFT SEMI JOIN (SELECT grp dg FROM d WHERE label <> 'group-4') dd ON dg = t.grp " +
+		"JOIN (SELECT grp g, count(*) c, sum(val) sv FROM t GROUP BY grp) a ON g = t.grp",
+	// NULL keys in the probe side, in B and in P: none may match.
+	"SELECT t.id, t.val, c FROM t JOIN (SELECT val bv FROM t WHERE val > 480 OR val IS NULL GROUP BY val) b ON bv = t.val " +
+		"JOIN (SELECT val g, count(*) c FROM t GROUP BY val) a ON g = t.val",
 }
 
 // randomCatalog is catalyst/fuzz_test.go's catalog grown for joins: t is

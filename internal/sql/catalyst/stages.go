@@ -251,8 +251,15 @@ const (
 // fragment, which then waits for prod. By join-key equivalence it also enters
 // the build side of an inner or left-semi join, and follows a column born on
 // an inner join's build side there; it never enters the build side of an
-// outer or anti join. Where it stops it stays: above a scan (and the filter
-// directly over one, which is cheaper and runs first).
+// outer or anti join. Where that build side B is the smaller by estimate
+// (RFExpectRows grows with it) and its keys are among the columns, B's own
+// filter goes the other way instead: every row reaching prod's join carries
+// a key of B, so a row of prod without one matches nothing. It sinks into
+// prod's plan, which then waits for B, and B does not wait for prod (TPC-H
+// Q17's 14 parts prune the lineitem aggregate they join, which would
+// otherwise read all of lineitem to prune them). Where a filter stops it
+// stays: above a scan (and the filter directly over one, which is cheaper
+// and runs first).
 func sinkRuntimeFilter(plan sql.LogicalPlan, own, prod *Fragment, cols []int) sql.LogicalPlan {
 	switch n := plan.(type) {
 	case *RuntimeFilterPlan:
@@ -287,13 +294,21 @@ func sinkRuntimeFilter(plan sql.LogicalPlan, own, prod *Fragment, cols []int) sq
 		}
 	case *sql.LJoin:
 		left, right := joinSides(n, cols)
-		if left != nil {
+		inLeft, inRight := !slices.Contains(left, -1), !slices.Contains(right, -1)
+		if b, ok := n.Right.(*ExchangeRead); ok && b.Frag.RFKeys != nil &&
+			b.Frag.RFExpectRows < prod.RFExpectRows && !b.Frag.reaches(prod, map[*Fragment]bool{}) {
+			if at, ok := keysAt(b.Frag.RFKeys, right, prod.RFKeys); ok {
+				prod.Root = sinkRuntimeFilter(prod.Root, prod, b.Frag, at)
+				inRight = false
+			}
+		}
+		if inLeft {
 			n.Left = sinkRuntimeFilter(n.Left, own, prod, left)
 		}
-		if right != nil {
+		if inRight {
 			n.Right = sinkRuntimeFilter(n.Right, own, prod, right)
 		}
-		if left != nil || right != nil {
+		if inLeft || inRight {
 			return n
 		}
 	}
@@ -319,13 +334,12 @@ func forwardedCols(exprs []expr.Expr, cols []int) (below []int, ok bool) {
 	return below, true
 }
 
-// joinSides maps a join's output columns cols onto its inputs: left and
-// right are the matching ordinals of that side when every column can be
-// filtered there, else nil. Left columns lead every join kind's output and
-// can always be filtered on the left. A column is also filtered on the
-// other side when it is a plain join key of an inner or left-semi join (the
-// output carries equal values in both), and an inner join's right column on
-// the right.
+// joinSides maps a join's output columns cols onto its inputs: left[i] and
+// right[i] are cols[i]'s ordinal on that side, or -1 where that side does
+// not carry it. Left columns lead every join kind's output and are carried
+// on the left. A column is also carried on the other side when it is a
+// plain join key of an inner or left-semi join (the output carries equal
+// values in both), and an inner join's right column on the right.
 func joinSides(n *sql.LJoin, cols []int) (left, right []int) {
 	nl := len(n.Left.Schema().Fields)
 	var lk, rk []int
@@ -348,13 +362,20 @@ func joinSides(n *sql.LJoin, cols []int) (left, right []int) {
 		}
 		left, right = append(left, l), append(right, r)
 	}
-	if slices.Contains(left, -1) {
-		left = nil
-	}
-	if slices.Contains(right, -1) {
-		right = nil
-	}
 	return left, right
+}
+
+// keysAt maps each of keys to to[i] at the first i where from[i] is that
+// key; ok is false when one is not in from.
+func keysAt(keys, from, to []int) (at []int, ok bool) {
+	for _, k := range keys {
+		i := slices.Index(from, k)
+		if i < 0 {
+			return nil, false
+		}
+		at = append(at, to[i])
+	}
+	return at, true
 }
 
 // joinKeyCols extracts plain-column join keys; a shuffle join needs raw
