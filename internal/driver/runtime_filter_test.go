@@ -262,6 +262,41 @@ func runRF(t *testing.T, cat *catalog.Catalog, query string, opts Options) ([][]
 	return rows, rs
 }
 
+// TestRuntimeFilterOpRunsBeforeScanPredicate: in TPC-H Q19, part's runtime
+// filter probes every row the lineitem scan emits, and the scan's own
+// predicate (an OR of three ANDs, dearer per row than a probe) sees only the
+// filter's survivors.
+func TestRuntimeFilterOpRunsBeforeScanPredicate(t *testing.T) {
+	cat := tpch.NewGen(0.01).Generate()
+	var rs RunStats
+	runTPCH(t, cat, 19, Options{Parallelism: 2, ShuffleDir: t.TempDir(), Stats: &rs})
+	found := false
+	for _, st := range rs.Profile.Stages {
+		for i, op := range st.Ops {
+			if !strings.HasPrefix(op.Name, "RuntimeFilter(") {
+				continue
+			}
+			found = true
+			if i+1 == len(st.Ops) || i == 0 {
+				t.Fatalf("runtime filter has no input or no consumer\n%s", rs.Profile.Render())
+			}
+			scan, pred := st.Ops[i+1], st.Ops[i-1]
+			if !strings.Contains(scan.Name, "Scan") || scan.Depth != op.Depth+1 || op.RowsIn != scan.RowsOut {
+				t.Errorf("%s takes %d rows from %s, want all %d rows of the scan\n%s",
+					op.Name, op.RowsIn, scan.Name, scan.RowsOut, rs.Profile.Render())
+			}
+			if !strings.HasPrefix(pred.Name, "Filter(") || !strings.Contains(pred.Name, "l_shipinstruct") ||
+				pred.Depth != op.Depth-1 || pred.RowsIn != op.RowsOut {
+				t.Errorf("the scan predicate takes %d rows, want the runtime filter's %d survivors\n%s",
+					pred.RowsIn, op.RowsOut, rs.Profile.Render())
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("Q19 has no runtime filter\n%s", rs.Profile.Render())
+	}
+}
+
 // TestRuntimeFilterDropsDeltaProbeRows: a build side covering a narrow key
 // range drops the probe scan's other rows above the Delta scan, the drops
 // show up in the EXPLAIN ANALYZE profile, and the result is the fixture's
