@@ -1,6 +1,10 @@
 package exec
 
 import (
+	"cmp"
+	"slices"
+	"time"
+
 	"photon/internal/expr"
 	"photon/internal/types"
 	"photon/internal/vector"
@@ -9,15 +13,42 @@ import (
 // FilterOp is the pipeline step that applies a filtering expression by
 // shrinking each batch's position list (§4.3). Data vectors are untouched;
 // only the selection changes.
+//
+// A conjunction's top-level conjuncts run cheapest first (§4.6; off under
+// TaskCtx.Expr.Adaptive = false): by rows rejected per nanosecond, measured
+// over the rows each is shown. Each still runs on every batch with rows left,
+// so the rows kept are the written order's (DESIGN §10).
 type FilterOp struct {
 	stepBase
-	pred expr.Filter
-	sel  []int32
+	pred  expr.Filter
+	and   *expr.And   // conjs as a conjunction; nil unless pred has several conjuncts
+	conjs []*conjunct // in running order
+	sel   []int32
+}
+
+// conjunct is one of a FilterOp's conjuncts, counting what it does.
+type conjunct struct {
+	expr.Filter
+	partTally
+}
+
+func (c *conjunct) EvalSel(ctx *expr.Ctx, b *vector.Batch, out []int32) ([]int32, error) {
+	in, t0 := b.NumActive(), time.Now()
+	sel, err := c.Filter.EvalSel(ctx, b, out)
+	c.count(in, len(sel)-len(out), time.Since(t0))
+	return sel, err
 }
 
 // NewFilter adds a filter step over child.
 func NewFilter(child Operator, pred expr.Filter) *PipelineOp {
 	f := &FilterOp{pred: pred}
+	if and, ok := pred.(*expr.And); ok && len(and.Filters) > 1 {
+		f.and = expr.NewAnd(slices.Clone(and.Filters)...)
+		for i, c := range and.Filters {
+			f.conjs = append(f.conjs, &conjunct{Filter: c})
+			f.and.Filters[i] = f.conjs[i]
+		}
+	}
 	f.schema = child.Schema()
 	f.stats.Name = "Filter(" + pred.String() + ")"
 	return fuse(child, f)
@@ -27,9 +58,18 @@ func NewFilter(child Operator, pred expr.Filter) *PipelineOp {
 // list; nil output means the batch was fully filtered.
 func (f *FilterOp) processBatch(b *vector.Batch) (*vector.Batch, error) {
 	f.stats.RowsIn.Add(int64(b.NumActive()))
-	sel, err := f.pred.EvalSel(f.tc.Expr, b, f.sel[:0])
+	pred := f.pred
+	if f.and != nil && f.tc.Expr.Adaptive {
+		pred = f.and
+	}
+	sel, err := pred.EvalSel(f.tc.Expr, b, f.sel[:0])
 	if err != nil {
 		return nil, err
+	}
+	if pred == f.and && judge(f.conjs, func(c *conjunct) float64 { return -float64(c.in-c.out) / float64(max(c.nanos, 1)) }) {
+		for i, c := range f.conjs {
+			f.and.Filters[i] = c
+		}
 	}
 	f.sel = sel
 	if len(sel) == 0 {
@@ -43,6 +83,36 @@ func (f *FilterOp) processBatch(b *vector.Batch) (*vector.Batch, error) {
 	f.stats.RowsOut.Add(int64(b.NumActive()))
 	f.stats.BatchesOut.Add(1)
 	return b, nil
+}
+
+// partTally is what one part of a filtering step — a FilterOp conjunct, a
+// RuntimeFilterOp column filter — did since its last verdict.
+type partTally struct {
+	in, out, nanos int64   // rows shown and passed, time taken
+	key            float64 // sort key at the last verdict
+}
+
+func (t *partTally) tally() *partTally { return t }
+
+// count records that a part was shown in rows and passed out of them in d.
+func (t *partTally) count(in, out int, d time.Duration) {
+	t.in, t.out, t.nanos = t.in+int64(in), t.out+int64(out), t.nanos+int64(d)
+}
+
+// judge gives each part shown rfSampleRows rows since its last verdict the
+// key verdict computes from its tally, which then starts over; if any part
+// was judged, it sorts the parts by key, stably, and reports true.
+func judge[P interface{ tally() *partTally }](parts []P, verdict func(P) float64) bool {
+	judged := false
+	for _, p := range parts {
+		if t := p.tally(); t.in >= rfSampleRows {
+			*t, judged = partTally{key: verdict(p)}, true
+		}
+	}
+	if judged {
+		slices.SortStableFunc(parts, func(a, b P) int { return cmp.Compare(a.tally().key, b.tally().key) })
+	}
+	return judged
 }
 
 // ProjectOp is the pipeline step that evaluates expressions into an output

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"cmp"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -29,19 +27,19 @@ import (
 // reject much of a table stored in another order.
 type RuntimeFilterOp struct {
 	stepBase
-	probes []rfProbe // in probing order
+	probes []*rfProbe // in probing order
 	hs     rf.HashScratch
 	selA   []int32
 	selB   []int32
 }
 
-// rfProbe is one key column's filter and what the task has seen of it.
+// rfProbe is one key column's filter and what the task has seen of it; its
+// sort key is its pass rate.
 type rfProbe struct {
-	col     int // child-schema ordinal of the key column
-	f       *rf.ColFilter
-	in, out int64   // rows shown and passed since the last verdict
-	pass    float64 // pass rate at the last verdict
-	sleep   int     // batches it still sits out
+	col   int // child-schema ordinal of the key column
+	f     *rf.ColFilter
+	sleep int // batches it still sits out
+	partTally
 }
 
 const (
@@ -80,7 +78,7 @@ func NewRuntimeFilter(child Operator, filters []ProducerFilter) *PipelineOp {
 		}
 		for k, c := range pf.Filter.Cols {
 			if c != nil { // nil: unsupported key type, the column passes all
-				op.probes = append(op.probes, rfProbe{col: pf.Keys[k], f: c})
+				op.probes = append(op.probes, &rfProbe{col: pf.Keys[k], f: c})
 			}
 		}
 	}
@@ -123,8 +121,7 @@ func (op *RuntimeFilterOp) probeRows(b *vector.Batch, sel []int32) []int32 {
 		shown = len(sel)
 	}
 	useA, probed := true, false
-	for i := range op.probes {
-		p := &op.probes[i]
+	for _, p := range op.probes {
 		if p.sleep > 0 {
 			continue
 		}
@@ -143,35 +140,27 @@ func (op *RuntimeFilterOp) probeRows(b *vector.Batch, sel []int32) []int32 {
 		} else {
 			op.selB = res
 		}
-		p.in += int64(shown)
-		p.out += int64(len(res))
+		p.count(shown, len(res), 0)
 		sel, shown, useA, probed = res, len(res), !useA, true
 	}
 	return sel
 }
 
 // adapt runs after each batch: filters shown rfSampleRows rows get a verdict —
-// sleep or stay — and those that stay are put in order of pass rate.
+// sleep or stay — and are put in order of pass rate.
 func (op *RuntimeFilterOp) adapt() {
-	judged := false
-	for i := range op.probes {
-		p := &op.probes[i]
+	for _, p := range op.probes {
 		if p.sleep > 0 {
 			p.sleep--
-			continue
 		}
-		if p.in < rfSampleRows {
-			continue
-		}
-		p.pass = float64(p.out) / float64(p.in)
-		p.in, p.out, judged = 0, 0, true
-		if p.pass >= rfDropPass {
+	}
+	judge(op.probes, func(p *rfProbe) float64 {
+		pass := float64(p.out) / float64(p.in)
+		if pass >= rfDropPass {
 			p.sleep = rfNapBatches
 		}
-	}
-	if judged {
-		slices.SortStableFunc(op.probes, func(a, b rfProbe) int { return cmp.Compare(a.pass, b.pass) })
-	}
+		return pass
+	})
 }
 
 // RuntimeFilterBuildOp is the pipeline step on a join build stage's output

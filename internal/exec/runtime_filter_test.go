@@ -181,7 +181,7 @@ func TestRuntimeFilterOpAdapts(t *testing.T) {
 			{Keys: []int{0}, Filter: late, Producer: 3}, {Keys: []int{1}, Filter: tenth, Producer: 4},
 		})
 	}
-	probes := func(p *PipelineOp) []rfProbe { return p.steps[0].(*RuntimeFilterOp).probes }
+	probes := func(p *PipelineOp) []*rfProbe { return p.steps[0].(*RuntimeFilterOp).probes }
 	if got := build().Stats().Name; got != "RuntimeFilter(stage=1,2,3,4)" {
 		t.Errorf("name = %q", got)
 	}
@@ -223,7 +223,7 @@ func TestRuntimeFilterOpAdapts(t *testing.T) {
 	for _, p := range probes(adaptive) {
 		switch p.f {
 		case all.Cols[0]:
-			if p.pass < rfDropPass {
+			if p.key < rfDropPass {
 				t.Errorf("the filter that rejects nothing was never judged to: %+v", p)
 			}
 		case late.Cols[0], tenth.Cols[0]:

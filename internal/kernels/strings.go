@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"bytes"
 	"encoding/binary"
 	"strings"
 	"unicode"
@@ -425,7 +426,7 @@ func (p *LikePattern) Match(s []byte) bool {
 	case likeSuffix:
 		return len(s) >= len(p.needle) && string(s[len(s)-len(p.needle):]) == string(p.needle)
 	case likeContains:
-		return indexBytes(s, p.needle) >= 0
+		return bytes.Contains(s, p.needle)
 	}
 	return p.matchGeneric(s)
 }
@@ -439,17 +440,21 @@ func (p *LikePattern) matchGeneric(s []byte) bool {
 	pos := len(segs[0])
 	// Middle segments float; last must anchor at the end.
 	for k := 1; k < len(segs)-1; k++ {
-		found := -1
-		for i := pos; i+len(segs[k]) <= len(s); i++ {
-			if segMatchAt(s, segs[k], i) {
-				found = i
-				break
+		found := -1 // from pos
+		if bytes.IndexByte(segs[k], 0) < 0 {
+			found = bytes.Index(s[pos:], segs[k])
+		} else {
+			for i := pos; i+len(segs[k]) <= len(s); i++ {
+				if segMatchAt(s, segs[k], i) {
+					found = i - pos
+					break
+				}
 			}
 		}
 		if found < 0 {
 			return false
 		}
-		pos = found + len(segs[k])
+		pos += found + len(segs[k])
 	}
 	last := segs[len(segs)-1]
 	if len(segs) == 1 {
@@ -475,18 +480,6 @@ func segMatchAt(s, seg []byte, i int) bool {
 		}
 	}
 	return true
-}
-
-func indexBytes(s, needle []byte) int {
-	if len(needle) == 0 {
-		return 0
-	}
-	for i := 0; i+len(needle) <= len(s); i++ {
-		if s[i] == needle[0] && string(s[i:i+len(needle)]) == string(needle) {
-			return i
-		}
-	}
-	return -1
 }
 
 // SelLike appends active rows matching the LIKE pattern.

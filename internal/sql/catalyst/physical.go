@@ -159,6 +159,9 @@ func (b *builder) buildHybrid(plan sql.LogicalPlan) (exec.Operator, rowengine.Op
 			return nil, row, err
 		}
 		op, err := b.buildPhotonScan(n)
+		if err == nil && n.Filter != nil {
+			op = exec.NewFilter(op, n.Filter)
+		}
 		return op, nil, err
 
 	case *sql.LSort:
@@ -304,12 +307,22 @@ func (b *builder) buildHybrid(plan sql.LogicalPlan) (exec.Operator, rowengine.Op
 
 	case *RuntimeFilterPlan:
 		// Runtime filters stacked at one place in the plan run as one operator
-		// (distributed fragments are pure Photon).
+		// (distributed fragments are pure Photon). Over a scan they run below
+		// its predicate, which then sees only their survivors: a probe costs
+		// less per row than most predicates (DESIGN §8, "Placement").
 		stack := []*RuntimeFilterPlan{n}
 		for c, ok := n.Child.(*RuntimeFilterPlan); ok; c, ok = c.Child.(*RuntimeFilterPlan) {
 			stack = append(stack, c)
 		}
-		ph, _, err := b.buildHybrid(stack[len(stack)-1].Child)
+		child := stack[len(stack)-1].Child
+		scan, overScan := child.(*sql.LScan)
+		var ph exec.Operator
+		var err error
+		if overScan {
+			ph, err = b.buildPhotonScan(scan)
+		} else {
+			ph, _, err = b.buildHybrid(child)
+		}
 		if err != nil {
 			return nil, nil, err
 		}
@@ -324,7 +337,11 @@ func (b *builder) buildHybrid(plan sql.LogicalPlan) (exec.Operator, rowengine.Op
 			}
 			filters = append(filters, pf)
 		}
-		return exec.NewRuntimeFilter(ph, filters), nil, nil
+		ph = exec.NewRuntimeFilter(ph, filters)
+		if overScan && scan.Filter != nil {
+			ph = exec.NewFilter(ph, scan.Filter)
+		}
+		return ph, nil, nil
 
 	case *sql.LJoin:
 		lph, lrow, err := b.buildHybrid(n.Left)
@@ -398,7 +415,7 @@ func rowSortKeys(keys []sql.SortKeyPlan) []rowengine.SortKey {
 
 // buildPhotonScan builds the vectorized scan: in-memory tables pass
 // batches zero-copy (the adapter path, §5.2); Delta tables prune files via
-// statistics, then stream decoded batches.
+// statistics, then stream decoded batches. The caller adds n.Filter's step.
 func (b *builder) buildPhotonScan(n *sql.LScan) (exec.Operator, error) {
 	partitionThis := !b.scanSeen && b.cfg.ScanPartitions > 1
 	b.scanSeen = true
@@ -439,9 +456,6 @@ func (b *builder) buildPhotonScan(n *sql.LScan) (exec.Operator, error) {
 		op = scan
 	default:
 		return nil, fmt.Errorf("catalyst: unsupported table type %T", n.Table)
-	}
-	if n.Filter != nil {
-		op = exec.NewFilter(op, n.Filter)
 	}
 	return op, nil
 }
