@@ -18,51 +18,9 @@ import (
 // markers). The result is the paper's per-operator debugging interface
 // (§3.3) surviving parallel, multi-stage execution.
 
-// OpProfile is one operator's metrics merged across all tasks of a stage.
-// Counters sum; PeakMemory takes the per-task maximum.
-type OpProfile struct {
-	ID       int
-	Depth    int
-	Name     string
-	Upstream int // producing stage for exchange-read leaves; -1 otherwise
-	Tasks    int // number of task snapshots merged into this row
-
-	RowsIn, RowsOut, BatchesOut, TimeNanos          int64
-	SpillCount, SpillBytes, PeakMemory, Compactions int64
-	PassedRows, BuiltLeft                           int64
-	SkippedBatches, StoredBatches                   int64
-}
-
-// line renders the merged operator row, matching exec.OpStats.String's
-// column layout plus the task count.
-func (o *OpProfile) line() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-28s in=%-10d out=%-10d batches=%-7d time=%-12v tasks=%d",
-		o.Name, o.RowsIn, o.RowsOut, o.BatchesOut,
-		time.Duration(o.TimeNanos).Round(time.Microsecond), o.Tasks)
-	if o.SpillCount > 0 {
-		fmt.Fprintf(&sb, " spills=%d spillBytes=%d", o.SpillCount, o.SpillBytes)
-	}
-	if o.PeakMemory > 0 {
-		fmt.Fprintf(&sb, " peakMem=%d", o.PeakMemory)
-	}
-	if o.Compactions > 0 {
-		fmt.Fprintf(&sb, " compactions=%d", o.Compactions)
-	}
-	if o.PassedRows > 0 {
-		fmt.Fprintf(&sb, " passthrough=%d", o.PassedRows)
-	}
-	if o.BuiltLeft > 0 {
-		fmt.Fprintf(&sb, " build=left×%d", o.BuiltLeft)
-	}
-	if o.SkippedBatches > 0 {
-		fmt.Fprintf(&sb, " skipped=%d/%d", o.SkippedBatches, o.StoredBatches)
-	}
-	if o.Upstream >= 0 {
-		fmt.Fprintf(&sb, " <- stage %d", o.Upstream)
-	}
-	return strings.TrimRight(sb.String(), " ")
-}
+// OpProfile is one operator's metrics merged across all tasks of a stage:
+// the record each task snapshots (exec.OpProfile).
+type OpProfile = exec.OpProfile
 
 // StageProfile is one fragment's merged execution profile.
 type StageProfile struct {
@@ -93,10 +51,10 @@ type StageProfile struct {
 	RFKeys, RFSizedFor int64
 	RFExact            bool
 
-	// Fused-pipeline execution: operators running inside fused pipelines in
-	// one task's plan, and the batches/rows the stage's pipelines emitted
-	// across all tasks. All zero when the stage has no Filter, Project or
-	// RuntimeFilter.
+	// Fused-pipeline execution, read from the operator rows whose Fused is
+	// set: operators running inside fused pipelines in one task's plan, and
+	// the batches/rows the stage's pipelines emitted across all tasks. All
+	// zero when the stage has no Filter, Project or RuntimeFilter.
 	PipelineOps                   int
 	PipelineBatches, PipelineRows int64
 
@@ -135,23 +93,16 @@ func (q *QueryProfile) Stage(id int) *StageProfile {
 	return nil
 }
 
-// fromSnapshot seeds a merged row from one task's snapshot.
-func fromSnapshot(s exec.StatsSnapshot) OpProfile {
-	return OpProfile{
-		ID: s.ID, Depth: s.Depth, Name: s.Name, Upstream: s.Upstream, Tasks: 1,
-		RowsIn: s.RowsIn, RowsOut: s.RowsOut, BatchesOut: s.BatchesOut,
-		TimeNanos: s.TimeNanos, SpillCount: s.SpillCount, SpillBytes: s.SpillBytes,
-		PeakMemory: s.PeakMemory, Compactions: s.Compactions, PassedRows: s.PassedRows,
-		BuiltLeft: s.BuiltLeft, SkippedBatches: int64(s.SkippedBatches), StoredBatches: int64(s.StoredBatches),
+// mergeSnapshots folds one task's snapshots into a stage's merged rows; the
+// first task's rows become the stage's. Tasks of a stage build identical
+// trees, so rows align by position; the ID check guards the alignment and
+// falls back to a search if shapes ever diverge.
+func mergeSnapshots(ops, snaps []OpProfile) []OpProfile {
+	if ops == nil {
+		return snaps
 	}
-}
-
-// mergeSnapshots folds one task's snapshots into a stage's merged rows.
-// Tasks of a stage build identical trees, so rows align by position; the ID
-// check guards the alignment and falls back to a search if shapes ever
-// diverge.
-func mergeSnapshots(ops []OpProfile, snaps []exec.StatsSnapshot) []OpProfile {
-	for i, s := range snaps {
+	for i := range snaps {
+		s := &snaps[i]
 		var t *OpProfile
 		if i < len(ops) && ops[i].ID == s.ID {
 			t = &ops[i]
@@ -164,23 +115,9 @@ func mergeSnapshots(ops []OpProfile, snaps []exec.StatsSnapshot) []OpProfile {
 			}
 		}
 		if t == nil {
-			ops = append(ops, fromSnapshot(s))
-			continue
-		}
-		t.Tasks++
-		t.RowsIn += s.RowsIn
-		t.RowsOut += s.RowsOut
-		t.BatchesOut += s.BatchesOut
-		t.TimeNanos += s.TimeNanos
-		t.SpillCount += s.SpillCount
-		t.SpillBytes += s.SpillBytes
-		t.Compactions += s.Compactions
-		t.PassedRows += s.PassedRows
-		t.BuiltLeft += s.BuiltLeft
-		t.SkippedBatches += int64(s.SkippedBatches)
-		t.StoredBatches += int64(s.StoredBatches)
-		if s.PeakMemory > t.PeakMemory {
-			t.PeakMemory = s.PeakMemory
+			ops = append(ops, *s)
+		} else {
+			t.Merge(s)
 		}
 	}
 	return ops
@@ -252,7 +189,7 @@ func (q *QueryProfile) Render() string {
 		sb.WriteByte('\n')
 		for i := range st.Ops {
 			op := &st.Ops[i]
-			fmt.Fprintf(&sb, "%s%s%s\n", pad, strings.Repeat("  ", op.Depth+1), op.line())
+			fmt.Fprintf(&sb, "%s%s%s\n", pad, strings.Repeat("  ", op.Depth+1), op.String())
 			if op.Upstream >= 0 {
 				render(op.Upstream, indent+op.Depth+2)
 			}

@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -54,6 +53,9 @@ type OpStats struct {
 	// the consumer's tree onto the producer fragment's ShuffleWrite.
 	// 0 means "not an exchange read".
 	upstream int
+	// fused is, on the outermost step of a fused pipeline, the pipeline's
+	// operator count including its source (set by fuse); 0 otherwise.
+	fused int
 
 	RowsIn      atomic.Int64
 	RowsOut     atomic.Int64
@@ -90,39 +92,6 @@ func (s *OpStats) observePeak(n int64) {
 			return
 		}
 	}
-}
-
-// String renders a one-line metrics summary with aligned columns. Rows,
-// batches, and time always print; spill, peak-memory, compaction,
-// pass-through, build-side and skipped-batch fields appear only when
-// nonzero, so the common case stays one clean line.
-func (s *OpStats) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-28s in=%-10d out=%-10d batches=%-7d time=%-12v",
-		s.Name, s.RowsIn.Load(), s.RowsOut.Load(), s.BatchesOut.Load(),
-		time.Duration(s.TimeNanos.Load()).Round(time.Microsecond))
-	if n := s.SpillCount.Load(); n > 0 {
-		fmt.Fprintf(&sb, " spills=%d spillBytes=%d", n, s.SpillBytes.Load())
-	}
-	if n := s.PeakMemory.Load(); n > 0 {
-		fmt.Fprintf(&sb, " peakMem=%d", n)
-	}
-	if n := s.Compactions.Load(); n > 0 {
-		fmt.Fprintf(&sb, " compactions=%d", n)
-	}
-	if n := s.PassedRows.Load(); n > 0 {
-		fmt.Fprintf(&sb, " passthrough=%d", n)
-	}
-	if n := s.BuiltLeft.Load(); n > 0 {
-		fmt.Fprintf(&sb, " build=left×%d", n)
-	}
-	if n := s.SkippedBatches.Load(); n > 0 {
-		fmt.Fprintf(&sb, " skipped=%d/%d", n, s.StoredBatches.Load())
-	}
-	if f, ok := s.UpstreamFrag(); ok {
-		fmt.Fprintf(&sb, " <- stage %d", f)
-	}
-	return strings.TrimRight(sb.String(), " ")
 }
 
 // TaskCtx is the per-task execution context: Photon runs as part of a

@@ -58,7 +58,8 @@ type PipelineOp struct {
 // fuse adds s on top of child: it joins child when child is a pipeline and
 // starts one over child otherwise. s's stats-walk input becomes the step it
 // now follows — never the pipeline itself, which reports as s and would
-// make the walk cycle.
+// make the walk cycle. s, now the outermost step, carries the pipeline's
+// operator count in its stats (OpProfile.Fused).
 func fuse(child Operator, s step) *PipelineOp {
 	p, ok := child.(*PipelineOp)
 	if !ok {
@@ -66,8 +67,10 @@ func fuse(child Operator, s step) *PipelineOp {
 		s.core().in = child
 	} else {
 		s.core().in = p.steps[len(p.steps)-1]
+		p.out().stats.fused = 0
 	}
 	p.steps = append(p.steps, s)
+	s.core().stats.fused = len(p.steps) + 1
 	return p
 }
 
@@ -129,35 +132,4 @@ func (p *PipelineOp) Close() error {
 		s.release()
 	}
 	return p.src.Close()
-}
-
-// PipelineInfo summarizes one fused pipeline's execution for the stage
-// profile's pipeline[...] line.
-type PipelineInfo struct {
-	Ops     int   // fused operators, including the source
-	Batches int64 // batches the pipeline emitted
-	Rows    int64 // rows the pipeline emitted
-}
-
-// CollectPipelines gathers fused-pipeline summaries reachable from root
-// (an Operator or a mixed plan node).
-func CollectPipelines(root any) []PipelineInfo {
-	var out []PipelineInfo
-	var walk func(n any)
-	walk = func(n any) {
-		if p, ok := n.(*PipelineOp); ok {
-			out = append(out, PipelineInfo{
-				Ops:     len(p.steps) + 1,
-				Batches: p.Stats().BatchesOut.Load(),
-				Rows:    p.Stats().RowsOut.Load(),
-			})
-		}
-		if sc, ok := n.(statsChild); ok {
-			for _, c := range sc.children() {
-				walk(c)
-			}
-		}
-	}
-	walk(root)
-	return out
 }

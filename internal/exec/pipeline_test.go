@@ -299,8 +299,9 @@ func TestFusedPipelineStatsIDs(t *testing.T) {
 	}
 }
 
-// TestCollectPipelines: a plan reports its pipeline shape for the stage
-// profile's pipeline[...] line.
+// TestCollectPipelines: a plan's snapshot marks its pipeline's outermost
+// step with the pipeline's operator count, and that row's counters are what
+// the pipeline emitted: the stage profile's pipeline[...] line reads them.
 func TestCollectPipelines(t *testing.T) {
 	schema := intSchema("a", "b")
 	r := rand.New(rand.NewSource(7))
@@ -311,19 +312,24 @@ func TestCollectPipelines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	infos := CollectPipelines(root)
-	if len(infos) != 1 {
-		t.Fatalf("pipelines = %d, want 1", len(infos))
+	var fused []OpProfile
+	for _, s := range SnapshotStats(root) {
+		if s.Fused > 0 {
+			fused = append(fused, s)
+		}
+	}
+	if len(fused) != 1 {
+		t.Fatalf("pipelines = %d, want 1", len(fused))
 	}
 	// Source scan + two filters + project.
-	if infos[0].Ops != 4 {
-		t.Errorf("fused ops = %d, want 4", infos[0].Ops)
+	if fused[0].Fused != 4 {
+		t.Errorf("fused ops = %d, want 4", fused[0].Fused)
 	}
-	if infos[0].Rows != int64(len(rows)) {
-		t.Errorf("pipeline rows = %d, want %d", infos[0].Rows, len(rows))
+	if fused[0].RowsOut != int64(len(rows)) {
+		t.Errorf("pipeline rows = %d, want %d", fused[0].RowsOut, len(rows))
 	}
-	if infos[0].Batches != int64(len(batches)) {
-		t.Errorf("pipeline batches = %d, want %d", infos[0].Batches, len(batches))
+	if fused[0].BatchesOut != int64(len(batches)) {
+		t.Errorf("pipeline batches = %d, want %d", fused[0].BatchesOut, len(batches))
 	}
 }
 
