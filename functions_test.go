@@ -126,8 +126,14 @@ func TestFunctionsAgreeAcrossEngines(t *testing.T) {
 		{"x BETWEEN NULL AND NULL", "[]"}, {"x NOT BETWEEN NULL AND NULL", "[]"},
 		{"k > 5 OR x NOT BETWEEN NULL AND 0.055", "[[4] [5] [6]]"},
 	}
+	// like matches _ against one character of a non-ASCII string, not one
+	// byte, as Spark does.
+	like := []struct{ pred, keys string }{
+		{"s LIKE 'h_llo'", "[[3]]"}, {"s LIKE '_____'", "[[3]]"},
+		{"s LIKE '_traße%'", "[[4]]"}, {"s NOT LIKE '%Ä_Ü'", "[[2] [3] [5] [6]]"},
+	}
 	pinned := map[string]string{}
-	for _, f := range append(finer, nullBound...) {
+	for _, f := range slices.Concat(finer, nullBound, like) {
 		q := "SELECT k FROM t WHERE " + f.pred + " ORDER BY k"
 		pinned[q] = f.keys
 		predicates = append(predicates, q)

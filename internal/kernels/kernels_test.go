@@ -245,7 +245,16 @@ func TestLikePatterns(t *testing.T) {
 		{"_", "x", true},
 		{"special%request", "special request", true}, // % matches the space
 		{"special%requests", "specialrequest", false},
-		{"ab%ab", "ab", false}, // segments may not overlap
+		{"ab%ab", "ab", false},   // segments may not overlap
+		{"a\x00_", "axy", false}, // a NUL in a pattern is literal
+		{"a\x00_", "a\x00y", true},
+		{"a\x00%b%c", "axqbc", false},
+		{"_", "é", true}, // _ is one character, not one byte
+		{"a_c", "aéc", true},
+		{"__", "é", false},
+		{"%_", "é", true},
+		{"_\xff", "\xff\xff", true}, // a byte that starts no UTF-8 sequence is one character
+		{"a_", "a\xc3", true},
 	}
 	for _, c := range cases {
 		p := CompileLike(c.pattern)
