@@ -95,21 +95,23 @@ func (e *Executable) Run(tc *exec.TaskCtx) ([][]any, error) {
 	return rowengine.CollectRows(e.Row)
 }
 
-// Build converts an optimized logical plan to a physical plan.
+// Build converts an optimized logical plan to a physical plan: the row
+// engine's for a baseline config, Photon's otherwise, with row-engine
+// fallbacks where Photon does not support a node.
 func Build(plan sql.LogicalPlan, cfg Config, tc *exec.TaskCtx) (*Executable, error) {
 	b := &builder{cfg: cfg, tc: tc}
-	if cfg.Engine != EnginePhoton {
-		row, err := b.buildRow(plan)
-		if err != nil {
-			return nil, err
-		}
-		return &Executable{Row: row}, nil
+	var e Executable
+	var err error
+	if cfg.Engine == EnginePhoton {
+		e.Photon, e.Row, err = b.buildHybrid(plan)
+	} else {
+		e.Row, err = b.buildRow(plan)
 	}
-	ph, row, err := b.buildHybrid(plan)
 	if err != nil {
 		return nil, err
 	}
-	return &Executable{Photon: ph, Row: row, Transitions: b.transitions}, nil
+	e.Transitions = b.transitions
+	return &e, nil
 }
 
 type builder struct {
@@ -637,27 +639,19 @@ func (b *builder) buildRow(plan sql.LogicalPlan) (rowengine.Operator, error) {
 	return row, nil
 }
 
-// BuildOperator plans a fragment as the operator tree one task runs. A plan
-// whose top is on the row engine — a baseline-engine plan, or a hybrid one
-// whose fallback reaches the root — is wrapped in an adapter, so the root is
+// BuildOperator plans a fragment as the operator tree one task runs: Build's
+// plan, with a row-engine top — a baseline-engine plan, or a hybrid one
+// whose fallback reaches the root — wrapped in an adapter, so the root is
 // always an exec.Operator; tc.Transitions records the plan's engine
 // boundaries.
 func BuildOperator(plan sql.LogicalPlan, cfg Config, tc *exec.TaskCtx) (exec.Operator, error) {
-	b := &builder{cfg: cfg, tc: tc}
-	var ph exec.Operator
-	var row rowengine.Operator
-	var err error
-	if cfg.Engine == EnginePhoton {
-		ph, row, err = b.buildHybrid(plan)
-	} else {
-		row, err = b.buildRow(plan)
-	}
+	e, err := Build(plan, cfg, tc)
 	if err != nil {
 		return nil, err
 	}
-	tc.Transitions = b.transitions
-	if ph == nil {
-		return exec.NewAdapter(row), nil
+	tc.Transitions = e.Transitions
+	if e.Photon == nil {
+		return exec.NewAdapter(e.Row), nil
 	}
-	return ph, nil
+	return e.Photon, nil
 }
