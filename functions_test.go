@@ -220,6 +220,11 @@ var wrongCalls = []string{
 	"SELECT ABS(s) FROM t",
 	"SELECT SUM(s) FROM t",
 	"SELECT AVG(d) FROM t",
+	// operand types
+	"SELECT k FROM t WHERE x LIKE '1%'",
+	"SELECT k FROM t WHERE d LIKE '1%'",
+	"SELECT -s FROM t",
+	"SELECT x % y FROM t",
 	// literal-only arguments
 	"SELECT SUBSTRING(s, k) FROM t",
 	"SELECT SUBSTRING(s, 1, 2.5) FROM t",

@@ -48,7 +48,7 @@ func NewArith(op ArithOp, l, r Expr) (*Arith, error) {
 	if !lt.Numeric() {
 		return nil, errType("arith "+op.String(), lt, rt)
 	}
-	if op == OpMod && lt.ID == types.Float64 {
+	if op == OpMod && (lt.ID == types.Float64 || lt.ID == types.Decimal) {
 		return nil, errType("mod", lt)
 	}
 	return &Arith{Op: op, Left: l, Right: r, out: out}, nil

@@ -52,6 +52,9 @@ func (a *analyzer) convertScalar(e AstExpr, c exprConverter) (expr.Expr, error) 
 			if err != nil {
 				return nil, err
 			}
+			if !inner.Type().Numeric() {
+				return nil, fmt.Errorf("sql: unary - does not take %v", inner.Type())
+			}
 			return &expr.Unary{Op: expr.OpNeg, Inner: inner}, nil
 		}
 		return nil, fmt.Errorf("sql: unary %q is not a scalar expression", n.Op)
@@ -196,6 +199,9 @@ func (a *analyzer) convertArith(n *BinaryExpr, c exprConverter) (expr.Expr, erro
 	l, r, err = coercePair(l, r)
 	if err != nil {
 		return nil, err
+	}
+	if t := l.Type(); n.Op == "%" && (t.ID == types.Float64 || t.ID == types.Decimal) {
+		return nil, fmt.Errorf("sql: %% does not take %v", t)
 	}
 	var op expr.ArithOp
 	switch n.Op {
@@ -557,6 +563,9 @@ func (a *analyzer) convertPred(e AstExpr, c exprConverter) (expr.Filter, error) 
 		inner, err := c.convertChild(n.Inner)
 		if err != nil {
 			return nil, err
+		}
+		if inner.Type().ID != types.String {
+			return nil, fmt.Errorf("sql: LIKE does not take %v", inner.Type())
 		}
 		return expr.NewLike(inner, n.Pattern, n.Negate), nil
 	case *IsNullExpr:
