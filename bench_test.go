@@ -535,7 +535,7 @@ func BenchmarkServingPath(b *testing.B) {
 							b.Fatal(err)
 						}
 						lat = append(lat, time.Since(start))
-						plan = append(plan, stats.Planning)
+						plan = append(plan, stats.PlanTime())
 					}
 				}
 				sortDurations(lat)

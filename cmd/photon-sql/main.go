@@ -232,7 +232,7 @@ func runRepeated(sess *photon.Session, q string) error {
 		}
 		res = r
 		fmt.Fprintf(os.Stderr, "run %d: %s (cached=%t fastpath=%t planning=%s)\n",
-			i, time.Since(start).Round(time.Microsecond), stats.Cached, stats.FastPath, stats.Planning.Round(time.Microsecond))
+			i, time.Since(start).Round(time.Microsecond), stats.Cached, stats.FastPath, stats.PlanTime().Round(time.Microsecond))
 	}
 	fmt.Print(res)
 	fmt.Fprintf(os.Stderr, "(%d rows, %d runs)\n", len(res.Rows), *repeatFlag)

@@ -383,7 +383,7 @@ func TestAdmissionQueueAndReject(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if stats.Queued > 500*time.Microsecond {
+				if stats.QueueWait() > 500*time.Microsecond {
 					queuedSome.Store(true)
 				}
 			}()
@@ -443,24 +443,24 @@ func TestLifecycleStats(t *testing.T) {
 	if len(res.Rows) == 0 {
 		t.Error("no rows")
 	}
-	if stats.Planning <= 0 || stats.Running <= 0 {
+	if stats.PlanTime() <= 0 || stats.RunTime() <= 0 {
 		t.Errorf("missing phase durations: %+v", stats)
 	}
-	if stats.Stages < 2 {
-		t.Errorf("stages = %d, want >= 2 for a split aggregation", stats.Stages)
+	if stats.StageCount < 2 {
+		t.Errorf("stages = %d, want >= 2 for a split aggregation", stats.StageCount)
 	}
 	if stats.SlotsHeldPeak < 1 {
 		t.Errorf("SlotsHeldPeak = %d, want >= 1", stats.SlotsHeldPeak)
 	}
-	if stats.PeakReservedBytes <= 0 {
-		t.Errorf("PeakReservedBytes = %d, want > 0", stats.PeakReservedBytes)
+	if stats.PeakMemBytes <= 0 {
+		t.Errorf("PeakMemBytes = %d, want > 0", stats.PeakMemBytes)
 	}
 	// Profile surfaces the same lifecycle report.
 	p, err := sess.SQLWithProfileContext(context.Background(), tpch.Queries[6])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Lifecycle == nil || p.Lifecycle.Running <= 0 {
+	if p.Lifecycle == nil || p.Lifecycle.RunTime() <= 0 {
 		t.Errorf("profile lifecycle missing: %+v", p.Lifecycle)
 	}
 	if p.Lifecycle.String() == "" {

@@ -35,77 +35,45 @@ func (s *Session) DebugHandler() http.Handler {
 	return mux
 }
 
-// queriesPage is the /debug/queries JSON document.
+// queriesPage is the /debug/queries JSON document. Each entry holds the
+// columns of photon_active_queries or photon_queries, NULLs left out; a
+// history entry also links its trace.
 type queriesPage struct {
-	Active  []activeJSON  `json:"active"`
-	History []historyJSON `json:"history"` // newest first
-	Total   int64         `json:"total_recorded"`
-	Cap     int           `json:"history_capacity"`
+	Active  []map[string]any `json:"active"`
+	History []map[string]any `json:"history"` // newest first
+	Total   int64            `json:"total_recorded"`
+	Cap     int              `json:"history_capacity"`
 }
 
-type activeJSON struct {
-	ID            int64  `json:"id"`
-	SQL           string `json:"sql"`
-	Tenant        string `json:"tenant,omitempty"`
-	Phase         string `json:"phase"`
-	ElapsedMicros int64  `json:"elapsed_micros"`
-	Rows          int64  `json:"rows"`
-	Bytes         int64  `json:"bytes"`
-}
-
-type historyJSON struct {
-	ID              int64  `json:"id"`
-	SQL             string `json:"sql"`
-	Tenant          string `json:"tenant,omitempty"`
-	Status          string `json:"status"`
-	Error           string `json:"error,omitempty"`
-	Cached          bool   `json:"cached"`
-	FastPath        bool   `json:"fastpath"`
-	QueueWaitMicros int64  `json:"queue_wait_micros"`
-	PlanMicros      int64  `json:"plan_micros"`
-	RunMicros       int64  `json:"run_micros"`
-	WallMicros      int64  `json:"wall_micros"`
-	Rows            int64  `json:"rows"`
-	PeakMemBytes    int64  `json:"peak_mem_bytes"`
-	SpilledBytes    int64  `json:"spilled_bytes"`
-	ShuffleBytes    int64  `json:"shuffle_bytes"`
-	Stages          int    `json:"stages"`
-	Retries         int64  `json:"retries"`
-	Trace           string `json:"trace"`
+// entryOf reads one source's columns into a JSON object.
+func entryOf[T any](cols []column[T], src *T) map[string]any {
+	m := make(map[string]any, len(cols)+1)
+	for _, c := range cols {
+		if v := c.val(src); v != nil {
+			m[c.Name] = v
+		}
+	}
+	return m
 }
 
 // serveQueries renders the recorder: JSON by default, a minimal HTML table
 // when the client prefers text/html (a browser hitting the endpoint raw).
 func (s *Session) serveQueries(w http.ResponseWriter, r *http.Request) {
 	page := queriesPage{
-		Active:  []activeJSON{},
-		History: []historyJSON{},
+		Active:  []map[string]any{},
+		History: []map[string]any{},
 		Total:   s.rec.Total(),
 		Cap:     s.rec.Cap(),
 	}
-	now := time.Now()
-	for _, a := range s.rec.Active() {
-		page.Active = append(page.Active, activeJSON{
-			ID: a.ID, SQL: a.SQL, Tenant: a.Tenant, Phase: a.Name,
-			ElapsedMicros: now.Sub(a.Submit).Microseconds(),
-			Rows:          a.Rows, Bytes: a.Bytes,
-		})
+	active := s.rec.Active()
+	for i := range active {
+		page.Active = append(page.Active, entryOf(activeColumns, &active[i]))
 	}
 	records := s.rec.Records()
 	for i := len(records) - 1; i >= 0; i-- { // newest first
-		rec := &records[i]
-		page.History = append(page.History, historyJSON{
-			ID: rec.ID, SQL: rec.SQL, Tenant: rec.Tenant, Status: rec.Status, Error: rec.Error,
-			Cached: rec.Cached, FastPath: rec.FastPath,
-			QueueWaitMicros: rec.QueueWait().Microseconds(),
-			PlanMicros:      rec.PlanTime().Microseconds(),
-			RunMicros:       rec.RunTime().Microseconds(),
-			WallMicros:      rec.Wall().Microseconds(),
-			Rows:            rec.Rows, PeakMemBytes: rec.PeakMemBytes,
-			SpilledBytes: rec.SpilledBytes, ShuffleBytes: rec.ShuffleBytes,
-			Stages: len(rec.Stages), Retries: rec.Retries,
-			Trace: fmt.Sprintf("/debug/queries/%d/trace", rec.ID),
-		})
+		e := entryOf(queryColumns, &records[i])
+		e["trace"] = fmt.Sprintf("/debug/queries/%d/trace", records[i].ID)
+		page.History = append(page.History, e)
 	}
 	if strings.Contains(r.Header.Get("Accept"), "text/html") {
 		writeQueriesHTML(w, &page)
@@ -117,27 +85,46 @@ func (s *Session) serveQueries(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(&page)
 }
 
+// The browser view's columns, by name, in order.
+var (
+	activeHTML  = []string{"id", "tenant", "phase", "elapsed_micros", "rows", "sql"}
+	historyHTML = []string{"id", "tenant", "status", "cached", "fastpath", "wall_micros", "rows", "peak_mem_bytes", "trace", "sql"}
+)
+
 // writeQueriesHTML is the browser view: two plain tables, no assets.
 func writeQueriesHTML(w http.ResponseWriter, page *queriesPage) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	fmt.Fprintf(w, `<!doctype html><title>photon queries</title>
 <style>body{font:13px monospace}table{border-collapse:collapse}td,th{border:1px solid #999;padding:2px 6px;text-align:left}</style>
-<h2>Active queries (%d)</h2><table><tr><th>id</th><th>tenant</th><th>phase</th><th>elapsed</th><th>rows</th><th>sql</th></tr>`,
-		len(page.Active))
-	for _, a := range page.Active {
-		fmt.Fprintf(w, "<tr><td>%d</td><td>%s</td><td>%s</td><td>%s</td><td>%d</td><td>%s</td></tr>",
-			a.ID, html.EscapeString(a.Tenant), a.Phase,
-			time.Duration(a.ElapsedMicros)*time.Microsecond, a.Rows,
-			html.EscapeString(a.SQL))
+<h2>Active queries (%d)</h2>`, len(page.Active))
+	writeHTMLTable(w, activeHTML, page.Active)
+	fmt.Fprintf(w, `<h2>History (%d of %d recorded, cap %d)</h2>`, len(page.History), page.Total, page.Cap)
+	writeHTMLTable(w, historyHTML, page.History)
+}
+
+// writeHTMLTable writes the named columns of entries as one table: a
+// *_micros value as a duration, a trace as its link.
+func writeHTMLTable(w http.ResponseWriter, names []string, entries []map[string]any) {
+	fmt.Fprint(w, "<table><tr>")
+	for _, n := range names {
+		fmt.Fprintf(w, "<th>%s</th>", n)
 	}
-	fmt.Fprintf(w, `</table><h2>History (%d of %d recorded, cap %d)</h2>
-<table><tr><th>id</th><th>tenant</th><th>status</th><th>cached</th><th>fast</th><th>wall</th><th>rows</th><th>peak mem</th><th>trace</th><th>sql</th></tr>`,
-		len(page.History), page.Total, page.Cap)
-	for _, h := range page.History {
-		fmt.Fprintf(w, `<tr><td>%d</td><td>%s</td><td>%s</td><td>%t</td><td>%t</td><td>%s</td><td>%d</td><td>%d</td><td><a href="%s">trace</a></td><td>%s</td></tr>`,
-			h.ID, html.EscapeString(h.Tenant), h.Status, h.Cached, h.FastPath,
-			time.Duration(h.WallMicros)*time.Microsecond, h.Rows, h.PeakMemBytes,
-			h.Trace, html.EscapeString(h.SQL))
+	fmt.Fprint(w, "</tr>")
+	for _, e := range entries {
+		fmt.Fprint(w, "<tr>")
+		for _, n := range names {
+			var cell string
+			switch v := e[n]; {
+			case n == "trace":
+				cell = fmt.Sprintf(`<a href="%s">trace</a>`, v)
+			case strings.HasSuffix(n, "_micros"):
+				cell = (time.Duration(v.(int64)) * time.Microsecond).String()
+			default:
+				cell = html.EscapeString(fmt.Sprint(v))
+			}
+			fmt.Fprintf(w, "<td>%s</td>", cell)
+		}
+		fmt.Fprint(w, "</tr>")
 	}
 	fmt.Fprint(w, "</table>")
 }

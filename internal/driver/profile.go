@@ -75,12 +75,6 @@ type StageProfile struct {
 type QueryProfile struct {
 	Root   int // root (gather) stage ID
 	Stages []StageProfile
-
-	// Cached and FastPath mirror the query's lifecycle routing (set by the
-	// session): compile phase served from the plan cache, and small-query
-	// fast-path execution. Surfaced in the Render header.
-	Cached   bool
-	FastPath bool
 }
 
 // Stage returns the profile of stage id (nil if absent).
@@ -128,16 +122,6 @@ func mergeSnapshots(ops, snaps []OpProfile) []OpProfile {
 // consumes it — EXPLAIN ANALYZE output with the query's original shape.
 func (q *QueryProfile) Render() string {
 	var sb strings.Builder
-	if q.Cached || q.FastPath {
-		sb.WriteString("Plan:")
-		if q.Cached {
-			sb.WriteString(" cached")
-		}
-		if q.FastPath {
-			sb.WriteString(" fast-path")
-		}
-		sb.WriteByte('\n')
-	}
 	seen := map[int]bool{}
 	var render func(id, indent int)
 	render = func(id, indent int) {

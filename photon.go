@@ -246,6 +246,11 @@ type Session struct {
 	// rec is the query flight recorder (nil when QueryHistorySize < 0);
 	// all its methods are nil-safe.
 	rec *obs.Recorder
+
+	// runHists holds the labeled run-latency series by key, under runMu
+	// (runHistograms).
+	runMu    sync.Mutex
+	runHists map[runKey][2]*obs.Histogram
 }
 
 // NewSession creates a session with the given (optional) config.
@@ -258,7 +263,7 @@ func NewSession(cfg ...Config) *Session {
 	reg := obs.NewRegistry()
 	mm.Instrument(reg)
 	gate := newAdmission(c, mm, reg)
-	s := &Session{cfg: c, cat: catalog.New(), mm: mm, reg: reg, gate: gate}
+	s := &Session{cfg: c, cat: catalog.New(), mm: mm, reg: reg, gate: gate, runHists: map[runKey][2]*obs.Histogram{}}
 	s.svc = newServiceMetrics(reg, gate)
 	s.id = sessionSeq.Add(1)
 	size := c.PlanCacheSize

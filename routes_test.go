@@ -83,8 +83,8 @@ func TestDriverRoutesTPCHEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !stats.FastPath || stats.Stages != 1 {
-		t.Errorf("interior limit: fast path %t, %d stages; want the fast path in 1 stage", stats.FastPath, stats.Stages)
+	if !stats.FastPath || stats.StageCount != 1 {
+		t.Errorf("interior limit: fast path %t, %d stages; want the fast path in 1 stage", stats.FastPath, stats.StageCount)
 	}
 	staged, rs := stagedRun(t, par4, interior)
 	if rs.Stages != 1 {
@@ -196,7 +196,7 @@ func TestEntryPointsAgree(t *testing.T) {
 				continue
 			}
 			g, w := got.stats, want.stats
-			if g.Cached != w.Cached || g.FastPath != w.FastPath || g.Stages != w.Stages || g.Rows != w.Rows || g.Tenant != w.Tenant {
+			if g.Cached != w.Cached || g.FastPath != w.FastPath || g.StageCount != w.StageCount || g.Rows != w.Rows || g.Tenant != w.Tenant {
 				t.Errorf("%s %s: stats %s rows=%d, want %s rows=%d", e.name, q, g, g.Rows, w, w.Rows)
 			}
 		}

@@ -41,42 +41,10 @@ import (
 // (the gate is at capacity and the wait queue is full or disabled).
 var ErrQueryRejected = errors.New("photon: query rejected by admission control")
 
-// QueryStats is the per-query lifecycle report.
-type QueryStats struct {
-	// Queued is the time spent waiting in the admission gate.
-	Queued time.Duration
-	// Planning covers parse, analysis, and optimization.
-	Planning time.Duration
-	// Running covers execution (scheduling, tasks, driver tail).
-	Running time.Duration
-	// SlotsHeldPeak is the most executor slots the query held at once.
-	SlotsHeldPeak int
-	// Stages is the number of scheduler stages (1 for a one-fragment job).
-	Stages int
-	// PeakReservedBytes is the query's memory-reservation high-water mark.
-	PeakReservedBytes int64
-	// Cached reports that the compile phase was served from the session
-	// plan cache (planning was bind-only: no parse-to-optimize work).
-	Cached bool
-	// FastPath reports that execution took the small-query fast path
-	// (no stage planning: the whole plan ran as one task).
-	FastPath bool
-	// Rows is the result row count (0 when the query failed before
-	// producing a result).
-	Rows int64
-	// Tenant is the tenant the query ran as (Config.Tenant or the
-	// WithTenant context override; "default" when neither is set).
-	Tenant string
-	// Degraded reports that the query was admitted under memory pressure
-	// with a shrunken grant (spill-first execution toward MinQueryMemory).
-	Degraded bool
-}
-
-// String renders a one-line lifecycle summary (same spirit as OpStats).
-func (q *QueryStats) String() string {
-	return fmt.Sprintf("tenant=%s queued=%s planning=%s running=%s stages=%d slotsPeak=%d peakMem=%d cached=%t fastpath=%t degraded=%t",
-		q.Tenant, q.Queued, q.Planning, q.Running, q.Stages, q.SlotsHeldPeak, q.PeakReservedBytes, q.Cached, q.FastPath, q.Degraded)
-}
+// QueryStats is the per-query lifecycle report: the query's one record,
+// which the flight recorder, the system tables, /debug/queries and the
+// slow-query log read too.
+type QueryStats = obs.QueryRecord
 
 // queueMemFloor is the per-queued-query memory estimate when
 // MinQueryMemory is unset, for the AdmissionQueueMemory bound.
@@ -575,8 +543,6 @@ func parser(query string) func() (*sql.SelectStmt, error) {
 // a run no one profiles allocates none. A non-nil trace makes the run
 // profiled: it records the span tree and renders Operators.
 func (s *Session) run(ctx context.Context, text string, parse func() (*sql.SelectStmt, error), trace *obs.Trace) (Profile, error) {
-	stats := &QueryStats{}
-	p := Profile{Lifecycle: stats}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -586,47 +552,49 @@ func (s *Session) run(ctx context.Context, text string, parse func() (*sql.Selec
 		defer cancel()
 	}
 
-	// State: queued. The flight recorder tracks the query from submission;
+	// State: queued. The flight recorder tracks the record from submission;
 	// aq is nil (and every use no-ops) when the recorder is disabled.
-	stats.Tenant = s.resolveTenant(ctx)
-	aq := s.rec.Begin(text, stats.Tenant)
+	rec := &QueryStats{SQL: text, Tenant: s.resolveTenant(ctx), Submit: time.Now()}
+	p := Profile{Lifecycle: rec}
+	aq := s.rec.Begin(rec)
 	s.svc.Queries.Inc()
-	t0 := time.Now()
-	tg, err := s.gate.admit(ctx, stats.Tenant)
+	tg, err := s.gate.admit(ctx, rec.Tenant)
 	if err != nil {
-		stats.Queued = time.Since(t0)
+		rec.Done = time.Now()
 		if errors.Is(err, ErrQueryRejected) {
 			s.svc.Rejected.Inc()
 		}
-		s.finishQuery(aq, nil, stats, nil, nil, time.Time{}, time.Time{}, err)
+		s.finish(aq, rec, err)
 		return p, err
 	}
-	admitted := time.Now()
+	rec.Admitted = time.Now()
 	// Admission released only after the memory quota is returned, so the
 	// gate's memory predicate sees up-to-date availability; the hold
 	// duration feeds the deadline-shedding service-time estimate.
-	defer func() { s.gate.release(tg, time.Since(admitted)) }()
-	stats.Queued = admitted.Sub(t0)
-	s.svc.AdmitWaitMicros.Observe(stats.Queued.Microseconds())
+	defer func() { s.gate.release(tg, time.Since(rec.Admitted)) }()
+	s.svc.AdmitWaitMicros.Observe(rec.QueueWait().Microseconds())
 	s.svc.Admitted.Inc()
 
 	// State: planning — the compile phase (served bind-only on a plan-cache
 	// hit) followed by value binding.
 	aq.SetPhase(obs.PhasePlanning)
 	bq, err := s.bindQuery(parse)
-	planned := time.Now()
-	stats.Planning = planned.Sub(admitted)
+	rec.Planned = time.Now()
+	if bq != nil && bq.norm != "" {
+		rec.SQL = bq.norm
+	}
 	if bq != nil && bq.cached {
-		s.svc.PlanMicrosHit.Observe(stats.Planning.Microseconds())
+		s.svc.PlanMicrosHit.Observe(rec.PlanTime().Microseconds())
 	} else {
-		s.svc.PlanMicrosMiss.Observe(stats.Planning.Microseconds())
+		s.svc.PlanMicrosMiss.Observe(rec.PlanTime().Microseconds())
 	}
 	if err != nil {
+		rec.Done = rec.Planned
 		s.svc.Failed.Inc()
-		s.finishQuery(aq, bq, stats, nil, nil, admitted, planned, err)
+		s.finish(aq, rec, err)
 		return p, err
 	}
-	stats.Cached, stats.FastPath = bq.cached, bq.fastPath
+	rec.Cached, rec.FastPath = bq.cached, bq.fastPath
 	if bq.fastPath {
 		s.svc.FastPathQueries.Inc()
 	}
@@ -640,10 +608,7 @@ func (s *Session) run(ctx context.Context, text string, parse func() (*sql.Selec
 	// cancellation or failure.
 	aq.SetPhase(obs.PhaseRunning)
 	qm := s.mm.Child(fmt.Sprintf("s%dq%d", s.id, s.qseq.Add(1)))
-	defer func() {
-		stats.PeakReservedBytes = qm.PeakBytes()
-		qm.Close()
-	}()
+	defer qm.Close()
 	// Graceful degradation: under memory pressure (less than a quarter of
 	// the session limit unreserved), shrink this query's grant to its fair
 	// share — floored at MinQueryMemory — so it spills toward the floor
@@ -661,7 +626,7 @@ func (s *Session) run(ctx context.Context, text string, parse func() (*sql.Selec
 			}
 			if grant > 0 {
 				qm.SetSoftLimit(grant)
-				stats.Degraded = true
+				rec.Degraded = true
 				s.svc.Degraded.Inc()
 				s.gate.noteDegraded(tg)
 			}
@@ -685,26 +650,58 @@ func (s *Session) run(ctx context.Context, text string, parse func() (*sql.Selec
 		Trace:         trace,
 		SharedVectors: true,
 		FastPath:      bq.fastPath,
-		Tenant:        stats.Tenant,
+		Tenant:        rec.Tenant,
 		TenantWeight:  tg.weight,
 	})
-	stats.Running = time.Since(planned)
-	s.svc.RunMicros.Observe(stats.Running.Microseconds())
-	stats.SlotsHeldPeak, stats.Stages = rs.SlotsHeldPeak, rs.Stages
+	rec.Done = time.Now()
+	s.svc.RunMicros.Observe(rec.RunTime().Microseconds())
+	rec.PeakMemBytes, rec.SpilledBytes = qm.PeakBytes(), qm.SpilledBytes
+	rec.SlotsHeldPeak, rec.StageCount = rs.SlotsHeldPeak, rs.Stages
 	if err != nil {
 		s.svc.Failed.Inc()
 	} else {
 		s.svc.Succeeded.Inc()
-		stats.Rows = int64(len(rows))
+		rec.Rows = int64(len(rows))
 		p.Result = &Result{Schema: schema, Rows: rows}
 		p.Plan, p.Transitions = rs.Profile, rs.Transitions
+		rec.Stages = make([]obs.StageSummary, 0, len(rs.Profile.Stages))
+		for i := range rs.Profile.Stages {
+			st := &rs.Profile.Stages[i]
+			rec.ShuffleBytes += st.ShuffleBytes
+			rec.ShuffleRows += st.ShuffleRows
+			rec.Retries += st.Retries
+			rec.Speculated += st.Speculated
+			rec.Recovered += st.Recovered
+			var rows int64
+			if len(st.Ops) > 0 {
+				rows = st.Ops[0].RowsOut
+			}
+			rec.Stages = append(rec.Stages, obs.StageSummary{
+				ID: st.ID, Label: st.Label, Tasks: st.TasksRun,
+				WallMicros: st.WallNanos / 1000, Rows: rows,
+				ShuffleRows: st.ShuffleRows,
+			})
+		}
 		if trace != nil {
-			rs.Profile.Cached, rs.Profile.FastPath = stats.Cached, stats.FastPath
-			p.Operators, p.Trace = rs.Profile.Render(), trace
+			p.Operators, p.Trace = routeHeader(rec)+rs.Profile.Render(), trace
 		}
 	}
-	s.finishQuery(aq, bq, stats, &rs, qm, admitted, planned, err)
+	s.finish(aq, rec, err)
 	return p, err
+}
+
+// routeHeader is the EXPLAIN ANALYZE line naming a query's route, empty
+// when it compiled and ran staged.
+func routeHeader(rec *QueryStats) string {
+	switch {
+	case rec.Cached && rec.FastPath:
+		return "Plan: cached fast-path\n"
+	case rec.Cached:
+		return "Plan: cached\n"
+	case rec.FastPath:
+		return "Plan: fast-path\n"
+	}
+	return ""
 }
 
 // queryStatus classifies a lifecycle exit for the flight record and the
@@ -724,97 +721,63 @@ func queryStatus(err error) string {
 	}
 }
 
-// finishQuery closes out one query on every lifecycle exit path: it files
-// the flight record (recorder write happens only here — never on the
-// per-batch hot path), feeds the {cached,fastpath,status}-labeled run-
-// latency histogram, and emits the slow-query log line when configured.
-// qm and rs are nil for queries that never reached execution.
-func (s *Session) finishQuery(aq *obs.ActiveQuery, bq *boundQuery, stats *QueryStats,
-	rs *driver.RunStats, qm *mem.Manager, admitted, planned time.Time, err error) {
-	status := queryStatus(err)
-	done := time.Now()
-
-	if status != "rejected" {
-		name := `photon_query_run_micros{cached="` + strconv.FormatBool(stats.Cached) +
-			`",fastpath="` + strconv.FormatBool(stats.FastPath) +
-			`",status="` + status + `"}`
-		s.reg.Histogram(name,
-			"Execution duration per query by plan-cache outcome, fast-path routing, and completion status (microseconds).").
-			Observe(stats.Running.Microseconds())
-		if stats.Tenant != "" {
-			// Separate per-tenant family (tenant label only) so tenant
-			// cardinality doesn't multiply the cached/fastpath/status series.
-			s.reg.Histogram(`photon_tenant_run_micros{tenant="`+stats.Tenant+`"}`,
-				"Execution duration per query by tenant (microseconds).").
-				Observe(stats.Running.Microseconds())
-		}
-	}
-
-	rec := obs.QueryRecord{
-		Tenant:   stats.Tenant,
-		Admitted: admitted,
-		Planned:  planned,
-		Done:     done,
-		Status:   status,
-		Cached:   stats.Cached,
-		FastPath: stats.FastPath,
-		Rows:     stats.Rows,
-	}
+// finish closes out a query on every exit path, once its Done is read:
+// it feeds the labeled run-latency histograms, files the flight record
+// (the recorder is written only here, never on the per-batch hot path),
+// and emits the slow-query log line when configured.
+func (s *Session) finish(aq *obs.ActiveQuery, rec *QueryStats, err error) {
+	rec.Status = queryStatus(err)
 	if err != nil {
 		rec.Error = err.Error()
 	}
-	if bq != nil && bq.norm != "" {
-		rec.SQL = bq.norm
-	}
-	if qm != nil {
-		rec.PeakMemBytes = qm.PeakBytes()
-		rec.SpilledBytes = qm.SpilledBytes
-	}
-	if rs != nil {
-		rec.SlotsHeldPeak = rs.SlotsHeldPeak
-		if p := rs.Profile; p != nil {
-			rec.Stages = make([]obs.StageSummary, 0, len(p.Stages))
-			for i := range p.Stages {
-				st := &p.Stages[i]
-				rec.ShuffleBytes += st.ShuffleBytes
-				rec.ShuffleRows += st.ShuffleRows
-				rec.Retries += st.Retries
-				rec.Speculated += st.Speculated
-				rec.Recovered += st.Recovered
-				var rows int64
-				if len(st.Ops) > 0 {
-					rows = st.Ops[0].RowsOut
-				}
-				rec.Stages = append(rec.Stages, obs.StageSummary{
-					ID: st.ID, Label: st.Label, Tasks: st.TasksRun,
-					WallMicros: st.WallNanos / 1000, Rows: rows,
-					ShuffleRows: st.ShuffleRows,
-				})
-			}
+	if rec.Status != "rejected" {
+		for _, h := range s.runHistograms(rec) {
+			h.Observe(rec.RunTime().Microseconds())
 		}
 	}
-	s.rec.End(aq, rec)
+	s.rec.End(aq)
+	if thr := s.cfg.SlowQueryThreshold; thr > 0 && rec.Status != "rejected" && rec.Wall() >= thr {
+		lg := s.cfg.SlowQueryLog
+		if lg == nil {
+			lg = slog.Default()
+		}
+		lg.Warn("photon slow query",
+			"query_id", rec.ID,
+			"tenant", rec.Tenant,
+			"sql", rec.SQL,
+			"wall", rec.Wall(),
+			"queue_wait", rec.QueueWait(),
+			"peak_mem_bytes", rec.PeakMemBytes,
+			"spilled_bytes", rec.SpilledBytes,
+			"status", rec.Status)
+	}
+}
 
-	if thr := s.cfg.SlowQueryThreshold; thr > 0 && status != "rejected" {
-		wall := stats.Queued + stats.Planning + stats.Running
-		if wall >= thr {
-			lg := s.cfg.SlowQueryLog
-			if lg == nil {
-				lg = slog.Default()
-			}
-			sqlText := rec.SQL
-			if sqlText == "" {
-				sqlText = aq.SQL()
-			}
-			lg.Warn("photon slow query",
-				"query_id", aq.ID(),
-				"tenant", stats.Tenant,
-				"sql", sqlText,
-				"wall", wall,
-				"queue_wait", stats.Queued,
-				"peak_mem_bytes", rec.PeakMemBytes,
-				"spilled_bytes", rec.SpilledBytes,
-				"status", status)
+// runKey names one query's pair of labeled run-latency series.
+type runKey struct {
+	cached, fastPath bool
+	status, tenant   string
+}
+
+// runHistograms returns the query's labeled run-latency series: by
+// plan-cache outcome, fast-path routing and status, and by tenant (a
+// family of its own, so tenants do not multiply the first family's
+// series). Each pair is resolved once; later queries look it up without
+// building its names.
+func (s *Session) runHistograms(rec *QueryStats) [2]*obs.Histogram {
+	key := runKey{rec.Cached, rec.FastPath, rec.Status, rec.Tenant}
+	s.runMu.Lock()
+	defer s.runMu.Unlock()
+	h, ok := s.runHists[key]
+	if !ok {
+		h = [2]*obs.Histogram{
+			s.reg.Histogram(`photon_query_run_micros{cached="`+strconv.FormatBool(rec.Cached)+
+				`",fastpath="`+strconv.FormatBool(rec.FastPath)+`",status="`+rec.Status+`"}`,
+				"Execution duration per query by plan-cache outcome, fast-path routing, and completion status (microseconds)."),
+			s.reg.Histogram(`photon_tenant_run_micros{tenant="`+rec.Tenant+`"}`,
+				"Execution duration per query by tenant (microseconds)."),
 		}
+		s.runHists[key] = h
 	}
+	return h
 }

@@ -1,8 +1,6 @@
 package photon
 
 import (
-	"time"
-
 	"photon/internal/catalog"
 	"photon/internal/exec"
 	"photon/internal/obs"
@@ -24,39 +22,88 @@ import (
 // pins that snapshot into the bound plan (pinVirtualScans), so every task
 // of one query sees identical data even while the recorder keeps moving.
 
-var queriesSchema = types.NewSchema(
-	types.Field{Name: "id", Type: types.Int64Type},
-	types.Field{Name: "sql", Type: types.StringType},
-	types.Field{Name: "tenant", Type: types.StringType},
-	types.Field{Name: "status", Type: types.StringType},
-	types.Field{Name: "error", Type: types.StringType, Nullable: true},
-	types.Field{Name: "cached", Type: types.BoolType},
-	types.Field{Name: "fastpath", Type: types.BoolType},
-	types.Field{Name: "submit", Type: types.TimestampType},
-	types.Field{Name: "queue_wait_micros", Type: types.Int64Type},
-	types.Field{Name: "plan_micros", Type: types.Int64Type},
-	types.Field{Name: "run_micros", Type: types.Int64Type},
-	types.Field{Name: "wall_micros", Type: types.Int64Type},
-	types.Field{Name: "rows", Type: types.Int64Type},
-	types.Field{Name: "peak_mem_bytes", Type: types.Int64Type},
-	types.Field{Name: "spilled_bytes", Type: types.Int64Type},
-	types.Field{Name: "shuffle_bytes", Type: types.Int64Type},
-	types.Field{Name: "shuffle_rows", Type: types.Int64Type},
-	types.Field{Name: "stages", Type: types.Int64Type},
-	types.Field{Name: "retries", Type: types.Int64Type},
-	types.Field{Name: "speculated", Type: types.Int64Type},
-	types.Field{Name: "recovered", Type: types.Int64Type},
-)
+// column is one column of a system table over the flight recorder: its
+// schema field and how to read its value from one row's source. A nil
+// value is SQL NULL, so only a nullable column may return one.
+type column[T any] struct {
+	types.Field
+	val func(*T) any
+}
 
-var activeSchema = types.NewSchema(
-	types.Field{Name: "id", Type: types.Int64Type},
-	types.Field{Name: "sql", Type: types.StringType},
-	types.Field{Name: "tenant", Type: types.StringType},
-	types.Field{Name: "phase", Type: types.StringType},
-	types.Field{Name: "submit", Type: types.TimestampType},
-	types.Field{Name: "elapsed_micros", Type: types.Int64Type},
-	types.Field{Name: "rows", Type: types.Int64Type},
-	types.Field{Name: "bytes", Type: types.Int64Type},
+// col is a non-nullable column.
+func col[T any](name string, typ types.DataType, val func(*T) any) column[T] {
+	return column[T]{types.Field{Name: name, Type: typ}, val}
+}
+
+// queryColumns are photon_queries' columns, one per line, read from the
+// query's record; /debug/queries shows the same list. A new per-query
+// field is a QueryRecord field and one line here.
+var queryColumns = []column[obs.QueryRecord]{
+	col("id", types.Int64Type, func(r *obs.QueryRecord) any { return r.ID }),
+	col("sql", types.StringType, func(r *obs.QueryRecord) any { return r.SQL }),
+	col("tenant", types.StringType, func(r *obs.QueryRecord) any { return r.Tenant }),
+	col("status", types.StringType, func(r *obs.QueryRecord) any { return r.Status }),
+	{types.Field{Name: "error", Type: types.StringType, Nullable: true}, func(r *obs.QueryRecord) any {
+		if r.Error == "" {
+			return nil
+		}
+		return r.Error
+	}},
+	col("cached", types.BoolType, func(r *obs.QueryRecord) any { return r.Cached }),
+	col("fastpath", types.BoolType, func(r *obs.QueryRecord) any { return r.FastPath }),
+	col("submit", types.TimestampType, func(r *obs.QueryRecord) any { return r.Submit.UnixMicro() }),
+	col("queue_wait_micros", types.Int64Type, func(r *obs.QueryRecord) any { return r.QueueWait().Microseconds() }),
+	col("plan_micros", types.Int64Type, func(r *obs.QueryRecord) any { return r.PlanTime().Microseconds() }),
+	col("run_micros", types.Int64Type, func(r *obs.QueryRecord) any { return r.RunTime().Microseconds() }),
+	col("wall_micros", types.Int64Type, func(r *obs.QueryRecord) any { return r.Wall().Microseconds() }),
+	col("rows", types.Int64Type, func(r *obs.QueryRecord) any { return r.Rows }),
+	col("peak_mem_bytes", types.Int64Type, func(r *obs.QueryRecord) any { return r.PeakMemBytes }),
+	col("spilled_bytes", types.Int64Type, func(r *obs.QueryRecord) any { return r.SpilledBytes }),
+	col("shuffle_bytes", types.Int64Type, func(r *obs.QueryRecord) any { return r.ShuffleBytes }),
+	col("shuffle_rows", types.Int64Type, func(r *obs.QueryRecord) any { return r.ShuffleRows }),
+	col("stages", types.Int64Type, func(r *obs.QueryRecord) any { return int64(len(r.Stages)) }),
+	col("retries", types.Int64Type, func(r *obs.QueryRecord) any { return r.Retries }),
+	col("speculated", types.Int64Type, func(r *obs.QueryRecord) any { return r.Speculated }),
+	col("recovered", types.Int64Type, func(r *obs.QueryRecord) any { return r.Recovered }),
+}
+
+// activeColumns are photon_active_queries' columns, read from a snapshot
+// of one in-flight query; /debug/queries shows the same list.
+var activeColumns = []column[obs.ActiveInfo]{
+	col("id", types.Int64Type, func(a *obs.ActiveInfo) any { return a.ID }),
+	col("sql", types.StringType, func(a *obs.ActiveInfo) any { return a.SQL }),
+	col("tenant", types.StringType, func(a *obs.ActiveInfo) any { return a.Tenant }),
+	col("phase", types.StringType, func(a *obs.ActiveInfo) any { return a.Phase.String() }),
+	col("submit", types.TimestampType, func(a *obs.ActiveInfo) any { return a.Submit.UnixMicro() }),
+	col("elapsed_micros", types.Int64Type, func(a *obs.ActiveInfo) any { return a.Elapsed.Microseconds() }),
+	col("rows", types.Int64Type, func(a *obs.ActiveInfo) any { return a.Rows }),
+	col("bytes", types.Int64Type, func(a *obs.ActiveInfo) any { return a.Bytes }),
+}
+
+// schemaOf is a column list's table schema.
+func schemaOf[T any](cols []column[T]) *types.Schema {
+	fields := make([]types.Field, len(cols))
+	for i, c := range cols {
+		fields[i] = c.Field
+	}
+	return types.NewSchema(fields...)
+}
+
+// rowsOf reads every column of each source into one row.
+func rowsOf[T any](cols []column[T], srcs []T) [][]any {
+	rows := make([][]any, len(srcs))
+	for i := range srcs {
+		rows[i] = make([]any, len(cols))
+		for j, c := range cols {
+			rows[i][j] = c.val(&srcs[i])
+		}
+	}
+	return rows
+}
+
+var (
+	queriesSchema = schemaOf(queryColumns)
+	activeSchema  = schemaOf(activeColumns)
 )
 
 var tenantsSchema = types.NewSchema(
@@ -93,12 +140,7 @@ func (s *Session) registerSystemTables() {
 		TableName: "photon_queries",
 		Sch:       queriesSchema,
 		Batches: exec.VirtualSource(queriesSchema, func() [][]any {
-			records := rec.Records()
-			rows := make([][]any, 0, len(records))
-			for i := range records {
-				rows = append(rows, queryRow(&records[i]))
-			}
-			return rows
+			return rowsOf(queryColumns, rec.Records())
 		}),
 		EstRows: func() int64 { return int64(rec.Len()) },
 	})
@@ -106,16 +148,7 @@ func (s *Session) registerSystemTables() {
 		TableName: "photon_active_queries",
 		Sch:       activeSchema,
 		Batches: exec.VirtualSource(activeSchema, func() [][]any {
-			now := time.Now()
-			active := rec.Active()
-			rows := make([][]any, 0, len(active))
-			for _, a := range active {
-				rows = append(rows, []any{
-					a.ID, a.SQL, a.Tenant, a.Name, a.Submit.UnixMicro(),
-					now.Sub(a.Submit).Microseconds(), a.Rows, a.Bytes,
-				})
-			}
-			return rows
+			return rowsOf(activeColumns, rec.Active())
 		}),
 		EstRows: func() int64 { return int64(rec.ActiveCount()) },
 	})
@@ -165,23 +198,6 @@ func (s *Session) registerSystemTables() {
 		}),
 		EstRows: func() int64 { return int64(len(reg.Names())) },
 	})
-}
-
-// queryRow flattens one flight record into a photon_queries row.
-func queryRow(r *obs.QueryRecord) []any {
-	var errv any
-	if r.Error != "" {
-		errv = r.Error
-	}
-	return []any{
-		r.ID, r.SQL, r.Tenant, r.Status, errv, r.Cached, r.FastPath,
-		r.Submit.UnixMicro(),
-		r.QueueWait().Microseconds(), r.PlanTime().Microseconds(),
-		r.RunTime().Microseconds(), r.Wall().Microseconds(),
-		r.Rows, r.PeakMemBytes, r.SpilledBytes,
-		r.ShuffleBytes, r.ShuffleRows,
-		int64(len(r.Stages)), r.Retries, r.Speculated, r.Recovered,
-	}
 }
 
 // pinVirtualScans replaces every virtual-table scan leaf in a bound plan
