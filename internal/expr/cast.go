@@ -166,7 +166,7 @@ func (c *Cast) Eval(ctx *Ctx, b *vector.Batch) (*vector.Vector, error) {
 			div := types.Pow10(from.Scale).ToFloat64()
 			apply(sel, n, func(i int32) { out.F64[i] = iv.Dec[i].ToFloat64() / div })
 		case types.Int64:
-			apply(sel, n, func(i int32) { out.I64[i] = iv.Dec[i].Rescale(from.Scale, 0).ToInt64() })
+			apply(sel, n, func(i int32) { out.I64[i] = iv.Dec[i].Div(types.Pow10(from.Scale)).ToInt64() })
 		case types.String:
 			scale := from.Scale
 			apply(sel, n, func(i int32) {
