@@ -44,60 +44,51 @@ func (a *analyzer) convertScalar(e AstExpr, c exprConverter) (expr.Expr, error) 
 	case *Placeholder:
 		return nil, fmt.Errorf("sql: placeholder '?' requires Prepare/Execute with arguments")
 	case *UnaryExpr:
-		if n.Op == "-" {
-			if num, ok := n.Inner.(*NumberLit); ok {
-				return numberLit(&NumberLit{Text: "-" + num.Text, IsInt: num.IsInt})
-			}
-			inner, err := c.convertChild(n.Inner)
-			if err != nil {
-				return nil, err
-			}
-			if !inner.Type().Numeric() {
-				return nil, fmt.Errorf("sql: unary - does not take %v", inner.Type())
-			}
-			return &expr.Unary{Op: expr.OpNeg, Inner: inner}, nil
+		if n.Op != "-" {
+			return nil, fmt.Errorf("sql: unary %q is not a scalar expression", n.Op)
 		}
-		return nil, fmt.Errorf("sql: unary %q is not a scalar expression", n.Op)
+		if num, ok := n.Inner.(*NumberLit); ok {
+			return numberLit(&NumberLit{Text: "-" + num.Text, IsInt: num.IsInt})
+		}
+		return operators["unary -"].call(&FuncCall{Name: "unary -", Args: []AstExpr{n.Inner}}, c)
 	case *BinaryExpr:
 		switch n.Op {
-		case "+", "-", "*", "/", "%":
-			return a.convertArith(n, c)
 		case "||":
 			return a.convertFunc(concatCall(n.Left, n.Right), c)
-		case "=", "<>", "<", "<=", ">", ">=":
-			l, r, err := a.convertCmpSides(n, c)
-			if err != nil {
-				return nil, err
-			}
-			return expr.MustCmp(cmpOpOf(n.Op), l, r), nil
 		case "AND", "OR":
 			return nil, fmt.Errorf("sql: boolean %s is only supported in predicates", n.Op)
 		}
+		return convertOp(n, c)
 	case *CaseExpr:
-		var branches []expr.CaseBranch
-		for _, w := range n.Whens {
+		branches := make([]expr.CaseBranch, len(n.Whens))
+		vals := make([]expr.Expr, len(n.Whens), len(n.Whens)+1)
+		for i, w := range n.Whens {
 			cond, err := a.convertPred(w.Cond, c)
 			if err != nil {
 				return nil, err
 			}
-			then, err := c.convertChild(w.Then)
+			branches[i].When = cond
+			if vals[i], err = c.convertChild(w.Then); err != nil {
+				return nil, err
+			}
+		}
+		if n.Else != nil {
+			els, err := c.convertChild(n.Else)
 			if err != nil {
 				return nil, err
 			}
-			branches = append(branches, expr.CaseBranch{When: cond, Then: then})
+			vals = append(vals, els)
+		}
+		vals, err := align(vals)
+		if err != nil {
+			return nil, err
+		}
+		for i := range branches {
+			branches[i].Then = vals[i]
 		}
 		var els expr.Expr
 		if n.Else != nil {
-			var err error
-			els, err = c.convertChild(n.Else)
-			if err != nil {
-				return nil, err
-			}
-		}
-		// Align branch types (e.g. literal 0 vs decimal column).
-		branches, els, err := alignCaseTypes(branches, els)
-		if err != nil {
-			return nil, err
+			els = vals[len(branches)]
 		}
 		return expr.NewCase(branches, els)
 	case *CastExpr:
@@ -109,7 +100,7 @@ func (a *analyzer) convertScalar(e AstExpr, c exprConverter) (expr.Expr, error) 
 		if err != nil {
 			return nil, err
 		}
-		return expr.NewCast(inner, t), nil
+		return castTo(inner, t)
 	case *FuncCall:
 		return a.convertFunc(n, c)
 	case *IsNullExpr:
@@ -145,78 +136,35 @@ func numberLit(n *NumberLit) (expr.Expr, error) {
 	return expr.Lit(d, types.DecimalType(max(prec, 1), scale)), nil
 }
 
-func cmpOpOf(op string) kernels.CmpOp {
-	switch op {
-	case "=":
-		return kernels.CmpEq
-	case "<>":
-		return kernels.CmpNe
-	case "<":
-		return kernels.CmpLt
-	case "<=":
-		return kernels.CmpLe
-	case ">":
-		return kernels.CmpGt
-	case ">=":
-		return kernels.CmpGe
-	}
-	panic("sql: bad comparison operator " + op)
-}
-
-// convertArith handles +,-,*,/,% including date ± INTERVAL folding.
-func (a *analyzer) convertArith(n *BinaryExpr, c exprConverter) (expr.Expr, error) {
-	// date_literal ± INTERVAL folds at analysis time; column ± INTERVAL
-	// becomes DateAdd.
+// convertOp lowers an arithmetic operator, a comparison or date ±
+// INTERVAL through its entry of operators. A date literal ± INTERVAL folds
+// at analysis time, in any unit; any other date ± INTERVAL n DAY is the
+// entry "INTERVAL" with the signed day count as its integer argument.
+func convertOp(n *BinaryExpr, c exprConverter) (expr.Expr, error) {
+	key, call := n.Op, &FuncCall{Name: n.Op, Args: []AstExpr{n.Left, n.Right}}
 	if iv, ok := n.Right.(*IntervalLit); ok && (n.Op == "+" || n.Op == "-") {
-		sign := int64(1)
+		days := iv.N
 		if n.Op == "-" {
-			sign = -1
+			days = -days
 		}
 		if dl, ok := n.Left.(*DateLit); ok {
 			d, err := types.ParseDate(dl.Text)
 			if err != nil {
 				return nil, err
 			}
-			return expr.DateLit(shiftDate(d, sign*iv.N, iv.Unit)), nil
+			return expr.DateLit(shiftDate(d, days, iv.Unit)), nil
 		}
-		inner, err := c.convertChild(n.Left)
-		if err != nil {
-			return nil, err
+		if iv.Unit != "DAY" {
+			return nil, fmt.Errorf("sql: non-constant date %s INTERVAL %s is not supported", n.Op, iv.Unit)
 		}
-		if iv.Unit == "DAY" {
-			return &expr.DateAdd{Inner: inner, Days: int32(sign * iv.N)}, nil
-		}
-		return nil, fmt.Errorf("sql: non-constant date %s INTERVAL %s is not supported", n.Op, iv.Unit)
+		key, call.Name = "INTERVAL", n.Op+" INTERVAL"
+		call.Args[1] = &NumberLit{Text: strconv.FormatInt(days, 10), IsInt: true}
 	}
-	l, err := c.convertChild(n.Left)
-	if err != nil {
-		return nil, err
+	f := operators[key]
+	if f == nil {
+		return nil, fmt.Errorf("sql: unsupported scalar expression %s", renderAst(n))
 	}
-	r, err := c.convertChild(n.Right)
-	if err != nil {
-		return nil, err
-	}
-	l, r, err = coercePair(l, r)
-	if err != nil {
-		return nil, err
-	}
-	if t := l.Type(); n.Op == "%" && (t.ID == types.Float64 || t.ID == types.Decimal) {
-		return nil, fmt.Errorf("sql: %% does not take %v", t)
-	}
-	var op expr.ArithOp
-	switch n.Op {
-	case "+":
-		op = expr.OpAdd
-	case "-":
-		op = expr.OpSub
-	case "*":
-		op = expr.OpMul
-	case "/":
-		op = expr.OpDiv
-	case "%":
-		op = expr.OpMod
-	}
-	return expr.NewArith(op, l, r)
+	return f.call(call, c)
 }
 
 // shiftDate moves a day count by n units.
@@ -230,21 +178,6 @@ func shiftDate(days int32, n int64, unit string) int32 {
 		return types.AddMonths(days, int32(n*12))
 	}
 	return days
-}
-
-// convertCmpSides converts and coerces both sides of a comparison. Each
-// side goes through the converter, so a post-aggregation scope matches it
-// against the group keys before converting it piecewise.
-func (a *analyzer) convertCmpSides(n *BinaryExpr, c exprConverter) (expr.Expr, expr.Expr, error) {
-	l, err := c.convertChild(n.Left)
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err := c.convertChild(n.Right)
-	if err != nil {
-		return nil, nil, err
-	}
-	return coercePair(l, r)
 }
 
 // coercePair reconciles the two sides' types: literal adaptation first,
@@ -363,54 +296,6 @@ func adaptLiteralValue(lit *expr.Literal, to types.DataType) (*expr.Literal, boo
 	return nil, false
 }
 
-// alignCaseTypes coerces CASE branch outputs to one type.
-func alignCaseTypes(branches []expr.CaseBranch, els expr.Expr) ([]expr.CaseBranch, expr.Expr, error) {
-	// Pick the first non-literal type as the target, else the widest.
-	var target types.DataType
-	pick := func(e expr.Expr) {
-		if e == nil {
-			return
-		}
-		t := e.Type()
-		if target.ID == types.Unknown {
-			target = t
-			return
-		}
-		// Prefer decimal/float over int for mixed numeric branches.
-		if target.ID == types.Int64 && (t.ID == types.Decimal || t.ID == types.Float64) {
-			target = t
-		}
-	}
-	for _, b := range branches {
-		pick(b.Then)
-	}
-	pick(els)
-	coerce := func(e expr.Expr) (expr.Expr, error) {
-		if e == nil {
-			return nil, nil
-		}
-		if e.Type().Equal(target) {
-			return e, nil
-		}
-		if lit, ok := e.(*expr.Literal); ok {
-			if adapted, ok2 := roundLiteral(lit, target); ok2 {
-				return adapted, nil
-			}
-		}
-		return expr.NewCast(e, target), nil
-	}
-	for i := range branches {
-		var err error
-		branches[i].Then, err = coerce(branches[i].Then)
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	var err error
-	els, err = coerce(els)
-	return branches, els, err
-}
-
 // convertFunc lowers a scalar function call through its table entry.
 func (a *analyzer) convertFunc(n *FuncCall, c exprConverter) (expr.Expr, error) {
 	f := functions[n.Name]
@@ -420,11 +305,7 @@ func (a *analyzer) convertFunc(n *FuncCall, c exprConverter) (expr.Expr, error) 
 	case f.build == nil:
 		return nil, fmt.Errorf("sql: aggregate %s is not allowed here", n.Name)
 	}
-	args, ints, err := f.bind(n, c)
-	if err != nil {
-		return nil, err
-	}
-	return f.build(args, ints)
+	return f.call(n, c)
 }
 
 // parseTypeName maps SQL type names to DataTypes.
@@ -486,11 +367,11 @@ func (a *analyzer) convertPred(e AstExpr, c exprConverter) (expr.Filter, error) 
 			}
 			return expr.NewOr(l, r), nil
 		case "=", "<>", "<", "<=", ">", ">=":
-			l, r, err := a.convertCmpSides(n, c)
+			e, err := convertOp(n, c)
 			if err != nil {
 				return nil, err
 			}
-			return expr.MustCmp(cmpOpOf(n.Op), l, r), nil
+			return e.(expr.Filter), nil
 		}
 		return nil, fmt.Errorf("sql: %q is not a predicate", n.Op)
 	case *UnaryExpr:
